@@ -9,6 +9,12 @@ FEM matrices of size r*n - 1 with both Dirichlet ends removed (for the
 iteration experiments).  The solve-path matrices are normalized by the
 element count so the constant-coefficient matrix agrees with the
 block-Toeplitz matrix of the extracted symbol on interior entries.
+
+The mesh is uniform, so assembly is batched over elements: the basis
+values and derivatives at the quadrature points (and, for the geometric
+transfer, the coarse-basis values at one coarse element's fine knots)
+are tabulated once on a reference element, and every element's entries
+follow from those tables by broadcasting.
 """
 
 from __future__ import annotations
@@ -120,10 +126,29 @@ class FemProblem1D:
         return self.matrix.size
 
 
+def _check_size(r: int, n_elements: int) -> None:
+    if r < 1:
+        raise ArgumentError(f"degree must be >= 1, got {r}")
+    if n_elements < 2 or n_elements & (n_elements - 1):
+        raise ArgumentError(f"n_elements must be a power of two >= 2, got {n_elements}")
+
+
 def _element_quadrature(r: int, n: int):
     gx, gw = leggauss(r + 2)
     h = 1.0 / n
     return 0.5 * h * (gx + 1.0), 0.5 * h * gw
+
+
+def _assemble_trimmed(r: int, loc: np.ndarray, scale: float) -> sp.csr_matrix:
+    """Sum the (n, r+1, r+1) element matrices ``loc`` into the global
+    matrix, drop both Dirichlet ends and multiply by ``scale``."""
+    n = loc.shape[0]
+    dofs = r * np.arange(n)[:, None] + np.arange(r + 1)
+    rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    ndof = n * r + 1
+    A = sp.coo_matrix((loc.ravel(), (rows.ravel(), cols.ravel())),
+                      shape=(ndof, ndof)).tocsr()
+    return (A[1:-1, 1:-1] * scale).tocsr()
 
 
 def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem1D:
@@ -131,34 +156,25 @@ def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem
 
     Element integrals use Gauss-Legendre quadrature with r + 2 points,
     exact for the constant-coefficient integrand.  The coefficient must
-    be positive on [0, 1] (checked at the quadrature points).
+    be finite and positive on [0, 1] (checked at the quadrature points);
+    a callable may return one value per point or a scalar.
     """
-    if r < 1:
-        raise ArgumentError(f"degree must be >= 1, got {r}")
-    if n_elements < 2 or n_elements & (n_elements - 1):
-        raise ArgumentError(f"n_elements must be a power of two >= 2, got {n_elements}")
+    _check_size(r, n_elements)
     fun, name = _coefficient_function(coefficient)
     n = n_elements
     xq_ref, wq = _element_quadrature(r, n)
-    rows, cols, vals = [], [], []
-    for e in range(n):
-        nodes = (e * r + np.arange(r + 1)) / (n * r)
-        xq = e / n + xq_ref
-        a = np.asarray(fun(xq), dtype=float)
-        if np.any(a <= 0.0):
-            raise ArgumentError(
-                f"coefficient is not positive at x={xq[np.argmin(a)]:.6f}")
-        dphi = np.array([[_lagrange_deriv(nodes, ell, x) for x in xq]
-                         for ell in range(r + 1)])
-        loc = np.einsum("q,iq,jq->ij", a * wq, dphi, dphi)
-        for i in range(r + 1):
-            for j in range(r + 1):
-                rows.append(e * r + i)
-                cols.append(e * r + j)
-                vals.append(loc[i, j])
-    ndof = n * r + 1
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
-    K = (K[1:-1, 1:-1] / n).tocsr()
+    xq = np.arange(n)[:, None] / n + xq_ref
+    a = np.broadcast_to(np.asarray(fun(xq), dtype=float), xq.shape)
+    ok = np.isfinite(a) & (a > 0.0)
+    if not np.all(ok):
+        raise ArgumentError(
+            f"coefficient is not finite and positive at x={xq.flat[np.argmin(ok)]:.6f}")
+    # the mesh is uniform: element 0's basis derivatives serve every element
+    nodes = np.arange(r + 1) / (n * r)
+    dphi = np.array([[_lagrange_deriv(nodes, ell, x) for x in xq_ref]
+                     for ell in range(r + 1)])
+    loc = np.einsum("eq,iq,jq->eij", a * wq, dphi, dphi)
+    K = _assemble_trimmed(r, loc, 1.0 / n)
     # boundary trimming breaks exact shift invariance, so always "general"
     mat = BlockStructuredMatrix(GENERAL, r, None, K)
     return FemProblem1D(r=r, n_elements=n, coefficient=name, matrix=mat)
@@ -166,23 +182,15 @@ def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem
 
 def assemble_mass(r: int, n_elements: int) -> BlockStructuredMatrix:
     """Trimmed mass matrix scaled by the element count (entries O(1))."""
+    _check_size(r, n_elements)
     n = n_elements
     xq_ref, wq = _element_quadrature(r, n)
     grid = KnotGrid(r, n)
-    rows, cols, vals = [], [], []
-    for e in range(n):
-        xq = e / n + xq_ref
-        phi = np.array([[lagrange_eval(grid, e * r + ell, x) for x in xq]
-                        for ell in range(r + 1)])
-        loc = np.einsum("q,iq,jq->ij", wq, phi, phi)
-        for i in range(r + 1):
-            for j in range(r + 1):
-                rows.append(e * r + i)
-                cols.append(e * r + j)
-                vals.append(loc[i, j])
-    ndof = n * r + 1
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
-    return BlockStructuredMatrix(GENERAL, r, None, (M[1:-1, 1:-1] * n).tocsr())
+    phi = np.array([[lagrange_eval(grid, ell, x) for x in xq_ref]
+                    for ell in range(r + 1)])
+    loc = np.einsum("q,iq,jq->ij", wq, phi, phi)
+    M = _assemble_trimmed(r, np.broadcast_to(loc, (n, r + 1, r + 1)), n)
+    return BlockStructuredMatrix(GENERAL, r, None, M)
 
 
 def _interior_blocks(mat: sp.csr_matrix, r: int, i: int, k: int) -> np.ndarray:
@@ -335,19 +343,21 @@ def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
         P = T.tocsc()[:, cols].tocsr().real
         symbol = build_linear_interp_symbol(r)
     elif kind == GEOMETRIC:
-        coarse = KnotGrid(r, n_elements // 2)
-        rows, cols_idx, vals = [], [], []
-        for i in range(1, nf + 1):
-            x = i / (nf + 1)
-            e = min(int(x * coarse.n), coarse.n - 1)
-            lo = e * r
-            for j in range(max(lo, 1), min(lo + r, nc) + 1):
-                v = lagrange_eval(coarse, j, x)
-                if v != 0.0:
-                    rows.append(i - 1)
-                    cols_idx.append(j - 1)
-                    vals.append(v)
-        P = sp.coo_matrix((vals, (rows, cols_idx)), shape=(nf, nc)).tocsr()
+        nce = n_elements // 2
+        coarse = KnotGrid(r, nce)
+        # coarse element e holds fine knots 2 r e + s, s = 0..2r-1; the mesh
+        # is uniform, so element 0's basis values serve every element.  Fine
+        # knot 0 meets only coarse knot 0, which the column window drops.
+        s = np.arange(2 * r)
+        table = np.array([[lagrange_eval(coarse, ell, k / (nf + 1))
+                           for ell in range(r + 1)] for k in s])
+        e = np.arange(nce)[:, None, None]
+        fine, crs = np.broadcast_arrays(2 * r * e + s[:, None],
+                                        r * e + np.arange(r + 1))
+        vals = np.broadcast_to(table, fine.shape)
+        keep = (vals != 0.0) & (crs >= 1) & (crs <= nc)
+        P = sp.coo_matrix((vals[keep], (fine[keep] - 1, crs[keep] - 1)),
+                          shape=(nf, nc)).tocsr()
         symbol = build_geometric_symbol(r)
     else:
         raise ArgumentError(f"unknown transfer kind {kind!r}")

@@ -576,7 +576,7 @@ def read_symbol(path) -> MatrixTrigPolynomial:
             raise ArgumentError(f"expected 'coeff' with {m} indices, got {lines[pos]!r}")
         idx = tuple(int(v) for v in head[1:])
         pos += 1
-        if pos + d > len(lines) + 1:
+        if pos + d > len(lines):
             raise ArgumentError(f"truncated coefficient block for {idx}")
         mat = np.empty((d, d), dtype=complex)
         for row in range(d):

@@ -1,12 +1,70 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from blockmg import assemble_toeplitz, has_full_column_rank, max_coeff_difference
 from blockmg.errors import ArgumentError
-from blockmg.femgen import (KnotGrid, assemble_mass, assemble_stiffness,
+from blockmg.femgen import (COEFFICIENTS, KnotGrid, assemble_mass, assemble_stiffness,
                             build_fem_transfer, build_geometric_symbol,
                             build_linear_interp_symbol, geometric_det_reference,
                             lagrange_eval, mass_symbol, stiffness_symbol)
+
+
+def _reference_basis(nodes, x):
+    """Values and derivatives at the points x of the Lagrange basis on nodes."""
+    m = len(nodes)
+    val = np.ones((m, len(x)))
+    der = np.zeros((m, len(x)))
+    for i in range(m):
+        for k in range(m):
+            if k != i:
+                val[i] *= (x - nodes[k]) / (nodes[i] - nodes[k])
+        for mm in range(m):
+            if mm == i:
+                continue
+            prod = np.full(len(x), 1.0 / (nodes[i] - nodes[mm]))
+            for k in range(m):
+                if k not in (i, mm):
+                    prod *= (x - nodes[k]) / (nodes[i] - nodes[k])
+            der[i] += prod
+    return val, der
+
+
+def _reference_assembly(r, n, fun):
+    """Trimmed, normalized stiffness and mass matrices, one element at a time."""
+    gx, gw = leggauss(r + 2)
+    ndof = n * r + 1
+    K = np.zeros((ndof, ndof))
+    M = np.zeros((ndof, ndof))
+    for e in range(n):
+        dofs = e * r + np.arange(r + 1)
+        xq = (e + 0.5 * (gx + 1.0)) / n
+        wq = 0.5 * gw / n
+        phi, dphi = _reference_basis(dofs / (n * r), xq)
+        K[np.ix_(dofs, dofs)] += (dphi * (fun(xq) * wq)) @ dphi.T
+        M[np.ix_(dofs, dofs)] += (phi * wq) @ phi.T
+    return K[1:-1, 1:-1] / n, M[1:-1, 1:-1] * n
+
+
+def _wavy_coefficient(x):
+    return 1.0 + np.sin(3.0 * x) ** 2
+
+
+def _max_rel_diff(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestBatchedAssembly:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_matches_element_loop(self, r, n):
+        for coefficient in [*COEFFICIENTS, _wavy_coefficient]:
+            fun = COEFFICIENTS.get(coefficient, coefficient)
+            K_ref, M_ref = _reference_assembly(r, n, fun)
+            K = assemble_stiffness(r, n, coefficient).matrix.dense().real
+            assert _max_rel_diff(K, K_ref) <= 1e-12
+        M = assemble_mass(r, n).matrix.toarray().real
+        assert _max_rel_diff(M, M_ref) <= 1e-12
 
 
 class TestBasis:
@@ -85,9 +143,21 @@ class TestStiffness:
                                    2.0 * assemble_stiffness(1, 4, "one").matrix.dense().real,
                                    atol=1e-12)
 
+    def test_scalar_callable(self):
+        problem = assemble_stiffness(2, 4, lambda x: 2.0)
+        np.testing.assert_allclose(problem.matrix.dense().real,
+                                   2.0 * assemble_stiffness(2, 4, "one").matrix.dense().real,
+                                   atol=1e-12)
+
     def test_nonpositive_coefficient_rejected(self):
         with pytest.raises(ArgumentError):
             assemble_stiffness(1, 4, lambda x: x - 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        # first quadrature point past 0.5: 0.5 + (1 - sqrt(3/5)) / 8
+        with pytest.raises(ArgumentError, match=r"x=0\.528175"):
+            assemble_stiffness(1, 4, lambda x: np.where(x > 0.5, bad, 1.0))
 
     def test_size_validation(self):
         with pytest.raises(ArgumentError):
@@ -104,6 +174,14 @@ class TestMass:
         want = (np.diag([4.0] * 3) + np.diag([1.0] * 2, 1)
                 + np.diag([1.0] * 2, -1)) / 6.0
         np.testing.assert_allclose(M, want, atol=1e-12)
+
+    def test_size_validation(self):
+        with pytest.raises(ArgumentError):
+            assemble_mass(0, 4)
+        with pytest.raises(ArgumentError):
+            assemble_mass(2, 6)
+        with pytest.raises(ArgumentError):
+            assemble_mass(2, 1)
 
     def test_mass_symbol_scalar(self):
         h = mass_symbol(1)
@@ -205,6 +283,17 @@ class TestFemTransfer:
             for i in range(1, 8):
                 assert P[i - 1, j - 1] == pytest.approx(
                     lagrange_eval(coarse, j, i / 8.0), abs=1e-12)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_geometric_entries_and_pattern(self, r):
+        P = build_fem_transfer(r, 16, "geometric").matrix
+        nf, nc = P.shape
+        coarse = KnotGrid(r, 8)
+        want = np.array([[lagrange_eval(coarse, j, i / (nf + 1))
+                          for j in range(1, nc + 1)] for i in range(1, nf + 1)])
+        assert np.count_nonzero(P.data) == P.nnz
+        np.testing.assert_array_equal(P.toarray() != 0.0, want != 0.0)
+        assert _max_rel_diff(P.toarray(), want) <= 1e-12
 
     def test_shapes_and_rank(self):
         for r, n in ((1, 8), (2, 8), (3, 4)):

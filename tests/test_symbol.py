@@ -271,6 +271,12 @@ class TestExchangeFormat:
         with pytest.raises(ArgumentError):
             read_symbol(path)
 
+    def test_file_ends_inside_block(self, tmp_path):
+        path = tmp_path / "short.txt"
+        path.write_text("symbol v1\nd 2\nm 1\ncoeff 0\n1+0i 0+0i\n")
+        with pytest.raises(ArgumentError, match="truncated coefficient block"):
+            read_symbol(path)
+
     def test_bad_entry(self, tmp_path):
         path = tmp_path / "entry.txt"
         path.write_text("symbol v1\nd 1\nm 1\ncoeff 0\nbogus\nend\n")
