@@ -6,7 +6,7 @@ from .errors import (ArgumentError, BlockmgError, ConfigurationError,
                      ConstructionError, DimensionError, NumericalError,
                      SingularMatrixError, SymbolZeroError, TrackingError)
 from .symbol import (EigenCurves, MatrixTrigPolynomial, SymbolZero,
-                     coarse_symbol, corner_set, corner_sum,
+                     coarse_symbol, corner_set, corner_sum, corner_sums,
                      eigenvalue_functions, find_zero, max_coeff_difference,
                      read_symbol, symbol_sup_norm, tensor_symbol, theta_grid,
                      tracked_eigenpair, write_symbol)
@@ -22,7 +22,7 @@ from .mgsolve import (MultigridHierarchy, SmootherSpec, SolveResult,
                       richardson_omega_default, smooth, solve, tgm_step,
                       vcycle_step, write_residuals)
 from .conditions import (CheckResult, ConditionReport, build_s,
-                         check_condition_i, check_condition_ii,
+                         build_s_grid, check_condition_i, check_condition_ii,
                          check_condition_iii, check_fhat_properties,
                          check_vcycle_bound, full_report)
 from .femgen import (FemProblem1D, KnotGrid, assemble_mass,

@@ -29,7 +29,7 @@ from . import smallmat
 from .errors import (ArgumentError, BlockmgError, SingularMatrixError,
                      TrackingError)
 from .symbol import (MatrixTrigPolynomial, SymbolZero, coarse_symbol,
-                     corner_sum, find_zero, sample_points, symbol_sup_norm,
+                     corner_sums, find_zero, sample_points, symbol_sup_norm,
                      theta_grid, tracked_eigenpair)
 
 EPS = np.finfo(float).eps
@@ -57,27 +57,47 @@ def _error_result(exc: Exception) -> CheckResult:
 # -- s(theta) --------------------------------------------------------------
 
 
-def build_s(p: MatrixTrigPolynomial, theta) -> np.ndarray:
-    """The Gram quotient s(t) = p(t) (corner sum)^-1 p(t)^H.
+def build_s_grid(p: MatrixTrigPolynomial, thetas) -> np.ndarray:
+    """The Gram quotient s(t) = p(t) (corner sum)^-1 p(t)^H at a stack of
+    points, shape (n, d, d); thetas has shape (n,) for m=1 or (n, m).
 
     Hermitian with spectrum inside [0, 1] whenever the corner sum is
     positive definite; a singular corner sum is a condition-(i)
-    violation and raises SingularMatrixError.
+    violation.  Raises SingularMatrixError at the first point where the
+    corner sum is singular, a pivot fails or the spectrum of s leaves
+    [0, 1], naming that point.
     """
-    c = corner_sum(p, theta)
+    ts = np.asarray(thetas, dtype=float)
+    c = corner_sums(p, ts)
     w = np.linalg.eigvalsh(c)
-    if w[0] <= 1e-12 * max(w[-1], 1.0):
-        raise SingularMatrixError(
-            f"corner sum singular at theta={theta}: condition (i) violated "
-            f"(min eigenvalue {w[0]:.3e})")
-    E = p.evaluate(theta)
-    s = E @ smallmat.solve(c, E.conj().T)
-    s = 0.5 * (s + s.conj().T)
+    singular = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
+    # Only the points before the first singular corner sum can fail
+    # earlier, so only they are solved.  The pivot check cannot fire on a
+    # corner sum that passed for d <= 100: its LU pivots are at least
+    # lambda_min / sqrt(d), above 1e-14 ||c||_inf.
+    n_ok = singular[0] if singular.size else len(ts)
+    E = p.evaluate_grid(ts[:n_ok])
+    EH = np.conj(np.swapaxes(E, 1, 2))
+    s = E @ smallmat.solve(c[:n_ok], EH)
+    s = 0.5 * (s + np.conj(np.swapaxes(s, 1, 2)))
     ws = np.linalg.eigvalsh(s)
-    if ws[0] < -1e-9 or ws[-1] > 1.0 + 1e-9:
+    escaped = np.flatnonzero((ws[:, 0] < -1e-9) | (ws[:, -1] > 1.0 + 1e-9))
+    if escaped.size:
+        k = escaped[0]
         raise SingularMatrixError(
-            f"s(theta) spectrum [{ws[0]:.3e}, {ws[-1]:.3e}] escapes [0, 1]")
+            f"s(theta) spectrum [{ws[k, 0]:.3e}, {ws[k, -1]:.3e}] escapes [0, 1]")
+    if singular.size:
+        k = singular[0]
+        raise SingularMatrixError(
+            f"corner sum singular at theta={ts[k]}: condition (i) violated "
+            f"(min eigenvalue {w[k, 0]:.3e})")
     return s
+
+
+def build_s(p: MatrixTrigPolynomial, theta) -> np.ndarray:
+    """The Gram quotient s(t) at one point: the n = 1 case of the batched
+    :func:`build_s_grid`, with the same checks and errors."""
+    return build_s_grid(p, p._theta(theta)[None])[0]
 
 
 # -- dyadic limit machinery -------------------------------------------------
@@ -228,22 +248,9 @@ def check_condition_i(p: MatrixTrigPolynomial,
                       npoints: int = GRID_POINTS) -> CheckResult:
     """Grid minimum of the smallest corner-sum eigenvalue; positive means
     s(theta) is well-defined everywhere."""
-    if p.m == 1:
-        pts = theta_grid(npoints)
-        V0 = p.evaluate_grid(pts)
-        V1 = p.evaluate_grid(pts + np.pi)
-        G = (np.einsum("tji,tjk->tik", V0.conj(), V0)
-             + np.einsum("tji,tjk->tik", V1.conj(), V1))
-        eigs = np.linalg.eigvalsh(G)
-        min_eig = float(eigs[:, 0].min())
-        max_eig = float(eigs[:, -1].max())
-    else:
-        pts = sample_points(p.m, npoints)
-        min_eig, max_eig = np.inf, 0.0
-        for t in pts:
-            w = np.linalg.eigvalsh(corner_sum(p, t))
-            min_eig = min(min_eig, float(w[0]))
-            max_eig = max(max_eig, float(w[-1]))
+    eigs = np.linalg.eigvalsh(corner_sums(p, sample_points(p.m, npoints)))
+    min_eig = float(eigs[:, 0].min())
+    max_eig = float(eigs[:, -1].max())
     passed = min_eig > 1e-10 * max_eig
     return CheckResult(passed, {"min_eig": min_eig, "max_eig": max_eig,
                                 "npoints": int(npoints)})
@@ -307,11 +314,8 @@ def check_condition_ii(p: MatrixTrigPolynomial, zero: SymbolZero) -> CheckResult
 def projector_defect(p: MatrixTrigPolynomial, npoints: int = 256) -> float:
     """max over a grid of ||s(t)^2 - s(t)||_F; zero identifies s as a
     projector, which settles condition (iii) with limit 0."""
-    worst = 0.0
-    for t in sample_points(p.m, npoints):
-        s = build_s(p, t)
-        worst = max(worst, float(np.linalg.norm(s @ s - s)))
-    return worst
+    s = build_s_grid(p, sample_points(p.m, npoints))
+    return float(np.max(np.linalg.norm(s @ s - s, axis=(1, 2))))
 
 
 def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,

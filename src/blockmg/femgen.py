@@ -325,13 +325,16 @@ LINEAR = "linear"
 GEOMETRIC = "geometric"
 
 
-def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
-    """Solve-path prolongation at FEM sizes (r*n - 1 by r*n/2 - 1).
+def _projector_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
+    if kind == LINEAR:
+        return build_linear_interp_symbol(r)
+    if kind == GEOMETRIC:
+        return build_geometric_symbol(r)
+    raise ArgumentError(f"unknown transfer kind {kind!r}")
 
-    ``linear`` is the scalar (1,2,1) stencil: the tridiagonal matrix of
-    2 + 2cos times the even-row selector.  ``geometric`` holds the
-    evaluations of the coarse basis functions at the fine knots.
-    """
+
+def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
+    """The prolongation matrix of :func:`build_fem_transfer`."""
     if n_elements % 2 != 0 or n_elements < 4:
         raise ArgumentError(
             f"n_elements must be even and >= 4 to coarsen, got {n_elements}")
@@ -341,7 +344,6 @@ def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
         T = assemble_toeplitz(_LINTERP, nf).matrix
         cols = np.arange(1, nf, 2)
         P = T.tocsc()[:, cols].tocsr().real
-        symbol = build_linear_interp_symbol(r)
     elif kind == GEOMETRIC:
         nce = n_elements // 2
         coarse = KnotGrid(r, nce)
@@ -358,12 +360,23 @@ def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
         keep = (vals != 0.0) & (crs >= 1) & (crs <= nc)
         P = sp.coo_matrix((vals[keep], (fine[keep] - 1, crs[keep] - 1)),
                           shape=(nf, nc)).tocsr()
-        symbol = build_geometric_symbol(r)
     else:
         raise ArgumentError(f"unknown transfer kind {kind!r}")
     if P.shape != (nf, nc):
         raise ConstructionError(f"transfer has shape {P.shape}, expected {(nf, nc)}")
-    return transfer_from_matrix(P, p=symbol, parity=EVEN_ROWS)
+    return P
+
+
+def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
+    """Solve-path prolongation at FEM sizes (r*n - 1 by r*n/2 - 1).
+
+    ``linear`` is the scalar (1,2,1) stencil: the tridiagonal matrix of
+    2 + 2cos times the even-row selector.  ``geometric`` holds the
+    evaluations of the coarse basis functions at the fine knots.  The
+    transfer carries the projector symbol of its kind.
+    """
+    P = _fem_transfer_matrix(r, n_elements, kind)
+    return transfer_from_matrix(P, p=_projector_symbol(r, kind), parity=EVEN_ROWS)
 
 
 def build_fem_hierarchy(problem: FemProblem1D, kind: str,
@@ -371,13 +384,16 @@ def build_fem_hierarchy(problem: FemProblem1D, kind: str,
                         coarsest_max_size: int = DEFAULT_COARSEST,
                         two_level: bool = False) -> MultigridHierarchy:
     """Galerkin hierarchy for a 1D problem: the same constant-coefficient
-    transfer family at every level, coarse matrices by triple product."""
+    transfer family at every level, coarse matrices by triple product.
+    The projector symbol is built once and shared by every level."""
     smoother = smoother or SmootherSpec()
+    symbol = _projector_symbol(problem.r, kind)
     mats = [problem.matrix]
     transfers = []
     n = problem.n_elements
     while True:
-        P = build_fem_transfer(problem.r, n, kind)
+        P = transfer_from_matrix(_fem_transfer_matrix(problem.r, n, kind),
+                                 p=symbol, parity=EVEN_ROWS)
         transfers.append(P)
         mats.append(galerkin(mats[-1], P))
         n //= 2

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import smallmat
-from .errors import ArgumentError, SingularMatrixError
+from .errors import ArgumentError
 from .symbol import MatrixTrigPolynomial, coarse_symbol
 
 CIRCULANT = "circulant"
@@ -244,11 +244,7 @@ def coarse_projection_norm(A: BlockStructuredMatrix, P: GridTransfer,
     Ad = A.dense()
     Pd = P.matrix.toarray()
     G = Pd.conj().T @ Ad @ Pd
-    try:
-        coarse_inv_PA = smallmat.solve(G, Pd.conj().T @ Ad)
-    except SingularMatrixError:
-        raise
-    pi = Pd @ coarse_inv_PA
+    pi = Pd @ smallmat.solve(G, Pd.conj().T @ Ad)
     M = pi.conj().T @ pi
     rng = np.random.default_rng(1234)
     v = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
@@ -294,15 +290,32 @@ def write_coo(path, A: BlockStructuredMatrix) -> None:
 
 def read_coo(path) -> sp.csr_matrix:
     """Inverse of :func:`write_coo` (returns the bare sparse matrix)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "coo":
-            raise ArgumentError("not a coordinate-format export")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ArgumentError(f"cannot read coordinate file {path}: {exc}") from exc
+    header = lines[0].split() if lines else []
+    if len(header) != 4 or header[0] != "coo":
+        raise ArgumentError("not a coordinate-format export")
+    try:
         rows, cols, nnz = (int(v) for v in header[1:])
-        ii, jj, vv = [], [], []
-        for _ in range(nnz):
-            r, c, re, im = fh.readline().split()
+    except ValueError as exc:
+        raise ArgumentError(f"bad coordinate-file header {lines[0]!r}") from exc
+    if len(lines) - 1 < nnz:
+        raise ArgumentError(
+            f"truncated coordinate file {path}: {len(lines) - 1} of {nnz} entries")
+    ii, jj, vv = [], [], []
+    for k, line in enumerate(lines[1:nnz + 1], start=2):
+        try:
+            r, c, re, im = line.split()
             ii.append(int(r) - 1)
             jj.append(int(c) - 1)
             vv.append(complex(float(re), float(im)))
-    return sp.csr_matrix((vv, (ii, jj)), shape=(rows, cols))
+        except ValueError as exc:
+            raise ArgumentError(
+                f"truncated coordinate file {path}: bad entry on line {k}: {line!r}") from exc
+    try:
+        return sp.csr_matrix((vv, (ii, jj)), shape=(rows, cols))
+    except ValueError as exc:
+        raise ArgumentError(f"bad coordinate file {path}: {exc}") from exc

@@ -6,6 +6,11 @@ provides evaluation, coefficient algebra, eigenvalue-function sampling
 with branch tracking, location of the (unique) zero of the minimal
 eigenvalue function, the half-angle coarse-symbol map, tensor products
 for the multilevel setting, and a plain-text exchange format.
+
+Evaluation is batched: :meth:`MatrixTrigPolynomial.evaluate_grid` and
+:func:`corner_sums` work on a stack of n points, and the one-point
+:meth:`MatrixTrigPolynomial.evaluate` and :func:`corner_sum` are their
+n = 1 cases.
 """
 
 from __future__ import annotations
@@ -34,6 +39,18 @@ def _as_multi_index(j, m):
     return idx
 
 
+def _as_grid(thetas, m):
+    """A stack of points as an (n, m) float array; (n,) is accepted for m=1."""
+    ts = np.asarray(thetas, dtype=float)
+    if ts.ndim == 1:
+        if m != 1:
+            raise ArgumentError("1-D grid given for a multivariate symbol")
+        ts = ts[:, None]
+    if ts.ndim != 2 or ts.shape[1] != m:
+        raise ArgumentError(f"grid has shape {ts.shape}, expected (n, {m})")
+    return ts
+
+
 class MatrixTrigPolynomial:
     """d-by-d matrix trigonometric polynomial f(t) = sum_j c_j e^(i j.t).
 
@@ -46,8 +63,10 @@ class MatrixTrigPolynomial:
         Number of angular variables; inferred from the keys when omitted.
 
     Coefficients with Frobenius norm below 1e-14 times the largest one
-    are dropped, keeping the stored window minimal.  Instances are
-    immutable by convention: no method mutates ``coeffs``.
+    are dropped, keeping the stored window minimal; a NaN or infinite
+    entry raises ArgumentError.  Instances are immutable by convention:
+    no method mutates ``coeffs``, so the evaluation arrays and the
+    Hermitian flag are computed once here.
     """
 
     def __init__(self, coeffs, m=None):
@@ -72,6 +91,8 @@ class MatrixTrigPolynomial:
             elif mat.shape[0] != d:
                 raise DimensionError(
                     f"coefficient {idx} has order {mat.shape[0]}, expected {d}")
+            if not np.all(np.isfinite(mat)):
+                raise ArgumentError(f"coefficient {idx} has a non-finite entry")
             normalized[idx] = mat.copy()
         scale = max(np.linalg.norm(c) for c in normalized.values())
         if scale > 0:
@@ -82,6 +103,9 @@ class MatrixTrigPolynomial:
         self.d = d
         self.m = m
         self.coeffs = normalized
+        self._J = np.array(list(normalized), dtype=float)                    # (nc, m)
+        self._C = np.stack(list(normalized.values())).reshape(len(normalized), d * d)
+        self._hermitian = _is_hermitian(normalized)
 
     @classmethod
     def scalar(cls, coeffs, m=None):
@@ -101,17 +125,7 @@ class MatrixTrigPolynomial:
     @property
     def hermitian(self) -> bool:
         """True when c_{-j} = c_j^H for every stored index (1e-12 relative)."""
-        scale = max(np.linalg.norm(c) for c in self.coeffs.values())
-        tol = HERMITIAN_RTOL * max(scale, 1.0)
-        for j, c in self.coeffs.items():
-            neg = tuple(-v for v in j)
-            other = self.coeffs.get(neg)
-            if other is None:
-                if np.linalg.norm(c) > tol:
-                    return False
-            elif np.max(np.abs(other - c.conj().T)) > tol:
-                return False
-        return True
+        return self._hermitian
 
     def _theta(self, theta):
         t = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -122,29 +136,16 @@ class MatrixTrigPolynomial:
         return t
 
     def evaluate(self, theta) -> np.ndarray:
-        """Value at a point of [0, 2pi)^m; Hermitian output is symmetrized."""
-        t = self._theta(theta)
-        out = np.zeros((self.d, self.d), dtype=complex)
-        for j, c in self.coeffs.items():
-            out += c * np.exp(1j * float(np.dot(j, t)))
-        if self.hermitian:
-            out = 0.5 * (out + out.conj().T)
-        return out
+        """Value at a point of [0, 2pi)^m; the one-point case of
+        :meth:`evaluate_grid`."""
+        return self.evaluate_grid(self._theta(theta)[None])[0]
 
     def evaluate_grid(self, thetas) -> np.ndarray:
-        """Vectorized evaluation; thetas has shape (n,) for m=1 or (n, m)."""
-        ts = np.asarray(thetas, dtype=float)
-        if ts.ndim == 1:
-            if self.m != 1:
-                raise ArgumentError("1-D grid given for a multivariate symbol")
-            ts = ts[:, None]
-        if ts.shape[1] != self.m:
-            raise ArgumentError(f"grid has {ts.shape[1]} variables, expected {self.m}")
-        J = np.array(list(self.coeffs.keys()), dtype=float)            # (nc, m)
-        C = np.stack([self.coeffs[tuple(int(v) for v in j)] for j in J])
-        phase = np.exp(1j * ts @ J.T)                                   # (n, nc)
-        out = np.einsum("tc,cij->tij", phase, C)
-        if self.hermitian:
+        """Values at a stack of points, shape (n, d, d); thetas has shape
+        (n,) for m=1 or (n, m).  Hermitian output is symmetrized."""
+        ts = _as_grid(thetas, self.m)
+        out = (np.exp(1j * ts @ self._J.T) @ self._C).reshape(len(ts), self.d, self.d)
+        if self._hermitian:
             out = 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
         return out
 
@@ -203,6 +204,19 @@ class MatrixTrigPolynomial:
                 f"window={self.window()}, ncoeff={len(self.coeffs)})")
 
 
+def _is_hermitian(coeffs) -> bool:
+    scale = max(np.linalg.norm(c) for c in coeffs.values())
+    tol = HERMITIAN_RTOL * max(scale, 1.0)
+    for j, c in coeffs.items():
+        other = coeffs.get(tuple(-v for v in j))
+        if other is None:
+            if np.linalg.norm(c) > tol:
+                return False
+        elif np.max(np.abs(other - c.conj().T)) > tol:
+            return False
+    return True
+
+
 def max_coeff_difference(f: MatrixTrigPolynomial, g: MatrixTrigPolynomial) -> float:
     """Largest entry-wise difference between two coefficient windows."""
     keys = set(f.coeffs) | set(g.coeffs)
@@ -238,7 +252,7 @@ def symbol_sup_norm(f: MatrixTrigPolynomial, npoints: int = DEFAULT_GRID) -> flo
     """
     pts = sample_points(f.m, npoints)
     vals = f.evaluate_grid(pts)
-    return float(max(np.linalg.norm(v, 2) for v in vals))
+    return float(np.max(np.linalg.norm(vals, 2, axis=(1, 2))))
 
 
 def sample_points(m, npoints):
@@ -357,12 +371,8 @@ def find_zero(f: MatrixTrigPolynomial, npoints: int = DEFAULT_GRID) -> SymbolZer
         raise ArgumentError("find_zero requires a Hermitian symbol")
     m = f.m
     pts = sample_points(m, npoints if m == 1 else npoints * 4)
-    vals = f.evaluate_grid(pts)
-    mins = np.empty(len(pts))
-    maxs = np.empty(len(pts))
-    for k in range(len(pts)):
-        w = np.linalg.eigvalsh(vals[k])
-        mins[k], maxs[k] = w[0], w[-1]
+    w = np.linalg.eigvalsh(f.evaluate_grid(pts))
+    mins, maxs = w[:, 0], w[:, -1]
     scale = float(np.max(np.abs(maxs)))
     if scale == 0.0:
         raise ArgumentError("zero symbol has no isolated minimal-eigenvalue zero")
@@ -497,13 +507,22 @@ def corner_set(theta, m):
     return corners
 
 
+def corner_sums(p: MatrixTrigPolynomial, thetas) -> np.ndarray:
+    """Corner sums at a stack of points, shape (n, d, d): for each point,
+    the sum over its corner set of p(xi)^H p(xi), Hermitian PSD by
+    construction.  All 2^m corners of every point go through one
+    :meth:`~MatrixTrigPolynomial.evaluate_grid` call."""
+    ts = _as_grid(thetas, p.m)
+    offsets = np.array(corner_set(np.zeros(p.m), p.m))                 # (2^m, m)
+    E = p.evaluate_grid((ts[:, None, :] + offsets).reshape(-1, p.m))
+    E = E.reshape(len(ts), len(offsets), p.d, p.d)
+    total = np.einsum("nkji,nkjl->nil", E.conj(), E)
+    return 0.5 * (total + np.conj(np.swapaxes(total, 1, 2)))
+
+
 def corner_sum(p: MatrixTrigPolynomial, theta) -> np.ndarray:
-    """sum over the corner set of p(xi)^H p(xi); Hermitian PSD by construction."""
-    total = np.zeros((p.d, p.d), dtype=complex)
-    for xi in corner_set(theta, p.m):
-        E = p.evaluate(xi)
-        total += E.conj().T @ E
-    return 0.5 * (total + total.conj().T)
+    """Corner sum at one point; the one-point case of :func:`corner_sums`."""
+    return corner_sums(p, p._theta(theta)[None])[0]
 
 
 # -- exchange file format --------------------------------------------------
@@ -560,8 +579,11 @@ def write_symbol(path, f: MatrixTrigPolynomial) -> None:
 
 def read_symbol(path) -> MatrixTrigPolynomial:
     """Parse a symbol exchange file; inverse of :func:`write_symbol`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ArgumentError(f"cannot read symbol file {path}: {exc}") from exc
     if not lines or lines[0] != "symbol v1":
         raise ArgumentError("not a symbol exchange file (missing 'symbol v1' header)")
     if len(lines) < 3 or not lines[1].startswith("d ") or not lines[2].startswith("m "):

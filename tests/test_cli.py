@@ -173,6 +173,23 @@ class TestMain:
         doc = json.loads(out_path.read_text())
         assert doc["tgm_certified"]
 
+    def test_certify_missing_file_exits_3(self, tmp_path, capsys):
+        p_path = tmp_path / "p.sym"
+        write_symbol(p_path, build_linear_interp_symbol(1))
+        assert main(["certify", str(tmp_path / "missing.sym"), str(p_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read symbol file") and err.count("\n") == 1
+
+    def test_certify_nan_coefficient_exits_3(self, tmp_path, capsys):
+        f_path, p_path = tmp_path / "f.sym", tmp_path / "p.sym"
+        f_path.write_text("symbol v1\nd 1\nm 1\ncoeff -1\n-1.0+0.0i\n"
+                          "coeff 0\nnan+0.0i\ncoeff 1\n-1.0+0.0i\nend\n")
+        write_symbol(p_path, build_linear_interp_symbol(1))
+        assert main(["certify", str(f_path), str(p_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: coefficient (0,) has a non-finite entry")
+        assert err.count("\n") == 1
+
     def test_run_solve_exit_codes(self, tmp_path):
         cfg = write_config(tmp_path / "e.cfg")
         assert main(["run", str(cfg)]) == 0

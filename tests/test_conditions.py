@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from blockmg import (MatrixTrigPolynomial, build_s, check_condition_i,
+from blockmg import (MatrixTrigPolynomial, build_s, build_s_grid,
+                     check_condition_i,
                      check_condition_ii, check_condition_iii,
                      check_fhat_properties, check_vcycle_bound, find_zero,
                      full_report)
@@ -11,6 +12,7 @@ from blockmg.conditions import fixed_point_shortcut_hypotheses, projector_defect
 from blockmg.errors import SingularMatrixError
 from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
                             stiffness_symbol)
+from blockmg.symbol import tensor_symbol
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -36,6 +38,24 @@ class TestBuildS:
         p = MatrixTrigPolynomial.scalar({2: 0.5, -2: 0.5})  # cos(2 theta)
         with pytest.raises(SingularMatrixError):
             build_s(p, np.pi / 4)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_grid_rows_equal_one_point_calls(self, m, p_l2):
+        p = p_l2 if m == 1 else tensor_symbol([p_l2, build_geometric_symbol(2)])
+        ts = np.random.default_rng(7 + m).uniform(0, 2 * np.pi, size=(40, m))
+        got = build_s_grid(p, ts)
+        assert got.shape == (40, p.d, p.d)
+        for k, t in enumerate(ts):
+            # one row of a stacked product may be blocked differently by BLAS
+            np.testing.assert_allclose(got[k], build_s(p, t), rtol=0, atol=1e-14)
+
+    def test_grid_names_first_singular_point(self):
+        p = MatrixTrigPolynomial.scalar({2: 0.5, -2: 0.5})  # cos(2 theta)
+        ts = np.array([0.3, 3 * np.pi / 4, np.pi / 4, 1.0])
+        with pytest.raises(SingularMatrixError) as err:
+            build_s_grid(p, ts)
+        assert f"theta={3 * np.pi / 4}" in str(err.value)
+        assert "condition (i) violated" in str(err.value)
 
     def test_spectrum_in_unit_interval(self, p_l2):
         rng = np.random.default_rng(0)

@@ -5,7 +5,8 @@ from numpy.polynomial.legendre import leggauss
 from blockmg import assemble_toeplitz, has_full_column_rank, max_coeff_difference
 from blockmg.errors import ArgumentError
 from blockmg.femgen import (COEFFICIENTS, KnotGrid, assemble_mass, assemble_stiffness,
-                            build_fem_transfer, build_geometric_symbol,
+                            build_fem_hierarchy, build_fem_transfer,
+                            build_geometric_symbol,
                             build_linear_interp_symbol, geometric_det_reference,
                             lagrange_eval, mass_symbol, stiffness_symbol)
 
@@ -302,6 +303,23 @@ class TestFemTransfer:
                 assert P.fine_size == r * n - 1
                 assert P.coarse_size == r * n // 2 - 1
                 assert has_full_column_rank(P)
+
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    def test_hierarchy_shares_one_projector_symbol(self, kind):
+        h = build_fem_hierarchy(assemble_stiffness(2, 32), kind, coarsest_max_size=7)
+        transfers = [lvl.transfer for lvl in h.levels if lvl.transfer is not None]
+        assert len(transfers) >= 3
+        assert all(P.p is transfers[0].p for P in transfers)
+        n = 32
+        for P in transfers:
+            want = build_fem_transfer(2, n, kind)
+            assert abs(P.matrix - want.matrix).max() == 0.0
+            assert max_coeff_difference(P.p, want.p) == 0.0
+            n //= 2
+
+    def test_hierarchy_rejects_unknown_kind(self):
+        with pytest.raises(ArgumentError, match="unknown transfer kind"):
+            build_fem_hierarchy(assemble_stiffness(2, 8), "algebraic")
 
     def test_parity_validation(self):
         with pytest.raises(ArgumentError):

@@ -236,3 +236,26 @@ class TestCooExport:
         assert abs(A.matrix - B).max() == 0.0
         first = path.read_text().splitlines()[0].split()
         assert first[0] == "coo" and first[1] == "8"
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ArgumentError, match="cannot read coordinate file"):
+            read_coo(tmp_path / "missing.coo")
+
+    @pytest.mark.parametrize("body", [
+        "coo 3 3 2\n1 1 1.0 0.0\n",                  # file ends early
+        "coo 3 3 2\n1 1 1.0 0.0\n2 2 1.0\n",         # short entry line
+        "coo 3 3 2\n1 1 1.0 0.0\n2 x 1.0 0.0\n",     # garbled entry line
+    ])
+    def test_truncated_file(self, tmp_path, body):
+        path = tmp_path / "bad.coo"
+        path.write_text(body)
+        with pytest.raises(ArgumentError, match="truncated coordinate file"):
+            read_coo(path)
+
+    @pytest.mark.parametrize("body", ["coo 3 x 1\n1 1 1.0 0.0\n",
+                                      "coo 3 3 1\n4 1 1.0 0.0\n"])
+    def test_bad_header_or_index(self, tmp_path, body):
+        path = tmp_path / "bad.coo"
+        path.write_text(body)
+        with pytest.raises(ArgumentError):
+            read_coo(path)

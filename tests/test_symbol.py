@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmg import (MatrixTrigPolynomial, coarse_symbol, corner_sum,
-                     eigenvalue_functions, find_zero, max_coeff_difference,
-                     read_symbol, tensor_symbol, write_symbol)
+                     corner_sums, eigenvalue_functions, find_zero,
+                     max_coeff_difference, read_symbol, tensor_symbol,
+                     write_symbol)
 from blockmg.errors import ArgumentError, SymbolZeroError, TrackingError
-from blockmg.symbol import tracked_eigenpair
+from blockmg.symbol import HERMITIAN_RTOL, tracked_eigenpair
 
 from conftest import random_hermitian_symbol, random_symbol
 
@@ -229,6 +232,93 @@ class TestCornerSum:
             assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.abs(want).max())
 
 
+def corner_sum_reference(p, theta):
+    """Per-corner loop: sum of p(xi)^H p(xi) over the 2^m corners."""
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    total = np.zeros((p.d, p.d), dtype=complex)
+    for mask in range(2 ** p.m):
+        eta = np.array([(mask >> ell) & 1 for ell in range(p.m)], dtype=float)
+        E = p.evaluate(t + np.pi * eta)
+        total += E.conj().T @ E
+    return 0.5 * (total + total.conj().T)
+
+
+def hermitian_reference(f):
+    """Coefficient-wise check c_{-j} = c_j^H, written out independently."""
+    scale = max(np.linalg.norm(c) for c in f.coeffs.values())
+    tol = HERMITIAN_RTOL * max(scale, 1.0)
+    zero = np.zeros((f.d, f.d), dtype=complex)
+    return all(np.max(np.abs(f.coeffs.get(tuple(-v for v in j), zero) - c.conj().T)) <= tol
+               for j, c in f.coeffs.items())
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_evaluate_is_the_one_point_grid(self, m):
+        rng = np.random.default_rng(40 + m)
+        f = tensor_symbol([random_symbol(rng, 2, 2) for _ in range(m)])
+        h = tensor_symbol([random_hermitian_symbol(rng, 2, 1) for _ in range(m)])
+        ts = rng.uniform(0, 2 * np.pi, size=(20, m))
+        for g in (f, h):
+            grid = g.evaluate_grid(ts)
+            for k, t in enumerate(ts):
+                assert np.array_equal(g.evaluate(t), g.evaluate_grid(t[None])[0])
+                np.testing.assert_allclose(g.evaluate(t), grid[k], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_corner_sums_match_per_corner_loop(self, m):
+        rng = np.random.default_rng(50 + m)
+        p = tensor_symbol([random_symbol(rng, 2, 2) for _ in range(m)])
+        ts = rng.uniform(0, 2 * np.pi, size=(30, m))
+        got = corner_sums(p, ts)
+        assert got.shape == (30, p.d, p.d)
+        for k, t in enumerate(ts):
+            want = corner_sum_reference(p, t)
+            assert np.max(np.abs(got[k] - want)) <= 1e-13 * max(1.0, np.abs(want).max())
+            np.testing.assert_allclose(corner_sum(p, t), want, rtol=0,
+                                       atol=1e-13 * max(1.0, np.abs(want).max()))
+
+    def test_corner_sums_accept_flat_univariate_grid(self, p_l2):
+        ts = np.linspace(0, 2 * np.pi, 7)
+        np.testing.assert_array_equal(corner_sums(p_l2, ts), corner_sums(p_l2, ts[:, None]))
+
+    def test_grid_shape_mismatch_rejected(self, p_l2):
+        p2 = tensor_symbol([p_l2, p_l2])
+        with pytest.raises(ArgumentError):
+            corner_sums(p2, np.zeros(4))
+        with pytest.raises(ArgumentError):
+            p2.evaluate_grid(np.zeros((4, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3),
+           degree=st.integers(0, 2), hermitian=st.booleans(),
+           exponent=st.one_of(st.none(), st.integers(-16, 0)))
+    def test_cached_hermitian_matches_coefficient_check(self, seed, d, degree,
+                                                        hermitian, exponent):
+        rng = np.random.default_rng(seed)
+        f = (random_hermitian_symbol(rng, d, degree) if hermitian
+             else random_symbol(rng, d, degree))
+        coeffs = dict(f.coeffs)
+        if exponent is not None:
+            j = list(coeffs)[rng.integers(len(coeffs))]
+            coeffs[j] = coeffs[j] + 10.0 ** exponent * rng.standard_normal((d, d))
+        g = MatrixTrigPolynomial(coeffs, m=1)
+        assert g.hermitian == hermitian_reference(g)
+
+
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_naming_first_index(self, bad):
+        c = np.eye(2, dtype=complex)
+        c[1, 0] = bad
+        with pytest.raises(ArgumentError, match=r"coefficient \(1,\) has a non-finite"):
+            MatrixTrigPolynomial({0: np.eye(2), 1: c, 2: c})
+
+    def test_complex_nan_in_imaginary_part(self):
+        with pytest.raises(ArgumentError, match=r"\(-1,\)"):
+            MatrixTrigPolynomial.scalar({0: 1.0, -1: complex(0.0, np.nan)})
+
+
 class TestTrackedEigenpair:
     def test_ambiguity_raises(self):
         q = np.ones(3) / np.sqrt(3)  # overlap 0.577 with every axis vector
@@ -281,6 +371,16 @@ class TestExchangeFormat:
         path = tmp_path / "entry.txt"
         path.write_text("symbol v1\nd 1\nm 1\ncoeff 0\nbogus\nend\n")
         with pytest.raises(ArgumentError):
+            read_symbol(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ArgumentError, match="cannot read symbol file"):
+            read_symbol(tmp_path / "missing.sym")
+
+    def test_nan_coefficient(self, tmp_path):
+        path = tmp_path / "nan.sym"
+        path.write_text("symbol v1\nd 1\nm 1\ncoeff 0\nnan+0.0i\nend\n")
+        with pytest.raises(ArgumentError, match="non-finite"):
             read_symbol(path)
 
 
