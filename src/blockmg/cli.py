@@ -15,7 +15,6 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -23,10 +22,10 @@ import numpy as np
 
 from .conditions import full_report
 from .errors import BlockmgError, ConfigurationError
-from .femgen import (COEFFICIENTS, GEOMETRIC, LINEAR, assemble_stiffness,
-                     build_fem_hierarchy, build_geometric_symbol,
-                     build_linear_interp_symbol, mass_symbol,
-                     stiffness_symbol)
+from .femgen import (COEFFICIENTS, GEOMETRIC, LINEAR, MAX_DEGREE,
+                     assemble_stiffness, build_fem_hierarchy,
+                     build_geometric_symbol, build_linear_interp_symbol,
+                     mass_symbol, stiffness_symbol)
 from .mgsolve import (DEFAULT_SEED, GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE,
                       SmootherSpec, richardson_omega_default, solve)
 from .multilevel import (assemble_2d_problem, build_2d_hierarchy,
@@ -60,7 +59,6 @@ class ExperimentConfig:
     tol: float = 1e-6
     max_iter: int = 100
     seed: int = DEFAULT_SEED
-    jobs: int = 1
     output: str = "."
 
     def validate(self) -> None:
@@ -77,7 +75,6 @@ class ExperimentConfig:
             (self.smoother in SMOOTHERS, f"smoother must be one of {SMOOTHERS}"),
             (self.tol > 0, "tol must be positive"),
             (self.max_iter >= 1, "max_iter must be >= 1"),
-            (self.jobs >= 1, "jobs must be >= 1"),
         ]
         for ok, message in checks:
             if not ok:
@@ -85,6 +82,9 @@ class ExperimentConfig:
         if self.dim == 2 and self.coefficient != "one":
             raise ConfigurationError(
                 "2D experiments support only the constant coefficient")
+        if self.mode in ("certify", "both") and self.r > MAX_DEGREE:
+            raise ConfigurationError(
+                f"certification supports r <= {MAX_DEGREE}, got r = {self.r}")
 
 
 def _parse_t_range(text: str) -> tuple:
@@ -105,7 +105,7 @@ def parse_config(path) -> ExperimentConfig:
     valid = {f.name for f in fields(ExperimentConfig)}
     parsers = {
         "dim": int, "r": int, "sweeps_pre": int, "sweeps_post": int,
-        "max_iter": int, "seed": int, "jobs": int,
+        "max_iter": int, "seed": int,
         "tol": float, "omega": float, "t_range": _parse_t_range,
     }
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -177,12 +177,7 @@ def run(config: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     code = 0
     if config.mode in ("solve", "both"):
-        ts = list(config.t_range)
-        if config.jobs > 1:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                rows = list(pool.map(lambda t: _solve_one(config, t), ts))
-        else:
-            rows = [_solve_one(config, t) for t in ts]
+        rows = [_solve_one(config, t) for t in config.t_range]
         lines = [",".join(CSV_HEADER)]
         for row in rows:
             lines.append(f"{row['t']},{row['N']},{row['cycle']},"

@@ -28,8 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ArgumentError, ConstructionError
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import (EVEN_ROWS, GENERAL, BlockStructuredMatrix,
-                         GridTransfer, assemble_toeplitz, galerkin,
-                         transfer_from_matrix)
+                         GridTransfer, assemble_toeplitz, transfer_from_matrix)
 from .symbol import MatrixTrigPolynomial
 from . import smallmat
 
@@ -379,6 +378,23 @@ def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
     return transfer_from_matrix(P, p=_projector_symbol(r, kind), parity=EVEN_ROWS)
 
 
+def _transfer_chain(r: int, n_elements: int, kind: str, dim: int,
+                    coarsest_max_size: int, two_level: bool) -> list:
+    """Per-dimension prolongation matrices of a coarsening chain.
+
+    Halves the element count from ``n_elements`` until the coarse size
+    (r n - 1)^dim is at most ``coarsest_max_size`` or n < 4; one step
+    only for ``two_level``.  The coarse size is known before any
+    Galerkin product is formed."""
+    chain = []
+    n = n_elements
+    while True:
+        chain.append(_fem_transfer_matrix(r, n, kind))
+        n //= 2
+        if two_level or (r * n - 1) ** dim <= coarsest_max_size or n < 4:
+            return chain
+
+
 def build_fem_hierarchy(problem: FemProblem1D, kind: str,
                         smoother: SmootherSpec | None = None,
                         coarsest_max_size: int = DEFAULT_COARSEST,
@@ -386,18 +402,9 @@ def build_fem_hierarchy(problem: FemProblem1D, kind: str,
     """Galerkin hierarchy for a 1D problem: the same constant-coefficient
     transfer family at every level, coarse matrices by triple product.
     The projector symbol is built once and shared by every level."""
-    smoother = smoother or SmootherSpec()
     symbol = _projector_symbol(problem.r, kind)
-    mats = [problem.matrix]
-    transfers = []
-    n = problem.n_elements
-    while True:
-        P = transfer_from_matrix(_fem_transfer_matrix(problem.r, n, kind),
-                                 p=symbol, parity=EVEN_ROWS)
-        transfers.append(P)
-        mats.append(galerkin(mats[-1], P))
-        n //= 2
-        if two_level or mats[-1].size <= coarsest_max_size or n < 4:
-            break
-    return MultigridHierarchy(mats, transfers, smoother,
-                              coarsest_max_size=coarsest_max_size)
+    chain = _transfer_chain(problem.r, problem.n_elements, kind, 1,
+                            coarsest_max_size, two_level)
+    transfers = [transfer_from_matrix(P, p=symbol, parity=EVEN_ROWS) for P in chain]
+    return MultigridHierarchy.from_transfers(problem.matrix, transfers,
+                                             smoother or SmootherSpec())

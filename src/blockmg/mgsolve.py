@@ -121,26 +121,6 @@ def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _lower=None):
     return x
 
 
-def tgm_step(A, P: GridTransfer, x, b, spec: SmootherSpec, coarse_solve=None):
-    """One two-grid iteration: pre-smooth, exact coarse-grid correction
-    through the Galerkin operator, post-smooth."""
-    M = _csr(A)
-    x = smooth(M, x, b, spec, spec.sweeps_pre)
-    r = b - M @ x
-    rc = P.restrict(r)
-    if coarse_solve is None:
-        Ac = (P.matrix.conj().T @ M @ P.matrix).tocsc()
-        try:
-            lu = spla.splu(Ac)
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"coarse matrix is singular: {exc}") from exc
-        y = lu.solve(rc)
-    else:
-        y = coarse_solve(rc)
-    x = x + P.prolong(y)
-    return smooth(M, x, b, spec, spec.sweeps_post)
-
-
 @dataclass
 class _Level:
     matrix: BlockStructuredMatrix
@@ -154,16 +134,16 @@ class MultigridHierarchy:
     """Ordered levels (matrix, transfer, smoother); coarsest solved directly.
 
     Construction checks the size chain and, on levels of size at most
-    512, positive definiteness of the (Hermitian) level matrices.
+    512, positive definiteness of the (Hermitian) level matrices.  Where
+    coarsening stops is decided by the builders (``build_fem_hierarchy``,
+    ``build_2d_hierarchy``); a hierarchy holds the levels it is given.
     """
 
-    def __init__(self, matrices, transfers, smoother: SmootherSpec,
-                 coarsest_max_size: int = DEFAULT_COARSEST, validate: bool = True):
+    def __init__(self, matrices, transfers, smoother: SmootherSpec):
         if len(matrices) != len(transfers) + 1:
             raise ArgumentError("need exactly one transfer per non-coarsest level")
         if not transfers:
             raise ArgumentError("a hierarchy needs at least two levels")
-        self.coarsest_max_size = coarsest_max_size
         self.levels = []
         for ell, A in enumerate(matrices):
             T = transfers[ell] if ell < len(transfers) else None
@@ -176,18 +156,15 @@ class MultigridHierarchy:
                         f"level {ell}: transfer coarse size {T.coarse_size} "
                         f"!= {matrices[ell + 1].size}")
             self.levels.append(_Level(A, T, smoother))
-        if validate:
-            self._check_positive_definite()
+        self._check_positive_definite()
 
     @classmethod
-    def from_transfers(cls, A: BlockStructuredMatrix, transfers, smoother,
-                       coarsest_max_size: int = DEFAULT_COARSEST, validate: bool = True):
+    def from_transfers(cls, A: BlockStructuredMatrix, transfers, smoother):
         """Build the Galerkin chain A, P1^H A P1, ... from the finest matrix."""
         mats = [A]
         for P in transfers:
             mats.append(galerkin(mats[-1], P))
-        return cls(mats, list(transfers), smoother,
-                   coarsest_max_size=coarsest_max_size, validate=validate)
+        return cls(mats, list(transfers), smoother)
 
     def _check_positive_definite(self):
         for ell, lvl in enumerate(self.levels):
@@ -234,6 +211,18 @@ def vcycle_step(h: MultigridHierarchy, level: int, x, b):
     y = vcycle_step(h, level + 1, np.zeros_like(rc), rc)
     x = x + lvl.transfer.prolong(y)
     return h._smooth(level, x, b, lvl.smoother.sweeps_post)
+
+
+def tgm_step(A: BlockStructuredMatrix, P: GridTransfer, x, b, spec: SmootherSpec):
+    """One two-grid iteration: pre-smooth, exact coarse-grid correction
+    through the Galerkin operator P^H A P, post-smooth.
+
+    ``A`` is a :class:`BlockStructuredMatrix`.  The step is
+    :func:`vcycle_step` on the two-level hierarchy (A, P), the same code
+    that ``solve(cycle="tgm")`` iterates; the Galerkin product and the
+    coarse factorization are rebuilt on every call.
+    """
+    return vcycle_step(MultigridHierarchy.from_transfers(A, [P], spec), 0, x, b)
 
 
 TGM = "tgm"
@@ -283,8 +272,7 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
         # a two-grid method solves the first coarse level exactly
         h = MultigridHierarchy(
             [h.levels[0].matrix, h.levels[1].matrix],
-            [h.levels[0].transfer], h.levels[0].smoother,
-            coarsest_max_size=h.coarsest_max_size, validate=False)
+            [h.levels[0].transfer], h.levels[0].smoother)
     residuals = []
     stagnated = False
     for it in range(1, max_iter + 1):

@@ -20,12 +20,11 @@ from .conditions import (EPS, CheckResult, _error_result, _f_branch_fn,
                          _s_gap_fn, build_s, build_s_grid, check_condition_i,
                          dyadic_limit, full_report, jsonable)
 from .errors import ArgumentError, BlockmgError
-from .femgen import (GEOMETRIC, LINEAR, _fem_transfer_matrix, assemble_mass,
-                     assemble_stiffness, mass_symbol, stiffness_symbol)
+from .femgen import (_transfer_chain, assemble_mass, assemble_stiffness,
+                     mass_symbol, stiffness_symbol)
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import (EVEN_ROWS, GENERAL, BlockStructuredMatrix,
-                         GridTransfer, _shift_matrix, galerkin,
-                         transfer_from_matrix)
+                         GridTransfer, _shift_matrix, transfer_from_matrix)
 from .symbol import (MatrixTrigPolynomial, corner_sums, find_zero,
                      symbol_sup_norm, tensor_symbol)
 
@@ -175,22 +174,12 @@ def build_2d_hierarchy(problem: TensorProblem, kind: str,
                        coarsest_max_size: int = DEFAULT_COARSEST,
                        two_level: bool = False) -> MultigridHierarchy:
     """Galerkin hierarchy with per-level transfers kron(P_1d, P_1d)."""
-    if kind not in (LINEAR, GEOMETRIC):
-        raise ArgumentError(f"unknown transfer kind {kind!r}")
-    smoother = smoother or SmootherSpec()
-    mats = [problem.matrix]
-    transfers = []
-    n = problem.n_elements
-    while True:
-        P1 = _fem_transfer_matrix(problem.r, n, kind)
-        P2 = sp.kron(P1, P1).tocsr()
-        transfers.append(transfer_from_matrix(P2, p=None, parity=EVEN_ROWS))
-        mats.append(galerkin(mats[-1], transfers[-1]))
-        n //= 2
-        if two_level or mats[-1].size <= coarsest_max_size or n < 4:
-            break
-    return MultigridHierarchy(mats, transfers, smoother,
-                              coarsest_max_size=coarsest_max_size)
+    chain = _transfer_chain(problem.r, problem.n_elements, kind, 2,
+                            coarsest_max_size, two_level)
+    transfers = [transfer_from_matrix(sp.kron(P, P).tocsr(), p=None, parity=EVEN_ROWS)
+                 for P in chain]
+    return MultigridHierarchy.from_transfers(problem.matrix, transfers,
+                                             smoother or SmootherSpec())
 
 
 # -- multilevel condition verification --------------------------------------

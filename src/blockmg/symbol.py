@@ -577,6 +577,13 @@ def write_symbol(path, f: MatrixTrigPolynomial) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parse_int(token: str, line: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ArgumentError(f"bad integer {token!r} in symbol file line {line!r}") from None
+
+
 def read_symbol(path) -> MatrixTrigPolynomial:
     """Parse a symbol exchange file; inverse of :func:`write_symbol`."""
     try:
@@ -588,15 +595,17 @@ def read_symbol(path) -> MatrixTrigPolynomial:
         raise ArgumentError("not a symbol exchange file (missing 'symbol v1' header)")
     if len(lines) < 3 or not lines[1].startswith("d ") or not lines[2].startswith("m "):
         raise ArgumentError("symbol file must declare d and m after the header")
-    d = int(lines[1].split()[1])
-    m = int(lines[2].split()[1])
+    d = _parse_int(lines[1].split()[1], lines[1])
+    m = _parse_int(lines[2].split()[1], lines[2])
+    if d < 1:
+        raise ArgumentError(f"symbol file declares block size d = {d}, expected d >= 1")
     coeffs = {}
     pos = 3
     while pos < len(lines) and lines[pos] != "end":
         head = lines[pos].split()
         if head[0] != "coeff" or len(head) != m + 1:
             raise ArgumentError(f"expected 'coeff' with {m} indices, got {lines[pos]!r}")
-        idx = tuple(int(v) for v in head[1:])
+        idx = tuple(_parse_int(v, lines[pos]) for v in head[1:])
         pos += 1
         if pos + d > len(lines):
             raise ArgumentError(f"truncated coefficient block for {idx}")

@@ -58,6 +58,15 @@ class TestParseConfig:
             parse_config(write_config(tmp_path / "bad.cfg", dim=2,
                                       coefficient="xsq_plus_one"))
 
+    @pytest.mark.parametrize("mode", ["certify", "both"])
+    def test_certify_degree_cap(self, tmp_path, mode):
+        with pytest.raises(ConfigurationError, match="r <= 8"):
+            parse_config(write_config(tmp_path / "bad.cfg", mode=mode, r=9))
+        assert parse_config(write_config(tmp_path / "ok.cfg", mode=mode, r=8)).r == 8
+
+    def test_solve_degree_not_capped(self, tmp_path):
+        assert parse_config(write_config(tmp_path / "e.cfg", r=9)).r == 9
+
 
 class TestRun:
     def test_solve_writes_schema_csv(self, tmp_path):
@@ -81,14 +90,6 @@ class TestRun:
         run(cfg)
         second = (tmp_path / "out" / "solve_dim1_r1_one_linear_vcycle.csv").read_bytes()
         assert first == second
-
-    def test_jobs_do_not_change_output(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path / "e.cfg", t_range="3..5"))
-        run(cfg)
-        serial = (tmp_path / "out" / "solve_dim1_r1_one_linear_vcycle.csv").read_bytes()
-        run(parse_config(write_config(tmp_path / "e2.cfg", t_range="3..5", jobs=3)))
-        parallel = (tmp_path / "out" / "solve_dim1_r1_one_linear_vcycle.csv").read_bytes()
-        assert serial == parallel
 
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "e.cfg", max_iter=1))
@@ -189,6 +190,23 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: coefficient (0,) has a non-finite entry")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("header, coeff", [
+        ("d x\nm 1", "coeff 0"),
+        ("d 1\nm 1", "coeff a"),
+        ("d 0\nm 1", "coeff 0"),
+        ("d -1\nm 1", "coeff 0"),
+    ])
+    def test_certify_malformed_integers_exit_3(self, tmp_path, capsys, header, coeff):
+        path = tmp_path / "bad.sym"
+        path.write_text(f"symbol v1\n{header}\n{coeff}\n1.0+0.0i\nend\n")
+        assert main(["certify", str(path), str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_run_rejects_removed_jobs_key(self, tmp_path, capsys):
+        assert main(["run", str(write_config(tmp_path / "e.cfg", jobs=2))]) == 3
+        assert "unknown key 'jobs'" in capsys.readouterr().err
 
     def test_run_solve_exit_codes(self, tmp_path):
         cfg = write_config(tmp_path / "e.cfg")

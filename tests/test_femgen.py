@@ -321,6 +321,20 @@ class TestFemTransfer:
         with pytest.raises(ArgumentError, match="unknown transfer kind"):
             build_fem_hierarchy(assemble_stiffness(2, 8), "algebraic")
 
+    @pytest.mark.parametrize("r, t, coarsest, two_level, sizes", [
+        (2, 8, 64, False, [511, 255, 127, 63]),
+        (2, 8, 7, False, [511, 255, 127, 63, 31, 15, 7]),
+        (1, 4, 64, False, [15, 7]),
+        (3, 6, 64, True, [191, 95]),
+        (2, 2, 64, False, [7, 3]),
+    ])
+    def test_hierarchy_level_sizes(self, r, t, coarsest, two_level, sizes):
+        # coarsening stops once a level has at most `coarsest` unknowns,
+        # when fewer than 4 elements remain, or after one step for two_level
+        h = build_fem_hierarchy(assemble_stiffness(r, 2 ** t), "linear",
+                                coarsest_max_size=coarsest, two_level=two_level)
+        assert [lvl.matrix.size for lvl in h.levels] == sizes
+
     def test_parity_validation(self):
         with pytest.raises(ArgumentError):
             build_fem_transfer(2, 7, "linear")

@@ -155,6 +155,22 @@ class TestHierarchy2D:
             if lvl.matrix.size <= 512:
                 assert np.linalg.eigvalsh(lvl.matrix.dense().real)[0] > 0
 
+    @pytest.mark.parametrize("r, t, coarsest, two_level, sizes", [
+        (2, 5, 64, False, [3969, 961, 225, 49]),
+        (1, 5, 64, False, [961, 225, 49]),
+        (2, 5, 1000, False, [3969, 961]),
+        (2, 5, 64, True, [3969, 961]),
+        (3, 4, 64, False, [2209, 529, 121, 25]),
+    ])
+    def test_level_sizes(self, r, t, coarsest, two_level, sizes):
+        h = build_2d_hierarchy(assemble_2d_problem(r, t), "geometric",
+                               coarsest_max_size=coarsest, two_level=two_level)
+        assert [lvl.matrix.size for lvl in h.levels] == sizes
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ArgumentError, match="unknown transfer kind"):
+            build_2d_hierarchy(assemble_2d_problem(1, 3), "algebraic")
+
 
 class TestMultilevelConditions:
     def test_tensor_factorizations_random_points(self, p_l2):
