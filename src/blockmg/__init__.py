@@ -16,8 +16,7 @@ from .structured import (BlockStructuredMatrix, GridTransfer,
                          coarse_projection_norm, cutting_matrix,
                          cutting_operator, fourier_matrix, galerkin,
                          has_full_column_rank, read_coo,
-                         toeplitz_coarse_defect, transfer_from_matrix,
-                         write_coo)
+                         toeplitz_coarse_defect, write_coo)
 from .mgsolve import (MultigridHierarchy, SmootherSpec, SolveResult,
                       richardson_omega_default, smooth, solve, tgm_step,
                       vcycle_step, write_residuals)
@@ -32,6 +31,6 @@ from .femgen import (FemProblem1D, KnotGrid, assemble_mass,
                      stiffness_symbol)
 from .multilevel import (TensorProblem, assemble_2d_problem,
                          build_2d_hierarchy, check_multilevel_conditions,
-                         tensor_cutting, tensor_sum_symbol, tensor_transfer)
+                         tensor_sum_symbol)
 
 __version__ = "0.1.0"

@@ -23,9 +23,8 @@ import numpy as np
 from .conditions import full_report
 from .errors import BlockmgError, ConfigurationError
 from .femgen import (COEFFICIENTS, GEOMETRIC, LINEAR, MAX_DEGREE,
-                     assemble_stiffness, build_fem_hierarchy,
-                     build_geometric_symbol, build_linear_interp_symbol,
-                     mass_symbol, stiffness_symbol)
+                     assemble_stiffness, build_fem_hierarchy, mass_symbol,
+                     projector_symbol, stiffness_symbol)
 from .mgsolve import (DEFAULT_SEED, GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE,
                       SmootherSpec, richardson_omega_default, solve)
 from .multilevel import (assemble_2d_problem, build_2d_hierarchy,
@@ -99,7 +98,7 @@ def parse_config(path) -> ExperimentConfig:
     """Parse a flat key=value config file ('#' starts a comment)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     config = ExperimentConfig()
     valid = {f.name for f in fields(ExperimentConfig)}
@@ -190,9 +189,7 @@ def run(config: ExperimentConfig) -> int:
             code = 2
     if config.mode in ("certify", "both"):
         f = stiffness_symbol(config.r)
-        builder = (build_linear_interp_symbol if config.projector == LINEAR
-                   else build_geometric_symbol)
-        p = builder(config.r)
+        p = projector_symbol(config.r, config.projector)
         if config.dim == 1:
             report = full_report(p, f)
         else:
@@ -205,16 +202,26 @@ def run(config: ExperimentConfig) -> int:
 
 
 def _read_rows(path) -> list:
+    """Data rows of a result CSV, each checked for six fields and an
+    integer ``t``."""
     try:
         with open(path, newline="", encoding="ascii") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
     if not rows or rows[0] != CSV_HEADER:
         raise ConfigurationError(
             f"{path}: header {rows[0] if rows else '(empty)'} does not match "
             f"the schema {CSV_HEADER}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(CSV_HEADER):
+            raise ConfigurationError(
+                f"{path}: line {lineno}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+        try:
+            int(row[0])
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}: line {lineno}: t must be an integer, got {row[0]!r}") from None
     return rows[1:]
 
 

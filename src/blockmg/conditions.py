@@ -26,8 +26,8 @@ import numpy as np
 import scipy.linalg
 
 from . import smallmat
-from .errors import (ArgumentError, BlockmgError, SingularMatrixError,
-                     TrackingError)
+from .errors import (ArgumentError, BlockmgError, DimensionError,
+                     SingularMatrixError, TrackingError)
 from .symbol import (MatrixTrigPolynomial, SymbolZero, coarse_symbol,
                      corner_sums, find_zero, sample_points, symbol_sup_norm,
                      theta_grid, tracked_eigenpair)
@@ -515,9 +515,16 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
     Two-grid certification needs conditions (i)-(iii); V-cycle
     certification additionally needs the shifted-eigenvalue bound and
     all five coarse-symbol properties.  Check failures are embedded per
-    field, never raised, so the report always materializes (only a
-    malformed zero structure of f raises).
+    field, never raised, so the report always materializes.  A pair
+    whose block orders differ (``DimensionError``) or whose variable
+    counts differ (``ArgumentError``), and a malformed zero structure of
+    f, raise before any check runs.
     """
+    if p.d != f.d:
+        raise DimensionError(f"block order mismatch: p has d = {p.d}, f has d = {f.d}")
+    if p.m != f.m:
+        raise ArgumentError(
+            f"variable count mismatch: p has m = {p.m}, f has m = {f.m}")
     zero = find_zero(f)
     cond_i = _run_check(check_condition_i, p)
     cond_ii = _run_check(check_condition_ii, p, zero)

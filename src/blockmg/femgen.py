@@ -27,8 +27,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ArgumentError, ConstructionError
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
-from .structured import (EVEN_ROWS, GENERAL, BlockStructuredMatrix,
-                         GridTransfer, assemble_toeplitz, transfer_from_matrix)
+from .structured import (GENERAL, TOEPLITZ, BlockStructuredMatrix,
+                         GridTransfer, assemble_toeplitz, assemble_transfer)
 from .symbol import MatrixTrigPolynomial
 from . import smallmat
 
@@ -54,9 +54,6 @@ class KnotGrid:
 
     def knot(self, i: int) -> float:
         return i / (self.n * self.r)
-
-    def knots(self) -> np.ndarray:
-        return np.arange(self.n_knots) / (self.n * self.r)
 
 
 def lagrange_eval(grid: KnotGrid, j: int, x: float) -> float:
@@ -324,7 +321,8 @@ LINEAR = "linear"
 GEOMETRIC = "geometric"
 
 
-def _projector_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
+def projector_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
+    """The projector symbol of a transfer kind (``linear`` or ``geometric``)."""
     if kind == LINEAR:
         return build_linear_interp_symbol(r)
     if kind == GEOMETRIC:
@@ -340,9 +338,7 @@ def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
     nf = r * n_elements - 1
     nc = r * (n_elements // 2) - 1
     if kind == LINEAR:
-        T = assemble_toeplitz(_LINTERP, nf).matrix
-        cols = np.arange(1, nf, 2)
-        P = T.tocsc()[:, cols].tocsr().real
+        P = assemble_transfer(_LINTERP, nf, TOEPLITZ).matrix.real
     elif kind == GEOMETRIC:
         nce = n_elements // 2
         coarse = KnotGrid(r, nce)
@@ -371,11 +367,9 @@ def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
 
     ``linear`` is the scalar (1,2,1) stencil: the tridiagonal matrix of
     2 + 2cos times the even-row selector.  ``geometric`` holds the
-    evaluations of the coarse basis functions at the fine knots.  The
-    transfer carries the projector symbol of its kind.
+    evaluations of the coarse basis functions at the fine knots.
     """
-    P = _fem_transfer_matrix(r, n_elements, kind)
-    return transfer_from_matrix(P, p=_projector_symbol(r, kind), parity=EVEN_ROWS)
+    return GridTransfer(_fem_transfer_matrix(r, n_elements, kind))
 
 
 def _transfer_chain(r: int, n_elements: int, kind: str, dim: int,
@@ -400,11 +394,9 @@ def build_fem_hierarchy(problem: FemProblem1D, kind: str,
                         coarsest_max_size: int = DEFAULT_COARSEST,
                         two_level: bool = False) -> MultigridHierarchy:
     """Galerkin hierarchy for a 1D problem: the same constant-coefficient
-    transfer family at every level, coarse matrices by triple product.
-    The projector symbol is built once and shared by every level."""
-    symbol = _projector_symbol(problem.r, kind)
+    transfer family at every level, coarse matrices by triple product."""
     chain = _transfer_chain(problem.r, problem.n_elements, kind, 1,
                             coarsest_max_size, two_level)
-    transfers = [transfer_from_matrix(P, p=symbol, parity=EVEN_ROWS) for P in chain]
+    transfers = [GridTransfer(P) for P in chain]
     return MultigridHierarchy.from_transfers(problem.matrix, transfers,
                                              smoother or SmootherSpec())

@@ -1,8 +1,9 @@
-"""Multilevel (m-dimensional) extension: tensor-product cutting and
-transfers, corner-set conditions on a 2D grid with their
-tensor-factorization shortcuts, and 2D tensor FEM problems assembled as
-stiffness (x) mass + mass (x) stiffness.
+"""Multilevel (m-dimensional) extension: corner-set conditions on a 2D
+grid with their tensor-factorization shortcuts, and 2D tensor FEM
+problems assembled as stiffness (x) mass + mass (x) stiffness.
 
+Multilevel Toeplitz matrices, cutting and transfers come from
+:mod:`blockmg.structured`, which takes a tuple of per-variable sizes.
 The tensor algebra is written for general m; the 2D case is wired
 end-to-end for experiments.
 """
@@ -23,67 +24,9 @@ from .errors import ArgumentError, BlockmgError
 from .femgen import (_transfer_chain, assemble_mass, assemble_stiffness,
                      mass_symbol, stiffness_symbol)
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
-from .structured import (EVEN_ROWS, GENERAL, BlockStructuredMatrix,
-                         GridTransfer, _shift_matrix, transfer_from_matrix)
+from .structured import GENERAL, BlockStructuredMatrix, GridTransfer
 from .symbol import (MatrixTrigPolynomial, corner_sums, find_zero,
                      symbol_sup_norm, tensor_symbol)
-
-
-def _check_odd_pow2m1(n: int) -> None:
-    if n % 2 != 1 or (n + 1) & n:
-        raise ArgumentError(f"per-dimension size must be of the form 2^t - 1, got {n}")
-
-
-def tensor_cutting(ns) -> np.ndarray:
-    """Kept row indices (0-based) of the tensor even-row selector.
-
-    The Kronecker product of per-dimension even-row cutting matrices
-    keeps exactly the rows whose every per-dimension index is kept;
-    returned in the row-major flattening order."""
-    ns = [int(n) for n in ns]
-    if not ns:
-        raise ArgumentError("tensor_cutting needs at least one dimension")
-    for n in ns:
-        _check_odd_pow2m1(n)
-    keep = [np.arange(1, n, 2) for n in ns]
-    mesh = np.meshgrid(*keep, indexing="ij")
-    return np.ravel_multi_index(tuple(g.ravel() for g in mesh), dims=ns)
-
-
-def assemble_multilevel_toeplitz(f: MatrixTrigPolynomial, ns) -> BlockStructuredMatrix:
-    """Multilevel block-Toeplitz matrix: sum over coefficients of the
-    Kronecker chain of per-dimension shift matrices times the block."""
-    ns = [int(n) for n in ns]
-    if f.m != len(ns):
-        raise ArgumentError(f"symbol has {f.m} variables but {len(ns)} sizes given")
-    for ell, n in enumerate(ns):
-        if f.window()[ell] >= n:
-            raise ArgumentError(f"window exceeds size in dimension {ell}")
-    total = None
-    for j, c in f.coeffs.items():
-        term = None
-        for ell, n in enumerate(ns):
-            J = _shift_matrix(n, j[ell])
-            term = J if term is None else sp.kron(term, J)
-        term = sp.kron(term, c)
-        total = term if total is None else total + term
-    return BlockStructuredMatrix(GENERAL, f.d, None, sp.csr_matrix(total))
-
-
-def tensor_transfer(ps, ns) -> GridTransfer:
-    """Multilevel prolongation: the multilevel block-Toeplitz matrix of
-    the tensor symbol times the tensor even-row cutting selector."""
-    ps = list(ps)
-    ns = [int(n) for n in ns]
-    if len(ps) != len(ns):
-        raise ArgumentError("one symbol per dimension required")
-    p = tensor_symbol(ps)
-    keep = tensor_cutting(ns)
-    A = assemble_multilevel_toeplitz(p, ns)
-    cols = (keep[:, None] * p.d + np.arange(p.d)[None, :]).ravel()
-    P = A.matrix.tocsc()[:, cols].tocsr()
-    return GridTransfer(p=p, parity=EVEN_ROWS, fine_size=P.shape[0],
-                        coarse_size=P.shape[1], matrix=P)
 
 
 def tensor_interleave_permutation(ns, ds) -> np.ndarray:
@@ -176,8 +119,7 @@ def build_2d_hierarchy(problem: TensorProblem, kind: str,
     """Galerkin hierarchy with per-level transfers kron(P_1d, P_1d)."""
     chain = _transfer_chain(problem.r, problem.n_elements, kind, 2,
                             coarsest_max_size, two_level)
-    transfers = [transfer_from_matrix(sp.kron(P, P).tocsr(), p=None, parity=EVEN_ROWS)
-                 for P in chain]
+    transfers = [GridTransfer(sp.kron(P, P)) for P in chain]
     return MultigridHierarchy.from_transfers(problem.matrix, transfers,
                                              smoother or SmootherSpec())
 

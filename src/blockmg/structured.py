@@ -1,5 +1,7 @@
 """Block-Toeplitz and block-circulant matrices assembled from symbols,
 cutting matrices, grid-transfer assembly, and explicit Galerkin products.
+Toeplitz matrices, cutting and transfers also take a tuple of sizes,
+one per variable of a multilevel symbol.
 
 Matrices are assembled explicitly in sparse form: the target problems
 are desk-scale and the Galerkin triple products must be formed exactly.
@@ -11,6 +13,7 @@ coefficient at +1 sits on the first block subdiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,9 +48,6 @@ class BlockStructuredMatrix:
     def size(self) -> int:
         return self.matrix.shape[0]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x
-
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
@@ -58,25 +58,26 @@ class BlockStructuredMatrix:
         return top <= rtol * (1.0 + scale)
 
 
-@dataclass
 class GridTransfer:
-    """A prolongation operator: symbol, cutting parity, assembled matrix."""
+    """A prolongation matrix P and its adjoint P^H, formed once."""
 
-    p: MatrixTrigPolynomial | None
-    parity: str
-    fine_size: int
-    coarse_size: int
-    matrix: sp.csr_matrix
+    def __init__(self, matrix: sp.spmatrix):
+        self.matrix = sp.csr_matrix(matrix)
+        self.adjoint = self.matrix.conj().T.tocsr()
+
+    @property
+    def fine_size(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def coarse_size(self) -> int:
+        return self.matrix.shape[1]
 
     def restrict(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix.conj().T @ x
+        return self.adjoint @ x
 
     def prolong(self, y: np.ndarray) -> np.ndarray:
         return self.matrix @ y
-
-
-def _window_radius(f: MatrixTrigPolynomial) -> int:
-    return f.window()[0]
 
 
 def _shift_matrix(n: int, j: int) -> sp.csr_matrix:
@@ -90,19 +91,32 @@ def _cyclic_shift_matrix(n: int, j: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(n), (rows, (rows - j) % n)), shape=(n, n))
 
 
-def assemble_toeplitz(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix:
+def assemble_toeplitz(f: MatrixTrigPolynomial, n) -> BlockStructuredMatrix:
     """Block-Toeplitz matrix of f with n block rows (size d*n).
 
     The block at block position (i, k) is the coefficient at i - k, so
-    the coefficient at +1 fills the first block subdiagonal.
+    the coefficient at +1 fills the first block subdiagonal.  For an
+    m-variable symbol, n is a tuple of m sizes and the term of the
+    coefficient at j is kron(J_{n_1}^{j_1}, ..., J_{n_m}^{j_m}, c_j),
+    a multilevel matrix tagged general.
     """
-    if f.m != 1:
-        raise ArgumentError("assemble_toeplitz needs a univariate symbol")
-    w = _window_radius(f)
-    if w >= n:
-        raise ArgumentError(f"coefficient window {w} must be smaller than n={n}")
-    A = sum(sp.kron(_shift_matrix(n, j), c) for (j,), c in f.coeffs.items())
-    return BlockStructuredMatrix(TOEPLITZ, f.d, n, sp.csr_matrix(A))
+    if np.ndim(n) == 0:
+        if f.m != 1:
+            raise ArgumentError("assemble_toeplitz needs a univariate symbol")
+        ns = (n,)
+    else:
+        ns = tuple(int(k) for k in n)
+        if len(ns) != f.m:
+            raise ArgumentError(f"symbol has {f.m} variables but {len(ns)} sizes given")
+    for w, k in zip(f.window(), ns):
+        if w >= k:
+            raise ArgumentError(f"coefficient window {w} must be smaller than n={k}")
+    A = sp.csr_matrix(sum(
+        sp.kron(reduce(sp.kron, (_shift_matrix(k, i) for k, i in zip(ns, j))), c)
+        for j, c in f.coeffs.items()))
+    if np.ndim(n) == 0:
+        return BlockStructuredMatrix(TOEPLITZ, f.d, n, A)
+    return BlockStructuredMatrix(GENERAL, f.d, None, A)
 
 
 def assemble_circulant(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix:
@@ -114,7 +128,7 @@ def assemble_circulant(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix
     """
     if f.m != 1:
         raise ArgumentError("assemble_circulant needs a univariate symbol")
-    w = _window_radius(f)
+    w = f.window()[0]
     if w >= n / 2:
         raise ArgumentError(f"coefficient window {w} must be below n/2 = {n / 2}")
     A = sum(sp.kron(_cyclic_shift_matrix(n, j), c) for (j,), c in f.coeffs.items())
@@ -129,13 +143,21 @@ def circulant_eigenvalues(f: MatrixTrigPolynomial, n: int) -> np.ndarray:
     return np.concatenate([np.linalg.eigvalsh(v) for v in vals])
 
 
-def cutting_matrix(n: int, parity: str) -> np.ndarray:
+def cutting_matrix(n, parity: str) -> np.ndarray:
     """Row indices (0-based) kept by the downsampling matrix.
 
     ``odd`` keeps 1-based rows 1, 3, 5, ... and requires n even
     (k = n/2); ``even`` keeps 1-based rows 2, 4, ... and requires n odd
-    (k = (n-1)/2).
+    (k = (n-1)/2).  For a tuple of sizes the Kronecker product of the
+    per-dimension cuts keeps the rows whose every per-dimension index is
+    kept, returned in row-major order.
     """
+    if np.ndim(n) > 0:
+        ns = tuple(int(k) for k in n)
+        if not ns:
+            raise ArgumentError("cutting needs at least one dimension")
+        mesh = np.meshgrid(*(cutting_matrix(k, parity) for k in ns), indexing="ij")
+        return np.ravel_multi_index(tuple(g.ravel() for g in mesh), dims=ns)
     if parity == ODD_ROWS:
         if n % 2 != 0:
             raise ArgumentError(f"odd-row cutting needs even n, got {n}")
@@ -154,42 +176,27 @@ def cutting_operator(n: int, parity: str) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(k), (keep, np.arange(k))), shape=(n, k))
 
 
-def _block_column_selector(n: int, d: int, parity: str) -> np.ndarray:
-    keep = cutting_matrix(n, parity)
-    return (keep[:, None] * d + np.arange(d)[None, :]).ravel()
-
-
-def assemble_transfer(p: MatrixTrigPolynomial, n: int, structure: str) -> GridTransfer:
+def assemble_transfer(p: MatrixTrigPolynomial, n, structure: str) -> GridTransfer:
     """Prolongation: structured matrix of p times the cutting selector.
 
     Circulant structure takes n even with odd-row cutting; Toeplitz takes
     n odd with even-row cutting, matching the level-size recursions
-    n = 2^t and n = 2^t - 1.
+    n = 2^t and n = 2^t - 1.  A Toeplitz transfer of an m-variable
+    symbol takes a tuple of m odd sizes.
     """
     if structure == CIRCULANT:
-        if n % 2 != 0:
+        if np.ndim(n) != 0 or n % 2 != 0:
             raise ArgumentError(f"circulant transfer needs even n, got {n}")
-        S = assemble_circulant(p, n)
-        parity = ODD_ROWS
+        assemble, parity = assemble_circulant, ODD_ROWS
     elif structure == TOEPLITZ:
-        if n % 2 != 1:
+        if np.any(np.asarray(n) % 2 != 1):
             raise ArgumentError(f"toeplitz transfer needs odd n, got {n}")
-        S = assemble_toeplitz(p, n)
-        parity = EVEN_ROWS
+        assemble, parity = assemble_toeplitz, EVEN_ROWS
     else:
         raise ArgumentError(f"unknown structure {structure!r}")
-    cols = _block_column_selector(n, p.d, parity)
-    P = S.matrix.tocsc()[:, cols].tocsr()
-    return GridTransfer(p=p, parity=parity, fine_size=P.shape[0],
-                        coarse_size=P.shape[1], matrix=P)
-
-
-def transfer_from_matrix(P: sp.spmatrix, p: MatrixTrigPolynomial | None = None,
-                         parity: str = EVEN_ROWS) -> GridTransfer:
-    """Wrap an explicitly assembled prolongation matrix."""
-    P = sp.csr_matrix(P)
-    return GridTransfer(p=p, parity=parity, fine_size=P.shape[0],
-                        coarse_size=P.shape[1], matrix=P)
+    keep = cutting_matrix(n, parity)
+    cols = (keep[:, None] * p.d + np.arange(p.d)[None, :]).ravel()
+    return GridTransfer(assemble(p, n).matrix.tocsc()[:, cols].tocsr())
 
 
 def has_full_column_rank(P: GridTransfer, tol: float = 1e-10) -> bool:

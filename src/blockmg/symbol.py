@@ -159,19 +159,6 @@ class MatrixTrigPolynomial:
         if other.d != self.d:
             raise DimensionError(f"block order mismatch: {self.d} vs {other.d}")
 
-    def __add__(self, other):
-        self._binary_check(other)
-        out = {j: c.copy() for j, c in self.coeffs.items()}
-        for j, c in other.coeffs.items():
-            out[j] = out.get(j, 0) + c
-        return MatrixTrigPolynomial(out, m=self.m)
-
-    def __mul__(self, scalar):
-        return MatrixTrigPolynomial(
-            {j: scalar * c for j, c in self.coeffs.items()}, m=self.m)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         """Pointwise matrix product (f g)(t) = f(t) g(t), by convolution."""
         self._binary_check(other)
@@ -233,10 +220,6 @@ class SymbolZero:
     jbar: int              # 1-based index of the vanishing eigenvalue
     q_jbar: np.ndarray     # unit eigenvector of f(theta0) for eigenvalue 0
     order: int             # even order of the zero
-
-    @property
-    def theta0_scalar(self) -> float:
-        return self.theta0[0]
 
 
 def theta_grid(n: int = DEFAULT_GRID) -> np.ndarray:

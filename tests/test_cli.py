@@ -5,8 +5,10 @@ import pytest
 from blockmg.cli import (CSV_HEADER, ExperimentConfig, main, parse_config,
                          print_table, run)
 from blockmg.errors import ConfigurationError
-from blockmg.femgen import build_linear_interp_symbol, stiffness_symbol
-from blockmg.symbol import write_symbol
+from blockmg.femgen import (build_linear_interp_symbol, mass_symbol,
+                            stiffness_symbol)
+from blockmg.multilevel import tensor_sum_symbol
+from blockmg.symbol import tensor_symbol, write_symbol
 
 
 def write_config(path, **overrides):
@@ -16,6 +18,47 @@ def write_config(path, **overrides):
     base.update(overrides)
     path.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
     return path
+
+
+def _certify_args(tmp_path, f, p):
+    f_path, p_path = tmp_path / "f.sym", tmp_path / "p.sym"
+    write_symbol(f_path, f)
+    write_symbol(p_path, p)
+    return ["certify", str(f_path), str(p_path)]
+
+
+def _table_args(tmp_path, rows: bytes):
+    path = tmp_path / "result.csv"
+    path.write_bytes(",".join(CSV_HEADER).encode() + b"\n" + rows)
+    return ["table", str(path)]
+
+
+def _run_args(tmp_path, text: bytes):
+    path = tmp_path / "e.cfg"
+    path.write_bytes(text)
+    return ["run", str(path)]
+
+
+MALFORMED = {
+    "certify-block-orders-differ": lambda tmp: _certify_args(
+        tmp, stiffness_symbol(2), build_linear_interp_symbol(3)),
+    "certify-univariate-f-bivariate-p": lambda tmp: _certify_args(
+        tmp, stiffness_symbol(4), tensor_symbol([build_linear_interp_symbol(2)] * 2)),
+    "certify-bivariate-f-univariate-p": lambda tmp: _certify_args(
+        tmp, tensor_sum_symbol(stiffness_symbol(2), mass_symbol(2)),
+        build_linear_interp_symbol(4)),
+    "table-non-integer-t": lambda tmp: _table_args(tmp, b"x,31,tgm,6,1e-07,\n"),
+    "table-two-fields": lambda tmp: _table_args(tmp, b"4,31\n"),
+    "table-non-ascii-byte": lambda tmp: _table_args(tmp, b"4,31,tgm,6,1e-07,\xe9\n"),
+    "run-non-utf8-config": lambda tmp: _run_args(tmp, b"mode = solve\n# \xff\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_3_with_one_error_line(tmp_path, capsys, case):
+    assert main(MALFORMED[case](tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestParseConfig:

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from blockmg import (MatrixTrigPolynomial, assemble_transfer, build_s,
-                     corner_sum, cutting_matrix, tensor_symbol)
+from blockmg import (MatrixTrigPolynomial, assemble_toeplitz,
+                     assemble_transfer, build_s, corner_sum, cutting_matrix,
+                     tensor_symbol)
 from blockmg.errors import ArgumentError
 from blockmg.femgen import (build_geometric_symbol, mass_symbol,
                             stiffness_symbol)
-from blockmg.multilevel import (assemble_2d_problem, assemble_multilevel_toeplitz,
-                                build_2d_hierarchy, check_multilevel_conditions,
-                                tensor_cutting, tensor_interleave_permutation,
-                                tensor_sum_symbol, tensor_transfer)
+from blockmg.multilevel import (assemble_2d_problem, build_2d_hierarchy,
+                                check_multilevel_conditions,
+                                tensor_interleave_permutation,
+                                tensor_sum_symbol)
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -18,29 +19,28 @@ INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
 
 class TestTensorCutting:
     def test_three_by_three(self):
-        np.testing.assert_array_equal(tensor_cutting((3, 3)), [4])
+        np.testing.assert_array_equal(cutting_matrix((3, 3), "even"), [4])
 
     def test_seven_by_three(self):
-        got = tensor_cutting((7, 3))
+        got = cutting_matrix((7, 3), "even")
         np.testing.assert_array_equal(got, [4, 10, 16])
         # grid coordinates (1-based): (2,2), (4,2), (6,2)
         coords = [(idx // 3 + 1, idx % 3 + 1) for idx in got]
         assert coords == [(2, 2), (4, 2), (6, 2)]
 
     def test_single_dimension_reduces_to_1d(self):
-        np.testing.assert_array_equal(tensor_cutting((7,)),
+        np.testing.assert_array_equal(cutting_matrix((7,), "even"),
                                       cutting_matrix(7, "even"))
 
     def test_size_form_validated(self):
         with pytest.raises(ArgumentError):
-            tensor_cutting((5, 3))   # 5 is odd but not 2^t - 1
-        with pytest.raises(ArgumentError):
-            tensor_cutting((4, 3))
+            cutting_matrix((4, 3), "even")
 
 
 class TestTensorTransfer:
     def test_bilinear_stencil(self):
-        P = tensor_transfer([INTERP, INTERP], (7, 7)).matrix.toarray().real
+        P = assemble_transfer(tensor_symbol([INTERP, INTERP]), (7, 7),
+                              "toeplitz").matrix.toarray().real
         assert P.shape == (49, 9)
         stencil = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0])
         col = P[:, 4].reshape(7, 7)      # center coarse node at (3,3) 0-based
@@ -49,7 +49,8 @@ class TestTensorTransfer:
 
     def test_identity_symbol_injects(self):
         one = MatrixTrigPolynomial.scalar({0: 1.0})
-        P = tensor_transfer([one, one], (3, 3)).matrix.toarray().real
+        P = assemble_transfer(tensor_symbol([one, one]), (3, 3),
+                              "toeplitz").matrix.toarray().real
         want = np.zeros((9, 1))
         want[4] = 1.0
         np.testing.assert_allclose(P, want)
@@ -58,7 +59,8 @@ class TestTensorTransfer:
         P1 = assemble_transfer(p_l2, 7, "toeplitz").matrix
         P2 = assemble_transfer(p_l2, 3, "toeplitz").matrix
         PK = sp.kron(P1, P2).tocsr()
-        PM = tensor_transfer([p_l2, p_l2], (7, 3)).matrix
+        PM = assemble_transfer(tensor_symbol([p_l2, p_l2]), (7, 3),
+                               "toeplitz").matrix
         rperm = tensor_interleave_permutation((7, 3), (2, 2))
         cperm = tensor_interleave_permutation((3, 1), (2, 2))
         R = sp.csr_matrix((np.ones(len(rperm)), (rperm, np.arange(len(rperm)))))
@@ -74,8 +76,8 @@ class TestMultilevelToeplitz:
         f2d = MatrixTrigPolynomial.scalar(
             {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0})
         p2d = tensor_symbol([INTERP, INTERP])
-        A = assemble_multilevel_toeplitz(f2d, (15, 15))
-        P = tensor_transfer([INTERP, INTERP], (15, 15))
+        A = assemble_toeplitz(f2d, (15, 15))
+        P = assemble_transfer(p2d, (15, 15), "toeplitz")
         coarse = (P.matrix.conj().T @ A.matrix @ P.matrix).toarray().real
         g = p2d.conj_transpose() @ f2d @ p2d
         fhat = MatrixTrigPolynomial(

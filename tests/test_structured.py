@@ -8,6 +8,8 @@ from blockmg import (MatrixTrigPolynomial, assemble_circulant,
                      fourier_matrix, galerkin, has_full_column_rank, read_coo,
                      toeplitz_coarse_defect, write_coo)
 from blockmg.errors import ArgumentError
+from blockmg.femgen import assemble_stiffness, build_fem_hierarchy
+from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
 from blockmg.structured import projector_idempotency_defect
 
 from conftest import random_hermitian_symbol, random_symbol
@@ -148,6 +150,26 @@ class TestTransfer:
             assert has_full_column_rank(assemble_transfer(p_l2, n, "circulant"))
         p = random_symbol(rng, 2, 1)
         assert has_full_column_rank(assemble_transfer(p, 16, "circulant"))
+
+
+class TestGridTransfer:
+    @pytest.mark.parametrize("build", [
+        lambda: build_fem_hierarchy(assemble_stiffness(2, 64), "linear",
+                                    coarsest_max_size=7),
+        lambda: build_fem_hierarchy(assemble_stiffness(3, 32), "geometric",
+                                    coarsest_max_size=7),
+        lambda: build_2d_hierarchy(assemble_2d_problem(2, 4), "linear",
+                                   coarsest_max_size=9),
+    ], ids=["1d-linear", "1d-geometric", "2d-linear"])
+    def test_restrict_uses_the_adjoint_bit_for_bit(self, build):
+        h = build()
+        rng = np.random.default_rng(17)
+        transfers = [lvl.transfer for lvl in h.levels if lvl.transfer is not None]
+        assert len(transfers) >= 2
+        for T in transfers:
+            assert (T.fine_size, T.coarse_size) == T.matrix.shape
+            x = rng.standard_normal(T.fine_size)
+            np.testing.assert_array_equal(T.restrict(x), T.matrix.conj().T @ x)
 
 
 class TestGalerkin:
