@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -72,7 +73,8 @@ class ExperimentConfig:
             (self.projector in PROJECTORS, f"projector must be one of {PROJECTORS}"),
             (self.cycle in CYCLES, f"cycle must be one of {CYCLES}"),
             (self.smoother in SMOOTHERS, f"smoother must be one of {SMOOTHERS}"),
-            (self.tol > 0, "tol must be positive"),
+            (self.omega is None or math.isfinite(self.omega), "omega must be finite"),
+            (self.tol > 0 and math.isfinite(self.tol), "tol must be positive and finite"),
             (self.max_iter >= 1, "max_iter must be >= 1"),
         ]
         for ok, message in checks:

@@ -5,15 +5,25 @@ Experiment conventions (the literature rarely pins them down): the right
 hand side is b = A x* with x* drawn uniformly from [0,1) under a fixed
 seed, the initial guess is zero, and iteration counts use the relative
 residual ||b - A x|| / ||b||.
+
+Every smoothing sweep is x <- x + correct(b - M x), with the correction
+prepared once per level matrix M.  Richardson's is omega r, after one
+check of omega against M.  Gauss-Seidel's is (D + L)^{-1} r, and its
+backend follows from M alone: with lower bandwidth kd, when the band
+storage (kd + 1) N is no larger than nnz(M) (every 1D FEM level), LAPACK
+``tbtrs`` applies the banded lower triangle; otherwise (2D levels) a
+SuperLU factor of tril(M) in natural order does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 from .errors import ArgumentError, ConfigurationError, SingularMatrixError
 from .structured import BlockStructuredMatrix, GridTransfer, galerkin
@@ -44,6 +54,8 @@ class SmootherSpec:
             raise ConfigurationError(f"unknown smoother kind {self.kind!r}")
         if self.kind == RICHARDSON and self.omega is None:
             raise ConfigurationError("Richardson smoothing needs omega")
+        if self.omega is not None and not math.isfinite(self.omega):
+            raise ConfigurationError(f"omega must be finite, got {self.omega}")
         if self.sweeps_pre < 0 or self.sweeps_post < 0:
             raise ConfigurationError("sweep counts must be nonnegative")
 
@@ -87,16 +99,43 @@ def _check_omega(M: sp.csr_matrix, omega: float) -> None:
             f"omega={omega} outside (0, 2/C): spectral bound ~{lam_max:.4g}")
 
 
-def _lower_factor(M: sp.csr_matrix):
-    """Factorized D + L for forward Gauss-Seidel; exact, no pivoting."""
-    diag = M.diagonal()
-    if np.any(diag == 0):
+def _correction(M: sp.csr_matrix, spec: SmootherSpec):
+    """The map r -> x-correction of one sweep of ``spec`` on M, prepared
+    once: omega r for Richardson, (D + L)^{-1} r for forward Gauss-Seidel
+    (exact, no pivoting; banded LAPACK or SuperLU, see the module
+    docstring)."""
+    if spec.kind == RICHARDSON:
+        _check_omega(M, spec.omega)
+        omega = spec.omega
+        return lambda r: omega * r
+    if np.any(M.diagonal() == 0):
         raise ConfigurationError("Gauss-Seidel needs a nonzero diagonal")
-    L = sp.tril(M).tocsc()
-    return spla.splu(L, permc_spec="NATURAL", options=dict(DiagPivotThresh=0.0))
+    n = M.shape[0]
+    if not M.has_sorted_indices:
+        M = M.sorted_indices()
+    # each row stores its diagonal, so its first column is at most its index
+    kd = int(np.max(np.arange(n) - M.indices[M.indptr[:-1]]))
+    if (kd + 1) * n > M.nnz:
+        lower = spla.splu(sp.tril(M).tocsc(), permc_spec="NATURAL",
+                          options=dict(DiagPivotThresh=0.0))
+        return lower.solve
+    ab = np.zeros((kd + 1, n), dtype=np.result_type(M.dtype, float))
+    for k in range(kd + 1):
+        ab[k, :n - k] = M.diagonal(-k)
+    tbtrs = get_lapack_funcs("tbtrs", (ab,))
+
+    def correct(r):
+        if np.iscomplexobj(r) and not np.iscomplexobj(ab):
+            return correct(r.real) + 1j * correct(r.imag)
+        y, info = tbtrs(ab, r, uplo="L", overwrite_b=1)
+        if info != 0:
+            raise SingularMatrixError(f"banded Gauss-Seidel solve failed: info={info}")
+        return y
+
+    return correct
 
 
-def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _lower=None):
+def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _correct=None):
     """Apply ``sweeps`` smoothing sweeps to A x = b starting from x.
 
     Richardson: x <- x + omega (b - A x) per sweep.  Gauss-Seidel:
@@ -110,14 +149,9 @@ def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _lower=None):
     x = np.array(x, dtype=dtype, copy=True)
     if sweeps == 0:
         return x
-    if spec.kind == RICHARDSON:
-        _check_omega(M, spec.omega)
-        for _ in range(sweeps):
-            x += spec.omega * (b - M @ x)
-        return x
-    lower = _lower if _lower is not None else _lower_factor(M)
+    correct = _correct if _correct is not None else _correction(M, spec)
     for _ in range(sweeps):
-        x += lower.solve(b - M @ x)
+        x += correct(b - M @ x)
     return x
 
 
@@ -126,7 +160,7 @@ class _Level:
     matrix: BlockStructuredMatrix
     transfer: GridTransfer | None
     smoother: SmootherSpec
-    lower: object = field(default=None, repr=False)
+    correct: object = field(default=None, repr=False)
     coarse_lu: object = field(default=None, repr=False)
 
 
@@ -177,12 +211,6 @@ class MultigridHierarchy:
                     f"level {ell} matrix is not positive definite "
                     f"(min eigenvalue {w[0]:.3e})")
 
-    def _lower(self, ell):
-        lvl = self.levels[ell]
-        if lvl.lower is None:
-            lvl.lower = _lower_factor(lvl.matrix.matrix)
-        return lvl.lower
-
     def _coarse_lu(self, ell):
         lvl = self.levels[ell]
         if lvl.coarse_lu is None:
@@ -195,8 +223,10 @@ class MultigridHierarchy:
 
     def _smooth(self, ell, x, b, sweeps):
         lvl = self.levels[ell]
-        lower = self._lower(ell) if lvl.smoother.kind == GAUSS_SEIDEL else None
-        return smooth(lvl.matrix.matrix, x, b, lvl.smoother, sweeps, _lower=lower)
+        if sweeps and lvl.correct is None:
+            lvl.correct = _correction(lvl.matrix.matrix, lvl.smoother)
+        return smooth(lvl.matrix.matrix, x, b, lvl.smoother, sweeps,
+                      _correct=lvl.correct)
 
 
 def vcycle_step(h: MultigridHierarchy, level: int, x, b):

@@ -180,7 +180,7 @@ def _kron_stack(A, B) -> np.ndarray:
 
 
 def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
-                                fs=None) -> MultilevelConditionReport:
+                                fs) -> MultilevelConditionReport:
     """Verify the multilevel conditions for the tensor projector of the
     univariate factors ``ps`` against the bivariate symbol ``f2d``.
 
@@ -191,8 +191,6 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     ps = list(ps)
     if len(ps) != 2:
         raise ArgumentError("the end-to-end multilevel checker supports m = 2")
-    if fs is None:
-        raise ArgumentError("fs (univariate problem symbols) are required")
     fs = list(fs)
     if len(fs) != len(ps):
         raise ArgumentError("one univariate problem symbol per dimension required")

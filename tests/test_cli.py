@@ -51,6 +51,11 @@ MALFORMED = {
     "table-two-fields": lambda tmp: _table_args(tmp, b"4,31\n"),
     "table-non-ascii-byte": lambda tmp: _table_args(tmp, b"4,31,tgm,6,1e-07,\xe9\n"),
     "run-non-utf8-config": lambda tmp: _run_args(tmp, b"mode = solve\n# \xff\n"),
+    "run-nan-omega": lambda tmp: _run_args(
+        tmp, b"smoother = richardson\ncycle = tgm\nomega = nan\nt_range = 3\n"),
+    "run-inf-omega": lambda tmp: _run_args(
+        tmp, b"smoother = richardson\ncycle = tgm\nomega = inf\nt_range = 3\n"),
+    "run-inf-tol": lambda tmp: _run_args(tmp, b"tol = inf\nt_range = 3\n"),
 }
 
 

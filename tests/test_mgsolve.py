@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
-                     assemble_toeplitz, assemble_transfer,
+                     assemble_toeplitz, assemble_transfer, mgsolve,
                      richardson_omega_default, smooth, solve, tgm_step,
                      vcycle_step, write_residuals)
 from blockmg.errors import ArgumentError, ConfigurationError
 from blockmg.femgen import assemble_stiffness, build_fem_hierarchy, stiffness_symbol
-from blockmg.mgsolve import TGM, VCYCLE, detect_stagnation, gershgorin_bound
+from blockmg.mgsolve import (TGM, VCYCLE, _correction, detect_stagnation,
+                             gershgorin_bound)
+from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
 from blockmg.structured import BlockStructuredMatrix, GENERAL
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
@@ -64,6 +68,78 @@ class TestSmooth:
             SmootherSpec(kind="richardson")
         with pytest.raises(ConfigurationError):
             SmootherSpec(sweeps_pre=-1)
+        for omega in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                SmootherSpec(kind="richardson", omega=omega)
+
+
+def _uses_superlu(correct) -> bool:
+    return isinstance(getattr(correct, "__self__", None), spla.SuperLU)
+
+
+def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=False):
+    """One sweep through the prepared correction against the dense
+    x + solve(tril(A), b - A x); returns the correction."""
+    rng = np.random.default_rng(seed)
+    n = M.shape[0]
+    x, b = rng.standard_normal(n), rng.standard_normal(n)
+    if complex_rhs or np.iscomplexobj(M.data):
+        x, b = x + 1j * rng.standard_normal(n), b + 1j * rng.standard_normal(n)
+    Ad = M.toarray()
+    expected = x + sla.solve_triangular(np.tril(Ad), b - Ad @ x, lower=True)
+    correct = _correction(M, GS)
+    got = smooth(M, x, b, GS, 1, _correct=correct)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    return correct
+
+
+class TestSmootherBackends:
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_1d_levels_take_the_banded_path(self, r, kind):
+        problem = assemble_stiffness(r, 32, "xsq_plus_one")
+        h = build_fem_hierarchy(problem, kind, GS, coarsest_max_size=7)
+        assert len(h.levels) >= 3
+        for ell, lvl in enumerate(h.levels[:-1]):
+            correct = _assert_gauss_seidel_oracle(lvl.matrix.matrix, seed=ell)
+            assert not _uses_superlu(correct), (r, kind, ell)
+
+    def test_2d_levels_take_the_superlu_path(self):
+        h = build_2d_hierarchy(assemble_2d_problem(2, 4), "linear", GS)
+        assert [lvl.matrix.size for lvl in h.levels] == [961, 225, 49]
+        for ell, lvl in enumerate(h.levels[:-1]):
+            assert _uses_superlu(_assert_gauss_seidel_oracle(lvl.matrix.matrix, ell))
+
+    def test_complex_hermitian_block_toeplitz_is_banded(self):
+        c1 = np.array([[-1.0 + 0.5j, 0.25j], [0.3, -1.0 - 0.2j]])
+        f = MatrixTrigPolynomial({0: np.array([[6.0, 1.0 - 1.0j], [1.0 + 1.0j, 6.0]]),
+                                  1: c1, -1: c1.conj().T})
+        assert f.hermitian
+        A = assemble_toeplitz(f, 31)
+        correct = _assert_gauss_seidel_oracle(A.matrix)
+        assert not _uses_superlu(correct)
+
+    def test_real_matrix_complex_right_hand_side(self):
+        M = assemble_stiffness(2, 16, "one").matrix.matrix
+        assert not _uses_superlu(_assert_gauss_seidel_oracle(M, complex_rhs=True))
+
+    def test_unsorted_column_indices(self):
+        M = tridiag(9)
+        rows = [np.arange(M.indptr[i], M.indptr[i + 1])[::-1] for i in range(9)]
+        order = np.concatenate(rows)
+        U = sp.csr_matrix((M.data[order], M.indices[order], M.indptr), shape=M.shape)
+        assert not U.has_sorted_indices
+        assert not _uses_superlu(_assert_gauss_seidel_oracle(U))
+
+    @pytest.mark.parametrize("banded", [True, False])
+    def test_zero_diagonal_raises(self, banded):
+        M = tridiag(10).tolil()
+        if not banded:
+            M[9, 0] = -0.5  # lower bandwidth 9: (9 + 1) * 10 > nnz
+        M[4, 4] = 0.0
+        M = M.tocsr()
+        with pytest.raises(ConfigurationError, match="nonzero diagonal"):
+            smooth(M, np.zeros(10), np.ones(10), GS, 1)
 
 
 def two_grid_pieces(n=31):
@@ -243,6 +319,25 @@ class TestSolve:
         res = solve(h, b, tol=1e-6)
         assert res.residuals == sorted(res.residuals, reverse=True)
         assert res.residuals[-1] <= 1e-6
+
+    @pytest.mark.parametrize("cycle", [TGM, VCYCLE])
+    def test_richardson_omega_checked_once_per_level(self, monkeypatch, cycle):
+        problem = assemble_stiffness(2, 2 ** 8, "one")
+        levels = build_fem_hierarchy(problem, "linear", GS).levels
+        assert len(levels) == 4
+        omega = 1.0 / max(gershgorin_bound(lvl.matrix) for lvl in levels)
+        spec = SmootherSpec(kind="richardson", omega=omega)
+        h = build_fem_hierarchy(problem, "linear", spec)
+        calls = []
+        check = mgsolve._check_omega
+        monkeypatch.setattr(mgsolve, "_check_omega",
+                            lambda M, w: calls.append(M.shape[0]) or check(M, w))
+        rng = np.random.default_rng(11)
+        b = problem.matrix.matrix @ rng.uniform(size=problem.size)
+        res = solve(h, b, max_iter=5, cycle=cycle)
+        assert res.iterations == 5
+        smoothed = h.levels[:1] if cycle == TGM else h.levels[:-1]
+        assert calls == [lvl.matrix.size for lvl in smoothed]
 
     def test_bad_arguments(self):
         _, h = fem_hierarchy()

@@ -213,5 +213,5 @@ class TestMultilevelConditions:
     def test_fs_required(self, p_l2):
         f = stiffness_symbol(2)
         f2d = tensor_sum_symbol(f, mass_symbol(2))
-        with pytest.raises(ArgumentError):
+        with pytest.raises(TypeError):
             check_multilevel_conditions([p_l2, p_l2], f2d)
