@@ -5,18 +5,14 @@ convergence conditions and degree-r Lagrangian FEM generators."""
 from .errors import (ArgumentError, BlockmgError, ConfigurationError,
                      ConstructionError, DimensionError, NumericalError,
                      SingularMatrixError, SymbolZeroError, TrackingError)
-from .symbol import (EigenCurves, MatrixTrigPolynomial, SymbolZero,
-                     coarse_symbol, corner_set, corner_sum, corner_sums,
-                     eigenvalue_functions, find_zero, max_coeff_difference,
+from .symbol import (MatrixTrigPolynomial, SymbolZero, coarse_symbol,
+                     corner_set, corner_sum, corner_sums, find_zero,
                      read_symbol, symbol_sup_norm, tensor_symbol, theta_grid,
                      tracked_eigenpair, write_symbol)
 from .structured import (BlockStructuredMatrix, GridTransfer,
                          assemble_circulant, assemble_toeplitz,
-                         assemble_transfer, circulant_eigenvalues,
-                         coarse_projection_norm, cutting_matrix,
-                         cutting_operator, fourier_matrix, galerkin,
-                         has_full_column_rank, read_coo,
-                         toeplitz_coarse_defect, write_coo)
+                         assemble_transfer, coarse_projection_norm,
+                         cutting_matrix, galerkin, read_coo, write_coo)
 from .mgsolve import (MultigridHierarchy, SmootherSpec, SolveResult,
                       richardson_omega_default, smooth, solve, tgm_step,
                       vcycle_step, write_residuals)
@@ -24,13 +20,11 @@ from .conditions import (CheckResult, ConditionReport, build_s,
                          build_s_grid, check_condition_i, check_condition_ii,
                          check_condition_iii, check_fhat_properties,
                          check_vcycle_bound, full_report)
-from .femgen import (FemProblem1D, KnotGrid, assemble_mass,
-                     assemble_stiffness, build_fem_hierarchy,
-                     build_fem_transfer, build_geometric_symbol,
-                     build_linear_interp_symbol, lagrange_eval, mass_symbol,
-                     stiffness_symbol)
-from .multilevel import (TensorProblem, assemble_2d_problem,
-                         build_2d_hierarchy, check_multilevel_conditions,
-                         tensor_sum_symbol)
+from .femgen import (FemProblem, KnotGrid, assemble_mass, assemble_stiffness,
+                     build_fem_hierarchy, build_fem_transfer,
+                     build_geometric_symbol, build_linear_interp_symbol,
+                     lagrange_eval, mass_symbol, stiffness_symbol)
+from .multilevel import (assemble_2d_problem, build_2d_hierarchy,
+                         check_multilevel_conditions, tensor_sum_symbol)
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .femgen import (COEFFICIENTS, GEOMETRIC, LINEAR, MAX_DEGREE,
                      assemble_stiffness, build_fem_hierarchy, mass_symbol,
                      projector_symbol, stiffness_symbol)
 from .mgsolve import (DEFAULT_SEED, GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE,
-                      SmootherSpec, richardson_omega_default, solve)
+                      SmootherSpec, solve)
 from .multilevel import (assemble_2d_problem, build_2d_hierarchy,
                          check_multilevel_conditions, tensor_sum_symbol)
 from .symbol import read_symbol
@@ -127,29 +127,19 @@ def parse_config(path) -> ExperimentConfig:
     return config
 
 
-def _smoother_spec(config: ExperimentConfig, matrix) -> SmootherSpec:
-    omega = config.omega
-    if config.smoother == RICHARDSON and omega is None:
-        omega = richardson_omega_default(matrix)
-    return SmootherSpec(kind=config.smoother, omega=omega,
-                        sweeps_pre=config.sweeps_pre,
-                        sweeps_post=config.sweeps_post)
-
-
 def _solve_one(config: ExperimentConfig, t: int) -> dict:
-    two_level = config.cycle == TGM
     if config.dim == 1:
         problem = assemble_stiffness(config.r, 2 ** t, config.coefficient)
-        matrix = problem.matrix
-        hierarchy = build_fem_hierarchy(problem, config.projector,
-                                        _smoother_spec(config, matrix),
-                                        two_level=two_level)
+        build = build_fem_hierarchy
     else:
         problem = assemble_2d_problem(config.r, t)
-        matrix = problem.matrix
-        hierarchy = build_2d_hierarchy(problem, config.projector,
-                                       _smoother_spec(config, matrix),
-                                       two_level=two_level)
+        build = build_2d_hierarchy
+    spec = SmootherSpec(kind=config.smoother, omega=config.omega,
+                        sweeps_pre=config.sweeps_pre,
+                        sweeps_post=config.sweeps_post)
+    hierarchy = build(problem, config.projector, spec,
+                      two_level=config.cycle == TGM)
+    matrix = problem.matrix
     rng = np.random.default_rng([config.seed, t])
     x_exact = rng.uniform(size=matrix.size)
     b = matrix.matrix @ x_exact

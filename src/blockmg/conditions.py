@@ -431,21 +431,14 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
                                             {"min_eig_outside_ball": min_away})
 
     fscale = symbol_sup_norm(f, 256)
+    fhat_branch = _f_branch_fn(fhat, q)
     est = dyadic_limit(
-        _tracked_min_fn(fhat, q, double=True),
+        lambda theta: fhat_branch(2.0 * theta),
         _f_branch_fn(f, q), np.array([t0]), _axis_directions(1),
         numer_floor=1e3 * EPS * scale, denom_floor=1e3 * EPS * fscale)
     out["coarse_zero_same_order"] = CheckResult(
         est.passed and est.c > 1e-8, est.as_evidence())
     return out
-
-
-def _tracked_min_fn(fhat: MatrixTrigPolynomial, q: np.ndarray, double: bool):
-    def fn(theta):
-        t = 2.0 * theta if double else theta
-        lam, _, _ = tracked_eigenpair(fhat.evaluate(t), q, OVERLAP_MIN)
-        return lam
-    return fn
 
 
 # -- aggregation -----------------------------------------------------------

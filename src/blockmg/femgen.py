@@ -1,14 +1,16 @@
 """Degree-r Lagrangian finite elements on the unit interval: stiffness
-and mass assembly, extraction of the block generating symbols, and the
-two projector-symbol families (scalar linear interpolation reblocked,
-and coarse-basis evaluation).
+and mass assembly, extraction of the block generating symbols, the two
+projector-symbol families (scalar linear interpolation reblocked, and
+coarse-basis evaluation), and the Galerkin hierarchy of a FEM problem.
 
 Two assembly views coexist deliberately: an analysis view made of full
 block-Toeplitz matrices (for the symbol identities) and a solve view of
 FEM matrices of size r*n - 1 with both Dirichlet ends removed (for the
 iteration experiments).  The solve-path matrices are normalized by the
 element count so the constant-coefficient matrix agrees with the
-block-Toeplitz matrix of the extracted symbol on interior entries.
+block-Toeplitz matrix of the extracted symbol on interior entries.  A
+solve-view problem, 1D here or 2D in :mod:`blockmg.multilevel`, is one
+:class:`FemProblem`; building it builds no symbol.
 
 The mesh is uniform, so assembly is batched over elements: the basis
 values and derivatives at the quadrature points (and, for the geometric
@@ -47,10 +49,6 @@ class KnotGrid:
 
     r: int
     n: int
-
-    @property
-    def n_knots(self) -> int:
-        return self.n * self.r + 1
 
     def knot(self, i: int) -> float:
         return i / (self.n * self.r)
@@ -95,9 +93,9 @@ def _lagrange_deriv(nodes: np.ndarray, ell: int, x: float) -> float:
 
 def _coefficient_function(coefficient):
     if callable(coefficient):
-        return coefficient, "custom"
+        return coefficient
     try:
-        return COEFFICIENTS[coefficient], coefficient
+        return COEFFICIENTS[coefficient]
     except KeyError:
         raise ArgumentError(
             f"unknown coefficient {coefficient!r}; "
@@ -105,16 +103,17 @@ def _coefficient_function(coefficient):
 
 
 @dataclass
-class FemProblem1D:
-    """A 1D diffusion problem assembled with degree-r elements.
+class FemProblem:
+    """A diffusion problem assembled with degree-r elements on a uniform
+    mesh of ``n_elements`` elements per axis.
 
-    ``matrix`` is the Dirichlet-trimmed stiffness matrix of size
-    r*n_elements - 1, normalized by the element count.
+    ``matrix`` is the Dirichlet-trimmed, normalized system matrix: the
+    stiffness matrix of size r*n_elements - 1 in 1D, or the tensor
+    operator of size (r*n_elements - 1)^2 in 2D.
     """
 
     r: int
     n_elements: int
-    coefficient: str
     matrix: BlockStructuredMatrix
 
     @property
@@ -147,7 +146,7 @@ def _assemble_trimmed(r: int, loc: np.ndarray, scale: float) -> sp.csr_matrix:
     return (A[1:-1, 1:-1] * scale).tocsr()
 
 
-def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem1D:
+def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem:
     """Assemble the trimmed, normalized stiffness matrix.
 
     Element integrals use Gauss-Legendre quadrature with r + 2 points,
@@ -156,7 +155,7 @@ def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem
     a callable may return one value per point or a scalar.
     """
     _check_size(r, n_elements)
-    fun, name = _coefficient_function(coefficient)
+    fun = _coefficient_function(coefficient)
     n = n_elements
     xq_ref, wq = _element_quadrature(r, n)
     xq = np.arange(n)[:, None] / n + xq_ref
@@ -173,7 +172,7 @@ def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem
     K = _assemble_trimmed(r, loc, 1.0 / n)
     # boundary trimming breaks exact shift invariance, so always "general"
     mat = BlockStructuredMatrix(GENERAL, r, None, K)
-    return FemProblem1D(r=r, n_elements=n, coefficient=name, matrix=mat)
+    return FemProblem(r=r, n_elements=n, matrix=mat)
 
 
 def assemble_mass(r: int, n_elements: int) -> BlockStructuredMatrix:
@@ -208,7 +207,7 @@ def _symbol_from_band(mat: sp.csr_matrix, r: int) -> MatrixTrigPolynomial:
     return MatrixTrigPolynomial({0: a0, 1: a1, -1: am1})
 
 
-def stiffness_symbol(r: int, _checks: bool = True) -> MatrixTrigPolynomial:
+def stiffness_symbol(r: int) -> MatrixTrigPolynomial:
     """The r-by-r generating symbol of the normalized stiffness matrices.
 
     Read off the interior blocks of the n=8 assembly; verified to kill
@@ -219,15 +218,14 @@ def stiffness_symbol(r: int, _checks: bool = True) -> MatrixTrigPolynomial:
         raise ArgumentError(f"degree capped at {MAX_DEGREE}, got {r}")
     problem = assemble_stiffness(r, 8, "one")
     f = _symbol_from_band(problem.matrix.matrix, r)
-    if _checks:
-        ones = np.ones(r)
-        scale = smallmat.spectral_norm(f.evaluate(0.0))
-        if np.linalg.norm(f.evaluate(0.0) @ ones) > 1e-10 * max(scale, 1.0):
-            raise ConstructionError("stiffness symbol does not vanish on ones at 0")
-        thetas = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-        eigs = np.array([np.linalg.eigvalsh(v) for v in f.evaluate_grid(thetas)])
-        if r >= 2 and np.min(eigs[:, 1:]) <= 1e-8:
-            raise ConstructionError("non-minimal eigenvalues are not bounded away from 0")
+    ones = np.ones(r)
+    scale = smallmat.spectral_norm(f.evaluate(0.0))
+    if np.linalg.norm(f.evaluate(0.0) @ ones) > 1e-10 * max(scale, 1.0):
+        raise ConstructionError("stiffness symbol does not vanish on ones at 0")
+    thetas = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
+    eigs = np.array([np.linalg.eigvalsh(v) for v in f.evaluate_grid(thetas)])
+    if r >= 2 and np.min(eigs[:, 1:]) <= 1e-8:
+        raise ConstructionError("non-minimal eigenvalues are not bounded away from 0")
     return f
 
 
@@ -389,7 +387,7 @@ def _transfer_chain(r: int, n_elements: int, kind: str, dim: int,
             return chain
 
 
-def build_fem_hierarchy(problem: FemProblem1D, kind: str,
+def build_fem_hierarchy(problem: FemProblem, kind: str,
                         smoother: SmootherSpec | None = None,
                         coarsest_max_size: int = DEFAULT_COARSEST,
                         two_level: bool = False) -> MultigridHierarchy:

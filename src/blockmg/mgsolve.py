@@ -7,12 +7,16 @@ seed, the initial guess is zero, and iteration counts use the relative
 residual ||b - A x|| / ||b||.
 
 Every smoothing sweep is x <- x + correct(b - M x), with the correction
-prepared once per level matrix M.  Richardson's is omega r, after one
-check of omega against M.  Gauss-Seidel's is (D + L)^{-1} r, and its
+prepared once per level matrix M.  Richardson's is omega r: a given
+omega is checked once against M, and without one each level takes
+omega = 1/C with C the Gershgorin bound of its own matrix, inside
+(0, 2/C) by construction.  Gauss-Seidel's is (D + L)^{-1} r, and its
 backend follows from M alone: with lower bandwidth kd, when the band
 storage (kd + 1) N is no larger than nnz(M) (every 1D FEM level), LAPACK
 ``tbtrs`` applies the banded lower triangle; otherwise (2D levels) a
-SuperLU factor of tril(M) in natural order does.
+SuperLU factor of tril(M) in natural order does.  On a real level, a
+complex right-hand side is solved as its real and imaginary parts, by
+either smoother backend and by the coarsest-level LU.
 """
 
 from __future__ import annotations
@@ -39,8 +43,9 @@ DEFAULT_COARSEST = 64
 class SmootherSpec:
     """Configuration of the pre/post smoother.
 
-    Richardson needs a damping parameter in (0, 2/C) where C bounds the
-    spectrum of the level matrix; Gauss-Seidel is the forward
+    Richardson damps by ``omega``, which must lie in (0, 2/C) where C
+    bounds the spectrum of the level matrix; when it is None, each level
+    uses 1/C with C its Gershgorin bound.  Gauss-Seidel is the forward
     lexicographic sweep and takes no parameter.
     """
 
@@ -52,8 +57,6 @@ class SmootherSpec:
     def __post_init__(self):
         if self.kind not in (RICHARDSON, GAUSS_SEIDEL):
             raise ConfigurationError(f"unknown smoother kind {self.kind!r}")
-        if self.kind == RICHARDSON and self.omega is None:
-            raise ConfigurationError("Richardson smoothing needs omega")
         if self.omega is not None and not math.isfinite(self.omega):
             raise ConfigurationError(f"omega must be finite, got {self.omega}")
         if self.sweeps_pre < 0 or self.sweeps_post < 0:
@@ -99,14 +102,31 @@ def _check_omega(M: sp.csr_matrix, omega: float) -> None:
             f"omega={omega} outside (0, 2/C): spectral bound ~{lam_max:.4g}")
 
 
+def _real_split(solve, M):
+    """``solve`` for M, extended when M is real to a complex right-hand
+    side, whose real and imaginary parts it solves separately."""
+    if np.iscomplexobj(M.data):
+        return solve
+
+    def split(r):
+        if np.iscomplexobj(r):
+            return solve(r.real) + 1j * solve(r.imag)
+        return solve(r)
+
+    return split
+
+
 def _correction(M: sp.csr_matrix, spec: SmootherSpec):
     """The map r -> x-correction of one sweep of ``spec`` on M, prepared
     once: omega r for Richardson, (D + L)^{-1} r for forward Gauss-Seidel
     (exact, no pivoting; banded LAPACK or SuperLU, see the module
     docstring)."""
     if spec.kind == RICHARDSON:
-        _check_omega(M, spec.omega)
-        omega = spec.omega
+        if spec.omega is None:
+            omega = richardson_omega_default(M)
+        else:
+            _check_omega(M, spec.omega)
+            omega = spec.omega
         return lambda r: omega * r
     if np.any(M.diagonal() == 0):
         raise ConfigurationError("Gauss-Seidel needs a nonzero diagonal")
@@ -116,23 +136,22 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
     # each row stores its diagonal, so its first column is at most its index
     kd = int(np.max(np.arange(n) - M.indices[M.indptr[:-1]]))
     if (kd + 1) * n > M.nnz:
-        lower = spla.splu(sp.tril(M).tocsc(), permc_spec="NATURAL",
-                          options=dict(DiagPivotThresh=0.0))
-        return lower.solve
-    ab = np.zeros((kd + 1, n), dtype=np.result_type(M.dtype, float))
-    for k in range(kd + 1):
-        ab[k, :n - k] = M.diagonal(-k)
-    tbtrs = get_lapack_funcs("tbtrs", (ab,))
+        solve_lower = spla.splu(sp.tril(M).tocsc(), permc_spec="NATURAL",
+                                options=dict(DiagPivotThresh=0.0)).solve
+    else:
+        ab = np.zeros((kd + 1, n), dtype=np.result_type(M.dtype, float))
+        for k in range(kd + 1):
+            ab[k, :n - k] = M.diagonal(-k)
+        tbtrs = get_lapack_funcs("tbtrs", (ab,))
 
-    def correct(r):
-        if np.iscomplexobj(r) and not np.iscomplexobj(ab):
-            return correct(r.real) + 1j * correct(r.imag)
-        y, info = tbtrs(ab, r, uplo="L", overwrite_b=1)
-        if info != 0:
-            raise SingularMatrixError(f"banded Gauss-Seidel solve failed: info={info}")
-        return y
+        def solve_lower(r):
+            y, info = tbtrs(ab, r, uplo="L", overwrite_b=1)
+            if info != 0:
+                raise SingularMatrixError(
+                    f"banded Gauss-Seidel solve failed: info={info}")
+            return y
 
-    return correct
+    return _real_split(solve_lower, M)
 
 
 def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _correct=None):
@@ -161,7 +180,7 @@ class _Level:
     transfer: GridTransfer | None
     smoother: SmootherSpec
     correct: object = field(default=None, repr=False)
-    coarse_lu: object = field(default=None, repr=False)
+    coarse_solve: object = field(default=None, repr=False)
 
 
 class MultigridHierarchy:
@@ -211,15 +230,17 @@ class MultigridHierarchy:
                     f"level {ell} matrix is not positive definite "
                     f"(min eigenvalue {w[0]:.3e})")
 
-    def _coarse_lu(self, ell):
+    def _coarse_solve(self, ell):
         lvl = self.levels[ell]
-        if lvl.coarse_lu is None:
+        if lvl.coarse_solve is None:
+            M = lvl.matrix.matrix
             try:
-                lvl.coarse_lu = spla.splu(lvl.matrix.matrix.tocsc())
+                lu = spla.splu(M.tocsc())
             except RuntimeError as exc:
                 raise SingularMatrixError(
                     f"coarsest-level matrix is singular: {exc}") from exc
-        return lvl.coarse_lu
+            lvl.coarse_solve = _real_split(lu.solve, M)
+        return lvl.coarse_solve
 
     def _smooth(self, ell, x, b, sweeps):
         lvl = self.levels[ell]
@@ -229,16 +250,17 @@ class MultigridHierarchy:
                       _correct=lvl.correct)
 
 
-def vcycle_step(h: MultigridHierarchy, level: int, x, b):
+def vcycle_step(h: MultigridHierarchy, level: int, x, b, _coarsest=None):
     """One V-cycle starting at ``level``: smooth, restrict, recurse once,
-    correct, smooth; the last level is solved directly."""
+    correct, smooth; the last level (or level ``_coarsest``, which the
+    two-grid cycle sets to 1) is solved directly."""
     lvl = h.levels[level]
-    if lvl.transfer is None:
-        return h._coarse_lu(level).solve(b)
+    if lvl.transfer is None or level == _coarsest:
+        return h._coarse_solve(level)(b)
     M = lvl.matrix.matrix
     x = h._smooth(level, x, b, lvl.smoother.sweeps_pre)
     rc = lvl.transfer.restrict(b - M @ x)
-    y = vcycle_step(h, level + 1, np.zeros_like(rc), rc)
+    y = vcycle_step(h, level + 1, np.zeros_like(rc), rc, _coarsest)
     x = x + lvl.transfer.prolong(y)
     return h._smooth(level, x, b, lvl.smoother.sweeps_post)
 
@@ -298,15 +320,12 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
     x = np.zeros_like(b, dtype=A.dtype if np.iscomplexobj(A.data) else float)
     if norm_b == 0.0:
         return SolveResult(x=x, iterations=0, residuals=[], converged=True)
-    if cycle == TGM and len(h.levels) > 2:
-        # a two-grid method solves the first coarse level exactly
-        h = MultigridHierarchy(
-            [h.levels[0].matrix, h.levels[1].matrix],
-            [h.levels[0].transfer], h.levels[0].smoother)
+    # a two-grid method solves the first coarse level exactly
+    coarsest = 1 if cycle == TGM else None
     residuals = []
     stagnated = False
     for it in range(1, max_iter + 1):
-        x = vcycle_step(h, 0, x, b)
+        x = vcycle_step(h, 0, x, b, coarsest)
         res = float(np.linalg.norm(b - A @ x)) / norm_b
         residuals.append(res)
         if res <= tol:

@@ -1,9 +1,12 @@
 """Multilevel (m-dimensional) extension: corner-set conditions on a 2D
-grid with their tensor-factorization shortcuts, and 2D tensor FEM
-problems assembled as stiffness (x) mass + mass (x) stiffness.
+grid with their tensor-factorization shortcuts, the bivariate symbol of
+the 2D tensor operator, and 2D tensor FEM problems assembled as
+stiffness (x) mass + mass (x) stiffness.
 
 Multilevel Toeplitz matrices, cutting and transfers come from
 :mod:`blockmg.structured`, which takes a tuple of per-variable sizes.
+A 2D problem is a :class:`~blockmg.femgen.FemProblem` like a 1D one and
+builds no symbol; certification builds the symbols it checks itself.
 The tensor algebra is written for general m; the 2D case is wired
 end-to-end for experiments.
 """
@@ -12,48 +15,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 import scipy.sparse as sp
 
-from .conditions import (EPS, CheckResult, _error_result, _f_branch_fn,
-                         _s_gap_fn, build_s, build_s_grid, check_condition_i,
-                         dyadic_limit, full_report, jsonable)
+from .conditions import (EPS, CheckResult, _axis_directions, _error_result,
+                         _f_branch_fn, _s_gap_fn, build_s, build_s_grid,
+                         check_condition_i, dyadic_limit, full_report,
+                         jsonable)
 from .errors import ArgumentError, BlockmgError
-from .femgen import (_transfer_chain, assemble_mass, assemble_stiffness,
-                     mass_symbol, stiffness_symbol)
+from .femgen import (FemProblem, _transfer_chain, assemble_mass,
+                     assemble_stiffness)
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import GENERAL, BlockStructuredMatrix, GridTransfer
 from .symbol import (MatrixTrigPolynomial, corner_sums, find_zero,
                      symbol_sup_norm, tensor_symbol)
-
-
-def tensor_interleave_permutation(ns, ds) -> np.ndarray:
-    """Index map between the two natural orderings of a tensor transfer.
-
-    ``perm[k]`` is the (level-major, block-minor) multilevel position of
-    the k-th entry in the Kronecker-of-1D-operators ordering, where each
-    1D factor interleaves its own level and block indices.
-    """
-    ns = [int(n) for n in ns]
-    ds = [int(d) for d in ds]
-    sizes = [n * d for n, d in zip(ns, ds)]
-    total = prod(sizes)
-    D = prod(ds)
-    idx = np.arange(total)
-    digits = []
-    rem = idx
-    for s in reversed(sizes):
-        digits.append(rem % s)
-        rem = rem // s
-    digits = digits[::-1]                      # per-dim mixed index i*d + b
-    level = np.zeros(total, dtype=np.int64)
-    block = np.zeros(total, dtype=np.int64)
-    for dig, n, d in zip(digits, ns, ds):
-        level = level * n + dig // d
-        block = block * d + dig % d
-    return level * D + block
 
 
 def tensor_sum_symbol(f: MatrixTrigPolynomial, h: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
@@ -72,30 +48,10 @@ def tensor_sum_symbol(f: MatrixTrigPolynomial, h: MatrixTrigPolynomial) -> Matri
     return MatrixTrigPolynomial(out, m=2)
 
 
-@dataclass
-class TensorProblem:
-    """A 2D tensor FEM problem at solve-path sizes.
-
-    ``matrix`` is stiffness (x) mass + mass (x) stiffness in the natural
-    Kronecker dof ordering; ``symbol_2d`` is the matching bivariate
-    symbol with block order r^2.
-    """
-
-    r: int
-    t: int
-    n_elements: int
-    matrix: BlockStructuredMatrix
-    symbol_2d: MatrixTrigPolynomial
-    stiffness_1d: MatrixTrigPolynomial
-    mass_1d: MatrixTrigPolynomial
-
-    @property
-    def size(self) -> int:
-        return self.matrix.size
-
-
-def assemble_2d_problem(r: int, t: int) -> TensorProblem:
-    """Assemble the desk-scale 2D problem of size (r 2^t - 1)^2."""
+def assemble_2d_problem(r: int, t: int) -> FemProblem:
+    """Assemble the desk-scale 2D problem of size (r 2^t - 1)^2: the
+    operator stiffness (x) mass + mass (x) stiffness in the natural
+    Kronecker dof ordering, block order r^2."""
     if r > 3:
         raise ArgumentError(f"2D problems capped at degree 3, got {r}")
     if t > 7:
@@ -104,15 +60,11 @@ def assemble_2d_problem(r: int, t: int) -> TensorProblem:
     K = assemble_stiffness(r, n).matrix.matrix
     M = assemble_mass(r, n).matrix
     A = (sp.kron(K, M) + sp.kron(M, K)).tocsr()
-    f = stiffness_symbol(r)
-    h = mass_symbol(r)
-    return TensorProblem(
-        r=r, t=t, n_elements=n,
-        matrix=BlockStructuredMatrix(GENERAL, r * r, None, A),
-        symbol_2d=tensor_sum_symbol(f, h), stiffness_1d=f, mass_1d=h)
+    return FemProblem(r=r, n_elements=n,
+                      matrix=BlockStructuredMatrix(GENERAL, r * r, None, A))
 
 
-def build_2d_hierarchy(problem: TensorProblem, kind: str,
+def build_2d_hierarchy(problem: FemProblem, kind: str,
                        smoother: SmootherSpec | None = None,
                        coarsest_max_size: int = DEFAULT_COARSEST,
                        two_level: bool = False) -> MultigridHierarchy:
@@ -165,13 +117,6 @@ class MultilevelConditionReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _radial_directions(m: int, count: int = 8):
-    if m != 2:
-        raise ArgumentError("directional sampling is wired for m = 2")
-    return [np.array([np.cos(2 * np.pi * k / count), np.sin(2 * np.pi * k / count)])
-            for k in range(count)]
-
-
 def _kron_stack(A, B) -> np.ndarray:
     """np.kron of matching matrices of two stacks, shape (n, ab, ab)."""
     n = len(A)
@@ -217,7 +162,7 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     fscale = symbol_sup_norm(f2d, 1024)
     try:
         est = dyadic_limit(_s_gap_fn(p2d, q), _f_branch_fn(f2d, q), theta0,
-                           _radial_directions(2), numer_floor=100 * EPS,
+                           _axis_directions(2), numer_floor=100 * EPS,
                            denom_floor=1e3 * EPS * fscale)
         cs = [d["c"] for d in est.per_direction]
         iso = (max(cs) - min(cs)) / max(max(abs(c) for c in cs), 1e-6)

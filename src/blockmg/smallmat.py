@@ -3,7 +3,7 @@ every symbol evaluation: Hermitian eigendecomposition, linear solves and
 determinants, all with tolerances relative to a matrix norm.
 
 Backed by LAPACK through numpy/scipy; this module adds the contract
-checks (Hermiticity, pivot thresholds, residual bounds) the rest of the
+checks (Hermitian symmetrization, pivot thresholds) the rest of the
 package relies on.
 """
 
@@ -16,8 +16,6 @@ import scipy.linalg
 
 from .errors import DimensionError, NumericalError, SingularMatrixError
 
-HERMITIAN_RTOL = 1e-12
-
 
 def as_matrix(M) -> np.ndarray:
     """Coerce to a 2-D complex ndarray without copying when possible."""
@@ -25,15 +23,6 @@ def as_matrix(M) -> np.ndarray:
     if A.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={A.ndim}")
     return A
-
-
-def is_hermitian(M, rtol: float = HERMITIAN_RTOL) -> bool:
-    """True when max |M - M^H| <= rtol * (1 + ||M||_F)."""
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        return False
-    dev = np.max(np.abs(A - A.conj().T)) if A.size else 0.0
-    return dev <= rtol * (1.0 + np.linalg.norm(A))
 
 
 def eig_hermitian(M):

@@ -17,11 +17,10 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import smallmat
 from .errors import ArgumentError
-from .symbol import MatrixTrigPolynomial, coarse_symbol
+from .symbol import MatrixTrigPolynomial
 
 CIRCULANT = "circulant"
 TOEPLITZ = "toeplitz"
@@ -135,14 +134,6 @@ def assemble_circulant(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix
     return BlockStructuredMatrix(CIRCULANT, f.d, n, sp.csr_matrix(A))
 
 
-def circulant_eigenvalues(f: MatrixTrigPolynomial, n: int) -> np.ndarray:
-    """Multiset of eigenvalues of the block circulant: values of f at the
-    Fourier points 2*pi*i/n, concatenated."""
-    grid = 2.0 * np.pi * np.arange(n) / n
-    vals = f.evaluate_grid(grid)
-    return np.concatenate([np.linalg.eigvalsh(v) for v in vals])
-
-
 def cutting_matrix(n, parity: str) -> np.ndarray:
     """Row indices (0-based) kept by the downsampling matrix.
 
@@ -169,13 +160,6 @@ def cutting_matrix(n, parity: str) -> np.ndarray:
     raise ArgumentError(f"unknown cutting parity {parity!r}")
 
 
-def cutting_operator(n: int, parity: str) -> sp.csr_matrix:
-    """The n-by-k 0/1 selection matrix for :func:`cutting_matrix`."""
-    keep = cutting_matrix(n, parity)
-    k = len(keep)
-    return sp.csr_matrix((np.ones(k), (keep, np.arange(k))), shape=(n, k))
-
-
 def assemble_transfer(p: MatrixTrigPolynomial, n, structure: str) -> GridTransfer:
     """Prolongation: structured matrix of p times the cutting selector.
 
@@ -199,13 +183,6 @@ def assemble_transfer(p: MatrixTrigPolynomial, n, structure: str) -> GridTransfe
     return GridTransfer(assemble(p, n).matrix.tocsc()[:, cols].tocsr())
 
 
-def has_full_column_rank(P: GridTransfer, tol: float = 1e-10) -> bool:
-    """Check full column rank through the Gram determinant (small sizes)."""
-    G = (P.matrix.conj().T @ P.matrix).toarray()
-    w = np.linalg.eigvalsh(0.5 * (G + G.conj().T))
-    return bool(w[0] > tol * max(w[-1], 1.0))
-
-
 def galerkin(A: BlockStructuredMatrix, P: GridTransfer) -> BlockStructuredMatrix:
     """Explicit sparse triple product P^H A P.
 
@@ -221,22 +198,6 @@ def galerkin(A: BlockStructuredMatrix, P: GridTransfer) -> BlockStructuredMatrix
     if A.structure == CIRCULANT and A.n is not None and A.n % 2 == 0:
         return BlockStructuredMatrix(CIRCULANT, A.d, A.n // 2, C)
     return BlockStructuredMatrix(GENERAL, A.d, None, C)
-
-
-def toeplitz_coarse_defect(f: MatrixTrigPolynomial, p: MatrixTrigPolynomial,
-                           n: int) -> float:
-    """Frobenius distance between the Galerkin coarse matrix of T_n(f)
-    and the block-Toeplitz matrix of the coarse symbol.
-
-    The identity is exact for circulants; for Toeplitz matrices the
-    deviation is a boundary effect that is measured, not asserted.
-    """
-    A = assemble_toeplitz(f, n)
-    P = assemble_transfer(p, n, TOEPLITZ)
-    coarse = galerkin(A, P)
-    k = (n - 1) // 2
-    T = assemble_toeplitz(coarse_symbol(f, p), k)
-    return float(spla.norm(coarse.matrix - T.matrix))
 
 
 def coarse_projection_norm(A: BlockStructuredMatrix, P: GridTransfer,
@@ -269,21 +230,6 @@ def coarse_projection_norm(A: BlockStructuredMatrix, P: GridTransfer,
             break
         lam, v = lam_new, w
     return float(np.sqrt(max(lam, 0.0)))
-
-
-def projector_idempotency_defect(A: BlockStructuredMatrix, P: GridTransfer) -> float:
-    """||pi^2 - pi||_F / max(||pi||_F, 1) for the coarse-grid projector."""
-    Ad = A.dense()
-    Pd = P.matrix.toarray()
-    G = Pd.conj().T @ Ad @ Pd
-    pi = Pd @ smallmat.solve(G, Pd.conj().T @ Ad)
-    return float(np.linalg.norm(pi @ pi - pi) / max(np.linalg.norm(pi), 1.0))
-
-
-def fourier_matrix(n: int) -> np.ndarray:
-    """F_n with entries e^(-i j theta_i)/sqrt(n), theta_i = 2 pi i / n."""
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return np.exp(-2j * np.pi * i * j / n) / np.sqrt(n)
 
 
 def write_coo(path, A: BlockStructuredMatrix) -> None:

@@ -2,10 +2,10 @@
 
 A symbol is a d-by-d matrix-valued trigonometric polynomial in m angular
 variables, stored as a window of Fourier coefficients.  This module
-provides evaluation, coefficient algebra, eigenvalue-function sampling
-with branch tracking, location of the (unique) zero of the minimal
-eigenvalue function, the half-angle coarse-symbol map, tensor products
-for the multilevel setting, and a plain-text exchange format.
+provides evaluation, coefficient algebra, eigenvalue branch tracking,
+location of the (unique) zero of the minimal eigenvalue function, the
+half-angle coarse-symbol map, tensor products for the multilevel
+setting, and a plain-text exchange format.
 
 Evaluation is batched: :meth:`MatrixTrigPolynomial.evaluate_grid` and
 :func:`corner_sums` work on a stack of n points, and the one-point
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import smallmat
 from .errors import (ArgumentError, DimensionError, NumericalError,
@@ -112,10 +111,6 @@ class MatrixTrigPolynomial:
         """Build a 1x1 symbol from a mapping of multi-index -> number."""
         return cls({j: np.array([[c]], dtype=complex) for j, c in coeffs.items()}, m=m)
 
-    @classmethod
-    def constant(cls, mat, m=1):
-        return cls({(0,) * m: mat}, m=m)
-
     # -- basic queries ----------------------------------------------------
 
     def window(self):
@@ -175,17 +170,6 @@ class MatrixTrigPolynomial:
             {tuple(-v for v in j): c.conj().T for j, c in self.coeffs.items()},
             m=self.m)
 
-    def shifted(self, eta):
-        """Symbol of t -> f(t + pi*eta) for eta in {0,1}^m."""
-        eta = np.atleast_1d(np.asarray(eta, dtype=int))
-        if eta.shape != (self.m,):
-            raise ArgumentError(f"shift pattern has shape {eta.shape}, expected ({self.m},)")
-        out = {}
-        for j, c in self.coeffs.items():
-            sign = -1.0 if (int(np.dot(j, eta)) % 2) else 1.0
-            out[j] = sign * c
-        return MatrixTrigPolynomial(out, m=self.m)
-
     def __repr__(self):
         return (f"MatrixTrigPolynomial(d={self.d}, m={self.m}, "
                 f"window={self.window()}, ncoeff={len(self.coeffs)})")
@@ -202,14 +186,6 @@ def _is_hermitian(coeffs) -> bool:
         elif np.max(np.abs(other - c.conj().T)) > tol:
             return False
     return True
-
-
-def max_coeff_difference(f: MatrixTrigPolynomial, g: MatrixTrigPolynomial) -> float:
-    """Largest entry-wise difference between two coefficient windows."""
-    keys = set(f.coeffs) | set(g.coeffs)
-    zero = np.zeros((f.d, f.d), dtype=complex)
-    return max(np.max(np.abs(f.coeffs.get(k, zero) - g.coeffs.get(k, zero)))
-               for k in keys)
 
 
 @dataclass(frozen=True)
@@ -247,49 +223,7 @@ def sample_points(m, npoints):
     return np.stack([ax.ravel() for ax in mesh], axis=1)
 
 
-# -- eigenvalue functions ------------------------------------------------
-
-
-@dataclass
-class EigenCurves:
-    """Sampled eigenvalue functions: ascending per point plus a tracked
-    labeling where consecutive points are paired by maximal eigenvector
-    overlap, so individual branches can be followed through crossings."""
-
-    grid: np.ndarray       # (n,) or (n, m)
-    ascending: np.ndarray  # (n, d)
-    tracked: np.ndarray    # (n, d); column b follows the branch started
-    #                        at grid[0] in ascending position b
-
-
-def eigenvalue_functions(f: MatrixTrigPolynomial, grid) -> EigenCurves:
-    """Sample the eigenvalue functions of a Hermitian symbol on a grid."""
-    if not f.hermitian:
-        raise ArgumentError("eigenvalue functions require a Hermitian symbol")
-    pts = np.asarray(grid, dtype=float)
-    if pts.size == 0:
-        raise ArgumentError("grid must not be empty")
-    vals = f.evaluate_grid(pts)
-    n, d = vals.shape[0], f.d
-    ascending = np.empty((n, d))
-    tracked = np.empty((n, d))
-    prev_V = None
-    for k in range(n):
-        w, V = smallmat.eig_hermitian(vals[k])
-        ascending[k] = w
-        if prev_V is None:
-            tracked[k] = w
-            prev_V = V
-        else:
-            overlap = np.abs(prev_V.conj().T @ V)
-            # slight diagonal preference = ascending-order fallback on ties
-            cost = -(overlap ** 2) - 1e-9 * np.eye(d)
-            rows, cols = linear_sum_assignment(cost)
-            perm = np.empty(d, dtype=int)
-            perm[rows] = cols
-            tracked[k] = w[perm]
-            prev_V = V[:, perm]
-    return EigenCurves(grid=pts, ascending=ascending, tracked=tracked)
+# -- eigenvalue branch tracking ----------------------------------------------
 
 
 def tracked_eigenpair(mat: np.ndarray, q: np.ndarray, overlap_min: float = 0.6):
@@ -526,7 +460,7 @@ def corner_sum(p: MatrixTrigPolynomial, theta) -> np.ndarray:
 
 def _format_entry(z: complex) -> str:
     re, im = float(z.real), float(z.imag)
-    sign = "+" if im >= 0 or np.isnan(im) else "-"
+    sign = "-" if np.signbit(im) else "+"   # keeps the sign of -0.0
     return f"{re!r}{sign}{abs(im)!r}i"
 
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from blockmg.cli import (CSV_HEADER, ExperimentConfig, main, parse_config,
-                         print_table, run)
+from blockmg import MatrixTrigPolynomial
+from blockmg.cli import (CSV_HEADER, ExperimentConfig, _solve_one, main,
+                         parse_config, print_table, run)
 from blockmg.errors import ConfigurationError
 from blockmg.femgen import (build_linear_interp_symbol, mass_symbol,
                             stiffness_symbol)
@@ -145,6 +150,16 @@ class TestRun:
         csv_path = tmp_path / "out" / "solve_dim1_r1_one_linear_vcycle.csv"
         assert "noconv" in csv_path.read_text()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_solve_path_builds_no_symbol(self, monkeypatch, dim):
+        built = []
+        init = MatrixTrigPolynomial.__init__
+        monkeypatch.setattr(MatrixTrigPolynomial, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        config = ExperimentConfig(dim=dim, r=2, t_range=(4,), projector="geometric")
+        assert _solve_one(config, 4)["flag"] == ""
+        assert built == []
+
     def test_certify_mode(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "e.cfg", mode="certify", r=2))
         assert run(cfg) == 0
@@ -259,3 +274,23 @@ class TestMain:
     def test_run_solve_exit_codes(self, tmp_path):
         cfg = write_config(tmp_path / "e.cfg")
         assert main(["run", str(cfg)]) == 0
+
+    def test_run_vcycle_richardson_default_omega(self, tmp_path):
+        # each level damps by 1/C of its own matrix; the finest level's
+        # value used on every level made this exit 3
+        cfg = write_config(tmp_path / "e.cfg", r=2, t_range="8..9",
+                           smoother="richardson")
+        assert main(["run", str(cfg)]) == 0
+        rows = (tmp_path / "out" / "solve_dim1_r2_one_linear_vcycle.csv"
+                ).read_text().splitlines()[1:]
+        assert [row.split(",")[5] for row in rows] == ["", ""]
+
+    def test_import_leaves_scipy_optimize_out(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, blockmg.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"],
+            capture_output=True, text=True, env=env, check=True).stdout
+        assert out.strip() == "[]"

@@ -105,7 +105,7 @@ class TestConditionII:
             pytest.approx(2.0, abs=1e-9)
 
     def test_identity_projector_fails(self, f_q2):
-        p = MatrixTrigPolynomial.constant(np.eye(2))
+        p = MatrixTrigPolynomial({0: np.eye(2)})
         res = check_condition_ii(p, find_zero(f_q2))
         assert not res.passed
         assert res.evidence["defect"] == pytest.approx(0.5, abs=1e-10)

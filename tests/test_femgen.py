@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from blockmg import assemble_toeplitz, has_full_column_rank, max_coeff_difference
+from blockmg import assemble_toeplitz
 from blockmg.errors import ArgumentError
 from blockmg.femgen import (COEFFICIENTS, KnotGrid, assemble_mass, assemble_stiffness,
                             build_fem_hierarchy, build_fem_transfer,
                             build_geometric_symbol,
                             build_linear_interp_symbol, geometric_det_reference,
                             lagrange_eval, mass_symbol, stiffness_symbol)
+
+from conftest import has_full_column_rank, max_coeff_difference
 
 
 def _reference_basis(nodes, x):
@@ -72,8 +74,9 @@ class TestBasis:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_nodal_property(self, r):
         grid = KnotGrid(r, 2)
-        for i in range(grid.n_knots):
-            for j in range(grid.n_knots):
+        n_knots = grid.n * grid.r + 1
+        for i in range(n_knots):
+            for j in range(n_knots):
                 want = 1.0 if i == j else 0.0
                 assert lagrange_eval(grid, j, grid.knot(i)) == pytest.approx(
                     want, abs=1e-12)
@@ -92,7 +95,8 @@ class TestBasis:
         for r in (1, 2, 3):
             grid = KnotGrid(r, 4)
             for x in rng.uniform(0, 1, size=334):
-                total = sum(lagrange_eval(grid, j, x) for j in range(grid.n_knots))
+                total = sum(lagrange_eval(grid, j, x)
+                            for j in range(grid.n * grid.r + 1))
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range(self):

@@ -9,7 +9,8 @@ from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
                      richardson_omega_default, smooth, solve, tgm_step,
                      vcycle_step, write_residuals)
 from blockmg.errors import ArgumentError, ConfigurationError
-from blockmg.femgen import assemble_stiffness, build_fem_hierarchy, stiffness_symbol
+from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
+                            stiffness_symbol)
 from blockmg.mgsolve import (TGM, VCYCLE, _correction, detect_stagnation,
                              gershgorin_bound)
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
@@ -64,8 +65,7 @@ class TestSmooth:
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             SmootherSpec(kind="sor")
-        with pytest.raises(ConfigurationError):
-            SmootherSpec(kind="richardson")
+        assert SmootherSpec(kind="richardson").omega is None   # per-level 1/C
         with pytest.raises(ConfigurationError):
             SmootherSpec(sweeps_pre=-1)
         for omega in (float("nan"), float("inf")):
@@ -74,7 +74,11 @@ class TestSmooth:
 
 
 def _uses_superlu(correct) -> bool:
-    return isinstance(getattr(correct, "__self__", None), spla.SuperLU)
+    """True when the prepared correction applies a SuperLU factor, directly
+    or through the real/imaginary split of a real level."""
+    inner = [cell.cell_contents for cell in correct.__closure__ or ()]
+    return any(isinstance(getattr(fn, "__self__", None), spla.SuperLU)
+               for fn in [correct, *inner])
 
 
 def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=False):
@@ -122,6 +126,8 @@ class TestSmootherBackends:
     def test_real_matrix_complex_right_hand_side(self):
         M = assemble_stiffness(2, 16, "one").matrix.matrix
         assert not _uses_superlu(_assert_gauss_seidel_oracle(M, complex_rhs=True))
+        M2 = assemble_2d_problem(2, 3).matrix.matrix
+        assert _uses_superlu(_assert_gauss_seidel_oracle(M2, complex_rhs=True))
 
     def test_unsorted_column_indices(self):
         M = tridiag(9)
@@ -334,10 +340,49 @@ class TestSolve:
                             lambda M, w: calls.append(M.shape[0]) or check(M, w))
         rng = np.random.default_rng(11)
         b = problem.matrix.matrix @ rng.uniform(size=problem.size)
-        res = solve(h, b, max_iter=5, cycle=cycle)
-        assert res.iterations == 5
+        for _ in range(3):   # repeated solves reuse the prepared levels
+            res = solve(h, b, max_iter=5, cycle=cycle)
+            assert res.iterations == 5
         smoothed = h.levels[:1] if cycle == TGM else h.levels[:-1]
         assert calls == [lvl.matrix.size for lvl in smoothed]
+
+    @pytest.mark.parametrize("coefficient", sorted(COEFFICIENTS))
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_vcycle_richardson_default_omega_per_level(self, r, kind, coefficient):
+        # without an omega each level damps by 1/C of its own matrix; the
+        # finest level's 1/C is out of range on coarse levels, whose
+        # spectra grow under the Galerkin products
+        counts = []
+        for t in (6, 7, 8, 9):
+            problem = assemble_stiffness(r, 2 ** t, coefficient)
+            h = build_fem_hierarchy(problem, kind, SmootherSpec(kind="richardson"))
+            rng = np.random.default_rng([20240101, t])
+            b = problem.matrix.matrix @ rng.uniform(size=problem.size)
+            res = solve(h, b, tol=1e-6)
+            assert res.converged, (t, res.flag)
+            counts.append(res.iterations)
+        assert max(counts) - min(counts) <= 1, counts
+
+    @pytest.mark.parametrize("cycle", [TGM, VCYCLE])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_complex_right_hand_side_on_real_hierarchy(self, dim, cycle):
+        # both smoother backends and the coarse LU solve the real and
+        # imaginary parts of b separately
+        if dim == 1:
+            problem = assemble_stiffness(2, 32, "one")
+            h = build_fem_hierarchy(problem, "linear", GS, coarsest_max_size=7)
+        else:
+            problem = assemble_2d_problem(2, 4)
+            h = build_2d_hierarchy(problem, "linear", GS)
+        assert len(h.levels) >= 3
+        rng = np.random.default_rng(12)
+        b = problem.matrix.matrix @ (rng.uniform(size=problem.size)
+                                     + 1j * rng.uniform(size=problem.size))
+        assert solve(h, b, cycle=cycle).converged
+        x, x_re, x_im = (solve(h, v, tol=1e-14, max_iter=4, cycle=cycle).x
+                         for v in (b, b.real, b.imag))
+        np.testing.assert_array_equal(x, x_re + 1j * x_im)
 
     def test_bad_arguments(self):
         _, h = fem_hierarchy()
@@ -360,7 +405,7 @@ class TestOmegaDefault:
         assert richardson_omega_default(LAPLACE) == pytest.approx(0.25, abs=1e-6)
 
     def test_identity_symbol(self):
-        f = MatrixTrigPolynomial.constant(np.eye(3))
+        f = MatrixTrigPolynomial({0: np.eye(3)})
         assert richardson_omega_default(f) == pytest.approx(1.0)
 
     def test_block_symbol_validates(self):

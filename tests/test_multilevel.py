@@ -9,9 +9,7 @@ from blockmg.errors import ArgumentError
 from blockmg.femgen import (build_geometric_symbol, mass_symbol,
                             stiffness_symbol)
 from blockmg.multilevel import (assemble_2d_problem, build_2d_hierarchy,
-                                check_multilevel_conditions,
-                                tensor_interleave_permutation,
-                                tensor_sum_symbol)
+                                check_multilevel_conditions, tensor_sum_symbol)
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -56,6 +54,16 @@ class TestTensorTransfer:
         np.testing.assert_allclose(P, want)
 
     def test_kron_equivalence_up_to_permutation(self, p_l2):
+        def tensor_interleave_permutation(ns, ds):
+            """perm[k] is the (level-major, block-minor) multilevel position
+            of the k-th entry in the Kronecker-of-1D-operators ordering,
+            where each 1D factor interleaves its level and block indices."""
+            sizes = [n * d for n, d in zip(ns, ds)]
+            digits = np.unravel_index(np.arange(np.prod(sizes)), sizes)
+            level = np.ravel_multi_index([g // d for g, d in zip(digits, ds)], ns)
+            block = np.ravel_multi_index([g % d for g, d in zip(digits, ds)], ds)
+            return level * np.prod(ds) + block
+
         P1 = assemble_transfer(p_l2, 7, "toeplitz").matrix
         P2 = assemble_transfer(p_l2, 3, "toeplitz").matrix
         PK = sp.kron(P1, P2).tocsr()
@@ -126,7 +134,7 @@ class TestAssemble2D:
     def test_spd_and_kernel_direction(self):
         problem = assemble_2d_problem(2, 2)
         assert np.linalg.eigvalsh(problem.matrix.dense().real)[0] > 0
-        f2d = problem.symbol_2d
+        f2d = tensor_sum_symbol(stiffness_symbol(2), mass_symbol(2))
         q = np.kron(np.ones(2), np.ones(2)) / 2.0
         v = f2d.evaluate([0.0, 0.0])
         assert np.linalg.norm(v @ q) <= 1e-10

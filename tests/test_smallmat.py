@@ -137,8 +137,3 @@ def test_det_reproducible():
     M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     d1, d2 = smallmat.det(M), smallmat.det(M.copy())
     assert abs(d1 - d2) <= 1e-10 * abs(d1)
-
-
-def test_hermitian_predicate():
-    assert smallmat.is_hermitian([[2.0, 1j], [-1j, 3.0]])
-    assert not smallmat.is_hermitian([[2.0, 1j], [1j, 3.0]])

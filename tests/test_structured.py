@@ -1,22 +1,60 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+import scipy.sparse.linalg as spla
 
 from blockmg import (MatrixTrigPolynomial, assemble_circulant,
                      assemble_toeplitz, assemble_transfer,
-                     circulant_eigenvalues, coarse_projection_norm,
-                     coarse_symbol, cutting_matrix, cutting_operator,
-                     fourier_matrix, galerkin, has_full_column_rank, read_coo,
-                     toeplitz_coarse_defect, write_coo)
+                     coarse_projection_norm, coarse_symbol, cutting_matrix,
+                     galerkin, read_coo, write_coo)
 from blockmg.errors import ArgumentError
 from blockmg.femgen import assemble_stiffness, build_fem_hierarchy
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
-from blockmg.structured import projector_idempotency_defect
 
-from conftest import random_hermitian_symbol, random_symbol
+from conftest import (has_full_column_rank, random_hermitian_symbol,
+                      random_symbol, same_bits, symbols)
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
 HAT = MatrixTrigPolynomial.scalar({0: 1.0, 1: 0.5, -1: 0.5})
+IDENTITY2 = MatrixTrigPolynomial({0: np.eye(2)})
+
+
+def circulant_eigenvalues(f, n):
+    """Multiset of eigenvalues of the block circulant: values of f at the
+    Fourier points 2*pi*i/n, concatenated."""
+    vals = f.evaluate_grid(2.0 * np.pi * np.arange(n) / n)
+    return np.concatenate([np.linalg.eigvalsh(v) for v in vals])
+
+
+def cutting_operator(n, parity):
+    """The n-by-k 0/1 selection matrix of :func:`cutting_matrix`."""
+    keep = cutting_matrix(n, parity)
+    k = len(keep)
+    return sp.csr_matrix((np.ones(k), (keep, np.arange(k))), shape=(n, k))
+
+
+def fourier_matrix(n):
+    """F_n with entries e^(-i j theta_i)/sqrt(n), theta_i = 2 pi i / n."""
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return np.exp(-2j * np.pi * i * j / n) / np.sqrt(n)
+
+
+def toeplitz_coarse_defect(f, p, n):
+    """Frobenius distance between the Galerkin coarse matrix of T_n(f)
+    and the block-Toeplitz matrix of the coarse symbol."""
+    coarse = galerkin(assemble_toeplitz(f, n), assemble_transfer(p, n, "toeplitz"))
+    T = assemble_toeplitz(coarse_symbol(f, p), (n - 1) // 2)
+    return float(spla.norm(coarse.matrix - T.matrix))
+
+
+def projector_idempotency_defect(A, P):
+    """||pi^2 - pi||_F / max(||pi||_F, 1) for the coarse-grid projector."""
+    Ad = A.dense()
+    Pd = P.matrix.toarray()
+    pi = Pd @ np.linalg.solve(Pd.conj().T @ Ad @ Pd, Pd.conj().T @ Ad)
+    return float(np.linalg.norm(pi @ pi - pi) / max(np.linalg.norm(pi), 1.0))
 
 
 class TestToeplitz:
@@ -36,8 +74,7 @@ class TestToeplitz:
         np.testing.assert_allclose(A[0:2, 2:4], a1.T, atol=1e-12)
 
     def test_constant_symbol(self):
-        f = MatrixTrigPolynomial.constant(np.eye(2))
-        A = assemble_toeplitz(f, 5)
+        A = assemble_toeplitz(IDENTITY2, 5)
         np.testing.assert_allclose(A.dense(), np.eye(10), atol=1e-14)
         assert A.is_hermitian()
 
@@ -73,7 +110,7 @@ class TestCirculant:
 
     def test_constant_is_block_diagonal(self):
         C = np.array([[2.0, 1.0], [1.0, 3.0]])
-        A = assemble_circulant(MatrixTrigPolynomial.constant(C), 3).dense()
+        A = assemble_circulant(MatrixTrigPolynomial({0: C}), 3).dense()
         np.testing.assert_allclose(A, np.kron(np.eye(3), C), atol=1e-14)
 
     def test_window_cap(self):
@@ -127,8 +164,7 @@ class TestTransfer:
         np.testing.assert_allclose(P_block, T[:, cols], atol=1e-14)
 
     def test_identity_symbol_injects(self):
-        p = MatrixTrigPolynomial.constant(np.eye(2))
-        P = assemble_transfer(p, 4, "circulant").matrix.toarray().real
+        P = assemble_transfer(IDENTITY2, 4, "circulant").matrix.toarray().real
         want = np.zeros((8, 4))
         want[0:2, 0:2] = np.eye(2)   # block column 0
         want[4:6, 2:4] = np.eye(2)   # block column 2
@@ -182,9 +218,8 @@ class TestGalerkin:
                                    atol=1e-12)
 
     def test_orthonormal_columns_identity(self):
-        p = MatrixTrigPolynomial.constant(np.eye(2))
-        A = assemble_circulant(MatrixTrigPolynomial.constant(np.eye(2)), 4)
-        P = assemble_transfer(p, 4, "circulant")
+        A = assemble_circulant(IDENTITY2, 4)
+        P = assemble_transfer(IDENTITY2, 4, "circulant")
         np.testing.assert_allclose(galerkin(A, P).dense(), np.eye(4), atol=1e-14)
 
     def test_scalar_toeplitz_coarse(self):
@@ -222,9 +257,8 @@ class TestGalerkin:
 
 class TestCoarseProjectionNorm:
     def test_identity_gives_one(self):
-        A = assemble_circulant(MatrixTrigPolynomial.constant(np.eye(2)), 8)
-        P = assemble_transfer(MatrixTrigPolynomial.constant(np.eye(2)), 8,
-                              "circulant")
+        A = assemble_circulant(IDENTITY2, 8)
+        P = assemble_transfer(IDENTITY2, 8, "circulant")
         assert coarse_projection_norm(A, P) == pytest.approx(1.0, abs=1e-6)
 
     def test_projector_idempotent(self):
@@ -258,6 +292,18 @@ class TestCooExport:
         assert abs(A.matrix - B).max() == 0.0
         first = path.read_text().splitlines()[0].split()
         assert first[0] == "coo" and first[1] == "8"
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=symbols())
+    def test_roundtrip_bit_exact_random(self, tmp_path_factory, f):
+        A = assemble_toeplitz(f, 4 if f.m == 1 else (4, 5))
+        path = tmp_path_factory.mktemp("coo") / "a.coo"
+        write_coo(path, A)
+        want, got = A.matrix.tocoo(), read_coo(path).tocoo()
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.row, want.row)
+        np.testing.assert_array_equal(got.col, want.col)
+        assert same_bits(got.data.astype(complex), want.data.astype(complex))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ArgumentError, match="cannot read coordinate file"):

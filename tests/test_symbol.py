@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmg import (MatrixTrigPolynomial, coarse_symbol, corner_sum,
-                     corner_sums, eigenvalue_functions, find_zero,
-                     max_coeff_difference, read_symbol, tensor_symbol,
+                     corner_sums, find_zero, read_symbol, tensor_symbol,
                      write_symbol)
 from blockmg.errors import ArgumentError, SymbolZeroError, TrackingError
 from blockmg.symbol import HERMITIAN_RTOL, tracked_eigenpair
 
-from conftest import random_hermitian_symbol, random_symbol
+from conftest import (max_coeff_difference, random_hermitian_symbol,
+                      random_symbol, same_bits, symbols)
 
 
 def scalar(coeffs):
@@ -68,48 +68,6 @@ class TestCoefficients:
             np.testing.assert_allclose(
                 g.evaluate(t), E.conj().T @ f_q2.evaluate(t) @ E, atol=1e-12)
 
-    def test_shifted(self, p_l2):
-        t = 0.9
-        np.testing.assert_allclose(p_l2.shifted([1]).evaluate(t),
-                                   p_l2.evaluate(t + np.pi), atol=1e-12)
-
-
-class TestEigenvalueFunctions:
-    def test_scalar_laplacian(self):
-        curves = eigenvalue_functions(scalar(LAPLACE), [0.0, np.pi / 2, np.pi])
-        np.testing.assert_allclose(curves.ascending[:, 0], [0.0, 2.0, 4.0],
-                                   atol=1e-12)
-
-    def test_f_q2_values(self, f_q2):
-        curves = eigenvalue_functions(f_q2, [0.0, np.pi])
-        np.testing.assert_allclose(curves.ascending[0], [0.0, 32.0 / 3.0],
-                                   atol=1e-12)
-        np.testing.assert_allclose(curves.ascending[1], [4.0, 16.0 / 3.0],
-                                   atol=1e-12)
-
-    def test_tracking_through_crossing(self):
-        # diagonal symbol with eigenvalue curves 2 -+ cos crossing at pi/2
-        f = MatrixTrigPolynomial({
-            0: np.diag([2.0, 2.0]),
-            1: np.diag([0.5, -0.5]),
-            -1: np.diag([0.5, -0.5])})
-        grid = np.linspace(0, np.pi, 41)
-        curves = eigenvalue_functions(f, grid)
-        np.testing.assert_allclose(curves.tracked[:, 0], 2.0 - np.cos(grid),
-                                   atol=1e-10)
-        np.testing.assert_allclose(curves.tracked[:, 1], 2.0 + np.cos(grid),
-                                   atol=1e-10)
-        # ascending order swaps after the crossing
-        assert curves.ascending[-1, 0] == pytest.approx(1.0)
-
-    def test_empty_grid_rejected(self, f_q2):
-        with pytest.raises(ArgumentError):
-            eigenvalue_functions(f_q2, [])
-
-    def test_requires_hermitian(self, p_l2):
-        with pytest.raises(ArgumentError):
-            eigenvalue_functions(p_l2, [0.0])
-
 
 class TestFindZero:
     def test_scalar_laplacian(self):
@@ -162,7 +120,7 @@ class TestCoarseSymbol:
         assert max_coeff_difference(fhat, want) <= 1e-12
 
     def test_identity_projector_collapses(self, f_q2):
-        p = MatrixTrigPolynomial.constant(np.eye(2))
+        p = MatrixTrigPolynomial({0: np.eye(2)})
         fhat = coarse_symbol(f_q2, p)
         for t in (0.0, 0.7, 2.9):
             want = 0.5 * (f_q2.evaluate(t / 2) + f_q2.evaluate(t / 2 + np.pi))
@@ -330,6 +288,24 @@ class TestTrackedEigenpair:
         assert lam == pytest.approx(5.0)
         assert ov > 0.9
 
+    def test_tracking_through_crossing(self):
+        # diagonal symbol with eigenvalue curves 2 -+ cos crossing at pi/2:
+        # feeding back each eigenvector follows a branch through the
+        # crossing, while ascending order swaps
+        f = MatrixTrigPolynomial({
+            0: np.diag([2.0, 2.0]),
+            1: np.diag([0.5, -0.5]),
+            -1: np.diag([0.5, -0.5])})
+        grid = np.linspace(0, np.pi, 40)   # steps straddle the crossing
+        for branch, want in ((0, 2.0 + np.cos(grid)), (1, 2.0 - np.cos(grid))):
+            q = np.eye(2)[branch]
+            got = []
+            for v in f.evaluate_grid(grid):
+                lam, q, _ = tracked_eigenpair(v, q)
+                got.append(lam)
+            np.testing.assert_allclose(got, want, atol=1e-10)
+        assert np.linalg.eigvalsh(f.evaluate(np.pi))[0] == pytest.approx(1.0)
+
 
 class TestExchangeFormat:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -342,6 +318,16 @@ class TestExchangeFormat:
         assert set(g.coeffs) == set(f.coeffs)
         for j in f.coeffs:
             assert np.array_equal(g.coeffs[j], f.coeffs[j])
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=symbols())
+    def test_roundtrip_bit_exact_random(self, tmp_path_factory, f):
+        path = tmp_path_factory.mktemp("sym") / "f.sym"
+        write_symbol(path, f)
+        g = read_symbol(path)
+        assert (g.d, g.m) == (f.d, f.m)
+        assert set(g.coeffs) == set(f.coeffs)
+        assert all(same_bits(g.coeffs[j], f.coeffs[j]) for j in f.coeffs)
 
     def test_roundtrip_multivariate(self, tmp_path, p_l2):
         f = tensor_symbol([p_l2, p_l2])
