@@ -8,7 +8,7 @@ from .errors import (ArgumentError, BlockmgError, ConfigurationError,
 from .symbol import (MatrixTrigPolynomial, SymbolZero, coarse_symbol,
                      corner_set, corner_sum, corner_sums, find_zero,
                      read_symbol, symbol_sup_norm, tensor_symbol, theta_grid,
-                     tracked_eigenpair, write_symbol)
+                     tracked_eigenpair, tracked_eigenpairs, write_symbol)
 from .structured import (BlockStructuredMatrix, GridTransfer,
                          assemble_circulant, assemble_toeplitz,
                          assemble_transfer, coarse_projection_norm,

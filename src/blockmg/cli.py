@@ -38,6 +38,7 @@ MODES = ("solve", "certify", "both")
 PROJECTORS = (LINEAR, GEOMETRIC)
 CYCLES = (TGM, VCYCLE)
 SMOOTHERS = (GAUSS_SEIDEL, RICHARDSON)
+MAX_T = 30   # a 1D problem of 2^30 elements is beyond any desk machine
 
 
 @dataclass
@@ -67,7 +68,8 @@ class ExperimentConfig:
             (self.dim in (1, 2), "dim must be 1 or 2"),
             (self.r >= 1, "r must be >= 1"),
             (len(self.t_range) > 0, "t_range must be nonempty"),
-            (all(t >= 2 for t in self.t_range), "every t must be >= 2"),
+            (all(2 <= t <= MAX_T for t in self.t_range),
+             f"every t must be in 2..{MAX_T}"),
             (self.coefficient in COEFFICIENTS,
              f"coefficient must be one of {sorted(COEFFICIENTS)}"),
             (self.projector in PROJECTORS, f"projector must be one of {PROJECTORS}"),
@@ -91,8 +93,10 @@ class ExperimentConfig:
 def _parse_t_range(text: str) -> tuple:
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
+        lo, hi = (int(v) for v in text.split("..", 1))
+        if hi - lo >= MAX_T:    # refused before the range is built
+            raise ValueError(f"range {text} spans more than {MAX_T} values")
+        return tuple(range(lo, hi + 1))
     return tuple(int(v) for v in text.split(","))
 
 

@@ -11,7 +11,11 @@ plus the un-squared ratio |lambda(p(. + pi))| / lambda(f) controlling
 the V-cycle, and the five structural properties of the coarse symbol.
 
 Analytic limits are certified by stabilization of dyadic-sample ratios,
-never symbolically.  Two floating-point guards keep that criterion
+never symbolically.  Each limit is one stacked evaluation: the sample
+points of all directions go through the denominator in one batched
+call, and those it leaves usable through the numerator in one more
+(Gram quotients, tracked eigenpairs and shifted-projector eigenvalues
+all work on stacks).  Two floating-point guards keep that criterion
 meaningful in double precision: samples whose denominator falls below
 the eigensolver noise floor are discarded, and numerator values
 indistinguishable from zero are clamped to exactly zero.
@@ -23,14 +27,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import smallmat
 from .errors import (ArgumentError, BlockmgError, DimensionError,
                      SingularMatrixError, TrackingError)
 from .symbol import (MatrixTrigPolynomial, SymbolZero, coarse_symbol,
                      corner_sums, find_zero, sample_points, symbol_sup_norm,
-                     theta_grid, tracked_eigenpair)
+                     theta_grid, tracked_eigenpairs)
 
 EPS = np.finfo(float).eps
 OVERLAP_MIN = 0.6
@@ -64,28 +67,28 @@ def build_s_grid(p: MatrixTrigPolynomial, thetas) -> np.ndarray:
     Hermitian with spectrum inside [0, 1] whenever the corner sum is
     positive definite; a singular corner sum is a condition-(i)
     violation.  Raises SingularMatrixError at the first point where the
-    corner sum is singular, a pivot fails or the spectrum of s leaves
-    [0, 1], naming that point.
+    corner sum is singular or the spectrum of s leaves [0, 1], naming
+    that point.
     """
     ts = np.asarray(thetas, dtype=float)
     c = corner_sums(p, ts)
-    w = np.linalg.eigvalsh(c)
+    w, U = np.linalg.eigh(c)
     singular = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
     # Only the points before the first singular corner sum can fail
-    # earlier, so only they are solved.  The pivot check cannot fire on a
-    # corner sum that passed for d <= 100: its LU pivots are at least
-    # lambda_min / sqrt(d), above 1e-14 ||c||_inf.
+    # earlier, so only they are formed, as s = G G^H with
+    # G = p U diag(w)^(-1/2) from the decomposition c = U diag(w) U^H;
+    # every w there is positive.
     n_ok = singular[0] if singular.size else len(ts)
-    E = p.evaluate_grid(ts[:n_ok])
-    EH = np.conj(np.swapaxes(E, 1, 2))
-    s = E @ smallmat.solve(c[:n_ok], EH)
+    G = p.evaluate_grid(ts[:n_ok]) @ U[:n_ok] / np.sqrt(w[:n_ok, None, :])
+    s = G @ np.conj(np.swapaxes(G, 1, 2))
     s = 0.5 * (s + np.conj(np.swapaxes(s, 1, 2)))
     ws = np.linalg.eigvalsh(s)
     escaped = np.flatnonzero((ws[:, 0] < -1e-9) | (ws[:, -1] > 1.0 + 1e-9))
     if escaped.size:
         k = escaped[0]
         raise SingularMatrixError(
-            f"s(theta) spectrum [{ws[k, 0]:.3e}, {ws[k, -1]:.3e}] escapes [0, 1]")
+            f"s(theta) spectrum [{ws[k, 0]:.3e}, {ws[k, -1]:.3e}] escapes [0, 1] "
+            f"at theta={ts[k]}")
     if singular.size:
         k = singular[0]
         raise SingularMatrixError(
@@ -119,6 +122,34 @@ class LimitEstimate:
                 "reason": self.reason, "per_direction": self.per_direction}
 
 
+def _dyadic_points(theta0, directions, k_min: int = DYADIC_K_MIN,
+                   k_max: int = DYADIC_K_MAX) -> np.ndarray:
+    """The sample points theta0 + 2^-k d of :func:`dyadic_limit`, shape
+    (n_dir * (k_max - k_min + 1), m): direction by direction, k ascending
+    within each."""
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    dirs = np.array([np.atleast_1d(np.asarray(d, dtype=float)) for d in directions])
+    steps = 2.0 ** -np.arange(k_min, k_max + 1)
+    return (theta0 + dirs[:, None, :] * steps[:, None]).reshape(-1, len(theta0))
+
+
+def _values_until_error(fn, ts):
+    """``fn`` on the stack ``ts`` as (values, error).  When the stacked call
+    raises, the points are retried one at a time: ``values`` then covers
+    the points before the first failing one and ``error`` is what that
+    point raised."""
+    try:
+        return np.asarray(fn(ts), dtype=float), None
+    except BlockmgError as stack_error:
+        values = []
+        for t in ts:
+            try:
+                values.extend(fn(t[None]))
+            except BlockmgError as exc:
+                return np.array(values, dtype=float), exc
+        raise stack_error
+
+
 def dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
                  numer_floor: float, denom_floor: float,
                  k_min: int = DYADIC_K_MIN, k_max: int = DYADIC_K_MAX,
@@ -131,27 +162,49 @@ def dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
     usable ratios have spread below ``rel_spread`` (relative to the
     estimate) in every direction, the directional estimates agree, and
     no ratio exceeds ``cap``.
+
+    ``denom_fn`` and ``numer_fn`` map a stack of points (n, m) to values
+    (n,).  All points of all directions form one stack, direction by
+    direction with k ascending: ``denom_fn`` runs once on it and
+    ``numer_fn`` once on the points whose denominator clears
+    ``denom_floor``.  ``numer_fn`` may instead be the numerator's values
+    at every sample point, when the caller holds them already.  The
+    directions are then judged in order, and an error raised by either
+    function surfaces only if the judgement reaches its point, as if the
+    points were evaluated one by one, direction by direction, the
+    denominator before the numerator.
     """
-    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    directions = [np.atleast_1d(np.asarray(d, dtype=float)) for d in directions]
+    ts = _dyadic_points(theta0, directions, k_min, k_max)
+    den, den_error = _values_until_error(denom_fn, ts)
+    usable = np.flatnonzero(den > denom_floor)
+    if callable(numer_fn):
+        num, num_error = _values_until_error(numer_fn, ts[usable])
+    else:
+        num, num_error = np.asarray(numer_fn, dtype=float)[usable], None
+    # every usable point precedes a denominator failure, so a numerator
+    # failure is always the earlier one
+    fail_at, error = ((usable[len(num)], num_error) if num_error is not None
+                      else (len(den), den_error))
+    done = usable[:len(num)]
+    have = np.zeros(len(ts), dtype=bool)
+    have[done] = True
+    ratio = np.zeros(len(ts))
+    ratio[done] = np.where(num < numer_floor, 0.0, num) / den[done]
+
+    n_k = k_max - k_min + 1
     per_direction = []
     estimates = []
-    for direction in directions:
-        direction = np.atleast_1d(np.asarray(direction, dtype=float))
-        ratios = []
-        for k in range(k_min, k_max + 1):
-            t = theta0 + direction * 2.0 ** (-k)
-            den = denom_fn(t)
-            if den <= denom_floor:
-                continue
-            num = numer_fn(t)
-            if num < numer_floor:
-                num = 0.0
-            ratios.append(num / den)
+    for i, direction in enumerate(directions):
+        if error is not None and fail_at < (i + 1) * n_k:
+            raise error
+        block = slice(i * n_k, (i + 1) * n_k)
+        ratios = ratio[block][have[block]]
         if len(ratios) < tail:
             return LimitEstimate(False, float("nan"), float("inf"),
                                  reason="insufficient usable samples",
                                  per_direction=per_direction)
-        if max(ratios) > cap:
+        if ratios.max() > cap:
             return LimitEstimate(False, float("inf"), float("inf"), diverged=True,
                                  reason=f"ratio exceeded cap {cap:g}",
                                  per_direction=per_direction)
@@ -159,7 +212,7 @@ def dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
         c_dir = float(np.mean(tail_vals))
         spread = float(np.max(tail_vals) - np.min(tail_vals))
         ok = spread <= rel_spread * max(abs(c_dir), 1e-6)
-        if (not ok and all(np.diff(ratios) > 0)
+        if (not ok and np.all(np.diff(ratios) > 0)
                 and ratios[-1] > 100.0 * max(ratios[0], 1e-300)):
             # a power-law blow-up whose usable window (limited by the
             # denominator noise floor) ends before the cap is reached
@@ -191,54 +244,65 @@ def _axis_directions(m: int):
 
 
 def _f_branch_fn(f: MatrixTrigPolynomial, q: np.ndarray):
-    def fn(theta):
-        lam, _, _ = tracked_eigenpair(f.evaluate(theta), q, OVERLAP_MIN)
-        return lam
+    def fn(ts):
+        return tracked_eigenpairs(f.evaluate_grid(ts), q, OVERLAP_MIN)[0]
     return fn
 
 
 def _s_gap_fn(p: MatrixTrigPolynomial, q: np.ndarray):
-    def fn(theta):
-        lam, _, _ = tracked_eigenpair(build_s(p, theta), q, OVERLAP_MIN)
-        return 1.0 - lam
+    def fn(ts):
+        return 1.0 - tracked_eigenpairs(build_s_grid(p, ts), q, OVERLAP_MIN)[0]
     return fn
 
 
-def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, theta, q: np.ndarray) -> complex:
-    """Eigenvalue of the (generally non-Hermitian) matrix p(theta + pi)
-    on the branch whose right eigenvector is closest to q.
+def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
+                              q: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the (generally non-Hermitian) matrices
+    p(theta + pi) at a stack of points, shape (n,) (thetas as for
+    :meth:`~MatrixTrigPolynomial.evaluate_grid`), each on the branch
+    whose right eigenvector is closest to q.
 
-    Nearby eigenvalues are treated as one cluster and matched through
-    the overlap of q with the cluster's eigenvector span: a repeated
-    eigenvalue (rank-deficient projector symbols have multidimensional
-    kernels) splits numerically by sqrt(eps) and its individual
-    eigenvectors are arbitrary within the span.  The returned value is
-    the cluster mean, which cancels that splitting to first order.
+    One batched evaluation and one batched eigendecomposition serve the
+    whole stack.  Nearby eigenvalues are treated as one cluster and
+    matched through the overlap of q with the cluster's eigenvector
+    span: a repeated eigenvalue (rank-deficient projector symbols have
+    multidimensional kernels) splits numerically by sqrt(eps) and its
+    individual eigenvectors are arbitrary within the span.  The returned
+    value is the cluster mean, which cancels that splitting to first
+    order.  Raises TrackingError at the first point whose best overlap
+    falls below OVERLAP_MIN, naming it.
     """
-    mat = p.evaluate(np.atleast_1d(np.asarray(theta, dtype=float)) + np.pi)
-    w, V = scipy.linalg.eig(mat)
-    scale = max(np.linalg.norm(mat, 2), 1.0)
-    clusters = []
-    for idx in np.argsort(np.abs(w)):
+    ts = np.asarray(thetas, dtype=float).reshape(-1, p.m)
+    mats = p.evaluate_grid(ts + np.pi)
+    ws, Vs = np.linalg.eig(mats)
+    scales = np.maximum(np.linalg.norm(mats, 2, axis=(1, 2)), 1.0)
+    out = np.empty(len(ts), dtype=complex)
+    for n, (w, V, scale) in enumerate(zip(ws, Vs, scales)):
+        clusters = []
+        for idx in np.argsort(np.abs(w)):
+            for cluster in clusters:
+                if abs(w[idx] - w[cluster[0]]) <= 1e-6 * scale:
+                    cluster.append(idx)
+                    break
+            else:
+                clusters.append([idx])
+        best_overlap, best_value = -1.0, 0.0j
         for cluster in clusters:
-            if abs(w[idx] - w[cluster[0]]) <= 1e-6 * scale:
-                cluster.append(idx)
-                break
-        else:
-            clusters.append([idx])
-    best_overlap, best_value = -1.0, 0.0j
-    for cluster in clusters:
-        U, s, _ = np.linalg.svd(V[:, cluster], full_matrices=False)
-        basis = U[:, s > 1e-10 * s[0]]
-        overlap = float(np.linalg.norm(basis.conj().T @ q))
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_value = complex(np.mean(w[cluster]))
-    if best_overlap < OVERLAP_MIN:
-        raise TrackingError(
-            f"overlap {best_overlap:.3f} below {OVERLAP_MIN} while tracking "
-            f"the shifted projector eigenvalue at theta={theta}")
-    return best_value
+            if len(cluster) == 1:
+                v = V[:, cluster[0]]
+                overlap = abs(np.vdot(v, q)) / np.linalg.norm(v)
+            else:
+                U, sv, _ = np.linalg.svd(V[:, cluster], full_matrices=False)
+                overlap = np.linalg.norm(U[:, sv > 1e-10 * sv[0]].conj().T @ q)
+            if overlap > best_overlap:
+                best_overlap = float(overlap)
+                best_value = complex(np.mean(w[cluster]))
+        if best_overlap < OVERLAP_MIN:
+            raise TrackingError(
+                f"overlap {best_overlap:.3f} below {OVERLAP_MIN} while tracking "
+                f"the shifted projector eigenvalue at theta={ts[n]}")
+        out[n] = best_value
+    return out
 
 
 # -- conditions (i), (ii), (iii) -------------------------------------------
@@ -290,14 +354,18 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -
             "q_eigvec_of_p0_adjoint": hyp3, "p0_nonsingular": hyp3bis}
 
 
-def check_condition_ii(p: MatrixTrigPolynomial, zero: SymbolZero) -> CheckResult:
+def check_condition_ii(p: MatrixTrigPolynomial, zero: SymbolZero, *,
+                       _hyps=None) -> CheckResult:
     """Fixed-point defect ||s(t0) q - q|| plus the shortcut route that
-    certifies it (eigenvector route or nonsingular-p route)."""
+    certifies it (eigenvector route or nonsingular-p route).
+
+    ``_hyps`` is :func:`fixed_point_shortcut_hypotheses` of (p, zero)
+    when the caller has it already."""
     t0 = np.asarray(zero.theta0, dtype=float)
     q = zero.q_jbar
     s0 = build_s(p, t0)
     defect = float(np.linalg.norm(s0 @ q - q))
-    hyps = fixed_point_shortcut_hypotheses(p, zero)
+    hyps = _hyps or fixed_point_shortcut_hypotheses(p, zero)
     route = None
     if (hyps["q_eigvec_of_p0"].passed and hyps["q_kernel_of_p_shifted"].passed
             and hyps["q_eigvec_of_p0_adjoint"].passed):
@@ -318,27 +386,32 @@ def projector_defect(p: MatrixTrigPolynomial, npoints: int = 256) -> float:
     return float(np.max(np.linalg.norm(s @ s - s, axis=(1, 2))))
 
 
+def _sup_norms(f: MatrixTrigPolynomial, p: MatrixTrigPolynomial):
+    """The sup norms of f and p that scale the noise floors of the limits."""
+    return symbol_sup_norm(f, 256), symbol_sup_norm(p, 256)
+
+
 def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
-                        zero: SymbolZero) -> CheckResult:
+                        zero: SymbolZero, *, _scales=None) -> CheckResult:
     """Stabilization of (1 - lambda(s)) / lambda(f) at the symbol zero.
 
     When s is a projector on a verification grid (and the fixed point
     holds) the tracked eigenvalue is identically one and the limit is 0
     without sampling.  The simplified squared-shift ratio
     |lambda(p(. + pi))|^2 / lambda(f) is measured and reported alongside
-    either way.
+    either way.  ``_scales`` is ``_sup_norms(f, p)`` when the caller has
+    it already.
     """
     if p.m != 1 or f.m != 1:
         raise ArgumentError("univariate checker; use the multilevel module for m > 1")
     t0 = np.asarray(zero.theta0, dtype=float)
     q = zero.q_jbar
-    fscale = symbol_sup_norm(f, 256)
-    pscale = symbol_sup_norm(p, 256)
+    fscale, pscale = _scales or _sup_norms(f, p)
     denom_floor = 1e3 * EPS * fscale
     dirs = _axis_directions(1)
 
     surrogate = dyadic_limit(
-        lambda t: abs(shifted_branch_eigenvalue(p, t, q)) ** 2,
+        lambda ts: np.abs(shifted_branch_eigenvalue(p, ts, q)) ** 2,
         _f_branch_fn(f, q), t0, dirs,
         numer_floor=(100 * EPS * pscale) ** 2, denom_floor=denom_floor)
 
@@ -359,53 +432,50 @@ def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
 
 
 def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
-                       zero: SymbolZero) -> CheckResult:
+                       zero: SymbolZero, *, _hyps=None, _scales=None) -> CheckResult:
     """The un-squared ratio |lambda(p(. + pi))| / lambda(f) that controls
     V-cycle optimality; the identically-vanishing branch is detected and
-    reported explicitly."""
+    reported explicitly.  ``_hyps`` and ``_scales`` are as for
+    :func:`check_condition_ii` and :func:`check_condition_iii`."""
     if p.m != 1 or f.m != 1:
         raise ArgumentError("univariate checker; use the multilevel module for m > 1")
     t0 = np.asarray(zero.theta0, dtype=float)
     q = zero.q_jbar
-    hyps = fixed_point_shortcut_hypotheses(p, zero)
+    hyps = _hyps or fixed_point_shortcut_hypotheses(p, zero)
     hypotheses_ok = (hyps["q_eigvec_of_p0"].passed
                      and hyps["q_kernel_of_p_shifted"].passed)
-    pscale = symbol_sup_norm(p, 256)
-    fscale = symbol_sup_norm(f, 256)
+    fscale, pscale = _scales or _sup_norms(f, p)
     numer_floor = 100 * EPS * pscale
 
-    raw = []
-    for k in range(DYADIC_K_MIN, DYADIC_K_MAX + 1):
-        for sgn in (1.0, -1.0):
-            raw.append(abs(shifted_branch_eigenvalue(p, t0 + sgn * 2.0 ** (-k), q)))
-    vanishing = max(raw) < 10 * numer_floor
-    if vanishing:
+    # the branch at every sample point of the limit, evaluated k by k
+    # (both signs of each k in turn) so that an error names the first
+    # failing point in that order
+    dirs = _axis_directions(1)
+    pts = _dyadic_points(t0, dirs)
+    by_k = np.arange(len(pts)).reshape(len(dirs), -1).T.ravel()
+    branch = np.empty(len(pts))
+    branch[by_k] = np.abs(shifted_branch_eigenvalue(p, pts[by_k], q))
+    if branch.max() < 10 * numer_floor:
         return CheckResult(hypotheses_ok, {
             "c": 0.0, "spread": 0.0, "vanishing_branch": True,
             "hypotheses_ok": hypotheses_ok,
-            "max_branch_eigenvalue": float(max(raw))})
+            "max_branch_eigenvalue": float(branch.max())})
 
-    est = dyadic_limit(
-        lambda t: abs(shifted_branch_eigenvalue(p, t, q)),
-        _f_branch_fn(f, q), t0, _axis_directions(1),
-        numer_floor=numer_floor, denom_floor=1e3 * EPS * fscale)
+    est = dyadic_limit(branch, _f_branch_fn(f, q), t0, dirs,
+                       numer_floor=numer_floor, denom_floor=1e3 * EPS * fscale)
     return CheckResult(est.passed and hypotheses_ok, {
         "vanishing_branch": False, "hypotheses_ok": hypotheses_ok,
         **est.as_evidence()})
 
 
-def _periodic_distance(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
-
-
 def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
                           zero: SymbolZero,
-                          npoints: int = GRID_POINTS) -> dict:
+                          npoints: int = GRID_POINTS, *, _scales=None) -> dict:
     """The five structural properties of the coarse symbol: Hermitian
     polynomial, nonnegative, q in the kernel at the doubled zero,
     positive elsewhere (outside a 1e-3 exclusion ball), and the
-    coarse/fine eigenvalue ratio tending to a nonzero constant."""
+    coarse/fine eigenvalue ratio tending to a nonzero constant.
+    ``_scales`` is as for :func:`check_condition_iii`."""
     fhat = coarse_symbol(f, p)
     t0 = float(zero.theta0[0])
     q = zero.q_jbar
@@ -424,16 +494,16 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     out["kernel_at_doubled_zero"] = CheckResult(kdef <= 1e-10 * max(scale, 1.0),
                                                 {"defect": kdef})
 
-    away = np.array([_periodic_distance(t, 2.0 * t0 % (2.0 * np.pi)) > 1e-3
-                     for t in pts])
+    dist = np.abs(pts - 2.0 * t0 % (2.0 * np.pi)) % (2.0 * np.pi)
+    away = np.minimum(dist, 2.0 * np.pi - dist) > 1e-3
     min_away = float(eigs[away, 0].min())
     out["positive_elsewhere"] = CheckResult(min_away > 1e-10 * scale,
                                             {"min_eig_outside_ball": min_away})
 
-    fscale = symbol_sup_norm(f, 256)
+    fscale = symbol_sup_norm(f, 256) if _scales is None else _scales[0]
     fhat_branch = _f_branch_fn(fhat, q)
     est = dyadic_limit(
-        lambda theta: fhat_branch(2.0 * theta),
+        lambda ts: fhat_branch(2.0 * ts),
         _f_branch_fn(f, q), np.array([t0]), _axis_directions(1),
         numer_floor=1e3 * EPS * scale, denom_floor=1e3 * EPS * fscale)
     out["coarse_zero_same_order"] = CheckResult(
@@ -468,7 +538,7 @@ def jsonable(obj):
 class ConditionReport:
     """Aggregated verdicts and evidence for one (f, p) pair."""
 
-    zero: dict
+    symbol_zero: SymbolZero
     condition_i: CheckResult
     condition_ii: CheckResult
     condition_iii: CheckResult
@@ -477,6 +547,17 @@ class ConditionReport:
     shortcut_hypotheses: dict
     tgm_certified: bool
     vcycle_certified: bool
+
+    @property
+    def zero(self) -> dict:
+        """The zero of f as the report shows it."""
+        z = self.symbol_zero
+        return {
+            "theta0": [float(v) for v in z.theta0],
+            "jbar": z.jbar,
+            "order": z.order,
+            "q_jbar": [[v.real, v.imag] for v in z.q_jbar],
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -495,9 +576,9 @@ class ConditionReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _run_check(fn, *args) -> CheckResult:
+def _run_check(fn, *args, **kwargs) -> CheckResult:
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except BlockmgError as exc:
         return _error_result(exc)
 
@@ -511,7 +592,8 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
     field, never raised, so the report always materializes.  A pair
     whose block orders differ (``DimensionError``) or whose variable
     counts differ (``ArgumentError``), and a malformed zero structure of
-    f, raise before any check runs.
+    f, raise before any check runs.  The shortcut hypotheses and the sup
+    norms of f and p are computed once and shared by the checks.
     """
     if p.d != f.d:
         raise DimensionError(f"block order mismatch: p has d = {p.d}, f has d = {f.d}")
@@ -519,30 +601,26 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
         raise ArgumentError(
             f"variable count mismatch: p has m = {p.m}, f has m = {f.m}")
     zero = find_zero(f)
-    cond_i = _run_check(check_condition_i, p)
-    cond_ii = _run_check(check_condition_ii, p, zero)
-    cond_iii = _run_check(check_condition_iii, p, f, zero)
-    vbound = _run_check(check_vcycle_bound, p, f, zero)
+    scales = _sup_norms(f, p)
     try:
-        fhat = check_fhat_properties(p, f, zero)
+        hyps = shared = fixed_point_shortcut_hypotheses(p, zero)
+    except BlockmgError as exc:
+        # the checks that use the hypotheses then raise this themselves
+        hyps, shared = {"error": _error_result(exc)}, None
+    cond_i = _run_check(check_condition_i, p)
+    cond_ii = _run_check(check_condition_ii, p, zero, _hyps=shared)
+    cond_iii = _run_check(check_condition_iii, p, f, zero, _scales=scales)
+    vbound = _run_check(check_vcycle_bound, p, f, zero, _hyps=shared, _scales=scales)
+    try:
+        fhat = check_fhat_properties(p, f, zero, _scales=scales)
     except BlockmgError as exc:
         fhat = {name: _error_result(exc)
                 for name in ("hermitian", "nonnegative", "kernel_at_doubled_zero",
                              "positive_elsewhere", "coarse_zero_same_order")}
-    try:
-        hyps = fixed_point_shortcut_hypotheses(p, zero)
-    except BlockmgError as exc:
-        hyps = {"error": _error_result(exc)}
 
     tgm = cond_i.passed and cond_ii.passed and cond_iii.passed
     vcyc = tgm and vbound.passed and all(r.passed for r in fhat.values())
-    zero_info = {
-        "theta0": [float(v) for v in zero.theta0],
-        "jbar": zero.jbar,
-        "order": zero.order,
-        "q_jbar": [[v.real, v.imag] for v in zero.q_jbar],
-    }
     return ConditionReport(
-        zero=zero_info, condition_i=cond_i, condition_ii=cond_ii,
+        symbol_zero=zero, condition_i=cond_i, condition_ii=cond_ii,
         condition_iii=cond_iii, vcycle_bound=vbound, fhat_properties=fhat,
         shortcut_hypotheses=hyps, tgm_certified=tgm, vcycle_certified=vcyc)

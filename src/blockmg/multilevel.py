@@ -28,8 +28,8 @@ from .femgen import (FemProblem, _transfer_chain, assemble_mass,
                      assemble_stiffness)
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import GENERAL, BlockStructuredMatrix, GridTransfer
-from .symbol import (MatrixTrigPolynomial, corner_sums, find_zero,
-                     symbol_sup_norm, tensor_symbol)
+from .symbol import (MatrixTrigPolynomial, corner_sums, symbol_sup_norm,
+                     tensor_symbol)
 
 
 def tensor_sum_symbol(f: MatrixTrigPolynomial, h: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
@@ -141,7 +141,7 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
         raise ArgumentError("one univariate problem symbol per dimension required")
 
     factor_reports = [full_report(p, f) for p, f in zip(ps, fs)]
-    zeros = [find_zero(f) for f in fs]
+    zeros = [r.symbol_zero for r in factor_reports]
     theta0 = np.array([z.theta0[0] for z in zeros])
     q = np.kron(zeros[0].q_jbar, zeros[1].q_jbar)
     q /= np.linalg.norm(q)

@@ -1,5 +1,5 @@
 """Dense complex kernel for the small d-by-d matrices that appear under
-every symbol evaluation: Hermitian eigendecomposition, linear solves and
+every symbol evaluation: Hermitian eigendecomposition, an LU solve and
 determinants, all with tolerances relative to a matrix norm.
 
 Backed by LAPACK through numpy/scipy; this module adds the contract
@@ -46,41 +46,32 @@ def eig_hermitian(M):
 
 
 def _pivot_check(A, lu):
-    """Raise SingularMatrixError when a pivot of any matrix in the stack
-    falls under 1e-14 times that matrix's infinity norm."""
-    stack = A.ndim == 3
-    A3, lu3 = (A, lu) if stack else (A[None], lu[None])
-    piv_mags = np.abs(np.diagonal(lu3, axis1=1, axis2=2))
-    norm_inf = np.abs(A3).sum(axis=2).max(axis=1, initial=0.0)
-    thresh = 1e-14 * norm_inf
-    bad = np.argwhere(piv_mags <= thresh[:, None])
+    """Raise SingularMatrixError when a pivot falls under 1e-14 times the
+    infinity norm of A."""
+    piv_mags = np.abs(np.diag(lu))
+    thresh = 1e-14 * np.abs(A).sum(axis=1).max(initial=0.0)
+    bad = np.flatnonzero(piv_mags <= thresh)
     if bad.size:
-        k, i = (int(v) for v in bad[0])
-        where = f" of matrix {k}" if stack else ""
+        i = int(bad[0])
         raise SingularMatrixError(
-            f"singular pivot {piv_mags[k, i]:.3e} at index {i}{where} "
-            f"(threshold {thresh[k]:.3e})",
+            f"singular pivot {piv_mags[i]:.3e} at index {i} (threshold {thresh:.3e})",
             pivot_index=i,
         )
 
 
 def solve(M, B):
-    """Solve M X = B for square nonsingular M, or for each matrix of a
-    stack M of shape (n, d, d) against B of shape (n, d, k).
+    """Solve M X = B for square nonsingular M.
 
-    Raises SingularMatrixError (carrying the pivot index, and naming the
-    first failing matrix of a stack) when a pivot magnitude does not
-    exceed 1e-14 * ||M||_inf.
+    Raises SingularMatrixError (carrying the pivot index) when a pivot
+    magnitude does not exceed 1e-14 * ||M||_inf.
     """
-    A = np.asarray(M, dtype=complex)
-    if A.ndim not in (2, 3) or A.shape[-1] != A.shape[-2]:
-        raise DimensionError(f"solve needs a square matrix or a stack of them, got {A.shape}")
+    A = as_matrix(M)
+    if A.shape[0] != A.shape[1]:
+        raise DimensionError(f"solve needs a square matrix, got {A.shape}")
     Bm = np.asarray(B, dtype=complex)
-    if Bm.ndim < A.ndim - 1 or Bm.shape[:A.ndim - 1] != A.shape[:-1]:
+    if Bm.ndim == 0 or Bm.shape[0] != A.shape[0]:
         raise DimensionError(
             f"right-hand side shape {Bm.shape} does not match matrix shape {A.shape}")
-    if A.ndim == 3 and len(A) == 0:    # scipy refuses to factor an empty batch
-        return Bm.copy()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)

@@ -90,6 +90,14 @@ def _cyclic_shift_matrix(n: int, j: int) -> sp.csr_matrix:
     return sp.csr_matrix((np.ones(n), (rows, (rows - j) % n)), shape=(n, n))
 
 
+def _kron01(S, c: np.ndarray):
+    """kron(S, c) for a 0/1 matrix S.  Every product is 1 * x, exact, so
+    the overflow numpy's complex product can flag on entries near the
+    largest double is spurious and is not raised."""
+    with np.errstate(over="ignore"):
+        return sp.kron(S, c)
+
+
 def assemble_toeplitz(f: MatrixTrigPolynomial, n) -> BlockStructuredMatrix:
     """Block-Toeplitz matrix of f with n block rows (size d*n).
 
@@ -111,7 +119,7 @@ def assemble_toeplitz(f: MatrixTrigPolynomial, n) -> BlockStructuredMatrix:
         if w >= k:
             raise ArgumentError(f"coefficient window {w} must be smaller than n={k}")
     A = sp.csr_matrix(sum(
-        sp.kron(reduce(sp.kron, (_shift_matrix(k, i) for k, i in zip(ns, j))), c)
+        _kron01(reduce(sp.kron, (_shift_matrix(k, i) for k, i in zip(ns, j))), c)
         for j, c in f.coeffs.items()))
     if np.ndim(n) == 0:
         return BlockStructuredMatrix(TOEPLITZ, f.d, n, A)
@@ -130,7 +138,7 @@ def assemble_circulant(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix
     w = f.window()[0]
     if w >= n / 2:
         raise ArgumentError(f"coefficient window {w} must be below n/2 = {n / 2}")
-    A = sum(sp.kron(_cyclic_shift_matrix(n, j), c) for (j,), c in f.coeffs.items())
+    A = sum(_kron01(_cyclic_shift_matrix(n, j), c) for (j,), c in f.coeffs.items())
     return BlockStructuredMatrix(CIRCULANT, f.d, n, sp.csr_matrix(A))
 
 
@@ -269,6 +277,6 @@ def read_coo(path) -> sp.csr_matrix:
             raise ArgumentError(
                 f"truncated coordinate file {path}: bad entry on line {k}: {line!r}") from exc
     try:
-        return sp.csr_matrix((vv, (ii, jj)), shape=(rows, cols))
+        return sp.csr_matrix((np.array(vv, dtype=complex), (ii, jj)), shape=(rows, cols))
     except ValueError as exc:
         raise ArgumentError(f"bad coordinate file {path}: {exc}") from exc

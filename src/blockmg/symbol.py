@@ -10,7 +10,9 @@ setting, and a plain-text exchange format.
 Evaluation is batched: :meth:`MatrixTrigPolynomial.evaluate_grid` and
 :func:`corner_sums` work on a stack of n points, and the one-point
 :meth:`MatrixTrigPolynomial.evaluate` and :func:`corner_sum` are their
-n = 1 cases.
+n = 1 cases; branch tracking likewise runs on a stack
+(:func:`tracked_eigenpairs`), with :func:`tracked_eigenpair` its
+one-matrix case.
 """
 
 from __future__ import annotations
@@ -93,18 +95,26 @@ class MatrixTrigPolynomial:
             if not np.all(np.isfinite(mat)):
                 raise ArgumentError(f"coefficient {idx} has a non-finite entry")
             normalized[idx] = mat.copy()
-        scale = max(np.linalg.norm(c) for c in normalized.values())
+        # the trim and Hermitian tests see every coefficient scaled by
+        # 2**-e, exactly: no part then reaches 1, so no norm overflows,
+        # and e = 0 (every part already below 1) leaves the values as given
+        big = max(np.abs(c.view(float)).max(initial=0.0)
+                  for c in normalized.values())
+        e = max(int(np.frexp(big)[1]), 0)
+        scaled = {j: np.ldexp(c.view(float), -e).view(complex)
+                  for j, c in normalized.items()}
+        norms = {j: np.linalg.norm(c) for j, c in scaled.items()}
+        scale = max(norms.values())
         if scale > 0:
             normalized = {j: c for j, c in normalized.items()
-                          if np.linalg.norm(c) > TRIM_RTOL * scale}
-        if not normalized:
-            normalized = {(0,) * m: np.zeros((d, d), dtype=complex)}
+                          if norms[j] > TRIM_RTOL * scale}
         self.d = d
         self.m = m
         self.coeffs = normalized
         self._J = np.array(list(normalized), dtype=float)                    # (nc, m)
         self._C = np.stack(list(normalized.values())).reshape(len(normalized), d * d)
-        self._hermitian = _is_hermitian(normalized)
+        self._hermitian = _is_hermitian({j: scaled[j] for j in normalized},
+                                        np.ldexp(1.0, -e))
 
     @classmethod
     def scalar(cls, coeffs, m=None):
@@ -175,9 +185,11 @@ class MatrixTrigPolynomial:
                 f"window={self.window()}, ncoeff={len(self.coeffs)})")
 
 
-def _is_hermitian(coeffs) -> bool:
+def _is_hermitian(coeffs, one: float) -> bool:
+    """c_{-j} = c_j^H for every index, to HERMITIAN_RTOL relative to the
+    largest norm or to ``one`` (the value 1 in the units of ``coeffs``)."""
     scale = max(np.linalg.norm(c) for c in coeffs.values())
-    tol = HERMITIAN_RTOL * max(scale, 1.0)
+    tol = HERMITIAN_RTOL * max(scale, one)
     for j, c in coeffs.items():
         other = coeffs.get(tuple(-v for v in j))
         if other is None:
@@ -226,20 +238,42 @@ def sample_points(m, npoints):
 # -- eigenvalue branch tracking ----------------------------------------------
 
 
+def tracked_eigenpairs(mats, q: np.ndarray, overlap_min: float = 0.6):
+    """Eigenpairs of a stack of Hermitian matrices (n, d, d) on the branch
+    closest to q, by one batched eigendecomposition.
+
+    Each matrix is symmetrized as (M + M^H)/2 first.  Returns the
+    eigenvalues (n,), eigenvectors (n, d) and overlaps |v^H q| (n,);
+    raises TrackingError at the first matrix whose best overlap falls
+    below ``overlap_min``, naming its position in a stack of several.
+    """
+    A = np.asarray(mats, dtype=complex)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise DimensionError(f"expected a stack of square matrices, got shape {A.shape}")
+    w, V = np.linalg.eigh(0.5 * (A + np.conj(np.swapaxes(A, 1, 2))))
+    overlaps = np.abs(np.conj(np.swapaxes(V, 1, 2)) @ q)
+    best = np.argmax(overlaps, axis=1)
+    rows = np.arange(len(A))
+    top = overlaps[rows, best]
+    failed = np.flatnonzero(top < overlap_min)
+    if failed.size:
+        k = failed[0]
+        where = f" at matrix {k} of {len(A)}" if len(A) > 1 else ""
+        raise TrackingError(
+            f"eigenvector overlap {top[k]:.3f} below {overlap_min}{where}; "
+            "branch tracking is ambiguous")
+    return w[rows, best], V[rows, :, best], top
+
+
 def tracked_eigenpair(mat: np.ndarray, q: np.ndarray, overlap_min: float = 0.6):
-    """Eigenvalue of a Hermitian matrix on the branch closest to q.
+    """Eigenvalue of a Hermitian matrix on the branch closest to q: the
+    one-matrix case of :func:`tracked_eigenpairs`.
 
     Returns (eigenvalue, eigenvector, overlap); raises TrackingError when
     the best overlap |v^H q| falls below ``overlap_min``.
     """
-    w, V = smallmat.eig_hermitian(mat)
-    overlaps = np.abs(V.conj().T @ q)
-    best = int(np.argmax(overlaps))
-    if overlaps[best] < overlap_min:
-        raise TrackingError(
-            f"eigenvector overlap {overlaps[best]:.3f} below {overlap_min}; "
-            "branch tracking is ambiguous")
-    return float(w[best]), V[:, best], float(overlaps[best])
+    w, V, overlaps = tracked_eigenpairs(smallmat.as_matrix(mat)[None], q, overlap_min)
+    return float(w[0]), V[0], float(overlaps[0])
 
 
 # -- zero location -------------------------------------------------------
@@ -349,17 +383,14 @@ def find_zero(f: MatrixTrigPolynomial, npoints: int = DEFAULT_GRID) -> SymbolZer
 
 def _zero_order(f, theta0, q, scale):
     direction = np.ones(f.m) / np.sqrt(f.m)
-    hs, lams = [], []
-    for k in range(5, 21):
-        h = 2.0 ** (-k)
-        lam, _, _ = tracked_eigenpair(f.evaluate(theta0 + h * direction), q)
-        if lam > 1e4 * np.finfo(float).eps * scale:
-            hs.append(h)
-            lams.append(lam)
+    hs = 2.0 ** -np.arange(5, 21)
+    lams, _, _ = tracked_eigenpairs(f.evaluate_grid(theta0 + hs[:, None] * direction), q)
+    usable = lams > 1e4 * np.finfo(float).eps * scale
+    hs, lams = hs[usable], lams[usable]
     if len(hs) < 3:
         raise NumericalError("too few usable scales to estimate the zero order",
                              iterations=len(hs))
-    hs, lams = np.array(hs[-8:]), np.array(lams[-8:])
+    hs, lams = hs[-8:], lams[-8:]
     slope = np.polyfit(np.log(hs), np.log(lams), 1)[0]
     order = max(2, 2 * int(round(slope / 2.0)))
     if abs(slope - order) > 0.2:

@@ -2,14 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmg import MatrixTrigPolynomial
 from blockmg.cli import (CSV_HEADER, ExperimentConfig, _solve_one, main,
                          parse_config, print_table, run)
-from blockmg.errors import ConfigurationError
+from blockmg.errors import BlockmgError, ConfigurationError
 from blockmg.femgen import (build_linear_interp_symbol, mass_symbol,
                             stiffness_symbol)
 from blockmg.multilevel import tensor_sum_symbol
@@ -119,6 +122,28 @@ class TestParseConfig:
 
     def test_solve_degree_not_capped(self, tmp_path):
         assert parse_config(write_config(tmp_path / "e.cfg", r=9)).r == 9
+
+    def test_t_capped_and_long_ranges_refused_unbuilt(self, tmp_path):
+        assert parse_config(write_config(tmp_path / "ok.cfg", t_range="2..30")).t_range[-1] == 30
+        with pytest.raises(ConfigurationError, match="every t must be in 2..30"):
+            parse_config(write_config(tmp_path / "big.cfg", t_range="31"))
+        with pytest.raises(ConfigurationError, match="spans more than 30 values"):
+            parse_config(write_config(tmp_path / "long.cfg", t_range=f"2..{10 ** 15}"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.tuples(
+        st.sampled_from([f.name for f in fields(ExperimentConfig)] + ["bogus"]),
+        st.one_of(st.integers().map(str), st.floats().map(repr),
+                  st.tuples(st.integers(), st.integers()).map(lambda ab: f"{ab[0]}..{ab[1]}"),
+                  st.text(max_size=12))), max_size=8))
+    def test_any_key_value_lines_parse_or_fail_cleanly(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("fuzz") / "e.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines), encoding="utf-8")
+        try:
+            config = parse_config(path)
+        except BlockmgError:
+            return
+        assert isinstance(config, ExperimentConfig)
 
 
 class TestRun:

@@ -2,17 +2,22 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blockmg import (MatrixTrigPolynomial, build_s, build_s_grid,
                      check_condition_i,
                      check_condition_ii, check_condition_iii,
                      check_fhat_properties, check_vcycle_bound, find_zero,
                      full_report)
-from blockmg.conditions import fixed_point_shortcut_hypotheses, projector_defect
-from blockmg.errors import SingularMatrixError
+from blockmg.conditions import (EPS, OVERLAP_MIN, _axis_directions, _f_branch_fn,
+                                _s_gap_fn, dyadic_limit,
+                                fixed_point_shortcut_hypotheses, projector_defect,
+                                shifted_branch_eigenvalue)
+from blockmg.errors import SingularMatrixError, TrackingError
 from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
                             stiffness_symbol)
-from blockmg.symbol import tensor_symbol
+from blockmg.symbol import (coarse_symbol, symbol_sup_norm, tensor_symbol, theta_grid,
+                            tracked_eigenpair, tracked_eigenpairs)
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -233,3 +238,200 @@ class TestFullReport:
         assert not rep.tgm_certified
         assert not rep.condition_i.passed
         assert "error" in rep.condition_iii.evidence
+
+
+# -- batched limits against a per-point reference ----------------------------
+
+
+def per_point_dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
+                           numer_floor, denom_floor, k_min=5, k_max=25,
+                           tail=5, rel_spread=1e-2, cap=1e8):
+    """The dyadic limit evaluated one point at a time with scalar
+    closures, returning as soon as a direction settles the verdict."""
+    theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    per_direction, estimates = [], []
+    for direction in directions:
+        direction = np.atleast_1d(np.asarray(direction, dtype=float))
+        ratios = []
+        for k in range(k_min, k_max + 1):
+            t = theta0 + direction * 2.0 ** (-k)
+            den = denom_fn(t)
+            if den <= denom_floor:
+                continue
+            num = numer_fn(t)
+            ratios.append((0.0 if num < numer_floor else num) / den)
+        if len(ratios) < tail:
+            return False, float("nan"), "insufficient usable samples"
+        if max(ratios) > cap:
+            return False, float("inf"), f"ratio exceeded cap {cap:g}"
+        tail_vals = ratios[-tail:]
+        c_dir = float(np.mean(tail_vals))
+        spread = float(np.max(tail_vals) - np.min(tail_vals))
+        ok = spread <= rel_spread * max(abs(c_dir), 1e-6)
+        if (not ok and all(np.diff(ratios) > 0)
+                and ratios[-1] > 100.0 * max(ratios[0], 1e-300)):
+            return False, float("inf"), "monotone growth throughout the window"
+        per_direction.append(ok)
+        estimates.append(c_dir)
+    lo, hi = min(estimates), max(estimates)
+    agree = (hi - lo) <= max(rel_spread * max(abs(lo), abs(hi)), 1e-6)
+    passed = agree and all(per_direction)
+    reason = "" if passed else ("directional estimates disagree" if not agree
+                                else "tail not stabilized")
+    return passed, float(np.mean(estimates)), reason
+
+
+def per_point_shifted_eigenvalue(p, theta, q):
+    """The shifted-branch eigenvalue at one point: scipy's eig, and every
+    cluster matched through an SVD of its eigenvectors."""
+    mat = p.evaluate(np.atleast_1d(theta) + np.pi)
+    w, V = scipy.linalg.eig(mat)
+    scale = max(np.linalg.norm(mat, 2), 1.0)
+    clusters = []
+    for idx in np.argsort(np.abs(w)):
+        for cluster in clusters:
+            if abs(w[idx] - w[cluster[0]]) <= 1e-6 * scale:
+                cluster.append(idx)
+                break
+        else:
+            clusters.append([idx])
+    best_overlap, best_value = -1.0, 0.0j
+    for cluster in clusters:
+        U, s, _ = np.linalg.svd(V[:, cluster], full_matrices=False)
+        overlap = float(np.linalg.norm(U[:, s > 1e-10 * s[0]].conj().T @ q))
+        if overlap > best_overlap:
+            best_overlap, best_value = overlap, complex(np.mean(w[cluster]))
+    assert best_overlap >= OVERLAP_MIN
+    return best_value, max(len(c) for c in clusters)
+
+
+def report_limits(p, f):
+    """(name, batched numerator, denominator, per-point numerator,
+    denominator, floors, theta0) for every limit full_report takes."""
+    zero = find_zero(f)
+    t0, q = np.array(zero.theta0), zero.q_jbar
+    fscale, pscale = symbol_sup_norm(f, 256), symbol_sup_norm(p, 256)
+    fhat = coarse_symbol(f, p)
+    hat_scale = float(np.max(np.abs(np.linalg.eigvalsh(fhat.evaluate_grid(theta_grid())))))
+    den_floor = 1e3 * EPS * fscale
+
+    def shifted(ts):
+        return np.abs(shifted_branch_eigenvalue(p, ts, q))
+
+    def f_branch(g):
+        return lambda t: tracked_eigenpair(g.evaluate(t), q, OVERLAP_MIN)[0]
+
+    return [
+        ("surrogate", lambda ts: shifted(ts) ** 2, _f_branch_fn(f, q),
+         lambda t: abs(per_point_shifted_eigenvalue(p, t, q)[0]) ** 2, f_branch(f),
+         (100 * EPS * pscale) ** 2, den_floor, t0),
+        ("direct", _s_gap_fn(p, q), _f_branch_fn(f, q),
+         lambda t: 1.0 - tracked_eigenpair(build_s(p, t), q, OVERLAP_MIN)[0], f_branch(f),
+         100 * EPS, den_floor, t0),
+        ("vcycle", shifted, _f_branch_fn(f, q),
+         lambda t: abs(per_point_shifted_eigenvalue(p, t, q)[0]), f_branch(f),
+         100 * EPS * pscale, den_floor, t0),
+        ("coarse", lambda ts: _f_branch_fn(fhat, q)(2.0 * ts), _f_branch_fn(f, q),
+         lambda t: f_branch(fhat)(2.0 * t), f_branch(f),
+         1e3 * EPS * hat_scale, den_floor, t0),
+    ]
+
+
+F4 = MatrixTrigPolynomial.scalar({0: 6.0, 1: -4.0, -1: -4.0, 2: 1.0, -2: 1.0})
+
+
+@pytest.mark.parametrize("p, f", [
+    *[(builder(r), stiffness_symbol(r)) for r in range(1, 9)
+      for builder in (build_linear_interp_symbol, build_geometric_symbol)],
+    (ONE, LAPLACE), (INTERP, F4), (HAT, LAPLACE)],
+    ids=[*[f"r{r}-{kind}" for r in range(1, 9) for kind in ("linear", "geometric")],
+         "injection", "fourth-order", "hat"])
+def test_batched_limits_match_per_point_reference(p, f):
+    for name, num, den, num1, den1, nfloor, dfloor, t0 in report_limits(p, f):
+        est = dyadic_limit(num, den, t0, _axis_directions(1),
+                           numer_floor=nfloor, denom_floor=dfloor)
+        passed, c, reason = per_point_dyadic_limit(num1, den1, t0, _axis_directions(1),
+                                                   numer_floor=nfloor, denom_floor=dfloor)
+        assert (est.passed, est.reason) == (passed, reason), name
+        if np.isfinite(c):
+            assert est.c == pytest.approx(c, rel=1e-4, abs=1e-12), name
+        else:
+            assert repr(est.c) == repr(c), name
+
+
+@pytest.mark.parametrize("p, zero_of, repeated", [
+    (build_linear_interp_symbol(4), stiffness_symbol(4), True),
+    (build_geometric_symbol(3), stiffness_symbol(3), False),
+    (tensor_symbol([build_geometric_symbol(2)] * 2), stiffness_symbol(2), True),
+], ids=["linear-r4", "geometric-r3", "geometric-r2-tensor"])
+def test_stacked_shifted_eigenvalue_matches_per_point_eig(p, zero_of, repeated):
+    zero = find_zero(zero_of)
+    q = np.kron(*[zero.q_jbar] * p.m) if p.m > 1 else zero.q_jbar
+    rng = np.random.default_rng(17)
+    ts = np.concatenate([
+        zero.theta0[0] + np.outer(2.0 ** -np.arange(5, 26), np.ones(p.m)),
+        zero.theta0[0] + 1e-3 * rng.standard_normal((10, p.m))])
+    got = shifted_branch_eigenvalue(p, ts, q)
+    assert got.shape == (len(ts),)
+    want = [per_point_shifted_eigenvalue(p, t, q) for t in ts]
+    np.testing.assert_allclose(got, [w for w, _ in want], rtol=0, atol=1e-12)
+    # a repeated eigenvalue is the case the cluster's span is matched for
+    assert (max(size for _, size in want) > 1) == repeated
+
+
+def test_shifted_eigenvalue_error_names_first_failing_point():
+    # p(t + pi) = diag(1, 1 + cos t, 1 - cos t): q = (1, 1, 1)/sqrt(3)
+    # overlaps each lone axis by 0.577, below the threshold, and passes
+    # only where cos t = 0 makes the three eigenvalues one cluster
+    p = MatrixTrigPolynomial({0: np.eye(3), 1: np.diag([0.0, -0.5, 0.5]),
+                              -1: np.diag([0.0, -0.5, 0.5])})
+    q = np.ones(3) / np.sqrt(3)
+    ts = np.array([np.pi / 2, 0.1, 3 * np.pi / 2, 0.3])
+    np.testing.assert_allclose(shifted_branch_eigenvalue(p, ts[[0, 2]], q), 1.0)
+    with pytest.raises(TrackingError, match=r"theta=\[0\.1\]"):
+        shifted_branch_eigenvalue(p, ts, q)
+
+
+def test_tracked_stack_error_names_first_failing_matrix():
+    q = np.ones(3) / np.sqrt(3)                      # 0.577 on every axis
+    bad = np.diag([1.0, 2.0, 3.0])
+    stack = np.stack([bad + 5 * np.ones((3, 3)), bad + np.ones((3, 3)), bad,
+                      bad + np.ones((3, 3)), bad])
+    with pytest.raises(TrackingError, match="at matrix 2 of 5"):
+        tracked_eigenpairs(stack, q)
+    w, V, overlaps = tracked_eigenpairs(stack[:2], q)
+    for k in range(2):
+        lam, v, overlap = tracked_eigenpair(stack[k], q)
+        assert (w[k], overlaps[k]) == (lam, overlap)
+        np.testing.assert_array_equal(V[k], v)
+        assert overlap > OVERLAP_MIN
+
+
+def test_dyadic_limit_error_order_is_per_point_order():
+    # an error surfaces where the point-by-point walk would meet it: the
+    # first failing point, direction by direction, the denominator of a
+    # point before its numerator, and never past a settled direction
+    def failing(bad, value=1.0):
+        def fn(ts):
+            for t in ts:
+                if any(abs(t[0] - b) < 1e-15 for b in bad):
+                    raise TrackingError(f"fails at {t[0]!r}")
+            return np.full(len(ts), value)
+        return fn
+
+    pts = [1.0 + s * 2.0 ** -k for s in (1.0, -1.0) for k in range(5, 26)]
+    kw = dict(numer_floor=0.0, denom_floor=0.0)
+    dirs = _axis_directions(1)
+
+    with pytest.raises(TrackingError, match=repr(pts[3])):
+        dyadic_limit(failing([pts[3], pts[30]]), failing([pts[7], pts[12]]),
+                     1.0, dirs, **kw)
+    with pytest.raises(TrackingError, match=repr(pts[7])):
+        dyadic_limit(failing([pts[9]]), failing([pts[7], pts[12]]),
+                     1.0, dirs, **kw)
+    with pytest.raises(TrackingError, match=repr(pts[30])):
+        dyadic_limit(failing([]), failing([pts[30], pts[35]]), 1.0, dirs, **kw)
+    # the first direction already exceeds the cap: the failure beyond it
+    # is never reached
+    est = dyadic_limit(failing([], 1e9), failing([pts[30]]), 1.0, dirs, **kw)
+    assert est.diverged and est.reason == "ratio exceeded cap 1e+08"

@@ -89,30 +89,9 @@ def test_solve_singular_carries_pivot():
     assert err.value.pivot_index is not None
 
 
-def test_solve_stack_matches_per_matrix():
-    rng = np.random.default_rng(12)
-    M = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
-    M += 4 * np.eye(4)
-    B = rng.standard_normal((6, 4, 3))
-    X = smallmat.solve(M, B)
-    for k in range(6):
-        np.testing.assert_allclose(X[k], smallmat.solve(M[k], B[k]), rtol=0, atol=1e-14)
-
-
-def test_solve_stack_singular_names_matrix_and_pivot():
-    M = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3))])
-    with pytest.raises(SingularMatrixError, match="index 2 of matrix 1") as err:
-        smallmat.solve(M, np.ones((3, 3, 1)))
-    assert err.value.pivot_index == 2
-
-
-def test_solve_empty_stack():
-    assert smallmat.solve(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))).shape == (0, 2, 2)
-
-
 def test_solve_shape_mismatch():
     with pytest.raises(DimensionError):
-        smallmat.solve(np.eye(2)[None].repeat(3, axis=0), np.ones((2, 2, 1)))
+        smallmat.solve(np.eye(2), np.ones((3, 1)))
 
 
 def test_det_identity_and_swap():

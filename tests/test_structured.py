@@ -293,6 +293,15 @@ class TestCooExport:
         first = path.read_text().splitlines()[0].split()
         assert first[0] == "coo" and first[1] == "8"
 
+    def test_zero_entry_roundtrip_is_complex(self, tmp_path):
+        path = tmp_path / "zero.coo"
+        write_coo(path, assemble_toeplitz(MatrixTrigPolynomial.scalar({0: 0.0}), 3))
+        assert path.read_text().splitlines()[0].split() == ["coo", "3", "3", "0"]
+        got = read_coo(path)
+        assert got.shape == (3, 3) and got.nnz == 0
+        assert got.dtype == np.complex128
+        assert read_coo(path).dtype == assemble_toeplitz(LAPLACE, 3).matrix.dtype
+
     @settings(max_examples=100, deadline=None)
     @given(f=symbols())
     def test_roundtrip_bit_exact_random(self, tmp_path_factory, f):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,22 @@ class TestCoefficients:
     def test_hermitian_detection(self, f_q2, p_l2):
         assert f_q2.hermitian
         assert not p_l2.hermitian
+
+    def test_trim_of_huge_entries_keeps_the_largest(self):
+        # a Frobenius norm of such entries overflows unless scaled first
+        f = MatrixTrigPolynomial({0: 1e200 * np.eye(2), 1: np.eye(2)})
+        assert list(f.coeffs) == [(0,)]
+        np.testing.assert_array_equal(f.coeffs[(0,)], 1e200 * np.eye(2))
+        assert f.hermitian
+
+    def test_near_max_entries_build_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            f = MatrixTrigPolynomial({0: 1.7e308 * np.eye(2), 1: -1.7e308 * np.eye(2)})
+            g = MatrixTrigPolynomial({0: 1.7e308 * np.eye(2), 1: -1.7e308 * np.eye(2),
+                                      -1: -1.7e308 * np.eye(2)})
+        assert set(f.coeffs) == {(0,), (1,)} and not f.hermitian
+        assert g.hermitian
 
     def test_product_is_pointwise(self, f_q2, p_l2):
         g = p_l2.conj_transpose() @ f_q2 @ p_l2
