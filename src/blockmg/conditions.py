@@ -592,14 +592,20 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
     field, never raised, so the report always materializes.  A pair
     whose block orders differ (``DimensionError``) or whose variable
     counts differ (``ArgumentError``), and a malformed zero structure of
-    f, raise before any check runs.  The shortcut hypotheses and the sup
-    norms of f and p are computed once and shared by the checks.
+    f, raise before any check runs, and so does a multivariate pair,
+    which :func:`~blockmg.multilevel.check_multilevel_conditions`
+    certifies.  The shortcut hypotheses and the sup norms of f and p are
+    computed once and shared by the checks.
     """
     if p.d != f.d:
         raise DimensionError(f"block order mismatch: p has d = {p.d}, f has d = {f.d}")
     if p.m != f.m:
         raise ArgumentError(
             f"variable count mismatch: p has m = {p.m}, f has m = {f.m}")
+    if p.m != 1:
+        raise ArgumentError(
+            f"full_report certifies univariate pairs, got m = {p.m}; certify "
+            f"multivariate pairs with multilevel.check_multilevel_conditions")
     zero = find_zero(f)
     scales = _sup_norms(f, p)
     try:

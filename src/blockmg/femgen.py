@@ -1,16 +1,17 @@
 """Degree-r Lagrangian finite elements on the unit interval: stiffness
-and mass assembly, extraction of the block generating symbols, the two
-projector-symbol families (scalar linear interpolation reblocked, and
-coarse-basis evaluation), and the Galerkin hierarchy of a FEM problem.
+and mass assembly, the two prolongation families (the scalar linear
+interpolation stencil and coarse-basis evaluation), the Galerkin
+hierarchy of a FEM problem, and the block symbols of all four matrices.
 
-Two assembly views coexist deliberately: an analysis view made of full
-block-Toeplitz matrices (for the symbol identities) and a solve view of
-FEM matrices of size r*n - 1 with both Dirichlet ends removed (for the
-iteration experiments).  The solve-path matrices are normalized by the
-element count so the constant-coefficient matrix agrees with the
-block-Toeplitz matrix of the extracted symbol on interior entries.  A
-solve-view problem, 1D here or 2D in :mod:`blockmg.multilevel`, is one
-:class:`FemProblem`; building it builds no symbol.
+There is one assembly view: the solve-path matrices of size r*n - 1,
+both Dirichlet ends removed, normalized by the element count.  Away from
+the ends they are block-Toeplitz (stiffness, mass) or block-Toeplitz
+times the cutting selector (prolongations), so each generating or
+projector symbol is read off one interior block column of the very
+matrix the solver assembles (:func:`_block_symbol`) and then checked
+against its known identities.  A solve-view problem, 1D here or 2D in
+:mod:`blockmg.multilevel`, is one :class:`FemProblem`; building it
+builds no symbol.
 
 The mesh is uniform, so assembly is batched over elements: the basis
 values and derivatives at the quadrature points (and, for the geometric
@@ -30,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ArgumentError, ConstructionError
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import (GENERAL, TOEPLITZ, BlockStructuredMatrix,
-                         GridTransfer, assemble_toeplitz, assemble_transfer)
+                         GridTransfer, assemble_transfer)
 from .symbol import MatrixTrigPolynomial
 from . import smallmat
 
@@ -42,6 +43,10 @@ COEFFICIENTS = {
 
 MAX_DEGREE = 8
 
+LINEAR = "linear"
+GEOMETRIC = "geometric"
+_LINTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
+
 
 @dataclass(frozen=True)
 class KnotGrid:
@@ -49,9 +54,6 @@ class KnotGrid:
 
     r: int
     n: int
-
-    def knot(self, i: int) -> float:
-        return i / (self.n * self.r)
 
 
 def lagrange_eval(grid: KnotGrid, j: int, x: float) -> float:
@@ -188,42 +190,51 @@ def assemble_mass(r: int, n_elements: int) -> BlockStructuredMatrix:
     return BlockStructuredMatrix(GENERAL, r, None, M)
 
 
-def _interior_blocks(mat: sp.csr_matrix, r: int, i: int, k: int) -> np.ndarray:
-    return mat[i * r:(i + 1) * r, k * r:(k + 1) * r].toarray()
+def _block_symbol(mat: sp.spmatrix, r: int, stride: int) -> MatrixTrigPolynomial:
+    """The r-by-r block symbol of an assembled reference matrix, read off
+    its middle complete block column k.
+
+    Block (i, k) holds c_{i-k} for stride 1 (stiffness, mass) and
+    c_{i-2k-1} for stride 2 (a prolongation, as in
+    :func:`~blockmg.structured.assemble_transfer`).  The column must be
+    interior: a band reaching its first or last complete block row is
+    cut off by the boundary and is rejected.
+    """
+    k = mat.shape[1] // r // 2
+    rows = mat.shape[0] // r
+    col = mat[:rows * r, k * r:(k + 1) * r].toarray().reshape(rows, r, r)
+    band = np.flatnonzero(col.any(axis=(1, 2)))
+    if band.size == 0 or band[0] == 0 or band[-1] == rows - 1:
+        raise ConstructionError(f"block column {k} is not interior to the reference matrix")
+    shift = stride * k + stride - 1
+    return MatrixTrigPolynomial({int(i) - shift: col[i] for i in band})
 
 
-def _symbol_from_band(mat: sp.csr_matrix, r: int) -> MatrixTrigPolynomial:
-    """Read the three-coefficient block band off an assembled matrix."""
-    a0 = _interior_blocks(mat, r, 2, 2)
-    a1 = _interior_blocks(mat, r, 3, 2)
-    am1 = _interior_blocks(mat, r, 2, 3)
-    far = _interior_blocks(mat, r, 2, 4)
-    scale = max(np.max(np.abs(a0)), 1.0)
-    if np.max(np.abs(far)) > 1e-12 * scale:
+def _check_band(f: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
+    if f.window()[0] > 1:
         raise ConstructionError(
             "band isolation failed: coupling beyond one block detected")
-    if np.max(np.abs(am1 - a1.conj().T)) > 1e-12 * scale:
+    if not f.hermitian:
         raise ConstructionError("band isolation failed: band is not Hermitian")
-    return MatrixTrigPolynomial({0: a0, 1: a1, -1: am1})
+    return f
 
 
 def stiffness_symbol(r: int) -> MatrixTrigPolynomial:
     """The r-by-r generating symbol of the normalized stiffness matrices.
 
-    Read off the interior blocks of the n=8 assembly; verified to kill
-    the all-ones vector at zero and to keep the non-minimal eigenvalues
-    bounded away from zero.
+    Read off an interior block column of the n=8 assembly; verified to
+    kill the all-ones vector at zero and to keep the non-minimal
+    eigenvalues bounded away from zero.
     """
     if r > MAX_DEGREE:
         raise ArgumentError(f"degree capped at {MAX_DEGREE}, got {r}")
-    problem = assemble_stiffness(r, 8, "one")
-    f = _symbol_from_band(problem.matrix.matrix, r)
+    f = _check_band(_block_symbol(assemble_stiffness(r, 8).matrix.matrix, r, 1))
     ones = np.ones(r)
     scale = smallmat.spectral_norm(f.evaluate(0.0))
     if np.linalg.norm(f.evaluate(0.0) @ ones) > 1e-10 * max(scale, 1.0):
         raise ConstructionError("stiffness symbol does not vanish on ones at 0")
     thetas = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
-    eigs = np.array([np.linalg.eigvalsh(v) for v in f.evaluate_grid(thetas)])
+    eigs = np.linalg.eigvalsh(f.evaluate_grid(thetas))
     if r >= 2 and np.min(eigs[:, 1:]) <= 1e-8:
         raise ConstructionError("non-minimal eigenvalues are not bounded away from 0")
     return f
@@ -233,51 +244,32 @@ def mass_symbol(r: int) -> MatrixTrigPolynomial:
     """The r-by-r generating symbol of the normalized mass matrices."""
     if r > MAX_DEGREE:
         raise ArgumentError(f"degree capped at {MAX_DEGREE}, got {r}")
-    return _symbol_from_band(assemble_mass(r, 8).matrix, r)
-
-
-_LINTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
+    return _check_band(_block_symbol(assemble_mass(r, 8).matrix, r, 1))
 
 
 def build_linear_interp_symbol(r: int) -> MatrixTrigPolynomial:
     """Block symbol of the scalar linear-interpolation transfer.
 
-    Built generically: assemble the scalar (1,2,1) transfer at a
-    reference size and regroup its columns into r-blocks; the row-sum
-    signature of the three coefficients (first row 1/2/1, remaining rows
-    2/2/0 for offsets -1/0/+1) is verified as a post-check.
+    Read off the solve-path (1,2,1) prolongation; the row-sum signature
+    of the three coefficients (first row 1/2/1, remaining rows 2/2/0 for
+    offsets -1/0/+1) is verified as a post-check.
     """
-    if r < 1:
-        raise ArgumentError(f"degree must be >= 1, got {r}")
-    n_ref = 5
-    M = r * n_ref
-    T = assemble_toeplitz(_LINTERP, M).matrix.toarray().real
-    kept_scalar = np.arange(1, r * (n_ref - 1), 2)       # first r(n-1)/2 even rows
-    S = T[:, kept_scalar]
-    jblk = 1                                             # interior kept block column
-    col0 = jblk * r
-    src = 2 * jblk + 1                                   # block column it selects
-    coeffs = {}
-    for off in (-1, 0, 1):
-        blk = S[(src + off) * r:(src + off + 1) * r, col0:col0 + r]
-        coeffs[off] = blk
-    p = MatrixTrigPolynomial(coeffs)
-    row_sums = {off: coeffs[off].sum(axis=1) for off in (-1, 0, 1)}
-    want = {
-        -1: np.array([1.0] + [2.0] * (r - 1)),
-        0: np.full(r, 2.0) if r > 1 else np.array([2.0]),
-        1: np.array([1.0] + [0.0] * (r - 1)),
-    }
-    for off in (-1, 0, 1):
-        if not np.allclose(row_sums[off], want[off], atol=1e-12):
+    # n = 16: at n = 8 and r = 1 the coarse side has only 3 columns, and
+    # no block column holds its whole band
+    p = _block_symbol(_fem_transfer_matrix(r, 16, LINEAR), r, 2)
+    first = np.eye(1, r)[0]
+    for off, want in ((-1, 2.0 - first), (0, np.full(r, 2.0)), (1, first)):
+        row_sums = p.coeffs.get((off,), np.zeros((r, r))).sum(axis=1)
+        if not np.allclose(row_sums, want, atol=1e-12):
             raise ConstructionError(
-                f"reblocked interpolation coefficient {off} has row sums "
-                f"{row_sums[off]}, expected {want[off]}")
+                f"linear interpolation coefficient {off} has row sums "
+                f"{row_sums}, expected {want}")
     return p
 
 
-def geometric_det_reference(r: int, theta: float) -> complex:
-    """Determinant of the coarse-basis projector symbol in closed form."""
+def geometric_det_reference(r: int, theta):
+    """Determinant of the coarse-basis projector symbol in closed form,
+    at an angle or elementwise over an array of angles."""
     return (np.exp(-1j * r * theta) * (np.exp(1j * theta) + 1.0) ** (r + 1)
             / 2.0 ** (r * (r + 1) / 2.0))
 
@@ -285,38 +277,25 @@ def geometric_det_reference(r: int, theta: float) -> complex:
 def build_geometric_symbol(r: int) -> MatrixTrigPolynomial:
     """Block symbol of the coarse-basis (finite element) prolongation.
 
-    The five coefficients hold evaluations of the n=2 coarse basis at
-    the n=4 fine knots; the far-left coefficient vanishes.  Construction
-    is cross-checked against the closed-form determinant at 64 angles.
+    Read off the solve-path prolongation, whose entries are evaluations
+    of the coarse basis at the fine knots; the coefficients sit at
+    offsets -1..2.  Construction is cross-checked against the
+    closed-form determinant at 64 angles and the row-sum identities.
     """
-    if r < 1:
-        raise ArgumentError(f"degree must be >= 1, got {r}")
-    coarse = KnotGrid(r, 2)
-    fine = KnotGrid(r, 4)
-    blocks = {}
-    for s, off in enumerate((-1, 0, 1, 2)):
-        B = np.zeros((r, r))
-        for i in range(1, r + 1):
-            x = fine.knot(s * r + i)
-            for j in range(1, r + 1):
-                B[i - 1, j - 1] = lagrange_eval(coarse, j, x)
-        blocks[off] = B
-    p = MatrixTrigPolynomial(blocks)
-    for theta in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):
-        got = smallmat.det(p.evaluate(theta))
-        want = geometric_det_reference(r, theta)
-        if abs(got - want) > 1e-10 * max(1.0, abs(want)):
-            raise ConstructionError(
-                f"determinant mismatch at theta={theta:.4f}: {got} vs {want}")
+    p = _block_symbol(_fem_transfer_matrix(r, 16, GEOMETRIC), r, 2)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    got = np.linalg.det(p.evaluate_grid(thetas))
+    want = geometric_det_reference(r, thetas)
+    bad = np.abs(got - want) > 1e-10 * np.maximum(1.0, np.abs(want))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConstructionError(
+            f"determinant mismatch at theta={thetas[i]:.4f}: {got[i]} vs {want[i]}")
     ones = np.ones(r)
     if (np.linalg.norm(p.evaluate(0.0) @ ones - 2.0 * ones) > 1e-10
             or np.linalg.norm(p.evaluate(np.pi) @ ones) > 1e-10):
         raise ConstructionError("coarse-basis symbol fails its row-sum identities")
     return p
-
-
-LINEAR = "linear"
-GEOMETRIC = "geometric"
 
 
 def projector_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
@@ -330,6 +309,8 @@ def projector_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
 
 def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
     """The prolongation matrix of :func:`build_fem_transfer`."""
+    if r < 1:
+        raise ArgumentError(f"degree must be >= 1, got {r}")
     if n_elements % 2 != 0 or n_elements < 4:
         raise ArgumentError(
             f"n_elements must be even and >= 4 to coarsen, got {n_elements}")

@@ -337,21 +337,13 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
                        converged=False, stagnated=stagnated)
 
 
-def richardson_omega_default(target, npoints: int = 1024) -> float:
-    """Default damping 1/||f||_inf.
-
-    Symbol input: ||f||_inf is the maximal eigenvalue of f over a sample
-    grid.  Matrix input: the Gershgorin bound stands in for the sup-norm.
-    """
-    from .symbol import MatrixTrigPolynomial, symbol_sup_norm
-
-    if isinstance(target, MatrixTrigPolynomial):
-        sup = symbol_sup_norm(target, npoints)
-    else:
-        sup = gershgorin_bound(target)
-    if sup <= 0:
+def richardson_omega_default(A) -> float:
+    """Default damping 1/C, with C the Gershgorin bound of the matrix A
+    standing in for its spectral radius."""
+    bound = gershgorin_bound(A)
+    if bound <= 0:
         raise ArgumentError("cannot derive a damping parameter from a zero operator")
-    return 1.0 / sup
+    return 1.0 / bound
 
 
 def write_residuals(path, residuals) -> None:

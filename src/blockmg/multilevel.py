@@ -130,8 +130,8 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     univariate factors ``ps`` against the bivariate symbol ``f2d``.
 
     ``fs`` supplies the univariate problem symbols (one per dimension)
-    for the per-factor certification shortcut; each factor pair is also
-    run through the full univariate report.
+    for the per-factor certification shortcut; each distinct factor pair
+    (by identity) is also run through the full univariate report once.
     """
     ps = list(ps)
     if len(ps) != 2:
@@ -140,7 +140,11 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     if len(fs) != len(ps):
         raise ArgumentError("one univariate problem symbol per dimension required")
 
-    factor_reports = [full_report(p, f) for p, f in zip(ps, fs)]
+    reports = {}
+    for p, f in zip(ps, fs):
+        if (id(p), id(f)) not in reports:
+            reports[id(p), id(f)] = full_report(p, f)
+    factor_reports = [reports[id(p), id(f)] for p, f in zip(ps, fs)]
     zeros = [r.symbol_zero for r in factor_reports]
     theta0 = np.array([z.theta0[0] for z in zeros])
     q = np.kron(zeros[0].q_jbar, zeros[1].q_jbar)

@@ -55,6 +55,9 @@ MALFORMED = {
     "certify-bivariate-f-univariate-p": lambda tmp: _certify_args(
         tmp, tensor_sum_symbol(stiffness_symbol(2), mass_symbol(2)),
         build_linear_interp_symbol(4)),
+    "certify-bivariate-pair": lambda tmp: _certify_args(
+        tmp, tensor_sum_symbol(stiffness_symbol(2), mass_symbol(2)),
+        tensor_symbol([build_linear_interp_symbol(2)] * 2)),
     "table-non-integer-t": lambda tmp: _table_args(tmp, b"x,31,tgm,6,1e-07,\n"),
     "table-two-fields": lambda tmp: _table_args(tmp, b"4,31\n"),
     "table-non-ascii-byte": lambda tmp: _table_args(tmp, b"4,31,tgm,6,1e-07,\xe9\n"),

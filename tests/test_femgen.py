@@ -78,7 +78,7 @@ class TestBasis:
         for i in range(n_knots):
             for j in range(n_knots):
                 want = 1.0 if i == j else 0.0
-                assert lagrange_eval(grid, j, grid.knot(i)) == pytest.approx(
+                assert lagrange_eval(grid, j, i / (grid.n * grid.r)) == pytest.approx(
                     want, abs=1e-12)
 
     def test_hat_midpoint(self):
@@ -193,6 +193,40 @@ class TestMass:
         for t in (0.0, 1.0, np.pi):
             assert h.evaluate(t)[0, 0].real == pytest.approx(
                 (4 + 2 * np.cos(t)) / 6.0, abs=1e-12)
+
+
+def _block_column(mat, r, k, shift):
+    """Blocks (i, k) of a dense matrix as {i - shift: block}, zero ones left out."""
+    blocks = {}
+    for i in range(mat.shape[0] // r):
+        block = mat[i * r:(i + 1) * r, k * r:(k + 1) * r]
+        if block.any():
+            blocks[i - shift] = block
+    return blocks
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_symbols_are_interior_block_columns_at_n32(r):
+    """Each symbol equals an interior block column of the same-kind
+    matrix assembled at n = 32, bit for bit except for the geometric one."""
+    k = 8
+    cases = [
+        (stiffness_symbol(r), assemble_stiffness(r, 32).matrix.dense(), k, 0.0),
+        (mass_symbol(r), assemble_mass(r, 32).matrix.toarray(), k, 0.0),
+        (build_linear_interp_symbol(r),
+         build_fem_transfer(r, 32, "linear").matrix.toarray(), 2 * k + 1, 0.0),
+        (build_geometric_symbol(r),
+         build_fem_transfer(r, 32, "geometric").matrix.toarray(), 2 * k + 1, 1e-15),
+    ]
+    for f, mat, shift, tol in cases:
+        want = _block_column(mat, r, k, shift)
+        assert sorted(want) == [j for (j,) in sorted(f.coeffs)]
+        for j, block in want.items():
+            got = f.coeffs[(j,)]
+            if tol == 0.0:
+                np.testing.assert_array_equal(got, block)
+            else:
+                assert np.max(np.abs(got - block)) <= tol
 
 
 class TestStiffnessSymbol:

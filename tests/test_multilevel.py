@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from blockmg import (MatrixTrigPolynomial, assemble_toeplitz,
                      assemble_transfer, build_s, corner_sum, cutting_matrix,
-                     tensor_symbol)
+                     multilevel, tensor_symbol)
 from blockmg.errors import ArgumentError
 from blockmg.femgen import (build_geometric_symbol, mass_symbol,
                             stiffness_symbol)
@@ -217,6 +217,20 @@ class TestMultilevelConditions:
         assert report.vcycle_heuristic["label"] == "heuristic"
         doc = report.to_json()
         assert "heuristic" in doc
+
+    def test_one_factor_report_per_distinct_pair(self, p_l2, monkeypatch):
+        f = stiffness_symbol(2)
+        f2d = tensor_sum_symbol(f, mass_symbol(2))
+        twin = MatrixTrigPolynomial(p_l2.coeffs)  # equal but distinct: two reports
+        separate = check_multilevel_conditions([p_l2, twin], f2d, fs=[f, f]).to_json()
+        calls = []
+        full_report = multilevel.full_report
+        monkeypatch.setattr(multilevel, "full_report",
+                            lambda p, g: calls.append(p) or full_report(p, g))
+        shared = check_multilevel_conditions([p_l2, p_l2], f2d, fs=[f, f])
+        assert len(calls) == 1
+        assert len(shared.factor_reports) == 2
+        assert shared.to_json() == separate
 
     def test_fs_required(self, p_l2):
         f = stiffness_symbol(2)
