@@ -78,6 +78,9 @@ class ExperimentConfig:
             (self.omega is None or math.isfinite(self.omega), "omega must be finite"),
             (self.tol > 0 and math.isfinite(self.tol), "tol must be positive and finite"),
             (self.max_iter >= 1, "max_iter must be >= 1"),
+            (self.sweeps_pre >= 0 and self.sweeps_post >= 0,
+             "sweep counts must be nonnegative"),
+            (self.seed >= 0, "seed must be nonnegative"),
         ]
         for ok, message in checks:
             if not ok:

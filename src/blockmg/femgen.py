@@ -14,10 +14,12 @@ against its known identities.  A solve-view problem, 1D here or 2D in
 builds no symbol.
 
 The mesh is uniform, so assembly is batched over elements: the basis
-values and derivatives at the quadrature points (and, for the geometric
-transfer, the coarse-basis values at one coarse element's fine knots)
-are tabulated once on a reference element, and every element's entries
-follow from those tables by broadcasting.
+values and derivatives at the quadrature points are tabulated once on a
+reference element, and every element's entries follow from those tables
+by broadcasting.  Both prolongations are built the same way: one
+(2r, r+1) reference table per kind, the weight of each coarse knot of a
+coarse element at each of its fine knots, scattered over all coarse
+elements into one sparse matrix.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ArgumentError, ConstructionError
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
-from .structured import (GENERAL, TOEPLITZ, BlockStructuredMatrix,
-                         GridTransfer, assemble_transfer)
+from .structured import GENERAL, BlockStructuredMatrix, GridTransfer
 from .symbol import MatrixTrigPolynomial
 from . import smallmat
 
@@ -45,7 +46,6 @@ MAX_DEGREE = 8
 
 LINEAR = "linear"
 GEOMETRIC = "geometric"
-_LINTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
 
 
 @dataclass(frozen=True)
@@ -314,31 +314,30 @@ def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
     if n_elements % 2 != 0 or n_elements < 4:
         raise ArgumentError(
             f"n_elements must be even and >= 4 to coarsen, got {n_elements}")
+    nce = n_elements // 2
     nf = r * n_elements - 1
-    nc = r * (n_elements // 2) - 1
+    nc = r * nce - 1
+    # coarse element e holds fine knots 2 r e + s, s = 0..2r-1, and coarse
+    # knots r e + l, l = 0..r; the mesh is uniform, so one reference table
+    # of the weights of coarse knot l at fine knot s serves every element
+    s = np.arange(2 * r)[:, None]
+    ell = np.arange(r + 1)
     if kind == LINEAR:
-        P = assemble_transfer(_LINTERP, nf, TOEPLITZ).matrix.real
+        # the (1,2,1) stencil: fine knot k takes 2 - |k - 2c| of coarse knot c
+        table = np.clip(2.0 - np.abs(s - 2 * ell), 0.0, None)
     elif kind == GEOMETRIC:
-        nce = n_elements // 2
         coarse = KnotGrid(r, nce)
-        # coarse element e holds fine knots 2 r e + s, s = 0..2r-1; the mesh
-        # is uniform, so element 0's basis values serve every element.  Fine
-        # knot 0 meets only coarse knot 0, which the column window drops.
-        s = np.arange(2 * r)
-        table = np.array([[lagrange_eval(coarse, ell, k / (nf + 1))
-                           for ell in range(r + 1)] for k in s])
-        e = np.arange(nce)[:, None, None]
-        fine, crs = np.broadcast_arrays(2 * r * e + s[:, None],
-                                        r * e + np.arange(r + 1))
-        vals = np.broadcast_to(table, fine.shape)
-        keep = (vals != 0.0) & (crs >= 1) & (crs <= nc)
-        P = sp.coo_matrix((vals[keep], (fine[keep] - 1, crs[keep] - 1)),
-                          shape=(nf, nc)).tocsr()
+        table = np.array([[lagrange_eval(coarse, j, k / (nf + 1))
+                           for j in range(r + 1)] for k in range(2 * r)])
     else:
         raise ArgumentError(f"unknown transfer kind {kind!r}")
-    if P.shape != (nf, nc):
-        raise ConstructionError(f"transfer has shape {P.shape}, expected {(nf, nc)}")
-    return P
+    # fine knot 0 meets only coarse knot 0, which the column window drops
+    e = np.arange(nce)[:, None, None]
+    fine, crs = np.broadcast_arrays(2 * r * e + s, r * e + ell)
+    vals = np.broadcast_to(table, fine.shape)
+    keep = (vals != 0.0) & (crs >= 1) & (crs <= nc)
+    return sp.coo_matrix((vals[keep], (fine[keep] - 1, crs[keep] - 1)),
+                         shape=(nf, nc)).tocsr()
 
 
 def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
@@ -346,7 +345,9 @@ def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
 
     ``linear`` is the scalar (1,2,1) stencil: the tridiagonal matrix of
     2 + 2cos times the even-row selector.  ``geometric`` holds the
-    evaluations of the coarse basis functions at the fine knots.
+    evaluations of the coarse basis functions at the fine knots.  Both
+    come from one reference table of a coarse element, scattered over
+    every coarse element.
     """
     return GridTransfer(_fem_transfer_matrix(r, n_elements, kind))
 

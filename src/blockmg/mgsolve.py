@@ -17,6 +17,11 @@ storage (kd + 1) N is no larger than nnz(M) (every 1D FEM level), LAPACK
 SuperLU factor of tril(M) in natural order does.  On a real level, a
 complex right-hand side is solved as its real and imaginary parts, by
 either smoother backend and by the coarsest-level LU.
+
+A hierarchy checks that its levels of size at most 512 are positive
+definite from the extreme eigenvalues of their Hermitian parts, by the
+same rule: banded LAPACK (``sbevx``/``hbevx``) on a level whose band
+storage fits in nnz(M), a dense ``eigvalsh`` otherwise.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import eig_banded, get_lapack_funcs
 
 from .errors import ArgumentError, ConfigurationError, SingularMatrixError
 from .structured import BlockStructuredMatrix, GridTransfer, galerkin
@@ -116,6 +121,33 @@ def _real_split(solve, M):
     return split
 
 
+def _lower_band(M: sp.csr_matrix, hermitian: bool = False):
+    """The lower band storage ab[k, j] = M[j + k, j], k = 0..kd, of a
+    square M with lower bandwidth kd, when it holds no more than nnz(M)
+    entries, (kd + 1) N <= nnz(M); None otherwise.
+
+    kd is read in O(N) off the first stored column of each row.  With
+    ``hermitian`` the storage is that of the Hermitian part (M + M^H)/2,
+    and kd also covers the upper bandwidth of M, read off the last
+    stored column of each row."""
+    n = M.shape[0]
+    if not M.has_sorted_indices:
+        M = M.sorted_indices()
+    rows = np.flatnonzero(np.diff(M.indptr))
+    kd = np.max(rows - M.indices[M.indptr[rows]], initial=0)
+    if hermitian:
+        kd = max(kd, np.max(M.indices[M.indptr[rows + 1] - 1] - rows, initial=0))
+    kd = int(kd)
+    if (kd + 1) * n > M.nnz:
+        return None
+    ab = np.zeros((kd + 1, n), dtype=np.result_type(M.dtype, float))
+    for k in range(kd + 1):
+        ab[k, :n - k] = M.diagonal(-k)
+        if hermitian:
+            ab[k, :n - k] = 0.5 * (ab[k, :n - k] + np.conj(M.diagonal(k)))
+    return ab
+
+
 def _correction(M: sp.csr_matrix, spec: SmootherSpec):
     """The map r -> x-correction of one sweep of ``spec`` on M, prepared
     once: omega r for Richardson, (D + L)^{-1} r for forward Gauss-Seidel
@@ -130,18 +162,11 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
         return lambda r: omega * r
     if np.any(M.diagonal() == 0):
         raise ConfigurationError("Gauss-Seidel needs a nonzero diagonal")
-    n = M.shape[0]
-    if not M.has_sorted_indices:
-        M = M.sorted_indices()
-    # each row stores its diagonal, so its first column is at most its index
-    kd = int(np.max(np.arange(n) - M.indices[M.indptr[:-1]]))
-    if (kd + 1) * n > M.nnz:
+    ab = _lower_band(M)
+    if ab is None:
         solve_lower = spla.splu(sp.tril(M).tocsc(), permc_spec="NATURAL",
                                 options=dict(DiagPivotThresh=0.0)).solve
     else:
-        ab = np.zeros((kd + 1, n), dtype=np.result_type(M.dtype, float))
-        for k in range(kd + 1):
-            ab[k, :n - k] = M.diagonal(-k)
         tbtrs = get_lapack_funcs("tbtrs", (ab,))
 
         def solve_lower(r):
@@ -174,6 +199,21 @@ def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _correct=None):
     return x
 
 
+def _extreme_eigenvalues(M: sp.csr_matrix):
+    """Smallest and largest eigenvalue of the Hermitian part of M: from
+    its band (LAPACK ``sbevx``/``hbevx``) when :func:`_lower_band` gives
+    one, from the dense matrix otherwise."""
+    hb = _lower_band(M, hermitian=True)
+    if hb is None:
+        H = M.toarray()
+        w = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+        return w[0], w[-1]
+    n = M.shape[0]
+    lo, hi = (eig_banded(hb, lower=True, eigvals_only=True, select="i",
+                         select_range=(k, k))[0] for k in (0, n - 1))
+    return lo, hi
+
+
 @dataclass
 class _Level:
     matrix: BlockStructuredMatrix
@@ -187,7 +227,10 @@ class MultigridHierarchy:
     """Ordered levels (matrix, transfer, smoother); coarsest solved directly.
 
     Construction checks the size chain and, on levels of size at most
-    512, positive definiteness of the (Hermitian) level matrices.  Where
+    512, positive definiteness of the (Hermitian) level matrices:
+    lambda_min > 1e-12 max(lambda_max, 1), with the extreme eigenvalues
+    taken from the band on band levels and from the dense matrix
+    elsewhere, by the smoother's rule (see the module docstring).  Where
     coarsening stops is decided by the builders (``build_fem_hierarchy``,
     ``build_2d_hierarchy``); a hierarchy holds the levels it is given.
     """
@@ -223,12 +266,11 @@ class MultigridHierarchy:
         for ell, lvl in enumerate(self.levels):
             if lvl.matrix.size > 512:
                 continue
-            H = lvl.matrix.dense()
-            w = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
-            if w[0] <= 1e-12 * max(w[-1], 1.0):
+            lo, hi = _extreme_eigenvalues(lvl.matrix.matrix)
+            if lo <= 1e-12 * max(hi, 1.0):
                 raise ConfigurationError(
                     f"level {ell} matrix is not positive definite "
-                    f"(min eigenvalue {w[0]:.3e})")
+                    f"(min eigenvalue {lo:.3e})")
 
     def _coarse_solve(self, ell):
         lvl = self.levels[ell]

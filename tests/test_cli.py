@@ -67,6 +67,9 @@ MALFORMED = {
     "run-inf-omega": lambda tmp: _run_args(
         tmp, b"smoother = richardson\ncycle = tgm\nomega = inf\nt_range = 3\n"),
     "run-inf-tol": lambda tmp: _run_args(tmp, b"tol = inf\nt_range = 3\n"),
+    "run-negative-seed": lambda tmp: _run_args(tmp, b"seed = -1\nt_range = 3\n"),
+    "run-certify-negative-sweeps": lambda tmp: _run_args(
+        tmp, b"mode = certify\nsweeps_pre = -1\nt_range = 3\n"),
 }
 
 

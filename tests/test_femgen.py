@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from blockmg import assemble_toeplitz
+from blockmg import MatrixTrigPolynomial, assemble_toeplitz, assemble_transfer
 from blockmg.errors import ArgumentError
-from blockmg.femgen import (COEFFICIENTS, KnotGrid, assemble_mass, assemble_stiffness,
+from blockmg.femgen import (COEFFICIENTS, KnotGrid, _fem_transfer_matrix,
+                            assemble_mass, assemble_stiffness,
                             build_fem_hierarchy, build_fem_transfer,
                             build_geometric_symbol,
                             build_linear_interp_symbol, geometric_det_reference,
@@ -309,6 +310,17 @@ class TestFemTransfer:
             center = 2 * j + 1
             np.testing.assert_allclose(P[center - 1:center + 2, j],
                                        [1.0, 2.0, 1.0], atol=1e-14)
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_linear_matches_toeplitz_oracle(self, r):
+        # bit for bit: the scalar (1,2,1) Toeplitz matrix times the selector
+        stencil = MatrixTrigPolynomial.scalar({0: 2, 1: 1, -1: 1})
+        for n in (4, 8, 16, 64, 1024):
+            got = _fem_transfer_matrix(r, n, "linear")
+            want = assemble_transfer(stencil, r * n - 1, "toeplitz").matrix.real
+            assert got.dtype == want.dtype
+            for attr in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
     def test_geometric_degree_one_is_half_linear(self):
         PL = build_fem_transfer(1, 8, "linear").matrix.toarray().real

@@ -19,6 +19,9 @@ from blockmg.structured import BlockStructuredMatrix, GENERAL
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
 GS = SmootherSpec()
+_C1 = np.array([[-1.0 + 0.5j, 0.25j], [0.3, -1.0 - 0.2j]])
+COMPLEX_HERMITIAN = MatrixTrigPolynomial(
+    {0: np.array([[6.0, 1.0 - 1.0j], [1.0 + 1.0j, 6.0]]), 1: _C1, -1: _C1.conj().T})
 
 
 def tridiag(n):
@@ -115,11 +118,8 @@ class TestSmootherBackends:
             assert _uses_superlu(_assert_gauss_seidel_oracle(lvl.matrix.matrix, ell))
 
     def test_complex_hermitian_block_toeplitz_is_banded(self):
-        c1 = np.array([[-1.0 + 0.5j, 0.25j], [0.3, -1.0 - 0.2j]])
-        f = MatrixTrigPolynomial({0: np.array([[6.0, 1.0 - 1.0j], [1.0 + 1.0j, 6.0]]),
-                                  1: c1, -1: c1.conj().T})
-        assert f.hermitian
-        A = assemble_toeplitz(f, 31)
+        assert COMPLEX_HERMITIAN.hermitian
+        A = assemble_toeplitz(COMPLEX_HERMITIAN, 31)
         correct = _assert_gauss_seidel_oracle(A.matrix)
         assert not _uses_superlu(correct)
 
@@ -235,6 +235,91 @@ class TestHierarchy:
                                       sp.diags(np.linspace(-1, 1, k)).tocsr())
         with pytest.raises(ConfigurationError):
             MultigridHierarchy([A, indef], [P], GS)
+
+    @staticmethod
+    def _shifted_tridiag(n, lam_min, dense):
+        """tridiag(-1, 2, -1) shifted by a diagonal so that its smallest
+        eigenvalue is lam_min; ``dense`` stores explicit zeros in the two
+        far corners, which leave the matrix unchanged but widen its band
+        past nnz, so the check takes the dense path."""
+        shift = lam_min - (2.0 - 2.0 * np.cos(np.pi / (n + 1)))
+        M = sp.coo_matrix(tridiag(n) + shift * sp.eye(n))
+        if dense:
+            M = sp.coo_matrix((np.r_[M.data, 0.0, 0.0],
+                               (np.r_[M.row, 0, n - 1], np.r_[M.col, n - 1, 0])),
+                              shape=(n, n))
+        return M.tocsr()
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_positive_definite_threshold_on_both_paths(self, dense):
+        A, P = two_grid_pieces(31)
+        k = P.coarse_size
+        lam_max = 4.0 - 2.0 * (2.0 - 2.0 * np.cos(np.pi / (k + 1)))
+        threshold = 1e-12 * max(lam_max, 1.0)
+        for factor, accepted in ((2.0, True), (0.5, False)):
+            M = self._shifted_tridiag(k, factor * threshold, dense)
+            assert (mgsolve._lower_band(M, hermitian=True) is None) == dense
+            lo, hi = mgsolve._extreme_eigenvalues(M)
+            assert hi == pytest.approx(lam_max + factor * threshold, rel=1e-12)
+            assert abs(lo - factor * threshold) <= 1e-3 * threshold
+            coarse = BlockStructuredMatrix(GENERAL, 1, None, M)
+            if accepted:
+                MultigridHierarchy([A, coarse], [P], GS)
+            else:
+                with pytest.raises(ConfigurationError, match="not positive definite"):
+                    MultigridHierarchy([A, coarse], [P], GS)
+
+    def test_complex_hermitian_band_level(self):
+        M = assemble_toeplitz(COMPLEX_HERMITIAN, 31).matrix
+        hb = mgsolve._lower_band(M, hermitian=True)
+        assert hb is not None and np.iscomplexobj(hb)
+        w = np.linalg.eigvalsh(M.toarray())
+        lo, hi = mgsolve._extreme_eigenvalues(M)
+        assert lo == pytest.approx(w[0], rel=1e-12)
+        assert hi == pytest.approx(w[-1], rel=1e-12)
+        A, P = two_grid_pieces(125)
+        MultigridHierarchy([A, BlockStructuredMatrix(GENERAL, 2, None, M)], [P], GS)
+        # shifted to lambda_min = -1, the level is refused
+        indef = (M - (w[0] + 1.0) * sp.eye(M.shape[0])).tocsr()
+        with pytest.raises(ConfigurationError, match=r"min eigenvalue -1\.000e\+00"):
+            MultigridHierarchy([A, BlockStructuredMatrix(GENERAL, 2, None, indef)],
+                               [P], GS)
+
+    def test_band_of_hermitian_part_covers_upper_bandwidth(self):
+        # lower bandwidth 1, upper bandwidth 2: the Hermitian part has 2
+        n = 40
+        M = (tridiag(n) + 4.0 * sp.eye(n) + sp.diags([0.7], [2], shape=(n, n))).tocsr()
+        assert mgsolve._lower_band(M).shape[0] == 2
+        assert mgsolve._lower_band(M, hermitian=True).shape[0] == 3
+        H = M.toarray()
+        w = np.linalg.eigvalsh(0.5 * (H + H.T))
+        np.testing.assert_allclose(mgsolve._extreme_eigenvalues(M), (w[0], w[-1]),
+                                   rtol=1e-12)
+
+    def test_level_check_paths(self, monkeypatch):
+        # assembled first: the quadrature rule calls eigvalsh too
+        problem_1d = assemble_stiffness(2, 2 ** 10, "xsq_plus_one")
+        problem_2d = assemble_2d_problem(2, 7)
+        band, dense = [], []
+        eig_banded, eigvalsh = mgsolve.eig_banded, np.linalg.eigvalsh
+
+        def count_band(a, **kw):
+            band.append(a.shape[1])
+            return eig_banded(a, **kw)
+
+        def count_dense(a, *args, **kw):
+            dense.append(a.shape[0])
+            return eigvalsh(a, *args, **kw)
+
+        monkeypatch.setattr(mgsolve, "eig_banded", count_band)
+        monkeypatch.setattr(np.linalg, "eigvalsh", count_dense)
+        build_fem_hierarchy(problem_1d, "linear")
+        # two calls per band level: the smallest and the largest eigenvalue
+        assert band == [511, 511, 255, 255, 127, 127, 63, 63] and dense == []
+        band.clear()
+        h = build_2d_hierarchy(problem_2d, "linear", GS)
+        assert [lvl.matrix.size for lvl in h.levels][-2:] == [225, 49]
+        assert dense == [225, 49] and band == []
 
     def test_richardson_interval_positive_definite(self):
         # with omega in (0, 2/C), 2 omega I - omega^2 A stays PD per level
