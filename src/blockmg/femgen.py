@@ -111,12 +111,17 @@ class FemProblem:
 
     ``matrix`` is the Dirichlet-trimmed, normalized system matrix: the
     stiffness matrix of size r*n_elements - 1 in 1D, or the tensor
-    operator of size (r*n_elements - 1)^2 in 2D.
+    operator K (x) M + M (x) K of size (r*n_elements - 1)^2 in 2D.
+    ``factors`` is the 1D pair (K, M) of CSR stiffness and mass matrices
+    that the 2D operator is built from, and from which
+    :func:`~blockmg.multilevel.build_2d_hierarchy` forms every coarse
+    level; it is None in 1D.
     """
 
     r: int
     n_elements: int
     matrix: BlockStructuredMatrix
+    factors: tuple | None = None
 
     @property
     def size(self) -> int:

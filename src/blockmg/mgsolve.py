@@ -18,10 +18,11 @@ SuperLU factor of tril(M) in natural order does.  On a real level, a
 complex right-hand side is solved as its real and imaginary parts, by
 either smoother backend and by the coarsest-level LU.
 
-A hierarchy checks that its levels of size at most 512 are positive
-definite from the extreme eigenvalues of their Hermitian parts, by the
-same rule: banded LAPACK (``sbevx``/``hbevx``) on a level whose band
-storage fits in nnz(M), a dense ``eigvalsh`` otherwise.
+A hierarchy checks that its level matrices are finite, and that its
+levels of size at most 512 are positive definite from the extreme
+eigenvalues of their Hermitian parts, by the same rule: banded LAPACK
+(``sbevx``/``hbevx``) on a level whose band storage fits in nnz(M), a
+dense ``eigvalsh`` otherwise.
 """
 
 from __future__ import annotations
@@ -164,7 +165,11 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
         raise ConfigurationError("Gauss-Seidel needs a nonzero diagonal")
     ab = _lower_band(M)
     if ab is None:
+        # a triangular factor takes no column updates, so one-column
+        # panels give the same factor without the default multi-column
+        # panel workspace, fresh memory on every factorization
         solve_lower = spla.splu(sp.tril(M).tocsc(), permc_spec="NATURAL",
+                                panel_size=1,
                                 options=dict(DiagPivotThresh=0.0)).solve
     else:
         tbtrs = get_lapack_funcs("tbtrs", (ab,))
@@ -226,8 +231,9 @@ class _Level:
 class MultigridHierarchy:
     """Ordered levels (matrix, transfer, smoother); coarsest solved directly.
 
-    Construction checks the size chain and, on levels of size at most
-    512, positive definiteness of the (Hermitian) level matrices:
+    Construction checks the size chain, that every level matrix is
+    finite and, on levels of size at most 512, positive definiteness of
+    the (Hermitian) level matrices:
     lambda_min > 1e-12 max(lambda_max, 1), with the extreme eigenvalues
     taken from the band on band levels and from the dense matrix
     elsewhere, by the smoother's rule (see the module docstring).  Where
@@ -263,6 +269,9 @@ class MultigridHierarchy:
         return cls(mats, list(transfers), smoother)
 
     def _check_positive_definite(self):
+        for ell, lvl in enumerate(self.levels):
+            if not np.isfinite(lvl.matrix.matrix.data).all():
+                raise ConfigurationError(f"level {ell} matrix has non-finite entries")
         for ell, lvl in enumerate(self.levels):
             if lvl.matrix.size > 512:
                 continue

@@ -1,14 +1,21 @@
 """Multilevel (m-dimensional) extension: corner-set conditions on a 2D
 grid with their tensor-factorization shortcuts, the bivariate symbol of
 the 2D tensor operator, and 2D tensor FEM problems assembled as
-stiffness (x) mass + mass (x) stiffness.
+stiffness (x) mass + mass (x) stiffness, with their hierarchies.
 
-Multilevel Toeplitz matrices, cutting and transfers come from
-:mod:`blockmg.structured`, which takes a tuple of per-variable sizes.
-A 2D problem is a :class:`~blockmg.femgen.FemProblem` like a 1D one and
-builds no symbol; certification builds the symbols it checks itself.
-The tensor algebra is written for general m; the 2D case is wired
-end-to-end for experiments.
+A 2D hierarchy uses the paper's tensor product argument.  With the same
+1D prolongation P on both axes,
+
+    (P (x) P)^H (K (x) M + M (x) K) (P (x) P) = K_c (x) M_c + M_c (x) K_c,
+
+where K_c = P^H K P and M_c = P^H M P, so every level, the finest
+included, is one Kronecker sum (:func:`kron_sum`) of the 1D pair that
+the 1D Galerkin chain (:func:`~blockmg.structured.galerkin`) gives at
+that level; no 2D triple product is formed.  A 2D problem is a
+:class:`~blockmg.femgen.FemProblem` like a 1D one that also carries its
+1D pair, and builds no symbol; certification builds the symbols it
+checks itself.  The tensor algebra is written for general m; the 2D
+case is wired end-to-end for experiments.
 """
 
 from __future__ import annotations
@@ -23,11 +30,11 @@ from .conditions import (EPS, CheckResult, _axis_directions, _error_result,
                          _f_branch_fn, _s_gap_fn, build_s, build_s_grid,
                          check_condition_i, dyadic_limit, full_report,
                          jsonable)
-from .errors import ArgumentError, BlockmgError
+from .errors import ArgumentError, BlockmgError, ConstructionError
 from .femgen import (FemProblem, _transfer_chain, assemble_mass,
                      assemble_stiffness)
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
-from .structured import GENERAL, BlockStructuredMatrix, GridTransfer
+from .structured import GENERAL, BlockStructuredMatrix, GridTransfer, galerkin
 from .symbol import (MatrixTrigPolynomial, corner_sums, symbol_sup_norm,
                      tensor_symbol)
 
@@ -48,10 +55,37 @@ def tensor_sum_symbol(f: MatrixTrigPolynomial, h: MatrixTrigPolynomial) -> Matri
     return MatrixTrigPolynomial(out, m=2)
 
 
+def kron_sum(K: sp.csr_matrix, M: sp.csr_matrix) -> sp.csr_matrix:
+    """K (x) M + M (x) K of two square CSR matrices with one sparsity
+    pattern.
+
+    Both Kronecker products then have the same coordinates, so they are
+    formed once, their data added, and the sum converted to CSR once.
+    Matrices with different patterns raise :class:`ConstructionError`.
+    """
+    K, M = (A if A.has_sorted_indices else A.sorted_indices() for A in (K, M))
+    if (K.shape != M.shape or not np.array_equal(K.indptr, M.indptr)
+            or not np.array_equal(K.indices, M.indices)):
+        raise ConstructionError("Kronecker sum needs two matrices with one sparsity pattern")
+    n = K.shape[0]
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    row = np.repeat(np.arange(n, dtype=index), np.diff(K.indptr))
+    col = K.indices.astype(index, copy=False)
+    rows = (row[:, None] * n + row).ravel()
+    cols = (col[:, None] * n + col).ravel()
+    data = (np.multiply.outer(K.data, M.data) + np.multiply.outer(M.data, K.data)).ravel()
+    return sp.coo_matrix((data, (rows, cols)), shape=(n * n, n * n)).tocsr()
+
+
+def _tensor_level(r: int, K: sp.csr_matrix, M: sp.csr_matrix) -> BlockStructuredMatrix:
+    return BlockStructuredMatrix(GENERAL, r * r, None, kron_sum(K, M))
+
+
 def assemble_2d_problem(r: int, t: int) -> FemProblem:
     """Assemble the desk-scale 2D problem of size (r 2^t - 1)^2: the
     operator stiffness (x) mass + mass (x) stiffness in the natural
-    Kronecker dof ordering, block order r^2."""
+    Kronecker dof ordering, block order r^2, with the 1D pair as its
+    ``factors``."""
     if r > 3:
         raise ArgumentError(f"2D problems capped at degree 3, got {r}")
     if t > 7:
@@ -59,21 +93,32 @@ def assemble_2d_problem(r: int, t: int) -> FemProblem:
     n = 2 ** t
     K = assemble_stiffness(r, n).matrix.matrix
     M = assemble_mass(r, n).matrix
-    A = (sp.kron(K, M) + sp.kron(M, K)).tocsr()
-    return FemProblem(r=r, n_elements=n,
-                      matrix=BlockStructuredMatrix(GENERAL, r * r, None, A))
+    return FemProblem(r=r, n_elements=n, matrix=_tensor_level(r, K, M),
+                      factors=(K, M))
 
 
 def build_2d_hierarchy(problem: FemProblem, kind: str,
                        smoother: SmootherSpec | None = None,
                        coarsest_max_size: int = DEFAULT_COARSEST,
                        two_level: bool = False) -> MultigridHierarchy:
-    """Galerkin hierarchy with per-level transfers kron(P_1d, P_1d)."""
+    """Galerkin hierarchy with per-level transfers kron(P_1d, P_1d).
+
+    Each coarse level is the Kronecker sum K_c (x) M_c + M_c (x) K_c of
+    the 1D Galerkin products K_c = P^H K P and M_c = P^H M P of the
+    problem's ``factors``, which equals the triple product of the finer
+    2D level with kron(P, P) (see the module docstring)."""
+    if problem.factors is None:
+        raise ArgumentError("a 2D hierarchy needs the 1D factors of a 2D problem")
     chain = _transfer_chain(problem.r, problem.n_elements, kind, 2,
                             coarsest_max_size, two_level)
+    K, M = (BlockStructuredMatrix(GENERAL, problem.r, None, A) for A in problem.factors)
+    mats = [problem.matrix]
+    for P in chain:
+        T = GridTransfer(P)
+        K, M = galerkin(K, T), galerkin(M, T)
+        mats.append(_tensor_level(problem.r, K.matrix, M.matrix))
     transfers = [GridTransfer(sp.kron(P, P)) for P in chain]
-    return MultigridHierarchy.from_transfers(problem.matrix, transfers,
-                                             smoother or SmootherSpec())
+    return MultigridHierarchy(mats, transfers, smoother or SmootherSpec())
 
 
 # -- multilevel condition verification --------------------------------------

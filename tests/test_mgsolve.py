@@ -296,6 +296,34 @@ class TestHierarchy:
         np.testing.assert_allclose(mgsolve._extreme_eigenvalues(M), (w[0], w[-1]),
                                    rtol=1e-12)
 
+    @staticmethod
+    def _refused_before_eigenvalues(monkeypatch, matrices, transfers, ell):
+        calls = []
+        monkeypatch.setattr(mgsolve, "eig_banded", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ConfigurationError,
+                           match=f"level {ell} matrix has non-finite entries"):
+            MultigridHierarchy(matrices, transfers, GS)
+        assert calls == []
+
+    def test_non_finite_band_level(self, monkeypatch):
+        A, P = two_grid_pieces(31)
+        M = tridiag(P.coarse_size)
+        M.data[M.nnz // 2] = np.nan
+        assert mgsolve._lower_band(M, hermitian=True) is not None
+        self._refused_before_eigenvalues(
+            monkeypatch, [A, BlockStructuredMatrix(GENERAL, 1, None, M)], [P], 1)
+
+    def test_non_finite_dense_level(self, monkeypatch):
+        h = build_2d_hierarchy(assemble_2d_problem(2, 3), "linear", GS)
+        mats = [lvl.matrix for lvl in h.levels]
+        M = mats[1].matrix.copy()
+        M.data[0] = np.nan
+        assert M.shape[0] <= 512 and mgsolve._lower_band(M, hermitian=True) is None
+        mats[1] = BlockStructuredMatrix(GENERAL, 4, None, M)
+        self._refused_before_eigenvalues(
+            monkeypatch, mats, [lvl.transfer for lvl in h.levels[:-1]], 1)
+
     def test_level_check_paths(self, monkeypatch):
         # assembled first: the quadrature rule calls eigvalsh too
         problem_1d = assemble_stiffness(2, 2 ** 10, "xsq_plus_one")

@@ -5,11 +5,14 @@ import scipy.sparse as sp
 from blockmg import (MatrixTrigPolynomial, assemble_toeplitz,
                      assemble_transfer, build_s, corner_sum, cutting_matrix,
                      multilevel, tensor_symbol)
-from blockmg.errors import ArgumentError
-from blockmg.femgen import (build_geometric_symbol, mass_symbol,
+from blockmg.errors import ArgumentError, ConstructionError
+from blockmg.femgen import (_transfer_chain, assemble_mass, assemble_stiffness,
+                            build_geometric_symbol, mass_symbol,
                             stiffness_symbol)
 from blockmg.multilevel import (assemble_2d_problem, build_2d_hierarchy,
-                                check_multilevel_conditions, tensor_sum_symbol)
+                                check_multilevel_conditions, kron_sum,
+                                tensor_sum_symbol)
+from blockmg.structured import GENERAL, BlockStructuredMatrix, GridTransfer, galerkin
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -180,6 +183,43 @@ class TestHierarchy2D:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ArgumentError, match="unknown transfer kind"):
             build_2d_hierarchy(assemble_2d_problem(1, 3), "algebraic")
+
+    def test_rejects_problem_without_factors(self):
+        with pytest.raises(ArgumentError, match="1D factors"):
+            build_2d_hierarchy(assemble_stiffness(1, 8), "linear")
+
+
+class TestTensorLevels:
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("t", [3, 4, 5])
+    def test_match_triple_product_hierarchy(self, r, t, kind):
+        # oracle: the Galerkin chain of the full Kronecker matrix through
+        # kron(P, P), which the tensor identity replaces
+        n = 2 ** t
+        K = assemble_stiffness(r, n).matrix.matrix
+        M = assemble_mass(r, n).matrix
+        fine = (sp.kron(K, M) + sp.kron(M, K)).tocsr()
+        want = [BlockStructuredMatrix(GENERAL, r * r, None, fine)]
+        for P in _transfer_chain(r, n, kind, 2, 64, False):
+            want.append(galerkin(want[-1], GridTransfer(sp.kron(P, P))))
+        problem = assemble_2d_problem(r, t)
+        got = [lvl.matrix.matrix for lvl in build_2d_hierarchy(problem, kind).levels]
+        assert [A.shape for A in got] == [B.matrix.shape for B in want]
+        assert [A.nnz for A in got] == [B.matrix.nnz for B in want]
+        for A, B in zip(got, want):
+            assert abs(A - B.matrix).max() <= 1e-13 * abs(B.matrix).max()
+        finest = got[0]
+        assert finest is problem.matrix.matrix
+        np.testing.assert_array_equal(finest.indptr, fine.indptr)
+        np.testing.assert_array_equal(finest.indices, fine.indices)
+        np.testing.assert_array_equal(finest.data, fine.data)
+
+    def test_kron_sum_needs_one_pattern(self):
+        K = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(5, 5)).tocsr()
+        M = sp.diags([1.0, 4.0], [-1, 0], shape=(5, 5)).tocsr()
+        with pytest.raises(ConstructionError, match="one sparsity pattern"):
+            kron_sum(K, M)
 
 
 class TestMultilevelConditions:
