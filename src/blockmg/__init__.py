@@ -20,10 +20,10 @@ from .conditions import (CheckResult, ConditionReport, build_s,
                          build_s_grid, check_condition_i, check_condition_ii,
                          check_condition_iii, check_fhat_properties,
                          check_vcycle_bound, full_report)
-from .femgen import (FemProblem, KnotGrid, assemble_mass, assemble_stiffness,
+from .femgen import (FemProblem, assemble_mass, assemble_stiffness,
                      build_fem_hierarchy, build_fem_transfer,
                      build_geometric_symbol, build_linear_interp_symbol,
-                     lagrange_eval, mass_symbol, stiffness_symbol)
+                     mass_symbol, stiffness_symbol)
 from .multilevel import (assemble_2d_problem, build_2d_hierarchy,
                          check_multilevel_conditions, tensor_sum_symbol)
 

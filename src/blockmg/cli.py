@@ -12,6 +12,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -160,8 +161,13 @@ def _solve_one(config: ExperimentConfig, t: int) -> dict:
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="ascii")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="ascii")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
 def _solve_stem(config: ExperimentConfig) -> str:
@@ -172,7 +178,10 @@ def _solve_stem(config: ExperimentConfig) -> str:
 def run(config: ExperimentConfig) -> int:
     """Execute the configured experiments; returns the process exit code."""
     out_dir = Path(config.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out_dir}: {exc}") from exc
     code = 0
     if config.mode in ("solve", "both"):
         rows = [_solve_one(config, t) for t in config.t_range]

@@ -13,13 +13,13 @@ against its known identities.  A solve-view problem, 1D here or 2D in
 :mod:`blockmg.multilevel`, is one :class:`FemProblem`; building it
 builds no symbol.
 
-The mesh is uniform, so assembly is batched over elements: the basis
-values and derivatives at the quadrature points are tabulated once on a
-reference element, and every element's entries follow from those tables
-by broadcasting.  Both prolongations are built the same way: one
-(2r, r+1) reference table per kind, the weight of each coarse knot of a
-coarse element at each of its fine knots, scattered over all coarse
-elements into one sparse matrix.
+The mesh is uniform, so one table of the degree-r Lagrange basis on the
+reference element [0, 1] (:func:`_reference_basis`) serves every
+element: stiffness and mass tabulate it at the quadrature points and
+broadcast over elements.  Both prolongations are built the same way: one
+(2r, r+1) reference table per kind (for the geometric kind, the basis at
+the fine knots s/(2r)), the weight of each coarse knot of a coarse
+element at each of its fine knots, scattered into one sparse matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ArgumentError, ConstructionError
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
-from .structured import GENERAL, BlockStructuredMatrix, GridTransfer
+from .structured import BlockStructuredMatrix, GridTransfer
 from .symbol import MatrixTrigPolynomial
 from . import smallmat
 
@@ -48,49 +48,21 @@ LINEAR = "linear"
 GEOMETRIC = "geometric"
 
 
-@dataclass(frozen=True)
-class KnotGrid:
-    """Uniform knots xi_i = i/(n r), i = 0..n r, for n elements of degree r."""
-
-    r: int
-    n: int
-
-
-def lagrange_eval(grid: KnotGrid, j: int, x: float) -> float:
-    """Value at x of the degree-r nodal basis function of knot j.
-
-    Piecewise polynomial of degree r per element, globally continuous,
-    equal to 1 at knot j and 0 at every other knot.
-    """
-    r, n = grid.r, grid.n
-    if not 0 <= j <= n * r:
-        raise ArgumentError(f"basis index {j} out of range 0..{n * r}")
-    if not 0.0 <= x <= 1.0:
-        raise ArgumentError(f"evaluation point {x} outside [0, 1]")
-    e = min(int(x * n), n - 1)
-    lo = e * r
-    if not lo <= j <= lo + r:
-        return 0.0
-    nodes = (lo + np.arange(r + 1)) / (n * r)
-    ell = j - lo
-    val = 1.0
-    for k in range(r + 1):
-        if k != ell:
-            val *= (x - nodes[k]) / (nodes[ell] - nodes[k])
-    return val
-
-
-def _lagrange_deriv(nodes: np.ndarray, ell: int, x: float) -> float:
-    total = 0.0
-    for mm in range(len(nodes)):
-        if mm == ell:
-            continue
-        prod = 1.0 / (nodes[ell] - nodes[mm])
-        for k in range(len(nodes)):
-            if k != ell and k != mm:
-                prod *= (x - nodes[k]) / (nodes[ell] - nodes[k])
-        total += prod
-    return total
+def _reference_basis(r: int, x) -> tuple:
+    """Values and derivatives of the degree-r Lagrange basis on [0, 1]
+    with nodes l/r, l = 0..r, at the points x: two (r+1, len(x)) arrays,
+    row l for the basis function of node l."""
+    nodes = np.arange(r + 1) / r
+    x = np.asarray(x, dtype=float)
+    other = ~np.eye(r + 1, dtype=bool)
+    gap = np.where(other, nodes[:, None] - nodes, 1.0)
+    # factor[l, k] = (x - x_k) / (x_l - x_k) for k != l, 1 for k = l
+    factor = np.where(other[:, :, None], (x - nodes[:, None]) / gap[:, :, None], 1.0)
+    values = factor.prod(axis=1)
+    # phi_l' = sum over m != l of 1/(x_l - x_m) prod over k != l, m of factor[l, k]
+    skip = np.where(np.eye(r + 1, dtype=bool)[:, :, None], 1.0, factor[:, None])
+    derivs = np.einsum("lm,lmq->lq", np.where(other, 1.0 / gap, 0.0), skip.prod(axis=2))
+    return values, derivs
 
 
 def _coefficient_function(coefficient):
@@ -172,14 +144,10 @@ def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem
         raise ArgumentError(
             f"coefficient is not finite and positive at x={xq.flat[np.argmin(ok)]:.6f}")
     # the mesh is uniform: element 0's basis derivatives serve every element
-    nodes = np.arange(r + 1) / (n * r)
-    dphi = np.array([[_lagrange_deriv(nodes, ell, x) for x in xq_ref]
-                     for ell in range(r + 1)])
+    dphi = _reference_basis(r, xq_ref * n)[1] * n
     loc = np.einsum("eq,iq,jq->eij", a * wq, dphi, dphi)
     K = _assemble_trimmed(r, loc, 1.0 / n)
-    # boundary trimming breaks exact shift invariance, so always "general"
-    mat = BlockStructuredMatrix(GENERAL, r, None, K)
-    return FemProblem(r=r, n_elements=n, matrix=mat)
+    return FemProblem(r=r, n_elements=n, matrix=BlockStructuredMatrix(K))
 
 
 def assemble_mass(r: int, n_elements: int) -> BlockStructuredMatrix:
@@ -187,12 +155,10 @@ def assemble_mass(r: int, n_elements: int) -> BlockStructuredMatrix:
     _check_size(r, n_elements)
     n = n_elements
     xq_ref, wq = _element_quadrature(r, n)
-    grid = KnotGrid(r, n)
-    phi = np.array([[lagrange_eval(grid, ell, x) for x in xq_ref]
-                    for ell in range(r + 1)])
+    phi = _reference_basis(r, xq_ref * n)[0]
     loc = np.einsum("q,iq,jq->ij", wq, phi, phi)
     M = _assemble_trimmed(r, np.broadcast_to(loc, (n, r + 1, r + 1)), n)
-    return BlockStructuredMatrix(GENERAL, r, None, M)
+    return BlockStructuredMatrix(M)
 
 
 def _block_symbol(mat: sp.spmatrix, r: int, stride: int) -> MatrixTrigPolynomial:
@@ -331,9 +297,8 @@ def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
         # the (1,2,1) stencil: fine knot k takes 2 - |k - 2c| of coarse knot c
         table = np.clip(2.0 - np.abs(s - 2 * ell), 0.0, None)
     elif kind == GEOMETRIC:
-        coarse = KnotGrid(r, nce)
-        table = np.array([[lagrange_eval(coarse, j, k / (nf + 1))
-                           for j in range(r + 1)] for k in range(2 * r)])
+        # fine knot s of a coarse element sits at s/(2r) on the reference element
+        table = _reference_basis(r, np.arange(2 * r) / (2 * r))[0].T
     else:
         raise ArgumentError(f"unknown transfer kind {kind!r}")
     # fine knot 0 meets only coarse knot 0, which the column window drops

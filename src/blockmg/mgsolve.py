@@ -338,17 +338,18 @@ class SolveResult:
     iterations: int
     residuals: list
     converged: bool
-    stagnated: bool = False
+    diverged: bool = False
 
     @property
     def flag(self) -> str:
-        if self.stagnated:
-            return "stagnated"
+        if self.diverged:
+            return "diverged"
         return "" if self.converged else "noconv"
 
 
-def detect_stagnation(residuals, ratio: float = 1.5, run: int = 5) -> bool:
-    """True when the last ``run`` consecutive residual ratios exceed ``ratio``."""
+def detect_divergence(residuals, ratio: float = 1.5, run: int = 5) -> bool:
+    """True when the last ``run`` consecutive residual ratios exceed
+    ``ratio``: the residual grows geometrically."""
     if len(residuals) < run + 1:
         return False
     tail = residuals[-(run + 1):]
@@ -374,18 +375,18 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
     # a two-grid method solves the first coarse level exactly
     coarsest = 1 if cycle == TGM else None
     residuals = []
-    stagnated = False
+    diverged = False
     for it in range(1, max_iter + 1):
         x = vcycle_step(h, 0, x, b, coarsest)
         res = float(np.linalg.norm(b - A @ x)) / norm_b
         residuals.append(res)
         if res <= tol:
             return SolveResult(x=x, iterations=it, residuals=residuals, converged=True)
-        if detect_stagnation(residuals):
-            stagnated = True
+        if detect_divergence(residuals):
+            diverged = True
             break
     return SolveResult(x=x, iterations=len(residuals), residuals=residuals,
-                       converged=False, stagnated=stagnated)
+                       converged=False, diverged=diverged)
 
 
 def richardson_omega_default(A) -> float:

@@ -1,6 +1,6 @@
-"""Multilevel (m-dimensional) extension: corner-set conditions on a 2D
-grid with their tensor-factorization shortcuts, the bivariate symbol of
-the 2D tensor operator, and 2D tensor FEM problems assembled as
+"""Two-dimensional extension: corner-set conditions on a 2D grid with
+their tensor-factorization shortcuts, the bivariate symbol of the 2D
+tensor operator, and 2D tensor FEM problems assembled as
 stiffness (x) mass + mass (x) stiffness, with their hierarchies.
 
 A 2D hierarchy uses the paper's tensor product argument.  With the same
@@ -14,8 +14,8 @@ the 1D Galerkin chain (:func:`~blockmg.structured.galerkin`) gives at
 that level; no 2D triple product is formed.  A 2D problem is a
 :class:`~blockmg.femgen.FemProblem` like a 1D one that also carries its
 1D pair, and builds no symbol; certification builds the symbols it
-checks itself.  The tensor algebra is written for general m; the 2D
-case is wired end-to-end for experiments.
+checks itself.  Every matrix comes from 1D factors by Kronecker
+products, none from a symbol; the condition checker is wired for m = 2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .errors import ArgumentError, BlockmgError, ConstructionError
 from .femgen import (FemProblem, _transfer_chain, assemble_mass,
                      assemble_stiffness)
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
-from .structured import GENERAL, BlockStructuredMatrix, GridTransfer, galerkin
+from .structured import BlockStructuredMatrix, GridTransfer, galerkin
 from .symbol import (MatrixTrigPolynomial, corner_sums, symbol_sup_norm,
                      tensor_symbol)
 
@@ -77,10 +77,6 @@ def kron_sum(K: sp.csr_matrix, M: sp.csr_matrix) -> sp.csr_matrix:
     return sp.coo_matrix((data, (rows, cols)), shape=(n * n, n * n)).tocsr()
 
 
-def _tensor_level(r: int, K: sp.csr_matrix, M: sp.csr_matrix) -> BlockStructuredMatrix:
-    return BlockStructuredMatrix(GENERAL, r * r, None, kron_sum(K, M))
-
-
 def assemble_2d_problem(r: int, t: int) -> FemProblem:
     """Assemble the desk-scale 2D problem of size (r 2^t - 1)^2: the
     operator stiffness (x) mass + mass (x) stiffness in the natural
@@ -93,7 +89,7 @@ def assemble_2d_problem(r: int, t: int) -> FemProblem:
     n = 2 ** t
     K = assemble_stiffness(r, n).matrix.matrix
     M = assemble_mass(r, n).matrix
-    return FemProblem(r=r, n_elements=n, matrix=_tensor_level(r, K, M),
+    return FemProblem(r=r, n_elements=n, matrix=BlockStructuredMatrix(kron_sum(K, M)),
                       factors=(K, M))
 
 
@@ -111,12 +107,12 @@ def build_2d_hierarchy(problem: FemProblem, kind: str,
         raise ArgumentError("a 2D hierarchy needs the 1D factors of a 2D problem")
     chain = _transfer_chain(problem.r, problem.n_elements, kind, 2,
                             coarsest_max_size, two_level)
-    K, M = (BlockStructuredMatrix(GENERAL, problem.r, None, A) for A in problem.factors)
+    K, M = (BlockStructuredMatrix(A) for A in problem.factors)
     mats = [problem.matrix]
     for P in chain:
         T = GridTransfer(P)
         K, M = galerkin(K, T), galerkin(M, T)
-        mats.append(_tensor_level(problem.r, K.matrix, M.matrix))
+        mats.append(BlockStructuredMatrix(kron_sum(K.matrix, M.matrix)))
     transfers = [GridTransfer(sp.kron(P, P)) for P in chain]
     return MultigridHierarchy(mats, transfers, smoother or SmootherSpec())
 

@@ -1,7 +1,6 @@
-"""Block-Toeplitz and block-circulant matrices assembled from symbols,
-cutting matrices, grid-transfer assembly, and explicit Galerkin products.
-Toeplitz matrices, cutting and transfers also take a tuple of sizes,
-one per variable of a multilevel symbol.
+"""Block-Toeplitz and block-circulant matrices assembled from univariate
+symbols, cutting matrices, grid-transfer assembly, and explicit Galerkin
+products.
 
 Matrices are assembled explicitly in sparse form: the target problems
 are desk-scale and the Galerkin triple products must be formed exactly.
@@ -13,7 +12,6 @@ coefficient at +1 sits on the first block subdiagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +22,6 @@ from .symbol import MatrixTrigPolynomial
 
 CIRCULANT = "circulant"
 TOEPLITZ = "toeplitz"
-GENERAL = "general"
 
 ODD_ROWS = "odd"
 EVEN_ROWS = "even"
@@ -32,15 +29,10 @@ EVEN_ROWS = "even"
 
 @dataclass
 class BlockStructuredMatrix:
-    """A sparse matrix with a structure tag.
+    """A sparse matrix as the solver sees it: its size, dense form and
+    Hermitian test.  The structure it was assembled with (block-Toeplitz,
+    block-circulant or neither) is not recorded."""
 
-    ``n`` is the number of blocks for circulant/Toeplitz structure and
-    None for general matrices; ``d`` is the block order.
-    """
-
-    structure: str
-    d: int
-    n: int | None
     matrix: sp.csr_matrix
 
     @property
@@ -98,32 +90,19 @@ def _kron01(S, c: np.ndarray):
         return sp.kron(S, c)
 
 
-def assemble_toeplitz(f: MatrixTrigPolynomial, n) -> BlockStructuredMatrix:
+def assemble_toeplitz(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix:
     """Block-Toeplitz matrix of f with n block rows (size d*n).
 
     The block at block position (i, k) is the coefficient at i - k, so
-    the coefficient at +1 fills the first block subdiagonal.  For an
-    m-variable symbol, n is a tuple of m sizes and the term of the
-    coefficient at j is kron(J_{n_1}^{j_1}, ..., J_{n_m}^{j_m}, c_j),
-    a multilevel matrix tagged general.
+    the coefficient at +1 fills the first block subdiagonal.
     """
-    if np.ndim(n) == 0:
-        if f.m != 1:
-            raise ArgumentError("assemble_toeplitz needs a univariate symbol")
-        ns = (n,)
-    else:
-        ns = tuple(int(k) for k in n)
-        if len(ns) != f.m:
-            raise ArgumentError(f"symbol has {f.m} variables but {len(ns)} sizes given")
-    for w, k in zip(f.window(), ns):
-        if w >= k:
-            raise ArgumentError(f"coefficient window {w} must be smaller than n={k}")
-    A = sp.csr_matrix(sum(
-        _kron01(reduce(sp.kron, (_shift_matrix(k, i) for k, i in zip(ns, j))), c)
-        for j, c in f.coeffs.items()))
-    if np.ndim(n) == 0:
-        return BlockStructuredMatrix(TOEPLITZ, f.d, n, A)
-    return BlockStructuredMatrix(GENERAL, f.d, None, A)
+    if f.m != 1:
+        raise ArgumentError("assemble_toeplitz needs a univariate symbol")
+    w = f.window()[0]
+    if w >= n:
+        raise ArgumentError(f"coefficient window {w} must be smaller than n={n}")
+    A = sum(_kron01(_shift_matrix(n, j), c) for (j,), c in f.coeffs.items())
+    return BlockStructuredMatrix(sp.csr_matrix(A))
 
 
 def assemble_circulant(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix:
@@ -139,24 +118,16 @@ def assemble_circulant(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix
     if w >= n / 2:
         raise ArgumentError(f"coefficient window {w} must be below n/2 = {n / 2}")
     A = sum(_kron01(_cyclic_shift_matrix(n, j), c) for (j,), c in f.coeffs.items())
-    return BlockStructuredMatrix(CIRCULANT, f.d, n, sp.csr_matrix(A))
+    return BlockStructuredMatrix(sp.csr_matrix(A))
 
 
-def cutting_matrix(n, parity: str) -> np.ndarray:
+def cutting_matrix(n: int, parity: str) -> np.ndarray:
     """Row indices (0-based) kept by the downsampling matrix.
 
     ``odd`` keeps 1-based rows 1, 3, 5, ... and requires n even
     (k = n/2); ``even`` keeps 1-based rows 2, 4, ... and requires n odd
-    (k = (n-1)/2).  For a tuple of sizes the Kronecker product of the
-    per-dimension cuts keeps the rows whose every per-dimension index is
-    kept, returned in row-major order.
+    (k = (n-1)/2).
     """
-    if np.ndim(n) > 0:
-        ns = tuple(int(k) for k in n)
-        if not ns:
-            raise ArgumentError("cutting needs at least one dimension")
-        mesh = np.meshgrid(*(cutting_matrix(k, parity) for k in ns), indexing="ij")
-        return np.ravel_multi_index(tuple(g.ravel() for g in mesh), dims=ns)
     if parity == ODD_ROWS:
         if n % 2 != 0:
             raise ArgumentError(f"odd-row cutting needs even n, got {n}")
@@ -168,20 +139,19 @@ def cutting_matrix(n, parity: str) -> np.ndarray:
     raise ArgumentError(f"unknown cutting parity {parity!r}")
 
 
-def assemble_transfer(p: MatrixTrigPolynomial, n, structure: str) -> GridTransfer:
+def assemble_transfer(p: MatrixTrigPolynomial, n: int, structure: str) -> GridTransfer:
     """Prolongation: structured matrix of p times the cutting selector.
 
-    Circulant structure takes n even with odd-row cutting; Toeplitz takes
-    n odd with even-row cutting, matching the level-size recursions
-    n = 2^t and n = 2^t - 1.  A Toeplitz transfer of an m-variable
-    symbol takes a tuple of m odd sizes.
+    ``structure`` is ``circulant`` (n even, odd-row cutting) or
+    ``toeplitz`` (n odd, even-row cutting), matching the level-size
+    recursions n = 2^t and n = 2^t - 1.
     """
     if structure == CIRCULANT:
-        if np.ndim(n) != 0 or n % 2 != 0:
+        if n % 2 != 0:
             raise ArgumentError(f"circulant transfer needs even n, got {n}")
         assemble, parity = assemble_circulant, ODD_ROWS
     elif structure == TOEPLITZ:
-        if np.any(np.asarray(n) % 2 != 1):
+        if n % 2 != 1:
             raise ArgumentError(f"toeplitz transfer needs odd n, got {n}")
         assemble, parity = assemble_toeplitz, EVEN_ROWS
     else:
@@ -192,20 +162,19 @@ def assemble_transfer(p: MatrixTrigPolynomial, n, structure: str) -> GridTransfe
 
 
 def galerkin(A: BlockStructuredMatrix, P: GridTransfer) -> BlockStructuredMatrix:
-    """Explicit sparse triple product P^H A P.
+    """Explicit sparse triple product P^H A P, symmetrized when A is
+    Hermitian.
 
-    Circulant inputs stay circulant (the product equals the circulant of
-    the coarse symbol); everything else is tagged general since the
-    Toeplitz structure only survives up to boundary terms.
+    For a block-circulant A and a circulant transfer the product is the
+    block-circulant matrix of the coarse symbol; a Toeplitz one matches
+    its coarse symbol only up to boundary terms.
     """
     if A.size != P.fine_size:
         raise ArgumentError(f"size mismatch: A is {A.size}, P fine side is {P.fine_size}")
     C = (P.matrix.conj().T @ A.matrix @ P.matrix).tocsr()
     if A.is_hermitian():
         C = ((C + C.conj().T) * 0.5).tocsr()
-    if A.structure == CIRCULANT and A.n is not None and A.n % 2 == 0:
-        return BlockStructuredMatrix(CIRCULANT, A.d, A.n // 2, C)
-    return BlockStructuredMatrix(GENERAL, A.d, None, C)
+    return BlockStructuredMatrix(C)
 
 
 def coarse_projection_norm(A: BlockStructuredMatrix, P: GridTransfer,

@@ -67,11 +67,11 @@ def has_full_column_rank(P, tol: float = 1e-10) -> bool:
 
 
 @st.composite
-def symbols(draw):
-    """Random symbols with d <= 3 and m <= 2 whose coefficient entries
+def symbols(draw, max_m=2):
+    """Random symbols with d <= 3 and m <= max_m whose coefficient entries
     are arbitrary finite doubles (signed zeros and subnormals included)."""
     d = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 2))
+    m = draw(st.integers(1, max_m))
     keys = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m),
                          min_size=1, max_size=4, unique=True))
     doubles = st.one_of(st.floats(allow_nan=False, allow_infinity=False),

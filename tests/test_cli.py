@@ -47,6 +47,13 @@ def _run_args(tmp_path, text: bytes):
     return ["run", str(path)]
 
 
+def _under_regular_file(tmp_path, name):
+    """A path whose parent is a regular file, so nothing can be created there."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return str(blocker / name)
+
+
 MALFORMED = {
     "certify-block-orders-differ": lambda tmp: _certify_args(
         tmp, stiffness_symbol(2), build_linear_interp_symbol(3)),
@@ -70,6 +77,11 @@ MALFORMED = {
     "run-negative-seed": lambda tmp: _run_args(tmp, b"seed = -1\nt_range = 3\n"),
     "run-certify-negative-sweeps": lambda tmp: _run_args(
         tmp, b"mode = certify\nsweeps_pre = -1\nt_range = 3\n"),
+    "run-output-under-regular-file": lambda tmp: _run_args(
+        tmp, f"r = 1\nt_range = 3\noutput = {_under_regular_file(tmp, 'out')}\n".encode()),
+    "certify-output-under-regular-file": lambda tmp: _certify_args(
+        tmp, stiffness_symbol(2), build_linear_interp_symbol(2))
+        + ["--output", _under_regular_file(tmp, "cert.json")],
 }
 
 
@@ -78,6 +90,15 @@ def test_malformed_input_exits_3_with_one_error_line(tmp_path, capsys, case):
     assert main(MALFORMED[case](tmp_path)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_output_onto_a_directory_leaves_no_temporary_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    args = _certify_args(tmp_path, stiffness_symbol(2), build_linear_interp_symbol(2))
+    assert main(args + ["--output", str(taken)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot write {taken}")
+    assert not (tmp_path / "taken.tmp").exists() and taken.is_dir()
 
 
 class TestParseConfig:

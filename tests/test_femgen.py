@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from blockmg import MatrixTrigPolynomial, assemble_toeplitz, assemble_transfer
 from blockmg.errors import ArgumentError
-from blockmg.femgen import (COEFFICIENTS, KnotGrid, _fem_transfer_matrix,
-                            assemble_mass, assemble_stiffness,
-                            build_fem_hierarchy, build_fem_transfer,
-                            build_geometric_symbol,
+from blockmg.femgen import (COEFFICIENTS, _fem_transfer_matrix,
+                            _reference_basis, assemble_mass,
+                            assemble_stiffness, build_fem_hierarchy,
+                            build_fem_transfer, build_geometric_symbol,
                             build_linear_interp_symbol, geometric_det_reference,
-                            lagrange_eval, mass_symbol, stiffness_symbol)
+                            mass_symbol, stiffness_symbol)
 
 from conftest import has_full_column_rank, max_coeff_difference
 
 
-def _reference_basis(nodes, x):
+def _basis_on_nodes(nodes, x):
     """Values and derivatives at the points x of the Lagrange basis on nodes."""
     m = len(nodes)
     val = np.ones((m, len(x)))
@@ -44,10 +45,35 @@ def _reference_assembly(r, n, fun):
         dofs = e * r + np.arange(r + 1)
         xq = (e + 0.5 * (gx + 1.0)) / n
         wq = 0.5 * gw / n
-        phi, dphi = _reference_basis(dofs / (n * r), xq)
+        phi, dphi = _basis_on_nodes(dofs / (n * r), xq)
         K[np.ix_(dofs, dofs)] += (dphi * (fun(xq) * wq)) @ dphi.T
         M[np.ix_(dofs, dofs)] += (phi * wq) @ phi.T
     return K[1:-1, 1:-1] / n, M[1:-1, 1:-1] * n
+
+
+def _coarse_basis_at_fine_knots(r, n_coarse):
+    """Every interior coarse basis function at every interior fine knot:
+    a (2 r n_coarse - 1, r n_coarse - 1) array.  A fine knot that is a
+    coarse knot takes the nodal delta; any other lies inside one coarse
+    element, where the basis function of a coarse knot of that element is
+    the polynomial with roots at the element's other nodes, normalized to
+    1 at its own (numpy.polynomial, at the reference coordinate s/(2r)),
+    and every other one is 0."""
+    nodes = np.arange(r + 1) / r
+    basis = [Polynomial.fromroots(np.delete(nodes, ell), domain=[0, 1])
+             for ell in range(r + 1)]
+    nf, nc = 2 * r * n_coarse - 1, r * n_coarse - 1
+    want = np.zeros((nf, nc))
+    for i in range(1, nf + 1):
+        if i % 2 == 0:
+            want[i - 1, i // 2 - 1] = 1.0
+            continue
+        e, s = divmod(i, 2 * r)
+        for ell in range(r + 1):
+            j = r * e + ell
+            if 1 <= j <= nc:
+                want[i - 1, j - 1] = basis[ell](s / (2 * r)) / basis[ell](nodes[ell])
+    return want
 
 
 def _wavy_coefficient(x):
@@ -72,40 +98,29 @@ class TestBatchedAssembly:
 
 
 class TestBasis:
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", range(1, 9))
     def test_nodal_property(self, r):
-        grid = KnotGrid(r, 2)
-        n_knots = grid.n * grid.r + 1
-        for i in range(n_knots):
-            for j in range(n_knots):
-                want = 1.0 if i == j else 0.0
-                assert lagrange_eval(grid, j, i / (grid.n * grid.r)) == pytest.approx(
-                    want, abs=1e-12)
+        # exact, so a basis function vanishes bit for bit at other nodes
+        values, _ = _reference_basis(r, np.arange(r + 1) / r)
+        np.testing.assert_array_equal(values, np.eye(r + 1))
 
     def test_hat_midpoint(self):
-        grid = KnotGrid(1, 2)
-        assert lagrange_eval(grid, 1, 0.25) == pytest.approx(0.5)
+        values, derivs = _reference_basis(1, np.array([0.5]))
+        np.testing.assert_allclose(values[:, 0], [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(derivs[:, 0], [-1.0, 1.0], atol=1e-15)
 
     def test_quadratic_quarter_point(self):
-        # element-interior node of a quadratic at reference t = 1/4
-        grid = KnotGrid(2, 1)
-        assert lagrange_eval(grid, 1, 0.25) == pytest.approx(0.75)
+        # the element-interior node of a quadratic at reference t = 1/4
+        assert _reference_basis(2, np.array([0.25]))[0][1, 0] == pytest.approx(0.75)
 
     def test_partition_of_unity(self):
-        rng = np.random.default_rng(0)
-        for r in (1, 2, 3):
-            grid = KnotGrid(r, 4)
-            for x in rng.uniform(0, 1, size=334):
-                total = sum(lagrange_eval(grid, j, x)
-                            for j in range(grid.n * grid.r + 1))
-                assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_out_of_range(self):
-        grid = KnotGrid(2, 2)
-        with pytest.raises(ArgumentError):
-            lagrange_eval(grid, 99, 0.5)
-        with pytest.raises(ArgumentError):
-            lagrange_eval(grid, 1, 1.5)
+        x = np.random.default_rng(0).uniform(0.0, 1.0, size=300)
+        for r in range(1, 9):
+            values, derivs = _reference_basis(r, x)
+            assert values.shape == derivs.shape == (r + 1, 300)
+            np.testing.assert_allclose(values.sum(axis=0), 1.0, atol=1e-12)
+            scale = np.abs(derivs).max()
+            np.testing.assert_allclose(derivs.sum(axis=0), 0.0, atol=1e-12 * scale)
 
 
 class TestStiffness:
@@ -329,19 +344,16 @@ class TestFemTransfer:
 
     def test_geometric_columns_are_basis_evaluations(self):
         P = build_fem_transfer(2, 4, "geometric").matrix.toarray()
-        coarse = KnotGrid(2, 2)
+        want = _coarse_basis_at_fine_knots(2, 2)
         for j in range(1, 4):
             for i in range(1, 8):
-                assert P[i - 1, j - 1] == pytest.approx(
-                    lagrange_eval(coarse, j, i / 8.0), abs=1e-12)
+                assert P[i - 1, j - 1] == pytest.approx(want[i - 1, j - 1], abs=1e-12)
 
     @pytest.mark.parametrize("r", range(1, 9))
     def test_geometric_entries_and_pattern(self, r):
         P = build_fem_transfer(r, 16, "geometric").matrix
-        nf, nc = P.shape
-        coarse = KnotGrid(r, 8)
-        want = np.array([[lagrange_eval(coarse, j, i / (nf + 1))
-                          for j in range(1, nc + 1)] for i in range(1, nf + 1)])
+        want = _coarse_basis_at_fine_knots(r, 8)
+        assert P.shape == want.shape
         assert np.count_nonzero(P.data) == P.nnz
         np.testing.assert_array_equal(P.toarray() != 0.0, want != 0.0)
         assert _max_rel_diff(P.toarray(), want) <= 1e-12

@@ -11,10 +11,10 @@ from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
 from blockmg.errors import ArgumentError, ConfigurationError
 from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
                             stiffness_symbol)
-from blockmg.mgsolve import (TGM, VCYCLE, _correction, detect_stagnation,
+from blockmg.mgsolve import (TGM, VCYCLE, _correction, detect_divergence,
                              gershgorin_bound)
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
-from blockmg.structured import BlockStructuredMatrix, GENERAL
+from blockmg.structured import BlockStructuredMatrix
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -231,8 +231,7 @@ class TestHierarchy:
     def test_positive_definiteness_checked(self):
         A, P = two_grid_pieces()
         k = P.coarse_size
-        indef = BlockStructuredMatrix(GENERAL, 1, None,
-                                      sp.diags(np.linspace(-1, 1, k)).tocsr())
+        indef = BlockStructuredMatrix(sp.diags(np.linspace(-1, 1, k)).tocsr())
         with pytest.raises(ConfigurationError):
             MultigridHierarchy([A, indef], [P], GS)
 
@@ -262,7 +261,7 @@ class TestHierarchy:
             lo, hi = mgsolve._extreme_eigenvalues(M)
             assert hi == pytest.approx(lam_max + factor * threshold, rel=1e-12)
             assert abs(lo - factor * threshold) <= 1e-3 * threshold
-            coarse = BlockStructuredMatrix(GENERAL, 1, None, M)
+            coarse = BlockStructuredMatrix(M)
             if accepted:
                 MultigridHierarchy([A, coarse], [P], GS)
             else:
@@ -278,11 +277,11 @@ class TestHierarchy:
         assert lo == pytest.approx(w[0], rel=1e-12)
         assert hi == pytest.approx(w[-1], rel=1e-12)
         A, P = two_grid_pieces(125)
-        MultigridHierarchy([A, BlockStructuredMatrix(GENERAL, 2, None, M)], [P], GS)
+        MultigridHierarchy([A, BlockStructuredMatrix(M)], [P], GS)
         # shifted to lambda_min = -1, the level is refused
         indef = (M - (w[0] + 1.0) * sp.eye(M.shape[0])).tocsr()
         with pytest.raises(ConfigurationError, match=r"min eigenvalue -1\.000e\+00"):
-            MultigridHierarchy([A, BlockStructuredMatrix(GENERAL, 2, None, indef)],
+            MultigridHierarchy([A, BlockStructuredMatrix(indef)],
                                [P], GS)
 
     def test_band_of_hermitian_part_covers_upper_bandwidth(self):
@@ -312,7 +311,7 @@ class TestHierarchy:
         M.data[M.nnz // 2] = np.nan
         assert mgsolve._lower_band(M, hermitian=True) is not None
         self._refused_before_eigenvalues(
-            monkeypatch, [A, BlockStructuredMatrix(GENERAL, 1, None, M)], [P], 1)
+            monkeypatch, [A, BlockStructuredMatrix(M)], [P], 1)
 
     def test_non_finite_dense_level(self, monkeypatch):
         h = build_2d_hierarchy(assemble_2d_problem(2, 3), "linear", GS)
@@ -320,7 +319,7 @@ class TestHierarchy:
         M = mats[1].matrix.copy()
         M.data[0] = np.nan
         assert M.shape[0] <= 512 and mgsolve._lower_band(M, hermitian=True) is None
-        mats[1] = BlockStructuredMatrix(GENERAL, 4, None, M)
+        mats[1] = BlockStructuredMatrix(M)
         self._refused_before_eigenvalues(
             monkeypatch, mats, [lvl.transfer for lvl in h.levels[:-1]], 1)
 
@@ -507,10 +506,10 @@ class TestSolve:
             solve(h, np.ones(h.levels[0].matrix.size), cycle="wcycle")
 
 
-def test_detect_stagnation():
-    assert detect_stagnation([1, 2, 4, 8, 16, 32])
-    assert not detect_stagnation([1.0, 0.5, 0.25, 0.12, 0.06, 0.03])
-    assert not detect_stagnation([1, 2, 4])
+def test_detect_divergence():
+    assert detect_divergence([1, 2, 4, 8, 16, 32])
+    assert not detect_divergence([1.0, 0.5, 0.25, 0.12, 0.06, 0.03])
+    assert not detect_divergence([1, 2, 4])
 
 
 class TestOmegaDefault:

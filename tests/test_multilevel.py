@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from blockmg import (MatrixTrigPolynomial, assemble_toeplitz,
-                     assemble_transfer, build_s, corner_sum, cutting_matrix,
-                     multilevel, tensor_symbol)
+                     assemble_transfer, build_s, corner_sum, multilevel,
+                     tensor_symbol)
 from blockmg.errors import ArgumentError, ConstructionError
 from blockmg.femgen import (_transfer_chain, assemble_mass, assemble_stiffness,
                             build_geometric_symbol, mass_symbol,
@@ -12,84 +12,28 @@ from blockmg.femgen import (_transfer_chain, assemble_mass, assemble_stiffness,
 from blockmg.multilevel import (assemble_2d_problem, build_2d_hierarchy,
                                 check_multilevel_conditions, kron_sum,
                                 tensor_sum_symbol)
-from blockmg.structured import GENERAL, BlockStructuredMatrix, GridTransfer, galerkin
+from blockmg.structured import BlockStructuredMatrix, GridTransfer, galerkin
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
-
-
-class TestTensorCutting:
-    def test_three_by_three(self):
-        np.testing.assert_array_equal(cutting_matrix((3, 3), "even"), [4])
-
-    def test_seven_by_three(self):
-        got = cutting_matrix((7, 3), "even")
-        np.testing.assert_array_equal(got, [4, 10, 16])
-        # grid coordinates (1-based): (2,2), (4,2), (6,2)
-        coords = [(idx // 3 + 1, idx % 3 + 1) for idx in got]
-        assert coords == [(2, 2), (4, 2), (6, 2)]
-
-    def test_single_dimension_reduces_to_1d(self):
-        np.testing.assert_array_equal(cutting_matrix((7,), "even"),
-                                      cutting_matrix(7, "even"))
-
-    def test_size_form_validated(self):
-        with pytest.raises(ArgumentError):
-            cutting_matrix((4, 3), "even")
-
-
-class TestTensorTransfer:
-    def test_bilinear_stencil(self):
-        P = assemble_transfer(tensor_symbol([INTERP, INTERP]), (7, 7),
-                              "toeplitz").matrix.toarray().real
-        assert P.shape == (49, 9)
-        stencil = np.outer([1.0, 2.0, 1.0], [1.0, 2.0, 1.0])
-        col = P[:, 4].reshape(7, 7)      # center coarse node at (3,3) 0-based
-        np.testing.assert_allclose(col[2:5, 2:5], stencil, atol=1e-14)
-        assert np.count_nonzero(col) == 9
-
-    def test_identity_symbol_injects(self):
-        one = MatrixTrigPolynomial.scalar({0: 1.0})
-        P = assemble_transfer(tensor_symbol([one, one]), (3, 3),
-                              "toeplitz").matrix.toarray().real
-        want = np.zeros((9, 1))
-        want[4] = 1.0
-        np.testing.assert_allclose(P, want)
-
-    def test_kron_equivalence_up_to_permutation(self, p_l2):
-        def tensor_interleave_permutation(ns, ds):
-            """perm[k] is the (level-major, block-minor) multilevel position
-            of the k-th entry in the Kronecker-of-1D-operators ordering,
-            where each 1D factor interleaves its level and block indices."""
-            sizes = [n * d for n, d in zip(ns, ds)]
-            digits = np.unravel_index(np.arange(np.prod(sizes)), sizes)
-            level = np.ravel_multi_index([g // d for g, d in zip(digits, ds)], ns)
-            block = np.ravel_multi_index([g % d for g, d in zip(digits, ds)], ds)
-            return level * np.prod(ds) + block
-
-        P1 = assemble_transfer(p_l2, 7, "toeplitz").matrix
-        P2 = assemble_transfer(p_l2, 3, "toeplitz").matrix
-        PK = sp.kron(P1, P2).tocsr()
-        PM = assemble_transfer(tensor_symbol([p_l2, p_l2]), (7, 3),
-                               "toeplitz").matrix
-        rperm = tensor_interleave_permutation((7, 3), (2, 2))
-        cperm = tensor_interleave_permutation((3, 1), (2, 2))
-        R = sp.csr_matrix((np.ones(len(rperm)), (rperm, np.arange(len(rperm)))))
-        C = sp.csr_matrix((np.ones(len(cperm)), (cperm, np.arange(len(cperm)))))
-        assert abs(R @ PK @ C.T - PM).max() == 0.0
 
 
 class TestMultilevelToeplitz:
     def test_center_rows_match_coarse_symbol(self):
         # Galerkin through the 2D tensor transfer of the 2D scalar
         # Laplacian agrees with the coefficient-extracted coarse symbol
-        # on rows away from the boundary
+        # on rows away from the boundary.  The symbols are scalar and
+        # separable, so their two-level Toeplitz matrices (row-major
+        # grid order) are Kronecker products of the 1D ones.
         f2d = MatrixTrigPolynomial.scalar(
             {(0, 0): 4.0, (1, 0): -1.0, (-1, 0): -1.0, (0, 1): -1.0, (0, -1): -1.0})
         p2d = tensor_symbol([INTERP, INTERP])
-        A = assemble_toeplitz(f2d, (15, 15))
-        P = assemble_transfer(p2d, (15, 15), "toeplitz")
-        coarse = (P.matrix.conj().T @ A.matrix @ P.matrix).toarray().real
+        T = assemble_toeplitz(LAPLACE, 15).matrix
+        eye = sp.identity(15, format="csr")
+        A = sp.kron(T, eye) + sp.kron(eye, T)
+        P1 = assemble_transfer(INTERP, 15, "toeplitz").matrix
+        P = sp.kron(P1, P1)
+        coarse = (P.conj().T @ A @ P).toarray().real
         g = p2d.conj_transpose() @ f2d @ p2d
         fhat = MatrixTrigPolynomial(
             {(j1 // 2, j2 // 2): c for (j1, j2), c in g.coeffs.items()
@@ -200,7 +144,7 @@ class TestTensorLevels:
         K = assemble_stiffness(r, n).matrix.matrix
         M = assemble_mass(r, n).matrix
         fine = (sp.kron(K, M) + sp.kron(M, K)).tocsr()
-        want = [BlockStructuredMatrix(GENERAL, r * r, None, fine)]
+        want = [BlockStructuredMatrix(fine)]
         for P in _transfer_chain(r, n, kind, 2, 64, False):
             want.append(galerkin(want[-1], GridTransfer(sp.kron(P, P))))
         problem = assemble_2d_problem(r, t)
