@@ -7,16 +7,21 @@ seed, the initial guess is zero, and iteration counts use the relative
 residual ||b - A x|| / ||b||.
 
 Every smoothing sweep is x <- x + correct(b - M x), with the correction
-prepared once per level matrix M.  Richardson's is omega r: a given
+prepared once per level matrix M.  The first sweep of a cycle takes the
+residual its caller already holds: on level 0 the one ``solve`` computed
+for its stopping test, on a coarse level (started from x = 0) the
+restricted residual itself.  Richardson's correction is omega r: a given
 omega is checked once against M, and without one each level takes
 omega = 1/C with C the Gershgorin bound of its own matrix, inside
 (0, 2/C) by construction.  Gauss-Seidel's is (D + L)^{-1} r, and its
 backend follows from M alone: with lower bandwidth kd, when the band
 storage (kd + 1) N is no larger than nnz(M) (every 1D FEM level), LAPACK
-``tbtrs`` applies the banded lower triangle; otherwise (2D levels) a
-SuperLU factor of tril(M) in natural order does.  On a real level, a
-complex right-hand side is solved as its real and imaginary parts, by
-either smoother backend and by the coarsest-level LU.
+``tbtrs`` applies the banded lower triangle, stored in Fortran order so
+that no call copies it; otherwise (2D levels) SuperLU factors tril(M)^T
+in natural order, whose CSC arrays are the CSR arrays of tril(M) read
+off M, and solves with ``trans="T"``.  On a real level, a complex
+right-hand side is solved as its real and imaginary parts, by either
+smoother backend and by the coarsest-level LU.
 
 A hierarchy checks that its level matrices are finite, and that its
 levels of size at most 512 are positive definite from the extreme
@@ -72,6 +77,8 @@ class SmootherSpec:
 def _csr(A):
     if isinstance(A, BlockStructuredMatrix):
         return A.matrix
+    if isinstance(A, sp.csr_matrix):
+        return A
     return sp.csr_matrix(A)
 
 
@@ -141,7 +148,8 @@ def _lower_band(M: sp.csr_matrix, hermitian: bool = False):
     kd = int(kd)
     if (kd + 1) * n > M.nnz:
         return None
-    ab = np.zeros((kd + 1, n), dtype=np.result_type(M.dtype, float))
+    # Fortran order: what LAPACK takes without a copy on every call
+    ab = np.zeros((kd + 1, n), dtype=np.result_type(M.dtype, float), order="F")
     for k in range(kd + 1):
         ab[k, :n - k] = M.diagonal(-k)
         if hermitian:
@@ -165,12 +173,23 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
         raise ConfigurationError("Gauss-Seidel needs a nonzero diagonal")
     ab = _lower_band(M)
     if ab is None:
-        # a triangular factor takes no column updates, so one-column
-        # panels give the same factor without the default multi-column
-        # panel workspace, fresh memory on every factorization
-        solve_lower = spla.splu(sp.tril(M).tocsc(), permc_spec="NATURAL",
-                                panel_size=1,
-                                options=dict(DiagPivotThresh=0.0)).solve
+        # the CSR arrays of tril(M) are the CSC arrays of tril(M)^T, so
+        # that is factored and solved transposed, without a conversion; a
+        # triangular factor takes no column updates, so one-column panels
+        # give the same factor without the default multi-column panel
+        # workspace, fresh memory on every factorization
+        n = M.shape[0]
+        rows = np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(M.indptr))
+        lower = M.indices <= rows
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[lower],
+                                                             minlength=n))))
+        upper_t = sp.csc_matrix((M.data[lower], M.indices[lower], indptr),
+                                shape=M.shape)
+        lu = spla.splu(upper_t, permc_spec="NATURAL", panel_size=1,
+                       options=dict(DiagPivotThresh=0.0))
+
+        def solve_lower(r):
+            return lu.solve(r, trans="T")
     else:
         tbtrs = get_lapack_funcs("tbtrs", (ab,))
 
@@ -184,12 +203,17 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
     return _real_split(solve_lower, M)
 
 
-def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _correct=None):
+def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _correct=None,
+           _residual=None):
     """Apply ``sweeps`` smoothing sweeps to A x = b starting from x.
 
     Richardson: x <- x + omega (b - A x) per sweep.  Gauss-Seidel:
     forward sweep solving each row in order, equivalently
     x <- x + (D + L)^{-1} (b - A x).
+
+    ``_residual``, when given, is b - A x for the given x, which the
+    first sweep then takes instead of computing it; the sweep may
+    overwrite it, so it must be an array the caller gives up.
     """
     M = _csr(A)
     if M.shape[0] != len(b) or len(x) != len(b):
@@ -199,7 +223,9 @@ def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _correct=None):
     if sweeps == 0:
         return x
     correct = _correct if _correct is not None else _correction(M, spec)
-    for _ in range(sweeps):
+    r = _residual if _residual is not None else b - M @ x
+    x += correct(r)
+    for _ in range(sweeps - 1):
         x += correct(b - M @ x)
     return x
 
@@ -293,25 +319,29 @@ class MultigridHierarchy:
             lvl.coarse_solve = _real_split(lu.solve, M)
         return lvl.coarse_solve
 
-    def _smooth(self, ell, x, b, sweeps):
+    def _smooth(self, ell, x, b, sweeps, residual=None):
         lvl = self.levels[ell]
         if sweeps and lvl.correct is None:
             lvl.correct = _correction(lvl.matrix.matrix, lvl.smoother)
         return smooth(lvl.matrix.matrix, x, b, lvl.smoother, sweeps,
-                      _correct=lvl.correct)
+                      _correct=lvl.correct, _residual=residual)
 
 
-def vcycle_step(h: MultigridHierarchy, level: int, x, b, _coarsest=None):
+def vcycle_step(h: MultigridHierarchy, level: int, x, b, _coarsest=None,
+                _residual=None):
     """One V-cycle starting at ``level``: smooth, restrict, recurse once,
     correct, smooth; the last level (or level ``_coarsest``, which the
-    two-grid cycle sets to 1) is solved directly."""
+    two-grid cycle sets to 1) is solved directly.  ``_residual`` is
+    b - A x when the caller has it (see :func:`smooth`)."""
     lvl = h.levels[level]
     if lvl.transfer is None or level == _coarsest:
         return h._coarse_solve(level)(b)
     M = lvl.matrix.matrix
-    x = h._smooth(level, x, b, lvl.smoother.sweeps_pre)
+    x = h._smooth(level, x, b, lvl.smoother.sweeps_pre, _residual)
     rc = lvl.transfer.restrict(b - M @ x)
-    y = vcycle_step(h, level + 1, np.zeros_like(rc), rc, _coarsest)
+    # from x = 0 the first coarse residual is rc; a copy, since the
+    # sweep may overwrite it and rc is still the coarse right-hand side
+    y = vcycle_step(h, level + 1, np.zeros_like(rc), rc, _coarsest, rc.copy())
     x = x + lvl.transfer.prolong(y)
     return h._smooth(level, x, b, lvl.smoother.sweeps_post)
 
@@ -360,8 +390,10 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
           cycle: str = VCYCLE) -> SolveResult:
     """Iterate the chosen cycle from x0 = 0 until the relative residual
     drops to ``tol`` or ``max_iter`` is reached."""
-    if tol <= 0:
-        raise ArgumentError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ArgumentError("tol must be positive and finite")
+    if not max_iter >= 1:
+        raise ArgumentError("max_iter must be >= 1")
     if cycle not in (TGM, VCYCLE):
         raise ArgumentError(f"unknown cycle {cycle!r}")
     b = np.asarray(b)
@@ -376,9 +408,13 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
     coarsest = 1 if cycle == TGM else None
     residuals = []
     diverged = False
+    # the residual of the stopping test starts the next cycle's first
+    # sweep; the first is computed there, since b must stay untouched
+    r = None
     for it in range(1, max_iter + 1):
-        x = vcycle_step(h, 0, x, b, coarsest)
-        res = float(np.linalg.norm(b - A @ x)) / norm_b
+        x = vcycle_step(h, 0, x, b, coarsest, r)
+        r = b - A @ x
+        res = float(np.linalg.norm(r)) / norm_b
         residuals.append(res)
         if res <= tol:
             return SolveResult(x=x, iterations=it, residuals=residuals, converged=True)

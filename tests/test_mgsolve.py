@@ -11,10 +11,11 @@ from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
 from blockmg.errors import ArgumentError, ConfigurationError
 from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
                             stiffness_symbol)
-from blockmg.mgsolve import (TGM, VCYCLE, _correction, detect_divergence,
-                             gershgorin_bound)
+from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE, _correction,
+                             detect_divergence, gershgorin_bound)
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
 from blockmg.structured import BlockStructuredMatrix
+from conftest import same_bits
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -77,20 +78,31 @@ class TestSmooth:
 
 
 def _uses_superlu(correct) -> bool:
-    """True when the prepared correction applies a SuperLU factor, directly
+    """True when the prepared correction applies a SuperLU factor: a bound
+    ``SuperLU.solve`` or a ``SuperLU`` object held in a closure, directly
     or through the real/imaginary split of a real level."""
-    inner = [cell.cell_contents for cell in correct.__closure__ or ()]
-    return any(isinstance(getattr(fn, "__self__", None), spla.SuperLU)
-               for fn in [correct, *inner])
+    pending = [correct]
+    while pending:
+        obj = pending.pop()
+        if isinstance(obj, spla.SuperLU) or isinstance(
+                getattr(obj, "__self__", None), spla.SuperLU):
+            return True
+        pending.extend(cell.cell_contents
+                       for cell in getattr(obj, "__closure__", None) or ())
+    return False
 
 
-def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=False):
+def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=None):
     """One sweep through the prepared correction against the dense
-    x + solve(tril(A), b - A x); returns the correction."""
+    x + solve(tril(A), b - A x); returns the correction.  The start and
+    right-hand side are complex with ``complex_rhs``, by default when M
+    is."""
     rng = np.random.default_rng(seed)
     n = M.shape[0]
     x, b = rng.standard_normal(n), rng.standard_normal(n)
-    if complex_rhs or np.iscomplexobj(M.data):
+    if complex_rhs is None:
+        complex_rhs = np.iscomplexobj(M.data)
+    if complex_rhs:
         x, b = x + 1j * rng.standard_normal(n), b + 1j * rng.standard_normal(n)
     Ad = M.toarray()
     expected = x + sla.solve_triangular(np.tril(Ad), b - Ad @ x, lower=True)
@@ -122,6 +134,19 @@ class TestSmootherBackends:
         A = assemble_toeplitz(COMPLEX_HERMITIAN, 31)
         correct = _assert_gauss_seidel_oracle(A.matrix)
         assert not _uses_superlu(correct)
+
+    @pytest.mark.parametrize("complex_rhs", [False, True])
+    def test_complex_hermitian_wide_band_takes_superlu(self, complex_rhs):
+        # the Kronecker sum of a complex Hermitian block Toeplitz matrix
+        # has lower bandwidth 48 on 256 unknowns, too wide for the band;
+        # the transposed factor must be solved with trans="T", not "H"
+        H = assemble_toeplitz(COMPLEX_HERMITIAN, 8).matrix
+        eye = sp.identity(H.shape[0], format="csr")
+        M = (sp.kron(H, eye) + sp.kron(eye, H)).tocsr()
+        assert np.iscomplexobj(M.data) and abs(M - M.conj().T).max() == 0
+        assert mgsolve._lower_band(M) is None
+        correct = _assert_gauss_seidel_oracle(M, complex_rhs=complex_rhs)
+        assert _uses_superlu(correct)
 
     def test_real_matrix_complex_right_hand_side(self):
         M = assemble_stiffness(2, 16, "one").matrix.matrix
@@ -500,10 +525,76 @@ class TestSolve:
         _, h = fem_hierarchy()
         with pytest.raises(ArgumentError):
             solve(h, np.ones(h.levels[0].matrix.size), tol=-1.0)
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ArgumentError, match="tol must be positive and finite"):
+                solve(h, np.ones(h.levels[0].matrix.size), tol=tol)
+        for max_iter in (0, -3):
+            with pytest.raises(ArgumentError, match="max_iter must be >= 1"):
+                solve(h, np.ones(h.levels[0].matrix.size), max_iter=max_iter)
         with pytest.raises(ArgumentError):
             solve(h, np.ones(3))
         with pytest.raises(ArgumentError):
             solve(h, np.ones(h.levels[0].matrix.size), cycle="wcycle")
+
+
+def _reference_vcycle(h, level, x, b, coarsest=None):
+    """The V-cycle from public parts, computing b - M x afresh on every
+    sweep."""
+    lvl = h.levels[level]
+    if lvl.transfer is None or level == coarsest:
+        return h._coarse_solve(level)(b)
+    M, spec = lvl.matrix.matrix, lvl.smoother
+    x = smooth(M, x, b, spec, spec.sweeps_pre)
+    rc = lvl.transfer.restrict(b - M @ x)
+    y = _reference_vcycle(h, level + 1, np.zeros_like(rc), rc, coarsest)
+    return smooth(M, x + lvl.transfer.prolong(y), b, spec, spec.sweeps_post)
+
+
+def _solve_case(dim, spec, cycle):
+    """A 1D hierarchy of band levels (127 down to 7) or a 2D hierarchy of
+    SuperLU levels, with its right-hand side."""
+    if dim == 1:
+        problem = assemble_stiffness(2, 64, "xsq_plus_one")
+        h = build_fem_hierarchy(problem, "linear", spec, coarsest_max_size=7,
+                                two_level=cycle == TGM)
+    else:
+        problem = assemble_2d_problem(2, 4)
+        h = build_2d_hierarchy(problem, "linear", spec, two_level=cycle == TGM)
+    rng = np.random.default_rng(13)
+    return h, problem.matrix.matrix @ rng.uniform(size=problem.size)
+
+
+class TestCarriedResidual:
+    """``solve`` hands its stopping-test residual to the next cycle's first
+    sweep and each coarse level starts from its restricted residual; a
+    banded sweep overwrites the residual it is given."""
+
+    @pytest.mark.parametrize("cycle", [TGM, VCYCLE])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_solve_leaves_its_inputs_unchanged(self, dim, cycle):
+        h, b = _solve_case(dim, GS, cycle)
+        b0 = b.copy()
+        first = solve(h, b, cycle=cycle)
+        assert first.converged
+        assert same_bits(b, b0)
+        assert same_bits(solve(h, b, cycle=cycle).x, first.x)
+
+    @pytest.mark.parametrize("sweeps", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("cycle", [TGM, VCYCLE])
+    @pytest.mark.parametrize("kind", [GAUSS_SEIDEL, RICHARDSON])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_reference_vcycle(self, dim, kind, cycle, sweeps):
+        spec = SmootherSpec(kind=kind, sweeps_pre=sweeps[0], sweeps_post=sweeps[1])
+        h, b = _solve_case(dim, spec, cycle)
+        res = solve(h, b, tol=1e-14, max_iter=4, cycle=cycle)
+        assert res.iterations == 4
+        x = np.zeros_like(res.x)
+        for _ in range(res.iterations):
+            x = _reference_vcycle(h, 0, x, b, 1 if cycle == TGM else None)
+        if dim == 1:
+            assert same_bits(res.x, x)
+        else:
+            assert np.linalg.norm(res.x - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_detect_divergence():
