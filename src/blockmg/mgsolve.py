@@ -17,9 +17,9 @@ omega = 1/C with C the Gershgorin bound of its own matrix, inside
 backend follows from M alone: with lower bandwidth kd, when the band
 storage (kd + 1) N is no larger than nnz(M) (every 1D FEM level), LAPACK
 ``tbtrs`` applies the banded lower triangle, stored in Fortran order so
-that no call copies it; otherwise (2D levels) SuperLU factors tril(M)^T
-in natural order, whose CSC arrays are the CSR arrays of tril(M) read
-off M, and solves with ``trans="T"``.  On a real level, a complex
+that no call copies it; otherwise (2D levels) SuperLU's triangular
+solver ``gstrs`` applies tril(M) as it stands, with no factorization
+(see :func:`_lower_triangular_solve`).  On a real level, a complex
 right-hand side is solved as its real and imaginary parts, by either
 smoother backend and by the coarsest-level LU.
 
@@ -39,8 +39,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eig_banded, get_lapack_funcs
+from scipy.sparse.linalg._dsolve import _superlu
 
-from .errors import ArgumentError, ConfigurationError, SingularMatrixError
+from .errors import (ArgumentError, ConfigurationError, ConstructionError,
+                     SingularMatrixError)
 from .structured import BlockStructuredMatrix, GridTransfer, galerkin
 
 RICHARDSON = "richardson"
@@ -157,11 +159,58 @@ def _lower_band(M: sp.csr_matrix, hermitian: bool = False):
     return ab
 
 
+def _check_index_width(n: int, nnz: int) -> None:
+    """SuperLU indexes with C ``int``: refuse a size or entry count that
+    does not fit, rather than let the cast to it wrap."""
+    limit = int(np.iinfo(np.intc).max)
+    if n > limit or nnz > limit:
+        raise ConstructionError(
+            f"Gauss-Seidel level of size {n} with {nnz} strictly lower "
+            f"entries exceeds SuperLU's index limit {limit}")
+
+
+def _lower_triangular_solve(M: sp.csr_matrix):
+    """r -> tril(M)^{-1} r for a square CSR M with a nonzero diagonal, by
+    SuperLU's triangular solver on M's own arrays, with no factorization.
+
+    SuperLU's L is unit lower triangular and keeps U's diagonal in its
+    supernodes.  L passed as the diagonal of M alone and U as the strict
+    upper triangle of tril(M)^T, whose CSC arrays are the strictly lower
+    CSR arrays of M, give L U = tril(M)^T, and ``trans="T"`` (not "H",
+    which would conjugate) solves tril(M) x = r.  A solve returns a new
+    array and leaves r untouched."""
+    n = M.shape[0]
+    rows = np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(M.indptr))
+    strict = M.indices < rows
+    counts = np.bincount(rows[strict], minlength=n)
+    _check_index_width(n, int(counts.sum()))
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
+    indices = M.indices[strict].astype(np.intc, copy=False)
+    # SuperLU takes floating arrays only: an integer or single-precision
+    # level is solved in double precision, as on the band path
+    dtype = np.result_type(M.dtype, float)
+    data = M.data[strict].astype(dtype, copy=False)
+    diag = M.diagonal().astype(dtype, copy=False)
+    colptr = np.arange(n + 1, dtype=np.intc)
+    rowind = colptr[:n]
+    gstrs = _superlu.gstrs
+
+    def solve_lower(r):
+        x, info = gstrs("T", n, n, diag, rowind, colptr,
+                        n, len(data), data, indices, indptr, r)
+        if info != 0:
+            raise SingularMatrixError(
+                f"sparse Gauss-Seidel solve failed: info={info}")
+        return x
+
+    return solve_lower
+
+
 def _correction(M: sp.csr_matrix, spec: SmootherSpec):
     """The map r -> x-correction of one sweep of ``spec`` on M, prepared
     once: omega r for Richardson, (D + L)^{-1} r for forward Gauss-Seidel
-    (exact, no pivoting; banded LAPACK or SuperLU, see the module
-    docstring)."""
+    (exact, no pivoting; banded LAPACK or SuperLU's triangular solver,
+    see the module docstring)."""
     if spec.kind == RICHARDSON:
         if spec.omega is None:
             omega = richardson_omega_default(M)
@@ -173,23 +222,7 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
         raise ConfigurationError("Gauss-Seidel needs a nonzero diagonal")
     ab = _lower_band(M)
     if ab is None:
-        # the CSR arrays of tril(M) are the CSC arrays of tril(M)^T, so
-        # that is factored and solved transposed, without a conversion; a
-        # triangular factor takes no column updates, so one-column panels
-        # give the same factor without the default multi-column panel
-        # workspace, fresh memory on every factorization
-        n = M.shape[0]
-        rows = np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(M.indptr))
-        lower = M.indices <= rows
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[lower],
-                                                             minlength=n))))
-        upper_t = sp.csc_matrix((M.data[lower], M.indices[lower], indptr),
-                                shape=M.shape)
-        lu = spla.splu(upper_t, permc_spec="NATURAL", panel_size=1,
-                       options=dict(DiagPivotThresh=0.0))
-
-        def solve_lower(r):
-            return lu.solve(r, trans="T")
+        solve_lower = _lower_triangular_solve(M)
     else:
         tbtrs = get_lapack_funcs("tbtrs", (ab,))
 
@@ -288,10 +321,12 @@ class MultigridHierarchy:
 
     @classmethod
     def from_transfers(cls, A: BlockStructuredMatrix, transfers, smoother):
-        """Build the Galerkin chain A, P1^H A P1, ... from the finest matrix."""
+        """Build the Galerkin chain A, P1^H A P1, ... from the finest
+        matrix, whose Hermitian test decides every level's symmetrization."""
         mats = [A]
+        hermitian = A.is_hermitian()
         for P in transfers:
-            mats.append(galerkin(mats[-1], P))
+            mats.append(galerkin(mats[-1], P, _hermitian=hermitian))
         return cls(mats, list(transfers), smoother)
 
     def _check_positive_definite(self):

@@ -108,10 +108,12 @@ def build_2d_hierarchy(problem: FemProblem, kind: str,
     chain = _transfer_chain(problem.r, problem.n_elements, kind, 2,
                             coarsest_max_size, two_level)
     K, M = (BlockStructuredMatrix(A) for A in problem.factors)
+    # one Hermitian test per factor chain (see galerkin)
+    hk, hm = K.is_hermitian(), M.is_hermitian()
     mats = [problem.matrix]
     for P in chain:
         T = GridTransfer(P)
-        K, M = galerkin(K, T), galerkin(M, T)
+        K, M = galerkin(K, T, _hermitian=hk), galerkin(M, T, _hermitian=hm)
         mats.append(BlockStructuredMatrix(kron_sum(K.matrix, M.matrix)))
     transfers = [GridTransfer(sp.kron(P, P)) for P in chain]
     return MultigridHierarchy(mats, transfers, smoother or SmootherSpec())

@@ -161,18 +161,23 @@ def assemble_transfer(p: MatrixTrigPolynomial, n: int, structure: str) -> GridTr
     return GridTransfer(assemble(p, n).matrix.tocsc()[:, cols].tocsr())
 
 
-def galerkin(A: BlockStructuredMatrix, P: GridTransfer) -> BlockStructuredMatrix:
+def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
+             _hermitian: bool | None = None) -> BlockStructuredMatrix:
     """Explicit sparse triple product P^H A P, symmetrized when A is
     Hermitian.
 
     For a block-circulant A and a circulant transfer the product is the
     block-circulant matrix of the coarse symbol; a Toeplitz one matches
     its coarse symbol only up to boundary terms.
+
+    ``_hermitian``, when given, is the verdict of ``A.is_hermitian()``,
+    which a Galerkin chain takes once on its finest matrix: every coarser
+    level is the symmetrized output of the previous product.
     """
     if A.size != P.fine_size:
         raise ArgumentError(f"size mismatch: A is {A.size}, P fine side is {P.fine_size}")
-    C = (P.matrix.conj().T @ A.matrix @ P.matrix).tocsr()
-    if A.is_hermitian():
+    C = (P.adjoint @ A.matrix @ P.matrix).tocsr()
+    if A.is_hermitian() if _hermitian is None else _hermitian:
         C = ((C + C.conj().T) * 0.5).tocsr()
     return BlockStructuredMatrix(C)
 

@@ -3,18 +3,21 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.linalg._dsolve import _superlu
 
 from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
                      assemble_toeplitz, assemble_transfer, mgsolve,
                      richardson_omega_default, smooth, solve, tgm_step,
                      vcycle_step, write_residuals)
-from blockmg.errors import ArgumentError, ConfigurationError
+from blockmg.errors import ArgumentError, ConfigurationError, ConstructionError
 from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
                             stiffness_symbol)
-from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE, _correction,
-                             detect_divergence, gershgorin_bound)
+from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE,
+                             _check_index_width, _correction,
+                             _lower_triangular_solve, detect_divergence,
+                             gershgorin_bound)
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
-from blockmg.structured import BlockStructuredMatrix
+from blockmg.structured import BlockStructuredMatrix, galerkin
 from conftest import same_bits
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
@@ -77,19 +80,21 @@ class TestSmooth:
                 SmootherSpec(kind="richardson", omega=omega)
 
 
-def _uses_superlu(correct) -> bool:
-    """True when the prepared correction applies a SuperLU factor: a bound
-    ``SuperLU.solve`` or a ``SuperLU`` object held in a closure, directly
-    or through the real/imaginary split of a real level."""
+def _backend(correct):
+    """The kernel a prepared Gauss-Seidel correction applies: "gstrs" for
+    SuperLU's sparse triangular solver, "tbtrs" for banded LAPACK, held
+    in a closure directly or through the real/imaginary split of a real
+    level; None for neither."""
     pending = [correct]
     while pending:
         obj = pending.pop()
-        if isinstance(obj, spla.SuperLU) or isinstance(
-                getattr(obj, "__self__", None), spla.SuperLU):
-            return True
+        if obj is _superlu.gstrs:
+            return "gstrs"
+        if getattr(obj, "__name__", "").endswith("tbtrs"):
+            return "tbtrs"
         pending.extend(cell.cell_contents
                        for cell in getattr(obj, "__closure__", None) or ())
-    return False
+    return None
 
 
 def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=None):
@@ -121,38 +126,38 @@ class TestSmootherBackends:
         assert len(h.levels) >= 3
         for ell, lvl in enumerate(h.levels[:-1]):
             correct = _assert_gauss_seidel_oracle(lvl.matrix.matrix, seed=ell)
-            assert not _uses_superlu(correct), (r, kind, ell)
+            assert _backend(correct) == "tbtrs", (r, kind, ell)
 
     def test_2d_levels_take_the_superlu_path(self):
         h = build_2d_hierarchy(assemble_2d_problem(2, 4), "linear", GS)
         assert [lvl.matrix.size for lvl in h.levels] == [961, 225, 49]
         for ell, lvl in enumerate(h.levels[:-1]):
-            assert _uses_superlu(_assert_gauss_seidel_oracle(lvl.matrix.matrix, ell))
+            assert _backend(_assert_gauss_seidel_oracle(lvl.matrix.matrix, ell)) == "gstrs"
 
     def test_complex_hermitian_block_toeplitz_is_banded(self):
         assert COMPLEX_HERMITIAN.hermitian
         A = assemble_toeplitz(COMPLEX_HERMITIAN, 31)
         correct = _assert_gauss_seidel_oracle(A.matrix)
-        assert not _uses_superlu(correct)
+        assert _backend(correct) == "tbtrs"
 
     @pytest.mark.parametrize("complex_rhs", [False, True])
     def test_complex_hermitian_wide_band_takes_superlu(self, complex_rhs):
         # the Kronecker sum of a complex Hermitian block Toeplitz matrix
         # has lower bandwidth 48 on 256 unknowns, too wide for the band;
-        # the transposed factor must be solved with trans="T", not "H"
+        # tril(M)^T must be solved with trans="T", not "H"
         H = assemble_toeplitz(COMPLEX_HERMITIAN, 8).matrix
         eye = sp.identity(H.shape[0], format="csr")
         M = (sp.kron(H, eye) + sp.kron(eye, H)).tocsr()
         assert np.iscomplexobj(M.data) and abs(M - M.conj().T).max() == 0
         assert mgsolve._lower_band(M) is None
         correct = _assert_gauss_seidel_oracle(M, complex_rhs=complex_rhs)
-        assert _uses_superlu(correct)
+        assert _backend(correct) == "gstrs"
 
     def test_real_matrix_complex_right_hand_side(self):
         M = assemble_stiffness(2, 16, "one").matrix.matrix
-        assert not _uses_superlu(_assert_gauss_seidel_oracle(M, complex_rhs=True))
+        assert _backend(_assert_gauss_seidel_oracle(M, complex_rhs=True)) == "tbtrs"
         M2 = assemble_2d_problem(2, 3).matrix.matrix
-        assert _uses_superlu(_assert_gauss_seidel_oracle(M2, complex_rhs=True))
+        assert _backend(_assert_gauss_seidel_oracle(M2, complex_rhs=True)) == "gstrs"
 
     def test_unsorted_column_indices(self):
         M = tridiag(9)
@@ -160,7 +165,15 @@ class TestSmootherBackends:
         order = np.concatenate(rows)
         U = sp.csr_matrix((M.data[order], M.indices[order], M.indptr), shape=M.shape)
         assert not U.has_sorted_indices
-        assert not _uses_superlu(_assert_gauss_seidel_oracle(U))
+        assert _backend(_assert_gauss_seidel_oracle(U)) == "tbtrs"
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_integer_and_single_precision_wide_band(self, dtype):
+        M = tridiag(10).tolil()
+        M[9, 0] = -0.5 if dtype is np.float32 else -1
+        M = sp.csr_matrix(M, dtype=dtype)
+        assert mgsolve._lower_band(M) is None
+        assert _backend(_assert_gauss_seidel_oracle(M)) == "gstrs"
 
     @pytest.mark.parametrize("banded", [True, False])
     def test_zero_diagonal_raises(self, banded):
@@ -171,6 +184,70 @@ class TestSmootherBackends:
         M = M.tocsr()
         with pytest.raises(ConfigurationError, match="nonzero diagonal"):
             smooth(M, np.zeros(10), np.ones(10), GS, 1)
+
+
+class TestSparseTriangularSolve:
+    """The call into SuperLU's private ``gstrs`` against a dense
+    triangular solve, so that a scipy release changing it fails here."""
+
+    @staticmethod
+    def _solve(M, r):
+        try:
+            return _lower_triangular_solve(M)(r)
+        except TypeError as exc:
+            pytest.fail("scipy.sparse.linalg._dsolve._superlu.gstrs no longer "
+                        f"takes (trans, L..., U..., b) as blockmg calls it: {exc}")
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("unsorted", [False, True])
+    def test_matches_dense_solve_triangular(self, dtype, unsorted):
+        rng = np.random.default_rng(3)
+        n = 40
+        M = sp.random(n, n, density=0.2, random_state=rng, format="csr")
+        if dtype is complex:
+            Mi = sp.random(n, n, density=0.2, random_state=rng, format="csr")
+            M = M + 1j * Mi
+        M = (M + sp.diags(rng.uniform(1.0, 2.0, n))).tocsr()
+        if unsorted:
+            order = np.concatenate([np.arange(M.indptr[i], M.indptr[i + 1])[::-1]
+                                    for i in range(n)])
+            M = sp.csr_matrix((M.data[order], M.indices[order], M.indptr),
+                              shape=M.shape)
+            assert not M.has_sorted_indices
+        assert np.count_nonzero(np.tril(M.toarray(), -1)) > n
+        assert np.count_nonzero(np.triu(M.toarray(), 1)) > n
+        r = rng.standard_normal(n).astype(dtype)
+        if dtype is complex:
+            r += 1j * rng.standard_normal(n)
+        r0 = r.copy()
+        x = self._solve(M, r)
+        want = sla.solve_triangular(np.tril(M.toarray()), r0, lower=True)
+        assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        np.testing.assert_array_equal(r, r0)
+        assert x is not r
+
+    def test_index_width_checked_on_sizes(self):
+        limit = int(np.iinfo(np.intc).max)
+        _check_index_width(limit, limit)
+        for n, nnz in ((limit + 1, 0), (10, limit + 1)):
+            with pytest.raises(ConstructionError, match="index limit"):
+                _check_index_width(n, nnz)
+
+
+def test_2d_hierarchy_factors_only_its_coarsest_level(monkeypatch):
+    factored = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(mgsolve.spla, "splu", counting_splu)
+    problem = assemble_2d_problem(2, 4)
+    h = build_2d_hierarchy(problem, "linear", GS)
+    rng = np.random.default_rng(0)
+    assert solve(h, problem.matrix.matrix @ rng.uniform(size=problem.matrix.size)).converged
+    assert factored == [h.levels[-1].matrix.size]
 
 
 def two_grid_pieces(n=31):
@@ -535,6 +612,30 @@ class TestSolve:
             solve(h, np.ones(3))
         with pytest.raises(ArgumentError):
             solve(h, np.ones(h.levels[0].matrix.size), cycle="wcycle")
+
+
+def test_galerkin_chains_test_hermitian_once_per_finest_matrix(monkeypatch):
+    tested = []
+    is_hermitian = BlockStructuredMatrix.is_hermitian
+
+    def counting(self, *args, **kwargs):
+        tested.append(self.size)
+        return is_hermitian(self, *args, **kwargs)
+
+    monkeypatch.setattr(BlockStructuredMatrix, "is_hermitian", counting)
+    problem = assemble_stiffness(2, 64, "xsq_plus_one")
+    h = build_fem_hierarchy(problem, "linear", GS, coarsest_max_size=7)
+    assert len(h.levels) >= 4 and tested == [problem.matrix.size]
+    # the public product, which tests every level, builds the same chain
+    want = problem.matrix
+    for fine, coarse in zip(h.levels, h.levels[1:]):
+        want = galerkin(want, fine.transfer)
+        assert abs(coarse.matrix.matrix - want.matrix).max() == 0
+    assert len(tested) == len(h.levels)
+    tested.clear()
+    problem = assemble_2d_problem(2, 5)
+    h = build_2d_hierarchy(problem, "linear", GS)
+    assert len(h.levels) >= 3 and tested == [problem.factors[0].shape[0]] * 2
 
 
 def _reference_vcycle(h, level, x, b, coarsest=None):
