@@ -27,7 +27,16 @@ A hierarchy checks that its level matrices are finite, and that its
 levels of size at most 512 are positive definite from the extreme
 eigenvalues of their Hermitian parts, by the same rule: banded LAPACK
 (``sbevx``/``hbevx``) on a level whose band storage fits in nnz(M), a
-dense ``eigvalsh`` otherwise.
+dense ``eigvalsh`` otherwise.  Here the band is max(kl, ku), the larger
+of the lower and upper bandwidths, and it fits when
+(max(kl, ku) + 1) N <= nnz(M).
+
+The coarsest level (the first coarse level of a two-grid cycle) is
+solved by LU with partial pivoting, factored once, with the same band
+rule: LAPACK ``gbtrf``/``gbtrs`` on a band level (every 1D FEM level),
+SuperLU otherwise (2D levels).  Not a banded Cholesky: a level need
+only have a positive definite Hermitian part, and a Cholesky of that
+part would solve another system.
 """
 
 from __future__ import annotations
@@ -131,23 +140,27 @@ def _real_split(solve, M):
     return split
 
 
+def _bandwidths(M: sp.csr_matrix):
+    """The lower and upper bandwidths (kl, ku) of a square CSR M, read in
+    O(N) off the first and last stored column of each row."""
+    if not M.has_sorted_indices:
+        M = M.sorted_indices()
+    rows = np.flatnonzero(np.diff(M.indptr))
+    kl = np.max(rows - M.indices[M.indptr[rows]], initial=0)
+    ku = np.max(M.indices[M.indptr[rows + 1] - 1] - rows, initial=0)
+    return int(kl), int(ku)
+
+
 def _lower_band(M: sp.csr_matrix, hermitian: bool = False):
     """The lower band storage ab[k, j] = M[j + k, j], k = 0..kd, of a
     square M with lower bandwidth kd, when it holds no more than nnz(M)
     entries, (kd + 1) N <= nnz(M); None otherwise.
 
-    kd is read in O(N) off the first stored column of each row.  With
-    ``hermitian`` the storage is that of the Hermitian part (M + M^H)/2,
-    and kd also covers the upper bandwidth of M, read off the last
-    stored column of each row."""
+    With ``hermitian`` the storage is that of the Hermitian part
+    (M + M^H)/2, and kd also covers the upper bandwidth of M."""
     n = M.shape[0]
-    if not M.has_sorted_indices:
-        M = M.sorted_indices()
-    rows = np.flatnonzero(np.diff(M.indptr))
-    kd = np.max(rows - M.indices[M.indptr[rows]], initial=0)
-    if hermitian:
-        kd = max(kd, np.max(M.indices[M.indptr[rows + 1] - 1] - rows, initial=0))
-    kd = int(kd)
+    kl, ku = _bandwidths(M)
+    kd = max(kl, ku) if hermitian else kl
     if (kd + 1) * n > M.nnz:
         return None
     # Fortran order: what LAPACK takes without a copy on every call
@@ -169,9 +182,10 @@ def _check_index_width(n: int, nnz: int) -> None:
             f"entries exceeds SuperLU's index limit {limit}")
 
 
-def _lower_triangular_solve(M: sp.csr_matrix):
-    """r -> tril(M)^{-1} r for a square CSR M with a nonzero diagonal, by
-    SuperLU's triangular solver on M's own arrays, with no factorization.
+def _lower_triangular_solve(M: sp.csr_matrix, diag):
+    """r -> tril(M)^{-1} r for a square CSR M with the nonzero diagonal
+    ``diag``, by SuperLU's triangular solver on M's own arrays, with no
+    factorization.
 
     SuperLU's L is unit lower triangular and keeps U's diagonal in its
     supernodes.  L passed as the diagonal of M alone and U as the strict
@@ -190,7 +204,7 @@ def _lower_triangular_solve(M: sp.csr_matrix):
     # level is solved in double precision, as on the band path
     dtype = np.result_type(M.dtype, float)
     data = M.data[strict].astype(dtype, copy=False)
-    diag = M.diagonal().astype(dtype, copy=False)
+    diag = diag.astype(dtype, copy=False)
     colptr = np.arange(n + 1, dtype=np.intc)
     rowind = colptr[:n]
     gstrs = _superlu.gstrs
@@ -218,11 +232,12 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
             _check_omega(M, spec.omega)
             omega = spec.omega
         return lambda r: omega * r
-    if np.any(M.diagonal() == 0):
+    diag = M.diagonal()
+    if np.any(diag == 0):
         raise ConfigurationError("Gauss-Seidel needs a nonzero diagonal")
     ab = _lower_band(M)
     if ab is None:
-        solve_lower = _lower_triangular_solve(M)
+        solve_lower = _lower_triangular_solve(M, diag)
     else:
         tbtrs = get_lapack_funcs("tbtrs", (ab,))
 
@@ -276,6 +291,38 @@ def _extreme_eigenvalues(M: sp.csr_matrix):
     lo, hi = (eig_banded(hb, lower=True, eigvals_only=True, select="i",
                          select_range=(k, k))[0] for k in (0, n - 1))
     return lo, hi
+
+
+def _coarse_solver(M: sp.csr_matrix):
+    """r -> M^{-1} r for the coarsest level M, by LU with partial pivoting:
+    LAPACK ``gbtrf``/``gbtrs`` on a band level, whose band storage
+    (max(kl, ku) + 1) N fits in nnz(M) (the rule of
+    :func:`_extreme_eigenvalues`), SuperLU otherwise."""
+    n = M.shape[0]
+    kl, ku = _bandwidths(M)
+    if (max(kl, ku) + 1) * n > M.nnz:
+        try:
+            lu = spla.splu(M.tocsc())
+        except RuntimeError as exc:
+            raise SingularMatrixError(
+                f"coarsest-level matrix is singular: {exc}") from exc
+        return _real_split(lu.solve, M)
+    # ab[kl + ku + i - j, j] = M[i, j]; the top kl rows take the fill of
+    # pivoting, and duplicate entries add up as in M.diagonal()
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.result_type(M.dtype, float),
+                  order="F")
+    rows = np.repeat(np.arange(n), np.diff(M.indptr))
+    np.add.at(ab, (kl + ku + rows - M.indices, M.indices), M.data)
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
+    if info > 0:
+        raise SingularMatrixError(
+            f"coarsest-level matrix is singular: zero pivot in column {info}")
+
+    def solve(r):
+        return gbtrs(lu, kl, ku, r, piv)[0]
+
+    return _real_split(solve, M)
 
 
 @dataclass
@@ -345,13 +392,7 @@ class MultigridHierarchy:
     def _coarse_solve(self, ell):
         lvl = self.levels[ell]
         if lvl.coarse_solve is None:
-            M = lvl.matrix.matrix
-            try:
-                lu = spla.splu(M.tocsc())
-            except RuntimeError as exc:
-                raise SingularMatrixError(
-                    f"coarsest-level matrix is singular: {exc}") from exc
-            lvl.coarse_solve = _real_split(lu.solve, M)
+            lvl.coarse_solve = _coarse_solver(lvl.matrix.matrix)
         return lvl.coarse_solve
 
     def _smooth(self, ell, x, b, sweeps, residual=None):

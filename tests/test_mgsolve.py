@@ -9,11 +9,12 @@ from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
                      assemble_toeplitz, assemble_transfer, mgsolve,
                      richardson_omega_default, smooth, solve, tgm_step,
                      vcycle_step, write_residuals)
-from blockmg.errors import ArgumentError, ConfigurationError, ConstructionError
+from blockmg.errors import (ArgumentError, ConfigurationError, ConstructionError,
+                            SingularMatrixError)
 from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
                             stiffness_symbol)
 from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE,
-                             _check_index_width, _correction,
+                             _check_index_width, _coarse_solver, _correction,
                              _lower_triangular_solve, detect_divergence,
                              gershgorin_bound)
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
@@ -81,17 +82,21 @@ class TestSmooth:
 
 
 def _backend(correct):
-    """The kernel a prepared Gauss-Seidel correction applies: "gstrs" for
-    SuperLU's sparse triangular solver, "tbtrs" for banded LAPACK, held
-    in a closure directly or through the real/imaginary split of a real
-    level; None for neither."""
+    """The kernel a prepared Gauss-Seidel correction or coarse solver
+    applies: "gstrs" for SuperLU's sparse triangular solver, "tbtrs" or
+    "gbtrs" for banded LAPACK, "splu" for a SuperLU factor, held in a
+    closure directly or through the real/imaginary split of a real level;
+    None for none of them."""
     pending = [correct]
     while pending:
         obj = pending.pop()
         if obj is _superlu.gstrs:
             return "gstrs"
-        if getattr(obj, "__name__", "").endswith("tbtrs"):
-            return "tbtrs"
+        if isinstance(getattr(obj, "__self__", None), spla.SuperLU):
+            return "splu"
+        for kernel in ("tbtrs", "gbtrs"):
+            if getattr(obj, "__name__", "").endswith(kernel):
+                return kernel
         pending.extend(cell.cell_contents
                        for cell in getattr(obj, "__closure__", None) or ())
     return None
@@ -193,7 +198,7 @@ class TestSparseTriangularSolve:
     @staticmethod
     def _solve(M, r):
         try:
-            return _lower_triangular_solve(M)(r)
+            return _lower_triangular_solve(M, M.diagonal())(r)
         except TypeError as exc:
             pytest.fail("scipy.sparse.linalg._dsolve._superlu.gstrs no longer "
                         f"takes (trans, L..., U..., b) as blockmg calls it: {exc}")
@@ -248,6 +253,105 @@ def test_2d_hierarchy_factors_only_its_coarsest_level(monkeypatch):
     rng = np.random.default_rng(0)
     assert solve(h, problem.matrix.matrix @ rng.uniform(size=problem.matrix.size)).converged
     assert factored == [h.levels[-1].matrix.size]
+
+
+def _assert_coarse_solver_matches_splu(M, complex_rhs=False, seed=0):
+    """The prepared coarse solver against SuperLU on M, to round-off;
+    returns the solver.  A complex right-hand side on a real M is
+    checked against SuperLU on its real and imaginary parts."""
+    rng = np.random.default_rng(seed)
+    n = M.shape[0]
+    b = rng.standard_normal(n)
+    if complex_rhs or np.iscomplexobj(M.data):
+        b = b + 1j * rng.standard_normal(n)
+    lu = spla.splu(M.tocsc())
+    if np.iscomplexobj(M.data) or not complex_rhs:
+        want = lu.solve(b)
+    else:
+        want = lu.solve(b.real) + 1j * lu.solve(b.imag)
+    b0 = b.copy()
+    solver = _coarse_solver(M)
+    got = solver(b)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert same_bits(b, b0)
+    return solver
+
+
+class TestCoarseSolver:
+    """Band levels are solved by LAPACK banded LU (``gbtrf``/``gbtrs``),
+    wide-band levels by SuperLU."""
+
+    @pytest.mark.parametrize("complex_rhs", [False, True])
+    def test_real_fem_coarse_level(self, complex_rhs):
+        problem = assemble_stiffness(3, 64, "exp_minus_2x")
+        h = build_fem_hierarchy(problem, "geometric",
+                                SmootherSpec(kind=RICHARDSON), two_level=True)
+        M = h.levels[1].matrix.matrix
+        assert _backend(_assert_coarse_solver_matches_splu(M, complex_rhs)) == "gbtrs"
+
+    def test_complex_hermitian_band_level(self):
+        M = assemble_toeplitz(COMPLEX_HERMITIAN, 31).matrix
+        assert np.iscomplexobj(M.data)
+        assert _backend(_assert_coarse_solver_matches_splu(M)) == "gbtrs"
+
+    def test_non_hermitian_level_is_solved_not_its_hermitian_part(self):
+        # kl = 2, ku = 1; the Hermitian part (4 on the diagonal, -1.25
+        # and 0.25 off it) is diagonally dominant, so the hierarchy takes
+        # M, but a Cholesky of that part would solve another system
+        n = 40
+        M = sp.diags([0.5, -1.0, 4.0, -1.5], [-2, -1, 0, 1], shape=(n, n)).tocsr()
+        solver = _assert_coarse_solver_matches_splu(M)
+        assert _backend(solver) == "gbtrs"
+        b = np.ones(n)
+        H = 0.5 * (M + M.T).tocsc()
+        assert np.linalg.norm(solver(b) - spla.spsolve(H, b)) > 0.1
+
+    def test_duplicate_entries_add_up(self):
+        # rows 0 and 1 store (0, 0) and (1, 1) a second time, at their ends
+        M = tridiag(12)
+        ends = M.indptr[1:3]
+        indptr = M.indptr + np.minimum(np.arange(13), 2)
+        dup = sp.csr_matrix((np.insert(M.data, ends, [0.5, -0.25]),
+                             np.insert(M.indices, ends, [0, 1]), indptr),
+                            shape=M.shape)
+        assert dup.nnz == M.nnz + 2 and not dup.has_canonical_format
+        assert dup.diagonal()[:2].tolist() == [2.5, 1.75]
+        assert _backend(_assert_coarse_solver_matches_splu(dup)) == "gbtrs"
+
+    def test_wide_band_level_keeps_superlu(self):
+        M = assemble_2d_problem(2, 4).matrix.matrix
+        assert _backend(_assert_coarse_solver_matches_splu(M)) == "splu"
+
+    @pytest.mark.parametrize("banded", [True, False])
+    def test_singular_level_raises(self, banded):
+        M = tridiag(10).tolil()
+        if not banded:
+            M[9, 0] = -0.5  # lower bandwidth 9: (9 + 1) * 10 > nnz
+        M[:, 4] = 0.0
+        M = M.tocsr()
+        M.eliminate_zeros()
+        with pytest.raises(SingularMatrixError, match="coarsest-level matrix is singular"):
+            _coarse_solver(M)
+
+
+@pytest.mark.parametrize("cycle", [TGM, VCYCLE])
+@pytest.mark.parametrize("kind", ["linear", "geometric"])
+def test_1d_hierarchy_factors_no_level_with_superlu(monkeypatch, kind, cycle):
+    factored = []
+    splu = spla.splu
+
+    def counting_splu(A, *args, **kwargs):
+        factored.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(mgsolve.spla, "splu", counting_splu)
+    problem = assemble_stiffness(3, 256, "exp_minus_2x")
+    h = build_fem_hierarchy(problem, kind, SmootherSpec(kind=RICHARDSON),
+                            two_level=cycle == TGM)
+    rng = np.random.default_rng(0)
+    b = problem.matrix.matrix @ rng.uniform(size=problem.size)
+    assert solve(h, b, cycle=cycle).converged
+    assert factored == []
 
 
 def two_grid_pieces(n=31):
