@@ -8,14 +8,14 @@ from .errors import (ArgumentError, BlockmgError, ConfigurationError,
 from .symbol import (MatrixTrigPolynomial, SymbolZero, coarse_symbol,
                      corner_set, corner_sum, corner_sums, find_zero,
                      read_symbol, symbol_sup_norm, tensor_symbol, theta_grid,
-                     tracked_eigenpair, tracked_eigenpairs, write_symbol)
+                     tracked_eigenpairs, write_symbol)
 from .structured import (BlockStructuredMatrix, GridTransfer,
                          assemble_circulant, assemble_toeplitz,
                          assemble_transfer, coarse_projection_norm,
-                         cutting_matrix, galerkin, read_coo, write_coo)
+                         cutting_matrix, galerkin)
 from .mgsolve import (MultigridHierarchy, SmootherSpec, SolveResult,
                       richardson_omega_default, smooth, solve, tgm_step,
-                      vcycle_step, write_residuals)
+                      vcycle_step)
 from .conditions import (CheckResult, ConditionReport, build_s,
                          build_s_grid, check_condition_i, check_condition_ii,
                          check_condition_iii, check_fhat_properties,

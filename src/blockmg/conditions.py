@@ -31,18 +31,18 @@ import numpy as np
 from . import smallmat
 from .errors import (ArgumentError, BlockmgError, DimensionError,
                      SingularMatrixError, TrackingError)
-from .symbol import (MatrixTrigPolynomial, SymbolZero, coarse_symbol,
-                     corner_sums, find_zero, sample_points, symbol_sup_norm,
-                     theta_grid, tracked_eigenpairs)
+from .symbol import (OVERLAP_MIN, MatrixTrigPolynomial, SymbolZero,
+                     coarse_symbol, corner_sums, find_zero, sample_points,
+                     symbol_sup_norm, theta_grid, tracked_eigenpairs)
 
 EPS = np.finfo(float).eps
-OVERLAP_MIN = 0.6
 DYADIC_K_MIN = 5
 DYADIC_K_MAX = 25
 TAIL = 5
 REL_SPREAD = 1e-2
 RATIO_CAP = 1e8
-GRID_POINTS = 1024
+GRID_POINTS = 1024         # conditions (i) and the coarse-symbol grid
+SMALL_GRID_POINTS = 256    # projector defect and sup norms
 
 
 @dataclass
@@ -245,13 +245,13 @@ def _axis_directions(m: int):
 
 def _f_branch_fn(f: MatrixTrigPolynomial, q: np.ndarray):
     def fn(ts):
-        return tracked_eigenpairs(f.evaluate_grid(ts), q, OVERLAP_MIN)[0]
+        return tracked_eigenpairs(f.evaluate_grid(ts), q)[0]
     return fn
 
 
 def _s_gap_fn(p: MatrixTrigPolynomial, q: np.ndarray):
     def fn(ts):
-        return 1.0 - tracked_eigenpairs(build_s_grid(p, ts), q, OVERLAP_MIN)[0]
+        return 1.0 - tracked_eigenpairs(build_s_grid(p, ts), q)[0]
     return fn
 
 
@@ -308,16 +308,16 @@ def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
 # -- conditions (i), (ii), (iii) -------------------------------------------
 
 
-def check_condition_i(p: MatrixTrigPolynomial,
-                      npoints: int = GRID_POINTS) -> CheckResult:
-    """Grid minimum of the smallest corner-sum eigenvalue; positive means
-    s(theta) is well-defined everywhere."""
-    eigs = np.linalg.eigvalsh(corner_sums(p, sample_points(p.m, npoints)))
+def check_condition_i(p: MatrixTrigPolynomial) -> CheckResult:
+    """Grid minimum of the smallest corner-sum eigenvalue over
+    GRID_POINTS samples; positive means s(theta) is well-defined
+    everywhere."""
+    eigs = np.linalg.eigvalsh(corner_sums(p, sample_points(p.m, GRID_POINTS)))
     min_eig = float(eigs[:, 0].min())
     max_eig = float(eigs[:, -1].max())
     passed = min_eig > 1e-10 * max_eig
     return CheckResult(passed, {"min_eig": min_eig, "max_eig": max_eig,
-                                "npoints": int(npoints)})
+                                "npoints": GRID_POINTS})
 
 
 def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -> dict:
@@ -379,16 +379,18 @@ def check_condition_ii(p: MatrixTrigPolynomial, zero: SymbolZero, *,
                                        for k, v in hyps.items()}})
 
 
-def projector_defect(p: MatrixTrigPolynomial, npoints: int = 256) -> float:
-    """max over a grid of ||s(t)^2 - s(t)||_F; zero identifies s as a
-    projector, which settles condition (iii) with limit 0."""
-    s = build_s_grid(p, sample_points(p.m, npoints))
+def projector_defect(p: MatrixTrigPolynomial) -> float:
+    """max over a grid of SMALL_GRID_POINTS of ||s(t)^2 - s(t)||_F; zero
+    identifies s as a projector, which settles condition (iii) with
+    limit 0."""
+    s = build_s_grid(p, sample_points(p.m, SMALL_GRID_POINTS))
     return float(np.max(np.linalg.norm(s @ s - s, axis=(1, 2))))
 
 
 def _sup_norms(f: MatrixTrigPolynomial, p: MatrixTrigPolynomial):
     """The sup norms of f and p that scale the noise floors of the limits."""
-    return symbol_sup_norm(f, 256), symbol_sup_norm(p, 256)
+    return (symbol_sup_norm(f, SMALL_GRID_POINTS),
+            symbol_sup_norm(p, SMALL_GRID_POINTS))
 
 
 def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
@@ -469,13 +471,13 @@ def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
 
 
 def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
-                          zero: SymbolZero,
-                          npoints: int = GRID_POINTS, *, _scales=None) -> dict:
+                          zero: SymbolZero, *, _scales=None) -> dict:
     """The five structural properties of the coarse symbol: Hermitian
-    polynomial, nonnegative, q in the kernel at the doubled zero,
-    positive elsewhere (outside a 1e-3 exclusion ball), and the
-    coarse/fine eigenvalue ratio tending to a nonzero constant.
-    ``_scales`` is as for :func:`check_condition_iii`."""
+    polynomial, nonnegative and positive elsewhere (outside a 1e-3
+    exclusion ball) on a grid of GRID_POINTS, q in the kernel at the
+    doubled zero, and the coarse/fine eigenvalue ratio tending to a
+    nonzero constant.  ``_scales`` is as for
+    :func:`check_condition_iii`."""
     fhat = coarse_symbol(f, p)
     t0 = float(zero.theta0[0])
     q = zero.q_jbar
@@ -483,7 +485,7 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
 
     out["hermitian"] = CheckResult(fhat.hermitian, {"window": fhat.window()[0]})
 
-    pts = theta_grid(npoints)
+    pts = theta_grid(GRID_POINTS)
     eigs = np.linalg.eigvalsh(fhat.evaluate_grid(pts))
     scale = float(np.max(np.abs(eigs)))
     min_eig = float(eigs[:, 0].min())
@@ -500,7 +502,7 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     out["positive_elsewhere"] = CheckResult(min_away > 1e-10 * scale,
                                             {"min_eig_outside_ball": min_away})
 
-    fscale = symbol_sup_norm(f, 256) if _scales is None else _scales[0]
+    fscale = symbol_sup_norm(f, SMALL_GRID_POINTS) if _scales is None else _scales[0]
     fhat_branch = _f_branch_fn(fhat, q)
     est = dyadic_limit(
         lambda ts: fhat_branch(2.0 * ts),

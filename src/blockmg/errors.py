@@ -26,11 +26,7 @@ class SingularMatrixError(BlockmgError, ArithmeticError):
 
 
 class NumericalError(BlockmgError, ArithmeticError):
-    """An iterative kernel failed to converge within its iteration cap."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations
+    """A numerical kernel failed or had too little usable data."""
 
 
 class TrackingError(BlockmgError, RuntimeError):

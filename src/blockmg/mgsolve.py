@@ -437,6 +437,11 @@ def tgm_step(A: BlockStructuredMatrix, P: GridTransfer, x, b, spec: SmootherSpec
 TGM = "tgm"
 VCYCLE = "vcycle"
 
+# a solve stops as diverged once the residual grows by more than this
+# factor in each of this many consecutive cycles
+DIVERGENCE_RATIO = 1.5
+DIVERGENCE_RUN = 5
+
 
 @dataclass
 class SolveResult:
@@ -453,13 +458,13 @@ class SolveResult:
         return "" if self.converged else "noconv"
 
 
-def detect_divergence(residuals, ratio: float = 1.5, run: int = 5) -> bool:
-    """True when the last ``run`` consecutive residual ratios exceed
-    ``ratio``: the residual grows geometrically."""
-    if len(residuals) < run + 1:
+def detect_divergence(residuals) -> bool:
+    """True when the last DIVERGENCE_RUN consecutive residual ratios
+    exceed DIVERGENCE_RATIO: the residual grows geometrically."""
+    if len(residuals) < DIVERGENCE_RUN + 1:
         return False
-    tail = residuals[-(run + 1):]
-    return all(tail[k + 1] > ratio * tail[k] for k in range(run))
+    tail = residuals[-(DIVERGENCE_RUN + 1):]
+    return all(tail[k + 1] > DIVERGENCE_RATIO * tail[k] for k in range(DIVERGENCE_RUN))
 
 
 def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
@@ -509,10 +514,3 @@ def richardson_omega_default(A) -> float:
         raise ArgumentError("cannot derive a damping parameter from a zero operator")
     return 1.0 / bound
 
-
-def write_residuals(path, residuals) -> None:
-    """CSV export of a residual history: iteration, relative_residual."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("iteration,relative_residual\n")
-        for k, r in enumerate(residuals, start=1):
-            fh.write(f"{k},{float(r)!r}\n")

@@ -194,7 +194,7 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     q /= np.linalg.norm(q)
     p2d = tensor_symbol(ps)
 
-    cond_i = check_condition_i(p2d, npoints=1024)
+    cond_i = check_condition_i(p2d)
 
     kernel_defect = float(np.linalg.norm(f2d.evaluate(theta0) @ q))
     try:
@@ -212,7 +212,9 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
                            _axis_directions(2), numer_floor=100 * EPS,
                            denom_floor=1e3 * EPS * fscale)
         cs = [d["c"] for d in est.per_direction]
-        iso = (max(cs) - min(cs)) / max(max(abs(c) for c in cs), 1e-6)
+        # no direction is recorded when the first one settles the limit
+        iso = ((max(cs) - min(cs)) / max(max(abs(c) for c in cs), 1e-6)
+               if cs else float("nan"))
         directional = CheckResult(est.passed, {**est.as_evidence(),
                                                "directional_relative_spread": iso})
     except BlockmgError as exc:
@@ -237,14 +239,17 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
                              {"max_abs_difference": s_worst,
                               "errors": s_errors})
 
-    factor_defects = []
-    for p, z in zip(ps, zeros):
-        s1 = build_s(p, np.asarray(z.theta0))
-        factor_defects.append(float(np.linalg.norm(s1 @ z.q_jbar - z.q_jbar)))
-    tensor_eig = CheckResult(
-        fixed_point.passed and max(factor_defects) <= 1e-9,
-        {"factor_defects": factor_defects,
-         "tensor_defect": fixed_point.evidence.get("defect")})
+    # each factor's fixed-point defect is its own condition (ii) defect
+    factor_ii = [r.condition_ii.evidence for r in factor_reports]
+    errors = [e["error"] for e in factor_ii if "error" in e]
+    if errors:
+        tensor_eig = CheckResult(False, {"error": errors[0]})
+    else:
+        factor_defects = [e["defect"] for e in factor_ii]
+        tensor_eig = CheckResult(
+            fixed_point.passed and max(factor_defects) <= 1e-9,
+            {"factor_defects": factor_defects,
+             "tensor_defect": fixed_point.evidence.get("defect")})
 
     tgm = (cond_i.passed and fixed_point.passed and directional.passed
            and all(r.tgm_certified for r in factor_reports))

@@ -40,8 +40,7 @@ def eig_hermitian(M):
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"Hermitian eigensolver did not converge: {exc}",
-                             iterations=30 * A.shape[0]) from exc
+        raise NumericalError(f"Hermitian eigensolver did not converge: {exc}") from exc
     return w, V
 
 

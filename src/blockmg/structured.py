@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from . import smallmat
 from .errors import ArgumentError
-from .symbol import MatrixTrigPolynomial
+from .symbol import HERMITIAN_RTOL, MatrixTrigPolynomial
 
 CIRCULANT = "circulant"
 TOEPLITZ = "toeplitz"
@@ -42,11 +42,12 @@ class BlockStructuredMatrix:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def is_hermitian(self, rtol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
+        """A = A^H to HERMITIAN_RTOL relative to 1 + max |a_ij|."""
         dev = abs(self.matrix - self.matrix.conj().T)
         top = dev.max() if dev.nnz else 0.0
         scale = abs(self.matrix).max() if self.matrix.nnz else 0.0
-        return top <= rtol * (1.0 + scale)
+        return top <= HERMITIAN_RTOL * (1.0 + scale)
 
 
 class GridTransfer:
@@ -182,75 +183,13 @@ def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
     return BlockStructuredMatrix(C)
 
 
-def coarse_projection_norm(A: BlockStructuredMatrix, P: GridTransfer,
-                           tol: float = 1e-8, max_iter: int = 5000) -> float:
-    """Spectral norm of the coarse-grid projector P (P^H A P)^-1 P^H A.
-
-    Dense path; sizes are capped at 2048.  The norm is the square root of
-    the dominant eigenvalue of pi^H pi, found by power iteration.
-    """
+def coarse_projection_norm(A: BlockStructuredMatrix, P: GridTransfer) -> float:
+    """Spectral norm of the coarse-grid projector P (P^H A P)^-1 P^H A,
+    formed densely; sizes are capped at 2048."""
     if A.size > 2048:
         raise ArgumentError(f"dense projector norm capped at size 2048, got {A.size}")
     Ad = A.dense()
     Pd = P.matrix.toarray()
     G = Pd.conj().T @ Ad @ Pd
     pi = Pd @ smallmat.solve(G, Pd.conj().T @ Ad)
-    M = pi.conj().T @ pi
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        w /= nw
-        lam_new = float(np.real(np.conj(w) @ (M @ w)))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
-            lam = lam_new
-            break
-        lam, v = lam_new, w
-    return float(np.sqrt(max(lam, 0.0)))
-
-
-def write_coo(path, A: BlockStructuredMatrix) -> None:
-    """Coordinate-format text export: header then 1-based (row, col, re, im)."""
-    coo = A.matrix.tocoo()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"coo {A.matrix.shape[0]} {A.matrix.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r + 1} {c + 1} {float(v.real)!r} {float(v.imag)!r}\n")
-
-
-def read_coo(path) -> sp.csr_matrix:
-    """Inverse of :func:`write_coo` (returns the bare sparse matrix)."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ArgumentError(f"cannot read coordinate file {path}: {exc}") from exc
-    header = lines[0].split() if lines else []
-    if len(header) != 4 or header[0] != "coo":
-        raise ArgumentError("not a coordinate-format export")
-    try:
-        rows, cols, nnz = (int(v) for v in header[1:])
-    except ValueError as exc:
-        raise ArgumentError(f"bad coordinate-file header {lines[0]!r}") from exc
-    if len(lines) - 1 < nnz:
-        raise ArgumentError(
-            f"truncated coordinate file {path}: {len(lines) - 1} of {nnz} entries")
-    ii, jj, vv = [], [], []
-    for k, line in enumerate(lines[1:nnz + 1], start=2):
-        try:
-            r, c, re, im = line.split()
-            ii.append(int(r) - 1)
-            jj.append(int(c) - 1)
-            vv.append(complex(float(re), float(im)))
-        except ValueError as exc:
-            raise ArgumentError(
-                f"truncated coordinate file {path}: bad entry on line {k}: {line!r}") from exc
-    try:
-        return sp.csr_matrix((np.array(vv, dtype=complex), (ii, jj)), shape=(rows, cols))
-    except ValueError as exc:
-        raise ArgumentError(f"bad coordinate file {path}: {exc}") from exc
+    return float(np.linalg.norm(pi, 2))

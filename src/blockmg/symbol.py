@@ -11,8 +11,7 @@ Evaluation is batched: :meth:`MatrixTrigPolynomial.evaluate_grid` and
 :func:`corner_sums` work on a stack of n points, and the one-point
 :meth:`MatrixTrigPolynomial.evaluate` and :func:`corner_sum` are their
 n = 1 cases; branch tracking likewise runs on a stack
-(:func:`tracked_eigenpairs`), with :func:`tracked_eigenpair` its
-one-matrix case.
+(:func:`tracked_eigenpairs`; a single matrix is a stack of one).
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from .errors import (ArgumentError, DimensionError, NumericalError,
 TRIM_RTOL = 1e-14
 HERMITIAN_RTOL = 1e-12
 DEFAULT_GRID = 1024
+OVERLAP_MIN = 0.6   # least eigenvector overlap |v^H q| that keeps a branch
 
 
 def _as_multi_index(j, m):
@@ -238,14 +238,14 @@ def sample_points(m, npoints):
 # -- eigenvalue branch tracking ----------------------------------------------
 
 
-def tracked_eigenpairs(mats, q: np.ndarray, overlap_min: float = 0.6):
+def tracked_eigenpairs(mats, q: np.ndarray):
     """Eigenpairs of a stack of Hermitian matrices (n, d, d) on the branch
     closest to q, by one batched eigendecomposition.
 
     Each matrix is symmetrized as (M + M^H)/2 first.  Returns the
     eigenvalues (n,), eigenvectors (n, d) and overlaps |v^H q| (n,);
     raises TrackingError at the first matrix whose best overlap falls
-    below ``overlap_min``, naming its position in a stack of several.
+    below OVERLAP_MIN, naming its position in a stack of several.
     """
     A = np.asarray(mats, dtype=complex)
     if A.ndim != 3 or A.shape[1] != A.shape[2]:
@@ -255,25 +255,14 @@ def tracked_eigenpairs(mats, q: np.ndarray, overlap_min: float = 0.6):
     best = np.argmax(overlaps, axis=1)
     rows = np.arange(len(A))
     top = overlaps[rows, best]
-    failed = np.flatnonzero(top < overlap_min)
+    failed = np.flatnonzero(top < OVERLAP_MIN)
     if failed.size:
         k = failed[0]
         where = f" at matrix {k} of {len(A)}" if len(A) > 1 else ""
         raise TrackingError(
-            f"eigenvector overlap {top[k]:.3f} below {overlap_min}{where}; "
+            f"eigenvector overlap {top[k]:.3f} below {OVERLAP_MIN}{where}; "
             "branch tracking is ambiguous")
     return w[rows, best], V[rows, :, best], top
-
-
-def tracked_eigenpair(mat: np.ndarray, q: np.ndarray, overlap_min: float = 0.6):
-    """Eigenvalue of a Hermitian matrix on the branch closest to q: the
-    one-matrix case of :func:`tracked_eigenpairs`.
-
-    Returns (eigenvalue, eigenvector, overlap); raises TrackingError when
-    the best overlap |v^H q| falls below ``overlap_min``.
-    """
-    w, V, overlaps = tracked_eigenpairs(smallmat.as_matrix(mat)[None], q, overlap_min)
-    return float(w[0]), V[0], float(overlaps[0])
 
 
 # -- zero location -------------------------------------------------------
@@ -307,10 +296,11 @@ def _golden_section(fun, a, b, tol=1e-12, max_iter=200):
 _SNAP_DENOM = 12  # candidate zeros at multiples of pi/12 (covers 0, pi/2, pi, ...)
 
 
-def find_zero(f: MatrixTrigPolynomial, npoints: int = DEFAULT_GRID) -> SymbolZero:
+def find_zero(f: MatrixTrigPolynomial) -> SymbolZero:
     """Locate the unique zero of the minimal eigenvalue function of f >= 0.
 
-    The argmin of the minimal eigenvalue over a uniform grid is refined
+    The argmin of the minimal eigenvalue over a uniform grid (DEFAULT_GRID
+    points, four times as many for m >= 2) is refined
     by per-axis golden-section descent, then snapped to a nearby multiple
     of pi/12 when that candidate is at least as small numerically (the
     curvature of a quadratic minimum limits direct localization to about
@@ -321,7 +311,7 @@ def find_zero(f: MatrixTrigPolynomial, npoints: int = DEFAULT_GRID) -> SymbolZer
     if not f.hermitian:
         raise ArgumentError("find_zero requires a Hermitian symbol")
     m = f.m
-    pts = sample_points(m, npoints if m == 1 else npoints * 4)
+    pts = sample_points(m, DEFAULT_GRID if m == 1 else DEFAULT_GRID * 4)
     w = np.linalg.eigvalsh(f.evaluate_grid(pts))
     mins, maxs = w[:, 0], w[:, -1]
     scale = float(np.max(np.abs(maxs)))
@@ -388,8 +378,7 @@ def _zero_order(f, theta0, q, scale):
     usable = lams > 1e4 * np.finfo(float).eps * scale
     hs, lams = hs[usable], lams[usable]
     if len(hs) < 3:
-        raise NumericalError("too few usable scales to estimate the zero order",
-                             iterations=len(hs))
+        raise NumericalError("too few usable scales to estimate the zero order")
     hs, lams = hs[-8:], lams[-8:]
     slope = np.polyfit(np.log(hs), np.log(lams), 1)[0]
     order = max(2, 2 * int(round(slope / 2.0)))

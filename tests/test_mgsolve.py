@@ -8,7 +8,7 @@ from scipy.sparse.linalg._dsolve import _superlu
 from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
                      assemble_toeplitz, assemble_transfer, mgsolve,
                      richardson_omega_default, smooth, solve, tgm_step,
-                     vcycle_step, write_residuals)
+                     vcycle_step)
 from blockmg.errors import (ArgumentError, ConfigurationError, ConstructionError,
                             SingularMatrixError)
 from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
@@ -817,11 +817,3 @@ class TestOmegaDefault:
         with pytest.raises(ArgumentError):
             richardson_omega_default(sp.csr_matrix((4, 4)))
 
-
-def test_write_residuals(tmp_path):
-    path = tmp_path / "res.csv"
-    write_residuals(path, [0.5, 0.25, 0.1])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,relative_residual"
-    assert lines[1] == "1,0.5"
-    assert len(lines) == 4

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -215,6 +217,19 @@ class TestMultilevelConditions:
         assert len(calls) == 1
         assert len(shared.factor_reports) == 2
         assert shared.to_json() == separate
+
+    @pytest.mark.parametrize("coeffs", [{0: 1.0}, {0: 0.0}, {0: 1.0, 2: -1.0}],
+                             ids=["injection", "zero", "one-minus-e2it"])
+    def test_degenerate_projector_fails_without_raising(self, coeffs):
+        # the injection control settles condition (iii) as failed on its
+        # first direction; the other two have a singular factor corner sum
+        p = MatrixTrigPolynomial.scalar(coeffs)
+        f = stiffness_symbol(1)
+        f2d = tensor_sum_symbol(f, mass_symbol(1))
+        report = check_multilevel_conditions([p, p], f2d, fs=[f, f])
+        assert not report.tgm_certified
+        assert not report.tensor_eigenvector.passed
+        json.loads(report.to_json())
 
     def test_fs_required(self, p_l2):
         f = stiffness_symbol(2)

@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
 import scipy.sparse.linalg as spla
 
 from blockmg import (MatrixTrigPolynomial, assemble_circulant,
                      assemble_toeplitz, assemble_transfer,
                      coarse_projection_norm, coarse_symbol, cutting_matrix,
-                     galerkin, read_coo, write_coo)
+                     galerkin)
 from blockmg.errors import ArgumentError
 from blockmg.femgen import assemble_stiffness, build_fem_hierarchy
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
 
 from conftest import (has_full_column_rank, random_hermitian_symbol,
-                      random_symbol, same_bits, symbols)
+                      random_symbol)
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -281,57 +280,3 @@ class TestCoarseProjectionNorm:
         with pytest.raises(ArgumentError):
             coarse_projection_norm(A, P)
 
-
-class TestCooExport:
-    def test_roundtrip(self, tmp_path, f_q2):
-        A = assemble_toeplitz(f_q2, 4)
-        path = tmp_path / "mat.coo"
-        write_coo(path, A)
-        B = read_coo(path)
-        assert abs(A.matrix - B).max() == 0.0
-        first = path.read_text().splitlines()[0].split()
-        assert first[0] == "coo" and first[1] == "8"
-
-    def test_zero_entry_roundtrip_is_complex(self, tmp_path):
-        path = tmp_path / "zero.coo"
-        write_coo(path, assemble_toeplitz(MatrixTrigPolynomial.scalar({0: 0.0}), 3))
-        assert path.read_text().splitlines()[0].split() == ["coo", "3", "3", "0"]
-        got = read_coo(path)
-        assert got.shape == (3, 3) and got.nnz == 0
-        assert got.dtype == np.complex128
-        assert read_coo(path).dtype == assemble_toeplitz(LAPLACE, 3).matrix.dtype
-
-    @settings(max_examples=100, deadline=None)
-    @given(f=symbols(max_m=1))
-    def test_roundtrip_bit_exact_random(self, tmp_path_factory, f):
-        A = assemble_toeplitz(f, 4)
-        path = tmp_path_factory.mktemp("coo") / "a.coo"
-        write_coo(path, A)
-        want, got = A.matrix.tocoo(), read_coo(path).tocoo()
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got.row, want.row)
-        np.testing.assert_array_equal(got.col, want.col)
-        assert same_bits(got.data.astype(complex), want.data.astype(complex))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ArgumentError, match="cannot read coordinate file"):
-            read_coo(tmp_path / "missing.coo")
-
-    @pytest.mark.parametrize("body", [
-        "coo 3 3 2\n1 1 1.0 0.0\n",                  # file ends early
-        "coo 3 3 2\n1 1 1.0 0.0\n2 2 1.0\n",         # short entry line
-        "coo 3 3 2\n1 1 1.0 0.0\n2 x 1.0 0.0\n",     # garbled entry line
-    ])
-    def test_truncated_file(self, tmp_path, body):
-        path = tmp_path / "bad.coo"
-        path.write_text(body)
-        with pytest.raises(ArgumentError, match="truncated coordinate file"):
-            read_coo(path)
-
-    @pytest.mark.parametrize("body", ["coo 3 x 1\n1 1 1.0 0.0\n",
-                                      "coo 3 3 1\n4 1 1.0 0.0\n"])
-    def test_bad_header_or_index(self, tmp_path, body):
-        path = tmp_path / "bad.coo"
-        path.write_text(body)
-        with pytest.raises(ArgumentError):
-            read_coo(path)

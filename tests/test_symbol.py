@@ -9,7 +9,7 @@ from blockmg import (MatrixTrigPolynomial, coarse_symbol, corner_sum,
                      corner_sums, find_zero, read_symbol, tensor_symbol,
                      write_symbol)
 from blockmg.errors import ArgumentError, SymbolZeroError, TrackingError
-from blockmg.symbol import HERMITIAN_RTOL, tracked_eigenpair
+from blockmg.symbol import HERMITIAN_RTOL, tracked_eigenpairs
 
 from conftest import (max_coeff_difference, random_hermitian_symbol,
                       random_symbol, same_bits, symbols)
@@ -299,12 +299,12 @@ class TestTrackedEigenpair:
     def test_ambiguity_raises(self):
         q = np.ones(3) / np.sqrt(3)  # overlap 0.577 with every axis vector
         with pytest.raises(TrackingError):
-            tracked_eigenpair(np.diag([1.0, 2.0, 3.0]), q)
+            tracked_eigenpairs(np.diag([1.0, 2.0, 3.0])[None], q)
 
     def test_follows_branch(self):
-        lam, v, ov = tracked_eigenpair(np.diag([1.0, 5.0]), np.array([0.1, 0.99]))
-        assert lam == pytest.approx(5.0)
-        assert ov > 0.9
+        lam, v, ov = tracked_eigenpairs(np.diag([1.0, 5.0])[None], np.array([0.1, 0.99]))
+        assert lam[0] == pytest.approx(5.0)
+        assert ov[0] > 0.9
 
     def test_tracking_through_crossing(self):
         # diagonal symbol with eigenvalue curves 2 -+ cos crossing at pi/2:
@@ -319,8 +319,9 @@ class TestTrackedEigenpair:
             q = np.eye(2)[branch]
             got = []
             for v in f.evaluate_grid(grid):
-                lam, q, _ = tracked_eigenpair(v, q)
-                got.append(lam)
+                lam, V, _ = tracked_eigenpairs(v[None], q)
+                q = V[0]
+                got.append(lam[0])
             np.testing.assert_allclose(got, want, atol=1e-10)
         assert np.linalg.eigvalsh(f.evaluate(np.pi))[0] == pytest.approx(1.0)
 
