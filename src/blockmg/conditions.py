@@ -394,7 +394,7 @@ def _sup_norms(f: MatrixTrigPolynomial, p: MatrixTrigPolynomial):
 
 
 def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
-                        zero: SymbolZero, *, _scales=None) -> CheckResult:
+                        zero: SymbolZero, *, _scales=None, _branch=None) -> CheckResult:
     """Stabilization of (1 - lambda(s)) / lambda(f) at the symbol zero.
 
     When s is a projector on a verification grid (and the fixed point
@@ -402,7 +402,9 @@ def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     without sampling.  The simplified squared-shift ratio
     |lambda(p(. + pi))|^2 / lambda(f) is measured and reported alongside
     either way.  ``_scales`` is ``_sup_norms(f, p)`` when the caller has
-    it already.
+    it already, and ``_branch`` is ``|shifted_branch_eigenvalue|`` at the
+    dyadic sample points of the limit (:func:`_dyadic_points` of t0 and
+    the two axis directions).
     """
     if p.m != 1 or f.m != 1:
         raise ArgumentError("univariate checker; use the multilevel module for m > 1")
@@ -413,7 +415,8 @@ def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     dirs = _axis_directions(1)
 
     surrogate = dyadic_limit(
-        lambda ts: np.abs(shifted_branch_eigenvalue(p, ts, q)) ** 2,
+        (lambda ts: np.abs(shifted_branch_eigenvalue(p, ts, q)) ** 2)
+        if _branch is None else _branch ** 2,
         _f_branch_fn(f, q), t0, dirs,
         numer_floor=(100 * EPS * pscale) ** 2, denom_floor=denom_floor)
 
@@ -434,11 +437,12 @@ def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
 
 
 def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
-                       zero: SymbolZero, *, _hyps=None, _scales=None) -> CheckResult:
+                       zero: SymbolZero, *, _hyps=None, _scales=None,
+                       _branch=None) -> CheckResult:
     """The un-squared ratio |lambda(p(. + pi))| / lambda(f) that controls
     V-cycle optimality; the identically-vanishing branch is detected and
-    reported explicitly.  ``_hyps`` and ``_scales`` are as for
-    :func:`check_condition_ii` and :func:`check_condition_iii`."""
+    reported explicitly.  ``_hyps`` is as for :func:`check_condition_ii`,
+    and ``_scales`` and ``_branch`` as for :func:`check_condition_iii`."""
     if p.m != 1 or f.m != 1:
         raise ArgumentError("univariate checker; use the multilevel module for m > 1")
     t0 = np.asarray(zero.theta0, dtype=float)
@@ -449,14 +453,16 @@ def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     fscale, pscale = _scales or _sup_norms(f, p)
     numer_floor = 100 * EPS * pscale
 
-    # the branch at every sample point of the limit, evaluated k by k
-    # (both signs of each k in turn) so that an error names the first
-    # failing point in that order
+    # unless shared, the branch at every sample point of the limit,
+    # evaluated k by k (both signs of each k in turn) so that an error
+    # names the first failing point in that order
     dirs = _axis_directions(1)
-    pts = _dyadic_points(t0, dirs)
-    by_k = np.arange(len(pts)).reshape(len(dirs), -1).T.ravel()
-    branch = np.empty(len(pts))
-    branch[by_k] = np.abs(shifted_branch_eigenvalue(p, pts[by_k], q))
+    branch = _branch
+    if branch is None:
+        pts = _dyadic_points(t0, dirs)
+        by_k = np.arange(len(pts)).reshape(len(dirs), -1).T.ravel()
+        branch = np.empty(len(pts))
+        branch[by_k] = np.abs(shifted_branch_eigenvalue(p, pts[by_k], q))
     if branch.max() < 10 * numer_floor:
         return CheckResult(hypotheses_ok, {
             "c": 0.0, "spread": 0.0, "vanishing_branch": True,
@@ -476,7 +482,7 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     polynomial, nonnegative and positive elsewhere (outside a 1e-3
     exclusion ball) on a grid of GRID_POINTS, q in the kernel at the
     doubled zero, and the coarse/fine eigenvalue ratio tending to a
-    nonzero constant.  ``_scales`` is as for
+    nonzero constant (above 1e-8 sup|p|^2).  ``_scales`` is as for
     :func:`check_condition_iii`."""
     fhat = coarse_symbol(f, p)
     t0 = float(zero.theta0[0])
@@ -502,14 +508,15 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     out["positive_elsewhere"] = CheckResult(min_away > 1e-10 * scale,
                                             {"min_eig_outside_ball": min_away})
 
-    fscale = symbol_sup_norm(f, SMALL_GRID_POINTS) if _scales is None else _scales[0]
+    fscale, pscale = _scales or _sup_norms(f, p)
     fhat_branch = _f_branch_fn(fhat, q)
     est = dyadic_limit(
         lambda ts: fhat_branch(2.0 * ts),
         _f_branch_fn(f, q), np.array([t0]), _axis_directions(1),
         numer_floor=1e3 * EPS * scale, denom_floor=1e3 * EPS * fscale)
+    # the limit scales as |p|^2, as f_hat = p^H f p does against f
     out["coarse_zero_same_order"] = CheckResult(
-        est.passed and est.c > 1e-8, est.as_evidence())
+        est.passed and est.c > 1e-8 * pscale ** 2, est.as_evidence())
     return out
 
 
@@ -596,8 +603,10 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
     counts differ (``ArgumentError``), and a malformed zero structure of
     f, raise before any check runs, and so does a multivariate pair,
     which :func:`~blockmg.multilevel.check_multilevel_conditions`
-    certifies.  The shortcut hypotheses and the sup norms of f and p are
-    computed once and shared by the checks.
+    certifies.  The shortcut hypotheses, the sup norms of f and p and
+    the shifted projector branch |lambda(p(. + pi))| at the dyadic sample
+    points are computed once and shared by the checks; when the branch
+    raises, each check tracks it, and reports the error, on its own.
     """
     if p.d != f.d:
         raise DimensionError(f"block order mismatch: p has d = {p.d}, f has d = {f.d}")
@@ -615,10 +624,17 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
     except BlockmgError as exc:
         # the checks that use the hypotheses then raise this themselves
         hyps, shared = {"error": _error_result(exc)}, None
+    try:
+        branch = np.abs(shifted_branch_eigenvalue(
+            p, _dyadic_points(zero.theta0, _axis_directions(1)), zero.q_jbar))
+    except BlockmgError:
+        branch = None
     cond_i = _run_check(check_condition_i, p)
     cond_ii = _run_check(check_condition_ii, p, zero, _hyps=shared)
-    cond_iii = _run_check(check_condition_iii, p, f, zero, _scales=scales)
-    vbound = _run_check(check_vcycle_bound, p, f, zero, _hyps=shared, _scales=scales)
+    cond_iii = _run_check(check_condition_iii, p, f, zero, _scales=scales,
+                          _branch=branch)
+    vbound = _run_check(check_vcycle_bound, p, f, zero, _hyps=shared,
+                        _scales=scales, _branch=branch)
     try:
         fhat = check_fhat_properties(p, f, zero, _scales=scales)
     except BlockmgError as exc:

@@ -11,9 +11,11 @@ prepared once per level matrix M.  The first sweep of a cycle takes the
 residual its caller already holds: on level 0 the one ``solve`` computed
 for its stopping test, on a coarse level (started from x = 0) the
 restricted residual itself.  Richardson's correction is omega r: a given
-omega is checked once against M, and without one each level takes
-omega = 1/C with C the Gershgorin bound of its own matrix, inside
-(0, 2/C) by construction.  Gauss-Seidel's is (D + L)^{-1} r, and its
+omega is checked once against M (below 2/C, or below 2/lambda_max with
+lambda_max the largest eigenvalue of the Hermitian part of M, see
+:func:`_lambda_max`), and without one each level takes omega = 1/C with
+C the Gershgorin bound of its own matrix, inside (0, 2/C) by
+construction.  Gauss-Seidel's is (D + L)^{-1} r, and its
 backend follows from M alone: with lower bandwidth kd, when the band
 storage (kd + 1) N is no larger than nnz(M) (every 1D FEM level), LAPACK
 ``tbtrs`` applies the banded lower triangle, stored in Fortran order so
@@ -51,7 +53,7 @@ from scipy.linalg import eig_banded, get_lapack_funcs
 from scipy.sparse.linalg._dsolve import _superlu
 
 from .errors import (ArgumentError, ConfigurationError, ConstructionError,
-                     SingularMatrixError)
+                     NumericalError, SingularMatrixError)
 from .structured import BlockStructuredMatrix, GridTransfer, galerkin
 
 RICHARDSON = "richardson"
@@ -99,19 +101,19 @@ def gershgorin_bound(A) -> float:
     return float(np.max(np.abs(M).sum(axis=1))) if M.nnz else 0.0
 
 
-def _lambda_max_estimate(M: sp.csr_matrix, iters: int = 60) -> float:
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam = float(np.real(np.vdot(v, M @ v)))
-    return lam
+def _lambda_max(M: sp.csr_matrix) -> float:
+    """Largest eigenvalue of the Hermitian part of M: exact from the band
+    on a band level, or below size 3 (:func:`_extreme_eigenvalues`), by
+    ARPACK ``eigsh`` to 1e-8 relative otherwise."""
+    if M.shape[0] < 3 or _lower_band(M, hermitian=True) is not None:
+        return float(_extreme_eigenvalues(M)[1])
+    H = 0.5 * (M + M.conj().T)
+    v0 = np.random.default_rng(7).standard_normal(M.shape[0])
+    try:
+        return float(spla.eigsh(H, k=1, which="LA", v0=v0, tol=1e-8,
+                                return_eigenvectors=False)[0])
+    except spla.ArpackNoConvergence as exc:
+        raise NumericalError(f"largest eigenvalue did not converge: {exc}") from exc
 
 
 def _check_omega(M: sp.csr_matrix, omega: float) -> None:
@@ -120,10 +122,10 @@ def _check_omega(M: sp.csr_matrix, omega: float) -> None:
     bound = gershgorin_bound(M)
     if bound > 0 and omega < 2.0 / bound:
         return
-    lam_max = _lambda_max_estimate(M)
+    lam_max = _lambda_max(M)
     if 2.0 * omega - omega ** 2 * lam_max <= 0:
         raise ConfigurationError(
-            f"omega={omega} outside (0, 2/C): spectral bound ~{lam_max:.4g}")
+            f"omega={omega} outside (0, 2/lambda_max): lambda_max = {lam_max:.6g}")
 
 
 def _real_split(solve, M):

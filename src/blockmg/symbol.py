@@ -12,6 +12,14 @@ Evaluation is batched: :meth:`MatrixTrigPolynomial.evaluate_grid` and
 :meth:`MatrixTrigPolynomial.evaluate` and :func:`corner_sum` are their
 n = 1 cases; branch tracking likewise runs on a stack
 (:func:`tracked_eigenpairs`; a single matrix is a stack of one).
+
+The evaluation kernel forms the real phase j.t with a real matmul and
+writes its cosine and sine into one complex array, which then multiplies
+the stacked coefficients.  It does not take the complex exp of
+``1j * t @ J``: that expression is a complex matmul (zgemm) followed by
+numpy's complex exp, and the exp then ran at about a tenth of its usual
+speed (20-25 ms against 2.2 ms on a 4096 x 9 phase, measured on an x86
+host with OpenBLAS; the cause is not pinned down).
 """
 
 from __future__ import annotations
@@ -149,7 +157,12 @@ class MatrixTrigPolynomial:
         """Values at a stack of points, shape (n, d, d); thetas has shape
         (n,) for m=1 or (n, m).  Hermitian output is symmetrized."""
         ts = _as_grid(thetas, self.m)
-        out = (np.exp(1j * ts @ self._J.T) @ self._C).reshape(len(ts), self.d, self.d)
+        # real phase, then cos and sin: exp(1j * ts @ J.T) is a zgemm + slow complex exp
+        phase = ts @ self._J.T
+        waves = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=waves.real)
+        np.sin(phase, out=waves.imag)
+        out = (waves @ self._C).reshape(len(ts), self.d, self.d)
         if self._hermitian:
             out = 0.5 * (out + np.conj(np.swapaxes(out, 1, 2)))
         return out

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blockmg import (MatrixTrigPolynomial, build_s, build_s_grid,
+from blockmg import (MatrixTrigPolynomial, build_s, build_s_grid, conditions,
                      check_condition_i,
                      check_condition_ii, check_condition_iii,
                      check_fhat_properties, check_vcycle_bound, find_zero,
                      full_report)
 from blockmg.conditions import (EPS, OVERLAP_MIN, _axis_directions, _f_branch_fn,
                                 _s_gap_fn, dyadic_limit,
-                                fixed_point_shortcut_hypotheses, projector_defect,
+                                fixed_point_shortcut_hypotheses, jsonable,
+                                projector_defect,
                                 shifted_branch_eigenvalue)
 from blockmg.errors import SingularMatrixError, TrackingError
 from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
@@ -435,3 +436,68 @@ def test_dyadic_limit_error_order_is_per_point_order():
     # is never reached
     est = dyadic_limit(failing([], 1e9), failing([pts[30]]), 1.0, dirs, **kw)
     assert est.diverged and est.reason == "ratio exceeded cap 1e+08"
+
+
+# -- the shifted projector branch, tracked once per report -------------------
+
+
+FEM_PAIRS = [(builder(r), stiffness_symbol(r)) for r in range(1, 5)
+             for builder in (build_linear_interp_symbol, build_geometric_symbol)]
+FEM_IDS = [f"r{r}-{kind}" for r in range(1, 5) for kind in ("linear", "geometric")]
+
+def _standalone(check, p, f):
+    return jsonable(conditions._run_check(check, p, f, find_zero(f)))
+
+
+@pytest.mark.parametrize("p, f", [*FEM_PAIRS, (ONE, LAPLACE)],
+                         ids=[*FEM_IDS, "injection"])
+def test_full_report_tracks_the_shifted_branch_once(monkeypatch, p, f):
+    calls = []
+    track = conditions.shifted_branch_eigenvalue
+    monkeypatch.setattr(conditions, "shifted_branch_eigenvalue",
+                        lambda *args: calls.append(args) or track(*args))
+    rep = full_report(p, f)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert jsonable(rep.condition_iii) == _standalone(check_condition_iii, p, f)
+    assert jsonable(rep.vcycle_bound) == _standalone(check_vcycle_bound, p, f)
+
+
+def test_untrackable_branch_reports_each_checks_own_error():
+    # p(t + pi) = diag(1, 1 + cos t, 1 - cos t) against an f whose zero
+    # at 0 has q = (1, 1, 1)/sqrt(3): each lone eigenvector overlaps q by
+    # 0.577, so tracking the shifted branch raises near the zero
+    Q = np.full((3, 3), 1.0 / 3.0)
+    p = MatrixTrigPolynomial({0: np.eye(3), 1: np.diag([0.0, -0.5, 0.5]),
+                              -1: np.diag([0.0, -0.5, 0.5])})
+    f = MatrixTrigPolynomial({0: np.eye(3) + Q, 1: -Q, -1: -Q})
+    rep = full_report(p, f)
+    for name, check in (("condition_iii", check_condition_iii),
+                        ("vcycle_bound", check_vcycle_bound)):
+        got = jsonable(getattr(rep, name))
+        assert got["error"].startswith("TrackingError: overlap 0.577"), name
+        assert got == _standalone(check, p, f), name
+
+
+# -- verdicts under a scaled projector ----------------------------------------
+
+
+def _check_verdicts(rep):
+    """Every check's verdict in a report, the shortcut hypotheses aside."""
+    return {"condition_i": rep.condition_i.passed,
+            "condition_ii": rep.condition_ii.passed,
+            "condition_iii": rep.condition_iii.passed,
+            "vcycle_bound": rep.vcycle_bound.passed,
+            **{k: v.passed for k, v in rep.fhat_properties.items()},
+            "tgm": rep.tgm_certified, "vcycle": rep.vcycle_certified}
+
+
+@pytest.mark.parametrize("p, f", [*FEM_PAIRS, (ONE, LAPLACE)],
+                         ids=[*FEM_IDS, "injection"])
+def test_verdicts_do_not_depend_on_projector_scale(p, f):
+    # the coarse/fine eigenvalue ratio scales as |p|^2: at p * 1e-5 it
+    # is near 1e-9, which a threshold not scaled with it would reject
+    want = _check_verdicts(full_report(p, f))
+    for c in (1e-5, 1e-3):
+        pc = MatrixTrigPolynomial({j: c * v for j, v in p.coeffs.items()}, m=1)
+        assert _check_verdicts(full_report(pc, f)) == want, c

@@ -66,6 +66,25 @@ class TestSmooth:
         spec = SmootherSpec(kind="richardson", omega=1.9 / lam_max)
         smooth(A, np.zeros(31), np.ones(31), spec, 1)
 
+    def test_omega_just_above_sharp_bound_rejected(self):
+        # lambda_max = 3.99985 on 255 unknowns, so 2/lambda_max = 0.500019;
+        # 2 omega - omega^2 lambda_max = -3.1e-3 at omega = 0.50156
+        M = assemble_stiffness(1, 256).matrix.matrix
+        assert 0.50156 >= 2.0 / gershgorin_bound(M)
+        with pytest.raises(ConfigurationError):
+            mgsolve._check_omega(M, 0.50156)
+        mgsolve._check_omega(M, 0.50001)
+
+    def test_lambda_max_off_the_band_matches_dense(self):
+        # a 2D level is not banded, so ARPACK bounds it
+        M = assemble_2d_problem(2, 4).matrix.matrix
+        assert mgsolve._lower_band(M, hermitian=True) is None
+        want = np.linalg.eigvalsh(M.toarray())[-1]
+        assert mgsolve._lambda_max(M) == pytest.approx(want, rel=1e-8)
+        with pytest.raises(ConfigurationError):
+            mgsolve._check_omega(M, 2.0 / want * (1 + 1e-6))
+        mgsolve._check_omega(M, 2.0 / want * (1 - 1e-6))
+
     def test_size_mismatch(self):
         with pytest.raises(ArgumentError):
             smooth(tridiag(3), np.zeros(3), np.ones(4), GS, 1)

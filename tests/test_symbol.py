@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -280,6 +281,46 @@ class TestBatchedEvaluation:
             coeffs[j] = coeffs[j] + 10.0 ** exponent * rng.standard_normal((d, d))
         g = MatrixTrigPolynomial(coeffs, m=1)
         assert g.hermitian == hermitian_reference(g)
+
+
+def evaluation_reference(f, ts):
+    """sum_j c_j exp(i j.t) at each point, one coefficient at a time."""
+    out = np.zeros((len(ts), f.d, f.d), dtype=complex)
+    for j, c in f.coeffs.items():
+        phase = sum(jk * ts[:, k] for k, jk in enumerate(j))
+        out += np.exp(1j * phase)[:, None, None] * c
+    return out
+
+
+def window_symbol(rng, d, m, radius, hermitian):
+    """Random symbol with every multi-index of [-radius, radius]^m."""
+    keys = list(itertools.product(range(-radius, radius + 1), repeat=m))
+    coeffs = {j: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+              for j in keys}
+    if hermitian:
+        coeffs = {j: 0.5 * (c + coeffs[tuple(-v for v in j)].conj().T)
+                  for j, c in coeffs.items()}
+    return MatrixTrigPolynomial(coeffs, m=m)
+
+
+class TestEvaluationKernel:
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("radius", [1, 3, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_sum_of_coefficient_waves(self, m, radius, hermitian):
+        rng = np.random.default_rng([m, radius, hermitian])
+        f = window_symbol(rng, 2, m, radius, hermitian)
+        assert f.hermitian == hermitian and f.window() == (radius,) * m
+        # far points are multiples of 2^-20, so that every phase j.t is
+        # exact and both sides take the cosine and sine of the same
+        # numbers; near points are arbitrary doubles
+        far = np.round(rng.uniform(-1e3, 1e3, size=(40, m)) * 2.0 ** 20) / 2.0 ** 20
+        near = rng.uniform(-2 * np.pi, 2 * np.pi, size=(40, m))
+        ts = np.concatenate([far, near, np.zeros((1, m))])
+        got = f.evaluate_grid(ts)
+        want = evaluation_reference(f, ts)
+        scale = sum(np.linalg.norm(c) for c in f.coeffs.values())
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
 class TestNonFiniteCoefficients:
