@@ -326,7 +326,10 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -
     Checks, at the symbol zero t0 with singular eigenvector q: q is an
     eigenvector of p(t0) (nonzero eigenvalue), q is killed by
     p(t0 + pi), q is an eigenvector of p(t0)^H (nonzero eigenvalue),
-    and p(t0) is nonsingular.
+    and p(t0) is nonsingular: |det p(t0)| exceeds EPS ||p(t0)||_2^d, a
+    share of the Hadamard bound, so the test does not move under
+    p -> c p.  As |det| <= sigma_min ||p(t0)||_2^(d-1), passing it puts
+    the smallest singular value above EPS times the largest.
     """
     t0 = np.asarray(zero.theta0, dtype=float)
     q = zero.q_jbar
@@ -348,7 +351,8 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -
                        {"lambda": [lam2.real, lam2.imag], "residual": res3})
 
     det0 = abs(smallmat.det(P0))
-    hyp3bis = CheckResult(det0 > 1e-12, {"abs_det": det0})
+    hadamard = smallmat.spectral_norm(P0) ** P0.shape[0]
+    hyp3bis = CheckResult(bool(det0 > EPS * hadamard), {"abs_det": det0})
 
     return {"q_eigvec_of_p0": hyp1, "q_kernel_of_p_shifted": hyp2,
             "q_eigvec_of_p0_adjoint": hyp3, "p0_nonsingular": hyp3bis}

@@ -15,11 +15,15 @@ builds no symbol.
 
 The mesh is uniform, so one table of the degree-r Lagrange basis on the
 reference element [0, 1] (:func:`_reference_basis`) serves every
-element: stiffness and mass tabulate it at the quadrature points and
-broadcast over elements.  Both prolongations are built the same way: one
-(2r, r+1) reference table per kind (for the geometric kind, the basis at
-the fine knots s/(2r)), the weight of each coarse knot of a coarse
-element at each of its fine knots, scattered into one sparse matrix.
+element: stiffness and mass tabulate it at the quadrature points, and
+every element matrix comes from one product of the quadrature weights
+with the pairwise basis products (:func:`_element_matrices`).  Both
+prolongations are built the same way: one (2r, r+1) reference table per
+kind (for the geometric kind, the basis at the fine knots s/(2r)), the
+weight of each coarse knot of a coarse element at each of its fine
+knots.  Its nonzeros, in row-major order and tiled over the coarse
+elements, are the CSR arrays of the prolongation; only the entries of
+the two Dirichlet coarse knots are dropped.
 """
 
 from __future__ import annotations
@@ -113,6 +117,19 @@ def _element_quadrature(r: int, n: int):
     return 0.5 * h * (gx + 1.0), 0.5 * h * gw
 
 
+def _element_matrices(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The element matrices sum over q of weights[..., q] table[i, q]
+    table[j, q] for a (r+1, q) basis table: one matrix product with the
+    (r+1)(r+2)/2 products of rows i <= j, mirrored into both triangles,
+    so every element matrix is symmetric bit for bit."""
+    i, j = np.triu_indices(table.shape[0])
+    upper = weights @ (table[i] * table[j]).T
+    loc = np.empty(upper.shape[:-1] + (table.shape[0],) * 2)
+    loc[..., i, j] = upper
+    loc[..., j, i] = upper
+    return loc
+
+
 def _assemble_trimmed(r: int, loc: np.ndarray, scale: float) -> sp.csr_matrix:
     """Sum the (n, r+1, r+1) element matrices ``loc`` into the global
     matrix, drop both Dirichlet ends and multiply by ``scale``."""
@@ -145,8 +162,7 @@ def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem
             f"coefficient is not finite and positive at x={xq.flat[np.argmin(ok)]:.6f}")
     # the mesh is uniform: element 0's basis derivatives serve every element
     dphi = _reference_basis(r, xq_ref * n)[1] * n
-    loc = np.einsum("eq,iq,jq->eij", a * wq, dphi, dphi)
-    K = _assemble_trimmed(r, loc, 1.0 / n)
+    K = _assemble_trimmed(r, _element_matrices(a * wq, dphi), 1.0 / n)
     return FemProblem(r=r, n_elements=n, matrix=BlockStructuredMatrix(K))
 
 
@@ -156,7 +172,7 @@ def assemble_mass(r: int, n_elements: int) -> BlockStructuredMatrix:
     n = n_elements
     xq_ref, wq = _element_quadrature(r, n)
     phi = _reference_basis(r, xq_ref * n)[0]
-    loc = np.einsum("q,iq,jq->ij", wq, phi, phi)
+    loc = _element_matrices(wq, phi)
     M = _assemble_trimmed(r, np.broadcast_to(loc, (n, r + 1, r + 1)), n)
     return BlockStructuredMatrix(M)
 
@@ -279,7 +295,19 @@ def projector_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
 
 
 def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
-    """The prolongation matrix of :func:`build_fem_transfer`."""
+    """The prolongation matrix of :func:`build_fem_transfer`.
+
+    Coarse element e holds fine knots 2 r e + s, s = 0..2r-1, and coarse
+    knots r e + l, l = 0..r.  The mesh is uniform, so one (2r, r+1)
+    reference table of the weights of coarse knot l at fine knot s serves
+    every element.  Fine knot k is row k - 1 and coarse knot c column
+    c - 1, and a row's columns r e + l - 1 increase with l, so the
+    nonzeros of the table in row-major order, tiled over the coarse
+    elements, are already the CSR arrays.  Only the Dirichlet coarse
+    knots 0 and r n/2 fall outside: their entries are dropped from the
+    first and the last coarse element, which leaves fine knot 0 (touched
+    by coarse knot 0 alone) empty, and it is no row either.
+    """
     if r < 1:
         raise ArgumentError(f"degree must be >= 1, got {r}")
     if n_elements % 2 != 0 or n_elements < 4:
@@ -288,9 +316,6 @@ def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
     nce = n_elements // 2
     nf = r * n_elements - 1
     nc = r * nce - 1
-    # coarse element e holds fine knots 2 r e + s, s = 0..2r-1, and coarse
-    # knots r e + l, l = 0..r; the mesh is uniform, so one reference table
-    # of the weights of coarse knot l at fine knot s serves every element
     s = np.arange(2 * r)[:, None]
     ell = np.arange(r + 1)
     if kind == LINEAR:
@@ -301,13 +326,17 @@ def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
         table = _reference_basis(r, np.arange(2 * r) / (2 * r))[0].T
     else:
         raise ArgumentError(f"unknown transfer kind {kind!r}")
-    # fine knot 0 meets only coarse knot 0, which the column window drops
-    e = np.arange(nce)[:, None, None]
-    fine, crs = np.broadcast_arrays(2 * r * e + s, r * e + ell)
-    vals = np.broadcast_to(table, fine.shape)
-    keep = (vals != 0.0) & (crs >= 1) & (crs <= nc)
-    return sp.coo_matrix((vals[keep], (fine[keep] - 1, crs[keep] - 1)),
-                         shape=(nf, nc)).tocsr()
+    s_nz, l_nz = np.nonzero(table)
+    first, last = l_nz == 0, l_nz == r
+    drop = np.concatenate((np.flatnonzero(first),
+                           (nce - 1) * l_nz.size + np.flatnonzero(last)))
+    data = np.delete(np.tile(table[s_nz, l_nz], nce), drop)
+    indices = np.delete((r * np.arange(nce)[:, None] + l_nz - 1).ravel(), drop)
+    counts = np.tile(np.bincount(s_nz, minlength=2 * r), (nce, 1))
+    counts[0] -= np.bincount(s_nz[first], minlength=2 * r)
+    counts[-1] -= np.bincount(s_nz[last], minlength=2 * r)
+    indptr = np.concatenate(([0], np.cumsum(counts.ravel()[1:])))
+    return sp.csr_matrix((data, indices, indptr), shape=(nf, nc))
 
 
 def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
@@ -316,8 +345,8 @@ def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
     ``linear`` is the scalar (1,2,1) stencil: the tridiagonal matrix of
     2 + 2cos times the even-row selector.  ``geometric`` holds the
     evaluations of the coarse basis functions at the fine knots.  Both
-    come from one reference table of a coarse element, scattered over
-    every coarse element.
+    come from one reference table of a coarse element, tiled over every
+    coarse element.
     """
     return GridTransfer(_fem_transfer_matrix(r, n_elements, kind))
 

@@ -492,6 +492,24 @@ def _check_verdicts(rep):
             "tgm": rep.tgm_certified, "vcycle": rep.vcycle_certified}
 
 
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_condition_ii_route_does_not_depend_on_projector_scale(r):
+    # det p(t0) scales as c^d: an absolute threshold turned the geometric
+    # route "nonsingular" into None at p * 1e-5 for r >= 3
+    p, f = build_geometric_symbol(r), stiffness_symbol(r)
+    zero = find_zero(f)
+
+    def route(p):
+        ev = check_condition_ii(p, zero).evidence
+        return ev["route"], ev["hypotheses"]["p0_nonsingular"]["passed"]
+
+    want = route(p)
+    assert want == ("nonsingular", True)
+    for c in (1e-5, 1e-3, 1e3):
+        pc = MatrixTrigPolynomial({j: c * v for j, v in p.coeffs.items()}, m=1)
+        assert route(pc) == want, c
+
+
 @pytest.mark.parametrize("p, f", [*FEM_PAIRS, (ONE, LAPLACE)],
                          ids=[*FEM_IDS, "injection"])
 def test_verdicts_do_not_depend_on_projector_scale(p, f):

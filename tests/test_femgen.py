@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
@@ -53,27 +54,33 @@ def _reference_assembly(r, n, fun):
 
 def _coarse_basis_at_fine_knots(r, n_coarse):
     """Every interior coarse basis function at every interior fine knot:
-    a (2 r n_coarse - 1, r n_coarse - 1) array.  A fine knot that is a
-    coarse knot takes the nodal delta; any other lies inside one coarse
-    element, where the basis function of a coarse knot of that element is
-    the polynomial with roots at the element's other nodes, normalized to
-    1 at its own (numpy.polynomial, at the reference coordinate s/(2r)),
-    and every other one is 0."""
+    a sparse (2 r n_coarse - 1, r n_coarse - 1) matrix.  A fine knot that
+    is a coarse knot takes the nodal delta; any other lies inside one
+    coarse element, where the basis function of a coarse knot of that
+    element is the polynomial with roots at the element's other nodes,
+    normalized to 1 at its own (numpy.polynomial, at the reference
+    coordinate s/(2r)), and every other one is 0."""
     nodes = np.arange(r + 1) / r
     basis = [Polynomial.fromroots(np.delete(nodes, ell), domain=[0, 1])
              for ell in range(r + 1)]
+    at_knot = [[basis[ell](s / (2 * r)) / basis[ell](nodes[ell]) for ell in range(r + 1)]
+               for s in range(2 * r)]
     nf, nc = 2 * r * n_coarse - 1, r * n_coarse - 1
-    want = np.zeros((nf, nc))
+    rows, cols, vals = [], [], []
     for i in range(1, nf + 1):
         if i % 2 == 0:
-            want[i - 1, i // 2 - 1] = 1.0
+            rows.append(i - 1)
+            cols.append(i // 2 - 1)
+            vals.append(1.0)
             continue
         e, s = divmod(i, 2 * r)
         for ell in range(r + 1):
             j = r * e + ell
             if 1 <= j <= nc:
-                want[i - 1, j - 1] = basis[ell](s / (2 * r)) / basis[ell](nodes[ell])
-    return want
+                rows.append(i - 1)
+                cols.append(j - 1)
+                vals.append(at_knot[s][ell])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nf, nc))
 
 
 def _wavy_coefficient(x):
@@ -95,6 +102,18 @@ class TestBatchedAssembly:
             assert _max_rel_diff(K, K_ref) <= 1e-12
         M = assemble_mass(r, n).matrix.toarray().real
         assert _max_rel_diff(M, M_ref) <= 1e-12
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_element_assembly_is_exactly_symmetric(r):
+    # each element matrix is mirrored from its upper triangle, and two
+    # distinct knots share at most one element
+    for n in (8, 1024):
+        for coefficient in COEFFICIENTS:
+            K = assemble_stiffness(r, n, coefficient).matrix.matrix
+            assert (K != K.T).nnz == 0, (coefficient, n)
+        M = assemble_mass(r, n).matrix
+        assert (M != M.T).nnz == 0, n
 
 
 class TestBasis:
@@ -342,21 +361,18 @@ class TestFemTransfer:
         PG = build_fem_transfer(1, 8, "geometric").matrix.toarray()
         np.testing.assert_allclose(PG, 0.5 * PL, atol=1e-12)
 
-    def test_geometric_columns_are_basis_evaluations(self):
-        P = build_fem_transfer(2, 4, "geometric").matrix.toarray()
-        want = _coarse_basis_at_fine_knots(2, 2)
-        for j in range(1, 4):
-            for i in range(1, 8):
-                assert P[i - 1, j - 1] == pytest.approx(want[i - 1, j - 1], abs=1e-12)
-
     @pytest.mark.parametrize("r", range(1, 9))
     def test_geometric_entries_and_pattern(self, r):
-        P = build_fem_transfer(r, 16, "geometric").matrix
-        want = _coarse_basis_at_fine_knots(r, 8)
-        assert P.shape == want.shape
-        assert np.count_nonzero(P.data) == P.nnz
-        np.testing.assert_array_equal(P.toarray() != 0.0, want != 0.0)
-        assert _max_rel_diff(P.toarray(), want) <= 1e-12
+        # n = 4 has only a first and a last coarse element, both of which
+        # lose the entries of a Dirichlet coarse knot
+        for n in (4, 8, 16, 64, 1024):
+            P = build_fem_transfer(r, n, "geometric").matrix
+            want = _coarse_basis_at_fine_knots(r, n // 2)
+            assert P.shape == want.shape
+            assert P.has_canonical_format
+            assert np.count_nonzero(P.data) == P.nnz
+            assert ((P != 0.0) != (want != 0.0)).nnz == 0, n
+            assert abs(P - want).max() <= 1e-12 * abs(want).max(), n
 
     def test_shapes_and_rank(self):
         for r, n in ((1, 8), (2, 8), (3, 4)):
