@@ -361,6 +361,13 @@ class TestFemTransfer:
         PG = build_fem_transfer(1, 8, "geometric").matrix.toarray()
         np.testing.assert_allclose(PG, 0.5 * PL, atol=1e-12)
 
+    def test_geometric_columns_are_basis_evaluations(self):
+        P = build_fem_transfer(2, 4, "geometric").matrix.toarray()
+        want = _coarse_basis_at_fine_knots(2, 2).toarray()
+        for j in range(1, 4):
+            for i in range(1, 8):
+                assert P[i - 1, j - 1] == pytest.approx(want[i - 1, j - 1], abs=1e-12)
+
     @pytest.mark.parametrize("r", range(1, 9))
     def test_geometric_entries_and_pattern(self, r):
         # n = 4 has only a first and a last coarse element, both of which
