@@ -11,14 +11,16 @@ plus the un-squared ratio |lambda(p(. + pi))| / lambda(f) controlling
 the V-cycle, and the five structural properties of the coarse symbol.
 
 Analytic limits are certified by stabilization of dyadic-sample ratios,
-never symbolically.  Each limit is one stacked evaluation: the sample
-points of all directions go through the denominator in one batched
-call, and those it leaves usable through the numerator in one more
-(Gram quotients, tracked eigenpairs and shifted-projector eigenvalues
-all work on stacks).  Two floating-point guards keep that criterion
-meaningful in double precision: samples whose denominator falls below
-the eigensolver noise floor are discarded, and numerator values
-indistinguishable from zero are clamped to exactly zero.
+never symbolically.  A check samples the numerator and the denominator
+of a limit at every dyadic point of every direction, one stacked call
+each (Gram quotients, tracked eigenpairs and shifted-projector
+eigenvalues all work on stacks, and an error names the first failing
+point of its stack), and :func:`dyadic_limit` judges the two value
+arrays.  Two floating-point guards keep that criterion meaningful in
+double precision: samples whose denominator falls below the eigensolver
+noise floor are discarded, and numerator values indistinguishable from
+zero are clamped to exactly zero.  A ratio that exceeds RATIO_CAP times
+its natural scale in the sup norms of f and p counts as divergent.
 """
 
 from __future__ import annotations
@@ -68,12 +70,15 @@ def build_s_grid(p: MatrixTrigPolynomial, thetas) -> np.ndarray:
     positive definite; a singular corner sum is a condition-(i)
     violation.  Raises SingularMatrixError at the first point where the
     corner sum is singular or the spectrum of s leaves [0, 1], naming
-    that point.
+    that point.  Singular means an eigenvalue at most 1e-12 (sum_j
+    ||c_j||_F)^2 over the coefficients c_j of p, a bound on the corner
+    sum's scale that moves with p as |p|^2.
     """
     ts = np.asarray(thetas, dtype=float)
     c = corner_sums(p, ts)
     w, U = np.linalg.eigh(c)
-    singular = np.flatnonzero(w[:, 0] <= 1e-12 * np.maximum(w[:, -1], 1.0))
+    scale = sum(np.linalg.norm(cj) for cj in p.coeffs.values()) ** 2
+    singular = np.flatnonzero(w[:, 0] <= 1e-12 * scale)
     # Only the points before the first singular corner sum can fail
     # earlier, so only they are formed, as s = G G^H with
     # G = p U diag(w)^(-1/2) from the decomposition c = U diag(w) U^H;
@@ -122,85 +127,42 @@ class LimitEstimate:
                 "reason": self.reason, "per_direction": self.per_direction}
 
 
-def _dyadic_points(theta0, directions, k_min: int = DYADIC_K_MIN,
-                   k_max: int = DYADIC_K_MAX) -> np.ndarray:
+def _dyadic_points(theta0, directions) -> np.ndarray:
     """The sample points theta0 + 2^-k d of :func:`dyadic_limit`, shape
-    (n_dir * (k_max - k_min + 1), m): direction by direction, k ascending
-    within each."""
+    (n_dir * (DYADIC_K_MAX - DYADIC_K_MIN + 1), m): direction by
+    direction, k ascending within each."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
     dirs = np.array([np.atleast_1d(np.asarray(d, dtype=float)) for d in directions])
-    steps = 2.0 ** -np.arange(k_min, k_max + 1)
+    steps = 2.0 ** -np.arange(DYADIC_K_MIN, DYADIC_K_MAX + 1)
     return (theta0 + dirs[:, None, :] * steps[:, None]).reshape(-1, len(theta0))
 
 
-def _values_until_error(fn, ts):
-    """``fn`` on the stack ``ts`` as (values, error).  When the stacked call
-    raises, the points are retried one at a time: ``values`` then covers
-    the points before the first failing one and ``error`` is what that
-    point raised."""
-    try:
-        return np.asarray(fn(ts), dtype=float), None
-    except BlockmgError as stack_error:
-        values = []
-        for t in ts:
-            try:
-                values.extend(fn(t[None]))
-            except BlockmgError as exc:
-                return np.array(values, dtype=float), exc
-        raise stack_error
+def dyadic_limit(numer, denom, directions, *, numer_floor: float,
+                 denom_floor: float, cap: float) -> LimitEstimate:
+    """Judge lim numer/denom along dyadic approaches to a point.
 
-
-def dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
-                 numer_floor: float, denom_floor: float,
-                 k_min: int = DYADIC_K_MIN, k_max: int = DYADIC_K_MAX,
-                 tail: int = TAIL, rel_spread: float = REL_SPREAD,
-                 cap: float = RATIO_CAP) -> LimitEstimate:
-    """Certify lim numer/denom along dyadic approaches to theta0.
-
-    For each direction the points theta0 + 2^-k d are sampled for
-    k = k_min..k_max; the limit is accepted when the last ``tail``
-    usable ratios have spread below ``rel_spread`` (relative to the
-    estimate) in every direction, the directional estimates agree, and
-    no ratio exceeds ``cap``.
-
-    ``denom_fn`` and ``numer_fn`` map a stack of points (n, m) to values
-    (n,).  All points of all directions form one stack, direction by
-    direction with k ascending: ``denom_fn`` runs once on it and
-    ``numer_fn`` once on the points whose denominator clears
-    ``denom_floor``.  ``numer_fn`` may instead be the numerator's values
-    at every sample point, when the caller holds them already.  The
-    directions are then judged in order, and an error raised by either
-    function surfaces only if the judgement reaches its point, as if the
-    points were evaluated one by one, direction by direction, the
-    denominator before the numerator.
+    ``numer`` and ``denom`` are the values at the points theta0 + 2^-k d
+    that :func:`_dyadic_points` lists for ``directions``: direction by
+    direction, k = DYADIC_K_MIN..DYADIC_K_MAX ascending.  Samples whose
+    denominator does not clear ``denom_floor`` are discarded and
+    numerator values below ``numer_floor`` count as zero.  The limit is
+    accepted when the last TAIL usable ratios have spread below
+    REL_SPREAD (relative to the estimate) in every direction, the
+    directional estimates agree, and no ratio exceeds ``cap``.
     """
     directions = [np.atleast_1d(np.asarray(d, dtype=float)) for d in directions]
-    ts = _dyadic_points(theta0, directions, k_min, k_max)
-    den, den_error = _values_until_error(denom_fn, ts)
-    usable = np.flatnonzero(den > denom_floor)
-    if callable(numer_fn):
-        num, num_error = _values_until_error(numer_fn, ts[usable])
-    else:
-        num, num_error = np.asarray(numer_fn, dtype=float)[usable], None
-    # every usable point precedes a denominator failure, so a numerator
-    # failure is always the earlier one
-    fail_at, error = ((usable[len(num)], num_error) if num_error is not None
-                      else (len(den), den_error))
-    done = usable[:len(num)]
-    have = np.zeros(len(ts), dtype=bool)
-    have[done] = True
-    ratio = np.zeros(len(ts))
-    ratio[done] = np.where(num < numer_floor, 0.0, num) / den[done]
+    num = np.asarray(numer, dtype=float)
+    den = np.asarray(denom, dtype=float)
+    usable = den > denom_floor
+    ratio = np.where(num < numer_floor, 0.0, num)[usable] / den[usable]
+    # the direction of each usable ratio
+    owner = np.flatnonzero(usable) // (DYADIC_K_MAX - DYADIC_K_MIN + 1)
 
-    n_k = k_max - k_min + 1
     per_direction = []
     estimates = []
     for i, direction in enumerate(directions):
-        if error is not None and fail_at < (i + 1) * n_k:
-            raise error
-        block = slice(i * n_k, (i + 1) * n_k)
-        ratios = ratio[block][have[block]]
-        if len(ratios) < tail:
+        ratios = ratio[owner == i]
+        if len(ratios) < TAIL:
             return LimitEstimate(False, float("nan"), float("inf"),
                                  reason="insufficient usable samples",
                                  per_direction=per_direction)
@@ -208,10 +170,10 @@ def dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
             return LimitEstimate(False, float("inf"), float("inf"), diverged=True,
                                  reason=f"ratio exceeded cap {cap:g}",
                                  per_direction=per_direction)
-        tail_vals = ratios[-tail:]
+        tail_vals = ratios[-TAIL:]
         c_dir = float(np.mean(tail_vals))
         spread = float(np.max(tail_vals) - np.min(tail_vals))
-        ok = spread <= rel_spread * max(abs(c_dir), 1e-6)
+        ok = spread <= REL_SPREAD * max(abs(c_dir), 1e-6)
         if (not ok and np.all(np.diff(ratios) > 0)
                 and ratios[-1] > 100.0 * max(ratios[0], 1e-300)):
             # a power-law blow-up whose usable window (limited by the
@@ -223,7 +185,7 @@ def dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
                               "c": c_dir, "spread": spread, "stabilized": ok})
         estimates.append(c_dir)
     lo, hi = min(estimates), max(estimates)
-    agree = (hi - lo) <= max(rel_spread * max(abs(lo), abs(hi)), 1e-6)
+    agree = (hi - lo) <= max(REL_SPREAD * max(abs(lo), abs(hi)), 1e-6)
     passed = agree and all(d["stabilized"] for d in per_direction)
     c = float(np.mean(estimates))
     spread = max(d["spread"] for d in per_direction)
@@ -243,16 +205,14 @@ def _axis_directions(m: int):
     return dirs
 
 
-def _f_branch_fn(f: MatrixTrigPolynomial, q: np.ndarray):
-    def fn(ts):
-        return tracked_eigenpairs(f.evaluate_grid(ts), q)[0]
-    return fn
+def _f_branch(f: MatrixTrigPolynomial, thetas, q: np.ndarray) -> np.ndarray:
+    """The eigenvalue of f on the branch of q at a stack of points."""
+    return tracked_eigenpairs(f.evaluate_grid(thetas), q)[0]
 
 
-def _s_gap_fn(p: MatrixTrigPolynomial, q: np.ndarray):
-    def fn(ts):
-        return 1.0 - tracked_eigenpairs(build_s_grid(p, ts), q)[0]
-    return fn
+def _s_gap(p: MatrixTrigPolynomial, thetas, q: np.ndarray) -> np.ndarray:
+    """1 - the eigenvalue of s on the branch of q at a stack of points."""
+    return 1.0 - tracked_eigenpairs(build_s_grid(p, thetas), q)[0]
 
 
 def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
@@ -263,19 +223,20 @@ def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
     whose right eigenvector is closest to q.
 
     One batched evaluation and one batched eigendecomposition serve the
-    whole stack.  Nearby eigenvalues are treated as one cluster and
-    matched through the overlap of q with the cluster's eigenvector
-    span: a repeated eigenvalue (rank-deficient projector symbols have
-    multidimensional kernels) splits numerically by sqrt(eps) and its
-    individual eigenvectors are arbitrary within the span.  The returned
-    value is the cluster mean, which cancels that splitting to first
-    order.  Raises TrackingError at the first point whose best overlap
-    falls below OVERLAP_MIN, naming it.
+    whole stack.  Eigenvalues within 1e-6 ||p(theta + pi)||_2 of each
+    other are treated as one cluster and matched through the overlap of
+    q with the cluster's eigenvector span: a repeated eigenvalue
+    (rank-deficient projector symbols have multidimensional kernels)
+    splits numerically by sqrt(eps) and its individual eigenvectors are
+    arbitrary within the span.  The returned value is the cluster mean,
+    which cancels that splitting to first order.  Raises TrackingError
+    at the first point whose best overlap falls below OVERLAP_MIN,
+    naming it.
     """
     ts = np.asarray(thetas, dtype=float).reshape(-1, p.m)
     mats = p.evaluate_grid(ts + np.pi)
     ws, Vs = np.linalg.eig(mats)
-    scales = np.maximum(np.linalg.norm(mats, 2, axis=(1, 2)), 1.0)
+    scales = np.linalg.norm(mats, 2, axis=(1, 2))
     out = np.empty(len(ts), dtype=complex)
     for n, (w, V, scale) in enumerate(zip(ws, Vs, scales)):
         clusters = []
@@ -326,10 +287,9 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -
     Checks, at the symbol zero t0 with singular eigenvector q: q is an
     eigenvector of p(t0) (nonzero eigenvalue), q is killed by
     p(t0 + pi), q is an eigenvector of p(t0)^H (nonzero eigenvalue),
-    and p(t0) is nonsingular: |det p(t0)| exceeds EPS ||p(t0)||_2^d, a
-    share of the Hadamard bound, so the test does not move under
-    p -> c p.  As |det| <= sigma_min ||p(t0)||_2^(d-1), passing it puts
-    the smallest singular value above EPS times the largest.
+    and p(t0) is nonsingular: its smallest singular value exceeds
+    d EPS times its largest (numpy's ``matrix_rank`` tolerance), a ratio
+    that does not move under p -> c p.
     """
     t0 = np.asarray(zero.theta0, dtype=float)
     q = zero.q_jbar
@@ -350,9 +310,10 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -
     hyp3 = CheckResult(res3 <= 1e-9 * scale and abs(lam2) > 1e-9 * scale,
                        {"lambda": [lam2.real, lam2.imag], "residual": res3})
 
-    det0 = abs(smallmat.det(P0))
-    hadamard = smallmat.spectral_norm(P0) ** P0.shape[0]
-    hyp3bis = CheckResult(bool(det0 > EPS * hadamard), {"abs_det": det0})
+    sv = np.linalg.svd(P0, compute_uv=False)
+    sigma_ratio = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
+    hyp3bis = CheckResult(bool(sigma_ratio > len(sv) * EPS),
+                          {"sigma_ratio": sigma_ratio})
 
     return {"q_eigvec_of_p0": hyp1, "q_kernel_of_p_shifted": hyp2,
             "q_eigvec_of_p0_adjoint": hyp3, "p0_nonsingular": hyp3bis}
@@ -417,12 +378,14 @@ def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     fscale, pscale = _scales or _sup_norms(f, p)
     denom_floor = 1e3 * EPS * fscale
     dirs = _axis_directions(1)
+    pts = _dyadic_points(t0, dirs)
+    f_branch = _f_branch(f, pts, q)
+    branch = (np.abs(shifted_branch_eigenvalue(p, pts, q)) if _branch is None
+              else _branch)
 
     surrogate = dyadic_limit(
-        (lambda ts: np.abs(shifted_branch_eigenvalue(p, ts, q)) ** 2)
-        if _branch is None else _branch ** 2,
-        _f_branch_fn(f, q), t0, dirs,
-        numer_floor=(100 * EPS * pscale) ** 2, denom_floor=denom_floor)
+        branch ** 2, f_branch, dirs, numer_floor=(100 * EPS * pscale) ** 2,
+        denom_floor=denom_floor, cap=RATIO_CAP * pscale ** 2 / fscale)
 
     s0_defect = float(np.linalg.norm(build_s(p, t0) @ q - q))
     idem = projector_defect(p)
@@ -432,8 +395,9 @@ def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
             "idempotency_defect": idem,
             "surrogate_c": surrogate.c, "surrogate_passed": surrogate.passed})
 
-    direct = dyadic_limit(_s_gap_fn(p, q), _f_branch_fn(f, q), t0, dirs,
-                          numer_floor=100 * EPS, denom_floor=denom_floor)
+    direct = dyadic_limit(_s_gap(p, pts, q), f_branch, dirs,
+                          numer_floor=100 * EPS, denom_floor=denom_floor,
+                          cap=RATIO_CAP / fscale)
     return CheckResult(direct.passed, {
         "route": "dyadic", "idempotency_defect": idem,
         **direct.as_evidence(),
@@ -456,25 +420,19 @@ def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
                      and hyps["q_kernel_of_p_shifted"].passed)
     fscale, pscale = _scales or _sup_norms(f, p)
     numer_floor = 100 * EPS * pscale
-
-    # unless shared, the branch at every sample point of the limit,
-    # evaluated k by k (both signs of each k in turn) so that an error
-    # names the first failing point in that order
     dirs = _axis_directions(1)
-    branch = _branch
-    if branch is None:
-        pts = _dyadic_points(t0, dirs)
-        by_k = np.arange(len(pts)).reshape(len(dirs), -1).T.ravel()
-        branch = np.empty(len(pts))
-        branch[by_k] = np.abs(shifted_branch_eigenvalue(p, pts[by_k], q))
+    pts = _dyadic_points(t0, dirs)
+    branch = (np.abs(shifted_branch_eigenvalue(p, pts, q)) if _branch is None
+              else _branch)
     if branch.max() < 10 * numer_floor:
         return CheckResult(hypotheses_ok, {
             "c": 0.0, "spread": 0.0, "vanishing_branch": True,
             "hypotheses_ok": hypotheses_ok,
             "max_branch_eigenvalue": float(branch.max())})
 
-    est = dyadic_limit(branch, _f_branch_fn(f, q), t0, dirs,
-                       numer_floor=numer_floor, denom_floor=1e3 * EPS * fscale)
+    est = dyadic_limit(branch, _f_branch(f, pts, q), dirs,
+                       numer_floor=numer_floor, denom_floor=1e3 * EPS * fscale,
+                       cap=RATIO_CAP * pscale / fscale)
     return CheckResult(est.passed and hypotheses_ok, {
         "vanishing_branch": False, "hypotheses_ok": hypotheses_ok,
         **est.as_evidence()})
@@ -503,7 +461,7 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
                                      {"min_eig": min_eig, "scale": scale})
 
     kdef = float(np.linalg.norm(fhat.evaluate(2.0 * t0) @ q))
-    out["kernel_at_doubled_zero"] = CheckResult(kdef <= 1e-10 * max(scale, 1.0),
+    out["kernel_at_doubled_zero"] = CheckResult(kdef <= 1e-10 * scale,
                                                 {"defect": kdef})
 
     dist = np.abs(pts - 2.0 * t0 % (2.0 * np.pi)) % (2.0 * np.pi)
@@ -513,12 +471,14 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
                                             {"min_eig_outside_ball": min_away})
 
     fscale, pscale = _scales or _sup_norms(f, p)
-    fhat_branch = _f_branch_fn(fhat, q)
+    dirs = _axis_directions(1)
+    near = _dyadic_points(t0, dirs)
     est = dyadic_limit(
-        lambda ts: fhat_branch(2.0 * ts),
-        _f_branch_fn(f, q), np.array([t0]), _axis_directions(1),
-        numer_floor=1e3 * EPS * scale, denom_floor=1e3 * EPS * fscale)
-    # the limit scales as |p|^2, as f_hat = p^H f p does against f
+        _f_branch(fhat, 2.0 * near, q), _f_branch(f, near, q), dirs,
+        numer_floor=1e3 * EPS * scale, denom_floor=1e3 * EPS * fscale,
+        cap=RATIO_CAP * pscale ** 2)
+    # the limit and its cap scale as |p|^2, as f_hat = p^H f p does
+    # against f
     out["coarse_zero_same_order"] = CheckResult(
         est.passed and est.c > 1e-8 * pscale ** 2, est.as_evidence())
     return out

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .conditions import (EPS, CheckResult, _axis_directions, _error_result,
-                         _f_branch_fn, _s_gap_fn, build_s, build_s_grid,
-                         check_condition_i, dyadic_limit, full_report,
-                         jsonable)
+from .conditions import (EPS, RATIO_CAP, CheckResult, _axis_directions,
+                         _dyadic_points, _error_result, _f_branch, _s_gap,
+                         build_s, build_s_grid, check_condition_i,
+                         dyadic_limit, full_report, jsonable)
 from .errors import ArgumentError, BlockmgError, ConstructionError
 from .femgen import (FemProblem, _transfer_chain, assemble_mass,
                      assemble_stiffness)
@@ -208,9 +208,11 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
 
     fscale = symbol_sup_norm(f2d, 1024)
     try:
-        est = dyadic_limit(_s_gap_fn(p2d, q), _f_branch_fn(f2d, q), theta0,
-                           _axis_directions(2), numer_floor=100 * EPS,
-                           denom_floor=1e3 * EPS * fscale)
+        dirs = _axis_directions(2)
+        pts = _dyadic_points(theta0, dirs)
+        est = dyadic_limit(_s_gap(p2d, pts, q), _f_branch(f2d, pts, q), dirs,
+                           numer_floor=100 * EPS, denom_floor=1e3 * EPS * fscale,
+                           cap=RATIO_CAP / fscale)
         cs = [d["c"] for d in est.per_direction]
         # no direction is recorded when the first one settles the limit
         iso = ((max(cs) - min(cs)) / max(max(abs(c) for c in cs), 1e-6)

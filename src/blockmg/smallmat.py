@@ -1,6 +1,6 @@
 """Dense complex kernel for the small d-by-d matrices that appear under
-every symbol evaluation: Hermitian eigendecomposition, an LU solve and
-determinants, all with tolerances relative to a matrix norm.
+every symbol evaluation: Hermitian eigendecomposition and an LU solve,
+with tolerances relative to a matrix norm.
 
 Backed by LAPACK through numpy/scipy; this module adds the contract
 checks (Hermitian symmetrization, pivot thresholds) the rest of the
@@ -76,20 +76,6 @@ def solve(M, B):
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     _pivot_check(A, lu)
     return scipy.linalg.lu_solve((lu, piv), Bm, check_finite=False)
-
-
-def det(M) -> complex:
-    """Determinant as the signed product of LU pivots (0 when singular)."""
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"det needs a square matrix, got {A.shape}")
-    if A.shape[0] == 0:
-        return 1.0 + 0.0j
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    sign = 1.0 if np.count_nonzero(piv != np.arange(len(piv))) % 2 == 0 else -1.0
-    return complex(sign * np.prod(np.diag(lu)))
 
 
 def spectral_norm(M) -> float:

@@ -9,8 +9,8 @@ from blockmg import (MatrixTrigPolynomial, build_s, build_s_grid, conditions,
                      check_condition_ii, check_condition_iii,
                      check_fhat_properties, check_vcycle_bound, find_zero,
                      full_report)
-from blockmg.conditions import (EPS, OVERLAP_MIN, _axis_directions, _f_branch_fn,
-                                _s_gap_fn, dyadic_limit,
+from blockmg.conditions import (EPS, OVERLAP_MIN, RATIO_CAP, _axis_directions,
+                                _dyadic_points, _f_branch, _s_gap, dyadic_limit,
                                 fixed_point_shortcut_hypotheses, jsonable,
                                 projector_defect,
                                 shifted_branch_eigenvalue)
@@ -287,7 +287,7 @@ def per_point_shifted_eigenvalue(p, theta, q):
     cluster matched through an SVD of its eigenvectors."""
     mat = p.evaluate(np.atleast_1d(theta) + np.pi)
     w, V = scipy.linalg.eig(mat)
-    scale = max(np.linalg.norm(mat, 2), 1.0)
+    scale = np.linalg.norm(mat, 2)
     clusters = []
     for idx in np.argsort(np.abs(w)):
         for cluster in clusters:
@@ -307,34 +307,35 @@ def per_point_shifted_eigenvalue(p, theta, q):
 
 
 def report_limits(p, f):
-    """(name, batched numerator, denominator, per-point numerator,
-    denominator, floors, theta0) for every limit full_report takes."""
+    """(name, sampled numerator, denominator, per-point numerator,
+    denominator, floors, cap, theta0) for every limit full_report takes;
+    the samples are at the dyadic points of the two axis directions."""
     zero = find_zero(f)
     t0, q = np.array(zero.theta0), zero.q_jbar
     fscale, pscale = symbol_sup_norm(f, 256), symbol_sup_norm(p, 256)
     fhat = coarse_symbol(f, p)
     hat_scale = float(np.max(np.abs(np.linalg.eigvalsh(fhat.evaluate_grid(theta_grid())))))
     den_floor = 1e3 * EPS * fscale
-
-    def shifted(ts):
-        return np.abs(shifted_branch_eigenvalue(p, ts, q))
+    pts = _dyadic_points(t0, _axis_directions(1))
+    shifted = np.abs(shifted_branch_eigenvalue(p, pts, q))
+    f_values = _f_branch(f, pts, q)
 
     def f_branch(g):
         return lambda t: tracked_eigenpairs(g.evaluate(t)[None], q)[0][0]
 
     return [
-        ("surrogate", lambda ts: shifted(ts) ** 2, _f_branch_fn(f, q),
+        ("surrogate", shifted ** 2, f_values,
          lambda t: abs(per_point_shifted_eigenvalue(p, t, q)[0]) ** 2, f_branch(f),
-         (100 * EPS * pscale) ** 2, den_floor, t0),
-        ("direct", _s_gap_fn(p, q), _f_branch_fn(f, q),
+         (100 * EPS * pscale) ** 2, den_floor, RATIO_CAP * pscale ** 2 / fscale, t0),
+        ("direct", _s_gap(p, pts, q), f_values,
          lambda t: 1.0 - tracked_eigenpairs(build_s(p, t)[None], q)[0][0], f_branch(f),
-         100 * EPS, den_floor, t0),
-        ("vcycle", shifted, _f_branch_fn(f, q),
+         100 * EPS, den_floor, RATIO_CAP / fscale, t0),
+        ("vcycle", shifted, f_values,
          lambda t: abs(per_point_shifted_eigenvalue(p, t, q)[0]), f_branch(f),
-         100 * EPS * pscale, den_floor, t0),
-        ("coarse", lambda ts: _f_branch_fn(fhat, q)(2.0 * ts), _f_branch_fn(f, q),
+         100 * EPS * pscale, den_floor, RATIO_CAP * pscale / fscale, t0),
+        ("coarse", _f_branch(fhat, 2.0 * pts, q), f_values,
          lambda t: f_branch(fhat)(2.0 * t), f_branch(f),
-         1e3 * EPS * hat_scale, den_floor, t0),
+         1e3 * EPS * hat_scale, den_floor, RATIO_CAP * pscale ** 2, t0),
     ]
 
 
@@ -348,11 +349,12 @@ F4 = MatrixTrigPolynomial.scalar({0: 6.0, 1: -4.0, -1: -4.0, 2: 1.0, -2: 1.0})
     ids=[*[f"r{r}-{kind}" for r in range(1, 9) for kind in ("linear", "geometric")],
          "injection", "fourth-order", "hat"])
 def test_batched_limits_match_per_point_reference(p, f):
-    for name, num, den, num1, den1, nfloor, dfloor, t0 in report_limits(p, f):
-        est = dyadic_limit(num, den, t0, _axis_directions(1),
-                           numer_floor=nfloor, denom_floor=dfloor)
+    for name, num, den, num1, den1, nfloor, dfloor, cap, t0 in report_limits(p, f):
+        est = dyadic_limit(num, den, _axis_directions(1),
+                           numer_floor=nfloor, denom_floor=dfloor, cap=cap)
         passed, c, reason = per_point_dyadic_limit(num1, den1, t0, _axis_directions(1),
-                                                   numer_floor=nfloor, denom_floor=dfloor)
+                                                   numer_floor=nfloor, denom_floor=dfloor,
+                                                   cap=cap)
         assert (est.passed, est.reason) == (passed, reason), name
         if np.isfinite(c):
             assert est.c == pytest.approx(c, rel=1e-4, abs=1e-12), name
@@ -406,36 +408,6 @@ def test_tracked_stack_error_names_first_failing_matrix():
         assert (w[k], overlaps[k]) == (lam, overlap)
         np.testing.assert_array_equal(V[k], v)
         assert overlap > OVERLAP_MIN
-
-
-def test_dyadic_limit_error_order_is_per_point_order():
-    # an error surfaces where the point-by-point walk would meet it: the
-    # first failing point, direction by direction, the denominator of a
-    # point before its numerator, and never past a settled direction
-    def failing(bad, value=1.0):
-        def fn(ts):
-            for t in ts:
-                if any(abs(t[0] - b) < 1e-15 for b in bad):
-                    raise TrackingError(f"fails at {t[0]!r}")
-            return np.full(len(ts), value)
-        return fn
-
-    pts = [1.0 + s * 2.0 ** -k for s in (1.0, -1.0) for k in range(5, 26)]
-    kw = dict(numer_floor=0.0, denom_floor=0.0)
-    dirs = _axis_directions(1)
-
-    with pytest.raises(TrackingError, match=repr(pts[3])):
-        dyadic_limit(failing([pts[3], pts[30]]), failing([pts[7], pts[12]]),
-                     1.0, dirs, **kw)
-    with pytest.raises(TrackingError, match=repr(pts[7])):
-        dyadic_limit(failing([pts[9]]), failing([pts[7], pts[12]]),
-                     1.0, dirs, **kw)
-    with pytest.raises(TrackingError, match=repr(pts[30])):
-        dyadic_limit(failing([]), failing([pts[30], pts[35]]), 1.0, dirs, **kw)
-    # the first direction already exceeds the cap: the failure beyond it
-    # is never reached
-    est = dyadic_limit(failing([], 1e9), failing([pts[30]]), 1.0, dirs, **kw)
-    assert est.diverged and est.reason == "ratio exceeded cap 1e+08"
 
 
 # -- the shifted projector branch, tracked once per report -------------------
@@ -514,8 +486,13 @@ def test_condition_ii_route_does_not_depend_on_projector_scale(r):
                          ids=[*FEM_IDS, "injection"])
 def test_verdicts_do_not_depend_on_projector_scale(p, f):
     # the coarse/fine eigenvalue ratio scales as |p|^2: at p * 1e-5 it
-    # is near 1e-9, which a threshold not scaled with it would reject
+    # is near 1e-9, which a threshold not scaled with it would reject;
+    # the corner sum scales as |p|^2 too, and each limit's ratio and cap
+    # as its own power of |p| and |f|
     want = _check_verdicts(full_report(p, f))
-    for c in (1e-5, 1e-3):
+    for c in (1e-8, 1e-6, 1e-5, 1e-3, 1e4, 1e6):
         pc = MatrixTrigPolynomial({j: c * v for j, v in p.coeffs.items()}, m=1)
-        assert _check_verdicts(full_report(pc, f)) == want, c
+        assert _check_verdicts(full_report(pc, f)) == want, f"p * {c:g}"
+    for c in (1e-8, 1e8):
+        fc = MatrixTrigPolynomial({j: c * v for j, v in f.coeffs.items()}, m=1)
+        assert _check_verdicts(full_report(p, fc)) == want, f"f * {c:g}"

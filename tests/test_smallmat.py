@@ -92,27 +92,3 @@ def test_solve_singular_carries_pivot():
 def test_solve_shape_mismatch():
     with pytest.raises(DimensionError):
         smallmat.solve(np.eye(2), np.ones((3, 1)))
-
-
-def test_det_identity_and_swap():
-    assert smallmat.det(np.eye(4)) == pytest.approx(1.0)
-    assert smallmat.det([[0.0, 1.0], [1.0, 0.0]]) == pytest.approx(-1.0)
-
-
-def test_det_matches_projector_formula():
-    # scalar coarse-basis symbol at theta = pi/2 equals the closed form
-    theta = np.pi / 2.0
-    val = 1.0 + np.cos(theta)
-    want = np.exp(-1j * theta) * (np.exp(1j * theta) + 1.0) ** 2 / 2.0
-    assert smallmat.det([[val]]) == pytest.approx(want, abs=1e-12)
-
-
-def test_det_singular_is_zero():
-    assert abs(smallmat.det([[1.0, 1.0], [1.0, 1.0]])) <= 1e-14
-
-
-def test_det_reproducible():
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    d1, d2 = smallmat.det(M), smallmat.det(M.copy())
-    assert abs(d1 - d2) <= 1e-10 * abs(d1)
