@@ -215,6 +215,31 @@ def _s_gap(p: MatrixTrigPolynomial, thetas, q: np.ndarray) -> np.ndarray:
     return 1.0 - tracked_eigenpairs(build_s_grid(p, thetas), q)[0]
 
 
+def _cluster_match(w, V, scale, q):
+    """The best overlap of q with an eigenvalue cluster of one matrix
+    (eigenvalues w, right eigenvectors V) and that cluster's mean."""
+    clusters = []
+    for idx in np.argsort(np.abs(w)):
+        for cluster in clusters:
+            if abs(w[idx] - w[cluster[0]]) <= 1e-6 * scale:
+                cluster.append(idx)
+                break
+        else:
+            clusters.append([idx])
+    best_overlap, best_value = -1.0, 0.0j
+    for cluster in clusters:
+        if len(cluster) == 1:
+            v = V[:, cluster[0]]
+            overlap = abs(np.vdot(v, q)) / np.linalg.norm(v)
+        else:
+            U, sv, _ = np.linalg.svd(V[:, cluster], full_matrices=False)
+            overlap = np.linalg.norm(U[:, sv > 1e-10 * sv[0]].conj().T @ q)
+        if overlap > best_overlap:
+            best_overlap = float(overlap)
+            best_value = complex(np.mean(w[cluster]))
+    return best_overlap, best_value
+
+
 def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
                               q: np.ndarray) -> np.ndarray:
     """Eigenvalues of the (generally non-Hermitian) matrices
@@ -229,40 +254,32 @@ def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
     (rank-deficient projector symbols have multidimensional kernels)
     splits numerically by sqrt(eps) and its individual eigenvectors are
     arbitrary within the span.  The returned value is the cluster mean,
-    which cancels that splitting to first order.  Raises TrackingError
-    at the first point whose best overlap falls below OVERLAP_MIN,
-    naming it.
+    which cancels that splitting to first order.  A point with no two
+    eigenvalues that close has only one-eigenvalue clusters, and all
+    such points are matched at once: the first largest |v^H q| / ||v||
+    in order of increasing |w|.  Raises TrackingError at the first point
+    whose best overlap falls below OVERLAP_MIN, naming it.
     """
     ts = np.asarray(thetas, dtype=float).reshape(-1, p.m)
     mats = p.evaluate_grid(ts + np.pi)
     ws, Vs = np.linalg.eig(mats)
     scales = np.linalg.norm(mats, 2, axis=(1, 2))
-    out = np.empty(len(ts), dtype=complex)
-    for n, (w, V, scale) in enumerate(zip(ws, Vs, scales)):
-        clusters = []
-        for idx in np.argsort(np.abs(w)):
-            for cluster in clusters:
-                if abs(w[idx] - w[cluster[0]]) <= 1e-6 * scale:
-                    cluster.append(idx)
-                    break
-            else:
-                clusters.append([idx])
-        best_overlap, best_value = -1.0, 0.0j
-        for cluster in clusters:
-            if len(cluster) == 1:
-                v = V[:, cluster[0]]
-                overlap = abs(np.vdot(v, q)) / np.linalg.norm(v)
-            else:
-                U, sv, _ = np.linalg.svd(V[:, cluster], full_matrices=False)
-                overlap = np.linalg.norm(U[:, sv > 1e-10 * sv[0]].conj().T @ q)
-            if overlap > best_overlap:
-                best_overlap = float(overlap)
-                best_value = complex(np.mean(w[cluster]))
-        if best_overlap < OVERLAP_MIN:
-            raise TrackingError(
-                f"overlap {best_overlap:.3f} below {OVERLAP_MIN} while tracking "
-                f"the shifted projector eigenvalue at theta={ts[n]}")
-        out[n] = best_value
+    rows = np.arange(len(ts))
+    overlaps = (np.abs(np.conj(np.swapaxes(Vs, 1, 2)) @ q)
+                / np.linalg.norm(Vs, axis=1))
+    order = np.argsort(np.abs(ws), axis=1)
+    best = order[rows, np.argmax(np.take_along_axis(overlaps, order, axis=1), axis=1)]
+    top, out = overlaps[rows, best], ws[rows, best]
+    gaps = np.abs(ws[:, :, None] - ws[:, None, :])
+    gaps[:, np.arange(p.d), np.arange(p.d)] = np.inf
+    for n in np.flatnonzero(np.any(gaps <= 1e-6 * scales[:, None, None], axis=(1, 2))):
+        top[n], out[n] = _cluster_match(ws[n], Vs[n], scales[n], q)
+    failed = np.flatnonzero(top < OVERLAP_MIN)
+    if failed.size:
+        n = failed[0]
+        raise TrackingError(
+            f"overlap {top[n]:.3f} below {OVERLAP_MIN} while tracking "
+            f"the shifted projector eigenvalue at theta={ts[n]}")
     return out
 
 
@@ -295,7 +312,7 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -
     q = zero.q_jbar
     P0 = p.evaluate(t0)
     Ppi = p.evaluate(t0 + np.pi)
-    scale = max(smallmat.spectral_norm(P0), smallmat.spectral_norm(Ppi), 1.0)
+    scale = max(smallmat.spectral_norm(P0), smallmat.spectral_norm(Ppi))
 
     lam1 = complex(q.conj() @ (P0 @ q))
     res1 = float(np.linalg.norm(P0 @ q - lam1 * q))

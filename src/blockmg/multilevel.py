@@ -234,7 +234,7 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     except BlockmgError as exc:
         s_worst = float("nan")
         s_errors = [str(exc)]
-    cscale = max(symbol_sup_norm(p2d, 256) ** 2, 1.0)
+    cscale = symbol_sup_norm(p2d, 256) ** 2
     corner_fact = CheckResult(corner_worst <= 1e-10 * cscale,
                               {"max_abs_difference": corner_worst, "scale": cscale})
     s_fact_res = CheckResult(not s_errors and s_worst <= 1e-10,

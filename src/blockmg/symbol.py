@@ -104,11 +104,13 @@ class MatrixTrigPolynomial:
                 raise ArgumentError(f"coefficient {idx} has a non-finite entry")
             normalized[idx] = mat.copy()
         # the trim and Hermitian tests see every coefficient scaled by
-        # 2**-e, exactly: no part then reaches 1, so no norm overflows,
-        # and e = 0 (every part already below 1) leaves the values as given
+        # 2**-e, exactly, so that the largest real or imaginary part lies
+        # in [1/2, 1): the largest norm then neither overflows nor
+        # underflows, and both tests are relative, so the scaling moves
+        # no verdict
         big = max(np.abs(c.view(float)).max(initial=0.0)
                   for c in normalized.values())
-        e = max(int(np.frexp(big)[1]), 0)
+        e = int(np.frexp(big)[1])
         scaled = {j: np.ldexp(c.view(float), -e).view(complex)
                   for j, c in normalized.items()}
         norms = {j: np.linalg.norm(c) for j, c in scaled.items()}
@@ -121,8 +123,7 @@ class MatrixTrigPolynomial:
         self.coeffs = normalized
         self._J = np.array(list(normalized), dtype=float)                    # (nc, m)
         self._C = np.stack(list(normalized.values())).reshape(len(normalized), d * d)
-        self._hermitian = _is_hermitian({j: scaled[j] for j in normalized},
-                                        np.ldexp(1.0, -e))
+        self._hermitian = _is_hermitian({j: scaled[j] for j in normalized})
 
     @classmethod
     def scalar(cls, coeffs, m=None):
@@ -198,11 +199,12 @@ class MatrixTrigPolynomial:
                 f"window={self.window()}, ncoeff={len(self.coeffs)})")
 
 
-def _is_hermitian(coeffs, one: float) -> bool:
+def _is_hermitian(coeffs) -> bool:
     """c_{-j} = c_j^H for every index, to HERMITIAN_RTOL relative to the
-    largest norm or to ``one`` (the value 1 in the units of ``coeffs``)."""
+    largest coefficient norm, so the verdict does not move when every
+    coefficient is scaled by the same constant."""
     scale = max(np.linalg.norm(c) for c in coeffs.values())
-    tol = HERMITIAN_RTOL * max(scale, one)
+    tol = HERMITIAN_RTOL * scale
     for j, c in coeffs.items():
         other = coeffs.get(tuple(-v for v in j))
         if other is None:
@@ -232,10 +234,14 @@ def symbol_sup_norm(f: MatrixTrigPolynomial, npoints: int = DEFAULT_GRID) -> flo
     """Max over a uniform sample grid of the spectral norm of f(t).
 
     For m >= 2 the per-dimension resolution is reduced so the total
-    sample count stays near ``npoints``.
+    sample count stays near ``npoints``.  The spectral norm of a
+    Hermitian value is its largest |eigenvalue|, so a Hermitian symbol
+    takes one batched ``eigvalsh`` where any other takes an SVD per
+    point.
     """
-    pts = sample_points(f.m, npoints)
-    vals = f.evaluate_grid(pts)
+    vals = f.evaluate_grid(sample_points(f.m, npoints))
+    if f.hermitian:
+        return float(np.max(np.abs(np.linalg.eigvalsh(vals))))
     return float(np.max(np.linalg.norm(vals, 2, axis=(1, 2))))
 
 
@@ -282,8 +288,7 @@ def tracked_eigenpairs(mats, q: np.ndarray):
 
 
 def _lambda_min(f, theta):
-    w, _ = smallmat.eig_hermitian(f.evaluate(theta))
-    return w[0]
+    return np.linalg.eigvalsh(f.evaluate(theta))[0]
 
 
 def _golden_section(fun, a, b, tol=1e-12, max_iter=200):
@@ -465,8 +470,9 @@ def corner_sums(p: MatrixTrigPolynomial, thetas) -> np.ndarray:
     ts = _as_grid(thetas, p.m)
     offsets = np.array(corner_set(np.zeros(p.m), p.m))                 # (2^m, m)
     E = p.evaluate_grid((ts[:, None, :] + offsets).reshape(-1, p.m))
-    E = E.reshape(len(ts), len(offsets), p.d, p.d)
-    total = np.einsum("nkji,nkjl->nil", E.conj(), E)
+    # the corner values stacked row-wise: E^H E is the sum over corners
+    E = E.reshape(len(ts), len(offsets) * p.d, p.d)
+    total = np.conj(np.swapaxes(E, 1, 2)) @ E
     return 0.5 * (total + np.conj(np.swapaxes(total, 1, 2)))
 
 

@@ -16,7 +16,8 @@ from blockmg.conditions import (EPS, OVERLAP_MIN, RATIO_CAP, _axis_directions,
                                 shifted_branch_eigenvalue)
 from blockmg.errors import SingularMatrixError, TrackingError
 from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
-                            stiffness_symbol)
+                            mass_symbol, stiffness_symbol)
+from blockmg.multilevel import check_multilevel_conditions, tensor_sum_symbol
 from blockmg.symbol import (coarse_symbol, symbol_sup_norm, tensor_symbol, theta_grid,
                             tracked_eigenpairs)
 
@@ -282,9 +283,10 @@ def per_point_dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
     return passed, float(np.mean(estimates)), reason
 
 
-def per_point_shifted_eigenvalue(p, theta, q):
-    """The shifted-branch eigenvalue at one point: scipy's eig, and every
-    cluster matched through an SVD of its eigenvectors."""
+def per_point_shifted_match(p, theta, q):
+    """The shifted-branch match at one point, (best overlap, value,
+    largest cluster size): scipy's eig, and every cluster matched
+    through an SVD of its eigenvectors."""
     mat = p.evaluate(np.atleast_1d(theta) + np.pi)
     w, V = scipy.linalg.eig(mat)
     scale = np.linalg.norm(mat, 2)
@@ -302,8 +304,15 @@ def per_point_shifted_eigenvalue(p, theta, q):
         overlap = float(np.linalg.norm(U[:, s > 1e-10 * s[0]].conj().T @ q))
         if overlap > best_overlap:
             best_overlap, best_value = overlap, complex(np.mean(w[cluster]))
-    assert best_overlap >= OVERLAP_MIN
-    return best_value, max(len(c) for c in clusters)
+    return best_overlap, best_value, max(len(c) for c in clusters)
+
+
+def per_point_shifted_eigenvalue(p, theta, q):
+    """The shifted-branch eigenvalue at one point and the largest cluster
+    size there; the branch must be trackable."""
+    overlap, value, size = per_point_shifted_match(p, theta, q)
+    assert overlap >= OVERLAP_MIN
+    return value, size
 
 
 def report_limits(p, f):
@@ -395,6 +404,48 @@ def test_shifted_eigenvalue_error_names_first_failing_point():
         shifted_branch_eigenvalue(p, ts, q)
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("build", [build_linear_interp_symbol, build_geometric_symbol],
+                         ids=["linear", "geometric"])
+def test_shifted_eigenvalue_on_dyadic_stacks_matches_per_point_oracle(r, build):
+    # the stack the reports track: one-eigenvalue clusters are matched
+    # for the whole stack at once, clustered points one by one; the
+    # linear projectors of even r > 2 are clustered at every point
+    p, zero = build(r), find_zero(stiffness_symbol(r))
+    pts = _dyadic_points(zero.theta0, _axis_directions(1))
+    got = shifted_branch_eigenvalue(p, pts, zero.q_jbar)
+    want = [per_point_shifted_eigenvalue(p, t, zero.q_jbar) for t in pts]
+    np.testing.assert_allclose(got, [w for w, _ in want], rtol=0, atol=1e-12)
+    clustered = sum(size > 1 for _, size in want)
+    every = build is build_linear_interp_symbol and r % 2 == 0 and r > 2
+    assert clustered == (len(pts) if every else 0)
+
+
+def test_shifted_eigenvalue_error_names_first_failure_of_either_kind():
+    # p(t + pi) = diag(1, 1 + cos t, 1 - cos t) + 2 (1 + sin t) q q^H with
+    # q = (1, 1, 1)/sqrt(3): away from 3 pi/2 q is near a lone
+    # eigenvector (at pi/2 beside a two-eigenvalue cluster), at 3 pi/2
+    # all three eigenvalues are one cluster, and near 3 pi/2 the three
+    # lone eigenvectors lie near the axes, each 0.58 from q
+    Q = np.full((3, 3), 1.0 / 3.0)
+    c1 = np.diag([0.0, -0.5, 0.5]) + 1j * Q
+    p = MatrixTrigPolynomial({0: np.eye(3) + 2 * Q, 1: c1, -1: c1.conj().T})
+    q = np.ones(3) / np.sqrt(3)
+    good = np.array([0.4, 3 * np.pi / 2, np.pi / 2 + 0.1, np.pi / 2])
+    sizes = [per_point_shifted_eigenvalue(p, t, q)[1] for t in good]
+    assert sizes == [1, 3, 1, 2]
+    np.testing.assert_allclose(
+        shifted_branch_eigenvalue(p, good, q),
+        [per_point_shifted_eigenvalue(p, t, q)[0] for t in good], rtol=0, atol=1e-12)
+    bad = 3 * np.pi / 2 + 0.02
+    overlap, _, size = per_point_shifted_match(p, bad, q)
+    assert overlap < OVERLAP_MIN and size == 1
+    ts = np.array([*good[:2], bad, good[2], bad + 0.03])
+    with pytest.raises(TrackingError, match=f"overlap {overlap:.3f} below") as err:
+        shifted_branch_eigenvalue(p, ts, q)
+    assert str(err.value).endswith(f"at theta={ts[2:3]}")
+
+
 def test_tracked_stack_error_names_first_failing_matrix():
     q = np.ones(3) / np.sqrt(3)                      # 0.577 on every axis
     bad = np.diag([1.0, 2.0, 3.0])
@@ -455,9 +506,12 @@ def test_untrackable_branch_reports_each_checks_own_error():
 
 
 def _check_verdicts(rep):
-    """Every check's verdict in a report, the shortcut hypotheses aside."""
+    """Every check's verdict in a report, with the condition (ii) route
+    and the verdict of each shortcut hypothesis."""
     return {"condition_i": rep.condition_i.passed,
             "condition_ii": rep.condition_ii.passed,
+            "route": rep.condition_ii.evidence.get("route"),
+            **{f"hypothesis {k}": v.passed for k, v in rep.shortcut_hypotheses.items()},
             "condition_iii": rep.condition_iii.passed,
             "vcycle_bound": rep.vcycle_bound.passed,
             **{k: v.passed for k, v in rep.fhat_properties.items()},
@@ -496,3 +550,47 @@ def test_verdicts_do_not_depend_on_projector_scale(p, f):
     for c in (1e-8, 1e8):
         fc = MatrixTrigPolynomial({j: c * v for j, v in f.coeffs.items()}, m=1)
         assert _check_verdicts(full_report(p, fc)) == want, f"f * {c:g}"
+
+
+@pytest.mark.parametrize("p, f", [*FEM_PAIRS, (ONE, LAPLACE)],
+                         ids=[*FEM_IDS, "injection"])
+def test_verdicts_do_not_depend_on_tiny_projector_scales(p, f):
+    # a floor of 1 under the shortcut hypotheses' scale failed
+    # q_eigvec_of_p0 once |lambda| < 1e-9, which turned vcycle_bound at
+    # p * 1e-10; a floor under the Hermitian test's tolerance took the
+    # r = 2 projectors at p * 1e-12 for Hermitian and symmetrized them
+    want = _check_verdicts(full_report(p, f))
+    for c in (1e-12, 1e-10):
+        pc = MatrixTrigPolynomial({j: c * v for j, v in p.coeffs.items()}, m=1)
+        assert pc.hermitian == p.hermitian, f"p * {c:g}"
+        assert _check_verdicts(full_report(pc, f)) == want, f"p * {c:g}"
+
+
+def _multilevel_verdicts(rep):
+    """Every verdict of a multilevel report, its factor reports' included."""
+    checks = ("condition_i", "fixed_point", "condition_iii_directional",
+              "corner_factorization", "s_factorization", "tensor_eigenvector")
+    return {**{name: getattr(rep, name).passed for name in checks},
+            "tgm": rep.tgm_certified,
+            "vcycle_factorwise": rep.vcycle_heuristic["passed_factorwise"],
+            "factors": [_check_verdicts(r) for r in rep.factor_reports]}
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("build", [build_linear_interp_symbol, build_geometric_symbol],
+                         ids=["linear", "geometric"])
+def test_multilevel_verdicts_do_not_depend_on_projector_scale(r, build):
+    # the tensor projector of p * 1e-8 has coefficients near 1e-16, which
+    # a floor under the Hermitian test's tolerance took for Hermitian:
+    # its symmetrized values failed the fixed point, the directional
+    # limit and both tensor factorizations
+    f = stiffness_symbol(r)
+    f2d = tensor_sum_symbol(f, mass_symbol(r))
+    p = build(r)
+    rep = check_multilevel_conditions([p, p], f2d, fs=[f, f])
+    want = _multilevel_verdicts(rep)
+    assert want["tgm"]
+    for c in (1e-8, 1e-5, 1e-3, 1e4):
+        pc = MatrixTrigPolynomial({j: c * v for j, v in p.coeffs.items()}, m=1)
+        got = _multilevel_verdicts(check_multilevel_conditions([pc, pc], f2d, fs=[f, f]))
+        assert got == want, f"p * {c:g}"

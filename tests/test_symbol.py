@@ -10,7 +10,10 @@ from blockmg import (MatrixTrigPolynomial, coarse_symbol, corner_sum,
                      corner_sums, find_zero, read_symbol, tensor_symbol,
                      write_symbol)
 from blockmg.errors import ArgumentError, SymbolZeroError, TrackingError
-from blockmg.symbol import HERMITIAN_RTOL, tracked_eigenpairs
+from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
+                            stiffness_symbol)
+from blockmg.symbol import (HERMITIAN_RTOL, sample_points, symbol_sup_norm,
+                            tracked_eigenpairs)
 
 from conftest import (max_coeff_difference, random_hermitian_symbol,
                       random_symbol, same_bits, symbols)
@@ -79,6 +82,17 @@ class TestCoefficients:
                                       -1: -1.7e308 * np.eye(2)})
         assert set(f.coeffs) == {(0,), (1,)} and not f.hermitian
         assert g.hermitian
+
+    @pytest.mark.parametrize("c", [1e-16, 1e-12, 1e-8, 1.0, 1e8])
+    def test_hermitian_flag_does_not_depend_on_scale(self, c):
+        # a floor on the tolerance called every symbol with coefficients
+        # below 1e-12 Hermitian, and evaluate_grid then symmetrized it
+        f, p = stiffness_symbol(2), build_linear_interp_symbol(2)
+        fc, pc = (MatrixTrigPolynomial({j: c * v for j, v in g.coeffs.items()}, m=1)
+                  for g in (f, p))
+        assert fc.hermitian and not pc.hermitian
+        # the tensor projector the 2D report builds, with coefficients c^2
+        assert not tensor_symbol([pc, pc]).hermitian
 
     def test_product_is_pointwise(self, f_q2, p_l2):
         g = p_l2.conj_transpose() @ f_q2 @ p_l2
@@ -223,7 +237,7 @@ def corner_sum_reference(p, theta):
 def hermitian_reference(f):
     """Coefficient-wise check c_{-j} = c_j^H, written out independently."""
     scale = max(np.linalg.norm(c) for c in f.coeffs.values())
-    tol = HERMITIAN_RTOL * max(scale, 1.0)
+    tol = HERMITIAN_RTOL * scale
     zero = np.zeros((f.d, f.d), dtype=complex)
     return all(np.max(np.abs(f.coeffs.get(tuple(-v for v in j), zero) - c.conj().T)) <= tol
                for j, c in f.coeffs.items())
@@ -254,6 +268,30 @@ class TestBatchedEvaluation:
             assert np.max(np.abs(got[k] - want)) <= 1e-13 * max(1.0, np.abs(want).max())
             np.testing.assert_allclose(corner_sum(p, t), want, rtol=0,
                                        atol=1e-13 * max(1.0, np.abs(want).max()))
+
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    @pytest.mark.parametrize("build", [build_linear_interp_symbol, build_geometric_symbol],
+                             ids=["linear", "geometric"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_projector_corner_sums_match_per_corner_loop(self, r, build, m):
+        p = tensor_symbol([build(r)] * m)
+        ts = sample_points(m, 64)
+        got = corner_sums(p, ts)
+        want = np.array([corner_sum_reference(p, t) for t in ts])
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_sup_norm_is_the_largest_spectral_norm(self, m, hermitian):
+        # a Hermitian symbol takes max |eigenvalue|, any other an SVD
+        rng = np.random.default_rng([60, m, hermitian])
+        make = random_hermitian_symbol if hermitian else random_symbol
+        f = tensor_symbol([make(rng, 2, 2) for _ in range(m)])
+        assert f.hermitian == hermitian
+        for npoints in (64, 256):
+            want = max(np.linalg.svd(v, compute_uv=False)[0]
+                       for v in f.evaluate_grid(sample_points(m, npoints)))
+            assert symbol_sup_norm(f, npoints) == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_corner_sums_accept_flat_univariate_grid(self, p_l2):
         ts = np.linspace(0, 2 * np.pi, 7)
