@@ -21,6 +21,12 @@ double precision: samples whose denominator falls below the eigensolver
 noise floor are discarded, and numerator values indistinguishable from
 zero are clamped to exactly zero.  A ratio that exceeds RATIO_CAP times
 its natural scale in the sup norms of f and p counts as divergent.
+
+The shortcut hypotheses judge residuals and eigenvalues against
+max(||p(t0)||_2, ||p(t0 + pi)||_2) with no floor of 1, which would make
+them absolute for a small p.  The shifted projector branch is matched
+for a whole stack at once wherever p(theta + pi) has no cluster of
+close eigenvalues; only clustered points are matched one by one.
 """
 
 from __future__ import annotations

@@ -20,6 +20,13 @@ the stacked coefficients.  It does not take the complex exp of
 numpy's complex exp, and the exp then ran at about a tenth of its usual
 speed (20-25 ms against 2.2 ms on a 4096 x 9 phase, measured on an x86
 host with OpenBLAS; the cause is not pinned down).
+
+The spectral kernels compute only what their callers read: zero
+refinement takes eigenvalues alone, the sup norm of a Hermitian symbol
+is its largest |eigenvalue| (an SVD serves any other symbol), and a
+corner sum is one stacked product E^H E of the corner values.  The
+Hermitian test is relative to the largest coefficient, with no floor,
+so it gives the same answer for f and for c f.
 """
 
 from __future__ import annotations

@@ -371,11 +371,21 @@ def test_batched_limits_match_per_point_reference(p, f):
             assert repr(est.c) == repr(c), name
 
 
+# every eigenvalue of p(t + pi) near the zero is simple, except for the
+# linear projectors of even r > 2, which are clustered at every point
+OTHER_FEM_PAIRS = [(kind, r) for r in range(1, 9) for kind in ("linear", "geometric")
+                   if (kind, r) not in (("linear", 4), ("geometric", 3))]
+
+
 @pytest.mark.parametrize("p, zero_of, repeated", [
     (build_linear_interp_symbol(4), stiffness_symbol(4), True),
     (build_geometric_symbol(3), stiffness_symbol(3), False),
     (tensor_symbol([build_geometric_symbol(2)] * 2), stiffness_symbol(2), True),
-], ids=["linear-r4", "geometric-r3", "geometric-r2-tensor"])
+    *[((build_linear_interp_symbol if kind == "linear" else build_geometric_symbol)(r),
+       stiffness_symbol(r), kind == "linear" and r % 2 == 0 and r > 2)
+      for kind, r in OTHER_FEM_PAIRS],
+], ids=["linear-r4", "geometric-r3", "geometric-r2-tensor",
+        *[f"{kind}-r{r}" for kind, r in OTHER_FEM_PAIRS]])
 def test_stacked_shifted_eigenvalue_matches_per_point_eig(p, zero_of, repeated):
     zero = find_zero(zero_of)
     q = np.kron(*[zero.q_jbar] * p.m) if p.m > 1 else zero.q_jbar
@@ -402,23 +412,6 @@ def test_shifted_eigenvalue_error_names_first_failing_point():
     np.testing.assert_allclose(shifted_branch_eigenvalue(p, ts[[0, 2]], q), 1.0)
     with pytest.raises(TrackingError, match=r"theta=\[0\.1\]"):
         shifted_branch_eigenvalue(p, ts, q)
-
-
-@pytest.mark.parametrize("r", range(1, 9))
-@pytest.mark.parametrize("build", [build_linear_interp_symbol, build_geometric_symbol],
-                         ids=["linear", "geometric"])
-def test_shifted_eigenvalue_on_dyadic_stacks_matches_per_point_oracle(r, build):
-    # the stack the reports track: one-eigenvalue clusters are matched
-    # for the whole stack at once, clustered points one by one; the
-    # linear projectors of even r > 2 are clustered at every point
-    p, zero = build(r), find_zero(stiffness_symbol(r))
-    pts = _dyadic_points(zero.theta0, _axis_directions(1))
-    got = shifted_branch_eigenvalue(p, pts, zero.q_jbar)
-    want = [per_point_shifted_eigenvalue(p, t, zero.q_jbar) for t in pts]
-    np.testing.assert_allclose(got, [w for w, _ in want], rtol=0, atol=1e-12)
-    clustered = sum(size > 1 for _, size in want)
-    every = build is build_linear_interp_symbol and r % 2 == 0 and r > 2
-    assert clustered == (len(pts) if every else 0)
 
 
 def test_shifted_eigenvalue_error_names_first_failure_of_either_kind():

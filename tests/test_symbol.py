@@ -10,8 +10,7 @@ from blockmg import (MatrixTrigPolynomial, coarse_symbol, corner_sum,
                      corner_sums, find_zero, read_symbol, tensor_symbol,
                      write_symbol)
 from blockmg.errors import ArgumentError, SymbolZeroError, TrackingError
-from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
-                            stiffness_symbol)
+from blockmg.femgen import build_linear_interp_symbol, stiffness_symbol
 from blockmg.symbol import (HERMITIAN_RTOL, sample_points, symbol_sup_norm,
                             tracked_eigenpairs)
 
@@ -256,7 +255,7 @@ class TestBatchedEvaluation:
                 assert np.array_equal(g.evaluate(t), g.evaluate_grid(t[None])[0])
                 np.testing.assert_allclose(g.evaluate(t), grid[k], rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
     def test_corner_sums_match_per_corner_loop(self, m):
         rng = np.random.default_rng(50 + m)
         p = tensor_symbol([random_symbol(rng, 2, 2) for _ in range(m)])
@@ -268,17 +267,6 @@ class TestBatchedEvaluation:
             assert np.max(np.abs(got[k] - want)) <= 1e-13 * max(1.0, np.abs(want).max())
             np.testing.assert_allclose(corner_sum(p, t), want, rtol=0,
                                        atol=1e-13 * max(1.0, np.abs(want).max()))
-
-    @pytest.mark.parametrize("r", [1, 2, 4])
-    @pytest.mark.parametrize("build", [build_linear_interp_symbol, build_geometric_symbol],
-                             ids=["linear", "geometric"])
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_projector_corner_sums_match_per_corner_loop(self, r, build, m):
-        p = tensor_symbol([build(r)] * m)
-        ts = sample_points(m, 64)
-        got = corner_sums(p, ts)
-        want = np.array([corner_sum_reference(p, t) for t in ts])
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("hermitian", [False, True])
