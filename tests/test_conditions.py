@@ -419,7 +419,7 @@ def test_shifted_eigenvalue_error_names_first_failure_of_either_kind():
     # q = (1, 1, 1)/sqrt(3): away from 3 pi/2 q is near a lone
     # eigenvector (at pi/2 beside a two-eigenvalue cluster), at 3 pi/2
     # all three eigenvalues are one cluster, and near 3 pi/2 the three
-    # lone eigenvectors lie near the axes, each 0.58 from q
+    # lone eigenvectors lie near the axes, each overlapping q by about 0.58
     Q = np.full((3, 3), 1.0 / 3.0)
     c1 = np.diag([0.0, -0.5, 0.5]) + 1j * Q
     p = MatrixTrigPolynomial({0: np.eye(3) + 2 * Q, 1: c1, -1: c1.conj().T})
