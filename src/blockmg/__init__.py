@@ -6,13 +6,13 @@ from .errors import (ArgumentError, BlockmgError, ConfigurationError,
                      ConstructionError, DimensionError, NumericalError,
                      SingularMatrixError, SymbolZeroError, TrackingError)
 from .symbol import (MatrixTrigPolynomial, SymbolZero, coarse_symbol,
-                     corner_set, corner_sum, corner_sums, find_zero,
-                     read_symbol, symbol_sup_norm, tensor_symbol, theta_grid,
+                     corner_sum, corner_sums, find_zero, read_symbol,
+                     symbol_sup_norm, tensor_symbol, theta_grid,
                      tracked_eigenpairs, write_symbol)
 from .structured import (BlockStructuredMatrix, GridTransfer,
                          assemble_circulant, assemble_toeplitz,
                          assemble_transfer, coarse_projection_norm,
-                         cutting_matrix, galerkin)
+                         galerkin)
 from .mgsolve import (MultigridHierarchy, SmootherSpec, SolveResult,
                       richardson_omega_default, smooth, solve, tgm_step,
                       vcycle_step)

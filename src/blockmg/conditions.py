@@ -1,14 +1,18 @@
 """Numerical verification of the multigrid convergence conditions.
 
 The checks certify, for a projector symbol p against a problem symbol f
-with a single zero of its minimal eigenvalue function:
+in any number m of variables with a single zero t0 of its minimal
+eigenvalue function:
 
-  (i)   positivity of the corner sum p^H p + shifted p^H p on a grid,
+  (i)   positivity of the corner sum of p^H p over the 2^m corners
+        t + pi eta, eta in {0, 1}^m, on a grid,
   (ii)  the fixed-point property s(t0) q = q on the singular eigenvector,
   (iii) boundedness of (1 - lambda(s)) / lambda(f) at the zero,
 
-plus the un-squared ratio |lambda(p(. + pi))| / lambda(f) controlling
-the V-cycle, and the five structural properties of the coarse symbol.
+plus the un-squared ratio max |lambda(p(. + pi eta))| / lambda(f) over
+the 2^m - 1 shifted corners (eta != 0) controlling the V-cycle, and the
+five structural properties of the coarse symbol.  For m = 1 the only
+shifted corner is t + pi.
 
 Analytic limits are certified by stabilization of dyadic-sample ratios,
 never symbolically.  A check samples the numerator and the denominator
@@ -19,29 +23,33 @@ point of its stack), and :func:`dyadic_limit` judges the two value
 arrays.  Two floating-point guards keep that criterion meaningful in
 double precision: samples whose denominator falls below the eigensolver
 noise floor are discarded, and numerator values indistinguishable from
-zero are clamped to exactly zero.  A ratio that exceeds RATIO_CAP times
-its natural scale in the sup norms of f and p counts as divergent.
+zero are clamped to exactly zero.  Each limit has a natural scale, a
+power of the sup norms of f and p: a ratio above RATIO_CAP times it
+counts as divergent, and the tolerances of the stabilization and
+agreement tests have a floor of 1e-6 times it, so no verdict or piece
+of evidence moves under p -> c p or f -> c f.
 
-The shortcut hypotheses judge residuals and eigenvalues against
-max(||p(t0)||_2, ||p(t0 + pi)||_2) with no floor of 1, which would make
-them absolute for a small p.  The shifted projector branch is matched
-for a whole stack at once wherever p(theta + pi) has no cluster of
-close eigenvalues; only clustered points are matched one by one.
+The shortcut hypotheses judge residuals and eigenvalues against the
+largest ||p(t0 + pi eta)||_2 over the corners, with no floor of 1, which
+would make them absolute for a small p.  The shifted projector branch
+is matched for a whole stack at once wherever p(theta + pi eta) has no
+cluster of close eigenvalues; only clustered points are matched one by
+one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
-from . import smallmat
 from .errors import (ArgumentError, BlockmgError, DimensionError,
                      SingularMatrixError, TrackingError)
 from .symbol import (OVERLAP_MIN, MatrixTrigPolynomial, SymbolZero,
-                     coarse_symbol, corner_sums, find_zero, sample_points,
-                     symbol_sup_norm, theta_grid, tracked_eigenpairs)
+                     coarse_symbol, corner_set, corner_sums, find_zero,
+                     sample_points, symbol_sup_norm, tracked_eigenpairs)
 
 EPS = np.finfo(float).eps
 DYADIC_K_MIN = 5
@@ -154,8 +162,11 @@ def dyadic_limit(numer, denom, directions, *, numer_floor: float,
     numerator values below ``numer_floor`` count as zero.  The limit is
     accepted when the last TAIL usable ratios have spread below
     REL_SPREAD (relative to the estimate) in every direction, the
-    directional estimates agree, and no ratio exceeds ``cap``.
+    directional estimates agree to REL_SPREAD, and no ratio exceeds
+    ``cap``.  ``cap`` is RATIO_CAP times the ratio's natural scale, and
+    both relative tests have a floor of 1e-6 times that scale.
     """
+    floor = 1e-6 * cap / RATIO_CAP
     directions = [np.atleast_1d(np.asarray(d, dtype=float)) for d in directions]
     num = np.asarray(numer, dtype=float)
     den = np.asarray(denom, dtype=float)
@@ -179,7 +190,7 @@ def dyadic_limit(numer, denom, directions, *, numer_floor: float,
         tail_vals = ratios[-TAIL:]
         c_dir = float(np.mean(tail_vals))
         spread = float(np.max(tail_vals) - np.min(tail_vals))
-        ok = spread <= REL_SPREAD * max(abs(c_dir), 1e-6)
+        ok = spread <= REL_SPREAD * max(abs(c_dir), floor)
         if (not ok and np.all(np.diff(ratios) > 0)
                 and ratios[-1] > 100.0 * max(ratios[0], 1e-300)):
             # a power-law blow-up whose usable window (limited by the
@@ -191,7 +202,7 @@ def dyadic_limit(numer, denom, directions, *, numer_floor: float,
                               "c": c_dir, "spread": spread, "stabilized": ok})
         estimates.append(c_dir)
     lo, hi = min(estimates), max(estimates)
-    agree = (hi - lo) <= max(REL_SPREAD * max(abs(lo), abs(hi)), 1e-6)
+    agree = (hi - lo) <= max(REL_SPREAD * max(abs(lo), abs(hi)), floor)
     passed = agree and all(d["stabilized"] for d in per_direction)
     c = float(np.mean(estimates))
     spread = max(d["spread"] for d in per_direction)
@@ -202,13 +213,11 @@ def dyadic_limit(numer, denom, directions, *, numer_floor: float,
 
 
 def _axis_directions(m: int):
-    if m == 1:
-        return [np.array([1.0]), np.array([-1.0])]
-    dirs = []
-    for k in range(8):
-        a = 2.0 * np.pi * k / 8.0
-        dirs.append(np.array([np.cos(a), np.sin(a)]))
-    return dirs
+    """The directions of approach to a zero in m variables: every nonzero
+    vector of {1, 0, -1}^m, normalized (+1 and -1 for m = 1, the eight
+    compass directions for m = 2)."""
+    steps = [np.array(v) for v in product((1.0, 0.0, -1.0), repeat=m) if any(v)]
+    return [v / np.linalg.norm(v) for v in steps]
 
 
 def _f_branch(f: MatrixTrigPolynomial, thetas, q: np.ndarray) -> np.ndarray:
@@ -249,9 +258,9 @@ def _cluster_match(w, V, scale, q):
 def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
                               q: np.ndarray) -> np.ndarray:
     """Eigenvalues of the (generally non-Hermitian) matrices
-    p(theta + pi) at a stack of points, shape (n,) (thetas as for
-    :meth:`~MatrixTrigPolynomial.evaluate_grid`), each on the branch
-    whose right eigenvector is closest to q.
+    p(theta + pi), pi added on every axis, at a stack of points, shape
+    (n,) (thetas as for :meth:`~MatrixTrigPolynomial.evaluate_grid`),
+    each on the branch whose right eigenvector is closest to q.
 
     One batched evaluation and one batched eigendecomposition serve the
     whole stack.  Eigenvalues within 1e-6 ||p(theta + pi)||_2 of each
@@ -289,6 +298,24 @@ def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
     return out
 
 
+def _shifted_corners(m: int) -> np.ndarray:
+    """The offsets pi eta of the 2^m - 1 shifted corners (eta != 0),
+    shape (2^m - 1, m)."""
+    return np.array(corner_set(np.zeros(m), m)[1:])
+
+
+def _shifted_branch(p: MatrixTrigPolynomial, thetas, q: np.ndarray) -> np.ndarray:
+    """max over the shifted corners of |lambda(p(theta + pi eta))| on the
+    branch of q, at a stack of points of shape (n, m), by one
+    :func:`shifted_branch_eigenvalue` call for every corner of every
+    point; for m = 1 it is |shifted_branch_eigenvalue| itself."""
+    ts = np.asarray(thetas, dtype=float)
+    # shifted_branch_eigenvalue adds pi on every axis itself
+    corners = (ts[:, None, :] + (_shifted_corners(p.m) - np.pi)).reshape(-1, p.m)
+    values = np.abs(shifted_branch_eigenvalue(p, corners, q))
+    return values.reshape(len(ts), -1).max(axis=1)
+
+
 # -- conditions (i), (ii), (iii) -------------------------------------------
 
 
@@ -309,23 +336,24 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -
 
     Checks, at the symbol zero t0 with singular eigenvector q: q is an
     eigenvector of p(t0) (nonzero eigenvalue), q is killed by
-    p(t0 + pi), q is an eigenvector of p(t0)^H (nonzero eigenvalue),
-    and p(t0) is nonsingular: its smallest singular value exceeds
-    d EPS times its largest (numpy's ``matrix_rank`` tolerance), a ratio
-    that does not move under p -> c p.
+    p(t0 + pi eta) at every shifted corner (the largest residual is
+    reported), q is an eigenvector of p(t0)^H (nonzero eigenvalue), and
+    p(t0) is nonsingular: its smallest singular value exceeds d EPS
+    times its largest (numpy's ``matrix_rank`` tolerance), a ratio that
+    does not move under p -> c p.
     """
     t0 = np.asarray(zero.theta0, dtype=float)
     q = zero.q_jbar
     P0 = p.evaluate(t0)
-    Ppi = p.evaluate(t0 + np.pi)
-    scale = max(smallmat.spectral_norm(P0), smallmat.spectral_norm(Ppi))
+    shifted = p.evaluate_grid(t0 + _shifted_corners(p.m))
+    scale = max(float(np.linalg.norm(P, 2)) for P in (P0, *shifted))
 
     lam1 = complex(q.conj() @ (P0 @ q))
     res1 = float(np.linalg.norm(P0 @ q - lam1 * q))
     hyp1 = CheckResult(res1 <= 1e-9 * scale and abs(lam1) > 1e-9 * scale,
                        {"lambda": [lam1.real, lam1.imag], "residual": res1})
 
-    res2 = float(np.linalg.norm(Ppi @ q))
+    res2 = max(float(np.linalg.norm(P @ q)) for P in shifted)
     hyp2 = CheckResult(res2 <= 1e-9 * scale, {"residual": res2})
 
     lam2 = complex(q.conj() @ (P0.conj().T @ q))
@@ -367,7 +395,7 @@ def check_condition_ii(p: MatrixTrigPolynomial, zero: SymbolZero, *,
                                        for k, v in hyps.items()}})
 
 
-def projector_defect(p: MatrixTrigPolynomial) -> float:
+def _projector_defect(p: MatrixTrigPolynomial) -> float:
     """max over a grid of SMALL_GRID_POINTS of ||s(t)^2 - s(t)||_F; zero
     identifies s as a projector, which settles condition (iii) with
     limit 0."""
@@ -381,61 +409,70 @@ def _sup_norms(f: MatrixTrigPolynomial, p: MatrixTrigPolynomial):
             symbol_sup_norm(p, SMALL_GRID_POINTS))
 
 
+def condition_iii_verdict(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
+                          theta0, q: np.ndarray, fscale: float) -> CheckResult:
+    """The verdict of condition (iii) at the zero theta0 of f with
+    singular eigenvector q, in any number of variables.  ``fscale`` is
+    the sup norm of f over SMALL_GRID_POINTS samples, which scales the
+    limit's noise floor and cap.
+
+    When s is a projector on a verification grid and the fixed point
+    s(t0) q = q holds, the tracked eigenvalue is identically one and the
+    limit is 0 without sampling (route "projector").  Otherwise
+    (1 - lambda(s)) / lambda(f) is sampled along every direction of
+    :func:`_axis_directions` (route "dyadic").
+    """
+    s0_defect = float(np.linalg.norm(build_s(p, theta0) @ q - q))
+    idem = _projector_defect(p)
+    if idem <= 1e-9 and s0_defect <= 1e-9:
+        return CheckResult(True, {"route": "projector", "c": 0.0, "spread": 0.0,
+                                  "idempotency_defect": idem})
+    dirs = _axis_directions(p.m)
+    pts = _dyadic_points(theta0, dirs)
+    direct = dyadic_limit(_s_gap(p, pts, q), _f_branch(f, pts, q), dirs,
+                          numer_floor=100 * EPS, denom_floor=1e3 * EPS * fscale,
+                          cap=RATIO_CAP / fscale)
+    return CheckResult(direct.passed, {"route": "dyadic", "idempotency_defect": idem,
+                                       **direct.as_evidence()})
+
+
 def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
                         zero: SymbolZero, *, _scales=None, _branch=None) -> CheckResult:
-    """Stabilization of (1 - lambda(s)) / lambda(f) at the symbol zero.
-
-    When s is a projector on a verification grid (and the fixed point
-    holds) the tracked eigenvalue is identically one and the limit is 0
-    without sampling.  The simplified squared-shift ratio
-    |lambda(p(. + pi))|^2 / lambda(f) is measured and reported alongside
-    either way.  ``_scales`` is ``_sup_norms(f, p)`` when the caller has
-    it already, and ``_branch`` is ``|shifted_branch_eigenvalue|`` at the
-    dyadic sample points of the limit (:func:`_dyadic_points` of t0 and
-    the two axis directions).
+    """Condition (iii) at the symbol zero: :func:`condition_iii_verdict`,
+    with the simplified squared-shift ratio
+    max |lambda(p(. + pi eta))|^2 / lambda(f) over the shifted corners
+    measured and reported alongside as evidence.  ``_scales`` is
+    ``_sup_norms(f, p)`` when the caller has it already, and ``_branch``
+    is :func:`_shifted_branch` at the dyadic sample points of the limit
+    (:func:`_dyadic_points` of t0 and :func:`_axis_directions`).
     """
-    if p.m != 1 or f.m != 1:
-        raise ArgumentError("univariate checker; use the multilevel module for m > 1")
     t0 = np.asarray(zero.theta0, dtype=float)
     q = zero.q_jbar
     fscale, pscale = _scales or _sup_norms(f, p)
-    denom_floor = 1e3 * EPS * fscale
-    dirs = _axis_directions(1)
+    dirs = _axis_directions(p.m)
     pts = _dyadic_points(t0, dirs)
     f_branch = _f_branch(f, pts, q)
-    branch = (np.abs(shifted_branch_eigenvalue(p, pts, q)) if _branch is None
-              else _branch)
-
+    branch = _shifted_branch(p, pts, q) if _branch is None else _branch
     surrogate = dyadic_limit(
         branch ** 2, f_branch, dirs, numer_floor=(100 * EPS * pscale) ** 2,
-        denom_floor=denom_floor, cap=RATIO_CAP * pscale ** 2 / fscale)
-
-    s0_defect = float(np.linalg.norm(build_s(p, t0) @ q - q))
-    idem = projector_defect(p)
-    if idem <= 1e-9 and s0_defect <= 1e-9:
-        return CheckResult(True, {
-            "route": "projector", "c": 0.0, "spread": 0.0,
-            "idempotency_defect": idem,
-            "surrogate_c": surrogate.c, "surrogate_passed": surrogate.passed})
-
-    direct = dyadic_limit(_s_gap(p, pts, q), f_branch, dirs,
-                          numer_floor=100 * EPS, denom_floor=denom_floor,
-                          cap=RATIO_CAP / fscale)
-    return CheckResult(direct.passed, {
-        "route": "dyadic", "idempotency_defect": idem,
-        **direct.as_evidence(),
+        denom_floor=1e3 * EPS * fscale, cap=RATIO_CAP * pscale ** 2 / fscale)
+    verdict = condition_iii_verdict(p, f, t0, q, fscale)
+    return CheckResult(verdict.passed, {
+        **verdict.evidence,
         "surrogate_c": surrogate.c, "surrogate_passed": surrogate.passed})
 
 
 def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
                        zero: SymbolZero, *, _hyps=None, _scales=None,
                        _branch=None) -> CheckResult:
-    """The un-squared ratio |lambda(p(. + pi))| / lambda(f) that controls
-    V-cycle optimality; the identically-vanishing branch is detected and
-    reported explicitly.  ``_hyps`` is as for :func:`check_condition_ii`,
-    and ``_scales`` and ``_branch`` as for :func:`check_condition_iii`."""
-    if p.m != 1 or f.m != 1:
-        raise ArgumentError("univariate checker; use the multilevel module for m > 1")
+    """The un-squared ratio max |lambda(p(. + pi eta))| / lambda(f) over
+    the shifted corners that controls V-cycle optimality; the
+    identically-vanishing branch is detected and reported explicitly.
+    For m >= 2 one limit over every direction of approach is
+    conservative: a bounded ratio whose limit depends on the direction
+    fails with "directional estimates disagree".  ``_hyps`` is as for
+    :func:`check_condition_ii`, and ``_scales`` and ``_branch`` as for
+    :func:`check_condition_iii`."""
     t0 = np.asarray(zero.theta0, dtype=float)
     q = zero.q_jbar
     hyps = _hyps or fixed_point_shortcut_hypotheses(p, zero)
@@ -443,10 +480,9 @@ def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
                      and hyps["q_kernel_of_p_shifted"].passed)
     fscale, pscale = _scales or _sup_norms(f, p)
     numer_floor = 100 * EPS * pscale
-    dirs = _axis_directions(1)
+    dirs = _axis_directions(p.m)
     pts = _dyadic_points(t0, dirs)
-    branch = (np.abs(shifted_branch_eigenvalue(p, pts, q)) if _branch is None
-              else _branch)
+    branch = _shifted_branch(p, pts, q) if _branch is None else _branch
     if branch.max() < 10 * numer_floor:
         return CheckResult(hypotheses_ok, {
             "c": 0.0, "spread": 0.0, "vanishing_branch": True,
@@ -464,19 +500,20 @@ def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
 def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
                           zero: SymbolZero, *, _scales=None) -> dict:
     """The five structural properties of the coarse symbol: Hermitian
-    polynomial, nonnegative and positive elsewhere (outside a 1e-3
-    exclusion ball) on a grid of GRID_POINTS, q in the kernel at the
-    doubled zero, and the coarse/fine eigenvalue ratio tending to a
-    nonzero constant (above 1e-8 sup|p|^2).  ``_scales`` is as for
+    polynomial, nonnegative and positive elsewhere (outside an exclusion
+    ball of max-norm radius 1e-3) on the GRID_POINTS samples of
+    :func:`~blockmg.symbol.sample_points`, q in the kernel at the zero
+    doubled on every axis, and the coarse/fine eigenvalue ratio tending
+    to a nonzero constant (above 1e-8 sup|p|^2).  ``_scales`` is as for
     :func:`check_condition_iii`."""
     fhat = coarse_symbol(f, p)
-    t0 = float(zero.theta0[0])
+    t0 = np.asarray(zero.theta0, dtype=float)
     q = zero.q_jbar
     out = {}
 
-    out["hermitian"] = CheckResult(fhat.hermitian, {"window": fhat.window()[0]})
+    out["hermitian"] = CheckResult(fhat.hermitian, {"window": max(fhat.window())})
 
-    pts = theta_grid(GRID_POINTS)
+    pts = sample_points(p.m, GRID_POINTS)
     eigs = np.linalg.eigvalsh(fhat.evaluate_grid(pts))
     scale = float(np.max(np.abs(eigs)))
     min_eig = float(eigs[:, 0].min())
@@ -487,14 +524,14 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     out["kernel_at_doubled_zero"] = CheckResult(kdef <= 1e-10 * scale,
                                                 {"defect": kdef})
 
-    dist = np.abs(pts - 2.0 * t0 % (2.0 * np.pi)) % (2.0 * np.pi)
-    away = np.minimum(dist, 2.0 * np.pi - dist) > 1e-3
+    dist = np.abs(pts.reshape(len(pts), -1) - 2.0 * t0 % (2.0 * np.pi)) % (2.0 * np.pi)
+    away = np.max(np.minimum(dist, 2.0 * np.pi - dist), axis=1) > 1e-3
     min_away = float(eigs[away, 0].min())
     out["positive_elsewhere"] = CheckResult(min_away > 1e-10 * scale,
                                             {"min_eig_outside_ball": min_away})
 
     fscale, pscale = _scales or _sup_norms(f, p)
-    dirs = _axis_directions(1)
+    dirs = _axis_directions(p.m)
     near = _dyadic_points(t0, dirs)
     est = dyadic_limit(
         _f_branch(fhat, 2.0 * near, q), _f_branch(f, near, q), dirs,
@@ -584,26 +621,22 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
 
     Two-grid certification needs conditions (i)-(iii); V-cycle
     certification additionally needs the shifted-eigenvalue bound and
-    all five coarse-symbol properties.  Check failures are embedded per
-    field, never raised, so the report always materializes.  A pair
-    whose block orders differ (``DimensionError``) or whose variable
-    counts differ (``ArgumentError``), and a malformed zero structure of
-    f, raise before any check runs, and so does a multivariate pair,
-    which :func:`~blockmg.multilevel.check_multilevel_conditions`
-    certifies.  The shortcut hypotheses, the sup norms of f and p and
-    the shifted projector branch |lambda(p(. + pi))| at the dyadic sample
-    points are computed once and shared by the checks; when the branch
-    raises, each check tracks it, and reports the error, on its own.
+    all five coarse-symbol properties.  The pair may have any number m
+    of variables.  Check failures are embedded per field, never raised,
+    so the report always materializes.  A pair whose block orders differ
+    (``DimensionError``) or whose variable counts differ
+    (``ArgumentError``), and a malformed zero structure of f, raise
+    before any check runs.  The shortcut hypotheses, the sup norms of f
+    and p and the shifted projector branch (:func:`_shifted_branch`) at
+    the dyadic sample points are computed once and shared by the checks;
+    when the branch raises, each check tracks it, and reports the error,
+    on its own.
     """
     if p.d != f.d:
         raise DimensionError(f"block order mismatch: p has d = {p.d}, f has d = {f.d}")
     if p.m != f.m:
         raise ArgumentError(
             f"variable count mismatch: p has m = {p.m}, f has m = {f.m}")
-    if p.m != 1:
-        raise ArgumentError(
-            f"full_report certifies univariate pairs, got m = {p.m}; certify "
-            f"multivariate pairs with multilevel.check_multilevel_conditions")
     zero = find_zero(f)
     scales = _sup_norms(f, p)
     try:
@@ -612,8 +645,8 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
         # the checks that use the hypotheses then raise this themselves
         hyps, shared = {"error": _error_result(exc)}, None
     try:
-        branch = np.abs(shifted_branch_eigenvalue(
-            p, _dyadic_points(zero.theta0, _axis_directions(1)), zero.q_jbar))
+        branch = _shifted_branch(
+            p, _dyadic_points(zero.theta0, _axis_directions(p.m)), zero.q_jbar)
     except BlockmgError:
         branch = None
     cond_i = _run_check(check_condition_i, p)

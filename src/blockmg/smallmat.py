@@ -1,10 +1,9 @@
-"""Dense complex kernel for the small d-by-d matrices that appear under
-every symbol evaluation: Hermitian eigendecomposition and an LU solve,
-with tolerances relative to a matrix norm.
+"""Dense LU solve for small matrices with a pivot threshold relative to
+the matrix norm.
 
-Backed by LAPACK through numpy/scipy; this module adds the contract
-checks (Hermitian symmetrization, pivot thresholds) the rest of the
-package relies on.
+Backed by LAPACK through scipy; this module adds the contract check
+(a singular pivot raises :class:`SingularMatrixError`) that
+:func:`~blockmg.structured.coarse_projection_norm` relies on.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NumericalError, SingularMatrixError
+from .errors import DimensionError, SingularMatrixError
 
 
 def as_matrix(M) -> np.ndarray:
@@ -23,25 +22,6 @@ def as_matrix(M) -> np.ndarray:
     if A.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={A.ndim}")
     return A
-
-
-def eig_hermitian(M):
-    """Eigendecomposition of a Hermitian matrix.
-
-    The input is symmetrized as (M + M^H)/2 first, so slightly perturbed
-    Hermitian matrices are accepted.  Returns ``(w, V)`` with real
-    eigenvalues ``w`` in ascending order and unitary ``V`` whose columns
-    are the corresponding eigenvectors.
-    """
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"eig_hermitian needs a square matrix, got {A.shape}")
-    A = 0.5 * (A + A.conj().T)
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"Hermitian eigensolver did not converge: {exc}") from exc
-    return w, V
 
 
 def _pivot_check(A, lu):
@@ -77,10 +57,3 @@ def solve(M, B):
     _pivot_check(A, lu)
     return scipy.linalg.lu_solve((lu, piv), Bm, check_finite=False)
 
-
-def spectral_norm(M) -> float:
-    """2-norm of a small dense matrix."""
-    A = as_matrix(M)
-    if A.size == 0:
-        return 0.0
-    return float(np.linalg.norm(A, 2))

@@ -11,7 +11,8 @@ Evaluation is batched: :meth:`MatrixTrigPolynomial.evaluate_grid` and
 :func:`corner_sums` work on a stack of n points, and the one-point
 :meth:`MatrixTrigPolynomial.evaluate` and :func:`corner_sum` are their
 n = 1 cases; branch tracking likewise runs on a stack
-(:func:`tracked_eigenpairs`; a single matrix is a stack of one).
+(:func:`tracked_eigenpairs`; a single matrix is a stack of one), and
+zero refinement samples each bracket in one batch (:func:`find_zero`).
 
 The evaluation kernel forms the real phase j.t with a real matmul and
 writes its cosine and sine into one complex array, which then multiplies
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import smallmat
 from .errors import (ArgumentError, DimensionError, NumericalError,
                      SymbolZeroError, TrackingError)
 
@@ -293,45 +293,38 @@ def tracked_eigenpairs(mats, q: np.ndarray):
 
 # -- zero location -------------------------------------------------------
 
+_SNAP_DENOM = 12      # candidate zeros at multiples of pi/12 (covers 0, pi/2, pi, ...)
+_REFINE_POINTS = 33   # samples per bracket in one refinement step
+_REFINE_WIDTH = 1e-9  # bracket width that ends the refinement (see find_zero)
 
-def _lambda_min(f, theta):
-    return np.linalg.eigvalsh(f.evaluate(theta))[0]
 
-
-def _golden_section(fun, a, b, tol=1e-12, max_iter=200):
-    """Minimize a unimodal scalar function on [a, b]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
+def _refine_axis(f, theta0, ax, half_width):
+    """The argmin of the minimal eigenvalue of f along axis ``ax`` through
+    theta0, within half_width of theta0[ax].  Each step samples
+    _REFINE_POINTS points of the bracket in one batch and keeps the two
+    intervals around the sampled argmin."""
+    line = np.tile(theta0, (_REFINE_POINTS, 1))
+    a, b = theta0[ax] - half_width, theta0[ax] + half_width
+    while b - a > _REFINE_WIDTH:
+        line[:, ax] = np.linspace(a, b, _REFINE_POINTS)
+        k = int(np.argmin(np.linalg.eigvalsh(f.evaluate_grid(line))[:, 0]))
+        a, b = line[max(k - 1, 0), ax], line[min(k + 1, _REFINE_POINTS - 1), ax]
     return 0.5 * (a + b)
-
-
-_SNAP_DENOM = 12  # candidate zeros at multiples of pi/12 (covers 0, pi/2, pi, ...)
 
 
 def find_zero(f: MatrixTrigPolynomial) -> SymbolZero:
     """Locate the unique zero of the minimal eigenvalue function of f >= 0.
 
     The argmin of the minimal eigenvalue over a uniform grid (DEFAULT_GRID
-    points, four times as many for m >= 2) is refined
-    by per-axis golden-section descent, then snapped to a nearby multiple
-    of pi/12 when that candidate is at least as small numerically (the
-    curvature of a quadratic minimum limits direct localization to about
-    1e-8).  The order of the zero is the nearest even integer to the
-    log-log slope of the tracked eigenvalue over dyadic offsets, fitted
-    on the smallest scales that stay above the eigensolver noise floor.
+    points, four times as many for m >= 2) is refined axis by axis with
+    batched bracket shrinking down to a width of 1e-9 (the curvature of
+    a quadratic minimum limits direct localization to about 1e-8, so a
+    narrower bracket only samples eigensolver noise), then snapped to a
+    nearby multiple of pi/12 when that candidate is at least as small
+    numerically.  The order of the zero is the nearest even integer to
+    the log-log slope of the tracked eigenvalue over dyadic offsets,
+    fitted on the smallest scales that stay above the eigensolver noise
+    floor.
     """
     if not f.hermitian:
         raise ArgumentError("find_zero requires a Hermitian symbol")
@@ -367,20 +360,17 @@ def find_zero(f: MatrixTrigPolynomial) -> SymbolZero:
     theta0 = np.array(pts2[best], dtype=float)
     for _ in range(2 if m > 1 else 1):
         for ax in range(m):
-            def along(t, ax=ax):
-                p = theta0.copy()
-                p[ax] = t
-                return _lambda_min(f, p)
-            theta0[ax] = _golden_section(along, theta0[ax] - step, theta0[ax] + step)
+            theta0[ax] = _refine_axis(f, theta0, ax, step)
 
     # snap to an exact rational multiple of pi when numerically justified
     snap = np.round(theta0 * _SNAP_DENOM / np.pi) * np.pi / _SNAP_DENOM
     snap = np.mod(snap, 2.0 * np.pi)
-    if (np.max(np.abs(snap - theta0)) < 1e-5
-            and _lambda_min(f, snap) <= _lambda_min(f, theta0) + 100 * np.finfo(float).eps * scale):
-        theta0 = snap
+    if np.max(np.abs(snap - theta0)) < 1e-5:
+        lam_snap, lam = np.linalg.eigvalsh(f.evaluate_grid(np.stack([snap, theta0])))[:, 0]
+        if lam_snap <= lam + 100 * np.finfo(float).eps * scale:
+            theta0 = snap
 
-    w0, V0 = smallmat.eig_hermitian(f.evaluate(theta0))
+    w0, V0 = np.linalg.eigh(f.evaluate(theta0))
     small = np.nonzero(w0 < 1e-10 * scale)[0]
     if small.size != 1:
         raise SymbolZeroError(
@@ -417,24 +407,24 @@ def _zero_order(f, theta0, q, scale):
 
 
 def coarse_symbol(f: MatrixTrigPolynomial, p: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
-    """Symbol of the Galerkin-coarsened operator.
+    """Symbol of the Galerkin-coarsened operator, for any number of
+    variables.
 
     Computed exactly on coefficients: with g = p^H f p, the half-angle
-    average (g(t/2) + g(t/2 + pi))/2 keeps only even harmonics, so the
-    coarse coefficient at j is the coefficient of g at 2j.
+    average of g over the corners t/2 + pi eta keeps only the harmonics
+    that are even in every variable, so the coarse coefficient at j is
+    the coefficient of g at 2j.
     """
-    if f.m != 1 or p.m != 1:
-        raise ArgumentError("coarse_symbol is defined for univariate symbols")
+    if f.m != p.m:
+        raise ArgumentError(f"variable count mismatch: f has m = {f.m}, p has m = {p.m}")
     if f.d != p.d:
         raise DimensionError(f"block order mismatch: f has {f.d}, p has {p.d}")
     g = p.conj_transpose() @ f @ p
-    out = {}
-    for (k,), c in g.coeffs.items():
-        if k % 2 == 0:
-            out[(k // 2,)] = c
+    out = {tuple(k // 2 for k in j): c for j, c in g.coeffs.items()
+           if all(k % 2 == 0 for k in j)}
     if not out:
-        out[(0,)] = np.zeros((f.d, f.d), dtype=complex)
-    return MatrixTrigPolynomial(out, m=1)
+        out[(0,) * f.m] = np.zeros((f.d, f.d), dtype=complex)
+    return MatrixTrigPolynomial(out, m=f.m)
 
 
 def tensor_symbol(ps) -> MatrixTrigPolynomial:

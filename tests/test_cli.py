@@ -62,9 +62,6 @@ MALFORMED = {
     "certify-bivariate-f-univariate-p": lambda tmp: _certify_args(
         tmp, tensor_sum_symbol(stiffness_symbol(2), mass_symbol(2)),
         build_linear_interp_symbol(4)),
-    "certify-bivariate-pair": lambda tmp: _certify_args(
-        tmp, tensor_sum_symbol(stiffness_symbol(2), mass_symbol(2)),
-        tensor_symbol([build_linear_interp_symbol(2)] * 2)),
     "table-non-integer-t": lambda tmp: _table_args(tmp, b"x,31,tgm,6,1e-07,\n"),
     "table-two-fields": lambda tmp: _table_args(tmp, b"4,31\n"),
     "table-non-ascii-byte": lambda tmp: _table_args(tmp, b"4,31,tgm,6,1e-07,\xe9\n"),
@@ -90,6 +87,15 @@ def test_malformed_input_exits_3_with_one_error_line(tmp_path, capsys, case):
     assert main(MALFORMED[case](tmp_path)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_certify_bivariate_pair_writes_a_certified_report(tmp_path, capsys):
+    args = _certify_args(tmp_path, tensor_sum_symbol(stiffness_symbol(2), mass_symbol(2)),
+                         tensor_symbol([build_linear_interp_symbol(2)] * 2))
+    out = tmp_path / "cert.json"
+    assert main(args + ["--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["tgm_certified"] and report["zero"]["theta0"] == [0.0, 0.0]
 
 
 def test_output_onto_a_directory_leaves_no_temporary_file(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockmg import (MatrixTrigPolynomial, build_s, build_s_grid, conditions,
                      check_condition_i,
@@ -11,8 +14,8 @@ from blockmg import (MatrixTrigPolynomial, build_s, build_s_grid, conditions,
                      full_report)
 from blockmg.conditions import (EPS, OVERLAP_MIN, RATIO_CAP, _axis_directions,
                                 _dyadic_points, _f_branch, _s_gap, dyadic_limit,
+                                _projector_defect,
                                 fixed_point_shortcut_hypotheses, jsonable,
-                                projector_defect,
                                 shifted_branch_eigenvalue)
 from blockmg.errors import SingularMatrixError, TrackingError
 from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
@@ -126,8 +129,8 @@ class TestConditionIII:
         assert res.evidence["c"] == 0.0
 
     def test_idempotency_even_degrees(self, p_l2):
-        assert projector_defect(p_l2) <= 1e-9
-        assert projector_defect(build_linear_interp_symbol(4)) <= 1e-9
+        assert _projector_defect(p_l2) <= 1e-9
+        assert _projector_defect(build_linear_interp_symbol(4)) <= 1e-9
 
     def test_odd_degree_surrogate_route(self):
         # degree-1 interpolation: shifted eigenvalue has a 4th order zero,
@@ -249,8 +252,11 @@ def per_point_dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
                            numer_floor, denom_floor, k_min=5, k_max=25,
                            tail=5, rel_spread=1e-2, cap=1e8):
     """The dyadic limit evaluated one point at a time with scalar
-    closures, returning as soon as a direction settles the verdict."""
+    closures, returning as soon as a direction settles the verdict.  The
+    relative tests have a floor of 1e-6 times the natural scale
+    cap / 1e8."""
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+    floor = 1e-6 * cap / 1e8
     per_direction, estimates = [], []
     for direction in directions:
         direction = np.atleast_1d(np.asarray(direction, dtype=float))
@@ -269,14 +275,14 @@ def per_point_dyadic_limit(numer_fn, denom_fn, theta0, directions, *,
         tail_vals = ratios[-tail:]
         c_dir = float(np.mean(tail_vals))
         spread = float(np.max(tail_vals) - np.min(tail_vals))
-        ok = spread <= rel_spread * max(abs(c_dir), 1e-6)
+        ok = spread <= rel_spread * max(abs(c_dir), floor)
         if (not ok and all(np.diff(ratios) > 0)
                 and ratios[-1] > 100.0 * max(ratios[0], 1e-300)):
             return False, float("inf"), "monotone growth throughout the window"
         per_direction.append(ok)
         estimates.append(c_dir)
     lo, hi = min(estimates), max(estimates)
-    agree = (hi - lo) <= max(rel_spread * max(abs(lo), abs(hi)), 1e-6)
+    agree = (hi - lo) <= max(rel_spread * max(abs(lo), abs(hi)), floor)
     passed = agree and all(per_direction)
     reason = "" if passed else ("directional estimates disagree" if not agree
                                 else "tail not stabilized")
@@ -587,3 +593,78 @@ def test_multilevel_verdicts_do_not_depend_on_projector_scale(r, build):
         pc = MatrixTrigPolynomial({j: c * v for j, v in p.coeffs.items()}, m=1)
         got = _multilevel_verdicts(check_multilevel_conditions([pc, pc], f2d, fs=[f, f]))
         assert got == want, f"p * {c:g}"
+
+
+@pytest.mark.parametrize("build, r, c", [
+    (build_linear_interp_symbol, 1, 1e4), (build_geometric_symbol, 1, 1e4),
+    (build_linear_interp_symbol, 3, 1e4), (build_linear_interp_symbol, 5, 1e-3),
+    (build_linear_interp_symbol, 7, 1e-3)],
+    ids=["linear-r1", "geometric-r1", "linear-r3", "linear-r5", "linear-r7"])
+def test_surrogate_evidence_does_not_depend_on_projector_scale(build, r, c):
+    # the surrogate ratio |lambda(p(. + pi))|^2 / lambda(f) scales as
+    # |p|^2; an absolute 1e-6 floor under its stabilization and agreement
+    # tests flipped surrogate_passed at these scales
+    p, f = build(r), stiffness_symbol(r)
+    zero = find_zero(f)
+    want = check_condition_iii(p, f, zero).evidence
+    pc = MatrixTrigPolynomial({j: c * v for j, v in p.coeffs.items()}, m=1)
+    got = check_condition_iii(pc, f, zero).evidence
+    assert (got["route"], got["surrogate_passed"]) == (want["route"], want["surrogate_passed"])
+
+
+# -- verdicts under a change of basis ----------------------------------------
+
+
+INVARIANCE = settings(derandomize=True, deadline=None, max_examples=30, database=None)
+BASIS_PAIRS = [(builder(r), stiffness_symbol(r)) for r in range(2, 5)
+               for builder in (build_linear_interp_symbol, build_geometric_symbol)]
+BASIS_PAIRS.append((ONE, LAPLACE))
+
+
+@functools.cache
+def _base_report(k):
+    return full_report(*BASIS_PAIRS[k])
+
+
+def _basis(kind, d, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "permutation":
+        return np.eye(d)[rng.permutation(d)]
+    A = rng.standard_normal((d, d))
+    if kind == "unitary":
+        A = A + 1j * rng.standard_normal((d, d))
+    return np.linalg.qr(A)[0]
+
+
+def _mapped(g, left, right):
+    return MatrixTrigPolynomial({j: left @ c @ right for j, c in g.coeffs.items()}, m=g.m)
+
+
+@INVARIANCE
+@given(k=st.integers(0, len(BASIS_PAIRS) - 1),
+       kind=st.sampled_from(["orthogonal", "unitary", "permutation"]),
+       seed=st.integers(0, 2 ** 16))
+def test_verdicts_do_not_depend_on_the_basis(k, kind, seed):
+    # f -> U f U^H and p -> U p U^H move q to U q and change no eigenvalue
+    p, f = BASIS_PAIRS[k]
+    U = _basis(kind, p.d, seed)
+    rep = full_report(_mapped(p, U, U.conj().T), _mapped(f, U, U.conj().T))
+    assert _check_verdicts(rep) == _check_verdicts(_base_report(k))
+    if p is ONE:
+        assert not rep.tgm_certified
+
+
+@INVARIANCE
+@given(k=st.integers(0, len(BASIS_PAIRS) - 1), seed=st.integers(0, 2 ** 16))
+def test_two_grid_verdicts_do_not_depend_on_the_coarse_basis(k, seed):
+    # p -> p V leaves s = p (sum of corner p^H p)^-1 p^H unchanged; the
+    # coarse symbol becomes V^H f_hat V, whose kernel at the doubled zero
+    # is no longer q, so V-cycle verdicts may move and are not compared
+    p, f = BASIS_PAIRS[k]
+    V = np.random.default_rng(seed).standard_normal((p.d, p.d)) + 3.0 * np.eye(p.d)
+    rep, base = full_report(_mapped(p, np.eye(p.d), V), f), _base_report(k)
+    for name in ("condition_i", "condition_ii", "condition_iii"):
+        assert getattr(rep, name).passed == getattr(base, name).passed, name
+    assert rep.tgm_certified == base.tgm_certified
+    if p is ONE:
+        assert not rep.tgm_certified

@@ -5,12 +5,12 @@ import pytest
 import scipy.sparse as sp
 
 from blockmg import (MatrixTrigPolynomial, assemble_toeplitz,
-                     assemble_transfer, build_s, corner_sum, multilevel,
-                     tensor_symbol)
+                     assemble_transfer, build_s, conditions, corner_sum,
+                     full_report, multilevel, tensor_symbol)
 from blockmg.errors import ArgumentError, ConstructionError
 from blockmg.femgen import (_transfer_chain, assemble_mass, assemble_stiffness,
-                            build_geometric_symbol, mass_symbol,
-                            stiffness_symbol)
+                            build_geometric_symbol, build_linear_interp_symbol,
+                            mass_symbol, stiffness_symbol)
 from blockmg.multilevel import (assemble_2d_problem, build_2d_hierarchy,
                                 check_multilevel_conditions, kron_sum,
                                 tensor_sum_symbol)
@@ -236,3 +236,41 @@ class TestMultilevelConditions:
         f2d = tensor_sum_symbol(f, mass_symbol(2))
         with pytest.raises(TypeError):
             check_multilevel_conditions([p_l2, p_l2], f2d)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("build", [build_linear_interp_symbol, build_geometric_symbol],
+                         ids=["linear", "geometric"])
+def test_full_report_of_a_tensor_pair_agrees_with_the_multilevel_checker(r, build):
+    f = stiffness_symbol(r)
+    f2d = tensor_sum_symbol(f, mass_symbol(r))
+    p = build(r)
+    rep = full_report(tensor_symbol([p, p]), f2d)
+    ml = check_multilevel_conditions([p, p], f2d, fs=[f, f])
+    assert rep.tgm_certified and ml.tgm_certified
+    assert (rep.symbol_zero.theta0, rep.symbol_zero.jbar, rep.symbol_zero.order) == \
+        ((0.0, 0.0), 1, 2)
+    assert rep.condition_iii.evidence["route"] == ml.condition_iii_directional.evidence["route"]
+    # one bound over all eight directions is conservative in 2D: for these
+    # pairs the ratio is bounded but its limit depends on the direction
+    conservative = r == 1 or (r == 3 and build is build_linear_interp_symbol)
+    assert rep.vcycle_bound.passed != conservative
+    if conservative:
+        assert rep.vcycle_bound.evidence["reason"] == "directional estimates disagree"
+
+
+def test_multilevel_checker_locates_no_bivariate_zero_and_tracks_no_tensor_branch(
+        p_l2, monkeypatch):
+    # the tensor zero comes from the factor reports, and condition (iii)
+    # skips the shifted-branch surrogate, the two costly steps of full_report
+    f = stiffness_symbol(2)
+    f2d = tensor_sum_symbol(f, mass_symbol(2))
+    calls = []
+    find_zero, track = conditions.find_zero, conditions.shifted_branch_eigenvalue
+    monkeypatch.setattr(conditions, "find_zero",
+                        lambda g: calls.append(("zero", g.m)) or find_zero(g))
+    monkeypatch.setattr(conditions, "shifted_branch_eigenvalue",
+                        lambda p, *args: calls.append(("branch", p.m)) or track(p, *args))
+    report = check_multilevel_conditions([p_l2, p_l2], f2d, fs=[f, f])
+    assert report.tgm_certified
+    assert sorted(calls) == [("branch", 1), ("zero", 1)]

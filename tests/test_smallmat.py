@@ -5,54 +5,6 @@ from blockmg import smallmat
 from blockmg.errors import DimensionError, SingularMatrixError
 
 
-def test_eig_2x2_symmetric():
-    w, V = smallmat.eig_hermitian([[12.0, 2.0], [2.0, 12.0]])
-    np.testing.assert_allclose(w, [10.0, 14.0], atol=1e-12)
-
-
-def test_eig_rank_one_block():
-    # value of the degree-2 stiffness symbol at zero
-    M = np.array([[16.0, -16.0], [-16.0, 16.0]]) / 3.0
-    w, V = smallmat.eig_hermitian(M)
-    np.testing.assert_allclose(w, [0.0, 32.0 / 3.0], atol=1e-12)
-    np.testing.assert_allclose(M @ V[:, 0], np.zeros(2), atol=1e-12)
-
-
-def test_eig_identity():
-    w, V = smallmat.eig_hermitian(np.eye(3))
-    np.testing.assert_allclose(w, np.ones(3))
-    np.testing.assert_allclose(V.conj().T @ V, np.eye(3), atol=1e-12)
-
-
-def test_eig_reconstruction_random():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        d = rng.integers(2, 9)
-        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        H = A + A.conj().T
-        w, V = smallmat.eig_hermitian(H)
-        assert w.dtype.kind == "f"
-        assert np.all(np.diff(w) >= -1e-12)
-        rebuilt = (V * w) @ V.conj().T
-        assert np.linalg.norm(rebuilt - H) <= 1e-9 * np.linalg.norm(H)
-        assert np.linalg.norm(V.conj().T @ V - np.eye(d)) <= 1e-10
-
-
-def test_eig_residual_bound():
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((6, 6))
-    H = A + A.T
-    w, V = smallmat.eig_hermitian(H)
-    for i in range(6):
-        res = np.linalg.norm(H @ V[:, i] - w[i] * V[:, i])
-        assert res <= 1e-10 * np.linalg.norm(H, 2)
-
-
-def test_eig_rejects_nonsquare():
-    with pytest.raises(DimensionError):
-        smallmat.eig_hermitian(np.ones((2, 3)))
-
-
 def test_solve_identity():
     B = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_allclose(smallmat.solve(np.eye(2), B), B)

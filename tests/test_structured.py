@@ -5,11 +5,11 @@ import scipy.sparse.linalg as spla
 
 from blockmg import (MatrixTrigPolynomial, assemble_circulant,
                      assemble_toeplitz, assemble_transfer,
-                     coarse_projection_norm, coarse_symbol, cutting_matrix,
-                     galerkin)
+                     coarse_projection_norm, coarse_symbol, galerkin)
 from blockmg.errors import ArgumentError
 from blockmg.femgen import assemble_stiffness, build_fem_hierarchy
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
+from blockmg.structured import cutting_matrix
 
 from conftest import (has_full_column_rank, random_hermitian_symbol,
                       random_symbol)

@@ -139,6 +139,16 @@ class TestFindZero:
             {0: 2.0, 1: -shift, -1: -np.conj(shift)}))
         assert z.theta0[0] == pytest.approx(np.pi / 3, abs=1e-8)
 
+    def test_zero_off_grid_and_off_snap(self):
+        # 2 - 2cos(theta - t0) with t0 = 1 + pi/1024: on no grid point and
+        # no multiple of pi/12, so only the refinement can locate it
+        t0 = 1.0 + np.pi / 1024
+        shift = np.exp(-1j * t0)
+        z = find_zero(MatrixTrigPolynomial.scalar(
+            {0: 2.0, 1: -shift, -1: -np.conj(shift)}))
+        assert abs(z.theta0[0] - t0) <= 1e-7
+        assert z.order == 2
+
 
 class TestCoarseSymbol:
     def test_constant_result(self):
@@ -458,7 +468,7 @@ class TestExchangeFormat:
 
 def test_find_zero_q_r_family():
     from blockmg.femgen import stiffness_symbol
-    for r in range(1, 6):
+    for r in range(1, 9):
         z = find_zero(stiffness_symbol(r))
         assert z.theta0[0] == pytest.approx(0.0, abs=1e-10)
         assert z.order == 2
