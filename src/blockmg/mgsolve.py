@@ -25,6 +25,21 @@ solver ``gstrs`` applies tril(M) as it stands, with no factorization
 right-hand side is solved as its real and imaginary parts, by either
 smoother backend and by the coarsest-level LU.
 
+The cycle calls two private scipy entry points.  Every sparse product
+in it (the residual b - M x of a level, the restriction P^H r and the
+prolongation P y) is scipy's CSR kernel ``csr_matvec``
+(``scipy.sparse._sparsetools``) bound once to the matrix's own arrays,
+by :func:`~blockmg.structured.matvec_kernel`: a level binds its matrix on
+first use, a :class:`GridTransfer` its P and P^H when it is built.  It
+is the kernel ``M @ x`` runs after its dispatch, so every product is
+bit-identical, while the dispatch, some 3 us a call, would be most of
+a product's cost on the small levels.  A residual is formed in the
+product's own output array, ``np.subtract(b, y, out=y)``, whenever b's
+dtype fits it: the arithmetic of ``b - M @ x`` with one allocation
+instead of two.  The other entry point is SuperLU's ``gstrs`` above,
+called on arrays prepared once, since the public ``spsolve_triangular``
+converts and checks its matrix on every call.
+
 A hierarchy checks that its level matrices are finite, and that its
 levels of size at most 512 are positive definite from the extreme
 eigenvalues of their Hermitian parts, by the same rule: banded LAPACK
@@ -44,6 +59,7 @@ part would solve another system.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +70,8 @@ from scipy.sparse.linalg._dsolve import _superlu
 
 from .errors import (ArgumentError, ConfigurationError, ConstructionError,
                      NumericalError, SingularMatrixError)
-from .structured import BlockStructuredMatrix, GridTransfer, galerkin
+from .structured import (BlockStructuredMatrix, GridTransfer, galerkin,
+                         matvec_kernel)
 
 RICHARDSON = "richardson"
 GAUSS_SEIDEL = "gauss_seidel"
@@ -135,7 +152,7 @@ def _real_split(solve, M):
         return solve
 
     def split(r):
-        if np.iscomplexobj(r):
+        if r.dtype.kind == "c":
             return solve(r.real) + 1j * solve(r.imag)
         return solve(r)
 
@@ -253,30 +270,49 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
     return _real_split(solve_lower, M)
 
 
-def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _correct=None,
+def _residual_of(product, x, b):
+    """b - M x with M x from ``product``, formed in the product's own
+    array when b's dtype fits it: the arithmetic of ``b - M @ x`` with
+    one allocation instead of two."""
+    y = product(x)
+    if b.dtype == y.dtype or np.can_cast(b.dtype, y.dtype):
+        return np.subtract(b, y, out=y)
+    return b - y
+
+
+def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _kernels=None,
            _residual=None):
     """Apply ``sweeps`` smoothing sweeps to A x = b starting from x.
 
     Richardson: x <- x + omega (b - A x) per sweep.  Gauss-Seidel:
     forward sweep solving each row in order, equivalently
-    x <- x + (D + L)^{-1} (b - A x).
+    x <- x + (D + L)^{-1} (b - A x).  Returns a new array; x and b are
+    left untouched.
 
-    ``_residual``, when given, is b - A x for the given x, which the
-    first sweep then takes instead of computing it; the sweep may
-    overwrite it, so it must be an array the caller gives up.
+    ``_kernels``, when given, is the pair (x -> A x, correction) that a
+    hierarchy level binds once for A and ``spec``; its caller has checked
+    the sizes, and x is taken as it is rather than copied to the common
+    dtype of A, x, b and float.  ``_residual``, when given, is b - A x for
+    the given x, which the first sweep then takes instead of computing
+    it; the sweep may overwrite it, so it must be an array the caller
+    gives up.
     """
-    M = _csr(A)
-    if M.shape[0] != len(b) or len(x) != len(b):
-        raise ArgumentError("smoother size mismatch")
-    dtype = np.result_type(M.dtype, np.asarray(b).dtype, float)
-    x = np.array(x, dtype=dtype, copy=True)
+    if _kernels is None:
+        M = _csr(A)
+        if M.shape[0] != len(b) or len(x) != len(b):
+            raise ArgumentError("smoother size mismatch")
+        x = np.array(x)
+        x = x.astype(np.result_type(M.dtype, x.dtype, np.asarray(b).dtype, float),
+                     copy=False)
     if sweeps == 0:
         return x
-    correct = _correct if _correct is not None else _correction(M, spec)
-    r = _residual if _residual is not None else b - M @ x
-    x += correct(r)
+    if _kernels is None:
+        _kernels = matvec_kernel(M), _correction(M, spec)
+    product, correct = _kernels
+    r = _residual if _residual is not None else _residual_of(product, x, b)
+    x = x + correct(r)
     for _ in range(sweeps - 1):
-        x += correct(b - M @ x)
+        x += correct(_residual_of(product, x, b))
     return x
 
 
@@ -332,6 +368,7 @@ class _Level:
     matrix: BlockStructuredMatrix
     transfer: GridTransfer | None
     smoother: SmootherSpec
+    product: object = field(default=None, repr=False)
     correct: object = field(default=None, repr=False)
     coarse_solve: object = field(default=None, repr=False)
 
@@ -397,12 +434,22 @@ class MultigridHierarchy:
             lvl.coarse_solve = _coarse_solver(lvl.matrix.matrix)
         return lvl.coarse_solve
 
+    def _product(self, ell):
+        lvl = self.levels[ell]
+        if lvl.product is None:
+            lvl.product = matvec_kernel(lvl.matrix.matrix)
+        return lvl.product
+
+    def _residual(self, ell, x, b):
+        return _residual_of(self._product(ell), x, b)
+
     def _smooth(self, ell, x, b, sweeps, residual=None):
         lvl = self.levels[ell]
         if sweeps and lvl.correct is None:
             lvl.correct = _correction(lvl.matrix.matrix, lvl.smoother)
         return smooth(lvl.matrix.matrix, x, b, lvl.smoother, sweeps,
-                      _correct=lvl.correct, _residual=residual)
+                      _kernels=(self._product(ell), lvl.correct),
+                      _residual=residual)
 
 
 def vcycle_step(h: MultigridHierarchy, level: int, x, b, _coarsest=None,
@@ -410,16 +457,21 @@ def vcycle_step(h: MultigridHierarchy, level: int, x, b, _coarsest=None,
     """One V-cycle starting at ``level``: smooth, restrict, recurse once,
     correct, smooth; the last level (or level ``_coarsest``, which the
     two-grid cycle sets to 1) is solved directly.  ``_residual`` is
-    b - A x when the caller has it (see :func:`smooth`)."""
+    b - A x when the caller has it (see :func:`smooth`).  x and b are
+    left untouched."""
     lvl = h.levels[level]
+    x, b = np.asarray(x), np.asarray(b)
+    if x.shape != (lvl.matrix.size,) or b.shape != x.shape:
+        raise ArgumentError(f"level {level} of size {lvl.matrix.size} given "
+                            f"x of shape {x.shape} and b of shape {b.shape}")
     if lvl.transfer is None or level == _coarsest:
         return h._coarse_solve(level)(b)
-    M = lvl.matrix.matrix
     x = h._smooth(level, x, b, lvl.smoother.sweeps_pre, _residual)
-    rc = lvl.transfer.restrict(b - M @ x)
+    rc = lvl.transfer.restrict(h._residual(level, x, b))
     # from x = 0 the first coarse residual is rc; a copy, since the
     # sweep may overwrite it and rc is still the coarse right-hand side
-    y = vcycle_step(h, level + 1, np.zeros_like(rc), rc, _coarsest, rc.copy())
+    y = vcycle_step(h, level + 1, np.zeros(rc.shape, rc.dtype), rc, _coarsest,
+                    rc.copy())
     x = x + lvl.transfer.prolong(y)
     return h._smooth(level, x, b, lvl.smoother.sweeps_post)
 
@@ -472,17 +524,23 @@ def detect_divergence(residuals) -> bool:
 def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
           cycle: str = VCYCLE) -> SolveResult:
     """Iterate the chosen cycle from x0 = 0 until the relative residual
-    drops to ``tol`` or ``max_iter`` is reached."""
+    drops to ``tol`` or ``max_iter`` is reached.  ``b`` must be a finite
+    vector of the finest level's size."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ArgumentError("tol must be positive and finite")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+        raise ArgumentError(f"max_iter must be an integer, got {max_iter!r}")
     if not max_iter >= 1:
         raise ArgumentError("max_iter must be >= 1")
     if cycle not in (TGM, VCYCLE):
         raise ArgumentError(f"unknown cycle {cycle!r}")
     b = np.asarray(b)
     A = h.levels[0].matrix.matrix
-    if A.shape[0] != len(b):
-        raise ArgumentError("right-hand side size mismatch")
+    if b.shape != (A.shape[0],):
+        raise ArgumentError(f"right-hand side of shape {b.shape} for a level of "
+                            f"size {A.shape[0]}: need a vector of that size")
+    if b.dtype.kind not in "biufc" or not np.isfinite(b).all():
+        raise ArgumentError("right-hand side must be numeric and finite")
     norm_b = float(np.linalg.norm(b))
     x = np.zeros_like(b, dtype=A.dtype if np.iscomplexobj(A.data) else float)
     if norm_b == 0.0:
@@ -496,7 +554,7 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
     r = None
     for it in range(1, max_iter + 1):
         x = vcycle_step(h, 0, x, b, coarsest, r)
-        r = b - A @ x
+        r = h._residual(0, x, b)
         res = float(np.linalg.norm(r)) / norm_b
         residuals.append(res)
         if res <= tol:

@@ -18,7 +18,7 @@ from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE,
                              _lower_triangular_solve, detect_divergence,
                              gershgorin_bound)
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
-from blockmg.structured import BlockStructuredMatrix, galerkin
+from blockmg.structured import BlockStructuredMatrix, galerkin, matvec_kernel
 from conftest import same_bits
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
@@ -53,6 +53,20 @@ class TestSmooth:
         x0 = np.array([1.0, 2.0, 3.0])
         x = smooth(tridiag(3), x0, np.ones(3), GS, 0)
         np.testing.assert_allclose(x, x0)
+
+    @pytest.mark.parametrize("sweeps", [0, 2])
+    @pytest.mark.parametrize("kind", [GAUSS_SEIDEL, RICHARDSON])
+    def test_complex_start_on_a_real_system_keeps_its_imaginary_part(self, kind,
+                                                                     sweeps):
+        # the sweeps are linear in (x, b): the real and imaginary parts of
+        # x are smoothed against b and against 0
+        spec = SmootherSpec(kind=kind)
+        A, b = tridiag(5), np.arange(1.0, 6.0)
+        x = np.linspace(-1.0, 1.0, 5) + 1j * np.linspace(2.0, 3.0, 5)
+        got = smooth(A, x, b, spec, sweeps)
+        want = (smooth(A, x.real, b, spec, sweeps)
+                + 1j * smooth(A, x.imag, np.zeros(5), spec, sweeps))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_omega_out_of_range(self):
         spec = SmootherSpec(kind="richardson", omega=0.6)
@@ -136,7 +150,7 @@ def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=None):
     Ad = M.toarray()
     expected = x + sla.solve_triangular(np.tril(Ad), b - Ad @ x, lower=True)
     correct = _correction(M, GS)
-    got = smooth(M, x, b, GS, 1, _correct=correct)
+    got = smooth(M, x, b, GS, 1, _kernels=(matvec_kernel(M), correct))
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
     return correct
 
@@ -736,6 +750,35 @@ class TestSolve:
         with pytest.raises(ArgumentError):
             solve(h, np.ones(h.levels[0].matrix.size), cycle="wcycle")
 
+    def test_malformed_inputs_rejected_before_the_first_cycle(self, monkeypatch):
+        _, h = fem_hierarchy(t=3)
+        n = h.levels[0].matrix.size
+        monkeypatch.setattr(mgsolve, "vcycle_step", None)
+        for bad in (np.nan, np.inf, -np.inf, complex(1.0, np.nan)):
+            b = np.ones(n, dtype=type(bad))
+            b[n // 2] = bad
+            with pytest.raises(ArgumentError, match="numeric and finite"):
+                solve(h, b)
+        with pytest.raises(ArgumentError, match="numeric and finite"):
+            solve(h, np.array(["1"] * n))
+        # a column would broadcast against every vector of the cycle
+        for b in (np.ones((n, 1)), np.ones((1, n)), np.ones(()), np.ones(n)[None]):
+            with pytest.raises(ArgumentError, match="need a vector of that size"):
+                solve(h, b)
+        for max_iter in (2.5, 3.0, "3", True, None):
+            with pytest.raises(ArgumentError, match="max_iter must be an integer"):
+                solve(h, np.ones(n), max_iter=max_iter)
+        monkeypatch.undo()
+        assert solve(h, np.ones(n), max_iter=np.int64(50)).converged
+
+    def test_step_rejects_vectors_of_another_size(self):
+        _, h = fem_hierarchy(t=3)
+        n = h.levels[0].matrix.size
+        for x, b in ((np.zeros(n), np.ones((n, 1))), (np.zeros(n - 1), np.ones(n)),
+                     (np.zeros(n), np.ones(1))):
+            with pytest.raises(ArgumentError, match="level 0 of size"):
+                vcycle_step(h, 0, x, b)
+
 
 def test_galerkin_chains_test_hermitian_once_per_finest_matrix(monkeypatch):
     tested = []
@@ -762,28 +805,45 @@ def test_galerkin_chains_test_hermitian_once_per_finest_matrix(monkeypatch):
 
 
 def _reference_vcycle(h, level, x, b, coarsest=None):
-    """The V-cycle from public parts, computing b - M x afresh on every
-    sweep."""
+    """The V-cycle written with plain sparse products: every residual
+    b - M @ x formed afresh, the transfers applied as P^H @ r and P @ y,
+    and each sweep's correction prepared anew for its level."""
     lvl = h.levels[level]
     if lvl.transfer is None or level == coarsest:
         return h._coarse_solve(level)(b)
-    M, spec = lvl.matrix.matrix, lvl.smoother
-    x = smooth(M, x, b, spec, spec.sweeps_pre)
-    rc = lvl.transfer.restrict(b - M @ x)
-    y = _reference_vcycle(h, level + 1, np.zeros_like(rc), rc, coarsest)
-    return smooth(M, x + lvl.transfer.prolong(y), b, spec, spec.sweeps_post)
+    M, T, spec = lvl.matrix.matrix, lvl.transfer, lvl.smoother
+    correct = _correction(M, spec)
+    for _ in range(spec.sweeps_pre):
+        x = x + correct(b - M @ x)
+    rc = T.adjoint @ (b - M @ x)
+    x = x + T.matrix @ _reference_vcycle(h, level + 1, np.zeros_like(rc), rc,
+                                         coarsest)
+    for _ in range(spec.sweeps_post):
+        x = x + correct(b - M @ x)
+    return x
 
 
-def _solve_case(dim, spec, cycle):
+def _reference_solve(h, b, cycle, iterations):
+    """``iterations`` reference cycles from x = 0, with the relative
+    residual norm after each."""
+    A = h.levels[0].matrix.matrix
+    x, residuals = np.zeros(A.shape[0]), []
+    for _ in range(iterations):
+        x = _reference_vcycle(h, 0, x, b, 1 if cycle == TGM else None)
+        residuals.append(float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b)))
+    return x, residuals
+
+
+def _solve_case(dim, spec, cycle, projector="linear"):
     """A 1D hierarchy of band levels (127 down to 7) or a 2D hierarchy of
     SuperLU levels, with its right-hand side."""
     if dim == 1:
         problem = assemble_stiffness(2, 64, "xsq_plus_one")
-        h = build_fem_hierarchy(problem, "linear", spec, coarsest_max_size=7,
+        h = build_fem_hierarchy(problem, projector, spec, coarsest_max_size=7,
                                 two_level=cycle == TGM)
     else:
         problem = assemble_2d_problem(2, 4)
-        h = build_2d_hierarchy(problem, "linear", spec, two_level=cycle == TGM)
+        h = build_2d_hierarchy(problem, projector, spec, two_level=cycle == TGM)
     rng = np.random.default_rng(13)
     return h, problem.matrix.matrix @ rng.uniform(size=problem.size)
 
@@ -791,7 +851,10 @@ def _solve_case(dim, spec, cycle):
 class TestCarriedResidual:
     """``solve`` hands its stopping-test residual to the next cycle's first
     sweep and each coarse level starts from its restricted residual; a
-    banded sweep overwrites the residual it is given."""
+    banded sweep overwrites the residual it is given.  None of that, nor
+    the bound product kernels or the in-place residuals, changes a bit
+    of x or of the residual history against the cycle written with
+    plain ``@``."""
 
     @pytest.mark.parametrize("cycle", [TGM, VCYCLE])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -812,13 +875,53 @@ class TestCarriedResidual:
         h, b = _solve_case(dim, spec, cycle)
         res = solve(h, b, tol=1e-14, max_iter=4, cycle=cycle)
         assert res.iterations == 4
-        x = np.zeros_like(res.x)
-        for _ in range(res.iterations):
-            x = _reference_vcycle(h, 0, x, b, 1 if cycle == TGM else None)
-        if dim == 1:
-            assert same_bits(res.x, x)
-        else:
-            assert np.linalg.norm(res.x - x) <= 1e-12 * np.linalg.norm(x)
+        x, residuals = _reference_solve(h, b, cycle, res.iterations)
+        assert same_bits(res.x, x)
+        assert res.residuals == residuals
+
+    @pytest.mark.parametrize("dim, kind, cycle, projector, complex_rhs", [
+        (1, RICHARDSON, TGM, "geometric", False),
+        (1, GAUSS_SEIDEL, VCYCLE, "linear", True),
+        (2, GAUSS_SEIDEL, TGM, "linear", True),
+    ])
+    def test_matches_reference_to_convergence(self, dim, kind, cycle, projector,
+                                              complex_rhs):
+        h, b = _solve_case(dim, SmootherSpec(kind=kind), cycle, projector)
+        if complex_rhs:
+            b = b + 1j * b[::-1]
+        res = solve(h, b, cycle=cycle)
+        assert res.converged and res.iterations >= 3
+        x, residuals = _reference_solve(h, b, cycle, res.iterations)
+        assert same_bits(res.x, x)
+        assert res.residuals == residuals
+
+
+class TestInputsUntouched:
+    """No step writes into the caller's x or b, whatever the sweep counts
+    (with no pre-smoothing the cycle holds the caller's x itself)."""
+
+    @pytest.mark.parametrize("post", [0, 1])
+    @pytest.mark.parametrize("pre", [0, 1, 2])
+    @pytest.mark.parametrize("kind", [GAUSS_SEIDEL, RICHARDSON])
+    def test_steps_leave_x_and_b_unchanged(self, kind, pre, post):
+        spec = SmootherSpec(kind=kind, sweeps_pre=pre, sweeps_post=post)
+        h, b = _solve_case(1, spec, VCYCLE)
+        A, P = two_grid_pieces()
+        rng = np.random.default_rng(14)
+        calls = [
+            lambda x, b: vcycle_step(h, 0, x, b),
+            lambda x, b: vcycle_step(h, 1, x[:h.levels[1].matrix.size],
+                                     b[:h.levels[1].matrix.size]),
+            lambda x, b: tgm_step(A, P, x[:A.size], b[:A.size], spec),
+            lambda x, b: smooth(h.levels[0].matrix, x, b, spec, pre),
+            lambda x, b: smooth(h.levels[0].matrix, x, b, spec, post),
+        ]
+        for step in calls:
+            x = rng.standard_normal(b.size)
+            x0, b0 = x.copy(), b.copy()
+            out = step(x, b)
+            assert same_bits(x, x0) and same_bits(b, b0)
+            assert not np.shares_memory(out, x) and not np.shares_memory(out, b)
 
 
 def test_detect_divergence():

@@ -9,10 +9,10 @@ from blockmg import (MatrixTrigPolynomial, assemble_circulant,
 from blockmg.errors import ArgumentError
 from blockmg.femgen import assemble_stiffness, build_fem_hierarchy
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
-from blockmg.structured import cutting_matrix
+from blockmg.structured import GridTransfer, cutting_matrix, matvec_kernel
 
 from conftest import (has_full_column_rank, random_hermitian_symbol,
-                      random_symbol)
+                      random_symbol, same_bits)
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -205,6 +205,62 @@ class TestGridTransfer:
             assert (T.fine_size, T.coarse_size) == T.matrix.shape
             x = rng.standard_normal(T.fine_size)
             np.testing.assert_array_equal(T.restrict(x), T.matrix.conj().T @ x)
+
+
+def _random_csr(rng, shape, dtype, density=0.2):
+    dense = rng.standard_normal(shape) * (rng.random(shape) < density)
+    if np.dtype(dtype).kind == "c":
+        dense = dense * (1.0 + 2.0j)
+    return sp.csr_matrix(dense.astype(dtype))
+
+
+class TestMatvecKernel:
+    """The bound ``csr_matvec`` kernel equals ``A @ x`` bit for bit, dtype
+    included.  The kernel and its dtype rule are private to scipy, so
+    these cases pin them on every scipy the package admits."""
+
+    X_DTYPES = (np.float64, np.complex128, np.float32, np.int64)
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("matrix_dtype", [np.float64, np.complex128])
+    def test_equals_scipy_product(self, matrix_dtype, index_dtype):
+        rng = np.random.default_rng(21)
+        A = _random_csr(rng, (40, 40), matrix_dtype)
+        A.indices, A.indptr = (a.astype(index_dtype) for a in (A.indices, A.indptr))
+        product = matvec_kernel(A)
+        for x_dtype in self.X_DTYPES:
+            x = (100 * rng.standard_normal(80)).astype(x_dtype)
+            if x.dtype.kind == "c":
+                x += 1j * rng.standard_normal(80)
+            for v in (x[:40], x[::2], x[1::2]):
+                assert same_bits(product(v), A @ v), (x_dtype, v.strides)
+
+    def test_rectangular_transfer_and_adjoint(self):
+        rng = np.random.default_rng(22)
+        for P in (assemble_transfer(INTERP, 31, "toeplitz").matrix,
+                  _random_csr(rng, (30, 11), np.complex128)):
+            T = GridTransfer(P)
+            assert T.matrix.shape[0] != T.matrix.shape[1]
+            for x_dtype in (np.float64, np.complex128):
+                y = rng.standard_normal(T.coarse_size).astype(x_dtype)
+                x = rng.standard_normal(2 * T.fine_size).astype(x_dtype)[::2]
+                assert same_bits(T.prolong(y), T.matrix @ y)
+                assert same_bits(T.restrict(x), T.adjoint @ x)
+                assert same_bits(matvec_kernel(T.adjoint)(x), T.adjoint @ x)
+
+    def test_other_formats_are_read_as_csr(self):
+        rng = np.random.default_rng(24)
+        A = _random_csr(rng, (20, 30), np.complex128)
+        x = rng.standard_normal(30)
+        for B in (A.tocsc(), A.tocoo(), sp.csr_array(A)):
+            assert same_bits(matvec_kernel(B)(x), A @ x)
+
+    def test_wrong_shape_rejected(self):
+        product = matvec_kernel(_random_csr(np.random.default_rng(23), (6, 4),
+                                            np.float64))
+        for x in (np.ones(3), np.ones(6), np.ones((4, 1)), np.ones(())):
+            with pytest.raises(ArgumentError, match="product of a 6 x 4 matrix"):
+                product(x)
 
 
 class TestGalerkin:
