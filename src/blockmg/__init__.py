@@ -16,7 +16,7 @@ from .structured import (BlockStructuredMatrix, GridTransfer,
 from .mgsolve import (MultigridHierarchy, SmootherSpec, SolveResult,
                       richardson_omega_default, smooth, solve, tgm_step,
                       vcycle_step)
-from .conditions import (CheckResult, ConditionReport, build_s,
+from .conditions import (CheckResult, ConditionReport, ZeroSamples, build_s,
                          build_s_grid, check_condition_i, check_condition_ii,
                          check_condition_iii, check_fhat_properties,
                          check_vcycle_bound, full_report)

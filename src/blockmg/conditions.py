@@ -29,6 +29,10 @@ counts as divergent, and the tolerances of the stabilization and
 agreement tests have a floor of 1e-6 times it, so no verdict or piece
 of evidence moves under p -> c p or f -> c f.
 
+The checks at the zero share one :class:`ZeroSamples`: the sample
+points, sup norms, branches and hypotheses they have in common, each
+computed once per report.
+
 The shortcut hypotheses judge residuals and eigenvalues against the
 largest ||p(t0 + pi eta)||_2 over the corners, with no floor of 1, which
 would make them absolute for a small p.  The shifted projector branch
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -304,16 +309,50 @@ def _shifted_corners(m: int) -> np.ndarray:
     return np.array(corner_set(np.zeros(m), m)[1:])
 
 
-def _shifted_branch(p: MatrixTrigPolynomial, thetas, q: np.ndarray) -> np.ndarray:
-    """max over the shifted corners of |lambda(p(theta + pi eta))| on the
-    branch of q, at a stack of points of shape (n, m), by one
-    :func:`shifted_branch_eigenvalue` call for every corner of every
-    point; for m = 1 it is |shifted_branch_eigenvalue| itself."""
-    ts = np.asarray(thetas, dtype=float)
-    # shifted_branch_eigenvalue adds pi on every axis itself
-    corners = (ts[:, None, :] + (_shifted_corners(p.m) - np.pi)).reshape(-1, p.m)
-    values = np.abs(shifted_branch_eigenvalue(p, corners, q))
-    return values.reshape(len(ts), -1).max(axis=1)
+class ZeroSamples:
+    """What the checks at the zero theta0 of f, with singular eigenvector
+    q, share for one (f, p) pair: the points :func:`_dyadic_points` lists
+    for :func:`_axis_directions`, and the quantities below, each computed
+    on first use and then kept.  One that raises keeps nothing, so each
+    check that reads it raises, and reports, that error itself."""
+
+    def __init__(self, p: MatrixTrigPolynomial, f: MatrixTrigPolynomial, theta0, q):
+        self.p, self.f, self.q = p, f, q
+        self.theta0 = np.atleast_1d(np.asarray(theta0, dtype=float))
+        self.directions = _axis_directions(p.m)
+        self.points = _dyadic_points(self.theta0, self.directions)
+
+    @cached_property
+    def fscale(self) -> float:
+        return symbol_sup_norm(self.f, SMALL_GRID_POINTS)
+
+    @cached_property
+    def pscale(self) -> float:
+        return symbol_sup_norm(self.p, SMALL_GRID_POINTS)
+
+    @cached_property
+    def f_branch(self) -> np.ndarray:
+        return _f_branch(self.f, self.points, self.q)
+
+    @cached_property
+    def shifted_branch(self) -> np.ndarray:
+        """max over the shifted corners of |lambda(p(theta + pi eta))| on
+        the branch of q at each point, from one
+        :func:`shifted_branch_eigenvalue` call for all corners."""
+        m = self.p.m
+        # shifted_branch_eigenvalue adds pi on every axis itself
+        corners = (self.points[:, None, :] + (_shifted_corners(m) - np.pi)).reshape(-1, m)
+        values = np.abs(shifted_branch_eigenvalue(self.p, corners, self.q))
+        return values.reshape(len(self.points), -1).max(axis=1)
+
+    @cached_property
+    def hypotheses(self) -> dict:
+        return fixed_point_shortcut_hypotheses(self.p, self.theta0, self.q)
+
+    @cached_property
+    def fixed_point_defect(self) -> float:
+        """||s(theta0) q - q||."""
+        return float(np.linalg.norm(build_s(self.p, self.theta0) @ self.q - self.q))
 
 
 # -- conditions (i), (ii), (iii) -------------------------------------------
@@ -331,7 +370,8 @@ def check_condition_i(p: MatrixTrigPolynomial) -> CheckResult:
                                 "npoints": GRID_POINTS})
 
 
-def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -> dict:
+def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, theta0,
+                                    q: np.ndarray) -> dict:
     """The eigenvector hypotheses that shortcut condition (ii).
 
     Checks, at the symbol zero t0 with singular eigenvector q: q is an
@@ -342,8 +382,7 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -
     times its largest (numpy's ``matrix_rank`` tolerance), a ratio that
     does not move under p -> c p.
     """
-    t0 = np.asarray(zero.theta0, dtype=float)
-    q = zero.q_jbar
+    t0 = np.asarray(theta0, dtype=float)
     P0 = p.evaluate(t0)
     shifted = p.evaluate_grid(t0 + _shifted_corners(p.m))
     scale = max(float(np.linalg.norm(P, 2)) for P in (P0, *shifted))
@@ -370,18 +409,11 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, zero: SymbolZero) -
             "q_eigvec_of_p0_adjoint": hyp3, "p0_nonsingular": hyp3bis}
 
 
-def check_condition_ii(p: MatrixTrigPolynomial, zero: SymbolZero, *,
-                       _hyps=None) -> CheckResult:
+def check_condition_ii(samples: ZeroSamples) -> CheckResult:
     """Fixed-point defect ||s(t0) q - q|| plus the shortcut route that
-    certifies it (eigenvector route or nonsingular-p route).
-
-    ``_hyps`` is :func:`fixed_point_shortcut_hypotheses` of (p, zero)
-    when the caller has it already."""
-    t0 = np.asarray(zero.theta0, dtype=float)
-    q = zero.q_jbar
-    s0 = build_s(p, t0)
-    defect = float(np.linalg.norm(s0 @ q - q))
-    hyps = _hyps or fixed_point_shortcut_hypotheses(p, zero)
+    certifies it (eigenvector route or nonsingular-p route)."""
+    defect = samples.fixed_point_defect
+    hyps = samples.hypotheses
     route = None
     if (hyps["q_eigvec_of_p0"].passed and hyps["q_kernel_of_p_shifted"].passed
             and hyps["q_eigvec_of_p0_adjoint"].passed):
@@ -403,93 +435,68 @@ def _projector_defect(p: MatrixTrigPolynomial) -> float:
     return float(np.max(np.linalg.norm(s @ s - s, axis=(1, 2))))
 
 
-def _sup_norms(f: MatrixTrigPolynomial, p: MatrixTrigPolynomial):
-    """The sup norms of f and p that scale the noise floors of the limits."""
-    return (symbol_sup_norm(f, SMALL_GRID_POINTS),
-            symbol_sup_norm(p, SMALL_GRID_POINTS))
-
-
-def condition_iii_verdict(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
-                          theta0, q: np.ndarray, fscale: float) -> CheckResult:
-    """The verdict of condition (iii) at the zero theta0 of f with
-    singular eigenvector q, in any number of variables.  ``fscale`` is
-    the sup norm of f over SMALL_GRID_POINTS samples, which scales the
-    limit's noise floor and cap.
+def condition_iii_verdict(samples: ZeroSamples) -> CheckResult:
+    """The verdict of condition (iii) at the zero, in any number of
+    variables.
 
     When s is a projector on a verification grid and the fixed point
     s(t0) q = q holds, the tracked eigenvalue is identically one and the
     limit is 0 without sampling (route "projector").  Otherwise
-    (1 - lambda(s)) / lambda(f) is sampled along every direction of
-    :func:`_axis_directions` (route "dyadic").
+    (1 - lambda(s)) / lambda(f) is sampled at the dyadic points of
+    ``samples`` (route "dyadic"); the sup norm of f scales the limit's
+    noise floor and cap.
     """
-    s0_defect = float(np.linalg.norm(build_s(p, theta0) @ q - q))
-    idem = _projector_defect(p)
+    s0_defect = samples.fixed_point_defect
+    idem = _projector_defect(samples.p)
     if idem <= 1e-9 and s0_defect <= 1e-9:
         return CheckResult(True, {"route": "projector", "c": 0.0, "spread": 0.0,
                                   "idempotency_defect": idem})
-    dirs = _axis_directions(p.m)
-    pts = _dyadic_points(theta0, dirs)
-    direct = dyadic_limit(_s_gap(p, pts, q), _f_branch(f, pts, q), dirs,
+    fscale = samples.fscale
+    direct = dyadic_limit(_s_gap(samples.p, samples.points, samples.q),
+                          samples.f_branch, samples.directions,
                           numer_floor=100 * EPS, denom_floor=1e3 * EPS * fscale,
                           cap=RATIO_CAP / fscale)
     return CheckResult(direct.passed, {"route": "dyadic", "idempotency_defect": idem,
                                        **direct.as_evidence()})
 
 
-def check_condition_iii(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
-                        zero: SymbolZero, *, _scales=None, _branch=None) -> CheckResult:
+def check_condition_iii(samples: ZeroSamples) -> CheckResult:
     """Condition (iii) at the symbol zero: :func:`condition_iii_verdict`,
     with the simplified squared-shift ratio
     max |lambda(p(. + pi eta))|^2 / lambda(f) over the shifted corners
-    measured and reported alongside as evidence.  ``_scales`` is
-    ``_sup_norms(f, p)`` when the caller has it already, and ``_branch``
-    is :func:`_shifted_branch` at the dyadic sample points of the limit
-    (:func:`_dyadic_points` of t0 and :func:`_axis_directions`).
-    """
-    t0 = np.asarray(zero.theta0, dtype=float)
-    q = zero.q_jbar
-    fscale, pscale = _scales or _sup_norms(f, p)
-    dirs = _axis_directions(p.m)
-    pts = _dyadic_points(t0, dirs)
-    f_branch = _f_branch(f, pts, q)
-    branch = _shifted_branch(p, pts, q) if _branch is None else _branch
+    measured and reported alongside as evidence."""
+    fscale, pscale = samples.fscale, samples.pscale
+    f_branch = samples.f_branch
     surrogate = dyadic_limit(
-        branch ** 2, f_branch, dirs, numer_floor=(100 * EPS * pscale) ** 2,
-        denom_floor=1e3 * EPS * fscale, cap=RATIO_CAP * pscale ** 2 / fscale)
-    verdict = condition_iii_verdict(p, f, t0, q, fscale)
+        samples.shifted_branch ** 2, f_branch, samples.directions,
+        numer_floor=(100 * EPS * pscale) ** 2, denom_floor=1e3 * EPS * fscale,
+        cap=RATIO_CAP * pscale ** 2 / fscale)
+    verdict = condition_iii_verdict(samples)
     return CheckResult(verdict.passed, {
         **verdict.evidence,
         "surrogate_c": surrogate.c, "surrogate_passed": surrogate.passed})
 
 
-def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
-                       zero: SymbolZero, *, _hyps=None, _scales=None,
-                       _branch=None) -> CheckResult:
+def check_vcycle_bound(samples: ZeroSamples) -> CheckResult:
     """The un-squared ratio max |lambda(p(. + pi eta))| / lambda(f) over
     the shifted corners that controls V-cycle optimality; the
     identically-vanishing branch is detected and reported explicitly.
     For m >= 2 one limit over every direction of approach is
     conservative: a bounded ratio whose limit depends on the direction
-    fails with "directional estimates disagree".  ``_hyps`` is as for
-    :func:`check_condition_ii`, and ``_scales`` and ``_branch`` as for
-    :func:`check_condition_iii`."""
-    t0 = np.asarray(zero.theta0, dtype=float)
-    q = zero.q_jbar
-    hyps = _hyps or fixed_point_shortcut_hypotheses(p, zero)
+    fails with "directional estimates disagree"."""
+    hyps = samples.hypotheses
     hypotheses_ok = (hyps["q_eigvec_of_p0"].passed
                      and hyps["q_kernel_of_p_shifted"].passed)
-    fscale, pscale = _scales or _sup_norms(f, p)
+    fscale, pscale = samples.fscale, samples.pscale
     numer_floor = 100 * EPS * pscale
-    dirs = _axis_directions(p.m)
-    pts = _dyadic_points(t0, dirs)
-    branch = _shifted_branch(p, pts, q) if _branch is None else _branch
+    branch = samples.shifted_branch
     if branch.max() < 10 * numer_floor:
         return CheckResult(hypotheses_ok, {
             "c": 0.0, "spread": 0.0, "vanishing_branch": True,
             "hypotheses_ok": hypotheses_ok,
             "max_branch_eigenvalue": float(branch.max())})
 
-    est = dyadic_limit(branch, _f_branch(f, pts, q), dirs,
+    est = dyadic_limit(branch, samples.f_branch, samples.directions,
                        numer_floor=numer_floor, denom_floor=1e3 * EPS * fscale,
                        cap=RATIO_CAP * pscale / fscale)
     return CheckResult(est.passed and hypotheses_ok, {
@@ -497,18 +504,15 @@ def check_vcycle_bound(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
         **est.as_evidence()})
 
 
-def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
-                          zero: SymbolZero, *, _scales=None) -> dict:
+def check_fhat_properties(samples: ZeroSamples) -> dict:
     """The five structural properties of the coarse symbol: Hermitian
     polynomial, nonnegative and positive elsewhere (outside an exclusion
     ball of max-norm radius 1e-3) on the GRID_POINTS samples of
     :func:`~blockmg.symbol.sample_points`, q in the kernel at the zero
     doubled on every axis, and the coarse/fine eigenvalue ratio tending
-    to a nonzero constant (above 1e-8 sup|p|^2).  ``_scales`` is as for
-    :func:`check_condition_iii`."""
-    fhat = coarse_symbol(f, p)
-    t0 = np.asarray(zero.theta0, dtype=float)
-    q = zero.q_jbar
+    to a nonzero constant (above 1e-8 sup|p|^2)."""
+    p, t0, q = samples.p, samples.theta0, samples.q
+    fhat = coarse_symbol(samples.f, p)
     out = {}
 
     out["hermitian"] = CheckResult(fhat.hermitian, {"window": max(fhat.window())})
@@ -530,11 +534,9 @@ def check_fhat_properties(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial,
     out["positive_elsewhere"] = CheckResult(min_away > 1e-10 * scale,
                                             {"min_eig_outside_ball": min_away})
 
-    fscale, pscale = _scales or _sup_norms(f, p)
-    dirs = _axis_directions(p.m)
-    near = _dyadic_points(t0, dirs)
+    fscale, pscale = samples.fscale, samples.pscale
     est = dyadic_limit(
-        _f_branch(fhat, 2.0 * near, q), _f_branch(f, near, q), dirs,
+        _f_branch(fhat, 2.0 * samples.points, q), samples.f_branch, samples.directions,
         numer_floor=1e3 * EPS * scale, denom_floor=1e3 * EPS * fscale,
         cap=RATIO_CAP * pscale ** 2)
     # the limit and its cap scale as |p|^2, as f_hat = p^H f p does
@@ -609,9 +611,9 @@ class ConditionReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _run_check(fn, *args, **kwargs) -> CheckResult:
+def _run_check(fn, *args) -> CheckResult:
     try:
-        return fn(*args, **kwargs)
+        return fn(*args)
     except BlockmgError as exc:
         return _error_result(exc)
 
@@ -626,11 +628,10 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
     so the report always materializes.  A pair whose block orders differ
     (``DimensionError``) or whose variable counts differ
     (``ArgumentError``), and a malformed zero structure of f, raise
-    before any check runs.  The shortcut hypotheses, the sup norms of f
-    and p and the shifted projector branch (:func:`_shifted_branch`) at
-    the dyadic sample points are computed once and shared by the checks;
-    when the branch raises, each check tracks it, and reports the error,
-    on its own.
+    before any check runs.  The checks at the zero share one
+    :class:`ZeroSamples`, so each sample they have in common is computed
+    once per report; a shared quantity that raises is recomputed, and
+    its error reported, by each check that reads it.
     """
     if p.d != f.d:
         raise DimensionError(f"block order mismatch: p has d = {p.d}, f has d = {f.d}")
@@ -638,29 +639,21 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
         raise ArgumentError(
             f"variable count mismatch: p has m = {p.m}, f has m = {f.m}")
     zero = find_zero(f)
-    scales = _sup_norms(f, p)
-    try:
-        hyps = shared = fixed_point_shortcut_hypotheses(p, zero)
-    except BlockmgError as exc:
-        # the checks that use the hypotheses then raise this themselves
-        hyps, shared = {"error": _error_result(exc)}, None
-    try:
-        branch = _shifted_branch(
-            p, _dyadic_points(zero.theta0, _axis_directions(p.m)), zero.q_jbar)
-    except BlockmgError:
-        branch = None
+    samples = ZeroSamples(p, f, zero.theta0, zero.q_jbar)
     cond_i = _run_check(check_condition_i, p)
-    cond_ii = _run_check(check_condition_ii, p, zero, _hyps=shared)
-    cond_iii = _run_check(check_condition_iii, p, f, zero, _scales=scales,
-                          _branch=branch)
-    vbound = _run_check(check_vcycle_bound, p, f, zero, _hyps=shared,
-                        _scales=scales, _branch=branch)
+    cond_ii = _run_check(check_condition_ii, samples)
+    cond_iii = _run_check(check_condition_iii, samples)
+    vbound = _run_check(check_vcycle_bound, samples)
     try:
-        fhat = check_fhat_properties(p, f, zero, _scales=scales)
+        fhat = check_fhat_properties(samples)
     except BlockmgError as exc:
         fhat = {name: _error_result(exc)
                 for name in ("hermitian", "nonnegative", "kernel_at_doubled_zero",
                              "positive_elsewhere", "coarse_zero_same_order")}
+    try:
+        hyps = samples.hypotheses
+    except BlockmgError as exc:
+        hyps = {"error": _error_result(exc)}
 
     tgm = cond_i.passed and cond_ii.passed and cond_iii.passed
     vcyc = tgm and vbound.passed and all(r.passed for r in fhat.values())

@@ -22,7 +22,8 @@ of variables.  :func:`check_multilevel_conditions` certifies the tensor
 projector of two univariate factors without locating the zero of the
 bivariate symbol: the zero and its eigenvector are the tensor products
 of the factors' zeros, condition (iii) is judged by the code
-``full_report`` runs (:func:`~blockmg.conditions.condition_iii_verdict`),
+``full_report`` runs (:func:`~blockmg.conditions.condition_iii_verdict`
+on one :class:`~blockmg.conditions.ZeroSamples` of the tensor pair),
 and what it adds are the checks that the tensor structure factors.
 """
 
@@ -34,16 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .conditions import (SMALL_GRID_POINTS, CheckResult, _error_result,
-                         _run_check, build_s, build_s_grid, check_condition_i,
-                         condition_iii_verdict, full_report, jsonable)
+from .conditions import (CheckResult, ZeroSamples, _error_result, _run_check,
+                         build_s_grid, check_condition_i, condition_iii_verdict,
+                         full_report, jsonable)
 from .errors import ArgumentError, BlockmgError, ConstructionError
 from .femgen import (FemProblem, _transfer_chain, assemble_mass,
                      assemble_stiffness)
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import BlockStructuredMatrix, GridTransfer, galerkin
-from .symbol import (MatrixTrigPolynomial, corner_sums, symbol_sup_norm,
-                     tensor_symbol)
+from .symbol import MatrixTrigPolynomial, corner_sums, tensor_symbol
 
 
 def tensor_sum_symbol(f: MatrixTrigPolynomial, h: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
@@ -207,21 +207,20 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     q = np.kron(zeros[0].q_jbar, zeros[1].q_jbar)
     q /= np.linalg.norm(q)
     p2d = tensor_symbol(ps)
+    samples = ZeroSamples(p2d, f2d, theta0, q)
 
     cond_i = check_condition_i(p2d)
 
     kernel_defect = float(np.linalg.norm(f2d.evaluate(theta0) @ q))
     try:
-        s0 = build_s(p2d, theta0)
-        fp_defect = float(np.linalg.norm(s0 @ q - q))
+        fp_defect = samples.fixed_point_defect
         fixed_point = CheckResult(fp_defect <= 1e-9,
                                   {"defect": fp_defect,
                                    "f2d_kernel_defect": kernel_defect})
     except BlockmgError as exc:
         fixed_point = _error_result(exc)
 
-    directional = _run_check(condition_iii_verdict, p2d, f2d, theta0, q,
-                             symbol_sup_norm(f2d, SMALL_GRID_POINTS))
+    directional = _run_check(condition_iii_verdict, samples)
 
     ts = np.random.default_rng(20240101).uniform(0.0, 2.0 * np.pi, size=(100, 2))
     factored = _kron_stack(corner_sums(ps[0], ts[:, :1]), corner_sums(ps[1], ts[:, 1:]))
@@ -235,7 +234,7 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     except BlockmgError as exc:
         s_worst = float("nan")
         s_errors = [str(exc)]
-    cscale = symbol_sup_norm(p2d, SMALL_GRID_POINTS) ** 2
+    cscale = samples.pscale ** 2
     corner_fact = CheckResult(corner_worst <= 1e-10 * cscale,
                               {"max_abs_difference": corner_worst, "scale": cscale})
     s_fact_res = CheckResult(not s_errors and s_worst <= 1e-10,

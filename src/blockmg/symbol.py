@@ -43,6 +43,7 @@ TRIM_RTOL = 1e-14
 HERMITIAN_RTOL = 1e-12
 DEFAULT_GRID = 1024
 OVERLAP_MIN = 0.6   # least eigenvector overlap |v^H q| that keeps a branch
+MAX_VARIABLES = 4   # a grid holds at least 8^m points, a corner sum 16^m values
 
 
 def _as_multi_index(j, m):
@@ -253,6 +254,12 @@ def symbol_sup_norm(f: MatrixTrigPolynomial, npoints: int = DEFAULT_GRID) -> flo
 
 
 def sample_points(m, npoints):
+    """About ``npoints`` grid points on [0, 2pi)^m, at least 8 per axis.
+    Every sampled grid is decided here, so ArgumentError for m above
+    MAX_VARIABLES refuses a symbol before any grid is allocated."""
+    if m > MAX_VARIABLES:
+        raise ArgumentError(f"symbols in {m} variables are not supported: grids "
+                            f"are capped at m = {MAX_VARIABLES} (8^m points or more)")
     if m == 1:
         return theta_grid(npoints)
     per_dim = max(8, int(round(npoints ** (1.0 / m))))

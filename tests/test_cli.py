@@ -47,6 +47,15 @@ def _run_args(tmp_path, text: bytes):
     return ["run", str(path)]
 
 
+def _cosine_sum(m, c):
+    """The scalar symbol sum_k (2 + 2c cos t_k) in m variables."""
+    coeffs = {(0,) * m: 2.0 * m}
+    for k in range(m):
+        for sign in (1, -1):
+            coeffs[tuple(sign * (i == k) for i in range(m))] = c
+    return MatrixTrigPolynomial.scalar(coeffs, m=m)
+
+
 def _under_regular_file(tmp_path, name):
     """A path whose parent is a regular file, so nothing can be created there."""
     blocker = tmp_path / "blocker"
@@ -62,6 +71,12 @@ MALFORMED = {
     "certify-bivariate-f-univariate-p": lambda tmp: _certify_args(
         tmp, tensor_sum_symbol(stiffness_symbol(2), mass_symbol(2)),
         build_linear_interp_symbol(4)),
+    # every grid holds at least 8^m points and a corner sum 16^m values:
+    # gigabytes at m = 5, more than numpy can allocate at m = 20
+    "certify-five-variable-pair": lambda tmp: _certify_args(
+        tmp, _cosine_sum(5, -1.0), tensor_symbol([_cosine_sum(1, 1.0)] * 5)),
+    "certify-twenty-variable-pair": lambda tmp: _certify_args(
+        tmp, _cosine_sum(20, -1.0), _cosine_sum(20, 1.0)),
     "table-non-integer-t": lambda tmp: _table_args(tmp, b"x,31,tgm,6,1e-07,\n"),
     "table-two-fields": lambda tmp: _table_args(tmp, b"4,31\n"),
     "table-non-ascii-byte": lambda tmp: _table_args(tmp, b"4,31,tgm,6,1e-07,\xe9\n"),

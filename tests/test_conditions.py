@@ -1,3 +1,4 @@
+import collections
 import functools
 import json
 
@@ -7,8 +8,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockmg import (MatrixTrigPolynomial, build_s, build_s_grid, conditions,
-                     check_condition_i,
+from blockmg import (MatrixTrigPolynomial, ZeroSamples, build_s, build_s_grid,
+                     conditions, check_condition_i,
                      check_condition_ii, check_condition_iii,
                      check_fhat_properties, check_vcycle_bound, find_zero,
                      full_report)
@@ -28,6 +29,13 @@ LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
 HAT = MatrixTrigPolynomial.scalar({0: 1.0, 1: 0.5, -1: 0.5})      # 1 + cos
 ONE = MatrixTrigPolynomial.scalar({0: 1.0})
+
+
+def _samples(p, f, zero=None):
+    """The ZeroSamples of the pair (f, p) at the zero of f."""
+    if zero is None:
+        zero = find_zero(f)
+    return ZeroSamples(p, f, zero.theta0, zero.q_jbar)
 
 
 class TestBuildS:
@@ -94,7 +102,7 @@ class TestConditionI:
 class TestConditionII:
     def test_p_l2_eigenvector_route(self, f_q2, p_l2):
         zero = find_zero(f_q2)
-        res = check_condition_ii(p_l2, zero)
+        res = check_condition_ii(_samples(p_l2, f_q2, zero))
         assert res.passed
         assert res.evidence["defect"] <= 1e-12
         assert res.evidence["route"] == "eigenvector"
@@ -107,7 +115,7 @@ class TestConditionII:
     def test_geometric_nonsingular_route(self, r):
         f = stiffness_symbol(r)
         p = build_geometric_symbol(r)
-        res = check_condition_ii(p, find_zero(f))
+        res = check_condition_ii(_samples(p, f))
         assert res.passed
         assert res.evidence["route"] in ("eigenvector", "nonsingular")
         assert res.evidence["hypotheses"]["p0_nonsingular"]["passed"]
@@ -116,14 +124,14 @@ class TestConditionII:
 
     def test_identity_projector_fails(self, f_q2):
         p = MatrixTrigPolynomial({0: np.eye(2)})
-        res = check_condition_ii(p, find_zero(f_q2))
+        res = check_condition_ii(_samples(p, f_q2))
         assert not res.passed
         assert res.evidence["defect"] == pytest.approx(0.5, abs=1e-10)
 
 
 class TestConditionIII:
     def test_even_degree_projector_route(self, f_q2, p_l2):
-        res = check_condition_iii(p_l2, f_q2, find_zero(f_q2))
+        res = check_condition_iii(_samples(p_l2, f_q2))
         assert res.passed
         assert res.evidence["route"] == "projector"
         assert res.evidence["c"] == 0.0
@@ -136,7 +144,7 @@ class TestConditionIII:
         # degree-1 interpolation: shifted eigenvalue has a 4th order zero,
         # squared ratio against the order-2 problem symbol tends to 0
         zero = find_zero(LAPLACE)
-        res = check_condition_iii(INTERP, LAPLACE, zero)
+        res = check_condition_iii(_samples(INTERP, LAPLACE, zero))
         assert res.passed
         assert res.evidence["route"] == "dyadic"
         assert res.evidence["c"] == pytest.approx(0.0, abs=1e-6)
@@ -145,31 +153,31 @@ class TestConditionIII:
     def test_odd_degree_block(self):
         f3 = stiffness_symbol(3)
         p3 = build_linear_interp_symbol(3)
-        res = check_condition_iii(p3, f3, find_zero(f3))
+        res = check_condition_iii(_samples(p3, f3))
         assert res.passed
 
     def test_injection_diverges(self):
-        res = check_condition_iii(ONE, LAPLACE, find_zero(LAPLACE))
+        res = check_condition_iii(_samples(ONE, LAPLACE))
         assert not res.passed
         assert res.evidence["diverged"]
 
 
 class TestVcycleBound:
     def test_p_l2_vanishing_branch(self, f_q2, p_l2):
-        res = check_vcycle_bound(p_l2, f_q2, find_zero(f_q2))
+        res = check_vcycle_bound(_samples(p_l2, f_q2))
         assert res.passed
         assert res.evidence["vanishing_branch"]
         assert res.evidence["c"] == 0.0
 
     def test_scalar_hat_limit_half(self):
         # (1 - cos) / (2 - 2cos) = 1/2 exactly
-        res = check_vcycle_bound(HAT, LAPLACE, find_zero(LAPLACE))
+        res = check_vcycle_bound(_samples(HAT, LAPLACE))
         assert res.passed
         assert res.evidence["c"] == pytest.approx(0.5, abs=1e-4)
 
     def test_fourth_order_problem_diverges(self):
         f4 = MatrixTrigPolynomial.scalar({0: 6.0, 1: -4.0, -1: -4.0, 2: 1.0, -2: 1.0})
-        res = check_vcycle_bound(INTERP, f4, find_zero(f4))
+        res = check_vcycle_bound(_samples(INTERP, f4))
         assert not res.passed
         assert res.evidence["diverged"]
 
@@ -177,28 +185,29 @@ class TestVcycleBound:
 class TestFhatProperties:
     def test_scalar_interpolation_all_pass(self):
         zero = find_zero(LAPLACE)
-        out = check_fhat_properties(INTERP, LAPLACE, zero)
+        out = check_fhat_properties(_samples(INTERP, LAPLACE, zero))
         assert all(res.passed for res in out.values())
         assert out["coarse_zero_same_order"].evidence["c"] == \
             pytest.approx(8.0, rel=1e-3)
 
     def test_identity_projector_kernel_fails(self):
         zero = find_zero(LAPLACE)
-        out = check_fhat_properties(ONE, LAPLACE, zero)
+        out = check_fhat_properties(_samples(ONE, LAPLACE, zero))
         assert out["hermitian"].passed
         assert out["nonnegative"].passed
         assert not out["kernel_at_doubled_zero"].passed
         assert not out["coarse_zero_same_order"].passed
 
     def test_block_pipeline(self, f_q2, p_l2):
-        out = check_fhat_properties(p_l2, f_q2, find_zero(f_q2))
+        out = check_fhat_properties(_samples(p_l2, f_q2))
         assert all(res.passed for res in out.values())
         assert out["coarse_zero_same_order"].evidence["c"] > 1e-8
 
 
 class TestShortcutHypotheses:
     def test_p_l2_all_three(self, f_q2, p_l2):
-        hyps = fixed_point_shortcut_hypotheses(p_l2, find_zero(f_q2))
+        zero = find_zero(f_q2)
+        hyps = fixed_point_shortcut_hypotheses(p_l2, zero.theta0, zero.q_jbar)
         assert hyps["q_eigvec_of_p0"].passed
         assert hyps["q_kernel_of_p_shifted"].passed
         assert hyps["q_eigvec_of_p0_adjoint"].passed
@@ -468,18 +477,30 @@ FEM_PAIRS = [(builder(r), stiffness_symbol(r)) for r in range(1, 5)
 FEM_IDS = [f"r{r}-{kind}" for r in range(1, 5) for kind in ("linear", "geometric")]
 
 def _standalone(check, p, f):
-    return jsonable(conditions._run_check(check, p, f, find_zero(f)))
+    return jsonable(conditions._run_check(check, _samples(p, f)))
 
 
 @pytest.mark.parametrize("p, f", [*FEM_PAIRS, (ONE, LAPLACE)],
                          ids=[*FEM_IDS, "injection"])
 def test_full_report_tracks_the_shifted_branch_once(monkeypatch, p, f):
-    calls = []
-    track = conditions.shifted_branch_eigenvalue
-    monkeypatch.setattr(conditions, "shifted_branch_eigenvalue",
-                        lambda *args: calls.append(args) or track(*args))
+    # one report samples each shared quantity once: the shifted branch,
+    # the branch of f at the dyadic points (the coarse symbol's branch
+    # is not counted) and s(t0)
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(conditions, name)
+
+        def wrapper(g, *args):
+            if name != "_f_branch" or g is f:
+                calls[name] += 1
+            return fn(g, *args)
+        return wrapper
+
+    for name in ("shifted_branch_eigenvalue", "_f_branch", "build_s"):
+        monkeypatch.setattr(conditions, name, counted(name))
     rep = full_report(p, f)
-    assert len(calls) == 1
+    assert calls == {"shifted_branch_eigenvalue": 1, "_f_branch": 1, "build_s": 1}
     monkeypatch.undo()
     assert jsonable(rep.condition_iii) == _standalone(check_condition_iii, p, f)
     assert jsonable(rep.vcycle_bound) == _standalone(check_vcycle_bound, p, f)
@@ -525,7 +546,7 @@ def test_condition_ii_route_does_not_depend_on_projector_scale(r):
     zero = find_zero(f)
 
     def route(p):
-        ev = check_condition_ii(p, zero).evidence
+        ev = check_condition_ii(_samples(p, f, zero)).evidence
         return ev["route"], ev["hypotheses"]["p0_nonsingular"]["passed"]
 
     want = route(p)
@@ -606,9 +627,9 @@ def test_surrogate_evidence_does_not_depend_on_projector_scale(build, r, c):
     # tests flipped surrogate_passed at these scales
     p, f = build(r), stiffness_symbol(r)
     zero = find_zero(f)
-    want = check_condition_iii(p, f, zero).evidence
+    want = check_condition_iii(_samples(p, f, zero)).evidence
     pc = MatrixTrigPolynomial({j: c * v for j, v in p.coeffs.items()}, m=1)
-    got = check_condition_iii(pc, f, zero).evidence
+    got = check_condition_iii(_samples(pc, f, zero)).evidence
     assert (got["route"], got["surrogate_passed"]) == (want["route"], want["surrogate_passed"])
 
 

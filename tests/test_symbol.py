@@ -291,6 +291,16 @@ class TestBatchedEvaluation:
                        for v in f.evaluate_grid(sample_points(m, npoints)))
             assert symbol_sup_norm(f, npoints) == pytest.approx(want, rel=1e-14, abs=0)
 
+    def test_grids_capped_at_four_variables(self):
+        # 8 points per axis at least: 8^5 points, and a corner sum of
+        # 16^5 values, would be the smallest five-variable grid
+        assert sample_points(4, 256).shape == (8 ** 4, 4)
+        f = MatrixTrigPolynomial.scalar({(0,) * 5: 1.0}, m=5)
+        for sample in (lambda: sample_points(5, 256), lambda: symbol_sup_norm(f, 256),
+                       lambda: find_zero(f)):
+            with pytest.raises(ArgumentError, match="capped at m = 4"):
+                sample()
+
     def test_corner_sums_accept_flat_univariate_grid(self, p_l2):
         ts = np.linspace(0, 2 * np.pi, 7)
         np.testing.assert_array_equal(corner_sums(p_l2, ts), corner_sums(p_l2, ts[:, None]))
