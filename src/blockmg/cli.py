@@ -40,6 +40,8 @@ PROJECTORS = (LINEAR, GEOMETRIC)
 CYCLES = (TGM, VCYCLE)
 SMOOTHERS = (GAUSS_SEIDEL, RICHARDSON)
 MAX_T = 30   # a 1D problem of 2^30 elements is beyond any desk machine
+# the largest 1D size r 2^t - 1: a solve there peaks near 2 GB for r = 8
+MAX_1D_SIZE = 2 ** 22
 
 
 @dataclass
@@ -86,6 +88,10 @@ class ExperimentConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigurationError(message)
+        size = self.r * 2 ** max(self.t_range) - 1
+        if self.dim == 1 and self.mode != "certify" and size > MAX_1D_SIZE:
+            raise ConfigurationError(
+                f"1D size r * 2^t - 1 = {size} exceeds the cap {MAX_1D_SIZE}")
         if self.dim == 2 and self.coefficient != "one":
             raise ConfigurationError(
                 "2D experiments support only the constant coefficient")

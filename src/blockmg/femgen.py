@@ -36,7 +36,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ArgumentError, ConstructionError
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
-from .structured import BlockStructuredMatrix, GridTransfer
+from .structured import BlockStructuredMatrix, GridTransfer, galerkin
 from .symbol import MatrixTrigPolynomial
 
 COEFFICIENTS = {
@@ -376,5 +376,8 @@ def build_fem_hierarchy(problem: FemProblem, kind: str,
     chain = _transfer_chain(problem.r, problem.n_elements, kind, 1,
                             coarsest_max_size, two_level)
     transfers = [GridTransfer(P) for P in chain]
-    return MultigridHierarchy.from_transfers(problem.matrix, transfers,
-                                             smoother or SmootherSpec())
+    mats = [problem.matrix]
+    hermitian = problem.matrix.is_hermitian()   # once per chain (see galerkin)
+    for T in transfers:
+        mats.append(galerkin(mats[-1], T, _hermitian=hermitian))
+    return MultigridHierarchy(mats, transfers, smoother or SmootherSpec())

@@ -1,13 +1,19 @@
 """Smoothers, the two-grid step, the V-cycle recursion, hierarchy
 construction and the convergence driver.
 
+Each level of a hierarchy binds its kernels on first use: the product
+x -> M x, the smoother's correction and, on the coarsest level, the
+direct solver.  Every solve runs one recursion over the levels
+(:func:`vcycle_step`), and a two-grid cycle is that recursion on a
+two-level hierarchy.
+
 Experiment conventions (the literature rarely pins them down): the right
 hand side is b = A x* with x* drawn uniformly from [0,1) under a fixed
 seed, the initial guess is zero, and iteration counts use the relative
 residual ||b - A x|| / ||b||.
 
-Every smoothing sweep is x <- x + correct(b - M x), with the correction
-prepared once per level matrix M.  The first sweep of a cycle takes the
+Every smoothing sweep on a level of matrix M is x <- x + correct(b - M x),
+with the level's correction.  The first sweep of a cycle takes the
 residual its caller already holds: on level 0 the one ``solve`` computed
 for its stopping test, on a coarse level (started from x = 0) the
 restricted residual itself.  Richardson's correction is omega r: a given
@@ -48,7 +54,7 @@ dense ``eigvalsh`` otherwise.  Here the band is max(kl, ku), the larger
 of the lower and upper bandwidths, and it fits when
 (max(kl, ku) + 1) N <= nnz(M).
 
-The coarsest level (the first coarse level of a two-grid cycle) is
+The coarsest level (the coarse level of a two-grid cycle) is
 solved by LU with partial pivoting, factored once, with the same band
 rule: LAPACK ``gbtrf``/``gbtrs`` on a band level (every 1D FEM level),
 SuperLU otherwise (2D levels).  Not a banded Cholesky: a level need
@@ -58,9 +64,10 @@ part would solve another system.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,10 +105,19 @@ class SmootherSpec:
     def __post_init__(self):
         if self.kind not in (RICHARDSON, GAUSS_SEIDEL):
             raise ConfigurationError(f"unknown smoother kind {self.kind!r}")
-        if self.omega is not None and not math.isfinite(self.omega):
-            raise ConfigurationError(f"omega must be finite, got {self.omega}")
-        if self.sweeps_pre < 0 or self.sweeps_post < 0:
-            raise ConfigurationError("sweep counts must be nonnegative")
+        if self.omega is not None and not (isinstance(self.omega, numbers.Real)
+                                           and math.isfinite(self.omega)):
+            raise ConfigurationError(
+                f"omega must be a finite real number, got {self.omega!r}")
+        for sweeps in (self.sweeps_pre, self.sweeps_post):
+            if not (_is_integer(sweeps) and sweeps >= 0):
+                raise ConfigurationError(
+                    f"sweep counts must be nonnegative integers, got {sweeps!r}")
+
+
+def _is_integer(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _csr(A):
@@ -261,7 +277,8 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
         tbtrs = get_lapack_funcs("tbtrs", (ab,))
 
         def solve_lower(r):
-            y, info = tbtrs(ab, r, uplo="L", overwrite_b=1)
+            # positional: parsing keywords makes this f2py call a third slower
+            y, info = tbtrs(ab, r, "L", "N", "N", 1)
             if info != 0:
                 raise SingularMatrixError(
                     f"banded Gauss-Seidel solve failed: info={info}")
@@ -278,42 +295,6 @@ def _residual_of(product, x, b):
     if b.dtype == y.dtype or np.can_cast(b.dtype, y.dtype):
         return np.subtract(b, y, out=y)
     return b - y
-
-
-def smooth(A, x, b, spec: SmootherSpec, sweeps: int, _kernels=None,
-           _residual=None):
-    """Apply ``sweeps`` smoothing sweeps to A x = b starting from x.
-
-    Richardson: x <- x + omega (b - A x) per sweep.  Gauss-Seidel:
-    forward sweep solving each row in order, equivalently
-    x <- x + (D + L)^{-1} (b - A x).  Returns a new array; x and b are
-    left untouched.
-
-    ``_kernels``, when given, is the pair (x -> A x, correction) that a
-    hierarchy level binds once for A and ``spec``; its caller has checked
-    the sizes, and x is taken as it is rather than copied to the common
-    dtype of A, x, b and float.  ``_residual``, when given, is b - A x for
-    the given x, which the first sweep then takes instead of computing
-    it; the sweep may overwrite it, so it must be an array the caller
-    gives up.
-    """
-    if _kernels is None:
-        M = _csr(A)
-        if M.shape[0] != len(b) or len(x) != len(b):
-            raise ArgumentError("smoother size mismatch")
-        x = np.array(x)
-        x = x.astype(np.result_type(M.dtype, x.dtype, np.asarray(b).dtype, float),
-                     copy=False)
-    if sweeps == 0:
-        return x
-    if _kernels is None:
-        _kernels = matvec_kernel(M), _correction(M, spec)
-    product, correct = _kernels
-    r = _residual if _residual is not None else _residual_of(product, x, b)
-    x = x + correct(r)
-    for _ in range(sweeps - 1):
-        x += correct(_residual_of(product, x, b))
-    return x
 
 
 def _extreme_eigenvalues(M: sp.csr_matrix):
@@ -365,12 +346,24 @@ def _coarse_solver(M: sp.csr_matrix):
 
 @dataclass
 class _Level:
+    """A hierarchy level (its transfer None on the coarsest) and the
+    kernels the cycle applies to it, each prepared on first use and kept."""
+
     matrix: BlockStructuredMatrix
     transfer: GridTransfer | None
     smoother: SmootherSpec
-    product: object = field(default=None, repr=False)
-    correct: object = field(default=None, repr=False)
-    coarse_solve: object = field(default=None, repr=False)
+
+    @functools.cached_property
+    def product(self):
+        return matvec_kernel(self.matrix.matrix)
+
+    @functools.cached_property
+    def correct(self):
+        return _correction(self.matrix.matrix, self.smoother)
+
+    @functools.cached_property
+    def coarse_solve(self):
+        return _coarse_solver(self.matrix.matrix)
 
 
 class MultigridHierarchy:
@@ -391,29 +384,16 @@ class MultigridHierarchy:
             raise ArgumentError("need exactly one transfer per non-coarsest level")
         if not transfers:
             raise ArgumentError("a hierarchy needs at least two levels")
-        self.levels = []
-        for ell, A in enumerate(matrices):
-            T = transfers[ell] if ell < len(transfers) else None
-            if T is not None:
-                if T.fine_size != A.size:
-                    raise ArgumentError(
-                        f"level {ell}: transfer fine size {T.fine_size} != {A.size}")
-                if T.coarse_size != matrices[ell + 1].size:
-                    raise ArgumentError(
-                        f"level {ell}: transfer coarse size {T.coarse_size} "
-                        f"!= {matrices[ell + 1].size}")
-            self.levels.append(_Level(A, T, smoother))
+        for ell, T in enumerate(transfers):
+            if T.fine_size != matrices[ell].size:
+                raise ArgumentError(f"level {ell}: transfer fine size "
+                                    f"{T.fine_size} != {matrices[ell].size}")
+            if T.coarse_size != matrices[ell + 1].size:
+                raise ArgumentError(f"level {ell}: transfer coarse size "
+                                    f"{T.coarse_size} != {matrices[ell + 1].size}")
+        self.levels = [_Level(A, T, smoother)
+                       for A, T in zip(matrices, [*transfers, None])]
         self._check_positive_definite()
-
-    @classmethod
-    def from_transfers(cls, A: BlockStructuredMatrix, transfers, smoother):
-        """Build the Galerkin chain A, P1^H A P1, ... from the finest
-        matrix, whose Hermitian test decides every level's symmetrization."""
-        mats = [A]
-        hermitian = A.is_hermitian()
-        for P in transfers:
-            mats.append(galerkin(mats[-1], P, _hermitian=hermitian))
-        return cls(mats, list(transfers), smoother)
 
     def _check_positive_definite(self):
         for ell, lvl in enumerate(self.levels):
@@ -428,52 +408,55 @@ class MultigridHierarchy:
                     f"level {ell} matrix is not positive definite "
                     f"(min eigenvalue {lo:.3e})")
 
-    def _coarse_solve(self, ell):
-        lvl = self.levels[ell]
-        if lvl.coarse_solve is None:
-            lvl.coarse_solve = _coarse_solver(lvl.matrix.matrix)
-        return lvl.coarse_solve
 
-    def _product(self, ell):
-        lvl = self.levels[ell]
-        if lvl.product is None:
-            lvl.product = matvec_kernel(lvl.matrix.matrix)
-        return lvl.product
-
-    def _residual(self, ell, x, b):
-        return _residual_of(self._product(ell), x, b)
-
-    def _smooth(self, ell, x, b, sweeps, residual=None):
-        lvl = self.levels[ell]
-        if sweeps and lvl.correct is None:
-            lvl.correct = _correction(lvl.matrix.matrix, lvl.smoother)
-        return smooth(lvl.matrix.matrix, x, b, lvl.smoother, sweeps,
-                      _kernels=(self._product(ell), lvl.correct),
-                      _residual=residual)
+def _vectors(lvl: _Level, x, b, name: str):
+    """x and b as arrays, checked to be vectors of the level's size."""
+    x, b = np.asarray(x), np.asarray(b)
+    if x.shape != (lvl.matrix.size,) or b.shape != x.shape:
+        raise ArgumentError(f"{name} of size {lvl.matrix.size} given "
+                            f"x of shape {x.shape} and b of shape {b.shape}")
+    return x, b
 
 
-def vcycle_step(h: MultigridHierarchy, level: int, x, b, _coarsest=None,
-                _residual=None):
+def smooth(level: _Level, x, b, sweeps: int, _residual=None):
+    """Apply ``sweeps`` sweeps of the smoother of ``level``, one of a
+    hierarchy's ``levels``, to M x = b, M the level matrix, from x: x <- x + omega (b - M x) for Richardson,
+    x <- x + (D + L)^{-1} (b - M x) for forward Gauss-Seidel.  With no
+    sweep the correction is not prepared.  Returns a new array; x and b
+    are left untouched.
+
+    ``_residual``, when given, is b - M x for the given x, which the
+    first sweep then takes instead of computing it; the sweep may
+    overwrite it, so it must be an array the caller gives up.
+    """
+    x, b = _vectors(level, x, b, "smoothed level")
+    if sweeps == 0:
+        return x.copy()
+    correct, product = level.correct, level.product
+    r = _residual if _residual is not None else _residual_of(product, x, b)
+    x = x + correct(r)
+    for _ in range(sweeps - 1):
+        x += correct(_residual_of(product, x, b))
+    return x
+
+
+def vcycle_step(h: MultigridHierarchy, level: int, x, b, _residual=None):
     """One V-cycle starting at ``level``: smooth, restrict, recurse once,
-    correct, smooth; the last level (or level ``_coarsest``, which the
-    two-grid cycle sets to 1) is solved directly.  ``_residual`` is
+    correct, smooth; the last level is solved directly, so on a
+    two-level hierarchy this is the two-grid step.  ``_residual`` is
     b - A x when the caller has it (see :func:`smooth`).  x and b are
     left untouched."""
     lvl = h.levels[level]
-    x, b = np.asarray(x), np.asarray(b)
-    if x.shape != (lvl.matrix.size,) or b.shape != x.shape:
-        raise ArgumentError(f"level {level} of size {lvl.matrix.size} given "
-                            f"x of shape {x.shape} and b of shape {b.shape}")
-    if lvl.transfer is None or level == _coarsest:
-        return h._coarse_solve(level)(b)
-    x = h._smooth(level, x, b, lvl.smoother.sweeps_pre, _residual)
-    rc = lvl.transfer.restrict(h._residual(level, x, b))
+    x, b = _vectors(lvl, x, b, f"level {level}")
+    if lvl.transfer is None:
+        return lvl.coarse_solve(b)
+    x = smooth(lvl, x, b, lvl.smoother.sweeps_pre, _residual)
+    rc = lvl.transfer.restrict(_residual_of(lvl.product, x, b))
     # from x = 0 the first coarse residual is rc; a copy, since the
     # sweep may overwrite it and rc is still the coarse right-hand side
-    y = vcycle_step(h, level + 1, np.zeros(rc.shape, rc.dtype), rc, _coarsest,
-                    rc.copy())
+    y = vcycle_step(h, level + 1, np.zeros(rc.shape, rc.dtype), rc, rc.copy())
     x = x + lvl.transfer.prolong(y)
-    return h._smooth(level, x, b, lvl.smoother.sweeps_post)
+    return smooth(lvl, x, b, lvl.smoother.sweeps_post)
 
 
 def tgm_step(A: BlockStructuredMatrix, P: GridTransfer, x, b, spec: SmootherSpec):
@@ -481,11 +464,11 @@ def tgm_step(A: BlockStructuredMatrix, P: GridTransfer, x, b, spec: SmootherSpec
     through the Galerkin operator P^H A P, post-smooth.
 
     ``A`` is a :class:`BlockStructuredMatrix`.  The step is
-    :func:`vcycle_step` on the two-level hierarchy (A, P), the same code
-    that ``solve(cycle="tgm")`` iterates; the Galerkin product and the
-    coarse factorization are rebuilt on every call.
+    :func:`vcycle_step` on the two-level hierarchy (A, P^H A P), the
+    same code that ``solve(cycle="tgm")`` iterates; the Galerkin product
+    and the coarse factorization are rebuilt on every call.
     """
-    return vcycle_step(MultigridHierarchy.from_transfers(A, [P], spec), 0, x, b)
+    return vcycle_step(MultigridHierarchy([A, galerkin(A, P)], [P], spec), 0, x, b)
 
 
 TGM = "tgm"
@@ -525,15 +508,22 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
           cycle: str = VCYCLE) -> SolveResult:
     """Iterate the chosen cycle from x0 = 0 until the relative residual
     drops to ``tol`` or ``max_iter`` is reached.  ``b`` must be a finite
-    vector of the finest level's size."""
+    vector of the finest level's size.
+
+    Both cycles are :func:`vcycle_step`: ``cycle="tgm"`` names the
+    two-grid cycle, and needs a two-level hierarchy (built with
+    ``two_level=True``)."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ArgumentError("tol must be positive and finite")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral):
+    if not _is_integer(max_iter):
         raise ArgumentError(f"max_iter must be an integer, got {max_iter!r}")
     if not max_iter >= 1:
         raise ArgumentError("max_iter must be >= 1")
     if cycle not in (TGM, VCYCLE):
         raise ArgumentError(f"unknown cycle {cycle!r}")
+    if cycle == TGM and len(h.levels) != 2:
+        raise ArgumentError(f"the two-grid cycle needs a two-level hierarchy, "
+                            f"got {len(h.levels)} levels")
     b = np.asarray(b)
     A = h.levels[0].matrix.matrix
     if b.shape != (A.shape[0],):
@@ -545,16 +535,14 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
     x = np.zeros_like(b, dtype=A.dtype if np.iscomplexobj(A.data) else float)
     if norm_b == 0.0:
         return SolveResult(x=x, iterations=0, residuals=[], converged=True)
-    # a two-grid method solves the first coarse level exactly
-    coarsest = 1 if cycle == TGM else None
     residuals = []
     diverged = False
     # the residual of the stopping test starts the next cycle's first
     # sweep; the first is computed there, since b must stay untouched
     r = None
     for it in range(1, max_iter + 1):
-        x = vcycle_step(h, 0, x, b, coarsest, r)
-        r = h._residual(0, x, b)
+        x = vcycle_step(h, 0, x, b, r)
+        r = _residual_of(h.levels[0].product, x, b)
         res = float(np.linalg.norm(r)) / norm_b
         residuals.append(res)
         if res <= tol:

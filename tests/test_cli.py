@@ -87,6 +87,8 @@ MALFORMED = {
         tmp, b"smoother = richardson\ncycle = tgm\nomega = inf\nt_range = 3\n"),
     "run-inf-tol": lambda tmp: _run_args(tmp, b"tol = inf\nt_range = 3\n"),
     "run-negative-seed": lambda tmp: _run_args(tmp, b"seed = -1\nt_range = 3\n"),
+    # N = 8 * 2^24 - 1 unknowns: gigabytes before the first solve
+    "run-oversized-1d": lambda tmp: _run_args(tmp, b"r = 8\nt_range = 24\n"),
     "run-certify-negative-sweeps": lambda tmp: _run_args(
         tmp, b"mode = certify\nsweeps_pre = -1\nt_range = 3\n"),
     "run-output-under-regular-file": lambda tmp: _run_args(
@@ -172,11 +174,25 @@ class TestParseConfig:
         assert parse_config(write_config(tmp_path / "e.cfg", r=9)).r == 9
 
     def test_t_capped_and_long_ranges_refused_unbuilt(self, tmp_path):
-        assert parse_config(write_config(tmp_path / "ok.cfg", t_range="2..30")).t_range[-1] == 30
+        # certification reads no t, so the 1D size cap leaves t = 30 to it
+        assert parse_config(write_config(tmp_path / "ok.cfg", mode="certify",
+                                         t_range="2..30")).t_range[-1] == 30
         with pytest.raises(ConfigurationError, match="every t must be in 2..30"):
             parse_config(write_config(tmp_path / "big.cfg", t_range="31"))
         with pytest.raises(ConfigurationError, match="spans more than 30 values"):
             parse_config(write_config(tmp_path / "long.cfg", t_range=f"2..{10 ** 15}"))
+
+    @pytest.mark.parametrize("mode", ["solve", "both"])
+    def test_1d_size_capped(self, tmp_path, mode):
+        # N = r 2^t - 1 up to 2^22: r = 4 at t = 20 and r = 1 at t = 22
+        for r, t in ((4, 20), (1, 22)):
+            assert parse_config(write_config(tmp_path / "ok.cfg", mode=mode, r=r,
+                                             t_range=f"3,{t}")).t_range[-1] == t
+        with pytest.raises(ConfigurationError, match="8388607 exceeds the cap 4194304"):
+            parse_config(write_config(tmp_path / "big.cfg", mode=mode, r=8,
+                                      t_range="20"))
+        with pytest.raises(ConfigurationError, match="exceeds the cap"):
+            parse_config(write_config(tmp_path / "big.cfg", mode=mode, t_range="23"))
 
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(st.tuples(

@@ -13,12 +13,12 @@ from blockmg.errors import (ArgumentError, ConfigurationError, ConstructionError
                             SingularMatrixError)
 from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
                             stiffness_symbol)
-from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE,
+from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE, _Level,
                              _check_index_width, _coarse_solver, _correction,
                              _lower_triangular_solve, detect_divergence,
                              gershgorin_bound)
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
-from blockmg.structured import BlockStructuredMatrix, galerkin, matvec_kernel
+from blockmg.structured import BlockStructuredMatrix, galerkin
 from conftest import same_bits
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
@@ -33,25 +33,30 @@ def tridiag(n):
     return sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
 
 
+def lone(M, spec=GS):
+    """The sparse matrix M as a level of its own, smoothed by ``spec``."""
+    return _Level(BlockStructuredMatrix(M), None, spec)
+
+
 class TestSmooth:
     def test_richardson_identity_exact(self):
         b = np.array([1.0, -2.0, 3.0])
         spec = SmootherSpec(kind="richardson", omega=1.0)
-        x = smooth(sp.eye(3).tocsr(), np.zeros(3), b, spec, 1)
+        x = smooth(lone(sp.eye(3).tocsr(), spec), np.zeros(3), b, 1)
         np.testing.assert_allclose(x, b, atol=1e-14)
 
     def test_gauss_seidel_diagonal_exact(self):
         A = sp.diags([2.0, 4.0]).tocsr()
-        x = smooth(A, np.zeros(2), np.array([2.0, 4.0]), GS, 1)
+        x = smooth(lone(A), np.zeros(2), np.array([2.0, 4.0]), 1)
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_gauss_seidel_forward_sweep(self):
-        x = smooth(tridiag(3), np.zeros(3), np.ones(3), GS, 1)
+        x = smooth(lone(tridiag(3)), np.zeros(3), np.ones(3), 1)
         np.testing.assert_allclose(x, [0.5, 0.75, 0.875], atol=1e-14)
 
     def test_zero_sweeps_is_identity(self):
         x0 = np.array([1.0, 2.0, 3.0])
-        x = smooth(tridiag(3), x0, np.ones(3), GS, 0)
+        x = smooth(lone(tridiag(3)), x0, np.ones(3), 0)
         np.testing.assert_allclose(x, x0)
 
     @pytest.mark.parametrize("sweeps", [0, 2])
@@ -63,22 +68,23 @@ class TestSmooth:
         spec = SmootherSpec(kind=kind)
         A, b = tridiag(5), np.arange(1.0, 6.0)
         x = np.linspace(-1.0, 1.0, 5) + 1j * np.linspace(2.0, 3.0, 5)
-        got = smooth(A, x, b, spec, sweeps)
-        want = (smooth(A, x.real, b, spec, sweeps)
-                + 1j * smooth(A, x.imag, np.zeros(5), spec, sweeps))
+        level = lone(A, spec)
+        got = smooth(level, x, b, sweeps)
+        want = (smooth(level, x.real, b, sweeps)
+                + 1j * smooth(level, x.imag, np.zeros(5), sweeps))
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
 
     def test_omega_out_of_range(self):
         spec = SmootherSpec(kind="richardson", omega=0.6)
         with pytest.raises(ConfigurationError):
-            smooth(sp.diags([2.0, 4.0]).tocsr(), np.zeros(2), np.ones(2), spec, 1)
+            smooth(lone(sp.diags([2.0, 4.0]).tocsr(), spec), np.zeros(2), np.ones(2), 1)
 
     def test_omega_near_sharp_bound_accepted(self):
         # Gershgorin over-estimates; the sharp spectral check must accept
         A = tridiag(31)
         lam_max = max(np.linalg.eigvalsh(A.toarray()))
         spec = SmootherSpec(kind="richardson", omega=1.9 / lam_max)
-        smooth(A, np.zeros(31), np.ones(31), spec, 1)
+        smooth(lone(A, spec), np.zeros(31), np.ones(31), 1)
 
     def test_omega_just_above_sharp_bound_rejected(self):
         # lambda_max = 3.99985 on 255 unknowns, so 2/lambda_max = 0.500019;
@@ -101,7 +107,7 @@ class TestSmooth:
 
     def test_size_mismatch(self):
         with pytest.raises(ArgumentError):
-            smooth(tridiag(3), np.zeros(3), np.ones(4), GS, 1)
+            smooth(lone(tridiag(3)), np.zeros(3), np.ones(4), 1)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
@@ -112,6 +118,15 @@ class TestSmooth:
         for omega in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 SmootherSpec(kind="richardson", omega=omega)
+        # a sweep count must be an integer (not a bool), omega a real number
+        for bad in ({"sweeps_pre": 1.5}, {"sweeps_post": 2.0}, {"sweeps_pre": "1"},
+                    {"sweeps_post": True}, {"kind": "richardson", "omega": "0.1"},
+                    {"kind": "richardson", "omega": 0.1 + 0j}):
+            with pytest.raises(ConfigurationError):
+                SmootherSpec(**bad)
+        spec = SmootherSpec(kind="richardson", omega=np.float64(0.1),
+                            sweeps_pre=np.int64(2), sweeps_post=0)
+        assert (spec.sweeps_pre, spec.sweeps_post) == (2, 0)
 
 
 def _backend(correct):
@@ -149,10 +164,10 @@ def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=None):
         x, b = x + 1j * rng.standard_normal(n), b + 1j * rng.standard_normal(n)
     Ad = M.toarray()
     expected = x + sla.solve_triangular(np.tril(Ad), b - Ad @ x, lower=True)
-    correct = _correction(M, GS)
-    got = smooth(M, x, b, GS, 1, _kernels=(matvec_kernel(M), correct))
+    level = lone(M)
+    got = smooth(level, x, b, 1)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-    return correct
+    return level.correct
 
 
 class TestSmootherBackends:
@@ -221,7 +236,7 @@ class TestSmootherBackends:
         M[4, 4] = 0.0
         M = M.tocsr()
         with pytest.raises(ConfigurationError, match="nonzero diagonal"):
-            smooth(M, np.zeros(10), np.ones(10), GS, 1)
+            smooth(lone(M), np.zeros(10), np.ones(10), 1)
 
 
 class TestSparseTriangularSolve:
@@ -598,7 +613,7 @@ class TestHierarchy:
 
     def test_two_level_vcycle_equals_tgm(self):
         A, P = two_grid_pieces()
-        h = MultigridHierarchy.from_transfers(A, [P], GS)
+        h = MultigridHierarchy([A, galerkin(A, P)], [P], GS)
         rng = np.random.default_rng(5)
         b = rng.standard_normal(A.size)
         x0 = rng.standard_normal(A.size)
@@ -648,18 +663,16 @@ class TestSolve:
                     counts.append(res.iterations)
                 assert max(counts) - min(counts) <= 1, (r, cycle, counts)
 
-    def test_tgm_cycle_truncates_deep_hierarchy(self):
-        # asking for the two-grid cycle on a deep hierarchy solves the
-        # first coarse level exactly, matching a purpose-built two-level one
+    def test_tgm_cycle_refuses_deep_hierarchy(self):
+        # the two-grid cycle is the V-cycle on a two-level hierarchy
         problem, deep = fem_hierarchy(r=2, t=8, cycle=VCYCLE)
         _, shallow = fem_hierarchy(r=2, t=8, cycle=TGM)
-        assert len(deep.levels) > 2
+        assert len(deep.levels) == 4 and len(shallow.levels) == 2
         rng = np.random.default_rng(10)
         b = problem.matrix.matrix @ rng.uniform(size=problem.size)
-        res_d = solve(deep, b, tol=1e-8, cycle=TGM)
-        res_s = solve(shallow, b, tol=1e-8, cycle=TGM)
-        assert res_d.iterations == res_s.iterations
-        np.testing.assert_allclose(res_d.x, res_s.x, atol=1e-10)
+        with pytest.raises(ArgumentError, match="two-level hierarchy, got 4 levels"):
+            solve(deep, b, cycle=TGM)
+        assert solve(shallow, b, tol=1e-8, cycle=TGM).converged
 
     def test_nonconvergence_flagged(self):
         problem, h = fem_hierarchy(t=4)
@@ -684,7 +697,7 @@ class TestSolve:
         assert len(levels) == 4
         omega = 1.0 / max(gershgorin_bound(lvl.matrix) for lvl in levels)
         spec = SmootherSpec(kind="richardson", omega=omega)
-        h = build_fem_hierarchy(problem, "linear", spec)
+        h = build_fem_hierarchy(problem, "linear", spec, two_level=cycle == TGM)
         calls = []
         check = mgsolve._check_omega
         monkeypatch.setattr(mgsolve, "_check_omega",
@@ -694,8 +707,7 @@ class TestSolve:
         for _ in range(3):   # repeated solves reuse the prepared levels
             res = solve(h, b, max_iter=5, cycle=cycle)
             assert res.iterations == 5
-        smoothed = h.levels[:1] if cycle == TGM else h.levels[:-1]
-        assert calls == [lvl.matrix.size for lvl in smoothed]
+        assert calls == [lvl.matrix.size for lvl in h.levels[:-1]]
 
     @pytest.mark.parametrize("coefficient", sorted(COEFFICIENTS))
     @pytest.mark.parametrize("kind", ["linear", "geometric"])
@@ -722,11 +734,12 @@ class TestSolve:
         # imaginary parts of b separately
         if dim == 1:
             problem = assemble_stiffness(2, 32, "one")
-            h = build_fem_hierarchy(problem, "linear", GS, coarsest_max_size=7)
+            h = build_fem_hierarchy(problem, "linear", GS, coarsest_max_size=7,
+                                    two_level=cycle == TGM)
         else:
             problem = assemble_2d_problem(2, 4)
-            h = build_2d_hierarchy(problem, "linear", GS)
-        assert len(h.levels) >= 3
+            h = build_2d_hierarchy(problem, "linear", GS, two_level=cycle == TGM)
+        assert cycle == TGM or len(h.levels) >= 3
         rng = np.random.default_rng(12)
         b = problem.matrix.matrix @ (rng.uniform(size=problem.size)
                                      + 1j * rng.uniform(size=problem.size))
@@ -804,32 +817,31 @@ def test_galerkin_chains_test_hermitian_once_per_finest_matrix(monkeypatch):
     assert len(h.levels) >= 3 and tested == [problem.factors[0].shape[0]] * 2
 
 
-def _reference_vcycle(h, level, x, b, coarsest=None):
+def _reference_vcycle(h, level, x, b):
     """The V-cycle written with plain sparse products: every residual
     b - M @ x formed afresh, the transfers applied as P^H @ r and P @ y,
     and each sweep's correction prepared anew for its level."""
     lvl = h.levels[level]
-    if lvl.transfer is None or level == coarsest:
-        return h._coarse_solve(level)(b)
+    if lvl.transfer is None:
+        return lvl.coarse_solve(b)
     M, T, spec = lvl.matrix.matrix, lvl.transfer, lvl.smoother
     correct = _correction(M, spec)
     for _ in range(spec.sweeps_pre):
         x = x + correct(b - M @ x)
     rc = T.adjoint @ (b - M @ x)
-    x = x + T.matrix @ _reference_vcycle(h, level + 1, np.zeros_like(rc), rc,
-                                         coarsest)
+    x = x + T.matrix @ _reference_vcycle(h, level + 1, np.zeros_like(rc), rc)
     for _ in range(spec.sweeps_post):
         x = x + correct(b - M @ x)
     return x
 
 
-def _reference_solve(h, b, cycle, iterations):
+def _reference_solve(h, b, iterations):
     """``iterations`` reference cycles from x = 0, with the relative
     residual norm after each."""
     A = h.levels[0].matrix.matrix
     x, residuals = np.zeros(A.shape[0]), []
     for _ in range(iterations):
-        x = _reference_vcycle(h, 0, x, b, 1 if cycle == TGM else None)
+        x = _reference_vcycle(h, 0, x, b)
         residuals.append(float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b)))
     return x, residuals
 
@@ -846,6 +858,26 @@ def _solve_case(dim, spec, cycle, projector="linear"):
         h = build_2d_hierarchy(problem, projector, spec, two_level=cycle == TGM)
     rng = np.random.default_rng(13)
     return h, problem.matrix.matrix @ rng.uniform(size=problem.size)
+
+
+@pytest.mark.parametrize("cycle", [TGM, VCYCLE])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernels_bound_once_per_level(monkeypatch, dim, cycle):
+    # repeated solves reuse every kernel a level bound on first use: the
+    # product and correction of each smoothed level, the coarsest solver
+    h, b = _solve_case(dim, GS, cycle)
+    calls = {name: [] for name in ("matvec_kernel", "_correction", "_coarse_solver")}
+    for name, log in calls.items():
+        def counting(M, *args, _kernel=getattr(mgsolve, name), _log=log):
+            _log.append(M.shape[0])
+            return _kernel(M, *args)
+        monkeypatch.setattr(mgsolve, name, counting)
+    for _ in range(3):
+        assert solve(h, b, cycle=cycle).converged
+    smoothed = [lvl.matrix.size for lvl in h.levels[:-1]]
+    assert (len(smoothed) == 1) == (cycle == TGM)
+    assert calls == {"matvec_kernel": smoothed, "_correction": smoothed,
+                     "_coarse_solver": [h.levels[-1].matrix.size]}
 
 
 class TestCarriedResidual:
@@ -875,7 +907,7 @@ class TestCarriedResidual:
         h, b = _solve_case(dim, spec, cycle)
         res = solve(h, b, tol=1e-14, max_iter=4, cycle=cycle)
         assert res.iterations == 4
-        x, residuals = _reference_solve(h, b, cycle, res.iterations)
+        x, residuals = _reference_solve(h, b, res.iterations)
         assert same_bits(res.x, x)
         assert res.residuals == residuals
 
@@ -891,7 +923,7 @@ class TestCarriedResidual:
             b = b + 1j * b[::-1]
         res = solve(h, b, cycle=cycle)
         assert res.converged and res.iterations >= 3
-        x, residuals = _reference_solve(h, b, cycle, res.iterations)
+        x, residuals = _reference_solve(h, b, res.iterations)
         assert same_bits(res.x, x)
         assert res.residuals == residuals
 
@@ -913,8 +945,8 @@ class TestInputsUntouched:
             lambda x, b: vcycle_step(h, 1, x[:h.levels[1].matrix.size],
                                      b[:h.levels[1].matrix.size]),
             lambda x, b: tgm_step(A, P, x[:A.size], b[:A.size], spec),
-            lambda x, b: smooth(h.levels[0].matrix, x, b, spec, pre),
-            lambda x, b: smooth(h.levels[0].matrix, x, b, spec, post),
+            lambda x, b: smooth(lone(h.levels[0].matrix.matrix, spec), x, b, pre),
+            lambda x, b: smooth(lone(h.levels[0].matrix.matrix, spec), x, b, post),
         ]
         for step in calls:
             x = rng.standard_normal(b.size)
