@@ -6,10 +6,13 @@ hierarchy of a FEM problem, and the block symbols of all four matrices.
 There is one assembly view: the solve-path matrices of size r*n - 1,
 both Dirichlet ends removed, normalized by the element count.  Away from
 the ends they are block-Toeplitz (stiffness, mass) or block-Toeplitz
-times the cutting selector (prolongations), so each generating or
-projector symbol is read off one interior block column of the very
-matrix the solver assembles (:func:`_block_symbol`) and then checked
-against its known identities.  A solve-view problem, 1D here or 2D in
+times the cutting selector (prolongations), and each generating or
+projector symbol is the interior block column of such a matrix.  The
+symbols are built from the tables assembly itself sums or tiles (two
+neighbouring element matrices, or the coarse-element table of a
+prolongation), so they equal that block column bit for bit without a
+matrix being assembled, and then they are checked against their known
+identities.  A solve-view problem, 1D here or 2D in
 :mod:`blockmg.multilevel`, is one :class:`FemProblem`; building it
 builds no symbol.
 
@@ -141,6 +144,27 @@ def _assemble_trimmed(r: int, loc: np.ndarray, scale: float) -> sp.csr_matrix:
     return (A[1:-1, 1:-1] * scale).tocsr()
 
 
+def _stiffness_elements(r: int, n: int, fun) -> np.ndarray:
+    """The (n, r+1, r+1) element stiffness matrices of coefficient ``fun``
+    on a uniform mesh of n elements, from one batched product."""
+    xq_ref, wq = _element_quadrature(r, n)
+    xq = np.arange(n)[:, None] / n + xq_ref
+    a = np.broadcast_to(np.asarray(fun(xq), dtype=float), xq.shape)
+    ok = np.isfinite(a) & (a > 0.0)
+    if not np.all(ok):
+        raise ArgumentError(
+            f"coefficient is not finite and positive at x={xq.flat[np.argmin(ok)]:.6f}")
+    # the mesh is uniform: element 0's basis derivatives serve every element
+    dphi = _reference_basis(r, xq_ref * n)[1] * n
+    return _element_matrices(a * wq, dphi)
+
+
+def _mass_element(r: int, n: int) -> np.ndarray:
+    """The (r+1, r+1) element mass matrix of a uniform mesh of n elements."""
+    xq_ref, wq = _element_quadrature(r, n)
+    return _element_matrices(wq, _reference_basis(r, xq_ref * n)[0])
+
+
 def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem:
     """Assemble the trimmed, normalized stiffness matrix.
 
@@ -152,16 +176,7 @@ def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem
     _check_size(r, n_elements)
     fun = _coefficient_function(coefficient)
     n = n_elements
-    xq_ref, wq = _element_quadrature(r, n)
-    xq = np.arange(n)[:, None] / n + xq_ref
-    a = np.broadcast_to(np.asarray(fun(xq), dtype=float), xq.shape)
-    ok = np.isfinite(a) & (a > 0.0)
-    if not np.all(ok):
-        raise ArgumentError(
-            f"coefficient is not finite and positive at x={xq.flat[np.argmin(ok)]:.6f}")
-    # the mesh is uniform: element 0's basis derivatives serve every element
-    dphi = _reference_basis(r, xq_ref * n)[1] * n
-    K = _assemble_trimmed(r, _element_matrices(a * wq, dphi), 1.0 / n)
+    K = _assemble_trimmed(r, _stiffness_elements(r, n, fun), 1.0 / n)
     return FemProblem(r=r, n_elements=n, matrix=BlockStructuredMatrix(K))
 
 
@@ -169,31 +184,19 @@ def assemble_mass(r: int, n_elements: int) -> BlockStructuredMatrix:
     """Trimmed mass matrix scaled by the element count (entries O(1))."""
     _check_size(r, n_elements)
     n = n_elements
-    xq_ref, wq = _element_quadrature(r, n)
-    phi = _reference_basis(r, xq_ref * n)[0]
-    loc = _element_matrices(wq, phi)
-    M = _assemble_trimmed(r, np.broadcast_to(loc, (n, r + 1, r + 1)), n)
-    return BlockStructuredMatrix(M)
+    loc = np.broadcast_to(_mass_element(r, n), (n, r + 1, r + 1))
+    return BlockStructuredMatrix(_assemble_trimmed(r, loc, n))
 
 
-def _block_symbol(mat: sp.spmatrix, r: int, stride: int) -> MatrixTrigPolynomial:
-    """The r-by-r block symbol of an assembled reference matrix, read off
-    its middle complete block column k.
+# the stiffness and mass symbols take the element matrices of this mesh
+# size, so their blocks are those of the matrices assembled at this size
+_SYMBOL_ELEMENTS = 8
 
-    Block (i, k) holds c_{i-k} for stride 1 (stiffness, mass) and
-    c_{i-2k-1} for stride 2 (a prolongation, as in
-    :func:`~blockmg.structured.assemble_transfer`).  The column must be
-    interior: a band reaching its first or last complete block row is
-    cut off by the boundary and is rejected.
-    """
-    k = mat.shape[1] // r // 2
-    rows = mat.shape[0] // r
-    col = mat[:rows * r, k * r:(k + 1) * r].toarray().reshape(rows, r, r)
-    band = np.flatnonzero(col.any(axis=(1, 2)))
-    if band.size == 0 or band[0] == 0 or band[-1] == rows - 1:
-        raise ConstructionError(f"block column {k} is not interior to the reference matrix")
-    shift = stride * k + stride - 1
-    return MatrixTrigPolynomial({int(i) - shift: col[i] for i in band})
+
+def _check_symbol_degree(r) -> None:
+    if (isinstance(r, bool) or not isinstance(r, (int, np.integer))
+            or not 1 <= r <= MAX_DEGREE):
+        raise ArgumentError(f"symbol degree must be an integer in 1..{MAX_DEGREE}, got {r!r}")
 
 
 def _check_band(f: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
@@ -205,19 +208,44 @@ def _check_band(f: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
     return f
 
 
+def _band_symbol(left: np.ndarray, right: np.ndarray, scale: float) -> MatrixTrigPolynomial:
+    """The symbol c_{-1}, c_0, c_1 of a matrix assembled from element
+    matrices and multiplied by ``scale``: its block column k, with
+    ``left`` and ``right`` the (r+1, r+1) matrices of elements k and k+1.
+
+    The column holds knots r k + 1 .. r (k+1): the interior knots of
+    element k and the vertex it shares with element k+1.  So c_0 is
+    left[1:, 1:] plus right[0, 0] at the vertex, the last row of c_{-1}
+    is left[0, 1:] (knot r k against element k) and the last column of
+    c_1 is right[1:, 0] (element k+1 against the vertex).  The vertex
+    entry is the one sum of two element entries, and ``scale`` multiplies
+    after the sum, as in the assembly, so each block is the assembled one
+    bit for bit.
+    """
+    r = left.shape[0] - 1
+    lower, diag, upper = np.zeros((3, r, r))
+    lower[-1] = left[0, 1:]
+    diag[:] = left[1:, 1:]
+    diag[-1, -1] += right[0, 0]
+    upper[:, -1] = right[1:, 0]
+    return _check_band(MatrixTrigPolynomial(
+        {-1: lower * scale, 0: diag * scale, 1: upper * scale}))
+
+
 def stiffness_symbol(r: int) -> MatrixTrigPolynomial:
     """The r-by-r generating symbol of the normalized stiffness matrices.
 
-    Read off an interior block column of the n=8 assembly; verified to
-    kill the all-ones vector at zero and to keep the non-minimal
-    eigenvalues bounded away from zero.
+    Built from two neighbouring element matrices of the 8-element
+    assembly (:func:`_band_symbol`); verified to kill the all-ones vector
+    at zero and to keep the non-minimal eigenvalues bounded away from
+    zero.
     """
-    if r > MAX_DEGREE:
-        raise ArgumentError(f"degree capped at {MAX_DEGREE}, got {r}")
-    f = _check_band(_block_symbol(assemble_stiffness(r, 8).matrix.matrix, r, 1))
-    ones = np.ones(r)
-    scale = np.linalg.norm(f.evaluate(0.0), 2)
-    if np.linalg.norm(f.evaluate(0.0) @ ones) > 1e-10 * max(scale, 1.0):
+    _check_symbol_degree(r)
+    n = _SYMBOL_ELEMENTS
+    loc = _stiffness_elements(r, n, COEFFICIENTS["one"])
+    f = _band_symbol(loc[n // 2 - 1], loc[n // 2], 1.0 / n)
+    f0 = f.evaluate(0.0)
+    if np.linalg.norm(f0 @ np.ones(r)) > 1e-10 * max(np.linalg.norm(f0, 2), 1.0):
         raise ConstructionError("stiffness symbol does not vanish on ones at 0")
     thetas = np.linspace(0.0, 2.0 * np.pi, 128, endpoint=False)
     eigs = np.linalg.eigvalsh(f.evaluate_grid(thetas))
@@ -227,22 +255,58 @@ def stiffness_symbol(r: int) -> MatrixTrigPolynomial:
 
 
 def mass_symbol(r: int) -> MatrixTrigPolynomial:
-    """The r-by-r generating symbol of the normalized mass matrices."""
-    if r > MAX_DEGREE:
-        raise ArgumentError(f"degree capped at {MAX_DEGREE}, got {r}")
-    return _check_band(_block_symbol(assemble_mass(r, 8).matrix, r, 1))
+    """The r-by-r generating symbol of the normalized mass matrices, built
+    from the element mass matrix of the 8-element assembly."""
+    _check_symbol_degree(r)
+    loc = _mass_element(r, _SYMBOL_ELEMENTS)
+    return _band_symbol(loc, loc, _SYMBOL_ELEMENTS)
+
+
+def _coarse_element_table(r: int, kind: str) -> np.ndarray:
+    """The (2r, r+1) prolongation weights of one coarse element: entry
+    (s, l) is the weight of its coarse knot l at its fine knot s."""
+    s = np.arange(2 * r)[:, None]
+    ell = np.arange(r + 1)
+    if kind == LINEAR:
+        # the (1,2,1) stencil: fine knot k takes 2 - |k - 2c| of coarse knot c
+        return np.clip(2.0 - np.abs(s - 2 * ell), 0.0, None)
+    if kind == GEOMETRIC:
+        # fine knot s of a coarse element sits at s/(2r) on the reference element
+        return _reference_basis(r, np.arange(2 * r) / (2 * r))[0].T
+    raise ArgumentError(f"unknown transfer kind {kind!r}")
+
+
+def _table_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
+    """The projector symbol c_j = block (2k+1+j, k) of the prolongation
+    tiled from :func:`_coarse_element_table`, for an interior k.
+
+    Block column k holds coarse knots r k + 1 .. r (k+1): knots 1..r of
+    coarse element k and knot 0 of element k+1, whose fine knots are
+    2 r k + t for t = 0..2r-1 and t = 2r..4r-1.  Block row 2k+1+j holds
+    t = r (j+1) + 1 .. r (j+2), so the column strip over t = 1..4r,
+    split into r rows at a time, is c_{-1}, .., c_2.  Blocks that are
+    zero are left out.
+    """
+    # a -0.0 of the table is no stored entry of the prolongation: it reads as 0.0
+    table = _coarse_element_table(r, kind)
+    table = np.where(table == 0.0, 0.0, table)
+    strip = np.zeros((4 * r + 1, r))
+    strip[:2 * r] = table[:, 1:]
+    strip[2 * r:4 * r, -1] = table[:, 0]
+    blocks = strip[1:].reshape(4, r, r)
+    return MatrixTrigPolynomial({j: c for j, c in zip(range(-1, 3), blocks) if c.any()})
 
 
 def build_linear_interp_symbol(r: int) -> MatrixTrigPolynomial:
     """Block symbol of the scalar linear-interpolation transfer.
 
-    Read off the solve-path (1,2,1) prolongation; the row-sum signature
-    of the three coefficients (first row 1/2/1, remaining rows 2/2/0 for
-    offsets -1/0/+1) is verified as a post-check.
+    Built from the coarse-element table of the solve-path (1,2,1)
+    prolongation (:func:`_table_symbol`); the row-sum signature of the
+    three coefficients (first row 1/2/1, remaining rows 2/2/0 for offsets
+    -1/0/+1) is verified as a post-check.
     """
-    # n = 16: at n = 8 and r = 1 the coarse side has only 3 columns, and
-    # no block column holds its whole band
-    p = _block_symbol(_fem_transfer_matrix(r, 16, LINEAR), r, 2)
+    _check_symbol_degree(r)
+    p = _table_symbol(r, LINEAR)
     first = np.eye(1, r)[0]
     for off, want in ((-1, 2.0 - first), (0, np.full(r, 2.0)), (1, first)):
         row_sums = p.coeffs.get((off,), np.zeros((r, r))).sum(axis=1)
@@ -263,12 +327,14 @@ def geometric_det_reference(r: int, theta):
 def build_geometric_symbol(r: int) -> MatrixTrigPolynomial:
     """Block symbol of the coarse-basis (finite element) prolongation.
 
-    Read off the solve-path prolongation, whose entries are evaluations
-    of the coarse basis at the fine knots; the coefficients sit at
-    offsets -1..2.  Construction is cross-checked against the
-    closed-form determinant at 64 angles and the row-sum identities.
+    Built from the coarse-element table of the solve-path prolongation
+    (:func:`_table_symbol`), whose entries are evaluations of the coarse
+    basis at the fine knots; the coefficients sit at offsets -1..2.
+    Construction is cross-checked against the closed-form determinant at
+    64 angles and the row-sum identities.
     """
-    p = _block_symbol(_fem_transfer_matrix(r, 16, GEOMETRIC), r, 2)
+    _check_symbol_degree(r)
+    p = _table_symbol(r, GEOMETRIC)
     thetas = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     got = np.linalg.det(p.evaluate_grid(thetas))
     want = geometric_det_reference(r, thetas)
@@ -297,15 +363,15 @@ def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
     """The prolongation matrix of :func:`build_fem_transfer`.
 
     Coarse element e holds fine knots 2 r e + s, s = 0..2r-1, and coarse
-    knots r e + l, l = 0..r.  The mesh is uniform, so one (2r, r+1)
-    reference table of the weights of coarse knot l at fine knot s serves
-    every element.  Fine knot k is row k - 1 and coarse knot c column
-    c - 1, and a row's columns r e + l - 1 increase with l, so the
-    nonzeros of the table in row-major order, tiled over the coarse
-    elements, are already the CSR arrays.  Only the Dirichlet coarse
-    knots 0 and r n/2 fall outside: their entries are dropped from the
-    first and the last coarse element, which leaves fine knot 0 (touched
-    by coarse knot 0 alone) empty, and it is no row either.
+    knots r e + l, l = 0..r.  The mesh is uniform, so one
+    :func:`_coarse_element_table` of the weights of coarse knot l at fine
+    knot s serves every element.  Fine knot k is row k - 1 and coarse
+    knot c column c - 1, and a row's columns r e + l - 1 increase with l,
+    so the nonzeros of the table in row-major order, tiled over the
+    coarse elements, are already the CSR arrays.  Only the Dirichlet
+    coarse knots 0 and r n/2 fall outside: their entries are dropped from
+    the first and the last coarse element, which leaves fine knot 0
+    (touched by coarse knot 0 alone) empty, and it is no row either.
     """
     if r < 1:
         raise ArgumentError(f"degree must be >= 1, got {r}")
@@ -315,16 +381,7 @@ def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
     nce = n_elements // 2
     nf = r * n_elements - 1
     nc = r * nce - 1
-    s = np.arange(2 * r)[:, None]
-    ell = np.arange(r + 1)
-    if kind == LINEAR:
-        # the (1,2,1) stencil: fine knot k takes 2 - |k - 2c| of coarse knot c
-        table = np.clip(2.0 - np.abs(s - 2 * ell), 0.0, None)
-    elif kind == GEOMETRIC:
-        # fine knot s of a coarse element sits at s/(2r) on the reference element
-        table = _reference_basis(r, np.arange(2 * r) / (2 * r))[0].T
-    else:
-        raise ArgumentError(f"unknown transfer kind {kind!r}")
+    table = _coarse_element_table(r, kind)
     s_nz, l_nz = np.nonzero(table)
     first, last = l_nz == 0, l_nz == r
     drop = np.concatenate((np.flatnonzero(first),

@@ -327,11 +327,16 @@ def _coarse_solver(M: sp.csr_matrix):
                 f"coarsest-level matrix is singular: {exc}") from exc
         return _real_split(lu.solve, M)
     # ab[kl + ku + i - j, j] = M[i, j]; the top kl rows take the fill of
-    # pivoting, and duplicate entries add up as in M.diagonal()
+    # pivoting, and duplicate entries add up in order, as in M.diagonal().
+    # bincount sums real weights, so a complex band is filled part by part
     ab = np.zeros((2 * kl + ku + 1, n), dtype=np.result_type(M.dtype, float),
                   order="F")
+    flat = ab.reshape(-1, order="F")   # a view: ab is Fortran-ordered
     rows = np.repeat(np.arange(n), np.diff(M.indptr))
-    np.add.at(ab, (kl + ku + rows - M.indices, M.indices), M.data)
+    index = kl + ku + rows - M.indices + ab.shape[0] * M.indices
+    flat.real = np.bincount(index, M.data.real, minlength=flat.size)
+    if np.iscomplexobj(M.data):
+        flat.imag = np.bincount(index, M.data.imag, minlength=flat.size)
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
     if info > 0:

@@ -47,19 +47,31 @@ from .symbol import MatrixTrigPolynomial, corner_sums, tensor_symbol
 
 
 def tensor_sum_symbol(f: MatrixTrigPolynomial, h: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
-    """Bivariate symbol f (x) h + h (x) f of the 2D tensor operator."""
+    """Bivariate symbol f (x) h + h (x) f of the 2D tensor operator.
+
+    Every coefficient pair (j1, j2) of the union of the factors' indices
+    comes from one broadcast product over the stacked coefficients, with
+    the elementwise products ``np.kron`` forms; an index a factor lacks
+    contributes a zero coefficient."""
     if f.m != 1 or h.m != 1:
         raise ArgumentError("tensor_sum_symbol expects univariate factors")
+    # set order, which fixes the coefficient order of the symbol
+    keys1 = set(j for (j,) in f.coeffs) | set(j for (j,) in h.coeffs)
     zero_f = np.zeros((f.d, f.d), dtype=complex)
     zero_h = np.zeros((h.d, h.d), dtype=complex)
-    keys1 = set(j for (j,) in f.coeffs) | set(j for (j,) in h.coeffs)
-    out = {}
-    for j1 in keys1:
-        for j2 in keys1:
-            c = (np.kron(f.coeffs.get((j1,), zero_f), h.coeffs.get((j2,), zero_h))
-                 + np.kron(h.coeffs.get((j1,), zero_h), f.coeffs.get((j2,), zero_f)))
-            out[(j1, j2)] = c
-    return MatrixTrigPolynomial(out, m=2)
+    F = np.array([f.coeffs.get((j,), zero_f) for j in keys1])
+    H = np.array([h.coeffs.get((j,), zero_h) for j in keys1])
+
+    def kron_pairs(A, B):
+        # kron(A[j1], B[j2]) for every pair: (n, n, a b, a b)
+        n, a, b = len(A), A.shape[1], B.shape[1]
+        return (A[:, None, :, None, :, None] * B[None, :, None, :, None, :]).reshape(
+            n, n, a * b, a * b)
+
+    c = kron_pairs(F, H) + kron_pairs(H, F)
+    return MatrixTrigPolynomial(
+        {(j1, j2): c[a, b] for a, j1 in enumerate(keys1) for b, j2 in enumerate(keys1)},
+        m=2)
 
 
 def kron_sum(K: sp.csr_matrix, M: sp.csr_matrix) -> sp.csr_matrix:

@@ -81,9 +81,12 @@ class MatrixTrigPolynomial:
 
     Coefficients with Frobenius norm below 1e-14 times the largest one
     are dropped, keeping the stored window minimal; a NaN or infinite
-    entry raises ArgumentError.  Instances are immutable by convention:
-    no method mutates ``coeffs``, so the evaluation arrays and the
-    Hermitian flag are computed once here.
+    entry raises ArgumentError, naming the first such coefficient in
+    insertion order.  The coefficients are stacked once, and every check
+    runs on the stack.  Instances are immutable by convention: no method
+    mutates ``coeffs``, whose arrays are views of the evaluation stack
+    ``_C``, so the evaluation arrays and the Hermitian flag are computed
+    once here.
     """
 
     def __init__(self, coeffs, m=None):
@@ -94,44 +97,46 @@ class MatrixTrigPolynomial:
             m = 1 if np.isscalar(first) else len(first)
         if m < 1:
             raise ArgumentError(f"number of variables must be >= 1, got {m}")
-        normalized = {}
-        d = None
-        for j, c in coeffs.items():
-            idx = _as_multi_index(j, m)
-            mat = np.asarray(c, dtype=complex)
-            if mat.ndim == 0:
-                mat = mat.reshape(1, 1)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise DimensionError(f"coefficient {idx} is not square: {mat.shape}")
-            if d is None:
-                d = mat.shape[0]
-            elif mat.shape[0] != d:
-                raise DimensionError(
-                    f"coefficient {idx} has order {mat.shape[0]}, expected {d}")
-            if not np.all(np.isfinite(mat)):
-                raise ArgumentError(f"coefficient {idx} has a non-finite entry")
-            normalized[idx] = mat.copy()
+        keys, mats, d = [], [], None
+        try:
+            for j, c in coeffs.items():
+                idx = _as_multi_index(j, m)
+                mat = np.asarray(c, dtype=complex)
+                if mat.ndim == 0:
+                    mat = mat.reshape(1, 1)
+                if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                    raise DimensionError(f"coefficient {idx} is not square: {mat.shape}")
+                if d is None:
+                    d = mat.shape[0]
+                elif mat.shape[0] != d:
+                    raise DimensionError(
+                        f"coefficient {idx} has order {mat.shape[0]}, expected {d}")
+                keys.append(idx)
+                mats.append(mat)
+        except (TypeError, ValueError):
+            # a non-finite coefficient before the malformed one is named first
+            if mats:
+                _check_finite(keys, np.array(mats))
+            raise
+        stack = np.array(mats)
+        _check_finite(keys, stack)
         # the trim and Hermitian tests see every coefficient scaled by
         # 2**-e, exactly, so that the largest real or imaginary part lies
         # in [1/2, 1): the largest norm then neither overflows nor
         # underflows, and both tests are relative, so the scaling moves
         # no verdict
-        big = max(np.abs(c.view(float)).max(initial=0.0)
-                  for c in normalized.values())
-        e = int(np.frexp(big)[1])
-        scaled = {j: np.ldexp(c.view(float), -e).view(complex)
-                  for j, c in normalized.items()}
-        norms = {j: np.linalg.norm(c) for j, c in scaled.items()}
-        scale = max(norms.values())
-        if scale > 0:
-            normalized = {j: c for j, c in normalized.items()
-                          if norms[j] > TRIM_RTOL * scale}
+        e = int(np.frexp(np.abs(stack.view(float)).max())[1])
+        scaled = np.ldexp(stack.view(float), -e).view(complex)
+        norms = np.linalg.norm(scaled, axis=(1, 2))
+        scale = norms.max()
+        keep = (norms > TRIM_RTOL * scale) | (scale == 0)
+        keys = [j for j, kept in zip(keys, keep) if kept]
         self.d = d
         self.m = m
-        self.coeffs = normalized
-        self._J = np.array(list(normalized), dtype=float)                    # (nc, m)
-        self._C = np.stack(list(normalized.values())).reshape(len(normalized), d * d)
-        self._hermitian = _is_hermitian({j: scaled[j] for j in normalized})
+        self._J = np.array(keys, dtype=float)                               # (nc, m)
+        self._C = stack[keep].reshape(len(keys), d * d)
+        self.coeffs = dict(zip(keys, self._C.reshape(len(keys), d, d)))
+        self._hermitian = _is_hermitian(keys, scaled[keep], norms[keep])
 
     @classmethod
     def scalar(cls, coeffs, m=None):
@@ -207,20 +212,25 @@ class MatrixTrigPolynomial:
                 f"window={self.window()}, ncoeff={len(self.coeffs)})")
 
 
-def _is_hermitian(coeffs) -> bool:
-    """c_{-j} = c_j^H for every index, to HERMITIAN_RTOL relative to the
-    largest coefficient norm, so the verdict does not move when every
-    coefficient is scaled by the same constant."""
-    scale = max(np.linalg.norm(c) for c in coeffs.values())
-    tol = HERMITIAN_RTOL * scale
-    for j, c in coeffs.items():
-        other = coeffs.get(tuple(-v for v in j))
-        if other is None:
-            if np.linalg.norm(c) > tol:
-                return False
-        elif np.max(np.abs(other - c.conj().T)) > tol:
-            return False
-    return True
+def _check_finite(keys, stack) -> None:
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ArgumentError(f"coefficient {keys[int(np.argmin(finite))]} has a non-finite entry")
+
+
+def _is_hermitian(keys, stack, norms) -> bool:
+    """c_{-j} = c_j^H for every index of the (nc, d, d) coefficient stack,
+    to HERMITIAN_RTOL relative to the largest coefficient norm, so the
+    verdict does not move when every coefficient is scaled by the same
+    constant."""
+    tol = HERMITIAN_RTOL * norms.max()
+    position = {j: i for i, j in enumerate(keys)}
+    partner = np.array([position.get(tuple(-v for v in j), -1) for j in keys])
+    paired = partner >= 0
+    if np.any(norms[~paired] > tol):
+        return False
+    diff = stack[partner[paired]] - np.conj(np.swapaxes(stack[paired], 1, 2))
+    return not np.any(np.abs(diff) > tol)
 
 
 @dataclass(frozen=True)

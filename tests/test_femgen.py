@@ -4,14 +4,15 @@ import scipy.sparse as sp
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
-from blockmg import MatrixTrigPolynomial, assemble_toeplitz, assemble_transfer
-from blockmg.errors import ArgumentError
+from blockmg import (MatrixTrigPolynomial, assemble_toeplitz, assemble_transfer,
+                     femgen, multilevel)
+from blockmg.errors import ArgumentError, ConstructionError
 from blockmg.femgen import (COEFFICIENTS, _fem_transfer_matrix,
                             _reference_basis, assemble_mass,
                             assemble_stiffness, build_fem_hierarchy,
                             build_fem_transfer, build_geometric_symbol,
                             build_linear_interp_symbol, geometric_det_reference,
-                            mass_symbol, stiffness_symbol)
+                            mass_symbol, projector_symbol, stiffness_symbol)
 
 from conftest import has_full_column_rank, max_coeff_difference
 
@@ -243,25 +244,97 @@ def _block_column(mat, r, k, shift):
 @pytest.mark.parametrize("r", range(1, 9))
 def test_symbols_are_interior_block_columns_at_n32(r):
     """Each symbol equals an interior block column of the same-kind
-    matrix assembled at n = 32, bit for bit except for the geometric one."""
+    matrix assembled at n = 32, bit for bit."""
     k = 8
     cases = [
-        (stiffness_symbol(r), assemble_stiffness(r, 32).matrix.dense(), k, 0.0),
-        (mass_symbol(r), assemble_mass(r, 32).matrix.toarray(), k, 0.0),
+        (stiffness_symbol(r), assemble_stiffness(r, 32).matrix.dense(), k),
+        (mass_symbol(r), assemble_mass(r, 32).matrix.toarray(), k),
         (build_linear_interp_symbol(r),
-         build_fem_transfer(r, 32, "linear").matrix.toarray(), 2 * k + 1, 0.0),
+         build_fem_transfer(r, 32, "linear").matrix.toarray(), 2 * k + 1),
         (build_geometric_symbol(r),
-         build_fem_transfer(r, 32, "geometric").matrix.toarray(), 2 * k + 1, 1e-15),
+         build_fem_transfer(r, 32, "geometric").matrix.toarray(), 2 * k + 1),
     ]
-    for f, mat, shift, tol in cases:
+    for f, mat, shift in cases:
         want = _block_column(mat, r, k, shift)
         assert sorted(want) == [j for (j,) in sorted(f.coeffs)]
         for j, block in want.items():
-            got = f.coeffs[(j,)]
-            if tol == 0.0:
-                np.testing.assert_array_equal(got, block)
-            else:
-                assert np.max(np.abs(got - block)) <= tol
+            np.testing.assert_array_equal(f.coeffs[(j,)], block)
+
+
+def _block_symbol(mat, r, stride):
+    """The r-by-r block symbol of an assembled matrix, read off its middle
+    complete block column k: block (i, k) holds c_{i-k} for stride 1
+    (stiffness, mass) and c_{i-2k-1} for stride 2 (a prolongation).  The
+    column must be interior: no band may reach its first or last complete
+    block row."""
+    k = mat.shape[1] // r // 2
+    rows = mat.shape[0] // r
+    col = mat[:rows * r, k * r:(k + 1) * r].toarray().reshape(rows, r, r)
+    band = np.flatnonzero(col.any(axis=(1, 2)))
+    if band.size == 0 or band[0] == 0 or band[-1] == rows - 1:
+        raise ConstructionError(f"block column {k} is not interior to the reference matrix")
+    shift = stride * k + stride - 1
+    return MatrixTrigPolynomial({int(i) - shift: col[i] for i in band})
+
+
+def _assert_same_symbol(got, want):
+    """Same indices in the same order, and the same coefficient bytes
+    (signed zeros included)."""
+    assert list(got.coeffs) == list(want.coeffs)
+    for j, c in want.coeffs.items():
+        assert got.coeffs[j].tobytes() == c.tobytes(), j
+    assert got._J.tobytes() == want._J.tobytes()
+    assert got._C.tobytes() == want._C.tobytes()
+    assert got.hermitian == want.hermitian
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_symbols_equal_the_assembled_block_column_read(r):
+    # the symbols come from element matrices and the coarse-element
+    # table; reading them off the assembled matrices (n = 16 for the
+    # prolongations: at n = 8 and r = 1 no coarse block column holds its
+    # whole band) gives the same bytes in the same order
+    _assert_same_symbol(stiffness_symbol(r),
+                        _block_symbol(assemble_stiffness(r, 8).matrix.matrix, r, 1))
+    _assert_same_symbol(mass_symbol(r), _block_symbol(assemble_mass(r, 8).matrix, r, 1))
+    for kind in ("linear", "geometric"):
+        _assert_same_symbol(projector_symbol(r, kind),
+                            _block_symbol(_fem_transfer_matrix(r, 16, kind), r, 2))
+
+
+def test_symbols_assemble_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a symbol builder assembled a matrix")
+
+    for module, name in ((femgen, "assemble_stiffness"), (femgen, "assemble_mass"),
+                         (femgen, "_fem_transfer_matrix"), (multilevel, "kron_sum")):
+        monkeypatch.setattr(module, name, refuse)
+    for r in range(1, 9):
+        f, h = stiffness_symbol(r), mass_symbol(r)
+        build_linear_interp_symbol(r)
+        build_geometric_symbol(r)
+        if r <= 3:
+            multilevel.tensor_sum_symbol(f, h)
+
+
+def linear_projector_symbol(r):
+    return projector_symbol(r, "linear")
+
+
+SYMBOL_BUILDERS = [stiffness_symbol, mass_symbol, build_linear_interp_symbol,
+                   build_geometric_symbol, linear_projector_symbol]
+
+
+@pytest.mark.parametrize("r", [0, 9, 2.0, True, "2"])
+@pytest.mark.parametrize("builder", SYMBOL_BUILDERS)
+def test_symbol_degree_is_an_integer_in_range(builder, r):
+    with pytest.raises(ArgumentError, match=r"symbol degree must be an integer in 1\.\.8"):
+        builder(r)
+
+
+@pytest.mark.parametrize("builder", SYMBOL_BUILDERS)
+def test_symbol_degree_accepts_numpy_integers(builder):
+    _assert_same_symbol(builder(np.int64(3)), builder(3))
 
 
 class TestStiffnessSymbol:

@@ -69,6 +69,40 @@ class TestTensorSumSymbol:
                     + np.kron(h.evaluate(t1), f.evaluate(t2)))
             np.testing.assert_allclose(f2d.evaluate([t1, t2]), want, atol=1e-12)
 
+    @staticmethod
+    def kron_loop(f, h):
+        """f (x) h + h (x) f one coefficient pair at a time, over the
+        union of the factors' indices in set order."""
+        zero_f = np.zeros((f.d, f.d), dtype=complex)
+        zero_h = np.zeros((h.d, h.d), dtype=complex)
+        keys = set(j for (j,) in f.coeffs) | set(j for (j,) in h.coeffs)
+        return MatrixTrigPolynomial(
+            {(j1, j2): np.kron(f.coeffs.get((j1,), zero_f), h.coeffs.get((j2,), zero_h))
+             + np.kron(h.coeffs.get((j1,), zero_h), f.coeffs.get((j2,), zero_f))
+             for j1 in keys for j2 in keys}, m=2)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_fem_pairs_match_kron_loop_bit_for_bit(self, r):
+        f, h = stiffness_symbol(r), mass_symbol(r)
+        got, want = tensor_sum_symbol(f, h), self.kron_loop(f, h)
+        assert list(got.coeffs) == list(want.coeffs)
+        assert got._C.tobytes() == want._C.tobytes()
+        assert got.hermitian and want.hermitian
+
+    def test_complex_factors_of_different_windows(self):
+        rng = np.random.default_rng(3)
+
+        def cplx():
+            return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+        f = MatrixTrigPolynomial({0: cplx(), 1: cplx(), -2: cplx()})
+        h = MatrixTrigPolynomial({0: cplx(), 3: cplx()})
+        got, want = tensor_sum_symbol(f, h), self.kron_loop(f, h)
+        assert got.d == 4 and list(got.coeffs) == list(want.coeffs)
+        # real factors multiply exactly either way (the FEM test above);
+        # complex ones are held to round-off, not to one multiply kernel
+        np.testing.assert_allclose(got._C, want._C, rtol=0, atol=1e-14)
+
 
 class TestAssemble2D:
     def test_nine_point_pattern(self):

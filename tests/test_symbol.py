@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from blockmg import (MatrixTrigPolynomial, coarse_symbol, corner_sum,
                      corner_sums, find_zero, read_symbol, tensor_symbol,
                      write_symbol)
-from blockmg.errors import ArgumentError, SymbolZeroError, TrackingError
+from blockmg.errors import (ArgumentError, DimensionError, SymbolZeroError,
+                           TrackingError)
 from blockmg.femgen import build_linear_interp_symbol, stiffness_symbol
 from blockmg.symbol import (HERMITIAN_RTOL, sample_points, symbol_sup_norm,
                             tracked_eigenpairs)
@@ -380,6 +381,33 @@ class TestNonFiniteCoefficients:
     def test_complex_nan_in_imaginary_part(self):
         with pytest.raises(ArgumentError, match=r"\(-1,\)"):
             MatrixTrigPolynomial.scalar({0: 1.0, -1: complex(0.0, np.nan)})
+
+    def test_named_before_a_later_malformed_coefficient(self):
+        # coefficients are judged in insertion order, whichever check fails
+        bad = np.full((2, 2), np.nan)
+        with pytest.raises(ArgumentError, match=r"coefficient \(0,\) has a non-finite"):
+            MatrixTrigPolynomial({0: bad, 1: np.ones((2, 3))})
+        with pytest.raises(DimensionError, match=r"coefficient \(0,\) is not square"):
+            MatrixTrigPolynomial({0: np.ones((2, 3)), 1: bad})
+        with pytest.raises(ArgumentError, match=r"coefficient \(1,\) has a non-finite"):
+            MatrixTrigPolynomial({0: np.eye(2), 1: bad, 2: np.eye(3)})
+
+
+def test_coefficients_stored_in_order_whatever_their_layout():
+    # Fortran-ordered and strided inputs are stored row-major, in
+    # insertion order, and the evaluation arrays hold the same values
+    rng = np.random.default_rng(7)
+    raw = {j: rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+           for j in (2, -1, 0)}
+    f = MatrixTrigPolynomial({j: c.T for j, c in raw.items()}
+                             | {5: np.eye(6)[::2, ::2]})
+    assert list(f.coeffs) == [(2,), (-1,), (0,), (5,)]
+    for row, ((j,), c) in enumerate(f.coeffs.items()):
+        want = raw[j].T if j != 5 else np.eye(3)
+        np.testing.assert_array_equal(c, want)
+        np.testing.assert_array_equal(f._C[row], want.ravel())
+        assert c.flags.c_contiguous
+    np.testing.assert_array_equal(f._J, [[2.0], [-1.0], [0.0], [5.0]])
 
 
 class TestTrackedEigenpair:
