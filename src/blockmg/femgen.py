@@ -106,9 +106,18 @@ class FemProblem:
         return self.matrix.size
 
 
+def _is_integer(r) -> bool:
+    return isinstance(r, (int, np.integer)) and not isinstance(r, bool)
+
+
+def _check_degree(r) -> None:
+    """The solve-path degree check: an integer r >= 1, with no cap."""
+    if not _is_integer(r) or r < 1:
+        raise ArgumentError(f"degree must be an integer >= 1, got {r!r}")
+
+
 def _check_size(r: int, n_elements: int) -> None:
-    if r < 1:
-        raise ArgumentError(f"degree must be >= 1, got {r}")
+    _check_degree(r)
     if n_elements < 2 or n_elements & (n_elements - 1):
         raise ArgumentError(f"n_elements must be a power of two >= 2, got {n_elements}")
 
@@ -194,8 +203,7 @@ _SYMBOL_ELEMENTS = 8
 
 
 def _check_symbol_degree(r) -> None:
-    if (isinstance(r, bool) or not isinstance(r, (int, np.integer))
-            or not 1 <= r <= MAX_DEGREE):
+    if not _is_integer(r) or not 1 <= r <= MAX_DEGREE:
         raise ArgumentError(f"symbol degree must be an integer in 1..{MAX_DEGREE}, got {r!r}")
 
 
@@ -373,8 +381,7 @@ def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
     the first and the last coarse element, which leaves fine knot 0
     (touched by coarse knot 0 alone) empty, and it is no row either.
     """
-    if r < 1:
-        raise ArgumentError(f"degree must be >= 1, got {r}")
+    _check_degree(r)
     if n_elements % 2 != 0 or n_elements < 4:
         raise ArgumentError(
             f"n_elements must be even and >= 4 to coarsen, got {n_elements}")

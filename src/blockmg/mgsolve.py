@@ -231,7 +231,8 @@ def _lower_triangular_solve(M: sp.csr_matrix, diag):
     n = M.shape[0]
     rows = np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(M.indptr))
     strict = M.indices < rows
-    counts = np.bincount(rows[strict], minlength=n)
+    # _correction has refused a zero diagonal, so no row is empty
+    counts = np.add.reduceat(strict, M.indptr[:-1], dtype=np.intp)
     _check_index_width(n, int(counts.sum()))
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
     indices = M.indices[strict].astype(np.intc, copy=False)

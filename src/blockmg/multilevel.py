@@ -17,6 +17,13 @@ that level; no 2D triple product is formed.  A 2D problem is a
 checks itself.  Every matrix comes from 1D factors by Kronecker
 products, none from a symbol.
 
+Every level and every transfer P (x) P is built straight into CSR order
+by one builder, :func:`_kron_csr`: no COO matrix, no sort.  It copies
+whole rows into place with scipy's CSR kernel ``csr_row_index``
+(``scipy.sparse._sparsetools``), the one that row indexing ``A[rows]``
+runs.  That entry point is private, like the ``csr_matvec`` and
+``gstrs`` calls of :mod:`~blockmg.mgsolve`.
+
 :func:`~blockmg.conditions.full_report` certifies a pair in any number
 of variables.  :func:`check_multilevel_conditions` certifies the tensor
 projector of two univariate factors without locating the zero of the
@@ -34,12 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .conditions import (CheckResult, ZeroSamples, _error_result, _run_check,
                          build_s_grid, check_condition_i, condition_iii_verdict,
                          full_report, jsonable)
-from .errors import ArgumentError, BlockmgError, ConstructionError
-from .femgen import (FemProblem, _transfer_chain, assemble_mass,
+from .errors import ArgumentError, BlockmgError, ConstructionError, DimensionError
+from .femgen import (FemProblem, _check_degree, _transfer_chain, assemble_mass,
                      assemble_stiffness)
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import BlockStructuredMatrix, GridTransfer, galerkin
@@ -55,6 +63,10 @@ def tensor_sum_symbol(f: MatrixTrigPolynomial, h: MatrixTrigPolynomial) -> Matri
     contributes a zero coefficient."""
     if f.m != 1 or h.m != 1:
         raise ArgumentError("tensor_sum_symbol expects univariate factors")
+    if f.d != h.d:
+        # kron(f, h) and kron(h, f) index their dofs in different orders
+        raise DimensionError(f"tensor_sum_symbol needs factors of one block order, "
+                             f"got d = {f.d} and {h.d}")
     # set order, which fixes the coefficient order of the symbol
     keys1 = set(j for (j,) in f.coeffs) | set(j for (j,) in h.coeffs)
     zero_f = np.zeros((f.d, f.d), dtype=complex)
@@ -74,26 +86,71 @@ def tensor_sum_symbol(f: MatrixTrigPolynomial, h: MatrixTrigPolynomial) -> Matri
         m=2)
 
 
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The products x_a y_b in (a, b) order, the values of
+    ``np.multiply.outer`` bit for bit.  Real products come from
+    ``einsum``, about twice as fast here; complex ones from the ufunc,
+    since numpy's complex multiply rounds otherwise than einsum's."""
+    if np.iscomplexobj(x) or np.iscomplexobj(y):
+        return np.multiply.outer(x, y)
+    return np.einsum("a,b->ab", x, y)
+
+
+def _kron_csr(A: sp.csr_matrix, B: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix with the pattern of kron(A, B), sorted indices, and
+    the values ``data`` in (a, b) order: entry a of A against entry b of
+    B.  A and B are CSR with sorted indices.
+
+    The (a, b)-ordered values and columns are the rows (a, k) of an
+    intermediate CSR matrix, entry a against row k of B.  Output row
+    (i, k) is its rows (a, k) for a in row i of A, a ascending, so one
+    row gather in the order (i, k, a) copies every entry into place: no
+    COO matrix, no sort."""
+    p, q = A.shape
+    s, t = B.shape
+    nnz_a, nnz_b = A.nnz, B.nnz
+    # the intermediate matrix has nnz_a s rows and nnz_a nnz_b entries
+    fits = max(p * s, q * t, nnz_a * max(nnz_b, s)) <= np.iinfo(np.int32).max
+    index = np.int32 if fits else np.int64
+    len_a, len_b = np.diff(A.indptr).astype(index), np.diff(B.indptr).astype(index)
+    a, k = np.arange(nnz_a, dtype=index), np.arange(s, dtype=index)
+    cols = np.add.outer(A.indices.astype(index) * t, B.indices.astype(index))
+    mid_ptr = np.empty(nnz_a * s + 1, dtype=index)
+    mid_ptr[:-1] = np.add.outer(a * nnz_b, B.indptr[:-1].astype(index)).ravel()
+    mid_ptr[-1] = nnz_a * nnz_b
+    # row i of A gathers s len_i rows, in (k, a) order, from position s ptr_i
+    first = np.repeat(A.indptr[:-1].astype(index) * (s - 1), len_a) + a
+    pos = first[:, None] + np.repeat(len_a, len_a)[:, None] * k
+    order = np.empty(nnz_a * s, dtype=index)
+    order[pos.ravel()] = np.add.outer(a * s, k).ravel()
+    indptr = np.zeros(p * s + 1, dtype=index)
+    np.cumsum(np.multiply.outer(len_a, len_b).ravel(), out=indptr[1:])
+    indices = np.empty(nnz_a * nnz_b, dtype=index)
+    values = np.empty(nnz_a * nnz_b, dtype=data.dtype)
+    _sparsetools.csr_row_index(nnz_a * s, order, mid_ptr, cols.ravel(), data.ravel(),
+                               indices, values)
+    out = sp.csr_matrix((values, indices, indptr), shape=(p * s, q * t))
+    out.has_sorted_indices = True
+    return out
+
+
 def kron_sum(K: sp.csr_matrix, M: sp.csr_matrix) -> sp.csr_matrix:
     """K (x) M + M (x) K of two square CSR matrices with one sparsity
     pattern.
 
-    Both Kronecker products then have the same coordinates, so they are
-    formed once, their data added, and the sum converted to CSR once.
-    Matrices with different patterns raise :class:`ConstructionError`.
+    Both Kronecker products then have the same coordinates, so their
+    values are added in (a, b) order and the sum is built straight into
+    CSR order by :func:`_kron_csr`.  Matrices with different patterns
+    raise :class:`ConstructionError`.
     """
     K, M = (A if A.has_sorted_indices else A.sorted_indices() for A in (K, M))
     if (K.shape != M.shape or not np.array_equal(K.indptr, M.indptr)
             or not np.array_equal(K.indices, M.indices)):
         raise ConstructionError("Kronecker sum needs two matrices with one sparsity pattern")
-    n = K.shape[0]
-    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    row = np.repeat(np.arange(n, dtype=index), np.diff(K.indptr))
-    col = K.indices.astype(index, copy=False)
-    rows = (row[:, None] * n + row).ravel()
-    cols = (col[:, None] * n + col).ravel()
-    data = (np.multiply.outer(K.data, M.data) + np.multiply.outer(M.data, K.data)).ravel()
-    return sp.coo_matrix((data, (rows, cols)), shape=(n * n, n * n)).tocsr()
+    # two single products, added: one fused kernel could round differently
+    data = _outer(K.data, M.data)
+    data += _outer(M.data, K.data)
+    return _kron_csr(K, M, data)
 
 
 def assemble_2d_problem(r: int, t: int) -> FemProblem:
@@ -101,6 +158,7 @@ def assemble_2d_problem(r: int, t: int) -> FemProblem:
     operator stiffness (x) mass + mass (x) stiffness in the natural
     Kronecker dof ordering, block order r^2, with the 1D pair as its
     ``factors``."""
+    _check_degree(r)
     if r > 3:
         raise ArgumentError(f"2D problems capped at degree 3, got {r}")
     if t > 7:
@@ -121,7 +179,9 @@ def build_2d_hierarchy(problem: FemProblem, kind: str,
     Each coarse level is the Kronecker sum K_c (x) M_c + M_c (x) K_c of
     the 1D Galerkin products K_c = P^H K P and M_c = P^H M P of the
     problem's ``factors``, which equals the triple product of the finer
-    2D level with kron(P, P) (see the module docstring)."""
+    2D level with kron(P, P) (see the module docstring).  Each transfer
+    kron(P, P) is built straight into CSR order, with no explicit zero
+    (:func:`_kron_csr`)."""
     if problem.factors is None:
         raise ArgumentError("a 2D hierarchy needs the 1D factors of a 2D problem")
     chain = _transfer_chain(problem.r, problem.n_elements, kind, 2,
@@ -134,7 +194,8 @@ def build_2d_hierarchy(problem: FemProblem, kind: str,
         T = GridTransfer(P)
         K, M = galerkin(K, T, _hermitian=hk), galerkin(M, T, _hermitian=hm)
         mats.append(BlockStructuredMatrix(kron_sum(K.matrix, M.matrix)))
-    transfers = [GridTransfer(sp.kron(P, P)) for P in chain]
+    transfers = [GridTransfer(_kron_csr(P, P, _outer(P.data, P.data)))
+                 for P in chain]
     return MultigridHierarchy(mats, transfers, smoother or SmootherSpec())
 
 

@@ -337,6 +337,30 @@ def test_symbol_degree_accepts_numpy_integers(builder):
     _assert_same_symbol(builder(np.int64(3)), builder(3))
 
 
+# the solve-path entry points, each reduced to the CSR matrix it builds
+SOLVE_BUILDERS = {
+    "assemble_stiffness": lambda r: assemble_stiffness(r, 8).matrix.matrix,
+    "assemble_mass": lambda r: assemble_mass(r, 8).matrix,
+    "build_fem_transfer": lambda r: build_fem_transfer(r, 8, "linear").matrix,
+    "assemble_2d_problem": lambda r: multilevel.assemble_2d_problem(r, 4).matrix.matrix,
+}
+
+
+@pytest.mark.parametrize("r", [2.0, True, "2", 0])
+@pytest.mark.parametrize("builder", SOLVE_BUILDERS.values(), ids=SOLVE_BUILDERS.keys())
+def test_solve_degree_is_an_integer(builder, r):
+    # no cap: the 2D problem caps its degree only after this check
+    with pytest.raises(ArgumentError, match=r"degree must be an integer >= 1"):
+        builder(r)
+
+
+@pytest.mark.parametrize("builder", SOLVE_BUILDERS.values(), ids=SOLVE_BUILDERS.keys())
+def test_solve_degree_accepts_numpy_integers(builder):
+    got, want = builder(np.int64(2)), builder(2)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 class TestStiffnessSymbol:
     def test_degree_one(self):
         f = stiffness_symbol(1)

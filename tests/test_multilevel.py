@@ -7,11 +7,12 @@ import scipy.sparse as sp
 from blockmg import (MatrixTrigPolynomial, assemble_toeplitz,
                      assemble_transfer, build_s, conditions, corner_sum,
                      full_report, multilevel, tensor_symbol)
-from blockmg.errors import ArgumentError, ConstructionError
+from blockmg.errors import ArgumentError, ConstructionError, DimensionError
 from blockmg.femgen import (_transfer_chain, assemble_mass, assemble_stiffness,
                             build_geometric_symbol, build_linear_interp_symbol,
                             mass_symbol, stiffness_symbol)
-from blockmg.multilevel import (assemble_2d_problem, build_2d_hierarchy,
+from blockmg.mgsolve import DEFAULT_COARSEST
+from blockmg.multilevel import (_kron_csr, assemble_2d_problem, build_2d_hierarchy,
                                 check_multilevel_conditions, kron_sum,
                                 tensor_sum_symbol)
 from blockmg.structured import BlockStructuredMatrix, GridTransfer, galerkin
@@ -103,6 +104,15 @@ class TestTensorSumSymbol:
         # complex ones are held to round-off, not to one multiply kernel
         np.testing.assert_allclose(got._C, want._C, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("order", ["stiffness first", "mass first"])
+    def test_factors_of_different_block_orders_are_refused(self, order):
+        # kron(f, h) and kron(h, f) would index their dofs differently
+        pair = [stiffness_symbol(2), mass_symbol(3)]
+        if order == "mass first":
+            pair.reverse()
+        with pytest.raises(DimensionError, match="one block order"):
+            tensor_sum_symbol(*pair)
+
 
 class TestAssemble2D:
     def test_nine_point_pattern(self):
@@ -160,6 +170,12 @@ class TestHierarchy2D:
                                coarsest_max_size=coarsest, two_level=two_level)
         assert [lvl.matrix.size for lvl in h.levels] == sizes
 
+    def test_transfers_store_no_explicit_zero(self):
+        # scipy's kron stores dense blocks here, 110 of 231 entries zero
+        h = build_2d_hierarchy(assemble_2d_problem(2, 2), "geometric")
+        (P,) = [lvl.transfer.matrix for lvl in h.levels[:-1]]
+        assert P.nnz == np.count_nonzero(P.data) == 121
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ArgumentError, match="unknown transfer kind"):
             build_2d_hierarchy(assemble_2d_problem(1, 3), "algebraic")
@@ -200,6 +216,107 @@ class TestTensorLevels:
         M = sp.diags([1.0, 4.0], [-1, 0], shape=(5, 5)).tocsr()
         with pytest.raises(ConstructionError, match="one sparsity pattern"):
             kron_sum(K, M)
+
+
+def coo_kron_sum(K, M):
+    """The COO construction of K (x) M + M (x) K: both products on one
+    coordinate list, converted to CSR by scipy's sort."""
+    K, M = (A if A.has_sorted_indices else A.sorted_indices() for A in (K, M))
+    n = K.shape[0]
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    row = np.repeat(np.arange(n, dtype=index), np.diff(K.indptr))
+    col = K.indices.astype(index, copy=False)
+    rows = (row[:, None] * n + row).ravel()
+    cols = (col[:, None] * n + col).ravel()
+    data = (np.multiply.outer(K.data, M.data) + np.multiply.outer(M.data, K.data)).ravel()
+    return sp.coo_matrix((data, (rows, cols)), shape=(n * n, n * n)).tocsr()
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def with_index(A, index):
+    """A with its index arrays stored as ``index``, which the CSR
+    constructor would narrow."""
+    A.indices, A.indptr = A.indices.astype(index), A.indptr.astype(index)
+    return A
+
+
+def shared_pattern_pair(rng, n, dtype):
+    """Two CSR matrices of one random pattern with empty rows, their
+    indices unsorted and int64."""
+    pattern = sp.random(n, n, density=0.3, random_state=rng, format="csr")
+    pattern.data[:] = 1.0
+    empty = rng.choice(n, size=n // 4, replace=False)
+    pattern = (sp.diags(np.isin(np.arange(n), empty, invert=True).astype(float))
+               @ pattern).tocsr()
+    pattern.eliminate_zeros()
+    pattern.sort_indices()
+    assert np.any(np.diff(pattern.indptr) == 0)
+    order = np.concatenate([np.arange(pattern.indptr[i], pattern.indptr[i + 1])[::-1]
+                            for i in range(n)]).astype(int)
+    pair = []
+    for _ in range(2):
+        values = rng.standard_normal(pattern.nnz).astype(dtype)
+        if dtype is complex:
+            values += 1j * rng.standard_normal(pattern.nnz)
+        pair.append(with_index(sp.csr_matrix((values[order], pattern.indices[order],
+                                              pattern.indptr), shape=(n, n)), np.int64))
+    assert not pair[0].has_sorted_indices
+    return pair
+
+
+class TestKronCSR:
+    """The direct CSR build against scipy's COO route, bit for bit."""
+
+    @pytest.mark.parametrize("coefficient", ["one", "xsq_plus_one"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
+    def test_kron_sum_of_fem_pairs(self, r, t, coefficient):
+        K = assemble_stiffness(r, 2 ** t, coefficient).matrix.matrix
+        M = assemble_mass(r, 2 ** t).matrix
+        assert_same_csr(kron_sum(K, M), coo_kron_sum(K, M))
+
+    @pytest.mark.parametrize("index", [np.int32, np.int64])
+    def test_kron_sum_of_a_complex_pair(self, index):
+        K = assemble_stiffness(2, 16).matrix.matrix
+        M = assemble_mass(2, 16).matrix
+        K, M = (with_index(A * z, index) for A, z in ((K, 1.0 + 0.5j), (M, 0.3 - 1.0j)))
+        assert K.indices.dtype == M.indptr.dtype == index
+        got = kron_sum(K, M)
+        assert got.dtype == complex and got.indices.dtype == np.int32
+        assert_same_csr(got, coo_kron_sum(K, M))
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kron_sum_of_random_shared_patterns(self, seed, dtype):
+        K, M = shared_pattern_pair(np.random.default_rng(seed), 12, dtype)
+        got = kron_sum(K, M)
+        assert got.has_sorted_indices
+        assert_same_csr(got, coo_kron_sum(K, M))
+
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
+    def test_transfers_match_scipy_kron(self, r, t, kind):
+        for P in _transfer_chain(r, 2 ** t, kind, 2, DEFAULT_COARSEST, False):
+            want = sp.kron(P, P).tocsr()
+            want.eliminate_zeros()
+            assert_same_csr(_kron_csr(P, P, np.multiply.outer(P.data, P.data)), want)
+
+    def test_wide_factors_take_int64_indices(self):
+        # 50000^2 columns overflow int32; one entry each keeps it small
+        n = 50_000
+        A = sp.csr_matrix(([2.0], [n - 1], [0, 1]), shape=(1, n))
+        B = sp.csr_matrix(([3.0], [n - 2], [0, 1]), shape=(1, n))
+        got = _kron_csr(A, B, np.multiply.outer(A.data, B.data))
+        assert got.indices.dtype == np.int64
+        assert_same_csr(got, sp.kron(A, B).tocsr())
 
 
 class TestMultilevelConditions:
