@@ -4,13 +4,12 @@ interpolation stencil and coarse-basis evaluation), the Galerkin
 hierarchy of a FEM problem, and the block symbols of all four matrices.
 
 There is one assembly view: the solve-path matrices of size r*n - 1,
-both Dirichlet ends removed, normalized by the element count.  Away from
-the ends they are block-Toeplitz (stiffness, mass) or block-Toeplitz
-times the cutting selector (prolongations), and each generating or
-projector symbol is the interior block column of such a matrix.  The
-symbols are built from the tables assembly itself sums or tiles (two
-neighbouring element matrices, or the coarse-element table of a
-prolongation), so they equal that block column bit for bit without a
+both Dirichlet ends removed, normalized by the element count.  Each is
+the block-Toeplitz matrix of its symbol (stiffness, mass) or the
+stride-2 block-Toeplitz matrix of its projector symbol (prolongations),
+with the last scalar row and column removed.  The stiffness and mass
+symbols are built from two neighbouring element matrices, so they equal
+an interior block column of the assembled matrix bit for bit without a
 matrix being assembled, and then they are checked against their known
 identities.  A solve-view problem, 1D here or 2D in
 :mod:`blockmg.multilevel`, is one :class:`FemProblem`; building it
@@ -21,12 +20,13 @@ reference element [0, 1] (:func:`_reference_basis`) serves every
 element: stiffness and mass tabulate it at the quadrature points, and
 every element matrix comes from one product of the quadrature weights
 with the pairwise basis products (:func:`_element_matrices`).  Both
-prolongations are built the same way: one (2r, r+1) reference table per
-kind (for the geometric kind, the basis at the fine knots s/(2r)), the
-weight of each coarse knot of a coarse element at each of its fine
-knots.  Its nonzeros, in row-major order and tiled over the coarse
-elements, are the CSR arrays of the prolongation; only the entries of
-the two Dirichlet coarse knots are dropped.
+prolongations start from one (2r, r+1) reference table per kind (for
+the geometric kind, the basis at the fine knots s/(2r)): the weight of
+each coarse knot of a coarse element at each of its fine knots.  That
+table holds exactly the coefficients of the projector symbol
+(:func:`_table_symbol`), and every transfer is tiled from the symbol's
+row-pair table by :func:`~blockmg.structured.assemble_transfer`, so a
+certificate of the symbol is about the transfer the solver runs.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ArgumentError, ConstructionError
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
-from .structured import BlockStructuredMatrix, GridTransfer, galerkin
+from .structured import (TRIMMED, BlockStructuredMatrix, GridTransfer,
+                         assemble_transfer, galerkin)
 from .symbol import MatrixTrigPolynomial
 
 COEFFICIENTS = {
@@ -285,8 +286,8 @@ def _coarse_element_table(r: int, kind: str) -> np.ndarray:
 
 
 def _table_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
-    """The projector symbol c_j = block (2k+1+j, k) of the prolongation
-    tiled from :func:`_coarse_element_table`, for an interior k.
+    """The projector symbol c_j = block (2k+1+j, k) of the prolongation,
+    for an interior k, read off :func:`_coarse_element_table`.
 
     Block column k holds coarse knots r k + 1 .. r (k+1): knots 1..r of
     coarse element k and knot 0 of element k+1, whose fine knots are
@@ -367,65 +368,42 @@ def projector_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
     raise ArgumentError(f"unknown transfer kind {kind!r}")
 
 
-def _fem_transfer_matrix(r: int, n_elements: int, kind: str) -> sp.csr_matrix:
-    """The prolongation matrix of :func:`build_fem_transfer`.
-
-    Coarse element e holds fine knots 2 r e + s, s = 0..2r-1, and coarse
-    knots r e + l, l = 0..r.  The mesh is uniform, so one
-    :func:`_coarse_element_table` of the weights of coarse knot l at fine
-    knot s serves every element.  Fine knot k is row k - 1 and coarse
-    knot c column c - 1, and a row's columns r e + l - 1 increase with l,
-    so the nonzeros of the table in row-major order, tiled over the
-    coarse elements, are already the CSR arrays.  Only the Dirichlet
-    coarse knots 0 and r n/2 fall outside: their entries are dropped from
-    the first and the last coarse element, which leaves fine knot 0
-    (touched by coarse knot 0 alone) empty, and it is no row either.
-    """
-    _check_degree(r)
+def _check_coarsening(n_elements: int) -> None:
     if n_elements % 2 != 0 or n_elements < 4:
         raise ArgumentError(
             f"n_elements must be even and >= 4 to coarsen, got {n_elements}")
-    nce = n_elements // 2
-    nf = r * n_elements - 1
-    nc = r * nce - 1
-    table = _coarse_element_table(r, kind)
-    s_nz, l_nz = np.nonzero(table)
-    first, last = l_nz == 0, l_nz == r
-    drop = np.concatenate((np.flatnonzero(first),
-                           (nce - 1) * l_nz.size + np.flatnonzero(last)))
-    data = np.delete(np.tile(table[s_nz, l_nz], nce), drop)
-    indices = np.delete((r * np.arange(nce)[:, None] + l_nz - 1).ravel(), drop)
-    counts = np.tile(np.bincount(s_nz, minlength=2 * r), (nce, 1))
-    counts[0] -= np.bincount(s_nz[first], minlength=2 * r)
-    counts[-1] -= np.bincount(s_nz[last], minlength=2 * r)
-    indptr = np.concatenate(([0], np.cumsum(counts.ravel()[1:])))
-    return sp.csr_matrix((data, indices, indptr), shape=(nf, nc))
 
 
 def build_fem_transfer(r: int, n_elements: int, kind: str) -> GridTransfer:
     """Solve-path prolongation at FEM sizes (r*n - 1 by r*n/2 - 1).
 
-    ``linear`` is the scalar (1,2,1) stencil: the tridiagonal matrix of
-    2 + 2cos times the even-row selector.  ``geometric`` holds the
-    evaluations of the coarse basis functions at the fine knots.  Both
-    come from one reference table of a coarse element, tiled over every
-    coarse element.
+    ``linear`` is the scalar (1,2,1) stencil; ``geometric`` holds the
+    evaluations of the coarse basis functions at the fine knots.  Either
+    is the trimmed stride-2 block-Toeplitz matrix of its projector symbol
+    (:func:`_table_symbol`), tiled from the symbol's row-pair table by
+    :func:`~blockmg.structured.assemble_transfer`: a certificate of that
+    symbol is about this matrix.
     """
-    return GridTransfer(_fem_transfer_matrix(r, n_elements, kind))
+    _check_degree(r)
+    _check_coarsening(n_elements)
+    return assemble_transfer(_table_symbol(r, kind), n_elements, TRIMMED)
 
 
 def _transfer_chain(r: int, n_elements: int, kind: str, dim: int,
                     coarsest_max_size: int, two_level: bool) -> list:
-    """Per-dimension prolongation matrices of a coarsening chain.
+    """Per-dimension prolongations of a coarsening chain, every one
+    assembled from one projector symbol.
 
     Halves the element count from ``n_elements`` until the coarse size
     (r n - 1)^dim is at most ``coarsest_max_size`` or n < 4; one step
     only for ``two_level``.  The coarse size is known before any
     Galerkin product is formed."""
+    _check_coarsening(n_elements)
+    p = _table_symbol(r, kind)
     chain = []
     n = n_elements
     while True:
-        chain.append(_fem_transfer_matrix(r, n, kind))
+        chain.append(assemble_transfer(p, n, TRIMMED))
         n //= 2
         if two_level or (r * n - 1) ** dim <= coarsest_max_size or n < 4:
             return chain
@@ -435,11 +413,11 @@ def build_fem_hierarchy(problem: FemProblem, kind: str,
                         smoother: SmootherSpec | None = None,
                         coarsest_max_size: int = DEFAULT_COARSEST,
                         two_level: bool = False) -> MultigridHierarchy:
-    """Galerkin hierarchy for a 1D problem: the same constant-coefficient
-    transfer family at every level, coarse matrices by triple product."""
-    chain = _transfer_chain(problem.r, problem.n_elements, kind, 1,
-                            coarsest_max_size, two_level)
-    transfers = [GridTransfer(P) for P in chain]
+    """Galerkin hierarchy for a 1D problem: every level's transfer
+    assembled from one projector symbol, coarse matrices by triple
+    product."""
+    transfers = _transfer_chain(problem.r, problem.n_elements, kind, 1,
+                                coarsest_max_size, two_level)
     mats = [problem.matrix]
     hermitian = problem.matrix.is_hermitian()   # once per chain (see galerkin)
     for T in transfers:

@@ -190,12 +190,11 @@ def build_2d_hierarchy(problem: FemProblem, kind: str,
     # one Hermitian test per factor chain (see galerkin)
     hk, hm = K.is_hermitian(), M.is_hermitian()
     mats = [problem.matrix]
-    for P in chain:
-        T = GridTransfer(P)
+    for T in chain:
         K, M = galerkin(K, T, _hermitian=hk), galerkin(M, T, _hermitian=hm)
         mats.append(BlockStructuredMatrix(kron_sum(K.matrix, M.matrix)))
     transfers = [GridTransfer(_kron_csr(P, P, _outer(P.data, P.data)))
-                 for P in chain]
+                 for P in (T.matrix for T in chain)]
     return MultigridHierarchy(mats, transfers, smoother or SmootherSpec())
 
 

@@ -1,6 +1,11 @@
 """Block-Toeplitz and block-circulant matrices assembled from univariate
-symbols, cutting matrices, grid-transfer assembly, and explicit Galerkin
-products.
+symbols, grid transfers assembled from projector symbols, and explicit
+Galerkin products.
+
+A transfer is the circulant or the trimmed stride-2 block-Toeplitz
+matrix of its projector symbol.  The trimmed one, which every FEM
+transfer is, is tiled from the symbol's row-pair table straight into
+CSR order (:func:`_trimmed_transfer`).
 
 Matrices are assembled explicitly in sparse form: the target problems
 are desk-scale and the Galerkin triple products must be formed exactly.
@@ -23,10 +28,7 @@ from .errors import ArgumentError
 from .symbol import HERMITIAN_RTOL, MatrixTrigPolynomial
 
 CIRCULANT = "circulant"
-TOEPLITZ = "toeplitz"
-
-ODD_ROWS = "odd"
-EVEN_ROWS = "even"
+TRIMMED = "trimmed"
 
 
 @dataclass
@@ -82,7 +84,7 @@ class GridTransfer:
 
     def __init__(self, matrix: sp.spmatrix):
         self.matrix = sp.csr_matrix(matrix)
-        self.adjoint = self.matrix.conj().T.tocsr()
+        self.adjoint = self.matrix.conj(copy=False).T.tocsr()
         self._prolong = matvec_kernel(self.matrix)
         self._restrict = matvec_kernel(self.adjoint)
 
@@ -151,44 +153,59 @@ def assemble_circulant(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix
     return BlockStructuredMatrix(sp.csr_matrix(A))
 
 
-def cutting_matrix(n: int, parity: str) -> np.ndarray:
-    """Row indices (0-based) kept by the downsampling matrix.
+def _trimmed_transfer(p: MatrixTrigPolynomial, n: int) -> sp.csr_matrix:
+    """The stride-2 block-Toeplitz matrix of p, block (i, k) = c_{i-2k-1}
+    for n fine and n/2 coarse blocks, with its last scalar row and column
+    removed, straight into CSR order.
 
-    ``odd`` keeps 1-based rows 1, 3, 5, ... and requires n even
-    (k = n/2); ``even`` keeps 1-based rows 2, 4, ... and requires n odd
-    (k = (n-1)/2).
+    Fine block rows 2k and 2k+1 form row pair k, and coefficient c_j sits
+    in half s = (j+1) mod 2 of every row pair, at the coarse block offset
+    (s-1-j)/2 from k.  So one (2d, .) row-pair table of the coefficients
+    over the coarse block offsets serves every pair: its nonzeros in
+    row-major order, tiled over the n/2 pairs, are the CSR arrays, and
+    only the entries that fall outside the matrix near either end are
+    dropped.  The data is real when no coefficient has an imaginary part.
     """
-    if parity == ODD_ROWS:
-        if n % 2 != 0:
-            raise ArgumentError(f"odd-row cutting needs even n, got {n}")
-        return np.arange(0, n, 2)
-    if parity == EVEN_ROWS:
-        if n % 2 != 1:
-            raise ArgumentError(f"even-row cutting needs odd n, got {n}")
-        return np.arange(1, n, 2)
-    raise ArgumentError(f"unknown cutting parity {parity!r}")
+    d, half = p.d, n // 2
+    j = np.array([k for (k,) in p.coeffs])
+    coeffs = np.array(list(p.coeffs.values()))
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    s = (j + 1) % 2
+    offset = (s - 1 - j) // 2
+    lo = offset.min()
+    table = np.zeros((2, offset.max() - lo + 1, d, d), dtype=coeffs.dtype)
+    table[s, offset - lo] = coeffs
+    table = table.transpose(0, 2, 1, 3).reshape(2 * d, -1)
+    row, col = np.nonzero(table)
+    pairs = np.arange(half)[:, None]
+    fine = (2 * d * pairs + row).ravel()
+    coarse = (d * (pairs + lo) + col).ravel()
+    keep = (coarse >= 0) & (coarse < d * half - 1) & (fine < d * n - 1)
+    indptr = np.zeros(d * n, dtype=fine.dtype)
+    np.cumsum(np.bincount(fine[keep], minlength=d * n - 1), out=indptr[1:])
+    data = np.tile(table[row, col], half)[keep]
+    return sp.csr_matrix((data, coarse[keep], indptr), shape=(d * n - 1, d * half - 1))
 
 
 def assemble_transfer(p: MatrixTrigPolynomial, n: int, structure: str) -> GridTransfer:
-    """Prolongation: structured matrix of p times the cutting selector.
+    """Prolongation of p on n fine blocks, n even, and n/2 coarse blocks.
 
-    ``structure`` is ``circulant`` (n even, odd-row cutting) or
-    ``toeplitz`` (n odd, even-row cutting), matching the level-size
-    recursions n = 2^t and n = 2^t - 1.
+    ``circulant`` keeps block columns 0, 2, ... of the block-circulant
+    matrix of p.  ``trimmed`` is the stride-2 block-Toeplitz matrix of p
+    with its last scalar row and column removed (:func:`_trimmed_transfer`):
+    the Dirichlet system of size d n - 1, which every FEM transfer is.
     """
-    if structure == CIRCULANT:
-        if n % 2 != 0:
-            raise ArgumentError(f"circulant transfer needs even n, got {n}")
-        assemble, parity = assemble_circulant, ODD_ROWS
-    elif structure == TOEPLITZ:
-        if n % 2 != 1:
-            raise ArgumentError(f"toeplitz transfer needs odd n, got {n}")
-        assemble, parity = assemble_toeplitz, EVEN_ROWS
-    else:
+    if structure not in (CIRCULANT, TRIMMED):
         raise ArgumentError(f"unknown structure {structure!r}")
-    keep = cutting_matrix(n, parity)
-    cols = (keep[:, None] * p.d + np.arange(p.d)[None, :]).ravel()
-    return GridTransfer(assemble(p, n).matrix.tocsc()[:, cols].tocsr())
+    if p.m != 1:
+        raise ArgumentError("assemble_transfer needs a univariate symbol")
+    if n < 2 or n % 2 != 0:
+        raise ArgumentError(f"{structure} transfer needs an even n >= 2, got {n}")
+    if structure == TRIMMED:
+        return GridTransfer(_trimmed_transfer(p, n))
+    cols = (np.arange(0, n, 2)[:, None] * p.d + np.arange(p.d)).ravel()
+    return GridTransfer(assemble_circulant(p, n).matrix.tocsc()[:, cols].tocsr())
 
 
 def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
@@ -197,8 +214,9 @@ def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
     Hermitian.
 
     For a block-circulant A and a circulant transfer the product is the
-    block-circulant matrix of the coarse symbol; a Toeplitz one matches
-    its coarse symbol only up to boundary terms.
+    block-circulant matrix of the coarse symbol; a trimmed block-Toeplitz
+    A and a trimmed transfer match their coarse symbol only up to
+    boundary terms.
 
     ``_hermitian``, when given, is the verdict of ``A.is_hermitian()``,
     which a Galerkin chain takes once on its finest matrix: every coarser

@@ -13,8 +13,8 @@ from blockmg import MatrixTrigPolynomial
 from blockmg.cli import (CSV_HEADER, ExperimentConfig, _solve_one, main,
                          parse_config, print_table, run)
 from blockmg.errors import BlockmgError, ConfigurationError
-from blockmg.femgen import (build_linear_interp_symbol, mass_symbol,
-                            stiffness_symbol)
+from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
+                            mass_symbol, stiffness_symbol)
 from blockmg.multilevel import tensor_sum_symbol
 from blockmg.symbol import tensor_symbol, write_symbol
 
@@ -240,14 +240,21 @@ class TestRun:
         assert "noconv" in csv_path.read_text()
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_solve_path_builds_no_symbol(self, monkeypatch, dim):
+    def test_solve_path_builds_one_projector_symbol(self, monkeypatch, dim):
+        # every level's transfer is assembled from the one projector
+        # symbol that certification checks; no other symbol is built
         built = []
         init = MatrixTrigPolynomial.__init__
         monkeypatch.setattr(MatrixTrigPolynomial, "__init__",
-                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-        config = ExperimentConfig(dim=dim, r=2, t_range=(4,), projector="geometric")
-        assert _solve_one(config, 4)["flag"] == ""
-        assert built == []
+                            lambda self, *a, **k: built.append(self) or init(self, *a, **k))
+        t = 7 if dim == 1 else 4   # two coarsenings either way
+        config = ExperimentConfig(dim=dim, r=2, t_range=(t,), projector="geometric")
+        assert _solve_one(config, t)["flag"] == ""
+        assert len(built) == 1
+        want = build_geometric_symbol(2)
+        assert list(built[0].coeffs) == list(want.coeffs)
+        for j, c in want.coeffs.items():
+            assert built[0].coeffs[j].tobytes() == c.tobytes(), j
 
     def test_certify_mode(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "e.cfg", mode="certify", r=2))

@@ -7,8 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from blockmg import (MatrixTrigPolynomial, assemble_toeplitz, assemble_transfer,
                      femgen, multilevel)
 from blockmg.errors import ArgumentError, ConstructionError
-from blockmg.femgen import (COEFFICIENTS, _fem_transfer_matrix,
-                            _reference_basis, assemble_mass,
+from blockmg.femgen import (COEFFICIENTS, _reference_basis, assemble_mass,
                             assemble_stiffness, build_fem_hierarchy,
                             build_fem_transfer, build_geometric_symbol,
                             build_linear_interp_symbol, geometric_det_reference,
@@ -156,13 +155,16 @@ class TestStiffness:
         np.testing.assert_allclose(K[4:6, 4:6], a0, atol=1e-12)
         np.testing.assert_allclose(K[6:8, 4:6], a1, atol=1e-12)
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("r", range(1, 9))
     def test_interior_matches_block_toeplitz(self, r):
-        K = assemble_stiffness(r, 8, "one").matrix.dense().real
-        T = assemble_toeplitz(stiffness_symbol(r), 8).dense().real
-        interior = K.shape[0] - r  # trimmed matrix misses the last block row
-        np.testing.assert_allclose(K[:interior, :interior],
-                                   T[:interior, :interior], atol=1e-10)
+        # bit for bit: stiffness and mass are T_n of their symbols with
+        # the last scalar row and column removed, at every size
+        for n in (4, 8, 16, 64, 256):
+            for A, f in ((assemble_stiffness(r, n, "one").matrix.matrix, stiffness_symbol(r)),
+                         (assemble_mass(r, n).matrix, mass_symbol(r))):
+                T = assemble_toeplitz(f, n).matrix[:-1, :-1]
+                assert not T.data.imag.any()
+                assert (A != T.real).nnz == 0, n
 
     @pytest.mark.parametrize("name", ["xsq_plus_one", "exp_minus_2x"])
     def test_variable_coefficient(self, name):
@@ -299,7 +301,7 @@ def test_symbols_equal_the_assembled_block_column_read(r):
     _assert_same_symbol(mass_symbol(r), _block_symbol(assemble_mass(r, 8).matrix, r, 1))
     for kind in ("linear", "geometric"):
         _assert_same_symbol(projector_symbol(r, kind),
-                            _block_symbol(_fem_transfer_matrix(r, 16, kind), r, 2))
+                            _block_symbol(build_fem_transfer(r, 16, kind).matrix, r, 2))
 
 
 def test_symbols_assemble_no_matrix(monkeypatch):
@@ -307,7 +309,7 @@ def test_symbols_assemble_no_matrix(monkeypatch):
         raise AssertionError("a symbol builder assembled a matrix")
 
     for module, name in ((femgen, "assemble_stiffness"), (femgen, "assemble_mass"),
-                         (femgen, "_fem_transfer_matrix"), (multilevel, "kron_sum")):
+                         (femgen, "assemble_transfer"), (multilevel, "kron_sum")):
         monkeypatch.setattr(module, name, refuse)
     for r in range(1, 9):
         f, h = stiffness_symbol(r), mass_symbol(r)
@@ -442,13 +444,14 @@ class TestFemTransfer:
             np.testing.assert_allclose(P[center - 1:center + 2, j],
                                        [1.0, 2.0, 1.0], atol=1e-14)
 
-    @pytest.mark.parametrize("r", range(1, 9))
+    @pytest.mark.parametrize("r", [*range(1, 10), 12])
     def test_linear_matches_toeplitz_oracle(self, r):
-        # bit for bit: the scalar (1,2,1) Toeplitz matrix times the selector
+        # bit for bit: the trimmed transfer of the scalar (1,2,1) stencil,
+        # also past the symbol builders' degree cap
         stencil = MatrixTrigPolynomial.scalar({0: 2, 1: 1, -1: 1})
         for n in (4, 8, 16, 64, 1024):
-            got = _fem_transfer_matrix(r, n, "linear")
-            want = assemble_transfer(stencil, r * n - 1, "toeplitz").matrix.real
+            got = build_fem_transfer(r, n, "linear").matrix
+            want = assemble_transfer(stencil, r * n, "trimmed").matrix
             assert got.dtype == want.dtype
             for attr in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
@@ -465,7 +468,7 @@ class TestFemTransfer:
             for i in range(1, 8):
                 assert P[i - 1, j - 1] == pytest.approx(want[i - 1, j - 1], abs=1e-12)
 
-    @pytest.mark.parametrize("r", range(1, 9))
+    @pytest.mark.parametrize("r", [*range(1, 9), 9, 12])
     def test_geometric_entries_and_pattern(self, r):
         # n = 4 has only a first and a last coarse element, both of which
         # lose the entries of a Dirichlet coarse knot

@@ -404,7 +404,7 @@ def test_1d_hierarchy_factors_no_level_with_superlu(monkeypatch, kind, cycle):
 
 def two_grid_pieces(n=31):
     A = assemble_toeplitz(LAPLACE, n)
-    P = assemble_transfer(INTERP, n, "toeplitz")
+    P = assemble_transfer(INTERP, n + 1, "trimmed")
     return A, P
 
 

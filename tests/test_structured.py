@@ -3,13 +3,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from blockmg import (MatrixTrigPolynomial, assemble_circulant,
-                     assemble_toeplitz, assemble_transfer,
+from blockmg import (BlockStructuredMatrix, MatrixTrigPolynomial,
+                     assemble_circulant, assemble_toeplitz, assemble_transfer,
                      coarse_projection_norm, coarse_symbol, galerkin)
 from blockmg.errors import ArgumentError
 from blockmg.femgen import assemble_stiffness, build_fem_hierarchy
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
-from blockmg.structured import GridTransfer, cutting_matrix, matvec_kernel
+from blockmg.structured import GridTransfer, matvec_kernel
 
 from conftest import (has_full_column_rank, random_hermitian_symbol,
                       random_symbol, same_bits)
@@ -18,6 +18,7 @@ LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
 HAT = MatrixTrigPolynomial.scalar({0: 1.0, 1: 0.5, -1: 0.5})
 IDENTITY2 = MatrixTrigPolynomial({0: np.eye(2)})
+IDENTITY = MatrixTrigPolynomial.scalar({0: 1.0})
 
 
 def circulant_eigenvalues(f, n):
@@ -27,11 +28,9 @@ def circulant_eigenvalues(f, n):
     return np.concatenate([np.linalg.eigvalsh(v) for v in vals])
 
 
-def cutting_operator(n, parity):
-    """The n-by-k 0/1 selection matrix of :func:`cutting_matrix`."""
-    keep = cutting_matrix(n, parity)
-    k = len(keep)
-    return sp.csr_matrix((np.ones(k), (keep, np.arange(k))), shape=(n, k))
+def kept_rows(P):
+    """The rows that the columns of a 0/1 selection transfer keep."""
+    return P.matrix.tocsc().indices
 
 
 def fourier_matrix(n):
@@ -40,11 +39,17 @@ def fourier_matrix(n):
     return np.exp(-2j * np.pi * i * j / n) / np.sqrt(n)
 
 
+def trimmed_toeplitz(f, n):
+    """T_n(f) with its last scalar row and column removed."""
+    return BlockStructuredMatrix(assemble_toeplitz(f, n).matrix[:-1, :-1].tocsr())
+
+
 def toeplitz_coarse_defect(f, p, n):
-    """Frobenius distance between the Galerkin coarse matrix of T_n(f)
-    and the block-Toeplitz matrix of the coarse symbol."""
-    coarse = galerkin(assemble_toeplitz(f, n), assemble_transfer(p, n, "toeplitz"))
-    T = assemble_toeplitz(coarse_symbol(f, p), (n - 1) // 2)
+    """Frobenius distance between the Galerkin coarse matrix of the
+    trimmed T_n(f) and the trimmed block-Toeplitz matrix of the coarse
+    symbol."""
+    coarse = galerkin(trimmed_toeplitz(f, n), assemble_transfer(p, n, "trimmed"))
+    T = trimmed_toeplitz(coarse_symbol(f, p), n // 2)
     return float(spla.norm(coarse.matrix - T.matrix))
 
 
@@ -118,26 +123,33 @@ class TestCirculant:
 
 
 class TestCutting:
+    """The transfers of the identity symbol are the cutting selectors."""
+
     def test_odd_rows(self):
-        np.testing.assert_array_equal(cutting_matrix(4, "odd"), [0, 2])
-        np.testing.assert_array_equal(cutting_matrix(2, "odd"), [0])
+        # circulant: 1-based rows 1, 3, ...
+        np.testing.assert_array_equal(
+            kept_rows(assemble_transfer(IDENTITY, 4, "circulant")), [0, 2])
+        np.testing.assert_array_equal(
+            kept_rows(assemble_transfer(IDENTITY, 2, "circulant")), [0])
 
     def test_even_rows(self):
-        np.testing.assert_array_equal(cutting_matrix(5, "even"), [1, 3])
+        # trimmed: block (i, k) = c_{i-2k-1}, so 1-based rows 2, 4, ...
+        np.testing.assert_array_equal(
+            kept_rows(assemble_transfer(IDENTITY, 6, "trimmed")), [1, 3])
 
     def test_parity_mismatch(self):
-        with pytest.raises(ArgumentError):
-            cutting_matrix(5, "odd")
-        with pytest.raises(ArgumentError):
-            cutting_matrix(4, "even")
-        with pytest.raises(ArgumentError):
-            cutting_matrix(4, "both")
+        for structure in ("circulant", "trimmed"):
+            for n in (5, 0):
+                with pytest.raises(ArgumentError, match="needs an even n >= 2"):
+                    assemble_transfer(IDENTITY, n, structure)
+        with pytest.raises(ArgumentError, match="unknown structure"):
+            assemble_transfer(IDENTITY, 4, "both")
 
     @pytest.mark.parametrize("n", [4, 8, 16])
     def test_fourier_packaging(self, n):
         # selecting odd rows of F_n folds it onto two copies of F_{n/2}
         k = n // 2
-        K = cutting_operator(n, "odd").toarray()
+        K = assemble_transfer(IDENTITY, n, "circulant").matrix.toarray()
         got = K.T @ fourier_matrix(n)
         Fk = fourier_matrix(k)
         want = np.hstack([Fk, Fk]) / np.sqrt(2.0)
@@ -146,7 +158,7 @@ class TestCutting:
 
 class TestTransfer:
     def test_scalar_interpolation_stencil(self):
-        P = assemble_transfer(INTERP, 7, "toeplitz").matrix.toarray().real
+        P = assemble_transfer(INTERP, 8, "trimmed").matrix.toarray()
         assert P.shape == (7, 3)
         want = np.zeros((7, 3))
         for j in range(3):
@@ -156,11 +168,44 @@ class TestTransfer:
 
     def test_block_form_equals_scalar_path(self, p_l2):
         # the reblocked degree-2 symbol reproduces the scalar stencil
-        # transfer of twice the size with even-row cutting
-        P_block = assemble_transfer(p_l2, 7, "toeplitz").matrix.toarray().real
-        T = assemble_toeplitz(INTERP, 14).matrix.toarray().real
-        cols = np.arange(1, 12, 2)  # first 6 even rows, 1-based 2,4,...,12
-        np.testing.assert_allclose(P_block, T[:, cols], atol=1e-14)
+        # transfer of twice the size
+        P_block = assemble_transfer(p_l2, 8, "trimmed").matrix.toarray()
+        T = assemble_toeplitz(INTERP, 16).matrix.toarray().real
+        cols = np.arange(1, 14, 2)  # even rows 2, 4, ..., 14, 1-based
+        np.testing.assert_array_equal(P_block, T[:-1, cols])
+        np.testing.assert_array_equal(
+            P_block, assemble_transfer(INTERP, 16, "trimmed").matrix.toarray())
+
+    @pytest.mark.parametrize("window", [(-1, 1), (-1, 2), (-2, 3), (-3, 0),
+                                        (0, 3), (-3, 3), (2, 2)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_trimmed_matches_dense_oracle(self, d, window):
+        # block columns 1, 3, ..., n-1 of the block-Toeplitz matrix of p,
+        # less its last scalar row and column, entry for entry, stored as
+        # canonical CSR without explicit zeros, real for a real p
+        lo, hi = window
+        rng = np.random.default_rng([d, lo + 3, hi + 3])
+        for dtype in (np.float64, np.complex128):
+            coeffs = {}
+            for j in range(lo, hi + 1):
+                c = rng.standard_normal((d, d)) * (rng.random((d, d)) < 0.6)
+                c.flat[rng.integers(d * d)] = 1.0
+                if dtype == np.complex128:
+                    c = c + 1j * rng.standard_normal((d, d))
+                coeffs[j] = c
+            p = MatrixTrigPolynomial(coeffs)
+            for n in (4, 6, 8, 16, 32):
+                T = assemble_toeplitz(p, n).dense()
+                cols = (np.arange(1, n, 2)[:, None] * d + np.arange(d)).ravel()
+                want = T[:-1, cols[:-1]]
+                if dtype == np.float64:
+                    assert not want.imag.any()
+                    want = want.real
+                P = assemble_transfer(p, n, "trimmed").matrix
+                assert P.dtype == dtype
+                assert P.has_canonical_format
+                assert np.count_nonzero(P.data) == P.nnz
+                np.testing.assert_array_equal(P.toarray(), want)
 
     def test_identity_symbol_injects(self):
         P = assemble_transfer(IDENTITY2, 4, "circulant").matrix.toarray().real
@@ -171,16 +216,18 @@ class TestTransfer:
 
     def test_bad_sizes(self, p_l2):
         with pytest.raises(ArgumentError):
-            assemble_transfer(p_l2, 8, "toeplitz")
+            assemble_transfer(p_l2, 7, "trimmed")
         with pytest.raises(ArgumentError):
             assemble_transfer(p_l2, 7, "circulant")
         with pytest.raises(ArgumentError):
             assemble_transfer(p_l2, 8, "diagonal")
+        with pytest.raises(ArgumentError, match="univariate"):
+            assemble_transfer(MatrixTrigPolynomial.scalar({(0, 1): 1.0}), 8, "trimmed")
 
     def test_full_column_rank(self, p_l2):
         rng = np.random.default_rng(13)
-        for n in (7, 15, 31):
-            assert has_full_column_rank(assemble_transfer(p_l2, n, "toeplitz"))
+        for n in (8, 16, 32):
+            assert has_full_column_rank(assemble_transfer(p_l2, n, "trimmed"))
         for n in (8, 16):
             assert has_full_column_rank(assemble_transfer(p_l2, n, "circulant"))
         p = random_symbol(rng, 2, 1)
@@ -205,6 +252,22 @@ class TestGridTransfer:
             assert (T.fine_size, T.coarse_size) == T.matrix.shape
             x = rng.standard_normal(T.fine_size)
             np.testing.assert_array_equal(T.restrict(x), T.matrix.conj().T @ x)
+
+
+    def test_adjoint_is_a_new_conjugate_transpose(self):
+        # the bound restriction reads the adjoint's arrays, so they must
+        # be P^H's own, never views of P's
+        rng = np.random.default_rng(25)
+        for P in (assemble_transfer(INTERP, 32, "trimmed").matrix,
+                  _random_csr(rng, (30, 11), np.float64),
+                  _random_csr(rng, (30, 11), np.complex128)):
+            adjoint = GridTransfer(P).adjoint
+            want = P.conj().T.tocsr()
+            for name in ("data", "indices", "indptr"):
+                got = getattr(adjoint, name)
+                assert same_bits(got, getattr(want, name)), name
+                for source in (P.data, P.indices, P.indptr):
+                    assert not np.shares_memory(got, source), name
 
 
 def _random_csr(rng, shape, dtype, density=0.2):
@@ -237,7 +300,7 @@ class TestMatvecKernel:
 
     def test_rectangular_transfer_and_adjoint(self):
         rng = np.random.default_rng(22)
-        for P in (assemble_transfer(INTERP, 31, "toeplitz").matrix,
+        for P in (assemble_transfer(INTERP, 32, "trimmed").matrix,
                   _random_csr(rng, (30, 11), np.complex128)):
             T = GridTransfer(P)
             assert T.matrix.shape[0] != T.matrix.shape[1]
@@ -278,14 +341,14 @@ class TestGalerkin:
 
     def test_scalar_toeplitz_coarse(self):
         A = assemble_toeplitz(LAPLACE, 7)
-        P = assemble_transfer(INTERP, 7, "toeplitz")
+        P = assemble_transfer(INTERP, 8, "trimmed")
         C = galerkin(A, P).dense().real
         want = np.diag([4.0] * 3) + np.diag([-2.0] * 2, 1) + np.diag([-2.0] * 2, -1)
         np.testing.assert_allclose(C, want, atol=1e-12)
 
     def test_size_mismatch(self, f_q2, p_l2):
         A = assemble_toeplitz(f_q2, 9)
-        P = assemble_transfer(p_l2, 7, "toeplitz")
+        P = assemble_transfer(p_l2, 8, "trimmed")
         with pytest.raises(ArgumentError):
             galerkin(A, P)
 
@@ -302,9 +365,9 @@ class TestGalerkin:
                 assert abs(C.matrix - ref.matrix).max() <= 1e-10
 
     def test_toeplitz_coarse_defect_is_boundary_sized(self):
-        # the Toeplitz path only matches the coarse symbol up to a
+        # the trimmed path only matches the coarse symbol up to a
         # boundary term; measured, not asserted to vanish
-        defect = toeplitz_coarse_defect(LAPLACE, INTERP, 15)
+        defect = toeplitz_coarse_defect(LAPLACE, INTERP, 16)
         assert np.isfinite(defect)
         assert 0.0 <= defect < 10.0
 
@@ -317,7 +380,7 @@ class TestCoarseProjectionNorm:
 
     def test_projector_idempotent(self):
         A = assemble_toeplitz(LAPLACE, 15)
-        P = assemble_transfer(INTERP, 15, "toeplitz")
+        P = assemble_transfer(INTERP, 16, "trimmed")
         assert projector_idempotency_defect(A, P) <= 1e-8
 
     def test_scalar_norm_stable_across_sizes(self):
@@ -325,14 +388,14 @@ class TestCoarseProjectionNorm:
         vals = []
         for n in (15, 31, 63):
             A = assemble_toeplitz(LAPLACE, n)
-            P = assemble_transfer(HAT, n, "toeplitz")
+            P = assemble_transfer(HAT, n + 1, "trimmed")
             vals.append(coarse_projection_norm(A, P))
         assert all(v >= 1.0 for v in vals)
         assert (max(vals) - min(vals)) / max(vals) <= 0.05
 
     def test_size_cap(self):
         A = assemble_toeplitz(LAPLACE, 2049)
-        P = assemble_transfer(INTERP, 2049, "toeplitz")
+        P = assemble_transfer(INTERP, 2050, "trimmed")
         with pytest.raises(ArgumentError):
             coarse_projection_norm(A, P)
 
