@@ -378,7 +378,8 @@ class MultigridHierarchy:
     Construction checks the size chain, that every level matrix is
     finite and, on levels of size at most 512, positive definiteness of
     the (Hermitian) level matrices:
-    lambda_min > 1e-12 max(lambda_max, 1), with the extreme eigenvalues
+    lambda_min > 1e-12 lambda_max, with no floor, so the check does not
+    move when a level is scaled; the extreme eigenvalues are
     taken from the band on band levels and from the dense matrix
     elsewhere, by the smoother's rule (see the module docstring).  Where
     coarsening stops is decided by the builders (``build_fem_hierarchy``,
@@ -409,7 +410,7 @@ class MultigridHierarchy:
             if lvl.matrix.size > 512:
                 continue
             lo, hi = _extreme_eigenvalues(lvl.matrix.matrix)
-            if lo <= 1e-12 * max(hi, 1.0):
+            if lo <= 1e-12 * hi:
                 raise ConfigurationError(
                     f"level {ell} matrix is not positive definite "
                     f"(min eigenvalue {lo:.3e})")

@@ -7,6 +7,14 @@ matrix of its projector symbol.  The trimmed one, which every FEM
 transfer is, is tiled from the symbol's row-pair table straight into
 CSR order (:func:`_trimmed_transfer`).
 
+The setup's sparse algebra (the Galerkin product (P^H A) P and its
+symmetrization, a transfer's adjoint, the deviation A - A^H of the
+Hermitian test) runs on CSR arrays through scipy's ``_sparsetools``
+kernels, the ones its operators call, in the same order and with its
+index dtype rule: the results are bit-identical to the public
+expressions, without an operator dispatch and a matrix constructor per
+step.
+
 Matrices are assembled explicitly in sparse form: the target problems
 are desk-scale and the Galerkin triple products must be formed exactly.
 Block conventions follow the generating-function definition: the block
@@ -20,11 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse._sputils import upcast_char
+from scipy.sparse._sparsetools import (csr_matmat, csr_matmat_maxnnz, csr_matvec,
+                                       csr_minus_csr, csr_plus_csr, csr_tocsc)
+from scipy.sparse._sputils import upcast, upcast_char
 
 from . import smallmat
-from .errors import ArgumentError
+from .errors import ArgumentError, DimensionError
 from .symbol import HERMITIAN_RTOL, MatrixTrigPolynomial
 
 CIRCULANT = "circulant"
@@ -47,11 +56,97 @@ class BlockStructuredMatrix:
         return self.matrix.toarray()
 
     def is_hermitian(self) -> bool:
-        """A = A^H to HERMITIAN_RTOL relative to 1 + max |a_ij|."""
-        dev = abs(self.matrix - self.matrix.conj().T)
-        top = dev.max() if dev.nnz else 0.0
-        scale = abs(self.matrix).max() if self.matrix.nnz else 0.0
-        return top <= HERMITIAN_RTOL * (1.0 + scale)
+        """A = A^H to HERMITIAN_RTOL relative to max |a_ij|, so the
+        verdict does not move when A is scaled.  A is put in canonical
+        form in place, as ``abs(A)`` puts it, so that duplicate entries
+        count summed."""
+        A = self.matrix
+        dev = _csr_binop(csr_minus_csr, _csr(A), _csr_adjoint(_csr(A)))[2]
+        A.sum_duplicates()
+        top = np.abs(dev).max(initial=0.0)
+        return top <= HERMITIAN_RTOL * np.abs(A.data[:A.nnz]).max(initial=0.0)
+
+
+# -- CSR array algebra (see the module docstring) ------------------------------
+#
+# A CSR matrix here is its arrays and shape, (indptr, indices, data, shape).
+# The kernels read their inputs unchecked, so the shapes are checked first.
+
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _csr(M: sp.csr_matrix):
+    return M.indptr, M.indices, M.data, M.shape
+
+
+def _csr_matrix(a) -> sp.csr_matrix:
+    indptr, indices, data, shape = a
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
+def _index_cast(arrays, maxval=0):
+    """scipy's index dtype for ``arrays`` and a count up to ``maxval``,
+    by its ``get_index_dtype`` rule (int64 when an array's dtype does not
+    cast to int32 or the count exceeds int32) without that function's
+    per-call limits lookup, and the arrays cast to it."""
+    fits = maxval <= _INT32_MAX and np.can_cast(np.result_type(*arrays), np.int32)
+    idx = np.int32 if fits else np.int64
+    return idx, [np.asarray(a, dtype=idx) for a in arrays]
+
+
+def _cut(indptr, indices, data, shape):
+    """A kernel's output cut to its nnz, copied when that leaves room
+    unused, so that no matrix keeps the kernel's spare room."""
+    nnz = int(indptr[-1])
+    if nnz < len(indices):
+        indices, data = indices[:nnz].copy(), data[:nnz].copy()
+    return indptr, indices, data, shape
+
+
+def _csr_matmat(a, b):
+    """a @ b: ``csr_matmat_maxnnz``, then ``csr_matmat``, as ``A @ B``
+    calls them.  The kernel drops exact zeros, so the output is cut."""
+    (ap, aj, ax, (m, k)), (bp, bj, bx, (kb, n)) = a, b
+    if k != kb:
+        raise DimensionError(f"product of a {m} x {k} and a {kb} x {n} matrix")
+    _, arrays = _index_cast((ap, aj, bp, bj))
+    maxnnz = csr_matmat_maxnnz(m, n, *arrays)
+    idx, (ap, aj, bp, bj) = _index_cast(arrays, maxval=maxnnz)
+    indptr = np.empty(m + 1, dtype=idx)
+    indices = np.empty(maxnnz, dtype=idx)
+    data = np.empty(maxnnz, dtype=upcast(ax.dtype, bx.dtype))
+    csr_matmat(m, n, ap, aj, ax, bp, bj, bx, indptr, indices, data)
+    return _cut(indptr, indices, data, (m, n))
+
+
+def _csr_adjoint(a):
+    """a^H: ``csr_tocsc``, as ``A.tocsc()`` calls it, with the data
+    conjugated when complex (the same bits as conjugating first, as
+    ``A.conj().T.tocsr()`` does)."""
+    indptr, indices, data, (m, n) = a
+    nnz = int(indptr[-1])
+    idx, (ap, aj) = _index_cast((indptr, indices), maxval=max(nnz, m))
+    out = (np.empty(n + 1, dtype=idx), np.empty(nnz, dtype=idx),
+           np.empty(nnz, dtype=upcast(data.dtype)))
+    csr_tocsc(m, n, ap, aj, data, *out)
+    if out[2].dtype.kind == "c":
+        np.conjugate(out[2], out=out[2])
+    return (*out, (n, m))
+
+
+def _csr_binop(kernel, a, b):
+    """a + b or a - b by ``csr_plus_csr`` or ``csr_minus_csr``, as
+    ``A + B`` calls them (scipy's ``_binopt``)."""
+    (ap, aj, ax, (m, n)), (bp, bj, bx, shape) = a, b
+    if shape != (m, n):
+        raise DimensionError(f"sum of a {m} x {n} and a {shape[0]} x {shape[1]} matrix")
+    maxnnz = int(ap[-1]) + int(bp[-1])
+    idx, (ap, aj, bp, bj) = _index_cast((ap, aj, bp, bj), maxval=maxnnz)
+    indptr = np.empty(m + 1, dtype=idx)
+    indices = np.empty(maxnnz, dtype=idx)
+    data = np.empty(maxnnz, dtype=upcast(ax.dtype, bx.dtype))
+    kernel(m, n, ap, aj, ax, bp, bj, bx, indptr, indices, data)
+    return _cut(indptr, indices, data, (m, n))
 
 
 def matvec_kernel(M: sp.spmatrix):
@@ -84,7 +179,7 @@ class GridTransfer:
 
     def __init__(self, matrix: sp.spmatrix):
         self.matrix = sp.csr_matrix(matrix)
-        self.adjoint = self.matrix.conj(copy=False).T.tocsr()
+        self.adjoint = _csr_matrix(_csr_adjoint(_csr(self.matrix)))
         self._prolong = matvec_kernel(self.matrix)
         self._restrict = matvec_kernel(self.adjoint)
 
@@ -210,8 +305,8 @@ def assemble_transfer(p: MatrixTrigPolynomial, n: int, structure: str) -> GridTr
 
 def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
              _hermitian: bool | None = None) -> BlockStructuredMatrix:
-    """Explicit sparse triple product P^H A P, symmetrized when A is
-    Hermitian.
+    """Explicit sparse triple product (P^H A) P, symmetrized as
+    (C + C^H) / 2 when A is Hermitian, on scipy's CSR kernels.
 
     For a block-circulant A and a circulant transfer the product is the
     block-circulant matrix of the coarse symbol; a trimmed block-Toeplitz
@@ -224,10 +319,11 @@ def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
     """
     if A.size != P.fine_size:
         raise ArgumentError(f"size mismatch: A is {A.size}, P fine side is {P.fine_size}")
-    C = (P.adjoint @ A.matrix @ P.matrix).tocsr()
+    C = _csr_matmat(_csr_matmat(_csr(P.adjoint), _csr(A.matrix)), _csr(P.matrix))
     if A.is_hermitian() if _hermitian is None else _hermitian:
-        C = ((C + C.conj().T) * 0.5).tocsr()
-    return BlockStructuredMatrix(C)
+        C = _csr_binop(csr_plus_csr, C, _csr_adjoint(C))
+        np.multiply(C[2], 0.5, out=C[2])
+    return BlockStructuredMatrix(_csr_matrix(C))
 
 
 def coarse_projection_norm(A: BlockStructuredMatrix, P: GridTransfer) -> float:

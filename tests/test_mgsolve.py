@@ -489,6 +489,30 @@ class TestHierarchy:
         with pytest.raises(ConfigurationError):
             MultigridHierarchy([A, indef], [P], GS)
 
+    def test_positive_definite_check_is_scale_free(self):
+        # the threshold moves with the level: a tiny coefficient scales
+        # every level down and the solve is the same
+        iterations = []
+        for c in (1.0, 1e-9, 1e-11, 1e-14):
+            problem = assemble_stiffness(2, 64, lambda x, c=c: c)
+            h = build_fem_hierarchy(problem, "linear")
+            rng = np.random.default_rng(31)
+            b = problem.matrix.matrix @ rng.uniform(size=problem.size)
+            result = solve(h, b)
+            assert result.converged, c
+            iterations.append(result.iterations)
+        assert iterations == [iterations[0]] * 4
+        # a zero or negative definite level is refused at any scale
+        A, P = two_grid_pieces()
+        k = P.coarse_size
+        for scale in (1.0, 1e-14):
+            for M in (sp.csr_matrix((k, k)), -scale * tridiag(k),
+                      scale * sp.diags(np.linspace(-1, 1, k))):
+                with pytest.raises(ConfigurationError, match="not positive definite"):
+                    MultigridHierarchy([A, BlockStructuredMatrix(sp.csr_matrix(M))],
+                                       [P], GS)
+            MultigridHierarchy([A, BlockStructuredMatrix(scale * tridiag(k))], [P], GS)
+
     @staticmethod
     def _shifted_tridiag(n, lam_min, dense):
         """tridiag(-1, 2, -1) shifted by a diagonal so that its smallest
@@ -508,7 +532,7 @@ class TestHierarchy:
         A, P = two_grid_pieces(31)
         k = P.coarse_size
         lam_max = 4.0 - 2.0 * (2.0 - 2.0 * np.cos(np.pi / (k + 1)))
-        threshold = 1e-12 * max(lam_max, 1.0)
+        threshold = 1e-12 * lam_max
         for factor, accepted in ((2.0, True), (0.5, False)):
             M = self._shifted_tridiag(k, factor * threshold, dense)
             assert (mgsolve._lower_band(M, hermitian=True) is None) == dense

@@ -6,8 +6,10 @@ import scipy.sparse.linalg as spla
 from blockmg import (BlockStructuredMatrix, MatrixTrigPolynomial,
                      assemble_circulant, assemble_toeplitz, assemble_transfer,
                      coarse_projection_norm, coarse_symbol, galerkin)
-from blockmg.errors import ArgumentError
-from blockmg.femgen import assemble_stiffness, build_fem_hierarchy
+from blockmg import structured
+from blockmg.errors import ArgumentError, DimensionError
+from blockmg.femgen import (DEFAULT_COARSEST, _transfer_chain, assemble_stiffness,
+                            build_fem_hierarchy, build_fem_transfer)
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
 from blockmg.structured import GridTransfer, matvec_kernel
 
@@ -399,3 +401,177 @@ class TestCoarseProjectionNorm:
         with pytest.raises(ArgumentError):
             coarse_projection_norm(A, P)
 
+
+
+def galerkin_oracle(A, P, hermitian):
+    """P^H A P by scipy's public operators, symmetrized when asked."""
+    C = (P.adjoint @ A.matrix @ P.matrix).tocsr()
+    if hermitian:
+        C = ((C + C.conj().T) * 0.5).tocsr()
+    return C
+
+
+def assert_same_csr(got, want):
+    """Same shape, and the same indptr, indices and data bits and dtypes
+    as ``want`` cut to its nnz; ``got`` holds no room past nnz.
+
+    scipy's product and sum leave room past nnz, uninitialized, and its
+    matrix constructor reads that room when it picks the index dtype of
+    int64 input, so ``want`` is compared re-wrapped from its entries."""
+    nnz = int(want.indptr[-1])
+    want = sp.csr_matrix((want.data[:nnz], want.indices[:nnz], want.indptr),
+                         shape=want.shape)
+    assert got.shape == want.shape
+    assert len(got.indices) == len(got.data) == int(got.indptr[-1])
+    for name in ("indptr", "indices", "data"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def _with_index_dtype(M, index_dtype):
+    M = M.copy()
+    M.indices, M.indptr = (a.astype(index_dtype) for a in (M.indices, M.indptr))
+    return M
+
+
+def _shuffled(M, rng):
+    """M with the entries of every row in a random order."""
+    M = M.copy()
+    for i in range(M.shape[0]):
+        row = slice(M.indptr[i], M.indptr[i + 1])
+        order = rng.permutation(row.stop - row.start)
+        M.indices[row], M.data[row] = M.indices[row][order], M.data[row][order]
+    return M
+
+
+def _kernel_cases(rng):
+    """(A, P) pairs: real and complex, Hermitian and not, Toeplitz with
+    trimmed transfers and a circulant pair."""
+    f = random_hermitian_symbol(rng, 2, 2, shift_to_psd=True)
+    p = random_symbol(rng, 2, 1)
+    return {
+        "real-hermitian": (assemble_stiffness(3, 16).matrix.matrix,
+                           build_fem_transfer(3, 16, "geometric").matrix),
+        "real-general": (_random_csr(rng, (31, 31), np.float64),
+                         assemble_transfer(INTERP, 32, "trimmed").matrix),
+        "complex-hermitian": (trimmed_toeplitz(f, 16).matrix,
+                              assemble_transfer(p, 16, "trimmed").matrix),
+        "complex-general": (trimmed_toeplitz(random_symbol(rng, 2, 2), 16).matrix,
+                            assemble_transfer(p, 16, "trimmed").matrix),
+        "circulant": (assemble_circulant(f, 16).matrix,
+                      assemble_transfer(p, 16, "circulant").matrix),
+        "zero-product": (sp.csr_matrix((31, 31)),
+                         assemble_transfer(INTERP, 32, "trimmed").matrix),
+    }
+
+
+class TestCsrKernels:
+    """The setup's sparse algebra calls scipy's ``_sparsetools`` kernels
+    on CSR arrays; each result equals scipy's public expression bit for
+    bit, dtypes included.  The kernels are private to scipy, so these
+    cases pin them on every scipy the package admits."""
+
+    @pytest.mark.parametrize("unsorted", [False, True])
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("case", ["real-hermitian", "real-general",
+                                      "complex-hermitian", "complex-general",
+                                      "circulant", "zero-product"])
+    def test_matches_public_scipy(self, case, index_dtype, unsorted):
+        rng = np.random.default_rng(41)
+        A, P = _kernel_cases(rng)[case]
+        A, P = (_with_index_dtype(M, index_dtype) for M in (A, P))
+        if unsorted:
+            A, P = _shuffled(A, rng), _shuffled(P, rng)
+        T = GridTransfer(P)
+        assert_same_csr(T.adjoint, P.conj().T.tocsr())
+
+        A = BlockStructuredMatrix(A)
+        want = {h: galerkin_oracle(A, T, h) for h in (False, True)}
+        for h in (False, True):
+            assert_same_csr(galerkin(A, T, _hermitian=h).matrix, want[h])
+        deviation = A.matrix - A.matrix.conj().T
+        got = structured._csr_binop(structured.csr_minus_csr, structured._csr(A.matrix),
+                                    structured._csr_adjoint(structured._csr(A.matrix)))
+        assert_same_csr(structured._csr_matrix(got), deviation)
+        assert np.abs(got[2]).max(initial=0.0) == abs(deviation).max()
+
+        verdict = BlockStructuredMatrix(A.matrix.copy()).is_hermitian()
+        assert verdict == (case in ("real-hermitian", "complex-hermitian",
+                                    "circulant", "zero-product"))
+        # last: the test puts A in canonical form in place
+        assert_same_csr(galerkin(A, T).matrix, want[verdict])
+        if case == "zero-product":
+            assert galerkin(A, T).matrix.nnz == 0
+
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_every_1d_chain(self, r, kind):
+        for n in (4, 8, 64, 1024):
+            A = assemble_stiffness(r, n, "xsq_plus_one").matrix
+            hermitian = A.is_hermitian()
+            assert hermitian
+            for T in _transfer_chain(r, n, kind, 1, DEFAULT_COARSEST, False):
+                assert_same_csr(T.adjoint, T.matrix.conj().T.tocsr())
+                want = galerkin_oracle(A, T, hermitian)
+                A = galerkin(A, T, _hermitian=hermitian)
+                assert_same_csr(A.matrix, want)
+
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_every_2d_factor_chain(self, r, kind):
+        for t in range(2, 8):
+            chain = _transfer_chain(r, 2 ** t, kind, 2, DEFAULT_COARSEST, False)
+            for factor in assemble_2d_problem(r, t).factors:
+                A = BlockStructuredMatrix(factor)
+                hermitian = A.is_hermitian()
+                for T in chain:
+                    want = galerkin_oracle(A, T, hermitian)
+                    A = galerkin(A, T, _hermitian=hermitian)
+                    assert_same_csr(A.matrix, want)
+
+    def test_shapes_checked_before_the_kernels(self):
+        # the kernels read their inputs unchecked
+        rng = np.random.default_rng(43)
+        with pytest.raises(DimensionError, match="sum of a 30 x 11"):
+            BlockStructuredMatrix(_random_csr(rng, (30, 11), np.float64)).is_hermitian()
+        A = BlockStructuredMatrix(_random_csr(rng, (31, 20), np.float64))
+        T = assemble_transfer(INTERP, 32, "trimmed")
+        with pytest.raises(DimensionError, match="product of a 15 x 20 and a 31 x 15"):
+            galerkin(A, T, _hermitian=False)
+
+    def test_index_dtype_follows_scipy(self):
+        from scipy.sparse._sputils import get_index_dtype
+        dtypes = (np.int8, np.int16, np.int32, np.int64, np.uint16, np.uint32)
+        for a in dtypes:
+            for b in dtypes:
+                arrays = (np.zeros(3, a), np.zeros(2, b))
+                for count in (0, 5, 2 ** 31 - 1, 2 ** 31):
+                    idx, cast = structured._index_cast(arrays, count)
+                    assert idx == get_index_dtype(arrays, maxval=count), (a, b, count)
+                    assert all(c.dtype == idx for c in cast)
+        # an int64 input stays int64 at a small count: its values could
+        # exceed int32
+        big = np.array([0, 2 ** 40])
+        assert structured._index_cast((big, np.zeros(2, np.int32)), 3)[0] == np.int64
+
+
+class TestHermitianScale:
+    """The Hermitian test is relative to max |a_ij| with no floor, so the
+    verdict, and the Galerkin product up to the scale, do not move when
+    A is scaled."""
+
+    SCALES = 10.0 ** np.arange(-13, 7)
+
+    def test_verdict_and_galerkin_do_not_move(self):
+        K = assemble_stiffness(2, 16).matrix.matrix
+        skewed = (sp.tril(K) + 1.1 * sp.triu(K, 1)).tocsr()
+        T = build_fem_transfer(2, 16, "linear")
+        for M, hermitian in ((K, True), (skewed, False)):
+            exact = (T.matrix.T @ M @ T.matrix).toarray()
+            for c in self.SCALES:
+                A = BlockStructuredMatrix((c * M).tocsr())
+                assert A.is_hermitian() == hermitian, c
+                np.testing.assert_allclose(galerkin(A, T).dense() / c, exact,
+                                           rtol=1e-12, atol=1e-12 * abs(exact).max())
+
+    def test_zero_matrix_is_hermitian(self):
+        assert BlockStructuredMatrix(sp.csr_matrix((5, 5))).is_hermitian()
