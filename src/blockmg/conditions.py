@@ -36,9 +36,10 @@ computed once per report.
 The shortcut hypotheses judge residuals and eigenvalues against the
 largest ||p(t0 + pi eta)||_2 over the corners, with no floor of 1, which
 would make them absolute for a small p.  The shifted projector branch
-is matched for a whole stack at once wherever p(theta + pi eta) has no
-cluster of close eigenvalues; only clustered points are matched one by
-one.
+is matched for a whole stack at once by one rule, whether or not
+p(theta + pi eta) has clusters of close eigenvalues there: the clusters
+are formed for every point together, and the span overlaps of clusters
+of one size come from one batched SVD.
 """
 
 from __future__ import annotations
@@ -235,65 +236,56 @@ def _s_gap(p: MatrixTrigPolynomial, thetas, q: np.ndarray) -> np.ndarray:
     return 1.0 - tracked_eigenpairs(build_s_grid(p, thetas), q)[0]
 
 
-def _cluster_match(w, V, scale, q):
-    """The best overlap of q with an eigenvalue cluster of one matrix
-    (eigenvalues w, right eigenvectors V) and that cluster's mean."""
-    clusters = []
-    for idx in np.argsort(np.abs(w)):
-        for cluster in clusters:
-            if abs(w[idx] - w[cluster[0]]) <= 1e-6 * scale:
-                cluster.append(idx)
-                break
-        else:
-            clusters.append([idx])
-    best_overlap, best_value = -1.0, 0.0j
-    for cluster in clusters:
-        if len(cluster) == 1:
-            v = V[:, cluster[0]]
-            overlap = abs(np.vdot(v, q)) / np.linalg.norm(v)
-        else:
-            U, sv, _ = np.linalg.svd(V[:, cluster], full_matrices=False)
-            overlap = np.linalg.norm(U[:, sv > 1e-10 * sv[0]].conj().T @ q)
-        if overlap > best_overlap:
-            best_overlap = float(overlap)
-            best_value = complex(np.mean(w[cluster]))
-    return best_overlap, best_value
-
-
 def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
                               q: np.ndarray) -> np.ndarray:
     """Eigenvalues of the (generally non-Hermitian) matrices
     p(theta + pi), pi added on every axis, at a stack of points, shape
     (n,) (thetas as for :meth:`~MatrixTrigPolynomial.evaluate_grid`),
-    each on the branch whose right eigenvector is closest to q.
+    each on the branch whose right eigenvectors are closest to q.
 
     One batched evaluation and one batched eigendecomposition serve the
-    whole stack.  Eigenvalues within 1e-6 ||p(theta + pi)||_2 of each
-    other are treated as one cluster and matched through the overlap of
-    q with the cluster's eigenvector span: a repeated eigenvalue
-    (rank-deficient projector symbols have multidimensional kernels)
-    splits numerically by sqrt(eps) and its individual eigenvectors are
-    arbitrary within the span.  The returned value is the cluster mean,
-    which cancels that splitting to first order.  A point with no two
-    eigenvalues that close has only one-eigenvalue clusters, and all
-    such points are matched at once: the first largest |v^H q| / ||v||
-    in order of increasing |w|.  Raises TrackingError at the first point
-    whose best overlap falls below OVERLAP_MIN, naming it.
+    whole stack.  A repeated eigenvalue (rank-deficient projector
+    symbols have multidimensional kernels) splits numerically by
+    sqrt(eps), and its individual eigenvectors are arbitrary within
+    their span, so the eigenvalues are clustered: in order of increasing
+    |w|, each joins the first earlier cluster leader within
+    1e-6 ||p(theta + pi)||_2, or else leads a cluster of its own.  A
+    one-member cluster overlaps q by |v^H q| / ||v||, a larger one by
+    the norm of the projection of q onto its eigenvector span.  The
+    branch is the first cluster of largest overlap in leader order, and
+    its value the cluster mean, which cancels the splitting to first
+    order.  Raises TrackingError at the first point whose best overlap
+    falls below OVERLAP_MIN, naming it.
     """
     ts = np.asarray(thetas, dtype=float).reshape(-1, p.m)
     mats = p.evaluate_grid(ts + np.pi)
     ws, Vs = np.linalg.eig(mats)
-    scales = np.linalg.norm(mats, 2, axis=(1, 2))
-    rows = np.arange(len(ts))
-    overlaps = (np.abs(np.conj(np.swapaxes(Vs, 1, 2)) @ q)
-                / np.linalg.norm(Vs, axis=1))
+    tol = 1e-6 * np.linalg.norm(mats, 2, axis=(1, 2))
     order = np.argsort(np.abs(ws), axis=1)
-    best = order[rows, np.argmax(np.take_along_axis(overlaps, order, axis=1), axis=1)]
-    top, out = overlaps[rows, best], ws[rows, best]
-    gaps = np.abs(ws[:, :, None] - ws[:, None, :])
-    gaps[:, np.arange(p.d), np.arange(p.d)] = np.inf
-    for n in np.flatnonzero(np.any(gaps <= 1e-6 * scales[:, None, None], axis=(1, 2))):
-        top[n], out[n] = _cluster_match(ws[n], Vs[n], scales[n], q)
+    ws = np.take_along_axis(ws, order, axis=1)
+    Vs = np.take_along_axis(Vs, order[:, None, :], axis=2)
+    # leader[n, j]: the position of the cluster leader of eigenvalue j
+    leader = np.zeros(ws.shape, dtype=int)
+    for j in range(1, p.d):
+        joins = ((np.abs(ws[:, j, None] - ws[:, :j]) <= tol[:, None])
+                 & (leader[:, :j] == np.arange(j)))
+        leader[:, j] = np.where(joins.any(axis=1), joins.argmax(axis=1), j)
+    size = np.count_nonzero(leader[:, None, :] == np.arange(p.d)[:, None], axis=2)
+    # a position that leads no cluster (size 0) is never the branch
+    overlap = np.where(size == 1, np.abs(np.conj(np.swapaxes(Vs, 1, 2)) @ q)
+                       / np.linalg.norm(Vs, axis=1), -1.0)
+    value = ws.copy()
+    for k in np.unique(size[size > 1]):
+        n, i = np.nonzero(size == k)
+        members = np.nonzero(leader[n] == i[:, None])[1].reshape(-1, k)
+        U, sv, _ = np.linalg.svd(np.take_along_axis(Vs[n], members[:, None, :], axis=2),
+                                 full_matrices=False)
+        span = np.where(sv > 1e-10 * sv[:, :1], np.conj(np.swapaxes(U, 1, 2)) @ q, 0.0)
+        overlap[n, i] = np.linalg.norm(span, axis=1)
+        value[n, i] = np.mean(np.take_along_axis(ws[n], members, axis=1), axis=1)
+    rows = np.arange(len(ts))
+    best = np.argmax(overlap, axis=1)
+    top, out = overlap[rows, best], value[rows, best]
     failed = np.flatnonzero(top < OVERLAP_MIN)
     if failed.size:
         n = failed[0]

@@ -38,7 +38,8 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ArgumentError, ConstructionError
-from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
+from .mgsolve import (DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec,
+                      _is_integer)
 from .structured import (TRIMMED, BlockStructuredMatrix, GridTransfer,
                          assemble_transfer, galerkin)
 from .symbol import MatrixTrigPolynomial
@@ -105,10 +106,6 @@ class FemProblem:
     @property
     def size(self) -> int:
         return self.matrix.size
-
-
-def _is_integer(r) -> bool:
-    return isinstance(r, (int, np.integer)) and not isinstance(r, bool)
 
 
 def _check_degree(r) -> None:

@@ -538,7 +538,12 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
                             f"size {A.shape[0]}: need a vector of that size")
     if b.dtype.kind not in "biufc" or not np.isfinite(b).all():
         raise ArgumentError("right-hand side must be numeric and finite")
-    norm_b = float(np.linalg.norm(b))
+    # both norms of the stopping test are taken on vectors scaled by the
+    # power of two that brings max|b| into [1/2, 1) (at most 2^1022, so
+    # the factor is a double): the scaling is exact, and the sum of
+    # squares in the norm can neither overflow nor underflow to zero
+    scale = 2.0 ** -max(int(np.frexp(np.max(np.abs(b)))[1]), -1022)
+    norm_b = float(np.linalg.norm(b * scale))
     x = np.zeros_like(b, dtype=A.dtype if np.iscomplexobj(A.data) else float)
     if norm_b == 0.0:
         return SolveResult(x=x, iterations=0, residuals=[], converged=True)
@@ -550,7 +555,7 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
     for it in range(1, max_iter + 1):
         x = vcycle_step(h, 0, x, b, r)
         r = _residual_of(h.levels[0].product, x, b)
-        res = float(np.linalg.norm(r)) / norm_b
+        res = float(np.linalg.norm(r * scale)) / norm_b
         residuals.append(res)
         if res <= tol:
             return SolveResult(x=x, iterations=it, residuals=residuals, converged=True)

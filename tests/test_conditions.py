@@ -392,14 +392,24 @@ OTHER_FEM_PAIRS = [(kind, r) for r in range(1, 9) for kind in ("linear", "geomet
                    if (kind, r) not in (("linear", 4), ("geometric", 3))]
 
 
+# the tensor projectors of r >= 2 are clustered at every point near the
+# zero, because the Kronecker eigenvalues coincide there
+TENSOR_PAIRS = [(kind, r) for r in range(1, 4) for kind in ("linear", "geometric")]
+
+
+def _projector(kind, r):
+    return (build_linear_interp_symbol if kind == "linear" else build_geometric_symbol)(r)
+
+
 @pytest.mark.parametrize("p, zero_of, repeated", [
     (build_linear_interp_symbol(4), stiffness_symbol(4), True),
     (build_geometric_symbol(3), stiffness_symbol(3), False),
-    (tensor_symbol([build_geometric_symbol(2)] * 2), stiffness_symbol(2), True),
-    *[((build_linear_interp_symbol if kind == "linear" else build_geometric_symbol)(r),
-       stiffness_symbol(r), kind == "linear" and r % 2 == 0 and r > 2)
+    *[(tensor_symbol([_projector(kind, r)] * 2), stiffness_symbol(r), r > 1)
+      for kind, r in TENSOR_PAIRS],
+    *[(_projector(kind, r), stiffness_symbol(r), kind == "linear" and r % 2 == 0 and r > 2)
       for kind, r in OTHER_FEM_PAIRS],
-], ids=["linear-r4", "geometric-r3", "geometric-r2-tensor",
+], ids=["linear-r4", "geometric-r3",
+        *[f"{kind}-r{r}-tensor" for kind, r in TENSOR_PAIRS],
         *[f"{kind}-r{r}" for kind, r in OTHER_FEM_PAIRS]])
 def test_stacked_shifted_eigenvalue_matches_per_point_eig(p, zero_of, repeated):
     zero = find_zero(zero_of)
@@ -414,6 +424,26 @@ def test_stacked_shifted_eigenvalue_matches_per_point_eig(p, zero_of, repeated):
     np.testing.assert_allclose(got, [w for w, _ in want], rtol=0, atol=1e-12)
     # a repeated eigenvalue is the case the cluster's span is matched for
     assert (max(size for _, size in want) > 1) == repeated
+
+
+def test_shifted_eigenvalue_clusters_greedily_by_leader():
+    # p(t + pi) has the eigenvalues 1, 1 + delta, 1 + 2 delta and 2 with
+    # delta = 0.6 tol, tol = 1e-6 ||p||_2: the middle one joins the leader
+    # 1, the third is 1.2 tol from that leader and leads its own cluster,
+    # although it is within tol of the middle one (a neighbourhood rule
+    # would make one cluster of all three)
+    tol = 1e-6 * 2.0
+    delta = 0.6 * tol
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    p = MatrixTrigPolynomial({0: Q @ np.diag([1.0, 1.0 + delta, 1.0 + 2 * delta, 2.0]) @ Q.T})
+    # q lies in the span of the first two eigenvectors
+    q = Q @ np.array([1.0, 2.0, 0.0, 0.0]) / np.sqrt(5.0)
+    ts = np.array([0.0, 0.7, 2.0])
+    want = [per_point_shifted_eigenvalue(p, t, q) for t in ts]
+    assert [size for _, size in want] == [2, 2, 2]
+    got = shifted_branch_eigenvalue(p, ts, q)
+    np.testing.assert_allclose(got, [w for w, _ in want], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, 1.0 + 0.5 * delta, rtol=0, atol=1e-12)
 
 
 def test_shifted_eigenvalue_error_names_first_failing_point():

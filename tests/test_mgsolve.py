@@ -980,6 +980,22 @@ class TestInputsUntouched:
             assert not np.shares_memory(out, x) and not np.shares_memory(out, b)
 
 
+@pytest.mark.parametrize("c", [2.0 ** -660, 2.0 ** 660], ids=["2^-660", "2^660"])
+def test_solve_does_not_depend_on_the_coefficient_scale(c):
+    # b = (c A) u: squared as they stand, the entries of b underflow to a
+    # zero norm at c = 2^-660 and overflow to an infinite one at 2^660
+    def run(c):
+        problem = assemble_stiffness(2, 64, lambda x: c)
+        h = build_fem_hierarchy(problem, "linear", GS)
+        u = np.random.default_rng(8).uniform(size=problem.size)
+        return solve(h, problem.matrix.matrix @ u)
+
+    want, got = run(1.0), run(c)
+    assert want.converged and want.iterations > 1
+    assert got.residuals == want.residuals
+    assert same_bits(got.x, want.x)
+
+
 def test_detect_divergence():
     assert detect_divergence([1, 2, 4, 8, 16, 32])
     assert not detect_divergence([1.0, 0.5, 0.25, 0.12, 0.06, 0.03])
