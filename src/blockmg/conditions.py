@@ -33,6 +33,13 @@ The checks at the zero share one :class:`ZeroSamples`: the sample
 points, sup norms, branches and hypotheses they have in common, each
 computed once per report.
 
+Every verdict, a dyadic limit's included, is one :class:`CheckResult`:
+a pass/fail flag and the dict of its numeric evidence.  Every report is
+a :class:`Report`, written to JSON by one rule (:func:`jsonable`): a
+verdict as ``{passed, ...evidence}``, any other dataclass by its fields
+in declaration order.  So the report of one (f, p) pair carries the
+:class:`~blockmg.symbol.SymbolZero` of f as its ``zero``.
+
 The shortcut hypotheses judge residuals and eigenvalues against the
 largest ||p(t0 + pi eta)||_2 over the corners, with no floor of 1, which
 would make them absolute for a small p.  The shifted projector branch
@@ -45,7 +52,7 @@ of one size come from one batched SVD.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from itertools import product
 
@@ -131,22 +138,6 @@ def build_s(p: MatrixTrigPolynomial, theta) -> np.ndarray:
 # -- dyadic limit machinery -------------------------------------------------
 
 
-@dataclass
-class LimitEstimate:
-    """Outcome of a stabilized dyadic-ratio limit check."""
-
-    passed: bool
-    c: float
-    spread: float
-    diverged: bool = False
-    reason: str = ""
-    per_direction: list = field(default_factory=list)
-
-    def as_evidence(self) -> dict:
-        return {"c": self.c, "spread": self.spread, "diverged": self.diverged,
-                "reason": self.reason, "per_direction": self.per_direction}
-
-
 def _dyadic_points(theta0, directions) -> np.ndarray:
     """The sample points theta0 + 2^-k d of :func:`dyadic_limit`, shape
     (n_dir * (DYADIC_K_MAX - DYADIC_K_MIN + 1), m): direction by
@@ -158,7 +149,7 @@ def _dyadic_points(theta0, directions) -> np.ndarray:
 
 
 def dyadic_limit(numer, denom, directions, *, numer_floor: float,
-                 denom_floor: float, cap: float) -> LimitEstimate:
+                 denom_floor: float, cap: float) -> CheckResult:
     """Judge lim numer/denom along dyadic approaches to a point.
 
     ``numer`` and ``denom`` are the values at the points theta0 + 2^-k d
@@ -171,6 +162,11 @@ def dyadic_limit(numer, denom, directions, *, numer_floor: float,
     directional estimates agree to REL_SPREAD, and no ratio exceeds
     ``cap``.  ``cap`` is RATIO_CAP times the ratio's natural scale, and
     both relative tests have a floor of 1e-6 times that scale.
+
+    The evidence is the estimate ``c``, the largest tail ``spread``,
+    whether the ratio ``diverged``, the ``reason`` of a failure (empty
+    on success) and the ``per_direction`` estimates judged before the
+    verdict was reached.
     """
     floor = 1e-6 * cap / RATIO_CAP
     directions = [np.atleast_1d(np.asarray(d, dtype=float)) for d in directions]
@@ -183,16 +179,19 @@ def dyadic_limit(numer, denom, directions, *, numer_floor: float,
 
     per_direction = []
     estimates = []
+
+    def verdict(passed, c, spread, reason="", diverged=False):
+        return CheckResult(passed, {"c": c, "spread": spread, "diverged": diverged,
+                                    "reason": reason, "per_direction": per_direction})
+
     for i, direction in enumerate(directions):
         ratios = ratio[owner == i]
         if len(ratios) < TAIL:
-            return LimitEstimate(False, float("nan"), float("inf"),
-                                 reason="insufficient usable samples",
-                                 per_direction=per_direction)
+            return verdict(False, float("nan"), float("inf"),
+                           "insufficient usable samples")
         if ratios.max() > cap:
-            return LimitEstimate(False, float("inf"), float("inf"), diverged=True,
-                                 reason=f"ratio exceeded cap {cap:g}",
-                                 per_direction=per_direction)
+            return verdict(False, float("inf"), float("inf"),
+                           f"ratio exceeded cap {cap:g}", diverged=True)
         tail_vals = ratios[-TAIL:]
         c_dir = float(np.mean(tail_vals))
         spread = float(np.max(tail_vals) - np.min(tail_vals))
@@ -201,9 +200,8 @@ def dyadic_limit(numer, denom, directions, *, numer_floor: float,
                 and ratios[-1] > 100.0 * max(ratios[0], 1e-300)):
             # a power-law blow-up whose usable window (limited by the
             # denominator noise floor) ends before the cap is reached
-            return LimitEstimate(False, float("inf"), float("inf"), diverged=True,
-                                 reason="monotone growth throughout the window",
-                                 per_direction=per_direction)
+            return verdict(False, float("inf"), float("inf"),
+                           "monotone growth throughout the window", diverged=True)
         per_direction.append({"direction": [float(v) for v in direction],
                               "c": c_dir, "spread": spread, "stabilized": ok})
         estimates.append(c_dir)
@@ -214,8 +212,7 @@ def dyadic_limit(numer, denom, directions, *, numer_floor: float,
     spread = max(d["spread"] for d in per_direction)
     reason = "" if passed else ("directional estimates disagree" if not agree
                                 else "tail not stabilized")
-    return LimitEstimate(passed, c, spread, reason=reason,
-                         per_direction=per_direction)
+    return verdict(passed, c, spread, reason)
 
 
 def _axis_directions(m: int):
@@ -449,7 +446,7 @@ def condition_iii_verdict(samples: ZeroSamples) -> CheckResult:
                           numer_floor=100 * EPS, denom_floor=1e3 * EPS * fscale,
                           cap=RATIO_CAP / fscale)
     return CheckResult(direct.passed, {"route": "dyadic", "idempotency_defect": idem,
-                                       **direct.as_evidence()})
+                                       **direct.evidence})
 
 
 def check_condition_iii(samples: ZeroSamples) -> CheckResult:
@@ -466,7 +463,7 @@ def check_condition_iii(samples: ZeroSamples) -> CheckResult:
     verdict = condition_iii_verdict(samples)
     return CheckResult(verdict.passed, {
         **verdict.evidence,
-        "surrogate_c": surrogate.c, "surrogate_passed": surrogate.passed})
+        "surrogate_c": surrogate.evidence["c"], "surrogate_passed": surrogate.passed})
 
 
 def check_vcycle_bound(samples: ZeroSamples) -> CheckResult:
@@ -493,7 +490,7 @@ def check_vcycle_bound(samples: ZeroSamples) -> CheckResult:
                        cap=RATIO_CAP * pscale / fscale)
     return CheckResult(est.passed and hypotheses_ok, {
         "vanishing_branch": False, "hypotheses_ok": hypotheses_ok,
-        **est.as_evidence()})
+        **est.evidence})
 
 
 def check_fhat_properties(samples: ZeroSamples) -> dict:
@@ -534,7 +531,7 @@ def check_fhat_properties(samples: ZeroSamples) -> dict:
     # the limit and its cap scale as |p|^2, as f_hat = p^H f p does
     # against f
     out["coarse_zero_same_order"] = CheckResult(
-        est.passed and est.c > 1e-8 * pscale ** 2, est.as_evidence())
+        est.passed and est.evidence["c"] > 1e-8 * pscale ** 2, est.evidence)
     return out
 
 
@@ -542,10 +539,16 @@ def check_fhat_properties(samples: ZeroSamples) -> dict:
 
 
 def jsonable(obj):
-    """Recursively convert report content to JSON-serializable values."""
+    """Recursively convert report content to JSON-serializable values.
+
+    A :class:`CheckResult` becomes ``{"passed": ..., **evidence}``, any
+    other dataclass the dict of its fields in declaration order, a
+    complex number the pair [real, imag] and a non-finite float its
+    ``repr``."""
     if isinstance(obj, CheckResult):
-        return {"passed": obj.passed,
-                **{k: jsonable(v) for k, v in obj.evidence.items()}}
+        return {"passed": obj.passed, **jsonable(obj.evidence)}
+    if is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -561,11 +564,21 @@ def jsonable(obj):
     return obj
 
 
+class Report:
+    """A certificate, serialized field by field by :func:`jsonable`."""
+
+    def to_dict(self) -> dict:
+        return jsonable(self)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+
 @dataclass
-class ConditionReport:
+class ConditionReport(Report):
     """Aggregated verdicts and evidence for one (f, p) pair."""
 
-    symbol_zero: SymbolZero
+    zero: SymbolZero
     condition_i: CheckResult
     condition_ii: CheckResult
     condition_iii: CheckResult
@@ -574,33 +587,6 @@ class ConditionReport:
     shortcut_hypotheses: dict
     tgm_certified: bool
     vcycle_certified: bool
-
-    @property
-    def zero(self) -> dict:
-        """The zero of f as the report shows it."""
-        z = self.symbol_zero
-        return {
-            "theta0": [float(v) for v in z.theta0],
-            "jbar": z.jbar,
-            "order": z.order,
-            "q_jbar": [[v.real, v.imag] for v in z.q_jbar],
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "zero": jsonable(self.zero),
-            "condition_i": jsonable(self.condition_i),
-            "condition_ii": jsonable(self.condition_ii),
-            "condition_iii": jsonable(self.condition_iii),
-            "vcycle_bound": jsonable(self.vcycle_bound),
-            "fhat_properties": jsonable(self.fhat_properties),
-            "shortcut_hypotheses": jsonable(self.shortcut_hypotheses),
-            "tgm_certified": self.tgm_certified,
-            "vcycle_certified": self.vcycle_certified,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _run_check(fn, *args) -> CheckResult:
@@ -650,6 +636,6 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
     tgm = cond_i.passed and cond_ii.passed and cond_iii.passed
     vcyc = tgm and vbound.passed and all(r.passed for r in fhat.values())
     return ConditionReport(
-        symbol_zero=zero, condition_i=cond_i, condition_ii=cond_ii,
+        zero=zero, condition_i=cond_i, condition_ii=cond_ii,
         condition_iii=cond_iii, vcycle_bound=vbound, fhat_properties=fhat,
         shortcut_hypotheses=hyps, tgm_certified=tgm, vcycle_certified=vcyc)

@@ -519,7 +519,9 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
 
     Both cycles are :func:`vcycle_step`: ``cycle="tgm"`` names the
     two-grid cycle, and needs a two-level hierarchy (built with
-    ``two_level=True``)."""
+    ``two_level=True``).  A residual that is not finite (a cycle that
+    overflowed) ends the solve with :class:`NumericalError`, naming the
+    cycle."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ArgumentError("tol must be positive and finite")
     if not _is_integer(max_iter):
@@ -556,6 +558,8 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
         x = vcycle_step(h, 0, x, b, r)
         r = _residual_of(h.levels[0].product, x, b)
         res = float(np.linalg.norm(r * scale)) / norm_b
+        if not math.isfinite(res):
+            raise NumericalError(f"residual is not finite after cycle {it}")
         residuals.append(res)
         if res <= tol:
             return SolveResult(x=x, iterations=it, residuals=residuals, converged=True)

@@ -31,21 +31,22 @@ bivariate symbol: the zero and its eigenvector are the tensor products
 of the factors' zeros, condition (iii) is judged by the code
 ``full_report`` runs (:func:`~blockmg.conditions.condition_iii_verdict`
 on one :class:`~blockmg.conditions.ZeroSamples` of the tensor pair),
-and what it adds are the checks that the tensor structure factors.
+and what it adds are the checks that the tensor structure factors.  Its
+report is a :class:`~blockmg.conditions.Report` like ``full_report``'s,
+written by the same rule, with each factor's report nested in it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .conditions import (CheckResult, ZeroSamples, _error_result, _run_check,
+from .conditions import (CheckResult, Report, ZeroSamples, _error_result, _run_check,
                          build_s_grid, check_condition_i, condition_iii_verdict,
-                         full_report, jsonable)
+                         full_report)
 from .errors import ArgumentError, BlockmgError, ConstructionError, DimensionError
 from .femgen import (FemProblem, _check_degree, _transfer_chain, assemble_mass,
                      assemble_stiffness)
@@ -202,7 +203,7 @@ def build_2d_hierarchy(problem: FemProblem, kind: str,
 
 
 @dataclass
-class MultilevelConditionReport:
+class MultilevelConditionReport(Report):
     """2D condition checks of a tensor projector next to their
     tensor-factorization shortcuts.
 
@@ -221,23 +222,6 @@ class MultilevelConditionReport:
     factor_reports: list
     tgm_certified: bool
     vcycle_heuristic: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "theta0": jsonable(self.theta0),
-            "condition_i": jsonable(self.condition_i),
-            "fixed_point": jsonable(self.fixed_point),
-            "condition_iii_directional": jsonable(self.condition_iii_directional),
-            "corner_factorization": jsonable(self.corner_factorization),
-            "s_factorization": jsonable(self.s_factorization),
-            "tensor_eigenvector": jsonable(self.tensor_eigenvector),
-            "factor_reports": [r.to_dict() for r in self.factor_reports],
-            "tgm_certified": self.tgm_certified,
-            "vcycle_heuristic": jsonable(self.vcycle_heuristic),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _kron_stack(A, B) -> np.ndarray:
@@ -274,7 +258,7 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
         if (id(p), id(f)) not in reports:
             reports[id(p), id(f)] = full_report(p, f)
     factor_reports = [reports[id(p), id(f)] for p, f in zip(ps, fs)]
-    zeros = [r.symbol_zero for r in factor_reports]
+    zeros = [r.zero for r in factor_reports]
     theta0 = np.array([z.theta0[0] for z in zeros])
     q = np.kron(zeros[0].q_jbar, zeros[1].q_jbar)
     q /= np.linalg.norm(q)

@@ -309,9 +309,10 @@ def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
     (C + C^H) / 2 when A is Hermitian, on scipy's CSR kernels.
 
     For a block-circulant A and a circulant transfer the product is the
-    block-circulant matrix of the coarse symbol; a trimmed block-Toeplitz
-    A and a trimmed transfer match their coarse symbol only up to
-    boundary terms.
+    block-circulant matrix of the coarse symbol.  For the trimmed FEM
+    pairs there are no boundary terms either: the product of the trimmed
+    T_n of f and the trimmed transfer of p is the trimmed T_{n/2} of
+    ``coarse_symbol(f, p)``, up to rounding, at every level of a chain.
 
     ``_hermitian``, when given, is the verdict of ``A.is_hermitian()``,
     which a Galerkin chain takes once on its finest matrix: every coarser

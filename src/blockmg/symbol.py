@@ -233,14 +233,15 @@ def _is_hermitian(keys, stack, norms) -> bool:
     return not np.any(np.abs(diff) > tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SymbolZero:
-    """Location and structure of the unique zero of the minimal eigenvalue."""
+    """Location and structure of the unique zero of the minimal eigenvalue,
+    its fields in the order a certificate reports them."""
 
     theta0: tuple          # point in [0, 2pi)^m
     jbar: int              # 1-based index of the vanishing eigenvalue
-    q_jbar: np.ndarray     # unit eigenvector of f(theta0) for eigenvalue 0
     order: int             # even order of the zero
+    q_jbar: np.ndarray     # unit eigenvector of f(theta0) for eigenvalue 0
 
 
 def theta_grid(n: int = DEFAULT_GRID) -> np.ndarray:
@@ -400,7 +401,7 @@ def find_zero(f: MatrixTrigPolynomial) -> SymbolZero:
 
     order = _zero_order(f, theta0, q, scale)
     return SymbolZero(theta0=tuple(float(t) for t in theta0), jbar=jbar + 1,
-                      q_jbar=q, order=order)
+                      order=order, q_jbar=q)
 
 
 def _zero_order(f, theta0, q, scale):

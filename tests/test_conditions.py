@@ -219,7 +219,7 @@ class TestFullReport:
     def test_certified_pair(self, f_q2, p_l2):
         rep = full_report(p_l2, f_q2)
         assert rep.tgm_certified and rep.vcycle_certified
-        assert rep.zero["order"] == 2
+        assert rep.zero.order == 2
 
     def test_negative_control(self):
         rep = full_report(ONE, LAPLACE)
@@ -379,11 +379,11 @@ def test_batched_limits_match_per_point_reference(p, f):
         passed, c, reason = per_point_dyadic_limit(num1, den1, t0, _axis_directions(1),
                                                    numer_floor=nfloor, denom_floor=dfloor,
                                                    cap=cap)
-        assert (est.passed, est.reason) == (passed, reason), name
+        assert (est.passed, est.evidence["reason"]) == (passed, reason), name
         if np.isfinite(c):
-            assert est.c == pytest.approx(c, rel=1e-4, abs=1e-12), name
+            assert est.evidence["c"] == pytest.approx(c, rel=1e-4, abs=1e-12), name
         else:
-            assert repr(est.c) == repr(c), name
+            assert repr(est.evidence["c"]) == repr(c), name
 
 
 # every eigenvalue of p(t + pi) near the zero is simple, except for the
@@ -550,6 +550,40 @@ def test_untrackable_branch_reports_each_checks_own_error():
         got = jsonable(getattr(rep, name))
         assert got["error"].startswith("TrackingError: overlap 0.577"), name
         assert got == _standalone(check, p, f), name
+
+
+# -- report layout -------------------------------------------------------------
+
+
+LIMIT_KEYS = ["c", "spread", "diverged", "reason", "per_direction"]
+
+
+def test_report_layout_is_pinned():
+    # r = 3 geometric: every limit of the report is judged on the dyadic
+    # route, so each carries its evidence
+    f, p = stiffness_symbol(3), build_geometric_symbol(3)
+    rep = json.loads(full_report(p, f).to_json())
+    assert list(rep) == ["zero", "condition_i", "condition_ii", "condition_iii",
+                         "vcycle_bound", "fhat_properties", "shortcut_hypotheses",
+                         "tgm_certified", "vcycle_certified"]
+    assert list(rep["zero"]) == ["theta0", "jbar", "order", "q_jbar"]
+    assert list(rep["condition_iii"]) == ["passed", "route", "idempotency_defect",
+                                          *LIMIT_KEYS, "surrogate_c", "surrogate_passed"]
+    assert list(rep["vcycle_bound"]) == ["passed", "vanishing_branch", "hypotheses_ok",
+                                         *LIMIT_KEYS]
+    assert list(rep["fhat_properties"]["coarse_zero_same_order"]) == ["passed", *LIMIT_KEYS]
+    ml = json.loads(check_multilevel_conditions(
+        [p, p], tensor_sum_symbol(f, mass_symbol(3)), fs=[f, f]).to_json())
+    assert list(ml) == ["theta0", "condition_i", "fixed_point",
+                        "condition_iii_directional", "corner_factorization",
+                        "s_factorization", "tensor_eigenvector", "factor_reports",
+                        "tgm_certified", "vcycle_heuristic"]
+    assert ml["factor_reports"] == [rep, rep]
+    assert list(ml["condition_iii_directional"]) == ["passed", "route",
+                                                     "idempotency_defect", *LIMIT_KEYS]
+    est = dyadic_limit(np.ones(42), np.ones(42), _axis_directions(1),
+                       numer_floor=0.0, denom_floor=0.0, cap=RATIO_CAP)
+    assert est.passed and list(est.evidence) == LIMIT_KEYS
 
 
 # -- verdicts under a scaled projector ----------------------------------------

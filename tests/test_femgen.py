@@ -5,7 +5,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from blockmg import (MatrixTrigPolynomial, assemble_toeplitz, assemble_transfer,
-                     femgen, multilevel)
+                     coarse_symbol, femgen, galerkin, multilevel)
 from blockmg.errors import ArgumentError, ConstructionError
 from blockmg.femgen import (COEFFICIENTS, _reference_basis, assemble_mass,
                             assemble_stiffness, build_fem_hierarchy,
@@ -523,3 +523,27 @@ class TestFemTransfer:
             build_fem_transfer(2, 7, "linear")
         with pytest.raises(ArgumentError):
             build_fem_transfer(2, 8, "algebraic")
+
+
+@pytest.mark.parametrize("kind", ["linear", "geometric"])
+@pytest.mark.parametrize("r", range(1, 9))
+def test_galerkin_levels_are_the_coarse_symbol_chain(r, kind):
+    # every level of a constant-coefficient hierarchy is the trimmed T_n
+    # of the coarse-symbol chain f_k = coarse_symbol(f_{k-1}, p): the
+    # trimmed pairs have no boundary terms.  The mass chain, through the
+    # same transfers, matches too.
+    n = 256
+    h = build_fem_hierarchy(assemble_stiffness(r, n), kind)
+    assert len(h.levels) >= 3
+    p = projector_symbol(r, kind)
+    f, m = stiffness_symbol(r), mass_symbol(r)
+    M = assemble_mass(r, n)
+    for k, lvl in enumerate(h.levels):
+        if k > 0:
+            f, m = coarse_symbol(f, p), coarse_symbol(m, p)
+            M = galerkin(M, h.levels[k - 1].transfer)
+        n_k = n // 2 ** k
+        for got, symbol in ((lvl.matrix.matrix, f), (M.matrix, m)):
+            want = assemble_toeplitz(symbol, n_k).matrix[:-1, :-1]
+            assert got.shape == want.shape
+            assert abs(got - want).max() <= 1e-12 * abs(want).max(), (k, symbol is m)

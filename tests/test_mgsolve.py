@@ -10,7 +10,7 @@ from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
                      richardson_omega_default, smooth, solve, tgm_step,
                      vcycle_step)
 from blockmg.errors import (ArgumentError, ConfigurationError, ConstructionError,
-                            SingularMatrixError)
+                            NumericalError, SingularMatrixError)
 from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
                             stiffness_symbol)
 from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE, _Level,
@@ -705,6 +705,15 @@ class TestSolve:
         res = solve(h, b, tol=1e-14, max_iter=2)
         assert not res.converged and res.flag == "noconv"
         assert res.iterations == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_residual_ends_the_solve(self):
+        # b is finite, but the first cycle overflows it: the solve stops
+        # there instead of running every cycle on NaN residuals
+        h = build_fem_hierarchy(assemble_stiffness(1, 8), "linear")
+        b = np.full(h.levels[0].matrix.size, 1.7e308)
+        with pytest.raises(NumericalError, match="not finite after cycle 1$"):
+            solve(h, b)
 
     def test_residuals_monotone_recorded(self):
         problem, h = fem_hierarchy(t=5)

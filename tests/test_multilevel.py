@@ -400,7 +400,7 @@ def test_full_report_of_a_tensor_pair_agrees_with_the_multilevel_checker(r, buil
     rep = full_report(tensor_symbol([p, p]), f2d)
     ml = check_multilevel_conditions([p, p], f2d, fs=[f, f])
     assert rep.tgm_certified and ml.tgm_certified
-    assert (rep.symbol_zero.theta0, rep.symbol_zero.jbar, rep.symbol_zero.order) == \
+    assert (rep.zero.theta0, rep.zero.jbar, rep.zero.order) == \
         ((0.0, 0.0), 1, 2)
     assert rep.condition_iii.evidence["route"] == ml.condition_iii_directional.evidence["route"]
     # one bound over all eight directions is conservative in 2D: for these
