@@ -25,7 +25,12 @@ construction.  Gauss-Seidel's is (D + L)^{-1} r, and its
 backend follows from M alone: with lower bandwidth kd, when the band
 storage (kd + 1) N is no larger than nnz(M) (every 1D FEM level), LAPACK
 ``tbtrs`` applies the banded lower triangle, stored in Fortran order so
-that no call copies it; otherwise (2D levels) SuperLU's triangular
+that no call copies it, with a unit diagonal: D + L = (I + L D^{-1}) D,
+so the band's columns below the diagonal are divided by D once, when
+the correction is prepared, and each sweep solves with I + L D^{-1}
+and divides the result by D.  This takes the division by D[j] off the
+sequential chain of forward substitution, where it bounded the sweep
+by division latency; otherwise (2D levels) SuperLU's triangular
 solver ``gstrs`` applies tril(M) as it stands, with no factorization
 (see :func:`_lower_triangular_solve`).  On a real level, a complex
 right-hand side is solved as its real and imaginary parts, by either
@@ -156,7 +161,9 @@ def _check_omega(M: sp.csr_matrix, omega: float) -> None:
     if bound > 0 and omega < 2.0 / bound:
         return
     lam_max = _lambda_max(M)
-    if 2.0 * omega - omega ** 2 * lam_max <= 0:
+    # 2 omega - omega^2 lambda_max <= 0 for omega > 0, without the square,
+    # which overflows for a large omega
+    if omega * lam_max >= 2.0:
         raise ConfigurationError(
             f"omega={omega} outside (0, 2/lambda_max): lambda_max = {lam_max:.6g}")
 
@@ -259,8 +266,9 @@ def _lower_triangular_solve(M: sp.csr_matrix, diag):
 def _correction(M: sp.csr_matrix, spec: SmootherSpec):
     """The map r -> x-correction of one sweep of ``spec`` on M, prepared
     once: omega r for Richardson, (D + L)^{-1} r for forward Gauss-Seidel
-    (exact, no pivoting; banded LAPACK or SuperLU's triangular solver,
-    see the module docstring)."""
+    (exact, no pivoting; SuperLU's triangular solver, or banded LAPACK
+    with a unit diagonal after a one-time column scaling of the band,
+    D^{-1} (I + L D^{-1})^{-1} r, see the module docstring)."""
     if spec.kind == RICHARDSON:
         if spec.omega is None:
             omega = richardson_omega_default(M)
@@ -275,14 +283,24 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
     if ab is None:
         solve_lower = _lower_triangular_solve(M, diag)
     else:
+        # D + L = (I + L D^{-1}) D: the columns below the diagonal are
+        # divided by it once (no reciprocal, which a subnormal D would
+        # overflow), and each sweep solves with a unit diagonal, which
+        # tbtrs never reads, then divides by D = ab[0] in one pass.  Row
+        # by row: on the Fortran-ordered band, ab[1:] /= ab[0] runs an
+        # inner loop of length kd per column, five times slower
+        for k in range(1, ab.shape[0]):
+            ab[k] /= ab[0]
         tbtrs = get_lapack_funcs("tbtrs", (ab,))
 
         def solve_lower(r):
-            # positional: parsing keywords makes this f2py call a third slower
-            y, info = tbtrs(ab, r, "L", "N", "N", 1)
+            # positional: parsing keywords makes this f2py call a third
+            # slower; the last 1 lets it overwrite r (see smooth)
+            y, info = tbtrs(ab, r, "L", "N", "U", 1)
             if info != 0:
                 raise SingularMatrixError(
                     f"banded Gauss-Seidel solve failed: info={info}")
+            y /= ab[0]
             return y
 
     return _real_split(solve_lower, M)

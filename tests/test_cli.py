@@ -85,6 +85,9 @@ MALFORMED = {
         tmp, b"smoother = richardson\ncycle = tgm\nomega = nan\nt_range = 3\n"),
     "run-inf-omega": lambda tmp: _run_args(
         tmp, b"smoother = richardson\ncycle = tgm\nomega = inf\nt_range = 3\n"),
+    # omega^2 lambda_max overflows a float: the bound is tested without it
+    "run-huge-omega": lambda tmp: _run_args(
+        tmp, b"smoother = richardson\nomega = 1e200\nt_range = 4\n"),
     "run-inf-tol": lambda tmp: _run_args(tmp, b"tol = inf\nt_range = 3\n"),
     "run-negative-seed": lambda tmp: _run_args(tmp, b"seed = -1\nt_range = 3\n"),
     # N = 8 * 2^24 - 1 unknowns: gigabytes before the first solve

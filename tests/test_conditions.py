@@ -22,8 +22,8 @@ from blockmg.errors import SingularMatrixError, TrackingError
 from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
                             mass_symbol, stiffness_symbol)
 from blockmg.multilevel import check_multilevel_conditions, tensor_sum_symbol
-from blockmg.symbol import (coarse_symbol, symbol_sup_norm, tensor_symbol, theta_grid,
-                            tracked_eigenpairs)
+from blockmg.symbol import (coarse_symbol, sample_points, symbol_sup_norm,
+                            tensor_symbol, theta_grid, tracked_eigenpairs)
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -753,3 +753,15 @@ def test_two_grid_verdicts_do_not_depend_on_the_coarse_basis(k, seed):
     assert rep.tgm_certified == base.tgm_certified
     if p is ONE:
         assert not rep.tgm_certified
+
+
+def test_r2_linear_projector_is_singular_at_every_point_and_certifies():
+    # the abstract's claim: the projector symbol may be singular at all
+    # points.  The r = 2 linear FEM projector is (sigma_min / sigma_max
+    # at most 2.2e-16 over these points), and its pair still certifies
+    p = build_linear_interp_symbol(2)
+    s = np.linalg.svd(p.evaluate_grid(sample_points(1, 64)), compute_uv=False)
+    assert s.shape == (64, 2)
+    assert np.all(s[:, -1] <= 1e-13 * s[:, 0])
+    report = full_report(p, stiffness_symbol(2))
+    assert report.tgm_certified and report.vcycle_certified

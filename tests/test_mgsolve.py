@@ -95,6 +95,12 @@ class TestSmooth:
             mgsolve._check_omega(M, 0.50156)
         mgsolve._check_omega(M, 0.50001)
 
+    def test_huge_omega_rejected_without_overflow(self):
+        # omega^2 lambda_max would overflow a float at omega = 1e200
+        M = assemble_stiffness(2, 16).matrix.matrix
+        with pytest.raises(ConfigurationError, match="outside"):
+            mgsolve._check_omega(M, 1e200)
+
     def test_lambda_max_off_the_band_matches_dense(self):
         # a 2D level is not banded, so ARPACK bounds it
         M = assemble_2d_problem(2, 4).matrix.matrix
@@ -150,11 +156,11 @@ def _backend(correct):
     return None
 
 
-def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=None):
+def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=None, scale=1.0):
     """One sweep through the prepared correction against the dense
     x + solve(tril(A), b - A x); returns the correction.  The start and
     right-hand side are complex with ``complex_rhs``, by default when M
-    is."""
+    is; the right-hand side is multiplied by ``scale``."""
     rng = np.random.default_rng(seed)
     n = M.shape[0]
     x, b = rng.standard_normal(n), rng.standard_normal(n)
@@ -162,6 +168,7 @@ def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=None):
         complex_rhs = np.iscomplexobj(M.data)
     if complex_rhs:
         x, b = x + 1j * rng.standard_normal(n), b + 1j * rng.standard_normal(n)
+    b = b * scale
     Ad = M.toarray()
     expected = x + sla.solve_triangular(np.tril(Ad), b - Ad @ x, lower=True)
     level = lone(M)
@@ -205,6 +212,37 @@ class TestSmootherBackends:
         assert mgsolve._lower_band(M) is None
         correct = _assert_gauss_seidel_oracle(M, complex_rhs=complex_rhs)
         assert _backend(correct) == "gstrs"
+
+    def test_row_scaled_band_spanning_300_decades(self):
+        # the band sweep runs with a unit diagonal, on columns scaled by
+        # the diagonal once: here D spans 1e150 down to 1e-150
+        M = (sp.diags(np.logspace(150, -150, 31)) @ tridiag(31)).tocsr()
+        assert _backend(_assert_gauss_seidel_oracle(M)) == "tbtrs"
+
+    def test_complex_hermitian_band_with_a_varying_diagonal(self):
+        # S A S with S real positive is Hermitian up to rounding, which
+        # the mean with its adjoint removes; D spans 1e-8 to 1e8
+        S = sp.diags(np.logspace(-4, 4, 62))
+        H = S @ assemble_toeplitz(COMPLEX_HERMITIAN, 31).matrix @ S
+        M = (0.5 * (H + H.conj().T)).tocsr()
+        assert np.iscomplexobj(M.data) and abs(M - M.conj().T).max() == 0
+        assert _backend(_assert_gauss_seidel_oracle(M)) == "tbtrs"
+
+    @pytest.mark.parametrize("c", [2.0 ** -1000, 2.0 ** 1000], ids=["2^-1000", "2^1000"])
+    def test_band_sweep_does_not_depend_on_a_power_of_two_scale(self, c):
+        M = assemble_stiffness(2, 16, "xsq_plus_one").matrix.matrix
+        correct = _assert_gauss_seidel_oracle(c * M, scale=c)
+        assert _backend(correct) == "tbtrs"
+        rng = np.random.default_rng(3)
+        x, b = rng.standard_normal(M.shape[0]), rng.standard_normal(M.shape[0])
+        assert same_bits(smooth(lone(c * M), x, c * b, 2), smooth(lone(M), x, b, 2))
+
+    def test_band_sweep_on_a_subnormal_band(self):
+        # every entry of c M is subnormal: the columns are divided by D,
+        # since a reciprocal 1/D would overflow to inf
+        c = 2.0 ** -1030
+        for M in (tridiag(31), assemble_stiffness(2, 16, "xsq_plus_one").matrix.matrix):
+            assert _backend(_assert_gauss_seidel_oracle(c * M, scale=c)) == "tbtrs"
 
     def test_real_matrix_complex_right_hand_side(self):
         M = assemble_stiffness(2, 16, "one").matrix.matrix
