@@ -34,7 +34,7 @@ by division latency; otherwise (2D levels) SuperLU's triangular
 solver ``gstrs`` applies tril(M) as it stands, with no factorization
 (see :func:`_lower_triangular_solve`).  On a real level, a complex
 right-hand side is solved as its real and imaginary parts, by either
-smoother backend and by the coarsest-level LU.
+smoother backend and by the coarsest-level solver.
 
 The cycle calls two private scipy entry points.  Every sparse product
 in it (the residual b - M x of a level, the restriction P^H r and the
@@ -59,12 +59,16 @@ dense ``eigvalsh`` otherwise.  Here the band is max(kl, ku), the larger
 of the lower and upper bandwidths, and it fits when
 (max(kl, ku) + 1) N <= nnz(M).
 
-The coarsest level (the coarse level of a two-grid cycle) is
-solved by LU with partial pivoting, factored once, with the same band
-rule: LAPACK ``gbtrf``/``gbtrs`` on a band level (every 1D FEM level),
-SuperLU otherwise (2D levels).  Not a banded Cholesky: a level need
-only have a positive definite Hermitian part, and a Cholesky of that
-part would solve another system.
+The coarsest level (the coarse level of a two-grid cycle) is factored
+once and solved exactly.  A band level (lower band storage within
+nnz(M), as for the smoother) that is Hermitian bit for bit, kl = ku and
+each diagonal below the main one the exact conjugate of the one as far
+above it, is factored by banded Cholesky, LAPACK ``pbtrf``/``pbtrs`` on
+that lower band storage: every 1D FEM level is, since the builders
+symmetrize their Galerkin products.  Every other level, and a Hermitian
+band level on which ``pbtrf`` meets a nonpositive pivot, is solved by
+SuperLU's LU with partial pivoting: 2D levels, and a non-Hermitian band
+level, whose Hermitian part a Cholesky would solve in its place.
 """
 
 from __future__ import annotations
@@ -183,14 +187,12 @@ def _real_split(solve, M):
 
 
 def _bandwidths(M: sp.csr_matrix):
-    """The lower and upper bandwidths (kl, ku) of a square CSR M, read in
-    O(N) off the first and last stored column of each row."""
-    if not M.has_sorted_indices:
-        M = M.sorted_indices()
-    rows = np.flatnonzero(np.diff(M.indptr))
-    kl = np.max(rows - M.indices[M.indptr[rows]], initial=0)
-    ku = np.max(M.indices[M.indptr[rows + 1] - 1] - rows, initial=0)
-    return int(kl), int(ku)
+    """The lower and upper bandwidths (kl, ku) of a square CSR M, from
+    the column offset of every stored entry: no sort, so a Galerkin
+    level's unsorted rows cost no copy."""
+    rows = np.repeat(np.arange(M.shape[0], dtype=M.indices.dtype), np.diff(M.indptr))
+    offsets = M.indices - rows
+    return int(-offsets.min(initial=0)), int(offsets.max(initial=0))
 
 
 def _lower_band(M: sp.csr_matrix, hermitian: bool = False):
@@ -276,10 +278,10 @@ def _correction(M: sp.csr_matrix, spec: SmootherSpec):
             _check_omega(M, spec.omega)
             omega = spec.omega
         return lambda r: omega * r
-    diag = M.diagonal()
+    ab = _lower_band(M)
+    diag = M.diagonal() if ab is None else ab[0]
     if np.any(diag == 0):
         raise ConfigurationError("Gauss-Seidel needs a nonzero diagonal")
-    ab = _lower_band(M)
     if ab is None:
         solve_lower = _lower_triangular_solve(M, diag)
     else:
@@ -331,41 +333,41 @@ def _extreme_eigenvalues(M: sp.csr_matrix):
     return lo, hi
 
 
-def _coarse_solver(M: sp.csr_matrix):
-    """r -> M^{-1} r for the coarsest level M, by LU with partial pivoting:
-    LAPACK ``gbtrf``/``gbtrs`` on a band level, whose band storage
-    (max(kl, ku) + 1) N fits in nnz(M) (the rule of
-    :func:`_extreme_eigenvalues`), SuperLU otherwise."""
-    n = M.shape[0]
+def _hermitian_band(M: sp.csr_matrix):
+    """The lower band storage of M (:func:`_lower_band`) when M is
+    Hermitian bit for bit: kl = ku, a real diagonal, and each diagonal
+    above the main one the exact conjugate of the one as far below it;
+    None otherwise."""
     kl, ku = _bandwidths(M)
-    if (max(kl, ku) + 1) * n > M.nnz:
-        try:
-            lu = spla.splu(M.tocsc())
-        except RuntimeError as exc:
-            raise SingularMatrixError(
-                f"coarsest-level matrix is singular: {exc}") from exc
-        return _real_split(lu.solve, M)
-    # ab[kl + ku + i - j, j] = M[i, j]; the top kl rows take the fill of
-    # pivoting, and duplicate entries add up in order, as in M.diagonal().
-    # bincount sums real weights, so a complex band is filled part by part
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=np.result_type(M.dtype, float),
-                  order="F")
-    flat = ab.reshape(-1, order="F")   # a view: ab is Fortran-ordered
-    rows = np.repeat(np.arange(n), np.diff(M.indptr))
-    index = kl + ku + rows - M.indices + ab.shape[0] * M.indices
-    flat.real = np.bincount(index, M.data.real, minlength=flat.size)
-    if np.iscomplexobj(M.data):
-        flat.imag = np.bincount(index, M.data.imag, minlength=flat.size)
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=1)
-    if info > 0:
+    ab = _lower_band(M) if kl == ku else None
+    if ab is None or np.any(ab[0].imag):
+        return None
+    n = M.shape[0]
+    for k in range(1, kl + 1):
+        if not np.array_equal(ab[k, :n - k], np.conj(M.diagonal(k))):
+            return None
+    return ab
+
+
+def _coarse_solver(M: sp.csr_matrix):
+    """r -> M^{-1} r for the coarsest level M, factored once: by banded
+    Cholesky (LAPACK ``pbtrf``/``pbtrs``) on a band level that is
+    Hermitian bit for bit (:func:`_hermitian_band`) and positive
+    definite, by SuperLU's LU with partial pivoting otherwise."""
+    ab = _hermitian_band(M)
+    if ab is not None:
+        pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+        c, info = pbtrf(ab, lower=1, overwrite_ab=1)
+        # info > 0: a nonpositive pivot, M is not positive definite
+        if info == 0:
+            # positional, as the band sweep of _correction calls tbtrs
+            return _real_split(lambda r: pbtrs(c, r, 1)[0], M)
+    try:
+        lu = spla.splu(M.tocsc())
+    except RuntimeError as exc:
         raise SingularMatrixError(
-            f"coarsest-level matrix is singular: zero pivot in column {info}")
-
-    def solve(r):
-        return gbtrs(lu, kl, ku, r, piv)[0]
-
-    return _real_split(solve, M)
+            f"coarsest-level matrix is singular: {exc}") from exc
+    return _real_split(lu.solve, M)
 
 
 @dataclass
@@ -590,9 +592,15 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
 
 def richardson_omega_default(A) -> float:
     """Default damping 1/C, with C the Gershgorin bound of the matrix A
-    standing in for its spectral radius."""
+    standing in for its spectral radius.  Raises :class:`ArgumentError`
+    when 1/C is not a positive finite number (C zero, below 1/DBL_MAX or
+    infinite)."""
     bound = gershgorin_bound(A)
     if bound <= 0:
         raise ArgumentError("cannot derive a damping parameter from a zero operator")
-    return 1.0 / bound
+    omega = 1.0 / bound
+    if not 0.0 < omega < math.inf:
+        raise ArgumentError(f"cannot derive a damping parameter from the "
+                            f"Gershgorin bound C = {bound:.3g}: 1/C is {omega}")
+    return omega
 

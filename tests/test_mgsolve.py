@@ -138,7 +138,7 @@ class TestSmooth:
 def _backend(correct):
     """The kernel a prepared Gauss-Seidel correction or coarse solver
     applies: "gstrs" for SuperLU's sparse triangular solver, "tbtrs" or
-    "gbtrs" for banded LAPACK, "splu" for a SuperLU factor, held in a
+    "pbtrs" for banded LAPACK, "splu" for a SuperLU factor, held in a
     closure directly or through the real/imaginary split of a real level;
     None for none of them."""
     pending = [correct]
@@ -148,7 +148,7 @@ def _backend(correct):
             return "gstrs"
         if isinstance(getattr(obj, "__self__", None), spla.SuperLU):
             return "splu"
-        for kernel in ("tbtrs", "gbtrs"):
+        for kernel in ("tbtrs", "pbtrs"):
             if getattr(obj, "__name__", "").endswith(kernel):
                 return kernel
         pending.extend(cell.cell_contents
@@ -364,8 +364,9 @@ def _assert_coarse_solver_matches_splu(M, complex_rhs=False, seed=0):
 
 
 class TestCoarseSolver:
-    """Band levels are solved by LAPACK banded LU (``gbtrf``/``gbtrs``),
-    wide-band levels by SuperLU."""
+    """Band levels that are Hermitian bit for bit and positive definite
+    are solved by LAPACK banded Cholesky (``pbtrf``/``pbtrs``), every
+    other level by SuperLU."""
 
     @pytest.mark.parametrize("complex_rhs", [False, True])
     def test_real_fem_coarse_level(self, complex_rhs):
@@ -373,12 +374,12 @@ class TestCoarseSolver:
         h = build_fem_hierarchy(problem, "geometric",
                                 SmootherSpec(kind=RICHARDSON), two_level=True)
         M = h.levels[1].matrix.matrix
-        assert _backend(_assert_coarse_solver_matches_splu(M, complex_rhs)) == "gbtrs"
+        assert _backend(_assert_coarse_solver_matches_splu(M, complex_rhs)) == "pbtrs"
 
     def test_complex_hermitian_band_level(self):
         M = assemble_toeplitz(COMPLEX_HERMITIAN, 31).matrix
         assert np.iscomplexobj(M.data)
-        assert _backend(_assert_coarse_solver_matches_splu(M)) == "gbtrs"
+        assert _backend(_assert_coarse_solver_matches_splu(M)) == "pbtrs"
 
     def test_non_hermitian_level_is_solved_not_its_hermitian_part(self):
         # kl = 2, ku = 1; the Hermitian part (4 on the diagonal, -1.25
@@ -387,10 +388,23 @@ class TestCoarseSolver:
         n = 40
         M = sp.diags([0.5, -1.0, 4.0, -1.5], [-2, -1, 0, 1], shape=(n, n)).tocsr()
         solver = _assert_coarse_solver_matches_splu(M)
-        assert _backend(solver) == "gbtrs"
+        assert _backend(solver) == "splu"
         b = np.ones(n)
         H = 0.5 * (M + M.T).tocsc()
         assert np.linalg.norm(solver(b) - spla.spsolve(H, b)) > 0.1
+
+    def test_hermitian_indefinite_band_falls_back_to_superlu(self):
+        # eigenvalues 1 - 2 cos(k pi / 41), k = 1..40: both signs, none zero
+        M = sp.diags([-1.0, 1.0, -1.0], [-1, 0, 1], shape=(40, 40)).tocsr()
+        assert _backend(_assert_coarse_solver_matches_splu(M)) == "splu"
+
+    def test_band_one_ulp_from_hermitian_goes_to_superlu(self):
+        M = assemble_stiffness(2, 16, "xsq_plus_one").matrix.matrix.copy()
+        assert _backend(_coarse_solver(M)) == "pbtrs"
+        upper = np.flatnonzero(M.indices > np.repeat(np.arange(M.shape[0]),
+                                                     np.diff(M.indptr)))
+        M.data[upper[5]] = np.nextafter(M.data[upper[5]], np.inf)
+        assert _backend(_assert_coarse_solver_matches_splu(M)) == "splu"
 
     def test_duplicate_entries_add_up(self):
         # rows 0 and 1 store (0, 0) and (1, 1) a second time, at their ends
@@ -402,7 +416,7 @@ class TestCoarseSolver:
                             shape=M.shape)
         assert dup.nnz == M.nnz + 2 and not dup.has_canonical_format
         assert dup.diagonal()[:2].tolist() == [2.5, 1.75]
-        assert _backend(_assert_coarse_solver_matches_splu(dup)) == "gbtrs"
+        assert _backend(_assert_coarse_solver_matches_splu(dup)) == "pbtrs"
 
     def test_wide_band_level_keeps_superlu(self):
         M = assemble_2d_problem(2, 4).matrix.matrix
@@ -416,6 +430,18 @@ class TestCoarseSolver:
         M[:, 4] = 0.0
         M = M.tocsr()
         M.eliminate_zeros()
+        with pytest.raises(SingularMatrixError, match="coarsest-level matrix is singular"):
+            _coarse_solver(M)
+
+    def test_singular_hermitian_band_raises(self):
+        # row and column 4 zero: pbtrf meets the zero pivot, and the
+        # SuperLU fallback refuses the level
+        M = tridiag(10).tolil()
+        M[:, 4] = 0.0
+        M[4, :] = 0.0
+        M = M.tocsr()
+        M.eliminate_zeros()
+        assert mgsolve._hermitian_band(M) is not None
         with pytest.raises(SingularMatrixError, match="coarsest-level matrix is singular"):
             _coarse_solver(M)
 
@@ -1043,6 +1069,20 @@ def test_solve_does_not_depend_on_the_coefficient_scale(c):
     assert same_bits(got.x, want.x)
 
 
+def test_gauss_seidel_vcycle_on_a_subnormal_problem():
+    # every entry of A at 1e-310 is subnormal; the coarsest level's
+    # Cholesky takes square roots of its pivots, which stay normal
+    def run(c):
+        problem = assemble_stiffness(2, 64, lambda x: c)
+        h = build_fem_hierarchy(problem, "linear", GS)
+        u = np.random.default_rng(8).uniform(size=problem.size)
+        return solve(h, problem.matrix.matrix @ u)
+
+    want, got = run(1e-300), run(1e-310)
+    assert want.converged and got.converged
+    assert got.iterations == want.iterations == 7
+
+
 def test_detect_divergence():
     assert detect_divergence([1, 2, 4, 8, 16, 32])
     assert not detect_divergence([1.0, 0.5, 0.25, 0.12, 0.06, 0.03])
@@ -1057,4 +1097,14 @@ class TestOmegaDefault:
     def test_zero_operator_rejected(self):
         with pytest.raises(ArgumentError):
             richardson_omega_default(sp.csr_matrix((4, 4)))
+
+    def test_subnormal_bound_rejected(self):
+        # C = 1.07e-309: 1/C overflows, at setup and per level alike
+        problem = assemble_stiffness(2, 64, lambda x: 1e-310)
+        with pytest.raises(ArgumentError, match=r"Gershgorin bound C = 1\.07e-309"):
+            richardson_omega_default(problem.matrix)
+        h = build_fem_hierarchy(problem, "linear", SmootherSpec(kind=RICHARDSON))
+        b = problem.matrix.matrix @ np.ones(problem.size)
+        with pytest.raises(ArgumentError, match=r"Gershgorin bound C = 1\.07e-309"):
+            solve(h, b)
 
