@@ -38,10 +38,9 @@ import scipy.sparse as sp
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ArgumentError, ConstructionError
-from .mgsolve import (DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec,
-                      _is_integer)
+from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import (TRIMMED, BlockStructuredMatrix, GridTransfer,
-                         assemble_transfer, galerkin)
+                         _is_integer, assemble_transfer, galerkin)
 from .symbol import MatrixTrigPolynomial
 
 COEFFICIENTS = {

@@ -86,8 +86,8 @@ from scipy.sparse.linalg._dsolve import _superlu
 
 from .errors import (ArgumentError, ConfigurationError, ConstructionError,
                      NumericalError, SingularMatrixError)
-from .structured import (BlockStructuredMatrix, GridTransfer, galerkin,
-                         matvec_kernel)
+from .structured import (BlockStructuredMatrix, GridTransfer, _is_integer,
+                         galerkin, matvec_kernel)
 
 RICHARDSON = "richardson"
 GAUSS_SEIDEL = "gauss_seidel"
@@ -124,11 +124,6 @@ class SmootherSpec:
                     f"sweep counts must be nonnegative integers, got {sweeps!r}")
 
 
-def _is_integer(value) -> bool:
-    """An integer that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _csr(A):
     if isinstance(A, BlockStructuredMatrix):
         return A.matrix
@@ -147,8 +142,9 @@ def _lambda_max(M: sp.csr_matrix) -> float:
     """Largest eigenvalue of the Hermitian part of M: exact from the band
     on a band level, or below size 3 (:func:`_extreme_eigenvalues`), by
     ARPACK ``eigsh`` to 1e-8 relative otherwise."""
-    if M.shape[0] < 3 or _lower_band(M, hermitian=True) is not None:
-        return float(_extreme_eigenvalues(M)[1])
+    hb = _lower_band(M, hermitian=True)
+    if M.shape[0] < 3 or hb is not None:
+        return float(_extreme_eigenvalues(M, hb)[1])
     H = 0.5 * (M + M.conj().T)
     v0 = np.random.default_rng(7).standard_normal(M.shape[0])
     try:
@@ -202,9 +198,13 @@ def _lower_band(M: sp.csr_matrix, hermitian: bool = False):
 
     With ``hermitian`` the storage is that of the Hermitian part
     (M + M^H)/2, and kd also covers the upper bandwidth of M."""
-    n = M.shape[0]
     kl, ku = _bandwidths(M)
-    kd = max(kl, ku) if hermitian else kl
+    return _band(M, max(kl, ku) if hermitian else kl, hermitian)
+
+
+def _band(M: sp.csr_matrix, kd: int, hermitian: bool = False):
+    """:func:`_lower_band` for a kd read from :func:`_bandwidths`."""
+    n = M.shape[0]
     if (kd + 1) * n > M.nnz:
         return None
     # Fortran order: what LAPACK takes without a copy on every call
@@ -318,11 +318,10 @@ def _residual_of(product, x, b):
     return b - y
 
 
-def _extreme_eigenvalues(M: sp.csr_matrix):
+def _extreme_eigenvalues(M: sp.csr_matrix, hb):
     """Smallest and largest eigenvalue of the Hermitian part of M: from
-    its band (LAPACK ``sbevx``/``hbevx``) when :func:`_lower_band` gives
-    one, from the dense matrix otherwise."""
-    hb = _lower_band(M, hermitian=True)
+    its band hb = ``_lower_band(M, hermitian=True)`` (LAPACK
+    ``sbevx``/``hbevx``), from the dense matrix when hb is None."""
     if hb is None:
         H = M.toarray()
         w = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
@@ -339,7 +338,7 @@ def _hermitian_band(M: sp.csr_matrix):
     above the main one the exact conjugate of the one as far below it;
     None otherwise."""
     kl, ku = _bandwidths(M)
-    ab = _lower_band(M) if kl == ku else None
+    ab = _band(M, kl) if kl == ku else None
     if ab is None or np.any(ab[0].imag):
         return None
     n = M.shape[0]
@@ -429,7 +428,8 @@ class MultigridHierarchy:
         for ell, lvl in enumerate(self.levels):
             if lvl.matrix.size > 512:
                 continue
-            lo, hi = _extreme_eigenvalues(lvl.matrix.matrix)
+            M = lvl.matrix.matrix
+            lo, hi = _extreme_eigenvalues(M, _lower_band(M, hermitian=True))
             if lo <= 1e-12 * hi:
                 raise ConfigurationError(
                     f"level {ell} matrix is not positive definite "

@@ -2,10 +2,10 @@
 symbols, grid transfers assembled from projector symbols, and explicit
 Galerkin products.
 
-A transfer is the circulant or the trimmed stride-2 block-Toeplitz
-matrix of its projector symbol.  The trimmed one, which every FEM
-transfer is, is tiled from the symbol's row-pair table straight into
-CSR order (:func:`_trimmed_transfer`).
+One tiler (:func:`_tile`) lays out a symbol's coefficients straight
+into CSR order for the block-Toeplitz and block-circulant matrices and
+for both stride-2 transfers, circulant and trimmed, of a projector
+symbol.  Every FEM transfer is the trimmed one.
 
 The setup's sparse algebra (the Galerkin product (P^H A) P and its
 symmetrization, a transfer's adjoint, the deviation A - A^H of the
@@ -24,6 +24,7 @@ coefficient at +1 sits on the first block subdiagonal.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,23 +199,64 @@ class GridTransfer:
         return self._prolong(y)
 
 
-def _shift_matrix(n: int, j: int) -> sp.csr_matrix:
-    """J_n^(j): 1 at (i, k) when i - k = j."""
-    rows = np.arange(max(0, j), min(n, n + j))
-    return sp.csr_matrix((np.ones(len(rows)), (rows, rows - j)), shape=(n, n))
+def _is_integer(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _cyclic_shift_matrix(n: int, j: int) -> sp.csr_matrix:
-    rows = np.arange(n)
-    return sp.csr_matrix((np.ones(n), (rows, (rows - j) % n)), shape=(n, n))
+def _check_inputs(p: MatrixTrigPolynomial, n, builder: str) -> None:
+    """Refuse a multivariate symbol and a block count that is not an integer."""
+    if p.m != 1:
+        raise ArgumentError(f"{builder} needs a univariate symbol")
+    if not _is_integer(n):
+        raise ArgumentError(f"block count n must be an integer, got {n!r}")
 
 
-def _kron01(S, c: np.ndarray):
-    """kron(S, c) for a 0/1 matrix S.  Every product is 1 * x, exact, so
-    the overflow numpy's complex product can flag on entries near the
-    largest double is spurious and is not raised."""
-    with np.errstate(over="ignore"):
-        return sp.kron(S, c)
+def _tile(p: MatrixTrigPolynomial, n: int, stride: int = 1, offset: int = 0,
+          periodic: bool = False, trim: bool = False) -> sp.csr_matrix:
+    """The matrix of n block rows and n/stride block columns with block
+    (i, k) = c_{i - stride k - offset} of p, straight into CSR order.
+
+    Block rows stride g .. stride g + stride - 1 form group g, and c_j
+    sits in row s = (j + offset) mod stride of every group, at block
+    column g + (s - j - offset)/stride.  So one (stride d, .) table of
+    the coefficients serves every group: its nonzeros in row-major order,
+    tiled over the groups, are the CSR arrays.  ``periodic`` wraps the
+    columns (a window of p below n/2 keeps the wrapped blocks apart) and
+    then sorts each row; otherwise the entries outside the matrix are
+    dropped.  ``trim`` drops the last scalar row and column.  The data is
+    real when no coefficient has an imaginary part."""
+    d, groups = p.d, n // stride
+    j = np.array([k for (k,) in p.coeffs])
+    if periodic and (w := int(np.abs(j).max())) >= n / 2:
+        raise ArgumentError(f"coefficient window {w} must be below n/2 = {n / 2}")
+    coeffs = np.array(list(p.coeffs.values()))
+    if not coeffs.imag.any():
+        coeffs = coeffs.real
+    s = (j + offset) % stride
+    shift = (s - j - offset) // stride
+    lo = shift.min()
+    table = np.zeros((stride, shift.max() - lo + 1, d, d), dtype=coeffs.dtype)
+    table[s, shift - lo] = coeffs
+    table = table.transpose(0, 2, 1, 3).reshape(stride * d, -1)
+    row, col = np.nonzero(table)
+    g = np.arange(groups)[:, None]
+    fine = (stride * d * g + row).ravel()
+    coarse = (d * (g + lo) + col).ravel()
+    rows, cols = d * n - trim, d * groups - trim
+    if periodic:
+        keep = slice(None)
+        coarse %= cols
+    else:
+        keep = (coarse >= 0) & (coarse < cols) & (fine < rows)
+    indptr = np.zeros(rows + 1, dtype=fine.dtype)
+    np.cumsum(np.bincount(fine[keep], minlength=rows), out=indptr[1:])
+    # tiled after the count: fewer large arrays alive, 1.5x faster at n = 2^14
+    data = np.tile(table[row, col], groups)[keep]
+    M = sp.csr_matrix((data, coarse[keep], indptr), shape=(rows, cols))
+    if periodic:
+        M.sort_indices()
+    return M
 
 
 def assemble_toeplitz(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix:
@@ -223,13 +265,11 @@ def assemble_toeplitz(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix:
     The block at block position (i, k) is the coefficient at i - k, so
     the coefficient at +1 fills the first block subdiagonal.
     """
-    if f.m != 1:
-        raise ArgumentError("assemble_toeplitz needs a univariate symbol")
+    _check_inputs(f, n, "assemble_toeplitz")
     w = f.window()[0]
     if w >= n:
         raise ArgumentError(f"coefficient window {w} must be smaller than n={n}")
-    A = sum(_kron01(_shift_matrix(n, j), c) for (j,), c in f.coeffs.items())
-    return BlockStructuredMatrix(sp.csr_matrix(A))
+    return BlockStructuredMatrix(_tile(f, n))
 
 
 def assemble_circulant(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix:
@@ -239,68 +279,27 @@ def assemble_circulant(f: MatrixTrigPolynomial, n: int) -> BlockStructuredMatrix
     the coefficient window must stay below n/2 so the wrapped band
     represents the symbol without aliasing.
     """
-    if f.m != 1:
-        raise ArgumentError("assemble_circulant needs a univariate symbol")
-    w = f.window()[0]
-    if w >= n / 2:
-        raise ArgumentError(f"coefficient window {w} must be below n/2 = {n / 2}")
-    A = sum(_kron01(_cyclic_shift_matrix(n, j), c) for (j,), c in f.coeffs.items())
-    return BlockStructuredMatrix(sp.csr_matrix(A))
-
-
-def _trimmed_transfer(p: MatrixTrigPolynomial, n: int) -> sp.csr_matrix:
-    """The stride-2 block-Toeplitz matrix of p, block (i, k) = c_{i-2k-1}
-    for n fine and n/2 coarse blocks, with its last scalar row and column
-    removed, straight into CSR order.
-
-    Fine block rows 2k and 2k+1 form row pair k, and coefficient c_j sits
-    in half s = (j+1) mod 2 of every row pair, at the coarse block offset
-    (s-1-j)/2 from k.  So one (2d, .) row-pair table of the coefficients
-    over the coarse block offsets serves every pair: its nonzeros in
-    row-major order, tiled over the n/2 pairs, are the CSR arrays, and
-    only the entries that fall outside the matrix near either end are
-    dropped.  The data is real when no coefficient has an imaginary part.
-    """
-    d, half = p.d, n // 2
-    j = np.array([k for (k,) in p.coeffs])
-    coeffs = np.array(list(p.coeffs.values()))
-    if not coeffs.imag.any():
-        coeffs = coeffs.real
-    s = (j + 1) % 2
-    offset = (s - 1 - j) // 2
-    lo = offset.min()
-    table = np.zeros((2, offset.max() - lo + 1, d, d), dtype=coeffs.dtype)
-    table[s, offset - lo] = coeffs
-    table = table.transpose(0, 2, 1, 3).reshape(2 * d, -1)
-    row, col = np.nonzero(table)
-    pairs = np.arange(half)[:, None]
-    fine = (2 * d * pairs + row).ravel()
-    coarse = (d * (pairs + lo) + col).ravel()
-    keep = (coarse >= 0) & (coarse < d * half - 1) & (fine < d * n - 1)
-    indptr = np.zeros(d * n, dtype=fine.dtype)
-    np.cumsum(np.bincount(fine[keep], minlength=d * n - 1), out=indptr[1:])
-    data = np.tile(table[row, col], half)[keep]
-    return sp.csr_matrix((data, coarse[keep], indptr), shape=(d * n - 1, d * half - 1))
+    _check_inputs(f, n, "assemble_circulant")
+    return BlockStructuredMatrix(_tile(f, n, periodic=True))
 
 
 def assemble_transfer(p: MatrixTrigPolynomial, n: int, structure: str) -> GridTransfer:
-    """Prolongation of p on n fine blocks, n even, and n/2 coarse blocks.
+    """Prolongation of p on n fine blocks, n even, and n/2 coarse blocks,
+    tiled from p's row-pair table (:func:`_tile`, stride 2).
 
-    ``circulant`` keeps block columns 0, 2, ... of the block-circulant
-    matrix of p.  ``trimmed`` is the stride-2 block-Toeplitz matrix of p
-    with its last scalar row and column removed (:func:`_trimmed_transfer`):
-    the Dirichlet system of size d n - 1, which every FEM transfer is.
+    ``circulant`` has block (i, k) = c_{i-2k}, columns wrapped modulo n/2
+    (block columns 0, 2, ... of the block-circulant matrix of p).
+    ``trimmed`` has block (i, k) = c_{i-2k-1}, less its last scalar row
+    and column: the Dirichlet system of size d n - 1 of every FEM transfer.
     """
     if structure not in (CIRCULANT, TRIMMED):
         raise ArgumentError(f"unknown structure {structure!r}")
-    if p.m != 1:
-        raise ArgumentError("assemble_transfer needs a univariate symbol")
+    _check_inputs(p, n, "assemble_transfer")
     if n < 2 or n % 2 != 0:
         raise ArgumentError(f"{structure} transfer needs an even n >= 2, got {n}")
     if structure == TRIMMED:
-        return GridTransfer(_trimmed_transfer(p, n))
-    cols = (np.arange(0, n, 2)[:, None] * p.d + np.arange(p.d)).ravel()
-    return GridTransfer(assemble_circulant(p, n).matrix.tocsc()[:, cols].tocsr())
+        return GridTransfer(_tile(p, n, stride=2, offset=1, trim=True))
+    return GridTransfer(_tile(p, n, stride=2, periodic=True))
 
 
 def galerkin(A: BlockStructuredMatrix, P: GridTransfer,

@@ -599,8 +599,9 @@ class TestHierarchy:
         threshold = 1e-12 * lam_max
         for factor, accepted in ((2.0, True), (0.5, False)):
             M = self._shifted_tridiag(k, factor * threshold, dense)
-            assert (mgsolve._lower_band(M, hermitian=True) is None) == dense
-            lo, hi = mgsolve._extreme_eigenvalues(M)
+            hb = mgsolve._lower_band(M, hermitian=True)
+            assert (hb is None) == dense
+            lo, hi = mgsolve._extreme_eigenvalues(M, hb)
             assert hi == pytest.approx(lam_max + factor * threshold, rel=1e-12)
             assert abs(lo - factor * threshold) <= 1e-3 * threshold
             coarse = BlockStructuredMatrix(M)
@@ -615,7 +616,7 @@ class TestHierarchy:
         hb = mgsolve._lower_band(M, hermitian=True)
         assert hb is not None and np.iscomplexobj(hb)
         w = np.linalg.eigvalsh(M.toarray())
-        lo, hi = mgsolve._extreme_eigenvalues(M)
+        lo, hi = mgsolve._extreme_eigenvalues(M, hb)
         assert lo == pytest.approx(w[0], rel=1e-12)
         assert hi == pytest.approx(w[-1], rel=1e-12)
         A, P = two_grid_pieces(125)
@@ -631,10 +632,11 @@ class TestHierarchy:
         n = 40
         M = (tridiag(n) + 4.0 * sp.eye(n) + sp.diags([0.7], [2], shape=(n, n))).tocsr()
         assert mgsolve._lower_band(M).shape[0] == 2
-        assert mgsolve._lower_band(M, hermitian=True).shape[0] == 3
+        hb = mgsolve._lower_band(M, hermitian=True)
+        assert hb.shape[0] == 3
         H = M.toarray()
         w = np.linalg.eigvalsh(0.5 * (H + H.T))
-        np.testing.assert_allclose(mgsolve._extreme_eigenvalues(M), (w[0], w[-1]),
+        np.testing.assert_allclose(mgsolve._extreme_eigenvalues(M, hb), (w[0], w[-1]),
                                    rtol=1e-12)
 
     @staticmethod

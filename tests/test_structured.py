@@ -46,6 +46,22 @@ def trimmed_toeplitz(f, n):
     return BlockStructuredMatrix(assemble_toeplitz(f, n).matrix[:-1, :-1].tocsr())
 
 
+def block_oracle(p, n, stride, offset, periodic):
+    """The dense matrix with n block rows and n/stride block columns whose
+    block (i, k) is the coefficient c_j of p with i - stride k - offset
+    = j, or = j mod n when ``periodic``, by a loop over every block and
+    coefficient."""
+    d = p.d
+    A = np.zeros((d * n, d * (n // stride)), dtype=complex)
+    for i in range(n):
+        for k in range(n // stride):
+            for (j,), c in p.coeffs.items():
+                delta = i - stride * k - offset - j
+                if delta == 0 or (periodic and delta % n == 0):
+                    A[d * i:d * (i + 1), d * k:d * (k + 1)] += c
+    return A
+
+
 def toeplitz_coarse_defect(f, p, n):
     """Frobenius distance between the Galerkin coarse matrix of the
     trimmed T_n(f) and the trimmed block-Toeplitz matrix of the coarse
@@ -182,10 +198,26 @@ class TestTransfer:
                                         (0, 3), (-3, 3), (2, 2)])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_trimmed_matches_dense_oracle(self, d, window):
-        # block columns 1, 3, ..., n-1 of the block-Toeplitz matrix of p,
-        # less its last scalar row and column, entry for entry, stored as
-        # canonical CSR without explicit zeros, real for a real p
+        # every matrix tiled from a symbol, the trimmed transfer among
+        # them, equals the dense loop over its block definition, entry for
+        # entry, at each structure's smallest legal n and beyond, stored
+        # as canonical CSR without explicit zeros, real for a real p
         lo, hi = window
+        w = max(-lo, hi)
+        # builder, then stride, offset, periodic and trim of the
+        # definition, then the smallest legal n
+        structures = {
+            "toeplitz": (lambda p, n: assemble_toeplitz(p, n).matrix,
+                         1, 0, False, False, w + 1),
+            "circulant": (lambda p, n: assemble_circulant(p, n).matrix,
+                          1, 0, True, False, 2 * w + 1),
+            "circulant transfer": (
+                lambda p, n: assemble_transfer(p, n, "circulant").matrix,
+                2, 0, True, False, 2 * w + 2),
+            "trimmed transfer": (
+                lambda p, n: assemble_transfer(p, n, "trimmed").matrix,
+                2, 1, False, True, 2),
+        }
         rng = np.random.default_rng([d, lo + 3, hi + 3])
         for dtype in (np.float64, np.complex128):
             coeffs = {}
@@ -196,18 +228,21 @@ class TestTransfer:
                     c = c + 1j * rng.standard_normal((d, d))
                 coeffs[j] = c
             p = MatrixTrigPolynomial(coeffs)
-            for n in (4, 6, 8, 16, 32):
-                T = assemble_toeplitz(p, n).dense()
-                cols = (np.arange(1, n, 2)[:, None] * d + np.arange(d)).ravel()
-                want = T[:-1, cols[:-1]]
-                if dtype == np.float64:
-                    assert not want.imag.any()
-                    want = want.real
-                P = assemble_transfer(p, n, "trimmed").matrix
-                assert P.dtype == dtype
-                assert P.has_canonical_format
-                assert np.count_nonzero(P.data) == P.nnz
-                np.testing.assert_array_equal(P.toarray(), want)
+            for name, (build, stride, offset, periodic, trim, smallest) in structures.items():
+                for n in sorted({smallest, 4, 6, 8, 16, 32}):
+                    if n < smallest or n % stride:
+                        continue
+                    want = block_oracle(p, n, stride, offset, periodic)
+                    if trim:
+                        want = want[:-1, :-1]
+                    if dtype == np.float64:
+                        assert not want.imag.any()
+                        want = want.real
+                    P = build(p, n)
+                    assert P.dtype == dtype, (name, n)
+                    assert P.has_canonical_format, (name, n)
+                    assert np.count_nonzero(P.data) == P.nnz, (name, n)
+                    np.testing.assert_array_equal(P.toarray(), want, err_msg=f"{name}, n={n}")
 
     def test_identity_symbol_injects(self):
         P = assemble_transfer(IDENTITY2, 4, "circulant").matrix.toarray().real
@@ -234,6 +269,29 @@ class TestTransfer:
             assert has_full_column_rank(assemble_transfer(p_l2, n, "circulant"))
         p = random_symbol(rng, 2, 1)
         assert has_full_column_rank(assemble_transfer(p, 16, "circulant"))
+
+
+class TestBlockCount:
+    """Every builder from a symbol refuses a block count that is not an
+    integer, bools included, before any check compares or divides it."""
+
+    BUILDERS = {
+        "toeplitz": lambda n: assemble_toeplitz(LAPLACE, n),
+        "circulant": lambda n: assemble_circulant(LAPLACE, n),
+        "circulant transfer": lambda n: assemble_transfer(INTERP, n, "circulant"),
+        "trimmed transfer": lambda n: assemble_transfer(INTERP, n, "trimmed"),
+    }
+
+    @pytest.mark.parametrize("n", [4.0, 4.5, "8", None, True])
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_non_integer_refused(self, builder, n):
+        with pytest.raises(ArgumentError, match="block count n must be an integer"):
+            self.BUILDERS[builder](n)
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_numpy_integer_accepted(self, builder):
+        np.testing.assert_array_equal(self.BUILDERS[builder](np.int64(8)).matrix.toarray(),
+                                      self.BUILDERS[builder](8).matrix.toarray())
 
 
 class TestGridTransfer:
