@@ -1,74 +1,94 @@
 """Smoothers, the two-grid step, the V-cycle recursion, hierarchy
 construction and the convergence driver.
 
-Each level of a hierarchy binds its kernels on first use: the product
-x -> M x, the smoother's correction and, on the coarsest level, the
-direct solver.  Every solve runs one recursion over the levels
-(:func:`vcycle_step`), and a two-grid cycle is that recursion on a
-two-level hierarchy.
+Each level of a hierarchy binds its kernels on first use: the prepared
+smoother, the product x -> M x where the smoother needs it and, on the
+coarsest level, the direct solver.  Every solve runs one recursion over
+the levels (:func:`vcycle_step`), and a two-grid cycle is that recursion
+on a two-level hierarchy.
 
 Experiment conventions (the literature rarely pins them down): the right
 hand side is b = A x* with x* drawn uniformly from [0,1) under a fixed
 seed, the initial guess is zero, and iteration counts use the relative
 residual ||b - A x|| / ||b||.
 
-Every smoothing sweep on a level of matrix M is x <- x + correct(b - M x),
-with the level's correction.  The first sweep of a cycle takes the
-residual its caller already holds: on level 0 the one ``solve`` computed
-for its stopping test, on a coarse level (started from x = 0) the
-restricted residual itself.  Richardson's correction is omega r: a given
-omega is checked once against M (below 2/C, or below 2/lambda_max with
-lambda_max the largest eigenvalue of the Hermitian part of M, see
-:func:`_lambda_max`), and without one each level takes omega = 1/C with
-C the Gershgorin bound of its own matrix, inside (0, 2/C) by
-construction.  Gauss-Seidel's is (D + L)^{-1} r, and its
-backend follows from M alone: with lower bandwidth kd, when the band
-storage (kd + 1) N is no larger than nnz(M) (every 1D FEM level), LAPACK
-``tbtrs`` applies the banded lower triangle, stored in Fortran order so
-that no call copies it, with a unit diagonal: D + L = (I + L D^{-1}) D,
-so the band's columns below the diagonal are divided by D once, when
-the correction is prepared, and each sweep solves with I + L D^{-1}
-and divides the result by D.  This takes the division by D[j] off the
-sequential chain of forward substitution, where it bounded the sweep
-by division latency; otherwise (2D levels) SuperLU's triangular
-solver ``gstrs`` applies tril(M) as it stands, with no factorization
-(see :func:`_lower_triangular_solve`).  On a real level, a complex
-right-hand side is solved as its real and imaginary parts, by either
-smoother backend and by the coarsest-level solver.
+Each smoothing sweep takes an input formed from the current x and b and
+returns the next x.  Richardson's input is the residual r = b - M x and
+its sweep x <- x + omega r: a given omega is checked once against M
+(below 2/C, or below 2/lambda_max with lambda_max the largest eigenvalue
+of the Hermitian part of M, see :func:`_lambda_max`), and without one
+each level takes omega = 1/C with C the Gershgorin bound of its own
+matrix, inside (0, 2/C) by construction.  Forward Gauss-Seidel runs in
+splitting form on M = D + L + U (diagonal, strictly lower and strictly
+upper triangles): its input is w = b - U x and its sweep
+x <- (D + L)^{-1} w.  Since (D + L) x' = w, the residual after a sweep is
+b - M x' = w' - w, where w' = b - U x' is the next sweep's input.  So
+each residual the cycle needs after a sweep (the restricted one, and
+the stopping test of ``solve``) costs one product with U, half of M, and
+the stopping test's w' starts the next cycle.  On a coarse level,
+started from x = 0, the first input of either smoother is the restricted
+residual itself.  Only a residual with no sweep before it (a block of
+zero sweeps) takes a product with M.
 
-The cycle calls two private scipy entry points.  Every sparse product
-in it (the residual b - M x of a level, the restriction P^H r and the
-prolongation P y) is scipy's CSR kernel ``csr_matvec``
-(``scipy.sparse._sparsetools``) bound once to the matrix's own arrays,
-by :func:`~blockmg.structured.matvec_kernel`: a level binds its matrix on
-first use, a :class:`GridTransfer` its P and P^H when it is built.  It
-is the kernel ``M @ x`` runs after its dispatch, so every product is
-bit-identical, while the dispatch, some 3 us a call, would be most of
-a product's cost on the small levels.  A residual is formed in the
-product's own output array, ``np.subtract(b, y, out=y)``, whenever b's
-dtype fits it: the arithmetic of ``b - M @ x`` with one allocation
-instead of two.  The other entry point is SuperLU's ``gstrs`` above,
-called on arrays prepared once, since the public ``spsolve_triangular``
+A Gauss-Seidel level is prepared from one pass over the column offsets
+j - i of M's stored entries, which give the bandwidths kl and ku.  When
+its band storage, (max(kl, ku) + 1) N entries, is no larger than nnz(M)
+(every 1D FEM level), one ``bincount`` fills the lower band and the
+upper diagonals, and LAPACK ``tbtrs`` applies the banded lower
+triangle, stored in Fortran order so that no call copies it, with a
+unit diagonal: D + L = (I + L D^{-1}) D, so the band's columns below the
+diagonal are divided by D once, when the sweep is prepared, and each
+sweep solves with I + L D^{-1} and divides the result by D.  This takes
+the division by D[j] off the sequential chain of forward substitution,
+where it bounded the sweep by division latency.  U is then the upper
+diagonals in DIA storage.  Otherwise (2D levels) SuperLU's triangular
+solver ``gstrs`` applies D + L from the strictly lower CSR arrays, with
+no factorization (see :func:`_lower_triangular_solve`), and U is L^H,
+applied by ``csc_matvec`` to those same arrays, on a level whose matrix
+is known to be Hermitian bit for bit
+(:attr:`~blockmg.structured.BlockStructuredMatrix.exactly_hermitian`,
+recorded by the builders); a level without that guarantee keeps a copy
+of its strict upper triangle.  Neither solve overwrites its input, which
+the residual w' - w still reads.  On a real level, a complex right-hand
+side is solved as its real and imaginary parts, by either smoother
+backend and by the coarsest-level solver.
+
+The cycle calls private scipy entry points.  Its sparse products (M x,
+the restriction P^H r and the prolongation P y) are scipy's CSR kernel
+``csr_matvec`` (``scipy.sparse._sparsetools``) bound once to the
+matrix's own arrays, by :func:`~blockmg.structured.matvec_kernel`: a
+level binds its matrix on first use, a :class:`GridTransfer` its P and
+P^H when it is built.  It is the kernel ``M @ x`` runs after its
+dispatch, so those products are bit-identical, while the dispatch, some
+3 us a call, would be most of a product's cost on the small levels.  The
+Gauss-Seidel products with U are ``dia_matvec`` and ``csc_matvec`` from
+the same module, bound the same way; on an exactly Hermitian level with
+sorted indices, and on a band level, they add in the order of a CSR
+product with the strict upper triangle, so they give its bits.  An input
+b - K x is formed in the product's own output array,
+``np.subtract(b, y, out=y)``, whenever b's dtype fits it: the arithmetic
+of ``b - K @ x`` with one allocation instead of two; w' - w is formed in
+the spent w.  The last entry point is SuperLU's ``gstrs`` above, called
+on arrays prepared once, since the public ``spsolve_triangular``
 converts and checks its matrix on every call.
 
 A hierarchy checks that its level matrices are finite, and that its
 levels of size at most 512 are positive definite from the extreme
-eigenvalues of their Hermitian parts, by the same rule: banded LAPACK
-(``sbevx``/``hbevx``) on a level whose band storage fits in nnz(M), a
-dense ``eigvalsh`` otherwise.  Here the band is max(kl, ku), the larger
-of the lower and upper bandwidths, and it fits when
-(max(kl, ku) + 1) N <= nnz(M).
+eigenvalues of their Hermitian parts, by the same band rule: banded
+LAPACK (``sbevx``/``hbevx``) on a level whose band fits in nnz(M), a
+dense ``eigvalsh`` otherwise.  The Hermitian part's band is
+max(kl, ku).
 
 The coarsest level (the coarse level of a two-grid cycle) is factored
-once and solved exactly.  A band level (lower band storage within
-nnz(M), as for the smoother) that is Hermitian bit for bit, kl = ku and
-each diagonal below the main one the exact conjugate of the one as far
-above it, is factored by banded Cholesky, LAPACK ``pbtrf``/``pbtrs`` on
-that lower band storage: every 1D FEM level is, since the builders
-symmetrize their Galerkin products.  Every other level, and a Hermitian
-band level on which ``pbtrf`` meets a nonpositive pivot, is solved by
-SuperLU's LU with partial pivoting: 2D levels, and a non-Hermitian band
-level, whose Hermitian part a Cholesky would solve in its place.
+once and solved exactly.  A band level that is Hermitian bit for bit,
+kl = ku and each diagonal below the main one the exact conjugate of the
+one as far above it, is factored by banded Cholesky, LAPACK
+``pbtrf``/``pbtrs`` on that lower band storage: every 1D FEM level is,
+since the builders symmetrize their Galerkin products.  Every other
+level, and a Hermitian band level on which ``pbtrf`` meets a nonpositive
+pivot, is solved by SuperLU's LU with partial pivoting: 2D levels, and a
+non-Hermitian band level, whose Hermitian part a Cholesky would solve in
+its place.
 """
 
 from __future__ import annotations
@@ -82,12 +102,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eig_banded, get_lapack_funcs
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, dia_matvec
 from scipy.sparse.linalg._dsolve import _superlu
 
 from .errors import (ArgumentError, ConfigurationError, ConstructionError,
                      NumericalError, SingularMatrixError)
-from .structured import (BlockStructuredMatrix, GridTransfer, _is_integer,
-                         galerkin, matvec_kernel)
+from .structured import (BlockStructuredMatrix, GridTransfer, _bind_matvec,
+                         _is_integer, galerkin, matvec_kernel)
 
 RICHARDSON = "richardson"
 GAUSS_SEIDEL = "gauss_seidel"
@@ -142,7 +163,7 @@ def _lambda_max(M: sp.csr_matrix) -> float:
     """Largest eigenvalue of the Hermitian part of M: exact from the band
     on a band level, or below size 3 (:func:`_extreme_eigenvalues`), by
     ARPACK ``eigsh`` to 1e-8 relative otherwise."""
-    hb = _lower_band(M, hermitian=True)
+    hb = _hermitian_part_band(M)
     if M.shape[0] < 3 or hb is not None:
         return float(_extreme_eigenvalues(M, hb)[1])
     H = 0.5 * (M + M.conj().T)
@@ -182,38 +203,65 @@ def _real_split(solve, M):
     return split
 
 
-def _bandwidths(M: sp.csr_matrix):
-    """The lower and upper bandwidths (kl, ku) of a square CSR M, from
-    the column offset of every stored entry: no sort, so a Galerkin
-    level's unsorted rows cost no copy."""
+def _column_offsets(M: sp.csr_matrix):
+    """The column offset j - i of every stored entry (i, j) of a square
+    CSR M, with its lower and upper bandwidths (kl, ku): no sort, so a
+    Galerkin level's unsorted rows cost no copy."""
     rows = np.repeat(np.arange(M.shape[0], dtype=M.indices.dtype), np.diff(M.indptr))
-    offsets = M.indices - rows
-    return int(-offsets.min(initial=0)), int(offsets.max(initial=0))
+    offsets = np.subtract(M.indices, rows, out=rows)
+    return offsets, int(-offsets.min(initial=0)), int(offsets.max(initial=0))
 
 
-def _lower_band(M: sp.csr_matrix, hermitian: bool = False):
-    """The lower band storage ab[k, j] = M[j + k, j], k = 0..kd, of a
-    square M with lower bandwidth kd, when it holds no more than nnz(M)
-    entries, (kd + 1) N <= nnz(M); None otherwise.
+def _band(M: sp.csr_matrix, offsets, kl: int, ku: int):
+    """The band of a square CSR M from its column offsets
+    (:func:`_column_offsets`), when it holds no more entries than M,
+    (max(kl, ku) + 1) N <= nnz(M); None otherwise.
 
-    With ``hermitian`` the storage is that of the Hermitian part
-    (M + M^H)/2, and kd also covers the upper bandwidth of M."""
-    kl, ku = _bandwidths(M)
-    return _band(M, max(kl, ku) if hermitian else kl, hermitian)
-
-
-def _band(M: sp.csr_matrix, kd: int, hermitian: bool = False):
-    """:func:`_lower_band` for a kd read from :func:`_bandwidths`."""
+    The band is (low, up): the lower band storage low[k, j] = M[j + k, j],
+    k = 0..kl, in Fortran order (what LAPACK takes without a copy on
+    every call), and the upper diagonals up[k - 1, j] = M[j - k, j],
+    k = 1..ku, in the DIA storage of ``dia_matvec``.  Both are views of
+    one array, which one ``bincount`` fills from the entries' positions
+    in it, summing duplicate entries; the real and imaginary parts of a
+    complex M are filled apart."""
     n = M.shape[0]
-    if (kd + 1) * n > M.nnz:
+    if (max(kl, ku) + 1) * n > M.nnz:
         return None
-    # Fortran order: what LAPACK takes without a copy on every call
-    ab = np.zeros((kd + 1, n), dtype=np.result_type(M.dtype, float), order="F")
-    for k in range(kd + 1):
-        ab[k, :n - k] = M.diagonal(-k)
-        if hermitian:
-            ab[k, :n - k] = 0.5 * (ab[k, :n - k] + np.conj(M.diagonal(k)))
-    return ab
+    split = (kl + 1) * n
+    size = split + ku * n
+    # positions in M's index dtype when the band fits it: a cast to intp
+    # makes the fill slower than kl + ku + 1 M.diagonal calls
+    cols = (M.indices if size <= np.iinfo(M.indices.dtype).max
+            else M.indices.astype(np.intp))
+    offsets = offsets.astype(cols.dtype, copy=False)
+    pos = np.where(offsets <= 0, cols * (kl + 1) - offsets,
+                   offsets * n + (cols + (split - n)))
+    if np.iscomplexobj(M.data):
+        band = np.empty(size, dtype=np.result_type(M.data.dtype, float))
+        band.real = np.bincount(pos, M.data.real, size)
+        band.imag = np.bincount(pos, M.data.imag, size)
+    else:
+        band = np.bincount(pos, M.data, size)
+    return band[:split].reshape((kl + 1, n), order="F"), band[split:].reshape(ku, n)
+
+
+def _hermitian_part_band(M: sp.csr_matrix):
+    """The lower band storage of the Hermitian part (M + M^H)/2 of a
+    square M, whose bandwidth is kd = max(kl, ku), when its band fits
+    (:func:`_band`); None otherwise."""
+    offsets, kl, ku = _column_offsets(M)
+    parts = _band(M, offsets, kl, ku)
+    if parts is None:
+        return None
+    low, up = parts
+    n, kd = M.shape[0], max(kl, ku)
+    hb = np.zeros((kd + 1, n), dtype=low.dtype, order="F")
+    hb[:kl + 1] = low
+    hb[0] = 0.5 * (hb[0] + np.conj(hb[0]))
+    for k in range(1, kd + 1):
+        upper = np.conj(up[k - 1, k:]) if k <= ku else 0.0
+        hb[k, :n - k] = 0.5 * (hb[k, :n - k] + upper)
+    return hb
 
 
 def _check_index_width(n: int, nnz: int) -> None:
@@ -226,30 +274,18 @@ def _check_index_width(n: int, nnz: int) -> None:
             f"entries exceeds SuperLU's index limit {limit}")
 
 
-def _lower_triangular_solve(M: sp.csr_matrix, diag):
-    """r -> tril(M)^{-1} r for a square CSR M with the nonzero diagonal
-    ``diag``, by SuperLU's triangular solver on M's own arrays, with no
-    factorization.
+def _lower_triangular_solve(n: int, indptr, indices, data, diag):
+    """r -> (D + L)^{-1} r for the strictly lower triangle L of an n x n
+    matrix, in CSR arrays (indptr, indices, data) of C ``int`` indices,
+    and its nonzero diagonal ``diag`` of data's dtype, by SuperLU's
+    triangular solver on those arrays, with no factorization.
 
     SuperLU's L is unit lower triangular and keeps U's diagonal in its
-    supernodes.  L passed as the diagonal of M alone and U as the strict
-    upper triangle of tril(M)^T, whose CSC arrays are the strictly lower
-    CSR arrays of M, give L U = tril(M)^T, and ``trans="T"`` (not "H",
-    which would conjugate) solves tril(M) x = r.  A solve returns a new
-    array and leaves r untouched."""
-    n = M.shape[0]
-    rows = np.repeat(np.arange(n, dtype=M.indices.dtype), np.diff(M.indptr))
-    strict = M.indices < rows
-    # _correction has refused a zero diagonal, so no row is empty
-    counts = np.add.reduceat(strict, M.indptr[:-1], dtype=np.intp)
-    _check_index_width(n, int(counts.sum()))
-    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
-    indices = M.indices[strict].astype(np.intc, copy=False)
-    # SuperLU takes floating arrays only: an integer or single-precision
-    # level is solved in double precision, as on the band path
-    dtype = np.result_type(M.dtype, float)
-    data = M.data[strict].astype(dtype, copy=False)
-    diag = diag.astype(dtype, copy=False)
+    supernodes.  L passed as the diagonal alone and U as the strict upper
+    triangle of (D + L)^T, whose CSC arrays are the strictly lower CSR
+    arrays, give L U = (D + L)^T, and ``trans="T"`` (not "H", which would
+    conjugate) solves (D + L) x = r.  A solve returns a new array and
+    leaves r untouched."""
     colptr = np.arange(n + 1, dtype=np.intc)
     rowind = colptr[:n]
     gstrs = _superlu.gstrs
@@ -265,52 +301,78 @@ def _lower_triangular_solve(M: sp.csr_matrix, diag):
     return solve_lower
 
 
-def _correction(M: sp.csr_matrix, spec: SmootherSpec):
-    """The map r -> x-correction of one sweep of ``spec`` on M, prepared
-    once: omega r for Richardson, (D + L)^{-1} r for forward Gauss-Seidel
-    (exact, no pivoting; SuperLU's triangular solver, or banded LAPACK
-    with a unit diagonal after a one-time column scaling of the band,
-    D^{-1} (I + L D^{-1})^{-1} r, see the module docstring)."""
-    if spec.kind == RICHARDSON:
-        if spec.omega is None:
-            omega = richardson_omega_default(M)
-        else:
-            _check_omega(M, spec.omega)
-            omega = spec.omega
-        return lambda r: omega * r
-    ab = _lower_band(M)
-    diag = M.diagonal() if ab is None else ab[0]
+def _triangle(M: sp.csr_matrix, keep, dtype):
+    """The CSR arrays, with C ``int`` indices and data of ``dtype``, of
+    the entries of M where the mask ``keep`` is set.  Every row of M
+    holds an entry (its diagonal is nonzero), as ``reduceat`` needs."""
+    counts = np.add.reduceat(keep, M.indptr[:-1], dtype=np.intp)
+    _check_index_width(M.shape[0], int(counts.sum()))
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intc)
+    return (indptr, M.indices[keep].astype(np.intc, copy=False),
+            M.data[keep].astype(dtype, copy=False))
+
+
+def _gauss_seidel(M: sp.csr_matrix, exactly_hermitian: bool):
+    """The kernels (upper, solve_lower) of forward Gauss-Seidel on a
+    square M = D + L + U in splitting form: x -> U x and
+    w -> (D + L)^{-1} w, prepared from one pass over M's column offsets
+    (exact, no pivoting; see the module docstring).
+
+    On a band level U is the band's upper diagonals, applied by
+    ``dia_matvec``, and (D + L)^{-1} is banded LAPACK with a unit
+    diagonal after a one-time column scaling of the band,
+    D^{-1} (I + L D^{-1})^{-1} w.  Otherwise (D + L)^{-1} is SuperLU's
+    triangular solver on the strictly lower CSR arrays, and U is L^H,
+    ``csc_matvec`` on those same arrays, when M is ``exactly_hermitian``,
+    else a copy of the strict upper triangle.  Neither solve overwrites
+    w, which the residual w' - w still needs."""
+    n = M.shape[0]
+    offsets, kl, ku = _column_offsets(M)
+    parts = _band(M, offsets, kl, ku)
+    # LAPACK and SuperLU take floating arrays only: an integer or
+    # single-precision level is solved in double precision, as the band is
+    dtype = np.result_type(M.dtype, float)
+    diag = M.diagonal().astype(dtype, copy=False) if parts is None else parts[0][0]
     if np.any(diag == 0):
         raise ConfigurationError("Gauss-Seidel needs a nonzero diagonal")
-    if ab is None:
-        solve_lower = _lower_triangular_solve(M, diag)
-    else:
-        # D + L = (I + L D^{-1}) D: the columns below the diagonal are
-        # divided by it once (no reciprocal, which a subnormal D would
-        # overflow), and each sweep solves with a unit diagonal, which
-        # tbtrs never reads, then divides by D = ab[0] in one pass.  Row
-        # by row: on the Fortran-ordered band, ab[1:] /= ab[0] runs an
-        # inner loop of length kd per column, five times slower
-        for k in range(1, ab.shape[0]):
-            ab[k] /= ab[0]
-        tbtrs = get_lapack_funcs("tbtrs", (ab,))
+    if parts is None:
+        lower = _triangle(M, offsets < 0, dtype)
+        if exactly_hermitian:
+            indptr, indices, data = lower
+            upper = _bind_matvec(csc_matvec, M.shape, indptr, indices,
+                                 np.conj(data) if data.dtype.kind == "c" else data)
+        else:
+            upper = _bind_matvec(csr_matvec, M.shape, *_triangle(M, offsets > 0, dtype))
+        return upper, _real_split(_lower_triangular_solve(n, *lower, diag), M)
+    ab, up = parts
+    upper = _bind_matvec(dia_matvec, M.shape, ku, n,
+                         np.arange(1, ku + 1, dtype=np.intc), up)
+    # D + L = (I + L D^{-1}) D: the columns below the diagonal are
+    # divided by it once (no reciprocal, which a subnormal D would
+    # overflow), and each sweep solves with a unit diagonal, which
+    # tbtrs never reads, then divides by D = ab[0] in one pass.  Row
+    # by row: on the Fortran-ordered band, ab[1:] /= ab[0] runs an
+    # inner loop of length kd per column, five times slower
+    for k in range(1, ab.shape[0]):
+        ab[k] /= ab[0]
+    tbtrs = get_lapack_funcs("tbtrs", (ab,))
 
-        def solve_lower(r):
-            # positional: parsing keywords makes this f2py call a third
-            # slower; the last 1 lets it overwrite r (see smooth)
-            y, info = tbtrs(ab, r, "L", "N", "U", 1)
-            if info != 0:
-                raise SingularMatrixError(
-                    f"banded Gauss-Seidel solve failed: info={info}")
-            y /= ab[0]
-            return y
+    def solve_lower(w):
+        # positional: parsing keywords makes this f2py call a third
+        # slower; the last 0 keeps w, which the residual w' - w reads
+        y, info = tbtrs(ab, w, "L", "N", "U", 0)
+        if info != 0:
+            raise SingularMatrixError(
+                f"banded Gauss-Seidel solve failed: info={info}")
+        y /= ab[0]
+        return y
 
-    return _real_split(solve_lower, M)
+    return upper, _real_split(solve_lower, M)
 
 
-def _residual_of(product, x, b):
-    """b - M x with M x from ``product``, formed in the product's own
-    array when b's dtype fits it: the arithmetic of ``b - M @ x`` with
+def _minus(b, product, x):
+    """b - K x with K x from ``product``, formed in the product's own
+    array when b's dtype fits it: the arithmetic of ``b - K @ x`` with
     one allocation instead of two."""
     y = product(x)
     if b.dtype == y.dtype or np.can_cast(b.dtype, y.dtype):
@@ -318,9 +380,53 @@ def _residual_of(product, x, b):
     return b - y
 
 
+class _Richardson:
+    """x <- x + omega r, whose input r = b - M x is the residual."""
+
+    def __init__(self, omega, product):
+        self.omega, self.product = omega, product
+
+    def input(self, x, b):
+        return _minus(b, self.product, x)
+
+    def sweep(self, x, r):
+        return x + self.omega * r
+
+    def residual(self, x, b, r):
+        r = _minus(b, self.product, x)
+        return r, r
+
+
+class _GaussSeidel:
+    """x <- (D + L)^{-1} w, whose input is w = b - U x: the residual
+    after a sweep from w is b - M x' = w' - w, with w' = b - U x' the
+    next sweep's input, since (D + L) x' = w."""
+
+    def __init__(self, upper, solve_lower):
+        self.upper, self.solve_lower = upper, solve_lower
+
+    def input(self, x, b):
+        return _minus(b, self.upper, x)
+
+    def sweep(self, x, w):
+        return self.solve_lower(w)
+
+    def residual(self, x, b, w):
+        # w is spent, so the difference is formed in its array, unless w
+        # is b itself (a coarse level's first input, at x = 0).  Inputs
+        # that overflowed give inf - inf = NaN, which solve reports as a
+        # residual that is not finite, not as a floating-point warning
+        w_next = _minus(b, self.upper, x)
+        with np.errstate(invalid="ignore"):
+            if w is not b and (w.dtype == w_next.dtype
+                               or np.can_cast(w_next.dtype, w.dtype)):
+                return np.subtract(w_next, w, out=w), w_next
+            return w_next - w, w_next
+
+
 def _extreme_eigenvalues(M: sp.csr_matrix, hb):
     """Smallest and largest eigenvalue of the Hermitian part of M: from
-    its band hb = ``_lower_band(M, hermitian=True)`` (LAPACK
+    its band hb = ``_hermitian_part_band(M)`` (LAPACK
     ``sbevx``/``hbevx``), from the dense matrix when hb is None."""
     if hb is None:
         H = M.toarray()
@@ -333,17 +439,20 @@ def _extreme_eigenvalues(M: sp.csr_matrix, hb):
 
 
 def _hermitian_band(M: sp.csr_matrix):
-    """The lower band storage of M (:func:`_lower_band`) when M is
-    Hermitian bit for bit: kl = ku, a real diagonal, and each diagonal
-    above the main one the exact conjugate of the one as far below it;
-    None otherwise."""
-    kl, ku = _bandwidths(M)
-    ab = _band(M, kl) if kl == ku else None
-    if ab is None or np.any(ab[0].imag):
+    """The lower band storage of M (:func:`_band`) when M is Hermitian
+    bit for bit: kl = ku, a real diagonal, and each diagonal above the
+    main one the exact conjugate of the one as far below it; None
+    otherwise."""
+    offsets, kl, ku = _column_offsets(M)
+    parts = _band(M, offsets, kl, ku) if kl == ku else None
+    if parts is None:
+        return None
+    ab, up = parts
+    if np.any(ab[0].imag):
         return None
     n = M.shape[0]
     for k in range(1, kl + 1):
-        if not np.array_equal(ab[k, :n - k], np.conj(M.diagonal(k))):
+        if not np.array_equal(ab[k, :n - k], np.conj(up[k - 1, k:])):
             return None
     return ab
 
@@ -359,7 +468,7 @@ def _coarse_solver(M: sp.csr_matrix):
         c, info = pbtrf(ab, lower=1, overwrite_ab=1)
         # info > 0: a nonpositive pivot, M is not positive definite
         if info == 0:
-            # positional, as the band sweep of _correction calls tbtrs
+            # positional, as the band sweep of _gauss_seidel calls tbtrs
             return _real_split(lambda r: pbtrs(c, r, 1)[0], M)
     try:
         lu = spla.splu(M.tocsc())
@@ -372,7 +481,10 @@ def _coarse_solver(M: sp.csr_matrix):
 @dataclass
 class _Level:
     """A hierarchy level (its transfer None on the coarsest) and the
-    kernels the cycle applies to it, each prepared on first use and kept."""
+    kernels the cycle applies to it, each prepared on first use and kept:
+    the product x -> M x, which Richardson's sweeps take and Gauss-Seidel
+    only for a residual with no sweep before it, the prepared smoother
+    and, on the coarsest level, the direct solver."""
 
     matrix: BlockStructuredMatrix
     transfer: GridTransfer | None
@@ -383,8 +495,27 @@ class _Level:
         return matvec_kernel(self.matrix.matrix)
 
     @functools.cached_property
-    def correct(self):
-        return _correction(self.matrix.matrix, self.smoother)
+    def sweeps(self):
+        M = self.matrix.matrix
+        if self.smoother.kind == GAUSS_SEIDEL:
+            return _GaussSeidel(*_gauss_seidel(M, self.matrix.exactly_hermitian))
+        if self.smoother.omega is None:
+            omega = richardson_omega_default(M)
+        else:
+            _check_omega(M, self.smoother.omega)
+            omega = self.smoother.omega
+        return _Richardson(omega, self.product)
+
+    def residual(self, x, b, w):
+        """b - M x and the input of a sweep from x, where w is the input
+        of the sweep that gave x: one product (U for Gauss-Seidel, M for
+        Richardson).  With w None (no sweep gave x) the residual takes
+        the product with M, and Gauss-Seidel leaves the input to the
+        sweep."""
+        if w is None:
+            r = _minus(b, self.product, x)
+            return r, (r if self.smoother.kind == RICHARDSON else None)
+        return self.sweeps.residual(x, b, w)
 
     @functools.cached_property
     def coarse_solve(self):
@@ -429,7 +560,7 @@ class MultigridHierarchy:
             if lvl.matrix.size > 512:
                 continue
             M = lvl.matrix.matrix
-            lo, hi = _extreme_eigenvalues(M, _lower_band(M, hermitian=True))
+            lo, hi = _extreme_eigenvalues(M, _hermitian_part_band(M))
             if lo <= 1e-12 * hi:
                 raise ConfigurationError(
                     f"level {ell} matrix is not positive definite "
@@ -445,45 +576,54 @@ def _vectors(lvl: _Level, x, b, name: str):
     return x, b
 
 
-def smooth(level: _Level, x, b, sweeps: int, _residual=None):
+def smooth(level: _Level, x, b, sweeps: int, _carry=None):
     """Apply ``sweeps`` sweeps of the smoother of ``level``, one of a
-    hierarchy's ``levels``, to M x = b, M the level matrix, from x: x <- x + omega (b - M x) for Richardson,
-    x <- x + (D + L)^{-1} (b - M x) for forward Gauss-Seidel.  With no
-    sweep the correction is not prepared.  Returns a new array; x and b
-    are left untouched.
+    hierarchy's ``levels``, to M x = b, M the level matrix, from x:
+    x <- x + omega (b - M x) for Richardson, x <- (D + L)^{-1} (b - U x)
+    for forward Gauss-Seidel.  With no sweep the smoother is not
+    prepared.  Returns a new array; x and b are left untouched.
 
-    ``_residual``, when given, is b - M x for the given x, which the
-    first sweep then takes instead of computing it; the sweep may
-    overwrite it, so it must be an array the caller gives up.
+    ``_carry`` is the cycle's: a one-item list holding the first sweep's
+    input, b - M x or b - U x, when the caller has it (None otherwise),
+    in an array the caller gives up unless it is b itself.  The input of
+    the last sweep is left in it (None if no sweep ran), from which the
+    level forms the residual after this block, in that array for
+    Gauss-Seidel.
     """
     x, b = _vectors(level, x, b, "smoothed level")
+    carry = [None] if _carry is None else _carry
     if sweeps == 0:
+        carry[0] = None
         return x.copy()
-    correct, product = level.correct, level.product
-    r = _residual if _residual is not None else _residual_of(product, x, b)
-    x = x + correct(r)
+    kernels = level.sweeps
+    w = carry[0] if carry[0] is not None else kernels.input(x, b)
+    x = kernels.sweep(x, w)
     for _ in range(sweeps - 1):
-        x += correct(_residual_of(product, x, b))
+        w = kernels.input(x, b)
+        x = kernels.sweep(x, w)
+    carry[0] = w
     return x
 
 
-def vcycle_step(h: MultigridHierarchy, level: int, x, b, _residual=None):
+def vcycle_step(h: MultigridHierarchy, level: int, x, b, _carry=None):
     """One V-cycle starting at ``level``: smooth, restrict, recurse once,
     correct, smooth; the last level is solved directly, so on a
-    two-level hierarchy this is the two-grid step.  ``_residual`` is
-    b - A x when the caller has it (see :func:`smooth`).  x and b are
-    left untouched."""
+    two-level hierarchy this is the two-grid step.  ``_carry`` is the
+    first pre-smoothing sweep's input and receives the last
+    post-smoothing sweep's (see :func:`smooth`).  x and b are left
+    untouched."""
     lvl = h.levels[level]
     x, b = _vectors(lvl, x, b, f"level {level}")
     if lvl.transfer is None:
         return lvl.coarse_solve(b)
-    x = smooth(lvl, x, b, lvl.smoother.sweeps_pre, _residual)
-    rc = lvl.transfer.restrict(_residual_of(lvl.product, x, b))
-    # from x = 0 the first coarse residual is rc; a copy, since the
-    # sweep may overwrite it and rc is still the coarse right-hand side
-    y = vcycle_step(h, level + 1, np.zeros(rc.shape, rc.dtype), rc, rc.copy())
+    carry = [None] if _carry is None else _carry
+    x = smooth(lvl, x, b, lvl.smoother.sweeps_pre, carry)
+    rc = lvl.transfer.restrict(lvl.residual(x, b, carry[0])[0])
+    # from x = 0 the first sweep's input, b - M 0 or b - U 0, is rc
+    y = vcycle_step(h, level + 1, np.zeros(rc.shape, rc.dtype), rc, [rc])
     x = x + lvl.transfer.prolong(y)
-    return smooth(lvl, x, b, lvl.smoother.sweeps_post)
+    carry[0] = None
+    return smooth(lvl, x, b, lvl.smoother.sweeps_post, carry)
 
 
 def tgm_step(A: BlockStructuredMatrix, P: GridTransfer, x, b, spec: SmootherSpec):
@@ -571,12 +711,12 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
         return SolveResult(x=x, iterations=0, residuals=[], converged=True)
     residuals = []
     diverged = False
-    # the residual of the stopping test starts the next cycle's first
-    # sweep; the first is computed there, since b must stay untouched
-    r = None
+    # the product of the stopping test also gives the next cycle's first
+    # sweep its input; the first cycle's is computed there
+    finest, carry = h.levels[0], [None]
     for it in range(1, max_iter + 1):
-        x = vcycle_step(h, 0, x, b, r)
-        r = _residual_of(h.levels[0].product, x, b)
+        x = vcycle_step(h, 0, x, b, carry)
+        r, carry[0] = finest.residual(x, b, carry[0])
         res = float(np.linalg.norm(r * scale)) / norm_b
         if not math.isfinite(res):
             raise NumericalError(f"residual is not finite after cycle {it}")

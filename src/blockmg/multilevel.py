@@ -154,6 +154,14 @@ def kron_sum(K: sp.csr_matrix, M: sp.csr_matrix) -> sp.csr_matrix:
     return _kron_csr(K, M, data)
 
 
+def _exact_sum(K: BlockStructuredMatrix, M: BlockStructuredMatrix) -> bool:
+    """Whether K (x) M + M (x) K is Hermitian bit for bit because both
+    factors are: the entry a of K against b of M has its mirror in the
+    conjugates of both, conj(k) conj(m) + conj(m') conj(k') =
+    conj(k m + m' k'), exactly, in floating point as in exact arithmetic."""
+    return K.exactly_hermitian and M.exactly_hermitian
+
+
 def assemble_2d_problem(r: int, t: int) -> FemProblem:
     """Assemble the desk-scale 2D problem of size (r 2^t - 1)^2: the
     operator stiffness (x) mass + mass (x) stiffness in the natural
@@ -190,10 +198,14 @@ def build_2d_hierarchy(problem: FemProblem, kind: str,
     K, M = (BlockStructuredMatrix(A) for A in problem.factors)
     # one Hermitian test per factor chain (see galerkin)
     hk, hm = K.is_hermitian(), M.is_hermitian()
+    # the problem's matrix is the Kronecker sum of its factors
+    problem.matrix.exactly_hermitian |= _exact_sum(K, M)
     mats = [problem.matrix]
     for T in chain:
         K, M = galerkin(K, T, _hermitian=hk), galerkin(M, T, _hermitian=hm)
-        mats.append(BlockStructuredMatrix(kron_sum(K.matrix, M.matrix)))
+        level = BlockStructuredMatrix(kron_sum(K.matrix, M.matrix))
+        level.exactly_hermitian = _exact_sum(K, M)
+        mats.append(level)
     transfers = [GridTransfer(_kron_csr(P, P, _outer(P.data, P.data)))
                  for P in (T.matrix for T in chain)]
     return MultigridHierarchy(mats, transfers, smoother or SmootherSpec())

@@ -25,7 +25,7 @@ coefficient at +1 sits on the first block subdiagonal.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,9 +45,16 @@ TRIMMED = "trimmed"
 class BlockStructuredMatrix:
     """A sparse matrix as the solver sees it: its size, dense form and
     Hermitian test.  The structure it was assembled with (block-Toeplitz,
-    block-circulant or neither) is not recorded."""
+    block-circulant or neither) is not recorded.
+
+    ``exactly_hermitian`` is True only where A = A^H is known bit for
+    bit: :meth:`is_hermitian` records it, :func:`galerkin` sets it on its
+    symmetrized products and the 2D builders on Kronecker sums of such
+    factors.  It is never an argument, and False means unknown."""
 
     matrix: sp.csr_matrix
+    exactly_hermitian: bool = field(default=False, init=False, repr=False,
+                                    compare=False)
 
     @property
     def size(self) -> int:
@@ -60,9 +67,11 @@ class BlockStructuredMatrix:
         """A = A^H to HERMITIAN_RTOL relative to max |a_ij|, so the
         verdict does not move when A is scaled.  A is put in canonical
         form in place, as ``abs(A)`` puts it, so that duplicate entries
-        count summed."""
+        count summed.  The kernel stores no zero of the deviation
+        A - A^H, so an empty one records ``exactly_hermitian``."""
         A = self.matrix
         dev = _csr_binop(csr_minus_csr, _csr(A), _csr_adjoint(_csr(A)))[2]
+        self.exactly_hermitian = not dev.size
         A.sum_duplicates()
         top = np.abs(dev).max(initial=0.0)
         return top <= HERMITIAN_RTOL * np.abs(A.data[:A.nnz]).max(initial=0.0)
@@ -157,18 +166,27 @@ def matvec_kernel(M: sp.spmatrix):
     It is what ``M @ x`` runs after its dispatch: the kernel adds into a
     zeroed output of scipy's upcast dtype of M and x (``upcast_char``).
     Binding skips the dispatch, some 3 us per product, which is most of
-    a product's cost on small levels.  The kernel reads x unchecked, so its shape is checked here;
-    M's arrays must not be replaced afterwards."""
+    a product's cost on small levels.  M's arrays must not be replaced
+    afterwards."""
     M = M.tocsr()
-    n, m = M.shape
-    indptr, indices, data = M.indptr, M.indices, M.data
-    char = data.dtype.char
+    return _bind_matvec(csr_matvec, M.shape, M.indptr, M.indices, M.data)
+
+
+def _bind_matvec(kernel, shape, *arrays):
+    """x -> the product of the matrix of ``shape`` stored in ``arrays``
+    with a 1-D x, by a ``_sparsetools`` matvec ``kernel`` (``csr_matvec``,
+    ``csc_matvec`` or ``dia_matvec``, whose arguments after the shape
+    are ``arrays``, the data last) adding into a zeroed output of
+    scipy's upcast dtype.  The kernel reads x unchecked, so its shape is
+    checked here."""
+    n, m = shape
+    char = arrays[-1].dtype.char
 
     def matvec(x):
         if x.shape != (m,):
             raise ArgumentError(f"product of a {n} x {m} matrix with shape {x.shape}")
         y = np.zeros(n, dtype=upcast_char(char, x.dtype.char))
-        csr_matvec(n, m, indptr, indices, data, x, y)
+        kernel(n, m, *arrays, x, y)
         return y
 
     return matvec
@@ -316,14 +334,22 @@ def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
     ``_hermitian``, when given, is the verdict of ``A.is_hermitian()``,
     which a Galerkin chain takes once on its finest matrix: every coarser
     level is the symmetrized output of the previous product.
+
+    A symmetrized product is Hermitian bit for bit, and records it
+    (``exactly_hermitian``): entries (i, j) and (j, i) of C + C^H are
+    c_ij + conj(c_ji) and c_ji + conj(c_ij), one sum conjugated, and
+    halving rounds both alike.
     """
     if A.size != P.fine_size:
         raise ArgumentError(f"size mismatch: A is {A.size}, P fine side is {P.fine_size}")
     C = _csr_matmat(_csr_matmat(_csr(P.adjoint), _csr(A.matrix)), _csr(P.matrix))
-    if A.is_hermitian() if _hermitian is None else _hermitian:
+    symmetrize = A.is_hermitian() if _hermitian is None else _hermitian
+    if symmetrize:
         C = _csr_binop(csr_plus_csr, C, _csr_adjoint(C))
         np.multiply(C[2], 0.5, out=C[2])
-    return BlockStructuredMatrix(_csr_matrix(C))
+    out = BlockStructuredMatrix(_csr_matrix(C))
+    out.exactly_hermitian = bool(symmetrize)
+    return out
 
 
 def coarse_projection_norm(A: BlockStructuredMatrix, P: GridTransfer) -> float:

@@ -14,7 +14,7 @@ from blockmg.errors import (ArgumentError, ConfigurationError, ConstructionError
 from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
                             stiffness_symbol)
 from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE, _Level,
-                             _check_index_width, _coarse_solver, _correction,
+                             _check_index_width, _coarse_solver,
                              _lower_triangular_solve, detect_divergence,
                              gershgorin_bound)
 from blockmg.multilevel import assemble_2d_problem, build_2d_hierarchy
@@ -104,7 +104,7 @@ class TestSmooth:
     def test_lambda_max_off_the_band_matches_dense(self):
         # a 2D level is not banded, so ARPACK bounds it
         M = assemble_2d_problem(2, 4).matrix.matrix
-        assert mgsolve._lower_band(M, hermitian=True) is None
+        assert mgsolve._hermitian_part_band(M) is None
         want = np.linalg.eigvalsh(M.toarray())[-1]
         assert mgsolve._lambda_max(M) == pytest.approx(want, rel=1e-8)
         with pytest.raises(ConfigurationError):
@@ -136,7 +136,7 @@ class TestSmooth:
 
 
 def _backend(correct):
-    """The kernel a prepared Gauss-Seidel correction or coarse solver
+    """The kernel a prepared Gauss-Seidel solve or coarse solver
     applies: "gstrs" for SuperLU's sparse triangular solver, "tbtrs" or
     "pbtrs" for banded LAPACK, "splu" for a SuperLU factor, held in a
     closure directly or through the real/imaginary split of a real level;
@@ -157,8 +157,8 @@ def _backend(correct):
 
 
 def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=None, scale=1.0):
-    """One sweep through the prepared correction against the dense
-    x + solve(tril(A), b - A x); returns the correction.  The start and
+    """One sweep through the prepared smoother against the dense
+    x + solve(tril(A), b - A x); returns the prepared (D + L)^{-1}.  The start and
     right-hand side are complex with ``complex_rhs``, by default when M
     is; the right-hand side is multiplied by ``scale``."""
     rng = np.random.default_rng(seed)
@@ -174,7 +174,7 @@ def _assert_gauss_seidel_oracle(M, seed=0, complex_rhs=None, scale=1.0):
     level = lone(M)
     got = smooth(level, x, b, 1)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-    return level.correct
+    return level.sweeps.solve_lower
 
 
 class TestSmootherBackends:
@@ -209,7 +209,7 @@ class TestSmootherBackends:
         eye = sp.identity(H.shape[0], format="csr")
         M = (sp.kron(H, eye) + sp.kron(eye, H)).tocsr()
         assert np.iscomplexobj(M.data) and abs(M - M.conj().T).max() == 0
-        assert mgsolve._lower_band(M) is None
+        assert mgsolve._hermitian_part_band(M) is None
         correct = _assert_gauss_seidel_oracle(M, complex_rhs=complex_rhs)
         assert _backend(correct) == "gstrs"
 
@@ -263,8 +263,32 @@ class TestSmootherBackends:
         M = tridiag(10).tolil()
         M[9, 0] = -0.5 if dtype is np.float32 else -1
         M = sp.csr_matrix(M, dtype=dtype)
-        assert mgsolve._lower_band(M) is None
+        assert mgsolve._hermitian_part_band(M) is None
         assert _backend(_assert_gauss_seidel_oracle(M)) == "gstrs"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_single_precision_band_is_solved_in_double(self, dtype):
+        # a single-precision band would miss the 1e-12 oracle by far
+        M = sp.diags([-1.0 + 0.5j, 4.0, -1.0 - 0.5j] if dtype is np.complex64
+                     else [-1.0, 4.0, -1.0], [-1, 0, 1], shape=(31, 31), dtype=dtype)
+        assert _backend(_assert_gauss_seidel_oracle(M.tocsr())) == "tbtrs"
+
+    @pytest.mark.parametrize("banded", [True, False])
+    def test_duplicate_entries_add_up(self, banded):
+        # rows 0 and 1 store (0, 0) and (1, 0) a second time, at their ends
+        M = tridiag(12).tolil()
+        if not banded:
+            M[11, 0] = -0.5  # lower bandwidth 11: (11 + 1) * 12 > nnz
+        M = M.tocsr()
+        ends = M.indptr[1:3]
+        indptr = M.indptr + np.minimum(np.arange(13), 2)
+        dup = sp.csr_matrix((np.insert(M.data, ends, [0.5, -0.25]),
+                             np.insert(M.indices, ends, [0, 0]), indptr),
+                            shape=M.shape)
+        assert dup.nnz == M.nnz + 2 and not dup.has_canonical_format
+        assert dup.toarray()[:2, 0].tolist() == [2.5, -1.25]
+        want = "tbtrs" if banded else "gstrs"
+        assert _backend(_assert_gauss_seidel_oracle(dup)) == want
 
     @pytest.mark.parametrize("banded", [True, False])
     def test_zero_diagonal_raises(self, banded):
@@ -283,8 +307,11 @@ class TestSparseTriangularSolve:
 
     @staticmethod
     def _solve(M, r):
+        dtype = np.result_type(M.dtype, float)
+        lower = mgsolve._triangle(M, mgsolve._column_offsets(M)[0] < 0, dtype)
         try:
-            return _lower_triangular_solve(M, M.diagonal())(r)
+            return _lower_triangular_solve(M.shape[0], *lower,
+                                           M.diagonal().astype(dtype))(r)
         except TypeError as exc:
             pytest.fail("scipy.sparse.linalg._dsolve._superlu.gstrs no longer "
                         f"takes (trans, L..., U..., b) as blockmg calls it: {exc}")
@@ -599,7 +626,7 @@ class TestHierarchy:
         threshold = 1e-12 * lam_max
         for factor, accepted in ((2.0, True), (0.5, False)):
             M = self._shifted_tridiag(k, factor * threshold, dense)
-            hb = mgsolve._lower_band(M, hermitian=True)
+            hb = mgsolve._hermitian_part_band(M)
             assert (hb is None) == dense
             lo, hi = mgsolve._extreme_eigenvalues(M, hb)
             assert hi == pytest.approx(lam_max + factor * threshold, rel=1e-12)
@@ -613,7 +640,7 @@ class TestHierarchy:
 
     def test_complex_hermitian_band_level(self):
         M = assemble_toeplitz(COMPLEX_HERMITIAN, 31).matrix
-        hb = mgsolve._lower_band(M, hermitian=True)
+        hb = mgsolve._hermitian_part_band(M)
         assert hb is not None and np.iscomplexobj(hb)
         w = np.linalg.eigvalsh(M.toarray())
         lo, hi = mgsolve._extreme_eigenvalues(M, hb)
@@ -631,8 +658,8 @@ class TestHierarchy:
         # lower bandwidth 1, upper bandwidth 2: the Hermitian part has 2
         n = 40
         M = (tridiag(n) + 4.0 * sp.eye(n) + sp.diags([0.7], [2], shape=(n, n))).tocsr()
-        assert mgsolve._lower_band(M).shape[0] == 2
-        hb = mgsolve._lower_band(M, hermitian=True)
+        assert mgsolve._column_offsets(M)[1:] == (1, 2)
+        hb = mgsolve._hermitian_part_band(M)
         assert hb.shape[0] == 3
         H = M.toarray()
         w = np.linalg.eigvalsh(0.5 * (H + H.T))
@@ -653,7 +680,7 @@ class TestHierarchy:
         A, P = two_grid_pieces(31)
         M = tridiag(P.coarse_size)
         M.data[M.nnz // 2] = np.nan
-        assert mgsolve._lower_band(M, hermitian=True) is not None
+        assert mgsolve._hermitian_part_band(M) is not None
         self._refused_before_eigenvalues(
             monkeypatch, [A, BlockStructuredMatrix(M)], [P], 1)
 
@@ -662,7 +689,7 @@ class TestHierarchy:
         mats = [lvl.matrix for lvl in h.levels]
         M = mats[1].matrix.copy()
         M.data[0] = np.nan
-        assert M.shape[0] <= 512 and mgsolve._lower_band(M, hermitian=True) is None
+        assert M.shape[0] <= 512 and mgsolve._hermitian_part_band(M) is None
         mats[1] = BlockStructuredMatrix(M)
         self._refused_before_eigenvalues(
             monkeypatch, mats, [lvl.transfer for lvl in h.levels[:-1]], 1)
@@ -916,33 +943,106 @@ def test_galerkin_chains_test_hermitian_once_per_finest_matrix(monkeypatch):
     assert len(h.levels) >= 3 and tested == [problem.factors[0].shape[0]] * 2
 
 
-def _reference_vcycle(h, level, x, b):
-    """The V-cycle written with plain sparse products: every residual
-    b - M @ x formed afresh, the transfers applied as P^H @ r and P @ y,
-    and each sweep's correction prepared anew for its level."""
+def _reference_lower_solve(M):
+    """w -> (D + L)^{-1} w as the library computes it, from scipy on M's
+    diagonals and tril(M, -1): LAPACK ``tbtrs`` (``get_lapack_funcs``)
+    with a unit diagonal on the band with its columns divided by D, then
+    a division by D, when the band fits in nnz(M); SuperLU's private
+    ``gstrs`` on the CSR arrays of tril(M, -1) otherwise, since the public
+    ``spsolve_triangular`` rescales by the diagonal and rounds otherwise.
+    A real M solves a complex w as its real and imaginary parts."""
+    n = M.shape[0]
+    coo = M.tocoo()
+    offsets = coo.col.astype(np.int64) - coo.row
+    kl, ku = int(-offsets.min()), int(offsets.max())
+    if (max(kl, ku) + 1) * n <= M.nnz:
+        ab = np.zeros((kl + 1, n), order="F")
+        for k in range(kl + 1):
+            ab[k, :n - k] = M.diagonal(-k)
+        ab[1:] /= ab[0]
+        tbtrs = sla.get_lapack_funcs("tbtrs", (ab,))
+
+        def solve(w):
+            return tbtrs(ab, w, "L", "N", "U")[0] / ab[0]
+    else:
+        L = sp.tril(M, -1, format="csr")
+        diag = M.diagonal().astype(float)
+        ptr = np.arange(n + 1, dtype=np.intc)
+
+        def solve(w):
+            return _superlu.gstrs("T", n, n, diag, ptr[:n], ptr, n, L.nnz,
+                                  L.data.astype(float), L.indices.astype(np.intc),
+                                  L.indptr.astype(np.intc), w)[0]
+
+    if np.iscomplexobj(M.data):
+        return solve
+    return lambda w: (solve(w.real) + 1j * solve(w.imag) if w.dtype.kind == "c"
+                      else solve(w))
+
+
+def _reference_vcycle(h, level, x, b, form):
+    """The V-cycle written with plain sparse products, every kernel
+    prepared anew for its level; returns x and the input of the last
+    post-smoothing sweep (None without one).
+
+    ``form="splitting"`` is the library's cycle: Gauss-Seidel sweeps
+    x <- (D + L)^{-1} w from w = b - triu(M, 1) @ x, each residual after
+    a sweep (b - triu(M, 1) @ x) - w; Richardson sweeps x + omega (b - M @ x),
+    as in either form.  ``form="correction"`` is the textbook
+    x <- x + tril(M)^{-1} (b - M @ x), every residual b - M @ x."""
     lvl = h.levels[level]
     if lvl.transfer is None:
-        return lvl.coarse_solve(b)
+        return lvl.coarse_solve(b), None
     M, T, spec = lvl.matrix.matrix, lvl.transfer, lvl.smoother
-    correct = _correction(M, spec)
-    for _ in range(spec.sweeps_pre):
-        x = x + correct(b - M @ x)
-    rc = T.adjoint @ (b - M @ x)
-    x = x + T.matrix @ _reference_vcycle(h, level + 1, np.zeros_like(rc), rc)
-    for _ in range(spec.sweeps_post):
-        x = x + correct(b - M @ x)
-    return x
+    if spec.kind == RICHARDSON:
+        omega = richardson_omega_default(M) if spec.omega is None else spec.omega
+        sweep, upper = (lambda x: x + omega * (b - M @ x)), None
+    elif form == "splitting":
+        U, solve_lower = sp.triu(M, 1, format="csr"), _reference_lower_solve(M)
+        sweep, upper = (lambda x: solve_lower(b - U @ x)), U
+    else:
+        D_L = sp.tril(M, format="csr")
+        sweep = lambda x: x + spla.spsolve_triangular(D_L, b - M @ x, lower=True)
+        upper = None
+
+    def smooth_block(x, sweeps):
+        w = None
+        for _ in range(sweeps):
+            if upper is not None:
+                w = b - upper @ x
+            x = sweep(x)
+        return x, w
+
+    def residual(x, w):
+        return b - M @ x if w is None else (b - upper @ x) - w
+
+    x, w = smooth_block(x, spec.sweeps_pre)
+    rc = T.adjoint @ residual(x, w)
+    x = x + T.matrix @ _reference_vcycle(h, level + 1, np.zeros_like(rc), rc, form)[0]
+    return smooth_block(x, spec.sweeps_post)
 
 
-def _reference_solve(h, b, iterations):
+def _reference_solve(h, b, iterations, form="splitting"):
     """``iterations`` reference cycles from x = 0, with the relative
-    residual norm after each."""
+    residual norm after each, taken as the cycle of that form takes it."""
     A = h.levels[0].matrix.matrix
+    U = sp.triu(A, 1, format="csr")
     x, residuals = np.zeros(A.shape[0]), []
     for _ in range(iterations):
-        x = _reference_vcycle(h, 0, x, b)
-        residuals.append(float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b)))
+        x, w = _reference_vcycle(h, 0, x, b, form)
+        r = b - A @ x if w is None else (b - U @ x) - w
+        residuals.append(float(np.linalg.norm(r)) / float(np.linalg.norm(b)))
     return x, residuals
+
+
+def _assert_matches_the_correction_form(res, h, b, tol=None):
+    """The textbook correction form as an oracle of the splitting form:
+    the same iterates up to rounding, so residuals within 1e-9 relative
+    and, for a solve to ``tol``, the same iteration count."""
+    _, residuals = _reference_solve(h, b, res.iterations, form="correction")
+    np.testing.assert_allclose(res.residuals, residuals, rtol=1e-9, atol=0)
+    if tol is not None:
+        assert res.converged and residuals[-1] <= tol < min(residuals[:-1])
 
 
 def _solve_case(dim, spec, cycle, projector="linear"):
@@ -963,9 +1063,10 @@ def _solve_case(dim, spec, cycle, projector="linear"):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_kernels_bound_once_per_level(monkeypatch, dim, cycle):
     # repeated solves reuse every kernel a level bound on first use: the
-    # product and correction of each smoothed level, the coarsest solver
+    # Gauss-Seidel kernels of each smoothed level, the coarsest solver;
+    # with a sweep before every residual no level takes a product with M
     h, b = _solve_case(dim, GS, cycle)
-    calls = {name: [] for name in ("matvec_kernel", "_correction", "_coarse_solver")}
+    calls = {name: [] for name in ("matvec_kernel", "_gauss_seidel", "_coarse_solver")}
     for name, log in calls.items():
         def counting(M, *args, _kernel=getattr(mgsolve, name), _log=log):
             _log.append(M.shape[0])
@@ -975,17 +1076,18 @@ def test_kernels_bound_once_per_level(monkeypatch, dim, cycle):
         assert solve(h, b, cycle=cycle).converged
     smoothed = [lvl.matrix.size for lvl in h.levels[:-1]]
     assert (len(smoothed) == 1) == (cycle == TGM)
-    assert calls == {"matvec_kernel": smoothed, "_correction": smoothed,
+    assert calls == {"matvec_kernel": [], "_gauss_seidel": smoothed,
                      "_coarse_solver": [h.levels[-1].matrix.size]}
 
 
 class TestCarriedResidual:
-    """``solve`` hands its stopping-test residual to the next cycle's first
-    sweep and each coarse level starts from its restricted residual; a
-    banded sweep overwrites the residual it is given.  None of that, nor
-    the bound product kernels or the in-place residuals, changes a bit
-    of x or of the residual history against the cycle written with
-    plain ``@``."""
+    """``solve`` hands the input its stopping test formed to the next
+    cycle's first sweep, each coarse level starts from its restricted
+    residual, and a Gauss-Seidel residual is the difference w' - w of
+    two sweep inputs.  None of that, nor the bound product kernels or
+    the in-place differences, changes a bit of x or of the residual
+    history against the cycle written with plain ``@``; the textbook
+    correction form of Gauss-Seidel agrees to rounding."""
 
     @pytest.mark.parametrize("cycle", [TGM, VCYCLE])
     @pytest.mark.parametrize("dim", [1, 2])
@@ -1009,6 +1111,7 @@ class TestCarriedResidual:
         x, residuals = _reference_solve(h, b, res.iterations)
         assert same_bits(res.x, x)
         assert res.residuals == residuals
+        _assert_matches_the_correction_form(res, h, b)
 
     @pytest.mark.parametrize("dim, kind, cycle, projector, complex_rhs", [
         (1, RICHARDSON, TGM, "geometric", False),
@@ -1025,6 +1128,7 @@ class TestCarriedResidual:
         x, residuals = _reference_solve(h, b, res.iterations)
         assert same_bits(res.x, x)
         assert res.residuals == residuals
+        _assert_matches_the_correction_form(res, h, b, tol=1e-6)
 
 
 class TestInputsUntouched:
@@ -1110,3 +1214,128 @@ class TestOmegaDefault:
         with pytest.raises(ArgumentError, match=r"Gershgorin bound C = 1\.07e-309"):
             solve(h, b)
 
+
+
+def _bitwise_hermitian(A) -> bool:
+    return (A != A.conj().T).nnz == 0
+
+
+class TestExactlyHermitian:
+    """A level records ``exactly_hermitian`` exactly when A = A^H bit for
+    bit, on every level the builders make; a Gauss-Seidel level applies
+    U = L^H only then, and otherwise a copy of its strict upper triangle."""
+
+    @pytest.mark.parametrize("coefficient", ["one", "xsq_plus_one", "exp_minus_2x"])
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_1d_levels(self, r, kind, coefficient):
+        problem = assemble_stiffness(r, 64, coefficient)
+        h = build_fem_hierarchy(problem, kind, GS)
+        for ell, lvl in enumerate(h.levels):
+            A = lvl.matrix.matrix
+            assert lvl.matrix.exactly_hermitian == _bitwise_hermitian(A), ell
+        assert all(lvl.matrix.exactly_hermitian for lvl in h.levels[1:])
+
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_2d_levels(self, r, kind):
+        h = build_2d_hierarchy(assemble_2d_problem(r, 4), kind, GS)
+        for ell, lvl in enumerate(h.levels):
+            A = lvl.matrix.matrix
+            assert lvl.matrix.exactly_hermitian == _bitwise_hermitian(A), ell
+        assert all(lvl.matrix.exactly_hermitian for lvl in h.levels)
+
+    @pytest.mark.parametrize("symbol", [LAPLACE, COMPLEX_HERMITIAN],
+                             ids=["real", "complex"])
+    def test_galerkin_level_of_tgm_step(self, monkeypatch, symbol):
+        levels = []
+        hierarchy = MultigridHierarchy
+
+        def recording(matrices, *args):
+            levels.extend(matrices)
+            return hierarchy(matrices, *args)
+
+        monkeypatch.setattr(mgsolve, "MultigridHierarchy", recording)
+        if symbol is LAPLACE:
+            A, P = two_grid_pieces()
+        else:
+            A = assemble_toeplitz(symbol, 32)
+            interp = {0: 2.0 * np.eye(2), 1: np.eye(2), -1: np.eye(2)}
+            P = assemble_transfer(MatrixTrigPolynomial(interp), 32, "circulant")
+        b = A.matrix @ np.linspace(0.0, 1.0, A.size)
+        tgm_step(A, P, np.zeros(A.size), b, GS)
+        assert [lvl.size for lvl in levels] == [A.size, P.coarse_size]
+        for lvl in levels:
+            assert lvl.exactly_hermitian == _bitwise_hermitian(lvl.matrix)
+        assert levels[1].exactly_hermitian
+
+    def test_product_of_a_non_hermitian_matrix_is_not_marked(self):
+        A, P = two_grid_pieces()
+        shift = sp.diags([0.5], [1], shape=A.matrix.shape)
+        skew = BlockStructuredMatrix((A.matrix + shift).tocsr())
+        C = galerkin(skew, P)
+        assert not skew.exactly_hermitian and not C.exactly_hermitian
+        assert not _bitwise_hermitian(C.matrix)
+
+    @staticmethod
+    def _one_ulp_off():
+        """A 2D CSR level with one strictly upper entry moved by one ulp:
+        Hermitian to the test's tolerance, not bit for bit."""
+        h = build_2d_hierarchy(assemble_2d_problem(2, 3), "linear", GS, two_level=True)
+        M = h.levels[0].matrix.matrix.copy()
+        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+        upper = np.flatnonzero(M.indices > rows)
+        k = upper[len(upper) // 3]
+        M.data[k] = np.nextafter(M.data[k], np.inf)
+        return BlockStructuredMatrix(M), h.levels[0].transfer
+
+    def test_one_ulp_off_level_takes_the_copy_path(self):
+        fine, P = self._one_ulp_off()
+        h = MultigridHierarchy([fine, galerkin(fine, P)], [P], GS)
+        M = fine.matrix
+        # galerkin tested it: Hermitian to tolerance, so the coarse level
+        # is the symmetrized product, but the fine level is not exact
+        assert not fine.exactly_hermitian and h.levels[1].matrix.exactly_hermitian
+        assert mgsolve._hermitian_part_band(M) is None
+        x = np.random.default_rng(5).standard_normal(M.shape[0])
+        assert same_bits(h.levels[0].sweeps.upper(x), sp.triu(M, 1, format="csr") @ x)
+        b = M @ np.random.default_rng(6).uniform(size=M.shape[0])
+        res = solve(h, b, tol=1e-12, cycle=TGM)
+        assert res.converged
+        want = np.linalg.solve(M.toarray(), b)
+        assert np.linalg.norm(res.x - want) <= 1e-10 * np.linalg.norm(want)
+        x_ref, residuals = _reference_solve(h, b, res.iterations)
+        assert same_bits(res.x, x_ref) and res.residuals == residuals
+
+    def test_complex_exactly_hermitian_level_applies_the_conjugate(self):
+        H = assemble_toeplitz(COMPLEX_HERMITIAN, 8).matrix
+        eye = sp.identity(H.shape[0], format="csr")
+        level = BlockStructuredMatrix((sp.kron(H, eye) + sp.kron(eye, H)).tocsr())
+        assert level.is_hermitian() and level.exactly_hermitian
+        M = level.matrix
+        assert mgsolve._hermitian_part_band(M) is None
+        lvl = _Level(level, None, GS)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+        assert same_bits(lvl.sweeps.upper(x), sp.triu(M, 1, format="csr") @ x)
+
+
+class TestReportedResidual:
+    """The last residual a solve reports, formed as w' - w for
+    Gauss-Seidel, is the residual of the x it returns."""
+
+    @pytest.mark.parametrize("complex_rhs", [False, True])
+    @pytest.mark.parametrize("sweeps", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("cycle", [TGM, VCYCLE])
+    @pytest.mark.parametrize("kind", [GAUSS_SEIDEL, RICHARDSON])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_last_residual_is_fresh(self, dim, kind, cycle, sweeps, complex_rhs):
+        spec = SmootherSpec(kind=kind, sweeps_pre=sweeps[0], sweeps_post=sweeps[1])
+        h, b = _solve_case(dim, spec, cycle)
+        if complex_rhs:
+            b = b + 1j * b[::-1]
+        res = solve(h, b, tol=1e-8)
+        assert res.converged
+        A = h.levels[0].matrix.matrix
+        fresh = np.linalg.norm(b - A @ res.x) / np.linalg.norm(b)
+        assert abs(res.residuals[-1] - fresh) <= 1e-12
