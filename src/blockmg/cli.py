@@ -111,7 +111,7 @@ def _parse_t_range(text: str) -> tuple:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a flat key=value config file ('#' starts a comment)."""
+    """Parse a flat key=value config file ('#' starts a comment, each key once)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -123,6 +123,7 @@ def parse_config(path) -> ExperimentConfig:
         "max_iter": int, "seed": int,
         "tol": float, "omega": float, "t_range": _parse_t_range,
     }
+    seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,6 +133,9 @@ def parse_config(path) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in valid:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigurationError(f"line {lineno}: {key} already given on line {seen[key]}")
+        seen[key] = lineno
         try:
             parsed = parsers.get(key, str)(value)
         except ValueError as exc:

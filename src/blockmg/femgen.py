@@ -415,7 +415,6 @@ def build_fem_hierarchy(problem: FemProblem, kind: str,
     transfers = _transfer_chain(problem.r, problem.n_elements, kind, 1,
                                 coarsest_max_size, two_level)
     mats = [problem.matrix]
-    hermitian = problem.matrix.is_hermitian()   # once per chain (see galerkin)
     for T in transfers:
-        mats.append(galerkin(mats[-1], T, _hermitian=hermitian))
+        mats.append(galerkin(mats[-1], T))
     return MultigridHierarchy(mats, transfers, smoother or SmootherSpec())

@@ -72,23 +72,22 @@ the spent w.  The last entry point is SuperLU's ``gstrs`` above, called
 on arrays prepared once, since the public ``spsolve_triangular``
 converts and checks its matrix on every call.
 
-A hierarchy checks that its level matrices are finite, and that its
-levels of size at most 512 are positive definite from the extreme
-eigenvalues of their Hermitian parts, by the same band rule: banded
-LAPACK (``sbevx``/``hbevx``) on a level whose band fits in nnz(M), a
-dense ``eigvalsh`` otherwise.  The Hermitian part's band is
-max(kl, ku).
+A level is Hermitian to the paths below only by the record
+``exactly_hermitian``, which the builders set on every level they make;
+no entry is compared.  A hierarchy checks that its level matrices are
+finite, and that its levels of size at most 512 are positive definite
+from the extreme eigenvalues of their Hermitian parts: banded LAPACK
+(``sbevx``/``hbevx``) on the lower band storage of a recorded level
+whose band fits in nnz(M), a dense ``eigvalsh`` of (M + M^H)/2
+otherwise.  The largest eigenvalue that bounds a given Richardson omega
+is taken from that band too, and by ARPACK elsewhere.
 
 The coarsest level (the coarse level of a two-grid cycle) is factored
-once and solved exactly.  A band level that is Hermitian bit for bit,
-kl = ku and each diagonal below the main one the exact conjugate of the
-one as far above it, is factored by banded Cholesky, LAPACK
-``pbtrf``/``pbtrs`` on that lower band storage: every 1D FEM level is,
-since the builders symmetrize their Galerkin products.  Every other
-level, and a Hermitian band level on which ``pbtrf`` meets a nonpositive
-pivot, is solved by SuperLU's LU with partial pivoting: 2D levels, and a
-non-Hermitian band level, whose Hermitian part a Cholesky would solve in
-its place.
+once and solved exactly: a recorded level whose band fits (every 1D FEM
+level) by banded Cholesky, LAPACK ``pbtrf``/``pbtrs`` on that lower band
+storage; every other level (2D levels, and any level without the
+record), and a recorded band level on which ``pbtrf`` meets a
+nonpositive pivot, by SuperLU's LU with partial pivoting.
 """
 
 from __future__ import annotations
@@ -136,6 +135,7 @@ class SmootherSpec:
         if self.kind not in (RICHARDSON, GAUSS_SEIDEL):
             raise ConfigurationError(f"unknown smoother kind {self.kind!r}")
         if self.omega is not None and not (isinstance(self.omega, numbers.Real)
+                                           and not isinstance(self.omega, bool)
                                            and math.isfinite(self.omega)):
             raise ConfigurationError(
                 f"omega must be a finite real number, got {self.omega!r}")
@@ -159,11 +159,12 @@ def gershgorin_bound(A) -> float:
     return float(np.max(np.abs(M).sum(axis=1))) if M.nnz else 0.0
 
 
-def _lambda_max(M: sp.csr_matrix) -> float:
+def _lambda_max(M: sp.csr_matrix, exactly_hermitian: bool) -> float:
     """Largest eigenvalue of the Hermitian part of M: exact from the band
-    on a band level, or below size 3 (:func:`_extreme_eigenvalues`), by
-    ARPACK ``eigsh`` to 1e-8 relative otherwise."""
-    hb = _hermitian_part_band(M)
+    of a Hermitian band level (:func:`_hermitian_band`), or below size 3
+    (:func:`_extreme_eigenvalues`), by ARPACK ``eigsh`` to 1e-8 relative
+    otherwise."""
+    hb = _hermitian_band(M, exactly_hermitian)
     if M.shape[0] < 3 or hb is not None:
         return float(_extreme_eigenvalues(M, hb)[1])
     H = 0.5 * (M + M.conj().T)
@@ -175,13 +176,13 @@ def _lambda_max(M: sp.csr_matrix) -> float:
         raise NumericalError(f"largest eigenvalue did not converge: {exc}") from exc
 
 
-def _check_omega(M: sp.csr_matrix, omega: float) -> None:
+def _check_omega(M: sp.csr_matrix, omega: float, exactly_hermitian: bool) -> None:
     if omega <= 0:
         raise ConfigurationError(f"Richardson omega must be positive, got {omega}")
     bound = gershgorin_bound(M)
     if bound > 0 and omega < 2.0 / bound:
         return
-    lam_max = _lambda_max(M)
+    lam_max = _lambda_max(M, exactly_hermitian)
     # 2 omega - omega^2 lambda_max <= 0 for omega > 0, without the square,
     # which overflows for a large omega
     if omega * lam_max >= 2.0:
@@ -245,23 +246,15 @@ def _band(M: sp.csr_matrix, offsets, kl: int, ku: int):
     return band[:split].reshape((kl + 1, n), order="F"), band[split:].reshape(ku, n)
 
 
-def _hermitian_part_band(M: sp.csr_matrix):
-    """The lower band storage of the Hermitian part (M + M^H)/2 of a
-    square M, whose bandwidth is kd = max(kl, ku), when its band fits
-    (:func:`_band`); None otherwise."""
+def _hermitian_band(M: sp.csr_matrix, exactly_hermitian: bool):
+    """The lower band storage of M (:func:`_band`) on a level recorded
+    ``exactly_hermitian``, when its band fits; None otherwise.  It is the
+    band of M's Hermitian part, M itself."""
+    if not exactly_hermitian:
+        return None
     offsets, kl, ku = _column_offsets(M)
     parts = _band(M, offsets, kl, ku)
-    if parts is None:
-        return None
-    low, up = parts
-    n, kd = M.shape[0], max(kl, ku)
-    hb = np.zeros((kd + 1, n), dtype=low.dtype, order="F")
-    hb[:kl + 1] = low
-    hb[0] = 0.5 * (hb[0] + np.conj(hb[0]))
-    for k in range(1, kd + 1):
-        upper = np.conj(up[k - 1, k:]) if k <= ku else 0.0
-        hb[k, :n - k] = 0.5 * (hb[k, :n - k] + upper)
-    return hb
+    return None if parts is None else parts[0]
 
 
 def _check_index_width(n: int, nnz: int) -> None:
@@ -426,8 +419,8 @@ class _GaussSeidel:
 
 def _extreme_eigenvalues(M: sp.csr_matrix, hb):
     """Smallest and largest eigenvalue of the Hermitian part of M: from
-    its band hb = ``_hermitian_part_band(M)`` (LAPACK
-    ``sbevx``/``hbevx``), from the dense matrix when hb is None."""
+    the band hb of a Hermitian M (:func:`_hermitian_band`, LAPACK
+    ``sbevx``/``hbevx``), from the dense (M + M^H)/2 when hb is None."""
     if hb is None:
         H = M.toarray()
         w = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
@@ -438,31 +431,12 @@ def _extreme_eigenvalues(M: sp.csr_matrix, hb):
     return lo, hi
 
 
-def _hermitian_band(M: sp.csr_matrix):
-    """The lower band storage of M (:func:`_band`) when M is Hermitian
-    bit for bit: kl = ku, a real diagonal, and each diagonal above the
-    main one the exact conjugate of the one as far below it; None
-    otherwise."""
-    offsets, kl, ku = _column_offsets(M)
-    parts = _band(M, offsets, kl, ku) if kl == ku else None
-    if parts is None:
-        return None
-    ab, up = parts
-    if np.any(ab[0].imag):
-        return None
-    n = M.shape[0]
-    for k in range(1, kl + 1):
-        if not np.array_equal(ab[k, :n - k], np.conj(up[k - 1, k:])):
-            return None
-    return ab
-
-
-def _coarse_solver(M: sp.csr_matrix):
+def _coarse_solver(M: sp.csr_matrix, exactly_hermitian: bool):
     """r -> M^{-1} r for the coarsest level M, factored once: by banded
-    Cholesky (LAPACK ``pbtrf``/``pbtrs``) on a band level that is
-    Hermitian bit for bit (:func:`_hermitian_band`) and positive
+    Cholesky (LAPACK ``pbtrf``/``pbtrs``) on a band level recorded
+    ``exactly_hermitian`` (:func:`_hermitian_band`) that is positive
     definite, by SuperLU's LU with partial pivoting otherwise."""
-    ab = _hermitian_band(M)
+    ab = _hermitian_band(M, exactly_hermitian)
     if ab is not None:
         pbtrf, pbtrs = get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
         c, info = pbtrf(ab, lower=1, overwrite_ab=1)
@@ -502,7 +476,7 @@ class _Level:
         if self.smoother.omega is None:
             omega = richardson_omega_default(M)
         else:
-            _check_omega(M, self.smoother.omega)
+            _check_omega(M, self.smoother.omega, self.matrix.exactly_hermitian)
             omega = self.smoother.omega
         return _Richardson(omega, self.product)
 
@@ -519,7 +493,7 @@ class _Level:
 
     @functools.cached_property
     def coarse_solve(self):
-        return _coarse_solver(self.matrix.matrix)
+        return _coarse_solver(self.matrix.matrix, self.matrix.exactly_hermitian)
 
 
 class MultigridHierarchy:
@@ -560,7 +534,8 @@ class MultigridHierarchy:
             if lvl.matrix.size > 512:
                 continue
             M = lvl.matrix.matrix
-            lo, hi = _extreme_eigenvalues(M, _hermitian_part_band(M))
+            lo, hi = _extreme_eigenvalues(
+                M, _hermitian_band(M, lvl.matrix.exactly_hermitian))
             if lo <= 1e-12 * hi:
                 raise ConfigurationError(
                     f"level {ell} matrix is not positive definite "

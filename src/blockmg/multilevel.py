@@ -196,13 +196,14 @@ def build_2d_hierarchy(problem: FemProblem, kind: str,
     chain = _transfer_chain(problem.r, problem.n_elements, kind, 2,
                             coarsest_max_size, two_level)
     K, M = (BlockStructuredMatrix(A) for A in problem.factors)
-    # one Hermitian test per factor chain (see galerkin)
-    hk, hm = K.is_hermitian(), M.is_hermitian()
+    # tested once: each Galerkin product records its own flag
+    for A in (K, M):
+        A.is_hermitian()
     # the problem's matrix is the Kronecker sum of its factors
     problem.matrix.exactly_hermitian |= _exact_sum(K, M)
     mats = [problem.matrix]
     for T in chain:
-        K, M = galerkin(K, T, _hermitian=hk), galerkin(M, T, _hermitian=hm)
+        K, M = galerkin(K, T), galerkin(M, T)
         level = BlockStructuredMatrix(kron_sum(K.matrix, M.matrix))
         level.exactly_hermitian = _exact_sum(K, M)
         mats.append(level)

@@ -50,7 +50,9 @@ class BlockStructuredMatrix:
     ``exactly_hermitian`` is True only where A = A^H is known bit for
     bit: :meth:`is_hermitian` records it, :func:`galerkin` sets it on its
     symmetrized products and the 2D builders on Kronecker sums of such
-    factors.  It is never an argument, and False means unknown."""
+    factors.  It is never an argument, and False means unknown.  It is
+    the library's one record of Hermiticity: the solver's Hermitian paths
+    read it alone, and :func:`galerkin` tests only a matrix without it."""
 
     matrix: sp.csr_matrix
     exactly_hermitian: bool = field(default=False, init=False, repr=False,
@@ -320,8 +322,7 @@ def assemble_transfer(p: MatrixTrigPolynomial, n: int, structure: str) -> GridTr
     return GridTransfer(_tile(p, n, stride=2, periodic=True))
 
 
-def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
-             _hermitian: bool | None = None) -> BlockStructuredMatrix:
+def galerkin(A: BlockStructuredMatrix, P: GridTransfer) -> BlockStructuredMatrix:
     """Explicit sparse triple product (P^H A) P, symmetrized as
     (C + C^H) / 2 when A is Hermitian, on scipy's CSR kernels.
 
@@ -331,19 +332,17 @@ def galerkin(A: BlockStructuredMatrix, P: GridTransfer,
     T_n of f and the trimmed transfer of p is the trimmed T_{n/2} of
     ``coarse_symbol(f, p)``, up to rounding, at every level of a chain.
 
-    ``_hermitian``, when given, is the verdict of ``A.is_hermitian()``,
-    which a Galerkin chain takes once on its finest matrix: every coarser
-    level is the symmetrized output of the previous product.
-
-    A symmetrized product is Hermitian bit for bit, and records it
-    (``exactly_hermitian``): entries (i, j) and (j, i) of C + C^H are
-    c_ij + conj(c_ji) and c_ji + conj(c_ij), one sum conjugated, and
-    halving rounds both alike.
+    A is Hermitian when it records ``exactly_hermitian``, and is tested
+    (:meth:`~BlockStructuredMatrix.is_hermitian`) only when it does not.
+    A symmetrized product is Hermitian bit for bit, and records it:
+    entries (i, j) and (j, i) of C + C^H are c_ij + conj(c_ji) and
+    c_ji + conj(c_ij), one sum conjugated, and halving rounds both alike.
+    So a Galerkin chain tests its finest matrix alone.
     """
     if A.size != P.fine_size:
         raise ArgumentError(f"size mismatch: A is {A.size}, P fine side is {P.fine_size}")
     C = _csr_matmat(_csr_matmat(_csr(P.adjoint), _csr(A.matrix)), _csr(P.matrix))
-    symmetrize = A.is_hermitian() if _hermitian is None else _hermitian
+    symmetrize = A.exactly_hermitian or A.is_hermitian()
     if symmetrize:
         C = _csr_binop(csr_plus_csr, C, _csr_adjoint(C))
         np.multiply(C[2], 0.5, out=C[2])

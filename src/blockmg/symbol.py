@@ -566,8 +566,8 @@ def read_symbol(path) -> MatrixTrigPolynomial:
         raise ArgumentError("not a symbol exchange file (missing 'symbol v1' header)")
     if len(lines) < 3 or not lines[1].startswith("d ") or not lines[2].startswith("m "):
         raise ArgumentError("symbol file must declare d and m after the header")
-    d = _parse_int(lines[1].split()[1], lines[1])
-    m = _parse_int(lines[2].split()[1], lines[2])
+    # the whole rest of the line is the one integer: "d 1 7" is refused
+    d, m = (_parse_int(line[2:].strip(), line) for line in lines[1:3])
     if d < 1:
         raise ArgumentError(f"symbol file declares block size d = {d}, expected d >= 1")
     coeffs = {}
@@ -577,6 +577,8 @@ def read_symbol(path) -> MatrixTrigPolynomial:
         if head[0] != "coeff" or len(head) != m + 1:
             raise ArgumentError(f"expected 'coeff' with {m} indices, got {lines[pos]!r}")
         idx = tuple(_parse_int(v, lines[pos]) for v in head[1:])
+        if idx in coeffs:
+            raise ArgumentError(f"coefficient {idx} given twice")
         pos += 1
         if pos + d > len(lines):
             raise ArgumentError(f"truncated coefficient block for {idx}")
@@ -591,6 +593,8 @@ def read_symbol(path) -> MatrixTrigPolynomial:
         pos += d
     if pos >= len(lines) or lines[pos] != "end":
         raise ArgumentError("symbol file missing 'end' terminator")
+    if pos + 1 < len(lines):
+        raise ArgumentError(f"content after 'end': {lines[pos + 1]!r}")
     if not coeffs:
         raise ArgumentError("symbol file declares no coefficients")
     return MatrixTrigPolynomial(coeffs, m=m)

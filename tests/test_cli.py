@@ -35,6 +35,22 @@ def _certify_args(tmp_path, f, p):
     return ["certify", str(f_path), str(p_path)]
 
 
+def _certify_edited(tmp_path, edit):
+    """certify arguments whose problem symbol file, the r = 2 stiffness
+    symbol as written, is rewritten by ``edit``."""
+    args = _certify_args(tmp_path, stiffness_symbol(2), build_linear_interp_symbol(2))
+    f_path = Path(args[1])
+    f_path.write_text(edit(f_path.read_text()))
+    return args
+
+
+def _repeat_first_coeff(text):
+    """The symbol file ``text`` (d = 2) with its first coefficient block,
+    the header line and two rows, given again before ``end``."""
+    lines = text.splitlines()
+    return "\n".join(lines[:-1] + lines[3:6] + lines[-1:]) + "\n"
+
+
 def _table_args(tmp_path, rows: bytes):
     path = tmp_path / "result.csv"
     path.write_bytes(",".join(CSV_HEADER).encode() + b"\n" + rows)
@@ -77,6 +93,13 @@ MALFORMED = {
         tmp, _cosine_sum(5, -1.0), tensor_symbol([_cosine_sum(1, 1.0)] * 5)),
     "certify-twenty-variable-pair": lambda tmp: _certify_args(
         tmp, _cosine_sum(20, -1.0), _cosine_sum(20, 1.0)),
+    # the symbol exchange format: each coefficient index once, one value
+    # per header line and nothing after 'end'
+    "certify-repeated-coeff-index": lambda tmp: _certify_edited(tmp, _repeat_first_coeff),
+    "certify-content-after-end": lambda tmp: _certify_edited(
+        tmp, lambda text: text + "coeff 5\n1 0\n0 1\n"),
+    "certify-two-values-on-the-d-line": lambda tmp: _certify_edited(
+        tmp, lambda text: text.replace("d 2\n", "d 2 7\n", 1)),
     "table-non-integer-t": lambda tmp: _table_args(tmp, b"x,31,tgm,6,1e-07,\n"),
     "table-two-fields": lambda tmp: _table_args(tmp, b"4,31\n"),
     "table-non-ascii-byte": lambda tmp: _table_args(tmp, b"4,31,tgm,6,1e-07,\xe9\n"),
@@ -90,6 +113,7 @@ MALFORMED = {
         tmp, b"smoother = richardson\nomega = 1e200\nt_range = 4\n"),
     "run-inf-tol": lambda tmp: _run_args(tmp, b"tol = inf\nt_range = 3\n"),
     "run-negative-seed": lambda tmp: _run_args(tmp, b"seed = -1\nt_range = 3\n"),
+    "run-key-given-twice": lambda tmp: _run_args(tmp, b"t_range = 3\nr = 1\nr = 2\n"),
     # N = 8 * 2^24 - 1 unknowns: gigabytes before the first solve
     "run-oversized-1d": lambda tmp: _run_args(tmp, b"r = 8\nt_range = 24\n"),
     "run-certify-negative-sweeps": lambda tmp: _run_args(

@@ -38,6 +38,20 @@ def lone(M, spec=GS):
     return _Level(BlockStructuredMatrix(M), None, spec)
 
 
+def flagged(M) -> BlockStructuredMatrix:
+    """M as a level whose Hermitian test has recorded
+    ``exactly_hermitian``, as the builders record it on their levels.
+    The test puts M in canonical form in place."""
+    A = BlockStructuredMatrix(M)
+    A.is_hermitian()
+    return A
+
+
+def banded(M) -> bool:
+    """Whether the band of M fits in nnz(M) (:func:`mgsolve._band`)."""
+    return mgsolve._band(M, *mgsolve._column_offsets(M)) is not None
+
+
 class TestSmooth:
     def test_richardson_identity_exact(self):
         b = np.array([1.0, -2.0, 3.0])
@@ -89,27 +103,29 @@ class TestSmooth:
     def test_omega_just_above_sharp_bound_rejected(self):
         # lambda_max = 3.99985 on 255 unknowns, so 2/lambda_max = 0.500019;
         # 2 omega - omega^2 lambda_max = -3.1e-3 at omega = 0.50156
-        M = assemble_stiffness(1, 256).matrix.matrix
-        assert 0.50156 >= 2.0 / gershgorin_bound(M)
+        A = flagged(assemble_stiffness(1, 256).matrix.matrix)
+        M = A.matrix
+        assert 0.50156 >= 2.0 / gershgorin_bound(M) and A.exactly_hermitian
         with pytest.raises(ConfigurationError):
-            mgsolve._check_omega(M, 0.50156)
-        mgsolve._check_omega(M, 0.50001)
+            mgsolve._check_omega(M, 0.50156, A.exactly_hermitian)
+        mgsolve._check_omega(M, 0.50001, A.exactly_hermitian)
 
     def test_huge_omega_rejected_without_overflow(self):
         # omega^2 lambda_max would overflow a float at omega = 1e200
-        M = assemble_stiffness(2, 16).matrix.matrix
+        A = flagged(assemble_stiffness(2, 16).matrix.matrix)
         with pytest.raises(ConfigurationError, match="outside"):
-            mgsolve._check_omega(M, 1e200)
+            mgsolve._check_omega(A.matrix, 1e200, A.exactly_hermitian)
 
     def test_lambda_max_off_the_band_matches_dense(self):
         # a 2D level is not banded, so ARPACK bounds it
-        M = assemble_2d_problem(2, 4).matrix.matrix
-        assert mgsolve._hermitian_part_band(M) is None
+        A = flagged(assemble_2d_problem(2, 4).matrix.matrix)
+        M = A.matrix
+        assert A.exactly_hermitian and mgsolve._hermitian_band(M, True) is None
         want = np.linalg.eigvalsh(M.toarray())[-1]
-        assert mgsolve._lambda_max(M) == pytest.approx(want, rel=1e-8)
+        assert mgsolve._lambda_max(M, True) == pytest.approx(want, rel=1e-8)
         with pytest.raises(ConfigurationError):
-            mgsolve._check_omega(M, 2.0 / want * (1 + 1e-6))
-        mgsolve._check_omega(M, 2.0 / want * (1 - 1e-6))
+            mgsolve._check_omega(M, 2.0 / want * (1 + 1e-6), True)
+        mgsolve._check_omega(M, 2.0 / want * (1 - 1e-6), True)
 
     def test_size_mismatch(self):
         with pytest.raises(ArgumentError):
@@ -124,10 +140,11 @@ class TestSmooth:
         for omega in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
                 SmootherSpec(kind="richardson", omega=omega)
-        # a sweep count must be an integer (not a bool), omega a real number
+        # a sweep count must be an integer, omega a real number, neither a bool
         for bad in ({"sweeps_pre": 1.5}, {"sweeps_post": 2.0}, {"sweeps_pre": "1"},
                     {"sweeps_post": True}, {"kind": "richardson", "omega": "0.1"},
-                    {"kind": "richardson", "omega": 0.1 + 0j}):
+                    {"kind": "richardson", "omega": 0.1 + 0j},
+                    {"kind": "richardson", "omega": True}):
             with pytest.raises(ConfigurationError):
                 SmootherSpec(**bad)
         spec = SmootherSpec(kind="richardson", omega=np.float64(0.1),
@@ -209,7 +226,7 @@ class TestSmootherBackends:
         eye = sp.identity(H.shape[0], format="csr")
         M = (sp.kron(H, eye) + sp.kron(eye, H)).tocsr()
         assert np.iscomplexobj(M.data) and abs(M - M.conj().T).max() == 0
-        assert mgsolve._hermitian_part_band(M) is None
+        assert not banded(M)
         correct = _assert_gauss_seidel_oracle(M, complex_rhs=complex_rhs)
         assert _backend(correct) == "gstrs"
 
@@ -263,7 +280,7 @@ class TestSmootherBackends:
         M = tridiag(10).tolil()
         M[9, 0] = -0.5 if dtype is np.float32 else -1
         M = sp.csr_matrix(M, dtype=dtype)
-        assert mgsolve._hermitian_part_band(M) is None
+        assert not banded(M)
         assert _backend(_assert_gauss_seidel_oracle(M)) == "gstrs"
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
@@ -368,10 +385,11 @@ def test_2d_hierarchy_factors_only_its_coarsest_level(monkeypatch):
     assert factored == [h.levels[-1].matrix.size]
 
 
-def _assert_coarse_solver_matches_splu(M, complex_rhs=False, seed=0):
-    """The prepared coarse solver against SuperLU on M, to round-off;
-    returns the solver.  A complex right-hand side on a real M is
-    checked against SuperLU on its real and imaginary parts."""
+def _assert_coarse_solver_matches_splu(M, hermitian, complex_rhs=False, seed=0):
+    """The coarse solver prepared for M with the record ``hermitian``
+    (``exactly_hermitian``) against SuperLU on M, to round-off; returns
+    the solver.  A complex right-hand side on a real M is checked
+    against SuperLU on its real and imaginary parts."""
     rng = np.random.default_rng(seed)
     n = M.shape[0]
     b = rng.standard_normal(n)
@@ -383,7 +401,7 @@ def _assert_coarse_solver_matches_splu(M, complex_rhs=False, seed=0):
     else:
         want = lu.solve(b.real) + 1j * lu.solve(b.imag)
     b0 = b.copy()
-    solver = _coarse_solver(M)
+    solver = _coarse_solver(M, hermitian)
     got = solver(b)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert same_bits(b, b0)
@@ -391,22 +409,24 @@ def _assert_coarse_solver_matches_splu(M, complex_rhs=False, seed=0):
 
 
 class TestCoarseSolver:
-    """Band levels that are Hermitian bit for bit and positive definite
-    are solved by LAPACK banded Cholesky (``pbtrf``/``pbtrs``), every
-    other level by SuperLU."""
+    """Band levels recorded ``exactly_hermitian`` that are positive
+    definite are solved by LAPACK banded Cholesky (``pbtrf``/``pbtrs``),
+    every other level by SuperLU."""
 
     @pytest.mark.parametrize("complex_rhs", [False, True])
     def test_real_fem_coarse_level(self, complex_rhs):
         problem = assemble_stiffness(3, 64, "exp_minus_2x")
         h = build_fem_hierarchy(problem, "geometric",
                                 SmootherSpec(kind=RICHARDSON), two_level=True)
-        M = h.levels[1].matrix.matrix
-        assert _backend(_assert_coarse_solver_matches_splu(M, complex_rhs)) == "pbtrs"
+        coarse = h.levels[1].matrix
+        assert coarse.exactly_hermitian
+        solver = _assert_coarse_solver_matches_splu(coarse.matrix, True, complex_rhs)
+        assert _backend(solver) == "pbtrs"
 
     def test_complex_hermitian_band_level(self):
-        M = assemble_toeplitz(COMPLEX_HERMITIAN, 31).matrix
-        assert np.iscomplexobj(M.data)
-        assert _backend(_assert_coarse_solver_matches_splu(M)) == "pbtrs"
+        A = flagged(assemble_toeplitz(COMPLEX_HERMITIAN, 31).matrix)
+        assert np.iscomplexobj(A.matrix.data) and A.exactly_hermitian
+        assert _backend(_assert_coarse_solver_matches_splu(A.matrix, True)) == "pbtrs"
 
     def test_non_hermitian_level_is_solved_not_its_hermitian_part(self):
         # kl = 2, ku = 1; the Hermitian part (4 on the diagonal, -1.25
@@ -414,7 +434,8 @@ class TestCoarseSolver:
         # M, but a Cholesky of that part would solve another system
         n = 40
         M = sp.diags([0.5, -1.0, 4.0, -1.5], [-2, -1, 0, 1], shape=(n, n)).tocsr()
-        solver = _assert_coarse_solver_matches_splu(M)
+        assert banded(M) and not flagged(M).exactly_hermitian
+        solver = _assert_coarse_solver_matches_splu(M, False)
         assert _backend(solver) == "splu"
         b = np.ones(n)
         H = 0.5 * (M + M.T).tocsc()
@@ -423,15 +444,21 @@ class TestCoarseSolver:
     def test_hermitian_indefinite_band_falls_back_to_superlu(self):
         # eigenvalues 1 - 2 cos(k pi / 41), k = 1..40: both signs, none zero
         M = sp.diags([-1.0, 1.0, -1.0], [-1, 0, 1], shape=(40, 40)).tocsr()
-        assert _backend(_assert_coarse_solver_matches_splu(M)) == "splu"
+        assert flagged(M).exactly_hermitian
+        assert _backend(_assert_coarse_solver_matches_splu(M, True)) == "splu"
 
     def test_band_one_ulp_from_hermitian_goes_to_superlu(self):
         M = assemble_stiffness(2, 16, "xsq_plus_one").matrix.matrix.copy()
-        assert _backend(_coarse_solver(M)) == "pbtrs"
+        assert flagged(M).exactly_hermitian
+        assert _backend(_coarse_solver(M, True)) == "pbtrs"
         upper = np.flatnonzero(M.indices > np.repeat(np.arange(M.shape[0]),
                                                      np.diff(M.indptr)))
         M.data[upper[5]] = np.nextafter(M.data[upper[5]], np.inf)
-        assert _backend(_assert_coarse_solver_matches_splu(M)) == "splu"
+        # Hermitian to the test's tolerance, which records it not exact
+        level = BlockStructuredMatrix(M)
+        assert level.is_hermitian() and not level.exactly_hermitian
+        solver = _assert_coarse_solver_matches_splu(M, level.exactly_hermitian)
+        assert _backend(solver) == "splu"
 
     def test_duplicate_entries_add_up(self):
         # rows 0 and 1 store (0, 0) and (1, 1) a second time, at their ends
@@ -443,11 +470,14 @@ class TestCoarseSolver:
                             shape=M.shape)
         assert dup.nnz == M.nnz + 2 and not dup.has_canonical_format
         assert dup.diagonal()[:2].tolist() == [2.5, 1.75]
-        assert _backend(_assert_coarse_solver_matches_splu(dup)) == "pbtrs"
+        # tested on a copy: the test puts its matrix in canonical form
+        assert flagged(dup.copy()).exactly_hermitian
+        assert _backend(_assert_coarse_solver_matches_splu(dup, True)) == "pbtrs"
 
     def test_wide_band_level_keeps_superlu(self):
         M = assemble_2d_problem(2, 4).matrix.matrix
-        assert _backend(_assert_coarse_solver_matches_splu(M)) == "splu"
+        assert flagged(M).exactly_hermitian
+        assert _backend(_assert_coarse_solver_matches_splu(M, True)) == "splu"
 
     @pytest.mark.parametrize("banded", [True, False])
     def test_singular_level_raises(self, banded):
@@ -458,7 +488,7 @@ class TestCoarseSolver:
         M = M.tocsr()
         M.eliminate_zeros()
         with pytest.raises(SingularMatrixError, match="coarsest-level matrix is singular"):
-            _coarse_solver(M)
+            _coarse_solver(M, flagged(M).exactly_hermitian)
 
     def test_singular_hermitian_band_raises(self):
         # row and column 4 zero: pbtrf meets the zero pivot, and the
@@ -468,9 +498,10 @@ class TestCoarseSolver:
         M[4, :] = 0.0
         M = M.tocsr()
         M.eliminate_zeros()
-        assert mgsolve._hermitian_band(M) is not None
+        assert flagged(M).exactly_hermitian
+        assert mgsolve._hermitian_band(M, True) is not None
         with pytest.raises(SingularMatrixError, match="coarsest-level matrix is singular"):
-            _coarse_solver(M)
+            _coarse_solver(M, True)
 
 
 @pytest.mark.parametrize("cycle", [TGM, VCYCLE])
@@ -626,12 +657,14 @@ class TestHierarchy:
         threshold = 1e-12 * lam_max
         for factor, accepted in ((2.0, True), (0.5, False)):
             M = self._shifted_tridiag(k, factor * threshold, dense)
-            hb = mgsolve._hermitian_part_band(M)
+            # recorded, so the band decides the path, as on a built level
+            coarse = flagged(M)
+            assert coarse.exactly_hermitian
+            hb = mgsolve._hermitian_band(M, True)
             assert (hb is None) == dense
             lo, hi = mgsolve._extreme_eigenvalues(M, hb)
             assert hi == pytest.approx(lam_max + factor * threshold, rel=1e-12)
             assert abs(lo - factor * threshold) <= 1e-3 * threshold
-            coarse = BlockStructuredMatrix(M)
             if accepted:
                 MultigridHierarchy([A, coarse], [P], GS)
             else:
@@ -639,31 +672,34 @@ class TestHierarchy:
                     MultigridHierarchy([A, coarse], [P], GS)
 
     def test_complex_hermitian_band_level(self):
-        M = assemble_toeplitz(COMPLEX_HERMITIAN, 31).matrix
-        hb = mgsolve._hermitian_part_band(M)
+        level = flagged(assemble_toeplitz(COMPLEX_HERMITIAN, 31).matrix)
+        M = level.matrix
+        hb = mgsolve._hermitian_band(M, level.exactly_hermitian)
         assert hb is not None and np.iscomplexobj(hb)
         w = np.linalg.eigvalsh(M.toarray())
         lo, hi = mgsolve._extreme_eigenvalues(M, hb)
         assert lo == pytest.approx(w[0], rel=1e-12)
         assert hi == pytest.approx(w[-1], rel=1e-12)
         A, P = two_grid_pieces(125)
-        MultigridHierarchy([A, BlockStructuredMatrix(M)], [P], GS)
+        MultigridHierarchy([A, level], [P], GS)
         # shifted to lambda_min = -1, the level is refused
-        indef = (M - (w[0] + 1.0) * sp.eye(M.shape[0])).tocsr()
+        indef = flagged((M - (w[0] + 1.0) * sp.eye(M.shape[0])).tocsr())
+        assert indef.exactly_hermitian
         with pytest.raises(ConfigurationError, match=r"min eigenvalue -1\.000e\+00"):
-            MultigridHierarchy([A, BlockStructuredMatrix(indef)],
-                               [P], GS)
+            MultigridHierarchy([A, indef], [P], GS)
 
-    def test_band_of_hermitian_part_covers_upper_bandwidth(self):
-        # lower bandwidth 1, upper bandwidth 2: the Hermitian part has 2
+    def test_non_hermitian_band_level_takes_its_dense_hermitian_part(self):
+        # lower bandwidth 1, upper bandwidth 2: not Hermitian, so the
+        # eigenvalues of (M + M^H)/2 are taken from the dense matrix
         n = 40
         M = (tridiag(n) + 4.0 * sp.eye(n) + sp.diags([0.7], [2], shape=(n, n))).tocsr()
-        assert mgsolve._column_offsets(M)[1:] == (1, 2)
-        hb = mgsolve._hermitian_part_band(M)
-        assert hb.shape[0] == 3
+        assert mgsolve._column_offsets(M)[1:] == (1, 2) and banded(M)
+        level = flagged(M)
+        assert not level.exactly_hermitian
+        assert mgsolve._hermitian_band(M, level.exactly_hermitian) is None
         H = M.toarray()
         w = np.linalg.eigvalsh(0.5 * (H + H.T))
-        np.testing.assert_allclose(mgsolve._extreme_eigenvalues(M, hb), (w[0], w[-1]),
+        np.testing.assert_allclose(mgsolve._extreme_eigenvalues(M, None), (w[0], w[-1]),
                                    rtol=1e-12)
 
     @staticmethod
@@ -678,18 +714,18 @@ class TestHierarchy:
 
     def test_non_finite_band_level(self, monkeypatch):
         A, P = two_grid_pieces(31)
-        M = tridiag(P.coarse_size)
+        level = flagged(tridiag(P.coarse_size))
+        M = level.matrix
         M.data[M.nnz // 2] = np.nan
-        assert mgsolve._hermitian_part_band(M) is not None
-        self._refused_before_eigenvalues(
-            monkeypatch, [A, BlockStructuredMatrix(M)], [P], 1)
+        assert mgsolve._hermitian_band(M, level.exactly_hermitian) is not None
+        self._refused_before_eigenvalues(monkeypatch, [A, level], [P], 1)
 
     def test_non_finite_dense_level(self, monkeypatch):
         h = build_2d_hierarchy(assemble_2d_problem(2, 3), "linear", GS)
         mats = [lvl.matrix for lvl in h.levels]
         M = mats[1].matrix.copy()
         M.data[0] = np.nan
-        assert M.shape[0] <= 512 and mgsolve._hermitian_part_band(M) is None
+        assert M.shape[0] <= 512 and mgsolve._hermitian_band(M, True) is None
         mats[1] = BlockStructuredMatrix(M)
         self._refused_before_eigenvalues(
             monkeypatch, mats, [lvl.transfer for lvl in h.levels[:-1]], 1)
@@ -827,7 +863,7 @@ class TestSolve:
         calls = []
         check = mgsolve._check_omega
         monkeypatch.setattr(mgsolve, "_check_omega",
-                            lambda M, w: calls.append(M.shape[0]) or check(M, w))
+                            lambda M, w, h: calls.append(M.shape[0]) or check(M, w, h))
         rng = np.random.default_rng(11)
         b = problem.matrix.matrix @ rng.uniform(size=problem.size)
         for _ in range(3):   # repeated solves reuse the prepared levels
@@ -931,12 +967,19 @@ def test_galerkin_chains_test_hermitian_once_per_finest_matrix(monkeypatch):
     problem = assemble_stiffness(2, 64, "xsq_plus_one")
     h = build_fem_hierarchy(problem, "linear", GS, coarsest_max_size=7)
     assert len(h.levels) >= 4 and tested == [problem.matrix.size]
-    # the public product, which tests every level, builds the same chain
-    want = problem.matrix
+    assert all(lvl.matrix.exactly_hermitian for lvl in h.levels)
+    # the product of an unrecorded copy of each level tests it, and
+    # builds the same chain
+    tested.clear()
     for fine, coarse in zip(h.levels, h.levels[1:]):
-        want = galerkin(want, fine.transfer)
+        want = galerkin(BlockStructuredMatrix(fine.matrix.matrix.copy()), fine.transfer)
         assert abs(coarse.matrix.matrix - want.matrix).max() == 0
-    assert len(tested) == len(h.levels)
+    assert tested == [lvl.matrix.size for lvl in h.levels[:-1]]
+    # a 2D hierarchy tests its two factors, and no product of them
+    tested.clear()
+    problem = assemble_2d_problem(2, 4)
+    h = build_2d_hierarchy(problem, "linear", GS)
+    assert len(h.levels) == 3 and tested == [A.shape[0] for A in problem.factors]
     tested.clear()
     problem = assemble_2d_problem(2, 5)
     h = build_2d_hierarchy(problem, "linear", GS)
@@ -1296,7 +1339,7 @@ class TestExactlyHermitian:
         # galerkin tested it: Hermitian to tolerance, so the coarse level
         # is the symmetrized product, but the fine level is not exact
         assert not fine.exactly_hermitian and h.levels[1].matrix.exactly_hermitian
-        assert mgsolve._hermitian_part_band(M) is None
+        assert not banded(M)
         x = np.random.default_rng(5).standard_normal(M.shape[0])
         assert same_bits(h.levels[0].sweeps.upper(x), sp.triu(M, 1, format="csr") @ x)
         b = M @ np.random.default_rng(6).uniform(size=M.shape[0])
@@ -1313,11 +1356,69 @@ class TestExactlyHermitian:
         level = BlockStructuredMatrix((sp.kron(H, eye) + sp.kron(eye, H)).tocsr())
         assert level.is_hermitian() and level.exactly_hermitian
         M = level.matrix
-        assert mgsolve._hermitian_part_band(M) is None
+        assert not banded(M)
         lvl = _Level(level, None, GS)
         rng = np.random.default_rng(7)
         x = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
         assert same_bits(lvl.sweeps.upper(x), sp.triu(M, 1, format="csr") @ x)
+
+
+    def test_solver_paths_follow_the_record_not_the_entries(self, monkeypatch):
+        # a band level that is Hermitian bit for bit but not recorded
+        # takes SuperLU and the dense positive-definite check; once its
+        # Hermitian test records it, banded Cholesky and the band check
+        A, P = two_grid_pieces(63)
+        assert A.is_hermitian() and A.exactly_hermitian
+        M = assemble_stiffness(2, 16, "xsq_plus_one").matrix.matrix
+        assert M.shape[0] == P.coarse_size and banded(M) and _bitwise_hermitian(M)
+        band, dense = [], []
+        eig_banded, eigvalsh = mgsolve.eig_banded, np.linalg.eigvalsh
+
+        def count_band(a, **kw):
+            band.append(a.shape[1])
+            return eig_banded(a, **kw)
+
+        def count_dense(a, *args, **kw):
+            dense.append(a.shape[0])
+            return eigvalsh(a, *args, **kw)
+
+        monkeypatch.setattr(mgsolve, "eig_banded", count_band)
+        monkeypatch.setattr(np.linalg, "eigvalsh", count_dense)
+        b = np.random.default_rng(8).standard_normal(M.shape[0])
+        want = np.linalg.solve(M.toarray(), b)
+        coarse = BlockStructuredMatrix(M)
+        for backend, checks in (("splu", ([63, 63], [31])),
+                                ("pbtrs", ([63, 63, 31, 31], []))):
+            band.clear()
+            dense.clear()
+            lvl = MultigridHierarchy([A, coarse], [P], GS).levels[1]
+            assert (band, dense) == checks, backend
+            assert _backend(lvl.coarse_solve) == backend
+            x = lvl.coarse_solve(b)
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+            assert coarse.is_hermitian() and coarse.exactly_hermitian
+
+    def test_galerkin_reads_the_record(self, monkeypatch):
+        tested = []
+        is_hermitian = BlockStructuredMatrix.is_hermitian
+
+        def counting(self, *args, **kwargs):
+            tested.append(self.size)
+            return is_hermitian(self, *args, **kwargs)
+
+        monkeypatch.setattr(BlockStructuredMatrix, "is_hermitian", counting)
+        A, P = two_grid_pieces()
+        coarse = galerkin(A, P)
+        assert tested == [A.size] and coarse.exactly_hermitian
+        P2 = assemble_transfer(INTERP, coarse.size + 1, "trimmed")
+        tested.clear()
+        C = galerkin(coarse, P2)
+        assert tested == [] and C.exactly_hermitian
+        # the same entries without the record are tested, to the same bits
+        D = galerkin(BlockStructuredMatrix(coarse.matrix.copy()), P2)
+        assert tested == [coarse.size] and D.exactly_hermitian
+        assert all(same_bits(getattr(C.matrix, name), getattr(D.matrix, name))
+                   for name in ("indptr", "indices", "data"))
 
 
 class TestReportedResidual:
