@@ -71,6 +71,7 @@ class ExperimentConfig:
             (self.dim in (1, 2), "dim must be 1 or 2"),
             (self.r >= 1, "r must be >= 1"),
             (len(self.t_range) > 0, "t_range must be nonempty"),
+            (len(set(self.t_range)) == len(self.t_range), "t_range must not repeat a value"),
             (all(2 <= t <= MAX_T for t in self.t_range),
              f"every t must be in 2..{MAX_T}"),
             (self.coefficient in COEFFICIENTS,
@@ -79,6 +80,8 @@ class ExperimentConfig:
             (self.cycle in CYCLES, f"cycle must be one of {CYCLES}"),
             (self.smoother in SMOOTHERS, f"smoother must be one of {SMOOTHERS}"),
             (self.omega is None or math.isfinite(self.omega), "omega must be finite"),
+            (self.omega is None or self.smoother == RICHARDSON,
+             "omega needs smoother = richardson"),
             (self.tol > 0 and math.isfinite(self.tol), "tol must be positive and finite"),
             (self.max_iter >= 1, "max_iter must be >= 1"),
             (self.sweeps_pre >= 0 and self.sweeps_post >= 0,

@@ -13,7 +13,8 @@ an interior block column of the assembled matrix bit for bit without a
 matrix being assembled, and then they are checked against their known
 identities.  A solve-view problem, 1D here or 2D in
 :mod:`blockmg.multilevel`, is one :class:`FemProblem`; building it
-builds no symbol.
+builds no symbol, and each matrix records ``exactly_hermitian`` as it
+is assembled (:func:`_assemble_trimmed`), so no hierarchy tests it.
 
 The mesh is uniform, so one table of the degree-r Lagrange basis on the
 reference element [0, 1] (:func:`_reference_basis`) serves every
@@ -91,10 +92,11 @@ class FemProblem:
     ``matrix`` is the Dirichlet-trimmed, normalized system matrix: the
     stiffness matrix of size r*n_elements - 1 in 1D, or the tensor
     operator K (x) M + M (x) K of size (r*n_elements - 1)^2 in 2D.
-    ``factors`` is the 1D pair (K, M) of CSR stiffness and mass matrices
-    that the 2D operator is built from, and from which
-    :func:`~blockmg.multilevel.build_2d_hierarchy` forms every coarse
-    level; it is None in 1D.
+    ``factors`` is the 1D pair (K, M) of stiffness and mass matrices
+    whose :func:`~blockmg.multilevel.kron_sum` is the 2D operator, and
+    from which :func:`~blockmg.multilevel.build_2d_hierarchy` forms every
+    coarse level; it is None in 1D.  Assembled, all three record
+    ``exactly_hermitian``, and no hierarchy tests or edits them.
     """
 
     r: int
@@ -138,16 +140,20 @@ def _element_matrices(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     return loc
 
 
-def _assemble_trimmed(r: int, loc: np.ndarray, scale: float) -> sp.csr_matrix:
+def _assemble_trimmed(r: int, loc: np.ndarray, scale: float) -> BlockStructuredMatrix:
     """Sum the (n, r+1, r+1) element matrices ``loc`` into the global
-    matrix, drop both Dirichlet ends and multiply by ``scale``."""
+    matrix, drop both Dirichlet ends and multiply by ``scale``.  It is
+    ``exactly_hermitian``: :func:`_element_matrices` mirrors each element
+    matrix, and two distinct knots share at most one element."""
     n = loc.shape[0]
     dofs = r * np.arange(n)[:, None] + np.arange(r + 1)
     rows, cols = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
     ndof = n * r + 1
     A = sp.coo_matrix((loc.ravel(), (rows.ravel(), cols.ravel())),
                       shape=(ndof, ndof)).tocsr()
-    return (A[1:-1, 1:-1] * scale).tocsr()
+    out = BlockStructuredMatrix((A[1:-1, 1:-1] * scale).tocsr())
+    out.exactly_hermitian = True
+    return out
 
 
 def _stiffness_elements(r: int, n: int, fun) -> np.ndarray:
@@ -183,7 +189,7 @@ def assemble_stiffness(r: int, n_elements: int, coefficient="one") -> FemProblem
     fun = _coefficient_function(coefficient)
     n = n_elements
     K = _assemble_trimmed(r, _stiffness_elements(r, n, fun), 1.0 / n)
-    return FemProblem(r=r, n_elements=n, matrix=BlockStructuredMatrix(K))
+    return FemProblem(r=r, n_elements=n, matrix=K)
 
 
 def assemble_mass(r: int, n_elements: int) -> BlockStructuredMatrix:
@@ -191,7 +197,7 @@ def assemble_mass(r: int, n_elements: int) -> BlockStructuredMatrix:
     _check_size(r, n_elements)
     n = n_elements
     loc = np.broadcast_to(_mass_element(r, n), (n, r + 1, r + 1))
-    return BlockStructuredMatrix(_assemble_trimmed(r, loc, n))
+    return _assemble_trimmed(r, loc, n)
 
 
 # the stiffness and mass symbols take the element matrices of this mesh

@@ -47,7 +47,7 @@ no factorization (see :func:`_lower_triangular_solve`), and U is L^H,
 applied by ``csc_matvec`` to those same arrays, on a level whose matrix
 is known to be Hermitian bit for bit
 (:attr:`~blockmg.structured.BlockStructuredMatrix.exactly_hermitian`,
-recorded by the builders); a level without that guarantee keeps a copy
+recorded where it is formed); a level without that record keeps a copy
 of its strict upper triangle.  Neither solve overwrites its input, which
 the residual w' - w still reads.  On a real level, a complex right-hand
 side is solved as its real and imaginary parts, by either smoother
@@ -73,7 +73,7 @@ on arrays prepared once, since the public ``spsolve_triangular``
 converts and checks its matrix on every call.
 
 A level is Hermitian to the paths below only by the record
-``exactly_hermitian``, which the builders set on every level they make;
+``exactly_hermitian``, set where each level of a FEM hierarchy is formed;
 no entry is compared.  A hierarchy checks that its level matrices are
 finite, and that its levels of size at most 512 are positive definite
 from the extreme eigenvalues of their Hermitian parts: banded LAPACK
@@ -123,7 +123,7 @@ class SmootherSpec:
     Richardson damps by ``omega``, which must lie in (0, 2/C) where C
     bounds the spectrum of the level matrix; when it is None, each level
     uses 1/C with C its Gershgorin bound.  Gauss-Seidel is the forward
-    lexicographic sweep and takes no parameter.
+    lexicographic sweep and refuses an ``omega``.
     """
 
     kind: str = GAUSS_SEIDEL
@@ -139,6 +139,8 @@ class SmootherSpec:
                                            and math.isfinite(self.omega)):
             raise ConfigurationError(
                 f"omega must be a finite real number, got {self.omega!r}")
+        if self.omega is not None and self.kind != RICHARDSON:
+            raise ConfigurationError(f"omega sets the richardson smoother, not {self.kind}")
         for sweeps in (self.sweeps_pre, self.sweeps_post):
             if not (_is_integer(sweeps) and sweeps >= 0):
                 raise ConfigurationError(
@@ -657,6 +659,8 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
     ``two_level=True``).  A residual that is not finite (a cycle that
     overflowed) ends the solve with :class:`NumericalError`, naming the
     cycle."""
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
+        raise ArgumentError(f"tol must be a real number, got {tol!r}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ArgumentError("tol must be positive and finite")
     if not _is_integer(max_iter):

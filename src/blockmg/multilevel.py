@@ -11,7 +11,8 @@ A 2D hierarchy uses the paper's tensor product argument.  With the same
 where K_c = P^H K P and M_c = P^H M P, so every level, the finest
 included, is one Kronecker sum (:func:`kron_sum`) of the 1D pair that
 the 1D Galerkin chain (:func:`~blockmg.structured.galerkin`) gives at
-that level; no 2D triple product is formed.  A 2D problem is a
+that level; no 2D triple product is formed, and each sum records
+``exactly_hermitian`` from its recorded pair.  A 2D problem is a
 :class:`~blockmg.femgen.FemProblem` like a 1D one that also carries its
 1D pair, and builds no symbol; certification builds the symbols it
 checks itself.  Every matrix comes from 1D factors by Kronecker
@@ -135,31 +136,31 @@ def _kron_csr(A: sp.csr_matrix, B: sp.csr_matrix, data: np.ndarray) -> sp.csr_ma
     return out
 
 
-def kron_sum(K: sp.csr_matrix, M: sp.csr_matrix) -> sp.csr_matrix:
-    """K (x) M + M (x) K of two square CSR matrices with one sparsity
+def kron_sum(K: BlockStructuredMatrix, M: BlockStructuredMatrix) -> BlockStructuredMatrix:
+    """K (x) M + M (x) K of two square matrices with one sparsity
     pattern.
 
     Both Kronecker products then have the same coordinates, so their
     values are added in (a, b) order and the sum is built straight into
     CSR order by :func:`_kron_csr`.  Matrices with different patterns
     raise :class:`ConstructionError`.
+
+    The sum records ``exactly_hermitian`` when both factors do: the
+    entry a of K against b of M has its mirror in the conjugates of
+    both, conj(k) conj(m) + conj(m') conj(k') = conj(k m + m' k'),
+    exactly, in floating point as in exact arithmetic.
     """
-    K, M = (A if A.has_sorted_indices else A.sorted_indices() for A in (K, M))
-    if (K.shape != M.shape or not np.array_equal(K.indptr, M.indptr)
-            or not np.array_equal(K.indices, M.indices)):
+    A, B = (C.matrix if C.matrix.has_sorted_indices else C.matrix.sorted_indices()
+            for C in (K, M))
+    if (A.shape != B.shape or not np.array_equal(A.indptr, B.indptr)
+            or not np.array_equal(A.indices, B.indices)):
         raise ConstructionError("Kronecker sum needs two matrices with one sparsity pattern")
     # two single products, added: one fused kernel could round differently
-    data = _outer(K.data, M.data)
-    data += _outer(M.data, K.data)
-    return _kron_csr(K, M, data)
-
-
-def _exact_sum(K: BlockStructuredMatrix, M: BlockStructuredMatrix) -> bool:
-    """Whether K (x) M + M (x) K is Hermitian bit for bit because both
-    factors are: the entry a of K against b of M has its mirror in the
-    conjugates of both, conj(k) conj(m) + conj(m') conj(k') =
-    conj(k m + m' k'), exactly, in floating point as in exact arithmetic."""
-    return K.exactly_hermitian and M.exactly_hermitian
+    data = _outer(A.data, B.data)
+    data += _outer(B.data, A.data)
+    out = BlockStructuredMatrix(_kron_csr(A, B, data))
+    out.exactly_hermitian = K.exactly_hermitian and M.exactly_hermitian
+    return out
 
 
 def assemble_2d_problem(r: int, t: int) -> FemProblem:
@@ -173,10 +174,9 @@ def assemble_2d_problem(r: int, t: int) -> FemProblem:
     if t > 7:
         raise ArgumentError(f"2D problems capped at t = 7, got {t}")
     n = 2 ** t
-    K = assemble_stiffness(r, n).matrix.matrix
-    M = assemble_mass(r, n).matrix
-    return FemProblem(r=r, n_elements=n, matrix=BlockStructuredMatrix(kron_sum(K, M)),
-                      factors=(K, M))
+    K = assemble_stiffness(r, n).matrix
+    M = assemble_mass(r, n)
+    return FemProblem(r=r, n_elements=n, matrix=kron_sum(K, M), factors=(K, M))
 
 
 def build_2d_hierarchy(problem: FemProblem, kind: str,
@@ -195,18 +195,11 @@ def build_2d_hierarchy(problem: FemProblem, kind: str,
         raise ArgumentError("a 2D hierarchy needs the 1D factors of a 2D problem")
     chain = _transfer_chain(problem.r, problem.n_elements, kind, 2,
                             coarsest_max_size, two_level)
-    K, M = (BlockStructuredMatrix(A) for A in problem.factors)
-    # tested once: each Galerkin product records its own flag
-    for A in (K, M):
-        A.is_hermitian()
-    # the problem's matrix is the Kronecker sum of its factors
-    problem.matrix.exactly_hermitian |= _exact_sum(K, M)
+    K, M = problem.factors
     mats = [problem.matrix]
     for T in chain:
         K, M = galerkin(K, T), galerkin(M, T)
-        level = BlockStructuredMatrix(kron_sum(K.matrix, M.matrix))
-        level.exactly_hermitian = _exact_sum(K, M)
-        mats.append(level)
+        mats.append(kron_sum(K, M))
     transfers = [GridTransfer(_kron_csr(P, P, _outer(P.data, P.data)))
                  for P in (T.matrix for T in chain)]
     return MultigridHierarchy(mats, transfers, smoother or SmootherSpec())

@@ -48,9 +48,10 @@ class BlockStructuredMatrix:
     block-circulant or neither) is not recorded.
 
     ``exactly_hermitian`` is True only where A = A^H is known bit for
-    bit: :meth:`is_hermitian` records it, :func:`galerkin` sets it on its
-    symmetrized products and the 2D builders on Kronecker sums of such
-    factors.  It is never an argument, and False means unknown.  It is
+    bit, set by the code that forms A: FEM assembly, :func:`galerkin` on
+    its symmetrized products, :func:`~blockmg.multilevel.kron_sum` on
+    sums of two recorded factors, and :meth:`is_hermitian` for a matrix
+    from outside.  It is never an argument, and False means unknown.  It is
     the library's one record of Hermiticity: the solver's Hermitian paths
     read it alone, and :func:`galerkin` tests only a matrix without it."""
 
@@ -337,7 +338,7 @@ def galerkin(A: BlockStructuredMatrix, P: GridTransfer) -> BlockStructuredMatrix
     A symmetrized product is Hermitian bit for bit, and records it:
     entries (i, j) and (j, i) of C + C^H are c_ij + conj(c_ji) and
     c_ji + conj(c_ij), one sum conjugated, and halving rounds both alike.
-    So a Galerkin chain tests its finest matrix alone.
+    So a chain tests at most its finest matrix: none from FEM assembly.
     """
     if A.size != P.fine_size:
         raise ArgumentError(f"size mismatch: A is {A.size}, P fine side is {P.fine_size}")

@@ -112,6 +112,10 @@ MALFORMED = {
     "run-huge-omega": lambda tmp: _run_args(
         tmp, b"smoother = richardson\nomega = 1e200\nt_range = 4\n"),
     "run-inf-tol": lambda tmp: _run_args(tmp, b"tol = inf\nt_range = 3\n"),
+    # omega would be ignored by the default Gauss-Seidel smoother
+    "run-omega-without-richardson": lambda tmp: _run_args(tmp, b"omega = 0.3\nt_range = 3\n"),
+    # t = 4 would be solved twice, into two identical rows
+    "run-t-range-repeats-a-value": lambda tmp: _run_args(tmp, b"t_range = 4,4\n"),
     "run-negative-seed": lambda tmp: _run_args(tmp, b"seed = -1\nt_range = 3\n"),
     "run-key-given-twice": lambda tmp: _run_args(tmp, b"t_range = 3\nr = 1\nr = 2\n"),
     # N = 8 * 2^24 - 1 unknowns: gigabytes before the first solve

@@ -11,8 +11,8 @@ from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
                      vcycle_step)
 from blockmg.errors import (ArgumentError, ConfigurationError, ConstructionError,
                             NumericalError, SingularMatrixError)
-from blockmg.femgen import (COEFFICIENTS, assemble_stiffness, build_fem_hierarchy,
-                            stiffness_symbol)
+from blockmg.femgen import (COEFFICIENTS, FemProblem, assemble_stiffness,
+                            build_fem_hierarchy, stiffness_symbol)
 from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE, _Level,
                              _check_index_width, _coarse_solver,
                              _lower_triangular_solve, detect_divergence,
@@ -144,7 +144,9 @@ class TestSmooth:
         for bad in ({"sweeps_pre": 1.5}, {"sweeps_post": 2.0}, {"sweeps_pre": "1"},
                     {"sweeps_post": True}, {"kind": "richardson", "omega": "0.1"},
                     {"kind": "richardson", "omega": 0.1 + 0j},
-                    {"kind": "richardson", "omega": True}):
+                    {"kind": "richardson", "omega": True},
+                    # omega is a Richardson parameter only
+                    {"omega": 0.3}, {"kind": "gauss_seidel", "omega": 0.3}):
             with pytest.raises(ConfigurationError):
                 SmootherSpec(**bad)
         spec = SmootherSpec(kind="richardson", omega=np.float64(0.1),
@@ -917,6 +919,10 @@ class TestSolve:
         for tol in (float("nan"), float("inf")):
             with pytest.raises(ArgumentError, match="tol must be positive and finite"):
                 solve(h, np.ones(h.levels[0].matrix.size), tol=tol)
+        # True would run as 1.0 and stop after one cycle
+        for tol in (True, "1e-6", None, 1e-6 + 0j):
+            with pytest.raises(ArgumentError, match="tol must be a real number"):
+                solve(h, np.ones(h.levels[0].matrix.size), tol=tol)
         for max_iter in (0, -3):
             with pytest.raises(ArgumentError, match="max_iter must be >= 1"):
                 solve(h, np.ones(h.levels[0].matrix.size), max_iter=max_iter)
@@ -956,6 +962,9 @@ class TestSolve:
 
 
 def test_galerkin_chains_test_hermitian_once_per_finest_matrix(monkeypatch):
+    """No FEM flow tests a matrix for Hermiticity: assembly, both
+    builders and the solve read the records made where each matrix is
+    formed.  Only a Galerkin product of an unrecorded matrix tests it."""
     tested = []
     is_hermitian = BlockStructuredMatrix.is_hermitian
 
@@ -964,26 +973,36 @@ def test_galerkin_chains_test_hermitian_once_per_finest_matrix(monkeypatch):
         return is_hermitian(self, *args, **kwargs)
 
     monkeypatch.setattr(BlockStructuredMatrix, "is_hermitian", counting)
-    problem = assemble_stiffness(2, 64, "xsq_plus_one")
-    h = build_fem_hierarchy(problem, "linear", GS, coarsest_max_size=7)
-    assert len(h.levels) >= 4 and tested == [problem.matrix.size]
-    assert all(lvl.matrix.exactly_hermitian for lvl in h.levels)
+    hierarchies = []
+    for assemble, build in ((lambda: assemble_stiffness(2, 64, "xsq_plus_one"),
+                             build_fem_hierarchy),
+                            (lambda: assemble_2d_problem(2, 4), build_2d_hierarchy)):
+        problem = assemble()
+        b = problem.matrix.matrix @ np.ones(problem.size)
+        for spec in (GS, SmootherSpec(kind=RICHARDSON)):
+            for cycle in (VCYCLE, TGM):
+                h = build(problem, "linear", spec, coarsest_max_size=7,
+                          two_level=cycle == TGM)
+                assert solve(h, b, cycle=cycle).converged
+                assert all(lvl.matrix.exactly_hermitian for lvl in h.levels)
+                hierarchies.append(h)
+    assert tested == []
     # the product of an unrecorded copy of each level tests it, and
     # builds the same chain
-    tested.clear()
+    h = hierarchies[0]
+    assert len(h.levels) >= 4
     for fine, coarse in zip(h.levels, h.levels[1:]):
         want = galerkin(BlockStructuredMatrix(fine.matrix.matrix.copy()), fine.transfer)
         assert abs(coarse.matrix.matrix - want.matrix).max() == 0
     assert tested == [lvl.matrix.size for lvl in h.levels[:-1]]
-    # a 2D hierarchy tests its two factors, and no product of them
+    # a 2D problem of unrecorded factors: the first products test them,
+    # and no product of them
     tested.clear()
     problem = assemble_2d_problem(2, 4)
-    h = build_2d_hierarchy(problem, "linear", GS)
-    assert len(h.levels) == 3 and tested == [A.shape[0] for A in problem.factors]
-    tested.clear()
-    problem = assemble_2d_problem(2, 5)
-    h = build_2d_hierarchy(problem, "linear", GS)
-    assert len(h.levels) >= 3 and tested == [problem.factors[0].shape[0]] * 2
+    copies = FemProblem(2, 16, BlockStructuredMatrix(problem.matrix.matrix.copy()),
+                        tuple(BlockStructuredMatrix(F.matrix.copy()) for F in problem.factors))
+    h = build_2d_hierarchy(copies, "linear", GS)
+    assert len(h.levels) == 3 and tested == [F.size for F in problem.factors]
 
 
 def _reference_lower_solve(M):

@@ -8,16 +8,17 @@ from blockmg import (MatrixTrigPolynomial, assemble_toeplitz,
                      assemble_transfer, build_s, conditions, corner_sum,
                      full_report, multilevel, tensor_symbol)
 from blockmg.errors import ArgumentError, ConstructionError, DimensionError
-from blockmg.femgen import (_transfer_chain, assemble_mass, assemble_stiffness,
+from blockmg.femgen import (FemProblem, _transfer_chain, assemble_mass, assemble_stiffness,
                             build_fem_hierarchy, build_geometric_symbol,
                             build_linear_interp_symbol, mass_symbol,
                             projector_symbol, stiffness_symbol)
-from blockmg.mgsolve import DEFAULT_COARSEST
+from blockmg.mgsolve import DEFAULT_COARSEST, SmootherSpec, solve
 from blockmg.multilevel import (_kron_csr, assemble_2d_problem, build_2d_hierarchy,
                                 check_multilevel_conditions, kron_sum,
                                 tensor_sum_symbol)
 from blockmg.structured import BlockStructuredMatrix, GridTransfer, galerkin
 from blockmg.symbol import coarse_symbol
+from conftest import same_bits
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -145,7 +146,6 @@ class TestAssemble2D:
 class TestHierarchy2D:
     @pytest.mark.parametrize("kind", ["linear", "geometric"])
     def test_vcycle_converges(self, kind):
-        from blockmg.mgsolve import SmootherSpec, solve
         problem = assemble_2d_problem(2, 3)
         h = build_2d_hierarchy(problem, kind, SmootherSpec())
         rng = np.random.default_rng(1)
@@ -185,6 +185,39 @@ class TestHierarchy2D:
     def test_rejects_problem_without_factors(self):
         with pytest.raises(ArgumentError, match="1D factors"):
             build_2d_hierarchy(assemble_stiffness(1, 8), "linear")
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_problem_records_hermiticity_where_it_is_formed(self, r):
+        for t in range(2, 6):
+            problem = assemble_2d_problem(r, t)
+            for A in (problem.matrix, *problem.factors):
+                assert A.exactly_hermitian, t
+                assert (A.matrix != A.matrix.conj().T).nnz == 0, t
+
+    @pytest.mark.parametrize("kind", ["linear", "geometric"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_unrecorded_problem_builds_and_solves_unedited(self, r, kind):
+        # a hand-built problem of unrecorded copies: the hierarchy leaves
+        # its matrix unrecorded, and the solve, on the general path at
+        # level 0, gives the recorded problem's bits
+        recorded = assemble_2d_problem(r, 4)
+        copies = FemProblem(r, recorded.n_elements,
+                            BlockStructuredMatrix(recorded.matrix.matrix.copy()),
+                            tuple(BlockStructuredMatrix(F.matrix.copy())
+                                  for F in recorded.factors))
+        results = []
+        for problem in (recorded, copies):
+            flag = problem.matrix.exactly_hermitian
+            h = build_2d_hierarchy(problem, kind, SmootherSpec())
+            assert h.levels[0].matrix is problem.matrix
+            assert problem.matrix.exactly_hermitian == flag
+            assert all(lvl.matrix.exactly_hermitian for lvl in h.levels[1:])
+            b = problem.matrix.matrix @ np.random.default_rng(3).uniform(size=problem.size)
+            results.append(solve(h, b))
+        assert not copies.matrix.exactly_hermitian
+        got, want = results[1], results[0]
+        assert got.converged and got.residuals == want.residuals
+        assert same_bits(got.x, want.x)
 
 
 class TestTensorLevels:
@@ -246,7 +279,7 @@ class TestTensorLevels:
         K = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(5, 5)).tocsr()
         M = sp.diags([1.0, 4.0], [-1, 0], shape=(5, 5)).tocsr()
         with pytest.raises(ConstructionError, match="one sparsity pattern"):
-            kron_sum(K, M)
+            kron_sum(BlockStructuredMatrix(K), BlockStructuredMatrix(M))
 
 
 def coo_kron_sum(K, M):
@@ -309,9 +342,11 @@ class TestKronCSR:
     @pytest.mark.parametrize("r", [1, 2, 3])
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 6, 7])
     def test_kron_sum_of_fem_pairs(self, r, t, coefficient):
-        K = assemble_stiffness(r, 2 ** t, coefficient).matrix.matrix
-        M = assemble_mass(r, 2 ** t).matrix
-        assert_same_csr(kron_sum(K, M), coo_kron_sum(K, M))
+        K = assemble_stiffness(r, 2 ** t, coefficient).matrix
+        M = assemble_mass(r, 2 ** t)
+        got = kron_sum(K, M)
+        assert got.exactly_hermitian
+        assert_same_csr(got.matrix, coo_kron_sum(K.matrix, M.matrix))
 
     @pytest.mark.parametrize("index", [np.int32, np.int64])
     def test_kron_sum_of_a_complex_pair(self, index):
@@ -319,7 +354,7 @@ class TestKronCSR:
         M = assemble_mass(2, 16).matrix
         K, M = (with_index(A * z, index) for A, z in ((K, 1.0 + 0.5j), (M, 0.3 - 1.0j)))
         assert K.indices.dtype == M.indptr.dtype == index
-        got = kron_sum(K, M)
+        got = kron_sum(BlockStructuredMatrix(K), BlockStructuredMatrix(M)).matrix
         assert got.dtype == complex and got.indices.dtype == np.int32
         assert_same_csr(got, coo_kron_sum(K, M))
 
@@ -327,7 +362,10 @@ class TestKronCSR:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_kron_sum_of_random_shared_patterns(self, seed, dtype):
         K, M = shared_pattern_pair(np.random.default_rng(seed), 12, dtype)
-        got = kron_sum(K, M)
+        got = kron_sum(BlockStructuredMatrix(K), BlockStructuredMatrix(M))
+        # unrecorded factors give an unrecorded sum
+        assert not got.exactly_hermitian
+        got = got.matrix
         assert got.has_sorted_indices
         assert_same_csr(got, coo_kron_sum(K, M))
 

@@ -577,9 +577,11 @@ class TestCsrKernels:
     def test_every_2d_factor_chain(self, r, kind):
         for t in range(2, 8):
             chain = _transfer_chain(r, 2 ** t, kind, 2, DEFAULT_COARSEST, False)
-            for factor in assemble_2d_problem(r, t).factors:
-                A = BlockStructuredMatrix(factor)
-                hermitian = A.is_hermitian()
+            for A in assemble_2d_problem(r, t).factors:
+                # each factor records what the test of a copy finds
+                copy = BlockStructuredMatrix(A.matrix.copy())
+                hermitian = copy.is_hermitian()
+                assert A.exactly_hermitian == copy.exactly_hermitian
                 for T in chain:
                     want = galerkin_oracle(A, T, hermitian)
                     A = galerkin(A, T)
