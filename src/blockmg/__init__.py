@@ -6,8 +6,8 @@ from .errors import (ArgumentError, BlockmgError, ConfigurationError,
                      ConstructionError, DimensionError, NumericalError,
                      SingularMatrixError, SymbolZeroError, TrackingError)
 from .symbol import (MatrixTrigPolynomial, SymbolZero, coarse_symbol,
-                     corner_sum, corner_sums, find_zero, read_symbol,
-                     symbol_sup_norm, tensor_symbol, theta_grid,
+                     corner_sum, corner_sum_symbol, corner_sums, find_zero,
+                     read_symbol, symbol_sup_norm, tensor_symbol, theta_grid,
                      tracked_eigenpairs, write_symbol)
 from .structured import (BlockStructuredMatrix, GridTransfer,
                          assemble_circulant, assemble_toeplitz,

@@ -5,7 +5,9 @@ in any number m of variables with a single zero t0 of its minimal
 eigenvalue function:
 
   (i)   positivity of the corner sum of p^H p over the 2^m corners
-        t + pi eta, eta in {0, 1}^m, on a grid,
+        t + pi eta, eta in {0, 1}^m, on a grid: the exact corner-sum
+        symbol is pi-periodic, so it is evaluated only at the grid
+        points in [0, pi)^m,
   (ii)  the fixed-point property s(t0) q = q on the singular eigenvector,
   (iii) boundedness of (1 - lambda(s)) / lambda(f) at the zero,
 
@@ -61,8 +63,9 @@ import numpy as np
 from .errors import (ArgumentError, BlockmgError, DimensionError,
                      SingularMatrixError, TrackingError)
 from .symbol import (OVERLAP_MIN, MatrixTrigPolynomial, SymbolZero,
-                     coarse_symbol, corner_set, corner_sums, find_zero,
-                     sample_points, symbol_sup_norm, tracked_eigenpairs)
+                     coarse_symbol, corner_set, corner_sum_symbol, corner_sums,
+                     find_zero, sample_points, symbol_sup_norm,
+                     tracked_eigenpairs)
 
 EPS = np.finfo(float).eps
 DYADIC_K_MIN = 5
@@ -350,8 +353,18 @@ class ZeroSamples:
 def check_condition_i(p: MatrixTrigPolynomial) -> CheckResult:
     """Grid minimum of the smallest corner-sum eigenvalue over
     GRID_POINTS samples; positive means s(theta) is well-defined
-    everywhere."""
-    eigs = np.linalg.eigvalsh(corner_sums(p, sample_points(p.m, GRID_POINTS)))
+    everywhere.
+
+    The corner sum is pi-periodic in every variable
+    (:func:`~blockmg.symbol.corner_sum_symbol`), and the grid has an even
+    count per axis, so its points in [0, pi)^m give every value on the
+    whole grid: one evaluation of that symbol there, and one batched
+    ``eigvalsh``."""
+    m = p.m
+    pts = sample_points(m, GRID_POINTS)
+    n = round(len(pts) ** (1.0 / m))
+    half = pts.reshape((n,) * m + (m,))[(slice(n // 2),) * m].reshape(-1, m)
+    eigs = np.linalg.eigvalsh(corner_sum_symbol(p).evaluate_grid(half))
     min_eig = float(eigs[:, 0].min())
     max_eig = float(eigs[:, -1].max())
     passed = min_eig > 1e-10 * max_eig

@@ -339,6 +339,16 @@ def galerkin(A: BlockStructuredMatrix, P: GridTransfer) -> BlockStructuredMatrix
     entries (i, j) and (j, i) of C + C^H are c_ij + conj(c_ji) and
     c_ji + conj(c_ij), one sum conjugated, and halving rounds both alike.
     So a chain tests at most its finest matrix: none from FEM assembly.
+
+    The test runs on A itself: it records on A whether A = A^H bit for
+    bit, and sums A's duplicate entries in place.  So the first product
+    of a chain records its unrecorded input.  A 1D build
+    (:func:`~blockmg.femgen.build_fem_hierarchy`) multiplies, and so
+    records, the problem's ``matrix``; a 2D build
+    (:func:`~blockmg.multilevel.build_2d_hierarchy`) multiplies only the
+    problem's ``factors``, records them, and leaves its ``matrix`` as it
+    was.  An assembled problem is recorded already, and neither builder
+    edits it.
     """
     if A.size != P.fine_size:
         raise ArgumentError(f"size mismatch: A is {A.size}, P fine side is {P.fine_size}")

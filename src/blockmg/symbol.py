@@ -4,8 +4,8 @@ A symbol is a d-by-d matrix-valued trigonometric polynomial in m angular
 variables, stored as a window of Fourier coefficients.  This module
 provides evaluation, coefficient algebra, eigenvalue branch tracking,
 location of the (unique) zero of the minimal eigenvalue function, the
-half-angle coarse-symbol map, tensor products for the multilevel
-setting, and a plain-text exchange format.
+half-angle coarse-symbol map and the corner-sum symbol, tensor products
+for the multilevel setting, and a plain-text exchange format.
 
 Evaluation is batched: :meth:`MatrixTrigPolynomial.evaluate_grid` and
 :func:`corner_sums` work on a stack of n points, and the one-point
@@ -25,7 +25,10 @@ host with OpenBLAS; the cause is not pinned down).
 The spectral kernels compute only what their callers read: zero
 refinement takes eigenvalues alone, the sup norm of a Hermitian symbol
 is its largest |eigenvalue| (an SVD serves any other symbol), and a
-corner sum is one stacked product E^H E of the corner values.  The
+corner sum is one stacked product E^H E of the corner values.
+Condition (i) reads the same sum from :func:`corner_sum_symbol`
+instead, exact on coefficients: a Hermitian, pi-periodic symbol,
+evaluated once per point rather than p once per corner.  The
 Hermitian test is relative to the largest coefficient, with no floor,
 so it gives the same answer for f and for c f.
 """
@@ -494,6 +497,19 @@ def corner_sums(p: MatrixTrigPolynomial, thetas) -> np.ndarray:
 def corner_sum(p: MatrixTrigPolynomial, theta) -> np.ndarray:
     """Corner sum at one point; the one-point case of :func:`corner_sums`."""
     return corner_sums(p, p._theta(theta)[None])[0]
+
+
+def corner_sum_symbol(p: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
+    """The corner sum as a Hermitian symbol, exact on coefficients.
+
+    With g = p^H p, the sum of g over the corners t + pi eta keeps only
+    the harmonics that are even in every variable, each 2^m times, as in
+    :func:`coarse_symbol`: so the symbol is pi-periodic in every
+    variable, and it agrees with :func:`corner_sums` up to rounding.
+    """
+    g = p.conj_transpose() @ p
+    return MatrixTrigPolynomial({j: 2 ** p.m * c for j, c in g.coeffs.items()
+                                 if all(k % 2 == 0 for k in j)}, m=p.m)
 
 
 # -- exchange file format --------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from blockmg import MatrixTrigPolynomial
+from blockmg import (MatrixTrigPolynomial, build_geometric_symbol,
+                     build_linear_interp_symbol, tensor_symbol)
 
 
 @pytest.fixture
@@ -85,3 +86,18 @@ def same_bits(a, b) -> bool:
     """Bit-for-bit equality of two float or complex arrays."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _fem_projectors():
+    out = {}
+    for kind, build in (("linear", build_linear_interp_symbol),
+                        ("geometric", build_geometric_symbol)):
+        out.update({f"{kind}-r{r}": build(r) for r in range(1, 9)})
+        out.update({f"{kind}-r{r}-tensor": tensor_symbol([build(r)] * 2)
+                    for r in range(1, 4)})
+    return out
+
+
+# every 1D FEM projector (r = 1..8, both kinds) and the 2D tensor
+# projectors (r = 1..3, both kinds), by name
+FEM_PROJECTORS = _fem_projectors()

@@ -13,7 +13,8 @@ from blockmg import (MatrixTrigPolynomial, ZeroSamples, build_s, build_s_grid,
                      check_condition_ii, check_condition_iii,
                      check_fhat_properties, check_vcycle_bound, find_zero,
                      full_report)
-from blockmg.conditions import (EPS, OVERLAP_MIN, RATIO_CAP, _axis_directions,
+from blockmg.conditions import (EPS, GRID_POINTS, OVERLAP_MIN, RATIO_CAP,
+                                _axis_directions,
                                 _dyadic_points, _f_branch, _s_gap, dyadic_limit,
                                 _projector_defect,
                                 fixed_point_shortcut_hypotheses, jsonable,
@@ -22,8 +23,11 @@ from blockmg.errors import SingularMatrixError, TrackingError
 from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
                             mass_symbol, stiffness_symbol)
 from blockmg.multilevel import check_multilevel_conditions, tensor_sum_symbol
-from blockmg.symbol import (coarse_symbol, sample_points, symbol_sup_norm,
-                            tensor_symbol, theta_grid, tracked_eigenpairs)
+from blockmg.symbol import (coarse_symbol, corner_sum_symbol, sample_points,
+                            symbol_sup_norm, tensor_symbol, theta_grid,
+                            tracked_eigenpairs)
+
+from conftest import FEM_PROJECTORS
 
 LAPLACE = MatrixTrigPolynomial.scalar({0: 2.0, 1: -1.0, -1: -1.0})
 INTERP = MatrixTrigPolynomial.scalar({0: 2.0, 1: 1.0, -1: 1.0})
@@ -97,6 +101,25 @@ class TestConditionI:
         res = check_condition_i(MatrixTrigPolynomial.scalar({0: 0.0}))
         assert not res.passed
         assert res.evidence["min_eig"] == 0.0
+
+    @pytest.mark.parametrize("m, per_axis", [(1, 1024), (2, 32), (3, 10), (4, 8)])
+    def test_grid_has_an_even_count_per_axis(self, m, per_axis):
+        # so its points in [0, pi)^m are a quarter grid that the pi-shifts
+        # of the corner sum map onto the whole grid
+        pts = np.asarray(sample_points(m, GRID_POINTS)).reshape(-1, m)
+        assert per_axis % 2 == 0 and len(pts) == per_axis ** m
+        for ax in range(m):
+            np.testing.assert_array_equal(np.unique(pts[:, ax]), theta_grid(per_axis))
+
+    @pytest.mark.parametrize("p", FEM_PROJECTORS.values(), ids=FEM_PROJECTORS.keys())
+    def test_half_torus_gives_the_full_grid_extremes(self, p):
+        res = check_condition_i(p)
+        eigs = np.linalg.eigvalsh(
+            corner_sum_symbol(p).evaluate_grid(sample_points(p.m, GRID_POINTS)))
+        top = eigs[:, -1].max()
+        assert res.evidence["npoints"] == GRID_POINTS
+        assert abs(res.evidence["min_eig"] - eigs[:, 0].min()) <= 1e-14 * top
+        assert abs(res.evidence["max_eig"] - top) <= 1e-14 * top
 
 
 class TestConditionII:

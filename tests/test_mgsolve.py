@@ -1005,6 +1005,33 @@ def test_galerkin_chains_test_hermitian_once_per_finest_matrix(monkeypatch):
     assert len(h.levels) == 3 and tested == [F.size for F in problem.factors]
 
 
+def test_builders_record_on_the_unrecorded_matrices_they_multiply():
+    """The first Galerkin product of a chain records its input: a 1D
+    build multiplies, and so records, the problem's matrix; a 2D build
+    multiplies only the factors, and leaves the problem's matrix as it
+    was, unrecorded."""
+    def unrecorded(A):
+        return BlockStructuredMatrix(A.matrix.copy())
+
+    one = assemble_stiffness(2, 32)
+    copy1d = FemProblem(2, one.n_elements, unrecorded(one.matrix))
+    two = assemble_2d_problem(2, 4)
+    copy2d = FemProblem(2, two.n_elements, unrecorded(two.matrix),
+                        tuple(unrecorded(F) for F in two.factors))
+    assert not any(A.exactly_hermitian for A in (copy1d.matrix, copy2d.matrix,
+                                                  *copy2d.factors))
+    h1 = build_fem_hierarchy(copy1d, "linear", GS)
+    h2 = build_2d_hierarchy(copy2d, "linear", GS)
+    assert copy1d.matrix.exactly_hermitian and h1.levels[0].matrix is copy1d.matrix
+    assert all(F.exactly_hermitian for F in copy2d.factors)
+    assert not copy2d.matrix.exactly_hermitian and h2.levels[0].matrix is copy2d.matrix
+    # the records are what the builders' own problems carry from assembly
+    for built, copied in ((h1, build_fem_hierarchy(one, "linear", GS)),
+                          (h2, build_2d_hierarchy(two, "linear", GS))):
+        assert ([lvl.matrix.exactly_hermitian for lvl in built.levels[1:]]
+                == [lvl.matrix.exactly_hermitian for lvl in copied.levels[1:]])
+
+
 def _reference_lower_solve(M):
     """w -> (D + L)^{-1} w as the library computes it, from scipy on M's
     diagonals and tril(M, -1): LAPACK ``tbtrs`` (``get_lapack_funcs``)

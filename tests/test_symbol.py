@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockmg import (MatrixTrigPolynomial, coarse_symbol, corner_sum,
-                     corner_sums, find_zero, read_symbol, tensor_symbol,
-                     write_symbol)
+                     corner_sum_symbol, corner_sums, find_zero, read_symbol,
+                     tensor_symbol, write_symbol)
 from blockmg.errors import (ArgumentError, DimensionError, SymbolZeroError,
                            TrackingError)
 from blockmg.femgen import build_linear_interp_symbol, stiffness_symbol
 from blockmg.symbol import (HERMITIAN_RTOL, sample_points, symbol_sup_norm,
                             tracked_eigenpairs)
 
-from conftest import (max_coeff_difference, random_hermitian_symbol,
-                      random_symbol, same_bits, symbols)
+from conftest import (FEM_PROJECTORS, max_coeff_difference,
+                      random_hermitian_symbol, random_symbol, same_bits, symbols)
 
 
 def scalar(coeffs):
@@ -231,6 +231,74 @@ class TestCornerSum:
                 want = np.kron(want, corner_sum(ps[ell], t[ell:ell + 1]))
             got = corner_sum(pm, t)
             assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.abs(want).max())
+
+
+def random_multivariate_symbol(rng, d, m):
+    """Random complex symbol in m variables, not a tensor product, with
+    odd and even harmonics on a window that is not symmetric."""
+    return MatrixTrigPolynomial(
+        {j: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+         for j in itertools.product(range(-1, 3), repeat=m)}, m=m)
+
+
+class TestCornerSumSymbol:
+    """``corner_sum_symbol`` against the batched corner sums of p."""
+
+    @staticmethod
+    def _assert_matches_corner_sums(p, rng):
+        ts = rng.uniform(0, 2 * np.pi, size=(64, p.m))
+        want = corner_sums(p, ts)
+        got = corner_sum_symbol(p).evaluate_grid(ts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_random_symbols(self, m):
+        rng = np.random.default_rng(70 + m)
+        for d in (1, 2):
+            self._assert_matches_corner_sums(random_multivariate_symbol(rng, d, m), rng)
+
+    @pytest.mark.parametrize("p", FEM_PROJECTORS.values(), ids=FEM_PROJECTORS.keys())
+    def test_fem_projectors(self, p):
+        self._assert_matches_corner_sums(p, np.random.default_rng(p.d))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_even_harmonics_only_and_hermitian(self, m):
+        rng = np.random.default_rng(80 + m)
+        p = random_multivariate_symbol(rng, 2, m)
+        c = corner_sum_symbol(p)
+        assert c.hermitian and c.m == m and c.d == p.d
+        assert all(k % 2 == 0 for j in c.coeffs for k in j)
+        # the odd harmonics of p^H p are there to drop
+        assert any(k % 2 for j in (p.conj_transpose() @ p).coeffs for k in j)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_pi_periodic_in_every_variable(self, m):
+        rng = np.random.default_rng(90 + m)
+        c = corner_sum_symbol(random_multivariate_symbol(rng, 2, m))
+        ts = rng.uniform(0, 2 * np.pi, size=(32, m))
+        base = c.evaluate_grid(ts)
+        for mask in range(1, 2 ** m):
+            eta = np.array([(mask >> ell) & 1 for ell in range(m)], dtype=float)
+            shifted = c.evaluate_grid(ts + np.pi * eta)
+            assert np.max(np.abs(shifted - base)) <= 1e-13 * max(1.0, np.abs(base).max())
+
+    @pytest.mark.parametrize("scale", [2.0 ** -30, -4.0, 1j * 2.0 ** 20, -0.5j])
+    def test_scales_as_the_squared_modulus(self, scale):
+        # a real power of two scales every product and sum exactly; a
+        # factor i moves the terms of each complex product, which a fused
+        # multiply-add then rounds differently
+        rng = np.random.default_rng(100)
+        p = random_multivariate_symbol(rng, 2, 2)
+        cp = MatrixTrigPolynomial({j: scale * v for j, v in p.coeffs.items()}, m=2)
+        c, got = corner_sum_symbol(p), corner_sum_symbol(cp)
+        assert list(got.coeffs) == list(c.coeffs)
+        top = max(np.abs(v).max() for v in c.coeffs.values())
+        for j, v in c.coeffs.items():
+            want = abs(scale) ** 2 * v
+            if np.isrealobj(scale):
+                assert same_bits(got.coeffs[j], want), j
+            else:
+                assert np.abs(got.coeffs[j] - want).max() <= 1e-15 * abs(scale) ** 2 * top, j
 
 
 def corner_sum_reference(p, theta):
