@@ -13,7 +13,7 @@ from .structured import (BlockStructuredMatrix, GridTransfer,
                          assemble_circulant, assemble_toeplitz,
                          assemble_transfer, coarse_projection_norm,
                          galerkin)
-from .mgsolve import (MultigridHierarchy, SmootherSpec, SolveResult,
+from .mgsolve import (MultigridHierarchy, SmootherSpec, SolveResult, prepare,
                       richardson_omega_default, smooth, solve, tgm_step,
                       vcycle_step)
 from .conditions import (CheckResult, ConditionReport, ZeroSamples, build_s,

@@ -29,7 +29,7 @@ from .femgen import (COEFFICIENTS, GEOMETRIC, LINEAR, MAX_DEGREE,
                      projector_symbol, stiffness_symbol)
 from .mgsolve import (DEFAULT_SEED, GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE,
                       SmootherSpec, solve)
-from .multilevel import (assemble_2d_problem, build_2d_hierarchy,
+from .multilevel import (MAX_2D_DEGREE, MAX_2D_T, assemble_2d_problem, build_2d_hierarchy,
                          check_multilevel_conditions, tensor_sum_symbol)
 from .symbol import read_symbol
 
@@ -87,6 +87,9 @@ class ExperimentConfig:
             (self.sweeps_pre >= 0 and self.sweeps_post >= 0,
              "sweep counts must be nonnegative"),
             (self.seed >= 0, "seed must be nonnegative"),
+            (self.dim != 2 or self.mode == "certify" or (self.r <= MAX_2D_DEGREE
+             and max(self.t_range, default=0) <= MAX_2D_T),
+             f"2D solves need r <= {MAX_2D_DEGREE} and every t <= {MAX_2D_T}"),
         ]
         for ok, message in checks:
             if not ok:

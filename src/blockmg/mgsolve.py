@@ -1,11 +1,9 @@
 """Smoothers, the two-grid step, the V-cycle recursion, hierarchy
 construction and the convergence driver.
 
-Each level of a hierarchy binds its kernels on first use: the prepared
-smoother, the product x -> M x where the smoother needs it and, on the
-coarsest level, the direct solver.  Every solve runs one recursion over
-the levels (:func:`vcycle_step`), and a two-grid cycle is that recursion
-on a two-level hierarchy.
+:func:`prepare` readies every level once, before the first cycle.
+Every solve runs one recursion over the levels (:func:`vcycle_step`),
+and a two-grid cycle is that recursion on a two-level hierarchy.
 
 Experiment conventions (the literature rarely pins them down): the right
 hand side is b = A x* with x* drawn uniformly from [0,1) under a fixed
@@ -57,8 +55,8 @@ The cycle calls private scipy entry points.  Its sparse products (M x,
 the restriction P^H r and the prolongation P y) are scipy's CSR kernel
 ``csr_matvec`` (``scipy.sparse._sparsetools``) bound once to the
 matrix's own arrays, by :func:`~blockmg.structured.matvec_kernel`: a
-level binds its matrix on first use, a :class:`GridTransfer` its P and
-P^H when it is built.  It is the kernel ``M @ x`` runs after its
+level binds its matrix when it is prepared, a :class:`GridTransfer` its
+P and P^H when it is built.  It is the kernel ``M @ x`` runs after its
 dispatch, so those products are bit-identical, while the dispatch, some
 3 us a call, would be most of a product's cost on the small levels.  The
 Gauss-Seidel products with U are ``dia_matvec`` and ``csc_matvec`` from
@@ -92,7 +90,6 @@ nonpositive pivot, by SuperLU's LU with partial pivoting.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -457,30 +454,29 @@ def _coarse_solver(M: sp.csr_matrix, exactly_hermitian: bool):
 @dataclass
 class _Level:
     """A hierarchy level (its transfer None on the coarsest) and the
-    kernels the cycle applies to it, each prepared on first use and kept:
-    the product x -> M x, which Richardson's sweeps take and Gauss-Seidel
-    only for a residual with no sweep before it, the prepared smoother
-    and, on the coarsest level, the direct solver."""
+    kernels the cycle applies to it, None until :func:`prepare` sets
+    them: the product x -> M x, the smoother and the direct solver."""
 
     matrix: BlockStructuredMatrix
     transfer: GridTransfer | None
     smoother: SmootherSpec
+    product = sweeps = coarse_solve = None   # not fields: set on the instance
 
-    @functools.cached_property
-    def product(self):
-        return matvec_kernel(self.matrix.matrix)
-
-    @functools.cached_property
-    def sweeps(self):
-        M = self.matrix.matrix
-        if self.smoother.kind == GAUSS_SEIDEL:
-            return _GaussSeidel(*_gauss_seidel(M, self.matrix.exactly_hermitian))
-        if self.smoother.omega is None:
-            omega = richardson_omega_default(M)
+    def prepare_smoother(self):
+        """Set the product with M where a residual needs it (Richardson,
+        or a block of zero sweeps) and, with a sweep, the smoother."""
+        M, spec = self.matrix.matrix, self.smoother
+        if spec.kind == RICHARDSON or 0 in (spec.sweeps_pre, spec.sweeps_post):
+            self.product = matvec_kernel(M)
+        if not (spec.sweeps_pre or spec.sweeps_post):
+            return
+        if spec.kind == GAUSS_SEIDEL:
+            self.sweeps = _GaussSeidel(*_gauss_seidel(M, self.matrix.exactly_hermitian))
+        elif spec.omega is None:
+            self.sweeps = _Richardson(richardson_omega_default(M), self.product)
         else:
-            _check_omega(M, self.smoother.omega, self.matrix.exactly_hermitian)
-            omega = self.smoother.omega
-        return _Richardson(omega, self.product)
+            _check_omega(M, spec.omega, self.matrix.exactly_hermitian)
+            self.sweeps = _Richardson(spec.omega, self.product)
 
     def residual(self, x, b, w):
         """b - M x and the input of a sweep from x, where w is the input
@@ -492,10 +488,6 @@ class _Level:
             r = _minus(b, self.product, x)
             return r, (r if self.smoother.kind == RICHARDSON else None)
         return self.sweeps.residual(x, b, w)
-
-    @functools.cached_property
-    def coarse_solve(self):
-        return _coarse_solver(self.matrix.matrix, self.matrix.exactly_hermitian)
 
 
 class MultigridHierarchy:
@@ -527,6 +519,7 @@ class MultigridHierarchy:
         self.levels = [_Level(A, T, smoother)
                        for A, T in zip(matrices, [*transfers, None])]
         self._check_positive_definite()
+        self._prepared = False
 
     def _check_positive_definite(self):
         for ell, lvl in enumerate(self.levels):
@@ -544,6 +537,19 @@ class MultigridHierarchy:
                     f"(min eigenvalue {lo:.3e})")
 
 
+def prepare(h: MultigridHierarchy) -> None:
+    """Ready every level of ``h`` once: the smoother of each smoothed
+    level (:meth:`_Level.prepare_smoother`) and the coarsest level's
+    direct solver.  :func:`solve` and :func:`vcycle_step` call it."""
+    if h._prepared:
+        return
+    for lvl in h.levels[:-1]:
+        lvl.prepare_smoother()
+    last = h.levels[-1]
+    last.coarse_solve = _coarse_solver(last.matrix.matrix, last.matrix.exactly_hermitian)
+    h._prepared = True
+
+
 def _vectors(lvl: _Level, x, b, name: str):
     """x and b as arrays, checked to be vectors of the level's size."""
     x, b = np.asarray(x), np.asarray(b)
@@ -557,8 +563,8 @@ def smooth(level: _Level, x, b, sweeps: int, _carry=None):
     """Apply ``sweeps`` sweeps of the smoother of ``level``, one of a
     hierarchy's ``levels``, to M x = b, M the level matrix, from x:
     x <- x + omega (b - M x) for Richardson, x <- (D + L)^{-1} (b - U x)
-    for forward Gauss-Seidel.  With no sweep the smoother is not
-    prepared.  Returns a new array; x and b are left untouched.
+    for forward Gauss-Seidel, with the smoother :func:`prepare` set.
+    Returns a new array; x and b are left untouched.
 
     ``_carry`` is the cycle's: a one-item list holding the first sweep's
     input, b - M x or b - U x, when the caller has it (None otherwise),
@@ -573,6 +579,8 @@ def smooth(level: _Level, x, b, sweeps: int, _carry=None):
         carry[0] = None
         return x.copy()
     kernels = level.sweeps
+    if kernels is None:
+        raise ArgumentError("smoother not prepared: call prepare on the hierarchy")
     w = carry[0] if carry[0] is not None else kernels.input(x, b)
     x = kernels.sweep(x, w)
     for _ in range(sweeps - 1):
@@ -588,7 +596,9 @@ def vcycle_step(h: MultigridHierarchy, level: int, x, b, _carry=None):
     two-level hierarchy this is the two-grid step.  ``_carry`` is the
     first pre-smoothing sweep's input and receives the last
     post-smoothing sweep's (see :func:`smooth`).  x and b are left
-    untouched."""
+    untouched.  An unprepared hierarchy is prepared first."""
+    if not h._prepared:
+        prepare(h)
     lvl = h.levels[level]
     x, b = _vectors(lvl, x, b, f"level {level}")
     if lvl.transfer is None:
@@ -610,7 +620,7 @@ def tgm_step(A: BlockStructuredMatrix, P: GridTransfer, x, b, spec: SmootherSpec
     ``A`` is a :class:`BlockStructuredMatrix`.  The step is
     :func:`vcycle_step` on the two-level hierarchy (A, P^H A P), the
     same code that ``solve(cycle="tgm")`` iterates; the Galerkin product
-    and the coarse factorization are rebuilt on every call.
+    and the level kernels are rebuilt on every call.
     """
     return vcycle_step(MultigridHierarchy([A, galerkin(A, P)], [P], spec), 0, x, b)
 
@@ -688,8 +698,8 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
     x = np.zeros_like(b, dtype=A.dtype if np.iscomplexobj(A.data) else float)
     if norm_b == 0.0:
         return SolveResult(x=x, iterations=0, residuals=[], converged=True)
+    prepare(h)
     residuals = []
-    diverged = False
     # the product of the stopping test also gives the next cycle's first
     # sweep its input; the first cycle's is computed there
     finest, carry = h.levels[0], [None]
@@ -703,10 +713,9 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
         if res <= tol:
             return SolveResult(x=x, iterations=it, residuals=residuals, converged=True)
         if detect_divergence(residuals):
-            diverged = True
             break
     return SolveResult(x=x, iterations=len(residuals), residuals=residuals,
-                       converged=False, diverged=diverged)
+                       converged=False, diverged=detect_divergence(residuals))
 
 
 def richardson_omega_default(A) -> float:

@@ -55,6 +55,8 @@ from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import BlockStructuredMatrix, GridTransfer, galerkin
 from .symbol import MatrixTrigPolynomial, corner_sums, tensor_symbol
 
+MAX_2D_DEGREE, MAX_2D_T = 3, 7   # the desk-scale 2D problems
+
 
 def tensor_sum_symbol(f: MatrixTrigPolynomial, h: MatrixTrigPolynomial) -> MatrixTrigPolynomial:
     """Bivariate symbol f (x) h + h (x) f of the 2D tensor operator.
@@ -169,10 +171,10 @@ def assemble_2d_problem(r: int, t: int) -> FemProblem:
     Kronecker dof ordering, block order r^2, with the 1D pair as its
     ``factors``."""
     _check_degree(r)
-    if r > 3:
-        raise ArgumentError(f"2D problems capped at degree 3, got {r}")
-    if t > 7:
-        raise ArgumentError(f"2D problems capped at t = 7, got {t}")
+    if r > MAX_2D_DEGREE:
+        raise ArgumentError(f"2D problems capped at degree {MAX_2D_DEGREE}, got {r}")
+    if t > MAX_2D_T:
+        raise ArgumentError(f"2D problems capped at t = {MAX_2D_T}, got {t}")
     n = 2 ** t
     K = assemble_stiffness(r, n).matrix
     M = assemble_mass(r, n)

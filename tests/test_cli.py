@@ -146,6 +146,30 @@ def test_certify_bivariate_pair_writes_a_certified_report(tmp_path, capsys):
     assert report["tgm_certified"] and report["zero"]["theta0"] == [0.0, 0.0]
 
 
+def test_certify_without_output_prints_the_report_it_writes(tmp_path, capsys):
+    args = _certify_args(tmp_path, stiffness_symbol(2), build_linear_interp_symbol(2))
+    out = tmp_path / "cert.json"
+    assert main(args + ["--output", str(out)]) == 0
+    capsys.readouterr()
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text() and json.loads(printed)["tgm_certified"]
+
+
+@pytest.mark.parametrize("settings", [
+    b"dim = 2\nr = 2\nt_range = 6..8\n",
+    b"mode = both\ndim = 2\nr = 4\nt_range = 3\n",
+], ids=["2d-t-above-cap", "both-2d-degree-above-cap"])
+def test_2d_caps_refused_before_any_solve(tmp_path, capsys, settings):
+    # refused with the rest of the config: t = 6 and 7 are not solved
+    # first, and no output directory or file is made
+    out = tmp_path / "out"
+    assert main(_run_args(tmp_path, settings + f"output = {out}\n".encode())) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2D solves need") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_output_onto_a_directory_leaves_no_temporary_file(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.mkdir()
@@ -189,6 +213,15 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             parse_config(tmp_path / "nowhere.cfg")
+
+    def test_2d_caps_bound_solves_not_certification(self, tmp_path):
+        for mode in ("solve", "both"):
+            with pytest.raises(ConfigurationError, match="2D solves"):
+                parse_config(write_config(tmp_path / "bad.cfg", mode=mode, dim=2, r=4))
+            assert parse_config(write_config(tmp_path / "ok.cfg", mode=mode, dim=2,
+                                             r=3, t_range="7")).r == 3
+        assert parse_config(write_config(tmp_path / "cert.cfg", mode="certify",
+                                         dim=2, r=4, t_range="8")).r == 4
 
     def test_dim2_variable_coefficient_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):

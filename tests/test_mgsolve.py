@@ -6,14 +6,16 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.linalg._dsolve import _superlu
 
 from blockmg import (MatrixTrigPolynomial, MultigridHierarchy, SmootherSpec,
-                     assemble_toeplitz, assemble_transfer, mgsolve,
+                     assemble_toeplitz, assemble_transfer, mgsolve, prepare,
                      richardson_omega_default, smooth, solve, tgm_step,
                      vcycle_step)
 from blockmg.errors import (ArgumentError, ConfigurationError, ConstructionError,
                             NumericalError, SingularMatrixError)
 from blockmg.femgen import (COEFFICIENTS, FemProblem, assemble_stiffness,
-                            build_fem_hierarchy, stiffness_symbol)
-from blockmg.mgsolve import (GAUSS_SEIDEL, RICHARDSON, TGM, VCYCLE, _Level,
+                            build_fem_hierarchy, build_fem_transfer,
+                            stiffness_symbol)
+from blockmg.mgsolve import (DIVERGENCE_RATIO, DIVERGENCE_RUN, GAUSS_SEIDEL,
+                             RICHARDSON, TGM, VCYCLE, _Level,
                              _check_index_width, _coarse_solver,
                              _lower_triangular_solve, detect_divergence,
                              gershgorin_bound)
@@ -34,8 +36,11 @@ def tridiag(n):
 
 
 def lone(M, spec=GS):
-    """The sparse matrix M as a level of its own, smoothed by ``spec``."""
-    return _Level(BlockStructuredMatrix(M), None, spec)
+    """The sparse matrix M as a level of its own, smoothed by ``spec``,
+    with its smoother prepared."""
+    level = _Level(BlockStructuredMatrix(M), None, spec)
+    level.prepare_smoother()
+    return level
 
 
 def flagged(M) -> BlockStructuredMatrix:
@@ -1169,6 +1174,69 @@ def test_kernels_bound_once_per_level(monkeypatch, dim, cycle):
                      "_coarse_solver": [h.levels[-1].matrix.size]}
 
 
+PREPARATION = ("matvec_kernel", "_gauss_seidel", "_check_omega",
+               "richardson_omega_default", "_coarse_solver")
+
+
+def _log_calls(monkeypatch, names):
+    """Patch each of ``names`` in mgsolve to append its name to the
+    returned log when called."""
+    log = []
+    for name in names:
+        def logging(*args, _fn=getattr(mgsolve, name), _name=name, **kwargs):
+            log.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mgsolve, name, logging)
+    return log
+
+
+@pytest.mark.parametrize("spec", [
+    GS, SmootherSpec(sweeps_pre=0), SmootherSpec(kind=RICHARDSON),
+    SmootherSpec(kind=RICHARDSON, omega=5e-4)],
+    ids=["gauss-seidel", "no-presmoothing", "richardson", "user-omega"])
+@pytest.mark.parametrize("cycle", [TGM, VCYCLE])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_no_cycle_builds_a_kernel(monkeypatch, dim, cycle, spec):
+    # every kernel is built before the first sweep, and each smoothed
+    # level checks a given omega once; a second solve builds nothing
+    h, b = _solve_case(dim, spec, cycle)
+    log = _log_calls(monkeypatch, PREPARATION + ("smooth",))
+    solve(h, b, max_iter=3, cycle=cycle)
+    first = log.index("smooth")
+    assert set(log[first:]) == {"smooth"}
+    smoothed = len(h.levels) - 1
+    assert log[:first].count("_coarse_solver") == 1
+    assert log.count("_check_omega") == (smoothed if spec.omega else 0)
+    assert log.count("_gauss_seidel") == (smoothed if spec.kind == GAUSS_SEIDEL else 0)
+    log.clear()
+    solve(h, b, max_iter=3, cycle=cycle)
+    assert log and set(log) == {"smooth"}
+
+
+def test_steps_prepare_a_fresh_hierarchy_once(monkeypatch):
+    h, b = _solve_case(1, GS, VCYCLE)
+    log = _log_calls(monkeypatch, ("prepare", "_coarse_solver"))
+    x = vcycle_step(h, 0, np.zeros(b.size), b)
+    vcycle_step(h, 0, x, b)
+    assert log == ["prepare", "_coarse_solver"]
+    log.clear()
+    A, P = two_grid_pieces()
+    for _ in range(2):
+        tgm_step(A, P, np.zeros(A.size), A.matrix @ np.ones(A.size), GS)
+    assert log == ["prepare", "_coarse_solver"] * 2
+
+
+def test_smoothing_an_unprepared_level_is_refused():
+    h, b = _solve_case(1, GS, VCYCLE)
+    x = np.zeros(b.size)
+    with pytest.raises(ArgumentError, match="prepare"):
+        smooth(h.levels[0], x, b, 1)
+    assert same_bits(smooth(h.levels[0], x, b, 0), x)
+    prepare(h)
+    want = smooth(lone(h.levels[0].matrix.matrix), x, b, 1)
+    assert same_bits(smooth(h.levels[0], x, b, 1), want)
+
+
 class TestCarriedResidual:
     """``solve`` hands the input its stopping test formed to the next
     cycle's first sweep, each coarse level starts from its restricted
@@ -1284,6 +1352,23 @@ def test_detect_divergence():
     assert not detect_divergence([1, 2, 4])
 
 
+def test_solve_stops_on_a_diverging_cycle():
+    # a negative definite fine level (above 512 rows, so unchecked) under
+    # the positive Galerkin level of A: the two-grid residual first falls,
+    # then grows by more than DIVERGENCE_RATIO per cycle
+    A = assemble_stiffness(2, 512).matrix
+    P = build_fem_transfer(2, 512, "linear")
+    fine = BlockStructuredMatrix(-A.matrix)
+    assert fine.size > 512
+    h = MultigridHierarchy([fine, galerkin(A, P)], [P], GS)
+    b = fine.matrix @ np.random.default_rng(0).uniform(size=fine.size)
+    res = solve(h, b, cycle=TGM, max_iter=50)
+    assert res.diverged and not res.converged and res.flag == "diverged"
+    assert res.iterations == len(res.residuals) < 50
+    tail = res.residuals[-(DIVERGENCE_RUN + 1):]
+    assert all(new > DIVERGENCE_RATIO * old for old, new in zip(tail, tail[1:]))
+
+
 class TestOmegaDefault:
     def test_matrix_path_uses_gershgorin(self):
         A = assemble_toeplitz(LAPLACE, 16)
@@ -1386,6 +1471,7 @@ class TestExactlyHermitian:
         # is the symmetrized product, but the fine level is not exact
         assert not fine.exactly_hermitian and h.levels[1].matrix.exactly_hermitian
         assert not banded(M)
+        prepare(h)
         x = np.random.default_rng(5).standard_normal(M.shape[0])
         assert same_bits(h.levels[0].sweeps.upper(x), sp.triu(M, 1, format="csr") @ x)
         b = M @ np.random.default_rng(6).uniform(size=M.shape[0])
@@ -1404,6 +1490,7 @@ class TestExactlyHermitian:
         M = level.matrix
         assert not banded(M)
         lvl = _Level(level, None, GS)
+        lvl.prepare_smoother()
         rng = np.random.default_rng(7)
         x = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
         assert same_bits(lvl.sweeps.upper(x), sp.triu(M, 1, format="csr") @ x)
@@ -1437,8 +1524,10 @@ class TestExactlyHermitian:
                                 ("pbtrs", ([63, 63, 31, 31], []))):
             band.clear()
             dense.clear()
-            lvl = MultigridHierarchy([A, coarse], [P], GS).levels[1]
+            h = MultigridHierarchy([A, coarse], [P], GS)
             assert (band, dense) == checks, backend
+            prepare(h)
+            lvl = h.levels[1]
             assert _backend(lvl.coarse_solve) == backend
             x = lvl.coarse_solve(b)
             assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
