@@ -60,10 +60,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import (ArgumentError, BlockmgError, DimensionError,
-                     SingularMatrixError, TrackingError)
-from .symbol import (OVERLAP_MIN, MatrixTrigPolynomial, SymbolZero,
-                     coarse_symbol, corner_set, corner_sum_symbol, corner_sums,
+from .errors import BlockmgError, SingularMatrixError, TrackingError
+from .symbol import (OVERLAP_MIN, MatrixTrigPolynomial, SymbolZero, _check_pair,
+                     _corner_offsets, coarse_symbol, corner_sum_symbol, corner_sums,
                      find_zero, sample_points, symbol_sup_norm,
                      tracked_eigenpairs)
 
@@ -295,12 +294,6 @@ def shifted_branch_eigenvalue(p: MatrixTrigPolynomial, thetas,
     return out
 
 
-def _shifted_corners(m: int) -> np.ndarray:
-    """The offsets pi eta of the 2^m - 1 shifted corners (eta != 0),
-    shape (2^m - 1, m)."""
-    return np.array(corner_set(np.zeros(m), m)[1:])
-
-
 class ZeroSamples:
     """What the checks at the zero theta0 of f, with singular eigenvector
     q, share for one (f, p) pair: the points :func:`_dyadic_points` lists
@@ -332,8 +325,9 @@ class ZeroSamples:
         the branch of q at each point, from one
         :func:`shifted_branch_eigenvalue` call for all corners."""
         m = self.p.m
-        # shifted_branch_eigenvalue adds pi on every axis itself
-        corners = (self.points[:, None, :] + (_shifted_corners(m) - np.pi)).reshape(-1, m)
+        # the shifted corners (eta != 0); shifted_branch_eigenvalue adds
+        # pi on every axis itself
+        corners = (self.points[:, None, :] + (_corner_offsets(m)[1:] - np.pi)).reshape(-1, m)
         values = np.abs(shifted_branch_eigenvalue(self.p, corners, self.q))
         return values.reshape(len(self.points), -1).max(axis=1)
 
@@ -386,7 +380,7 @@ def fixed_point_shortcut_hypotheses(p: MatrixTrigPolynomial, theta0,
     """
     t0 = np.asarray(theta0, dtype=float)
     P0 = p.evaluate(t0)
-    shifted = p.evaluate_grid(t0 + _shifted_corners(p.m))
+    shifted = p.evaluate_grid(t0 + _corner_offsets(p.m)[1:])
     scale = max(float(np.linalg.norm(P, 2)) for P in (P0, *shifted))
 
     lam1 = complex(q.conj() @ (P0 @ q))
@@ -506,6 +500,11 @@ def check_vcycle_bound(samples: ZeroSamples) -> CheckResult:
         **est.evidence})
 
 
+# the five properties of check_fhat_properties, in the order it reports them
+_FHAT_PROPERTIES = ("hermitian", "nonnegative", "kernel_at_doubled_zero",
+                    "positive_elsewhere", "coarse_zero_same_order")
+
+
 def check_fhat_properties(samples: ZeroSamples) -> dict:
     """The five structural properties of the coarse symbol: Hermitian
     polynomial, nonnegative and positive elsewhere (outside an exclusion
@@ -515,26 +514,23 @@ def check_fhat_properties(samples: ZeroSamples) -> dict:
     to a nonzero constant (above 1e-8 sup|p|^2)."""
     p, t0, q = samples.p, samples.theta0, samples.q
     fhat = coarse_symbol(samples.f, p)
-    out = {}
 
-    out["hermitian"] = CheckResult(fhat.hermitian, {"window": max(fhat.window())})
+    hermitian = CheckResult(fhat.hermitian, {"window": max(fhat.window())})
 
     pts = sample_points(p.m, GRID_POINTS)
     eigs = np.linalg.eigvalsh(fhat.evaluate_grid(pts))
     scale = float(np.max(np.abs(eigs)))
     min_eig = float(eigs[:, 0].min())
-    out["nonnegative"] = CheckResult(min_eig >= -1e-10 * scale,
-                                     {"min_eig": min_eig, "scale": scale})
+    nonnegative = CheckResult(min_eig >= -1e-10 * scale,
+                              {"min_eig": min_eig, "scale": scale})
 
     kdef = float(np.linalg.norm(fhat.evaluate(2.0 * t0) @ q))
-    out["kernel_at_doubled_zero"] = CheckResult(kdef <= 1e-10 * scale,
-                                                {"defect": kdef})
+    kernel = CheckResult(kdef <= 1e-10 * scale, {"defect": kdef})
 
     dist = np.abs(pts.reshape(len(pts), -1) - 2.0 * t0 % (2.0 * np.pi)) % (2.0 * np.pi)
     away = np.max(np.minimum(dist, 2.0 * np.pi - dist), axis=1) > 1e-3
     min_away = float(eigs[away, 0].min())
-    out["positive_elsewhere"] = CheckResult(min_away > 1e-10 * scale,
-                                            {"min_eig_outside_ball": min_away})
+    positive = CheckResult(min_away > 1e-10 * scale, {"min_eig_outside_ball": min_away})
 
     fscale, pscale = samples.fscale, samples.pscale
     est = dyadic_limit(
@@ -543,9 +539,10 @@ def check_fhat_properties(samples: ZeroSamples) -> dict:
         cap=RATIO_CAP * pscale ** 2)
     # the limit and its cap scale as |p|^2, as f_hat = p^H f p does
     # against f
-    out["coarse_zero_same_order"] = CheckResult(
-        est.passed and est.evidence["c"] > 1e-8 * pscale ** 2, est.evidence)
-    return out
+    same_order = CheckResult(est.passed and est.evidence["c"] > 1e-8 * pscale ** 2,
+                             est.evidence)
+    return dict(zip(_FHAT_PROPERTIES,
+                    (hermitian, nonnegative, kernel, positive, same_order)))
 
 
 # -- aggregation -----------------------------------------------------------
@@ -624,11 +621,7 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
     once per report; a shared quantity that raises is recomputed, and
     its error reported, by each check that reads it.
     """
-    if p.d != f.d:
-        raise DimensionError(f"block order mismatch: p has d = {p.d}, f has d = {f.d}")
-    if p.m != f.m:
-        raise ArgumentError(
-            f"variable count mismatch: p has m = {p.m}, f has m = {f.m}")
+    _check_pair(p, f)
     zero = find_zero(f)
     samples = ZeroSamples(p, f, zero.theta0, zero.q_jbar)
     cond_i = _run_check(check_condition_i, p)
@@ -638,9 +631,7 @@ def full_report(p: MatrixTrigPolynomial, f: MatrixTrigPolynomial) -> ConditionRe
     try:
         fhat = check_fhat_properties(samples)
     except BlockmgError as exc:
-        fhat = {name: _error_result(exc)
-                for name in ("hermitian", "nonnegative", "kernel_at_doubled_zero",
-                             "positive_elsewhere", "coarse_zero_same_order")}
+        fhat = {name: _error_result(exc) for name in _FHAT_PROPERTIES}
     try:
         hyps = samples.hypotheses
     except BlockmgError as exc:

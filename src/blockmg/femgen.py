@@ -273,18 +273,21 @@ def mass_symbol(r: int) -> MatrixTrigPolynomial:
     return _band_symbol(loc, loc, _SYMBOL_ELEMENTS)
 
 
+def _check_transfer_kind(kind) -> None:
+    if kind not in (LINEAR, GEOMETRIC):
+        raise ArgumentError(f"unknown transfer kind {kind!r}")
+
+
 def _coarse_element_table(r: int, kind: str) -> np.ndarray:
     """The (2r, r+1) prolongation weights of one coarse element: entry
     (s, l) is the weight of its coarse knot l at its fine knot s."""
-    s = np.arange(2 * r)[:, None]
-    ell = np.arange(r + 1)
+    _check_transfer_kind(kind)
     if kind == LINEAR:
         # the (1,2,1) stencil: fine knot k takes 2 - |k - 2c| of coarse knot c
-        return np.clip(2.0 - np.abs(s - 2 * ell), 0.0, None)
-    if kind == GEOMETRIC:
-        # fine knot s of a coarse element sits at s/(2r) on the reference element
-        return _reference_basis(r, np.arange(2 * r) / (2 * r))[0].T
-    raise ArgumentError(f"unknown transfer kind {kind!r}")
+        s = np.arange(2 * r)[:, None]
+        return np.clip(2.0 - np.abs(s - 2 * np.arange(r + 1)), 0.0, None)
+    # fine knot s of a coarse element sits at s/(2r) on the reference element
+    return _reference_basis(r, np.arange(2 * r) / (2 * r))[0].T
 
 
 def _table_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
@@ -363,11 +366,10 @@ def build_geometric_symbol(r: int) -> MatrixTrigPolynomial:
 
 def projector_symbol(r: int, kind: str) -> MatrixTrigPolynomial:
     """The projector symbol of a transfer kind (``linear`` or ``geometric``)."""
+    _check_transfer_kind(kind)
     if kind == LINEAR:
         return build_linear_interp_symbol(r)
-    if kind == GEOMETRIC:
-        return build_geometric_symbol(r)
-    raise ArgumentError(f"unknown transfer kind {kind!r}")
+    return build_geometric_symbol(r)
 
 
 def _check_coarsening(n_elements: int) -> None:

@@ -658,6 +658,20 @@ def detect_divergence(residuals) -> bool:
     return all(tail[k + 1] > DIVERGENCE_RATIO * tail[k] for k in range(DIVERGENCE_RUN))
 
 
+def _check_solve_args(tol, max_iter, cycle) -> None:
+    """The scalar arguments of :func:`solve`."""
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
+        raise ArgumentError(f"tol must be a real number, got {tol!r}")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ArgumentError("tol must be positive and finite")
+    if not _is_integer(max_iter):
+        raise ArgumentError(f"max_iter must be an integer, got {max_iter!r}")
+    if not max_iter >= 1:
+        raise ArgumentError("max_iter must be >= 1")
+    if cycle not in (TGM, VCYCLE):
+        raise ArgumentError(f"unknown cycle {cycle!r}")
+
+
 def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
           cycle: str = VCYCLE) -> SolveResult:
     """Iterate the chosen cycle from x0 = 0 until the relative residual
@@ -669,16 +683,7 @@ def solve(h: MultigridHierarchy, b, tol: float = 1e-6, max_iter: int = 100,
     ``two_level=True``).  A residual that is not finite (a cycle that
     overflowed) ends the solve with :class:`NumericalError`, naming the
     cycle."""
-    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
-        raise ArgumentError(f"tol must be a real number, got {tol!r}")
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ArgumentError("tol must be positive and finite")
-    if not _is_integer(max_iter):
-        raise ArgumentError(f"max_iter must be an integer, got {max_iter!r}")
-    if not max_iter >= 1:
-        raise ArgumentError("max_iter must be >= 1")
-    if cycle not in (TGM, VCYCLE):
-        raise ArgumentError(f"unknown cycle {cycle!r}")
+    _check_solve_args(tol, max_iter, cycle)
     if cycle == TGM and len(h.levels) != 2:
         raise ArgumentError(f"the two-grid cycle needs a two-level hierarchy, "
                             f"got {len(h.levels)} levels")

@@ -53,7 +53,7 @@ from .femgen import (FemProblem, _check_degree, _transfer_chain, assemble_mass,
                      assemble_stiffness)
 from .mgsolve import DEFAULT_COARSEST, MultigridHierarchy, SmootherSpec
 from .structured import BlockStructuredMatrix, GridTransfer, galerkin
-from .symbol import MatrixTrigPolynomial, corner_sums, tensor_symbol
+from .symbol import MatrixTrigPolynomial, _check_pair, corner_sums, tensor_symbol
 
 MAX_2D_DEGREE, MAX_2D_T = 3, 7   # the desk-scale 2D problems
 
@@ -165,16 +165,20 @@ def kron_sum(K: BlockStructuredMatrix, M: BlockStructuredMatrix) -> BlockStructu
     return out
 
 
-def assemble_2d_problem(r: int, t: int) -> FemProblem:
-    """Assemble the desk-scale 2D problem of size (r 2^t - 1)^2: the
-    operator stiffness (x) mass + mass (x) stiffness in the natural
-    Kronecker dof ordering, block order r^2, with the 1D pair as its
-    ``factors``."""
+def _check_2d_size(r, t) -> None:
     _check_degree(r)
     if r > MAX_2D_DEGREE:
         raise ArgumentError(f"2D problems capped at degree {MAX_2D_DEGREE}, got {r}")
     if t > MAX_2D_T:
         raise ArgumentError(f"2D problems capped at t = {MAX_2D_T}, got {t}")
+
+
+def assemble_2d_problem(r: int, t: int) -> FemProblem:
+    """Assemble the desk-scale 2D problem of size (r 2^t - 1)^2: the
+    operator stiffness (x) mass + mass (x) stiffness in the natural
+    Kronecker dof ordering, block order r^2, with the 1D pair as its
+    ``factors``."""
+    _check_2d_size(r, t)
     n = 2 ** t
     K = assemble_stiffness(r, n).matrix
     M = assemble_mass(r, n)
@@ -252,7 +256,10 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     how far that eigenvector is from the kernel of ``f2d``.  The
     condition (iii) verdict is
     :func:`~blockmg.conditions.condition_iii_verdict`, without the
-    shifted-branch surrogate that ``full_report`` adds as evidence.
+    shifted-branch surrogate that ``full_report`` adds as evidence.  A
+    tensor projector and ``f2d`` of different block orders
+    (``DimensionError``) or variable counts (``ArgumentError``) raise
+    before any check runs.
     """
     ps = list(ps)
     if len(ps) != 2:
@@ -260,6 +267,8 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     fs = list(fs)
     if len(fs) != len(ps):
         raise ArgumentError("one univariate problem symbol per dimension required")
+    p2d = tensor_symbol(ps)
+    _check_pair(p2d, f2d)
 
     reports = {}
     for p, f in zip(ps, fs):
@@ -270,7 +279,6 @@ def check_multilevel_conditions(ps, f2d: MatrixTrigPolynomial,
     theta0 = np.array([z.theta0[0] for z in zeros])
     q = np.kron(zeros[0].q_jbar, zeros[1].q_jbar)
     q /= np.linalg.norm(q)
-    p2d = tensor_symbol(ps)
     samples = ZeroSamples(p2d, f2d, theta0, q)
 
     cond_i = check_condition_i(p2d)

@@ -186,17 +186,11 @@ class MatrixTrigPolynomial:
 
     # -- coefficient algebra ----------------------------------------------
 
-    def _binary_check(self, other):
-        if not isinstance(other, MatrixTrigPolynomial):
-            raise ArgumentError("operand is not a symbol")
-        if other.m != self.m:
-            raise ArgumentError(f"variable count mismatch: {self.m} vs {other.m}")
-        if other.d != self.d:
-            raise DimensionError(f"block order mismatch: {self.d} vs {other.d}")
-
     def __matmul__(self, other):
         """Pointwise matrix product (f g)(t) = f(t) g(t), by convolution."""
-        self._binary_check(other)
+        if not isinstance(other, MatrixTrigPolynomial):
+            raise ArgumentError("operand is not a symbol")
+        _check_pair(self, other)
         out = {}
         for ja, ca in self.coeffs.items():
             for jb, cb in other.coeffs.items():
@@ -213,6 +207,15 @@ class MatrixTrigPolynomial:
     def __repr__(self):
         return (f"MatrixTrigPolynomial(d={self.d}, m={self.m}, "
                 f"window={self.window()}, ncoeff={len(self.coeffs)})")
+
+
+def _check_pair(a: MatrixTrigPolynomial, b: MatrixTrigPolynomial) -> None:
+    """Two symbols used together share their block order d, else
+    :class:`DimensionError`, and their variable count m, else ArgumentError."""
+    if a.d != b.d:
+        raise DimensionError(f"block order mismatch: d = {a.d} and d = {b.d}")
+    if a.m != b.m:
+        raise ArgumentError(f"variable count mismatch: m = {a.m} and m = {b.m}")
 
 
 def _check_finite(keys, stack) -> None:
@@ -436,10 +439,7 @@ def coarse_symbol(f: MatrixTrigPolynomial, p: MatrixTrigPolynomial) -> MatrixTri
     that are even in every variable, so the coarse coefficient at j is
     the coefficient of g at 2j.
     """
-    if f.m != p.m:
-        raise ArgumentError(f"variable count mismatch: f has m = {f.m}, p has m = {p.m}")
-    if f.d != p.d:
-        raise DimensionError(f"block order mismatch: f has {f.d}, p has {p.d}")
+    _check_pair(f, p)
     g = p.conj_transpose() @ f @ p
     out = {tuple(k // 2 for k in j): c for j, c in g.coeffs.items()
            if all(k % 2 == 0 for k in j)}
@@ -468,16 +468,11 @@ def tensor_symbol(ps) -> MatrixTrigPolynomial:
     return MatrixTrigPolynomial(out, m=len(ps))
 
 
-def corner_set(theta, m):
-    """The 2^m aliasing corners {theta + pi*eta : eta in {0,1}^m}."""
-    t = np.atleast_1d(np.asarray(theta, dtype=float))
-    if t.shape != (m,):
-        raise ArgumentError(f"point has shape {t.shape}, expected ({m},)")
-    corners = []
-    for mask in range(2 ** m):
-        eta = np.array([(mask >> ell) & 1 for ell in range(m)], dtype=float)
-        corners.append(t + np.pi * eta)
-    return corners
+def _corner_offsets(m: int) -> np.ndarray:
+    """The offsets pi eta, eta in {0,1}^m, that take a point to its 2^m
+    aliasing corners, shape (2^m, m): row k has eta_l = bit l of k, so
+    row 0 is the point itself."""
+    return np.pi * ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1)
 
 
 def corner_sums(p: MatrixTrigPolynomial, thetas) -> np.ndarray:
@@ -486,7 +481,7 @@ def corner_sums(p: MatrixTrigPolynomial, thetas) -> np.ndarray:
     construction.  All 2^m corners of every point go through one
     :meth:`~MatrixTrigPolynomial.evaluate_grid` call."""
     ts = _as_grid(thetas, p.m)
-    offsets = np.array(corner_set(np.zeros(p.m), p.m))                 # (2^m, m)
+    offsets = _corner_offsets(p.m)
     E = p.evaluate_grid((ts[:, None, :] + offsets).reshape(-1, p.m))
     # the corner values stacked row-wise: E^H E is the sum over corners
     E = E.reshape(len(ts), len(offsets) * p.d, p.d)

@@ -156,17 +156,42 @@ def test_certify_without_output_prints_the_report_it_writes(tmp_path, capsys):
     assert printed == out.read_text() and json.loads(printed)["tgm_certified"]
 
 
-@pytest.mark.parametrize("settings", [
-    b"dim = 2\nr = 2\nt_range = 6..8\n",
-    b"mode = both\ndim = 2\nr = 4\nt_range = 3\n",
-], ids=["2d-t-above-cap", "both-2d-degree-above-cap"])
-def test_2d_caps_refused_before_any_solve(tmp_path, capsys, settings):
-    # refused with the rest of the config: t = 6 and 7 are not solved
-    # first, and no output directory or file is made
+# one config per rule that the library function consuming the key owns,
+# with the start of the message that the owner writes
+LIBRARY_RULES = {
+    "2d-t-above-cap": (b"dim = 2\nr = 2\nt_range = 6..8\n",
+                       "2D problems capped at t = 7, got 8"),
+    "both-2d-degree-above-cap": (b"mode = both\ndim = 2\nr = 4\nt_range = 3\n",
+                                 "2D problems capped at degree 3, got 4"),
+    "tol-zero": (b"tol = 0\nt_range = 3\n", "tol must be positive and finite"),
+    "max-iter-zero": (b"max_iter = 0\nt_range = 3\n", "max_iter must be >= 1"),
+    "unknown-cycle": (b"cycle = fcycle\nt_range = 3\n", "unknown cycle 'fcycle'"),
+    "unknown-smoother": (b"smoother = jacobi\nt_range = 3\n",
+                         "unknown smoother kind 'jacobi'"),
+    "negative-sweeps": (b"sweeps_pre = -1\nt_range = 3\n",
+                        "sweep counts must be nonnegative integers, got -1"),
+    "inf-omega": (b"smoother = richardson\nomega = inf\nt_range = 3\n",
+                  "omega must be a finite real number, got inf"),
+    "unknown-coefficient": (b"coefficient = bogus\nt_range = 3\n",
+                            "unknown coefficient 'bogus'"),
+    "unknown-projector": (b"projector = bogus\nt_range = 3\n",
+                          "unknown transfer kind 'bogus'"),
+    "degree-zero": (b"r = 0\nt_range = 3\n", "degree must be an integer >= 1, got 0"),
+    "certify-degree-above-cap": (b"mode = certify\nr = 9\nt_range = 3\n",
+                                 "symbol degree must be an integer in 1..8, got 9"),
+}
+
+
+@pytest.mark.parametrize("settings, prefix", list(LIBRARY_RULES.values()),
+                         ids=list(LIBRARY_RULES))
+def test_2d_caps_refused_before_any_solve(tmp_path, capsys, settings, prefix):
+    # refused with the rest of the config, before anything is built: no
+    # output directory or file is made (nor, in the first case, are
+    # t = 6 and 7 solved first)
     out = tmp_path / "out"
     assert main(_run_args(tmp_path, settings + f"output = {out}\n".encode())) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: 2D solves need") and err.count("\n") == 1
+    assert err.startswith(f"error: {prefix}") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -216,7 +241,7 @@ class TestParseConfig:
 
     def test_2d_caps_bound_solves_not_certification(self, tmp_path):
         for mode in ("solve", "both"):
-            with pytest.raises(ConfigurationError, match="2D solves"):
+            with pytest.raises(ConfigurationError, match="2D problems capped at degree 3"):
                 parse_config(write_config(tmp_path / "bad.cfg", mode=mode, dim=2, r=4))
             assert parse_config(write_config(tmp_path / "ok.cfg", mode=mode, dim=2,
                                              r=3, t_range="7")).r == 3
@@ -230,7 +255,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("mode", ["certify", "both"])
     def test_certify_degree_cap(self, tmp_path, mode):
-        with pytest.raises(ConfigurationError, match="r <= 8"):
+        with pytest.raises(ConfigurationError, match=r"in 1\.\.8, got 9"):
             parse_config(write_config(tmp_path / "bad.cfg", mode=mode, r=9))
         assert parse_config(write_config(tmp_path / "ok.cfg", mode=mode, r=8)).r == 8
 

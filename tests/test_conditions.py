@@ -19,7 +19,8 @@ from blockmg.conditions import (EPS, GRID_POINTS, OVERLAP_MIN, RATIO_CAP,
                                 _projector_defect,
                                 fixed_point_shortcut_hypotheses, jsonable,
                                 shifted_branch_eigenvalue)
-from blockmg.errors import SingularMatrixError, TrackingError
+from blockmg.errors import (ArgumentError, DimensionError, NumericalError,
+                            SingularMatrixError, TrackingError)
 from blockmg.femgen import (build_geometric_symbol, build_linear_interp_symbol,
                             mass_symbol, stiffness_symbol)
 from blockmg.multilevel import check_multilevel_conditions, tensor_sum_symbol
@@ -266,6 +267,30 @@ class TestFullReport:
             "hermitian", "nonnegative", "kernel_at_doubled_zero",
             "positive_elsewhere", "coarse_zero_same_order"}
         assert doc["condition_i"]["min_eig"] == pytest.approx(8.0)
+
+    def test_coarse_symbol_error_fails_all_five_properties(self, f_q2, p_l2, monkeypatch):
+        def broken(f, p):
+            raise NumericalError("no coarse symbol")
+
+        names = list(full_report(p_l2, f_q2).fhat_properties)
+        assert len(names) == 5
+        monkeypatch.setattr(conditions, "coarse_symbol", broken)
+        rep = full_report(p_l2, f_q2)
+        assert list(rep.fhat_properties) == names
+        for result in rep.fhat_properties.values():
+            assert not result.passed
+            assert result.evidence == {"error": "NumericalError: no coarse symbol"}
+        assert rep.tgm_certified and not rep.vcycle_certified
+
+    @pytest.mark.parametrize("use", [full_report, coarse_symbol, lambda a, b: a @ b],
+                             ids=["full_report", "coarse_symbol", "matmul"])
+    def test_one_pair_rule(self, p_l2, use):
+        # one rule for every pair of symbols: the block order first
+        p2d = tensor_symbol([INTERP, INTERP])
+        with pytest.raises(DimensionError, match="block order mismatch: d = 2 and d = 1"):
+            use(p_l2, p2d)
+        with pytest.raises(ArgumentError, match="variable count mismatch: m = 1 and m = 2"):
+            use(LAPLACE, p2d)
 
     def test_errors_embedded_not_raised(self):
         # a projector vanishing on the corner set: condition (i) fails and

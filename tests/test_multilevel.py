@@ -452,6 +452,17 @@ class TestMultilevelConditions:
         assert not report.tensor_eigenvector.passed
         json.loads(report.to_json())
 
+    @pytest.mark.parametrize("f2d, error", [
+        (tensor_sum_symbol(stiffness_symbol(3), mass_symbol(3)), DimensionError),
+        (stiffness_symbol(4), ArgumentError),
+    ], ids=["block-order-9", "univariate"])
+    def test_mismatched_f2d_refused_before_any_check(self, p_l2, monkeypatch, f2d, error):
+        # the tensor projector has d = 4 and m = 2
+        monkeypatch.setattr(multilevel, "full_report", None)
+        f = stiffness_symbol(2)
+        with pytest.raises(error, match="mismatch"):
+            check_multilevel_conditions([p_l2, p_l2], f2d, fs=[f, f])
+
     def test_fs_required(self, p_l2):
         f = stiffness_symbol(2)
         f2d = tensor_sum_symbol(f, mass_symbol(2))
